@@ -14,6 +14,8 @@ import (
 	"spam/internal/am"
 	"spam/internal/bench"
 	"spam/internal/hw"
+	"spam/internal/kv"
+	"spam/internal/kv/load"
 	"spam/internal/sim"
 )
 
@@ -372,4 +374,37 @@ func BenchmarkAblationHybridPrefix(b *testing.B) {
 			b.ReportMetric(mbps, "MBps/12KB-msgs")
 		})
 	}
+}
+
+// BenchmarkKVServed is the host-time row of the served path: the repo
+// benchmark's first kv_mixed rung (50k req/s offered for 0.1 simulated
+// seconds by 4 client nodes to 4 servers, mix 80/15/3/2, zipf 1.3), one whole
+// run per op, timed around Service.Run only. Unlike the benchmarks above, its
+// Go time IS the result: ns/req is what a served request costs the host. The
+// two counts beside it are deterministic — polls/req says how much polling a
+// request buys (mostly idle at this rate), events/req how many scheduler
+// events; a host-time change with both unchanged is a change in the cost per
+// poll or per event, not in their number.
+func BenchmarkKVServed(b *testing.B) {
+	const reqs = 5000
+	var polls, events int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		svc, err := kv.New(kv.Config{
+			Servers: 4, ClientNodes: 4, Keys: 1 << 16, Zipf: 1.3, Mix: load.DefaultMix(),
+			VirtualClients: 1 << 20, Rate: 50e3, Requests: reqs, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := svc.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		polls, events = res.AM.Polls, svc.Events()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reqs), "ns/req")
+	b.ReportMetric(float64(polls)/reqs, "polls/req")
+	b.ReportMetric(float64(events)/reqs, "events/req")
 }

@@ -10,11 +10,21 @@ import (
 	"spam/internal/trace"
 )
 
+// pinOneP runs the rest of the test on a single P, as testing.AllocsPerRun
+// does: the guards below diff the process-wide MemStats.Mallocs, and with
+// more Ps the runtime's own goroutines (GC workers, timers) allocate
+// concurrently inside the measured window.
+func pinOneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestPollZeroAlloc enforces the tracing contract: with tracing and metrics
 // off (the default), the AM hot path — an empty poll, including its virtual
 // time advance through the engine's event loop — performs zero heap
 // allocations, so observability support costs nothing when disabled.
 func TestPollZeroAlloc(t *testing.T) {
+	pinOneP(t)
 	c := hw.NewCluster(hw.DefaultConfig(1))
 	sys := am.New(c)
 	var delta uint64
@@ -89,6 +99,7 @@ func echo(p *sim.Proc, ep *am.Endpoint, reqH am.HandlerID, replies *int, i int) 
 // dispatch, ack machinery, on BOTH nodes — performs zero heap allocations
 // once the rings and free lists are warm.
 func TestShortEchoZeroAlloc(t *testing.T) {
+	pinOneP(t)
 	c, sys, reqH, replies := echoPair(hw.DefaultConfig(2))
 	stop := false
 	var delta uint64
@@ -133,10 +144,65 @@ func TestShortEchoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPollWaitZeroAlloc is the same guard for a wait: both nodes sit in
+// PollWait, so every round trip is an idle run stepped inline in the
+// scheduler loop and then a packet. The step func value is made once per
+// endpoint, so the wait itself must not allocate either.
+func TestPollWaitZeroAlloc(t *testing.T) {
+	pinOneP(t)
+	c, sys, reqH, replies := echoPair(hw.DefaultConfig(2))
+	done := false
+	doneH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) { done = true })
+	var delta uint64
+	var idle int64
+	c.Spawn(0, "req", func(p *sim.Proc, n *hw.Node) {
+		ep := sys.EPs[0]
+		echoWait := func(i int) {
+			want := *replies + 1
+			ep.Request(p, 1, reqH, uint32(i))
+			for *replies < want {
+				ep.PollWait(p, 0)
+			}
+		}
+		for i := 0; i < 512; i++ {
+			echoWait(i)
+		}
+		var before, after runtime.MemStats
+		for attempt := 0; attempt < 3; attempt++ {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			idle0 := ep.Stats.EmptyPolls
+			for i := 0; i < 500; i++ {
+				echoWait(i)
+			}
+			runtime.ReadMemStats(&after)
+			delta = after.Mallocs - before.Mallocs
+			idle = ep.Stats.EmptyPolls - idle0
+			if delta == 0 {
+				break
+			}
+		}
+		ep.Request(p, 1, doneH)
+	})
+	c.Spawn(1, "svc", func(p *sim.Proc, n *hw.Node) {
+		for !done {
+			sys.EPs[1].PollWait(p, 0)
+		}
+	})
+	c.Run()
+	if delta != 0 {
+		t.Fatalf("%d heap allocations across 500 PollWait round trips with observability off, want 0", delta)
+	}
+	if idle < 500 {
+		t.Fatalf("only %d empty polls inside the measured window; the guard no longer covers idle runs", idle)
+	}
+}
+
 // TestBulkZeroAlloc is the same guard for the bulk path: steady-state Store
 // and Get loops (multi-chunk, full window slides, chunk reassembly, bulk-op
 // recycling) must not allocate with observability off.
 func TestBulkZeroAlloc(t *testing.T) {
+	pinOneP(t)
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := am.New(c)
 	const size = 16 << 10
@@ -201,6 +267,7 @@ func TestBulkZeroAlloc(t *testing.T) {
 // allocating and metric handles are preallocated, so the steady state must
 // stay within a small fixed budget per round trip.
 func TestEchoAllocBoundWithObservability(t *testing.T) {
+	pinOneP(t)
 	reg := trace.NewRegistry()
 	am.DefaultMetrics = reg
 	defer func() { am.DefaultMetrics = nil }()

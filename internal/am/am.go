@@ -100,6 +100,7 @@ func NewWithOptions(c *hw.Cluster, opt Options) *System {
 	}
 	for _, n := range c.Nodes {
 		ep := &Endpoint{sys: s, node: n, n: len(c.Nodes)}
+		ep.idleStepFn = ep.idleStep
 		ep.peers = make([]*peerState, len(c.Nodes))
 		for i := range ep.peers {
 			ep.peers[i] = newPeerState(opt)
@@ -151,6 +152,13 @@ type Endpoint struct {
 	pendingCommit int                   // staged FIFO entries not yet committed
 	drainArmed    bool                  // Drain has installed the arrival hook
 	drainBusy     bool                  // a post-drain service proc is running
+
+	// PollWait state (see idleStep): the bookkeeping-only polls still allowed,
+	// the polls finished inline so far, and the caller's deadline. The step
+	// func value is made once here so a wait allocates nothing.
+	idleLeft, idleRan int
+	idleUntil         sim.Time
+	idleStepFn        func() bool
 
 	// errHandler, when set, is invoked once per peer declared dead (see
 	// SetErrorHandler).

@@ -58,7 +58,7 @@ func (ep *Endpoint) Drain(p *sim.Proc, budget sim.Time) error {
 		if deadline > 0 && ep.node.Eng.Now() >= deadline {
 			return &DrainTimeoutError{Node: ep.ID(), Budget: budget, Pending: ep.pendingSummary()}
 		}
-		ep.Poll(p)
+		ep.PollWait(p, deadline)
 	}
 	if ep.drainArmed {
 		return nil
@@ -71,7 +71,7 @@ func (ep *Endpoint) Drain(p *sim.Proc, budget sim.Time) error {
 		ep.drainBusy = true
 		ep.node.Eng.GoDaemon("am-drain-service", func(sp *sim.Proc) {
 			for !ep.localQuiescent() || ep.node.Adapter.RecvLen() > 0 {
-				ep.Poll(sp)
+				ep.PollWait(sp, 0)
 			}
 			ep.drainBusy = false
 		})

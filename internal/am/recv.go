@@ -1,6 +1,8 @@
 package am
 
 import (
+	"math"
+
 	"spam/internal/hw"
 	"spam/internal/sim"
 	"spam/internal/trace"
@@ -20,20 +22,63 @@ func (ep *Endpoint) emit(k trace.Kind, pkt, arg int64, class string) {
 // outgoing work. Polling an empty network costs 1.3 µs plus about 1.8 µs
 // per received message (paper §2.5).
 func (ep *Endpoint) Poll(p *sim.Proc) {
+	ep.pollBegin(p)
+	ep.node.ComputeUnscaled(p, costPollEmpty)
+	ep.pollFinish(p)
+}
+
+// PollWait polls until a poll does anything other than find the network
+// idle, or until one completes at or after until (0 = no deadline), and
+// returns how many polls it made (at least one). Simulated times, trace
+// events, metric observations and every counter are exactly those of that
+// many Poll calls; what it saves is host time — a run of idle polls is
+// stepped inline in the scheduler loop (sim.Proc.AdvanceWhile) instead of
+// switching to this process once per poll.
+//
+// When may a loop use it? `for !cond { ep.Poll(p) }` may become
+// `for !cond { ep.PollWait(p, until) }` when cond can change only inside a
+// poll of this endpoint (a handler, a completion callback, an error
+// declaration) or by the clock reaching until. It may not when another
+// process sets cond directly, when the loop body does work of its own on
+// every iteration, or when the loop is count-bounded. Returning early is
+// always safe — the caller re-tests cond and calls again — and PollWait
+// does so whenever the next poll is not provably pure bookkeeping.
+func (ep *Endpoint) PollWait(p *sim.Proc, until sim.Time) (polls int) {
+	ep.pollBegin(p)
+	ep.idleLeft, ep.idleRan, ep.idleUntil = ep.idleBudget(), 0, until
+	p.AdvanceWhile(costPollEmpty, ep.idleStepFn)
+	polls = ep.idleRan + 1
+	if polls > 1 {
+		ep.settleIdle(polls - 1)
+	}
+	ep.pollFinish(p)
+	return polls
+}
+
+// pollBegin is everything a poll does before charging its empty-poll cost.
+func (ep *Endpoint) pollBegin(p *sim.Proc) {
 	if ep.node.Killed() {
 		// Fail-stopped node: the program never runs another instruction.
 		// Detach parks the process forever and reclassifies it as a daemon
 		// so the rest of the simulation can finish without it.
 		p.Detach("fail-stopped (killed)")
 	}
+	ep.pollStart()
+}
+
+// pollStart is pollBegin past the kill check, which idleStep makes itself.
+func (ep *Endpoint) pollStart() {
 	ep.Stats.Polls++
 	ep.emit(trace.EvPollStart, 0, 0, "")
-	ad := ep.node.Adapter
 	if m := ep.sys.met; m != nil {
 		m.polls.Inc()
-		m.recvFIFO.Observe(int64(ad.RecvLen()))
+		m.recvFIFO.Observe(int64(ep.node.Adapter.RecvLen()))
 	}
-	ep.node.ComputeUnscaled(p, costPollEmpty)
+}
+
+// pollFinish is everything a poll does once its empty-poll cost has elapsed.
+func (ep *Endpoint) pollFinish(p *sim.Proc) {
+	ad := ep.node.Adapter
 	got := 0
 	for {
 		pkt := ad.RecvPeek()
@@ -53,6 +98,11 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 	}
 	ep.drainAll(p)
 	ep.explicitAcks(p)
+	ep.pollEnd(got)
+}
+
+// pollEnd closes a poll that received got packets, for the observers.
+func (ep *Endpoint) pollEnd(got int) {
 	if m := ep.sys.met; m != nil {
 		m.pollBatch.Observe(int64(got))
 		if got == 0 {
@@ -60,6 +110,81 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 		}
 	}
 	ep.emit(trace.EvPollEnd, 0, int64(got), "")
+}
+
+// idleStep is PollWait's AdvanceWhile step. It runs at the instant a poll's
+// empty-poll cost has elapsed, in the scheduler loop rather than in the
+// polling process. If that poll finds the FIFO empty, finishing it is pure
+// bookkeeping (idleLeft, computed by idleBudget), and the caller would go
+// straight on to another poll (not past until, node not killed), it finishes
+// the poll and begins the next one, emitting what pollFinish and pollBegin
+// would. Otherwise it returns false having changed nothing, and the process
+// wakes to finish the poll through pollFinish.
+func (ep *Endpoint) idleStep() bool {
+	if ep.idleLeft == 0 || ep.node.Adapter.RecvLen() != 0 ||
+		(ep.idleUntil > 0 && ep.node.Eng.Now() >= ep.idleUntil) || ep.node.Killed() {
+		return false
+	}
+	ep.idleLeft--
+	ep.idleRan++
+	ep.Stats.EmptyPolls++
+	ep.pollEnd(0)
+	ep.pollStart()
+	return true
+}
+
+// idleBudget reports how many consecutive empty polls, starting with the one
+// in progress, would change nothing but counters and keep-alive streaks: 0
+// when drainAll or explicitAcks has anything to attempt (their outcome
+// depends on send-FIFO space, which moves with time), otherwise the polls
+// left before the first peer with unacknowledged traffic reaches its
+// keep-alive threshold. Nothing it reads can change during such a run —
+// only this endpoint's own polls touch it.
+func (ep *Endpoint) idleBudget() int {
+	if ep.pendingCommit != 0 || ep.node.Adapter.RecvLen() != 0 {
+		return 0
+	}
+	budget := math.MaxInt
+	for _, ps := range ep.peers {
+		if ps.deathErr != nil {
+			continue
+		}
+		if ep.ackDue(ps) {
+			return 0
+		}
+		req, rep := &ps.tx[chReq], &ps.tx[chRep]
+		if req.q.Len() != 0 || req.retx.Len() != 0 || rep.q.Len() != 0 || rep.retx.Len() != 0 {
+			return 0
+		}
+		if req.saved.Len() == 0 && rep.saved.Len() == 0 {
+			continue
+		}
+		left := ep.sys.Opt.keepAlivePolls()<<ep.probeShift(ps) - 1 - ps.emptyStreak
+		if left <= 0 {
+			return 0
+		}
+		if left < budget {
+			budget = left
+		}
+	}
+	return budget
+}
+
+// settleIdle applies keepAlive's per-peer effect of the n empty polls that
+// idleStep finished: all of them stayed below every probe threshold.
+func (ep *Endpoint) settleIdle(n int) {
+	for _, ps := range ep.peers {
+		if ps.deathErr != nil {
+			continue
+		}
+		if ps.tx[chReq].saved.Len() == 0 && ps.tx[chRep].saved.Len() == 0 {
+			ps.emptyStreak = 0
+			ps.probeRounds = 0
+			ps.nextProbeAt = 0
+		} else {
+			ps.emptyStreak += n
+		}
+	}
 }
 
 // chargePop accounts the lazy receive-FIFO pop: entries are flushed and
@@ -369,13 +494,28 @@ func (ep *Endpoint) explicitAcks(p *sim.Proc) {
 		if ps.deathErr != nil {
 			continue
 		}
-		need := ps.forceAck ||
-			ps.rx[chReq].unackedPkts >= ep.sys.Opt.wndRequest()/4 ||
-			ps.rx[chRep].unackedPkts >= ep.sys.Opt.wndReply()/4
-		if need {
+		if ep.ackDue(ps) {
 			ep.sendCtrl(p, id, kAck, 0, chReq)
 		}
 	}
+}
+
+// ackDue reports whether ps is owed an explicit acknowledgement.
+func (ep *Endpoint) ackDue(ps *peerState) bool {
+	return ps.forceAck ||
+		ps.rx[chReq].unackedPkts >= ep.sys.Opt.wndRequest()/4 ||
+		ps.rx[chRep].unackedPkts >= ep.sys.Opt.wndReply()/4
+}
+
+// probeShift is the backoff exponent of ps's current keep-alive round,
+// min(probeRounds, backoffCap): the round fires once the empty-poll streak
+// reaches keepAlivePolls << probeShift.
+func (ep *Endpoint) probeShift(ps *peerState) uint {
+	r := ps.probeRounds
+	if c := ep.sys.Opt.backoffCap(); r > c {
+		r = c
+	}
+	return uint(r)
 }
 
 // keepAlive sends a probe to any peer with long-unacknowledged traffic; the
@@ -401,11 +541,8 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 			continue
 		}
 		ps.emptyStreak++
-		r := ps.probeRounds
-		if c := o.backoffCap(); r > c {
-			r = c
-		}
-		if ps.emptyStreak < o.keepAlivePolls()<<uint(r) {
+		r := ep.probeShift(ps)
+		if ps.emptyStreak < o.keepAlivePolls()<<r {
 			continue
 		}
 		if r > 0 && ep.node.Eng.Now() < ps.nextProbeAt {
@@ -424,7 +561,7 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 			}
 		}
 		ps.probeRounds++
-		ps.nextProbeAt = ep.node.Eng.Now() + ep.rto(ps)<<uint(r)
+		ps.nextProbeAt = ep.node.Eng.Now() + ep.rto(ps)<<r
 		ep.sendCtrl(p, id, kProbe, 0, chReq)
 	}
 }

@@ -65,7 +65,7 @@ func (ep *Endpoint) Store(p *sim.Proc, dst int, raddr hw.Addr, data []byte, h Ha
 	// completed (and was reused) while we polled. Failed records are never
 	// recycled, so the flag check below is race-free.
 	for op.gen == g && !op.acked && !op.failed {
-		ep.Poll(p)
+		ep.PollWait(p, 0)
 	}
 	if op.gen == g && op.failed {
 		return ep.PeerErr(dst)
@@ -127,7 +127,7 @@ func (ep *Endpoint) Get(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbyt
 		return err
 	}
 	for op.gen == g && !op.done && !op.failed {
-		ep.Poll(p)
+		ep.PollWait(p, 0)
 	}
 	if op.gen == g && op.failed {
 		return ep.PeerErr(dst)

@@ -36,14 +36,14 @@ func AMRoundTrip(words, iters int) float64 {
 		gotReply = false
 		ep.Request(p, 1, pingH, args...)
 		for !gotReply {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 		}
 		t0 := p.Now()
 		for i := 0; i < iters; i++ {
 			gotReply = false
 			ep.Request(p, 1, pingH, args...)
 			for !gotReply {
-				ep.Poll(p)
+				ep.PollWait(p, 0)
 			}
 		}
 		perRTT = (p.Now() - t0).Microseconds() / float64(iters)
@@ -52,7 +52,7 @@ func AMRoundTrip(words, iters int) float64 {
 	c.Spawn(1, "ponger", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[1]
 		for !done {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 		}
 	})
 	c.Run()
@@ -70,13 +70,13 @@ func RawRoundTrip(iters int) float64 {
 		ep := sys.EPs[0]
 		ep.RawSend(p, 1, 4)
 		for ep.RawRecv() == nil {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 		}
 		t0 := p.Now()
 		for i := 0; i < iters; i++ {
 			ep.RawSend(p, 1, 4)
 			for ep.RawRecv() == nil {
-				ep.Poll(p)
+				ep.PollWait(p, 0)
 			}
 		}
 		perRTT = (p.Now() - t0).Microseconds() / float64(iters)
@@ -85,7 +85,7 @@ func RawRoundTrip(iters int) float64 {
 	})
 	c.Spawn(1, "ponger", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[1]
-		for !stop {
+		for !stop { // set by the pinger, not by a poll: plain Poll, not PollWait
 			if ep.RawRecv() != nil {
 				ep.RawSend(p, 0, 4)
 			}
@@ -137,7 +137,7 @@ func ReplyCost(words int) float64 {
 		ep := sys.EPs[0]
 		ep.Request(p, 1, echo, make([]uint32, words)...)
 		for !done {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 			if ep.Stats.PacketsReceived > 0 {
 				done = true
 			}
@@ -146,7 +146,7 @@ func ReplyCost(words int) float64 {
 	c.Spawn(1, "replier", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[1]
 		for cost == 0 {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 		}
 	})
 	c.Run()
@@ -228,7 +228,7 @@ func AMBandwidth(mode BulkMode, n, total int) float64 {
 					func(q *sim.Proc, e *am.Endpoint) { completed++ })
 			}
 			for completed < ops {
-				ep.Poll(p)
+				ep.PollWait(p, 0)
 			}
 		case AsyncGet:
 			completed := 0
@@ -237,7 +237,7 @@ func AMBandwidth(mode BulkMode, n, total int) float64 {
 				ep.GetAsync(p, 1, raddr, laddr, n, h, 0)
 			}
 			for completed < ops {
-				ep.Poll(p)
+				ep.PollWait(p, 0)
 			}
 		}
 		elapsed := (p.Now() - t0).Seconds()
@@ -247,7 +247,7 @@ func AMBandwidth(mode BulkMode, n, total int) float64 {
 	})
 	c.Spawn(1, "peer", func(p *sim.Proc, n1 *hw.Node) {
 		ep := sys.EPs[1]
-		for !finished {
+		for !finished { // set by the mover, not by a poll: plain Poll, not PollWait
 			ep.Poll(p)
 		}
 		// Drain the final done request so no traffic is left hanging.
@@ -306,7 +306,7 @@ func ProtocolStats(w io.Writer) {
 				}
 			}
 			done++
-			for done < nn {
+			for done < nn { // bumped by the other procs, not by a poll: plain Poll
 				ep.Poll(p)
 			}
 		})
@@ -347,7 +347,7 @@ func amStoreRingLatency(size int, wide bool) float64 {
 			}
 			waitFor := func(k int) {
 				for counts[i] < k {
-					ep.Poll(p)
+					ep.PollWait(p, 0)
 				}
 			}
 			if i == 0 {

@@ -42,7 +42,7 @@ func amBandwidthUnder(plan *faults.Plan, n, total int) (mbps float64, st am.Stat
 				func(q *sim.Proc, e *am.Endpoint) { completed++ })
 		}
 		for completed < ops {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 		}
 		elapsed := (p.Now() - t0).Seconds()
 		mbps = float64(ops*n) / 1e6 / elapsed
@@ -51,7 +51,7 @@ func amBandwidthUnder(plan *faults.Plan, n, total int) (mbps float64, st am.Stat
 	})
 	c.Spawn(1, "peer", func(p *sim.Proc, n1 *hw.Node) {
 		ep := sys.EPs[1]
-		for !finished {
+		for !finished { // set by the mover, not by a poll: plain Poll, not PollWait
 			ep.Poll(p)
 		}
 		ep.Drain(p, 0)
@@ -92,8 +92,8 @@ func amKillRun(killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, c
 	})
 	c.Spawn(1, "victim", func(p *sim.Proc, n1 *hw.Node) {
 		ep := sys.EPs[1]
-		for { // Poll detaches this proc the moment the node fail-stops
-			ep.Poll(p)
+		for { // a poll detaches this proc the moment the node fail-stops
+			ep.PollWait(p, 0)
 		}
 	})
 	c.Run()

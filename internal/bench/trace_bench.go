@@ -40,7 +40,7 @@ func TracedPingPong(words, warmup, iters int) (*trace.Recorder, float64) {
 			gotReply = false
 			ep.Request(p, 1, pingH, args...)
 			for !gotReply {
-				ep.Poll(p)
+				ep.PollWait(p, 0)
 			}
 		}
 		rec.Reset() // keep only steady-state iterations
@@ -49,7 +49,7 @@ func TracedPingPong(words, warmup, iters int) (*trace.Recorder, float64) {
 			gotReply = false
 			ep.Request(p, 1, pingH, args...)
 			for !gotReply {
-				ep.Poll(p)
+				ep.PollWait(p, 0)
 			}
 		}
 		perRTT = (p.Now() - t0).Microseconds() / float64(iters+1)
@@ -58,7 +58,7 @@ func TracedPingPong(words, warmup, iters int) (*trace.Recorder, float64) {
 	c.Spawn(1, "ponger", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[1]
 		for !done {
-			ep.Poll(p)
+			ep.PollWait(p, 0)
 		}
 	})
 	c.Run()

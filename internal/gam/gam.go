@@ -212,6 +212,8 @@ func (g *gnode) Store(p *sim.Proc, dst, roff int, data []byte) {
 	g.send(p, dst, &message{kind: mStore, roff: roff, n: len(buf), data: buf})
 }
 
+func (g *gnode) PollWait(p *sim.Proc) { g.Poll(p) }
+
 // Poll drains the delivery queue, charging the per-message receive
 // overhead and dispatching the runtime protocol.
 func (g *gnode) Poll(p *sim.Proc) {

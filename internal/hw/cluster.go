@@ -158,6 +158,19 @@ func (c *Cluster) Shards() int {
 	return len(c.grp.Engines())
 }
 
+// Events reports how many events the cluster's engines have executed, summed
+// over shards.
+func (c *Cluster) Events() int64 {
+	if c.grp == nil {
+		return c.Eng.EventsRun
+	}
+	var n int64
+	for _, e := range c.grp.Engines() {
+		n += e.EventsRun
+	}
+	return n
+}
+
 // Spawn starts fn as node id's program (a workload process) on the node's
 // own shard engine.
 func (c *Cluster) Spawn(id int, name string, fn func(p *sim.Proc, n *Node)) {

@@ -237,7 +237,10 @@ func newClient(svc *Service, idx int, ep *am.Endpoint, budget int, vlo, vn uint3
 // run is the client node's program: issue arrivals on schedule, advance
 // phase transitions flagged by the reply handler, retry aborted locks, and
 // poll the network. The loop always advances simulated time (every
-// iteration ends in a Poll), so it cannot spin.
+// iteration ends in at least one poll), so it cannot spin. Queue state
+// moves only inside a poll (handlers) or when the clock reaches a retry,
+// arrival or flush deadline, which is am.PollWait's contract: an iteration
+// that leaves nothing to re-drive waits there for the earliest of the three.
 func (cl *client) run(p *sim.Proc, n *hw.Node) {
 	cl.nextAt = p.Now() + cl.gen.NextGap()
 	for cl.finished < cl.budget {
@@ -277,7 +280,14 @@ func (cl *client) run(p *sim.Proc, n *hw.Node) {
 		if cl.finished >= cl.budget {
 			break
 		}
-		cl.ep.Poll(p)
+		if cl.ready.Len()+cl.bready.Len()+cl.defq.Len()+cl.bdefq.Len() > 0 {
+			// Handlers that ran inside this iteration's sends flagged more
+			// work, and a deferred dispatch is retried (and counted) every
+			// iteration: come straight back after one poll.
+			cl.ep.Poll(p)
+		} else {
+			cl.ep.PollWait(p, cl.nextDeadline())
+		}
 	}
 	cl.st.FinishAt = p.Now()
 	// Announce completion so the servers can quiesce; a server already
@@ -290,6 +300,25 @@ func (cl *client) run(p *sim.Proc, n *hw.Node) {
 		cl.ep.Request(p, srv, cl.svc.hDone, uint32(cl.idx))
 	}
 	cl.ep.Drain(p, 0)
+}
+
+// nextDeadline is the earliest time at which run has something to do that
+// no poll announces: the first lock retry, the next arrival (while the
+// budget and a free slot allow one) or the front flush deadline. 0 = none.
+func (cl *client) nextDeadline() sim.Time {
+	var t sim.Time
+	if cl.retryq.Len() > 0 {
+		t = cl.retryq.Min().at
+	}
+	if cl.issued < cl.budget && cl.free.Len() > 0 && (t == 0 || cl.nextAt < t) {
+		t = cl.nextAt
+	}
+	if cl.armq.Len() > 0 {
+		if d := cl.batches[*cl.armq.Peek()].deadline; t == 0 || d < t {
+			t = d
+		}
+	}
+	return t
 }
 
 // startOp consumes the next scheduled arrival. The draw order (gap, op,

@@ -476,6 +476,10 @@ func (svc *Service) Run() (*Result, error) {
 	return res, nil
 }
 
+// Events reports the simulation events executed so far, summed over shards:
+// the deterministic proxy for what a run costs the host.
+func (svc *Service) Events() int64 { return svc.cluster.Events() }
+
 // Run builds and executes cfg in one call.
 func Run(cfg Config) (*Result, error) {
 	svc, err := New(cfg)

@@ -172,6 +172,10 @@ func TestKVFailoverSoak(t *testing.T) {
 // setup (maps, slots, rings); the delta is the per-request cost, which must
 // be ~0 after warm-up.
 func TestKVServerAllocs(t *testing.T) {
+	// One P for the measured windows, as testing.AllocsPerRun does: Mallocs
+	// is process-wide, and on more Ps the runtime's own goroutines allocate
+	// concurrently inside the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func(reqs int) float64 {
 		var before, after runtime.MemStats
 		runtime.GC()

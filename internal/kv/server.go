@@ -64,7 +64,7 @@ func newServer(svc *Service, id int, ep *am.Endpoint) *server {
 // fail-stopped server detaches at its next Poll.
 func (s *server) run(p *sim.Proc, n *hw.Node) {
 	for s.done < s.svc.cfg.ClientNodes {
-		s.ep.Poll(p)
+		s.ep.PollWait(p, 0)
 		s.drainInvals(p)
 	}
 	s.drainInvals(p)

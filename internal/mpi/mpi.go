@@ -31,6 +31,7 @@ import (
 
 	"spam/internal/am"
 	"spam/internal/hw"
+	"spam/internal/ring"
 	"spam/internal/sim"
 )
 
@@ -227,8 +228,9 @@ type Comm struct {
 	posted     []*Request
 	unexpected []*inMsg
 
-	pendCTS   []pendingCTS // CTS received; stores to issue from progress
-	pendFrees map[int][]freeEntry
+	pendCTS   ring.Ring[pendingCTS]  // CTS received; stores to issue from progress
+	pendFrees []ring.Ring[freeEntry] // per source: extents to give back, batched
+	nFrees    int                    // entries across all pendFrees
 	tick      int
 
 	nextRdv uint32
@@ -275,12 +277,12 @@ type pendingCTS struct {
 type freeEntry struct{ off, ln int }
 
 func newComm(s *System, ep *am.Endpoint) *Comm {
+	n := ep.N()
 	c := &Comm{sys: s, ep: ep,
-		pendFrees: make(map[int][]freeEntry),
+		pendFrees: make([]ring.Ring[freeEntry], n),
 		rdvSend:   make(map[uint32]*Request),
 		rdvRecv:   make(map[rdvKey]*Request),
 	}
-	n := ep.N()
 	region := make([]byte, n*s.Opt.PerPeerBuf)
 	c.bufSeg = ep.Node().Mem.Add(region)
 	for i := 0; i < s.Opt.RdvSlots; i++ {

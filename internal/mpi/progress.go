@@ -108,7 +108,7 @@ func (s *System) registerHandlers() {
 		if off, ln, ok := unpackFree(args[2]); ok {
 			c.alloc[tok.Src].release(off, ln)
 		}
-		c.pendCTS = append(c.pendCTS, pendingCTS{req: req})
+		c.pendCTS.Push(pendingCTS{req: req})
 	})
 
 	// Rendezvous payload landed directly in the user buffer.
@@ -141,26 +141,38 @@ func (c *Comm) replyFrees(p *sim.Proc, tok am.Token, src, absOff, ln int) {
 	words[0] = packFree(absOff-c.regionBase(src), ln)
 	k := 1
 	if c.sys.Opt.Optimized {
-		fs := c.pendFrees[src]
-		for k < 4 && len(fs) > 0 {
-			words[k] = packFree(fs[0].off, fs[0].ln)
-			fs = fs[1:]
-			k++
+		for fs := &c.pendFrees[src]; k < 4 && fs.Len() > 0; k++ {
+			words[k] = c.popFree(fs)
 		}
-		c.pendFrees[src] = fs
 	}
 	c.ep.Reply(p, tok, c.sys.h.bufFree, words[0], words[1], words[2], words[3])
 }
 
 // progress drives everything that cannot run in handler context: it polls
-// the AM layer, issues rendezvous stores whose CTS has arrived, and ages
-// out batched frees so a space-starved sender cannot wedge.
+// the AM layer once, issues rendezvous stores whose CTS has arrived, and
+// ages out batched frees so a space-starved sender cannot wedge.
 func (c *Comm) progress(p *sim.Proc) {
 	c.ep.Poll(p)
-	for len(c.pendCTS) > 0 {
-		pc := c.pendCTS[0]
-		c.pendCTS = c.pendCTS[1:]
-		req := pc.req
+	c.afterPolls(p, 1)
+}
+
+// progressWait is progress for a caller blocked on something only a poll or
+// the communicator deadline can change (am.PollWait's contract). With a CTS
+// or a batched free pending, the work after the very next poll matters, so
+// it is plain progress; otherwise idle polls are waited out in one call and
+// tick advances by their number, which keeps the every-64th-poll free flush
+// on the poll it always fell on.
+func (c *Comm) progressWait(p *sim.Proc) {
+	if c.pendCTS.Len() > 0 || c.nFrees > 0 {
+		c.progress(p)
+		return
+	}
+	c.afterPolls(p, c.ep.PollWait(p, c.deadline))
+}
+
+func (c *Comm) afterPolls(p *sim.Proc, polls int) {
+	for c.pendCTS.Len() > 0 {
+		req := c.pendCTS.Pop().req
 		req.storing = true
 		if err := c.ep.StoreAsync(p, req.dst, hw.Addr{Seg: req.ctsSlot, Off: 0},
 			req.data[req.prefix:], c.sys.h.rdvData, req.rdvID,
@@ -168,7 +180,7 @@ func (c *Comm) progress(p *sim.Proc) {
 			req.err = c.peerError(req.dst, err)
 		}
 	}
-	c.tick++
+	c.tick += polls
 	if c.tick%64 == 0 {
 		for src := 0; src < c.Size(); src++ {
 			c.flushFreesTo(p, src)

@@ -5,6 +5,7 @@ import (
 
 	"spam/internal/am"
 	"spam/internal/hw"
+	"spam/internal/ring"
 	"spam/internal/sim"
 )
 
@@ -204,27 +205,31 @@ func (c *Comm) matchPosted(src, tag int) *Request {
 // optimized batches several frees per message (§4.2).
 func (c *Comm) queueFree(p *sim.Proc, src, off, ln int) {
 	rel := off - c.regionBase(src)
-	c.pendFrees[src] = append(c.pendFrees[src], freeEntry{off: rel, ln: ln})
-	if !c.sys.Opt.Optimized || len(c.pendFrees[src]) >= 4 {
+	c.pendFrees[src].Push(freeEntry{off: rel, ln: ln})
+	c.nFrees++
+	if !c.sys.Opt.Optimized || c.pendFrees[src].Len() >= 4 {
 		c.flushFreesTo(p, src)
 	}
 }
 
+// popFree takes the oldest pending free off fs, packed for the wire.
+func (c *Comm) popFree(fs *ring.Ring[freeEntry]) uint32 {
+	f := fs.Pop()
+	c.nFrees--
+	return packFree(f.off, f.ln)
+}
+
+// flushFreesTo sends every pending free for src, four per request. A free
+// queued by a handler that runs inside one of those requests' polls is sent
+// too.
 func (c *Comm) flushFreesTo(p *sim.Proc, src int) {
-	fs := c.pendFrees[src]
-	if len(fs) == 0 {
-		return
-	}
-	var words [4]uint32
-	k := 0
-	for k < len(fs) && k < 4 {
-		words[k] = packFree(fs[k].off, fs[k].ln)
-		k++
-	}
-	c.pendFrees[src] = fs[k:]
-	c.ep.Request(p, src, c.sys.h.bufFree, words[0], words[1], words[2], words[3])
-	if len(c.pendFrees[src]) > 0 {
-		c.flushFreesTo(p, src)
+	fs := &c.pendFrees[src]
+	for fs.Len() > 0 {
+		var words [4]uint32
+		for k := 0; k < 4 && fs.Len() > 0; k++ {
+			words[k] = c.popFree(fs)
+		}
+		c.ep.Request(p, src, c.sys.h.bufFree, words[0], words[1], words[2], words[3])
 	}
 }
 
@@ -299,7 +304,7 @@ func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
 			c.cancel(req)
 			return req.status, err
 		}
-		c.progress(p)
+		c.progressWait(p)
 	}
 	return req.status, nil
 }

@@ -64,6 +64,28 @@ func BenchmarkProcAdvance(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkProcAdvanceWhile is the case AdvanceWhile exists for: two
+// processes, one idle-stepping and one advancing, with interleaved wake-ups.
+// Written as two Advance loops every event is a goroutine hand-off (compare
+// BenchmarkCondSignalPingPong's ~250 ns); here the stepper's events run
+// inline, so the advancing process keeps waking itself and ns/op (per event,
+// both processes counted) stays near BenchmarkProcAdvance.
+func BenchmarkProcAdvanceWhile(b *testing.B) {
+	e := NewEngine(1)
+	left := b.N / 2
+	e.Go("stepper", func(p *Proc) {
+		p.AdvanceWhile(2, func() bool { left--; return left > 0 })
+	})
+	e.Go("advancer", func(p *Proc) {
+		p.Advance(1)
+		for i := 0; i < b.N/2; i++ {
+			p.Advance(2)
+		}
+	})
+	e.RunAll()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkProcYield measures Advance(0) — the same-time wakeup path that
 // the run queue serves without touching the heap.
 func BenchmarkProcYield(b *testing.B) {

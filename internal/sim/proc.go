@@ -16,6 +16,13 @@ type Proc struct {
 	// as a func() keeps the event struct at four fields, which the compiler
 	// can hold in registers (see the event comment in sim.go).
 	wakeFn func()
+
+	// AdvanceWhile state: step is the caller's predicate for the wait in
+	// progress, stepD its period, and stepFn (allocated once at spawn, like
+	// wakeFn) the event callback that runs step inline in the scheduler loop.
+	step   func() bool
+	stepD  Time
+	stepFn func()
 }
 
 // Name returns the process name given at spawn time.
@@ -60,6 +67,30 @@ func (p *Proc) Advance(d Time) {
 		d = 0
 	}
 	p.eng.schedule(p, p.eng.now+d)
+	p.park()
+}
+
+// AdvanceWhile is Advance(d) repeated while step reports true, without the
+// process being switched to in between: the wake-up event runs step inline,
+// in whichever goroutine is executing the scheduler loop, and while step
+// returns true re-arms itself at now+d with exactly the key the process's
+// own next Advance(d) would have pushed (same at, pushAt = now, next local
+// seq). On the first false the process wakes as if from a plain Advance(d).
+// Event times, ordering keys and EventsRun are therefore identical to the
+// loop
+//
+//	for { p.Advance(d); if !step() { break } }
+//
+// provided step does only what the process itself would have done at that
+// instant (scheduling events included) and never blocks: it has no process
+// to park. A step that returns false must leave no trace — the woken process
+// redoes that instant's work through its ordinary code.
+func (p *Proc) AdvanceWhile(d Time, step func() bool) {
+	if d < 0 {
+		d = 0
+	}
+	p.step, p.stepD = step, d
+	p.eng.push(p.eng.now+d, p.stepFn)
 	p.park()
 }
 

@@ -524,6 +524,13 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		resume: make(chan struct{}),
 	}
 	p.wakeFn = func() { e.wake = p }
+	p.stepFn = func() {
+		if p.step() {
+			e.push(e.now+p.stepD, p.stepFn)
+		} else {
+			e.wake = p
+		}
+	}
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.live++

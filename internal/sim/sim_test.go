@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -244,5 +245,100 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if Time(2e9).Seconds() != 2.0 {
 		t.Fatal("2e9 ns != 2 s")
+	}
+}
+
+// stepOrder runs one process that wakes every d for n periods — through
+// AdvanceWhile when inline is set, through a plain Advance loop otherwise —
+// against everything that can tie with its wake-ups: callbacks scheduled
+// before the run at the same instants, callbacks scheduled at run time from
+// an earlier and from the same instant, a second process on the same period,
+// and a Cond wake-up. It returns the execution order and the event count.
+func stepOrder(inline bool) ([]string, int64) {
+	const d, n = 10, 40
+	e := NewEngine(1)
+	var log []string
+	note := func(who string) { log = append(log, fmt.Sprintf("%d:%s", e.Now(), who)) }
+	var c Cond
+
+	for i := 1; i <= n; i += 3 {
+		e.At(Time(i*d), func() { note("pre") })
+	}
+	var chain func()
+	chain = func() {
+		note("chain")
+		if e.Now() < n*d {
+			e.After(d/2, func() { // lands between wake-ups, schedules onto one
+				e.After(d/2, chain)
+				e.After(d/2, func() { note("late"); c.Signal() })
+			})
+		}
+	}
+	e.At(d, chain)
+
+	k := 0
+	step := func() bool {
+		k++
+		note("step")
+		if k%7 == 0 {
+			e.After(d, func() { note("from-step") }) // same key race as the re-arm
+		}
+		return k < n
+	}
+	e.Go("stepper", func(p *Proc) {
+		if inline {
+			p.AdvanceWhile(d, step)
+		} else {
+			for {
+				p.Advance(d)
+				if !step() {
+					break
+				}
+			}
+		}
+		note("stepper-done")
+	})
+	e.Go("peer", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Advance(d)
+			note("peer")
+		}
+	})
+	e.GoDaemon("waiter", func(p *Proc) {
+		for {
+			c.Wait(p)
+			note("woken")
+		}
+	})
+	e.RunAll()
+	return log, e.EventsRun
+}
+
+// TestAdvanceWhileMatchesAdvanceLoop pins AdvanceWhile's contract: the same
+// execution order and the same number of events as the Advance loop it
+// replaces, ties included.
+func TestAdvanceWhileMatchesAdvanceLoop(t *testing.T) {
+	want, wantEvents := stepOrder(false)
+	got, gotEvents := stepOrder(true)
+	if gotEvents != wantEvents {
+		t.Errorf("EventsRun = %d inline, %d with the Advance loop", gotEvents, wantEvents)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d log entries inline, %d with the Advance loop", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order diverges at entry %d: inline %q, Advance loop %q", i, got[i], want[i])
+		}
+	}
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		a, b := want[i-1], want[i]
+		if a[:strings.IndexByte(a, ':')] == b[:strings.IndexByte(b, ':')] {
+			ties++
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("only %d same-instant neighbours in the log; the scenario no longer exercises ties", ties)
 	}
 }

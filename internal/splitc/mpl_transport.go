@@ -146,6 +146,8 @@ func (t *mplTransport) Store(p *sim.Proc, dst, roff int, data []byte) {
 	t.ep.Send(p, dst, tagStore, msg)
 }
 
+func (t *mplTransport) PollWait(p *sim.Proc) { t.Poll(p) }
+
 // Poll services every message currently deliverable, dispatching the
 // Split-C/MPL protocol.
 func (t *mplTransport) Poll(p *sim.Proc) {

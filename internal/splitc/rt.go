@@ -140,7 +140,7 @@ func (rt *RT) failed() bool {
 func (rt *RT) Sync(p *sim.Proc) error {
 	t0 := p.Now()
 	for rt.outstanding > 0 && !rt.failed() {
-		rt.T.Poll(p)
+		rt.T.PollWait(p)
 	}
 	rt.CommTime += p.Now() - t0
 	return rt.Err
@@ -232,7 +232,7 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 		if rt.failed() {
 			return 0
 		}
-		rt.T.Poll(p)
+		rt.T.PollWait(p)
 	}
 	var result uint64
 	if id == 0 {
@@ -248,7 +248,7 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 			if rt.failed() {
 				return 0
 			}
-			rt.T.Poll(p)
+			rt.T.PollWait(p)
 		}
 	}
 	for _, c := range kids {
@@ -293,7 +293,7 @@ func (rt *RT) Scan(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 			if rt.failed() {
 				return 0
 			}
-			rt.T.Poll(p)
+			rt.T.PollWait(p)
 		}
 	}
 	// Rank 0: collect the other n-1 contributions (tagged with rank;
@@ -302,7 +302,7 @@ func (rt *RT) Scan(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 		if rt.failed() {
 			return 0
 		}
-		rt.T.Poll(p)
+		rt.T.PollWait(p)
 	}
 	vals := rt.scanPend[gen]
 	delete(rt.scanPend, gen)

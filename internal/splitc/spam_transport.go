@@ -119,7 +119,8 @@ func (t *spamTransport) SetCtlHandler(fn func(p *sim.Proc, src int, a, b uint64)
 	t.ctlFn = fn
 }
 
-func (t *spamTransport) Poll(p *sim.Proc) { t.ep.Poll(p) }
+func (t *spamTransport) Poll(p *sim.Proc)     { t.ep.Poll(p) }
+func (t *spamTransport) PollWait(p *sim.Proc) { t.ep.PollWait(p, 0) }
 
 func (t *spamTransport) Compute(p *sim.Proc, d sim.Time) { t.ep.Node().Compute(p, d) }
 

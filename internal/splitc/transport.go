@@ -23,6 +23,12 @@ type Transport interface {
 	// control handler.
 	Poll(p *sim.Proc)
 
+	// PollWait polls at least once and returns when a poll may have
+	// changed what the runtime waits on (a callback, the control handler,
+	// Err). It is for loops blocked on exactly that; a transport with no
+	// cheaper way to sit out idle polls implements it as Poll.
+	PollWait(p *sim.Proc)
+
 	// Ctl sends a small one-way control message (two 64-bit words) used by
 	// the runtime for barriers and reductions; the receiver's installed
 	// handler runs during its Poll.

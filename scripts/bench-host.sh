@@ -8,6 +8,9 @@
 #   - internal/am:   packet data-path cost (short echo round trip, bulk
 #     store, empty poll) with -benchmem, so allocs/op is recorded; the
 #     steady-state paths must read 0 allocs/op with observability off.
+#   - root KVServed:  host time of the served path (one kv-bench rung per
+#     op): ns/req next to the deterministic polls/req and events/req. It runs
+#     whole simulations, so it takes a fixed five of them.
 #
 # The snapshot also times one end-to-end `splitc-bench -paper` run (the
 # tier-1 Split-C table), the macro number the packet-path work optimises,
@@ -49,6 +52,7 @@ trap 'rm -f "$tmp"' EXIT
 
 go test ./internal/sim/ -run '^$' -bench . -benchmem -benchtime "${BENCHTIME:-1s}" -count 1 | tee "$tmp" >&2
 go test ./internal/am/ -run '^$' -bench 'ShortEcho|BulkStore|PollEmpty' -benchmem -benchtime "${BENCHTIME:-1s}" -count 1 | tee -a "$tmp" >&2
+go test . -run '^$' -bench 'KVServed' -benchtime 5x -count 1 | tee -a "$tmp" >&2
 
 paper_wall=null
 nodepar_json=null
@@ -117,7 +121,7 @@ fi
 			name = $1
 			sub(/^Benchmark/, "", name)
 			sub(/-[0-9]+$/, "", name)
-			ns = ""; bytes = ""; allocs = ""; ev = ""; mbs = ""
+			ns = ""; bytes = ""; allocs = ""; ev = ""; mbs = ""; nsreq = ""; polls = ""; evreq = ""
 			for (i = 2; i < NF; i++) {
 				if ($(i+1) == "ns/op")     ns = $i
 				if ($(i+1) == "B/op")      bytes = $i
@@ -126,6 +130,9 @@ fi
 				if ($(i+1) == "windows/sec") ev = $i
 				if ($(i+1) == "entries/sec") ev = $i
 				if ($(i+1) == "MB/s")      mbs = $i
+				if ($(i+1) == "ns/req")     nsreq = $i
+				if ($(i+1) == "polls/req")  polls = $i
+				if ($(i+1) == "events/req") evreq = $i
 			}
 			if (ns == "") next
 			if (!first) printf(",\n")
@@ -135,6 +142,9 @@ fi
 			if (bytes != "")  printf(", \"bytes_per_op\": %s", bytes)
 			if (ev != "")     printf(", \"events_per_sec\": %s", ev)
 			if (mbs != "")    printf(", \"mb_per_sec\": %s", mbs)
+			if (nsreq != "")  printf(", \"ns_per_req\": %s", nsreq)
+			if (polls != "")  printf(", \"polls_per_req\": %s", polls)
+			if (evreq != "")  printf(", \"events_per_req\": %s", evreq)
 			printf("}")
 		}
 		END { printf("\n") }
