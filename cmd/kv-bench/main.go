@@ -9,8 +9,8 @@
 //	kv-bench -rate 200e3         # single offered-load point
 //	kv-bench -cachetable         # hit rate + cached-vs-uncached GET tail vs skew
 //	kv-bench -cache=false        # disable the client read cache
-//	kv-bench -writetable         # write batching/combining vs per-op path across -mixes
-//	kv-bench -writebatch=false   # disable client commit batching
+//	kv-bench -writetable         # PUT coalescing/combining vs one PUT per transaction across -mixes
+//	kv-bench -batchops 1         # no PUT coalescing
 //	kv-bench -chaos kill         # fail-stop a server mid-run, report failover
 //	kv-bench -json               # machine-readable saturation + tail metrics
 //
@@ -43,15 +43,12 @@ func main() {
 	cache := flag.Bool("cache", true, "client read cache (versioned leases + invalidation push)")
 	cacheSize := flag.Int("cachesize", 4096, "cache entries per client node")
 	leaseUS := flag.Float64("lease", 100_000, "read-lease duration in us of simulated time")
-	noPush := flag.Bool("nopush", false, "suppress the invalidation push (lease-expiry-only coherence)")
 	cacheTable := flag.Bool("cachetable", false, "print the hit-rate / cached-vs-uncached table across -skews (read-mostly mix unless -mix is given)")
 	skews := flag.String("skews", "1.00,1.10,1.30,1.50", "comma-separated Zipf skews for -cachetable")
-	writeTable := flag.Bool("writetable", false, "print the write batching/combining vs per-op-path table across -mixes")
+	writeTable := flag.Bool("writetable", false, "print the PUT coalescing/combining vs one-PUT-per-transaction table across -mixes")
 	mixesSpec := flag.String("mixes", "writeheavy,updateskew", "comma-separated operation mixes for -writetable")
-	writeBatch := flag.Bool("writebatch", true, "client commit batching + server write combining")
-	batchOps := flag.Int("batchops", 0, "max PUTs per commit batch (0 = default 16, cap 32)")
+	batchOps := flag.Int("batchops", 0, "max PUTs coalesced into one write transaction (0 = default 16, cap 32, 1 = none)")
 	batchWindowUS := flag.Float64("batchwindow", 0, "batch flush window in us of simulated time (0 = default 20)")
-	fixedBackoff := flag.Bool("fixedbackoff", false, "fixed-delay lock retries (pre-batching baseline) instead of exponential backoff")
 	chaos := flag.String("chaos", "", "chaos mode: 'kill' fail-stops a server mid-run")
 	killat := flag.Float64("killat", 5000, "kill time in us of simulated time (-chaos kill)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
@@ -76,10 +73,7 @@ func main() {
 		CacheOff:       !*cache,
 		CacheSize:      *cacheSize,
 		Lease:          hw.US(*leaseUS),
-		NoInvalPush:    *noPush,
-		BatchOff:       !*writeBatch,
 		BatchOps:       *batchOps,
-		LegacyRetry:    *fixedBackoff,
 	}
 	if *batchWindowUS > 0 {
 		base.BatchWindow = hw.US(*batchWindowUS)

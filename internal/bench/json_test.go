@@ -51,7 +51,7 @@ func TestKVReportJSONRoundTrip(t *testing.T) {
 		t.Fatal("kv_write member absent from a kv report")
 	}
 	if w := got.KVWrite; w.BatchedPuts < 0 || w.CombinedPuts > w.BatchedPuts ||
-		(w.Batches > 0 && w.AvgBatchSize < 2) {
+		(w.Batches > 0 && w.AvgBatchSize < 1) {
 		t.Fatalf("implausible write accounting: %+v", w)
 	}
 	c := got.KVCache

@@ -132,17 +132,16 @@ func KVCacheTable(w io.Writer, base kv.Config, skews []float64) {
 // per mix, the write-contention economics — the fraction of PUTs that rode
 // a multi-op batch, the mean flushed batch size, the same-key writes the
 // servers combined (last-writer-wins), latch denials, and backoff sleeps —
-// beside the write tail with batching+adaptive backoff on versus the
-// pre-change per-op path (BatchOff + LegacyRetry). Both arms see the
-// identical arrival schedule (the load generator draws are independent of
-// service behavior), so the p99 ratio isolates what batching buys.
+// beside the write tail with coalescing on versus one PUT per transaction
+// (BatchOps 1) on the same code path. Both arms see the identical arrival
+// schedule (the load generator draws are independent of service behavior),
+// so the p99 ratio isolates what coalescing buys.
 func KVWriteTable(w io.Writer, base kv.Config, names []string, mixes []load.Mix) {
 	runs := Sweep(2*len(mixes), func(i int) *kv.Result {
 		cfg := base
 		cfg.Mix = mixes[i/2]
 		if i%2 == 1 {
-			cfg.BatchOff = true
-			cfg.LegacyRetry = true
+			cfg.BatchOps = 1
 		}
 		res, err := kv.Run(cfg)
 		if err != nil {
@@ -196,7 +195,7 @@ func KVKillTable(w io.Writer, base kv.Config, killServer int, kills []sim.Time) 
 	for i, r := range pts {
 		fmt.Fprintf(w, "%-10v %10.2f %11.2f %9d %9d %9d %9d %6.1f %6d\n",
 			kills[i],
-			float64(r.Detect)/1e6, float64(r.Unavail_)/1e6,
+			float64(r.Detect)/1e6, float64(r.UnavailWindow)/1e6,
 			r.Failovers, r.Completed, r.Conflicts, r.Unavail,
 			100*r.HitRate(), r.StaleServed)
 	}

@@ -167,12 +167,12 @@ func (c *readCache) invalidate(key, ver uint32) {
 	}
 }
 
-// drop marks key unserveable without learning a version — the batched
-// write completion, whose one-word reply carries no per-key versions. The
-// entry's version floor is untouched (we know nothing new), so a fetch
-// reply already in the air may still re-cache briefly; the commit's
-// invalidation push — sent to the writer too for exactly this case —
-// or the lease bound cleans that up.
+// drop marks key unserveable without learning a version — the completion
+// of a staged commit vector, whose one-word reply carries no per-key
+// versions. The entry's version floor is untouched (we know nothing new),
+// so a fetch reply already in the air may still re-cache briefly; the
+// commit's invalidation push — sent to the writer too for exactly this
+// case — or the lease bound cleans that up.
 func (c *readCache) drop(key uint32) {
 	if i, ok := c.idx[key]; ok {
 		c.ents[i].valid = false

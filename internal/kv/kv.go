@@ -1,39 +1,58 @@
 // Package kv is a sharded key-value service whose RPC transport is the SP
 // Active Message layer: the first layer in the repo that *serves* traffic
 // rather than benchmarking echoes. Server nodes own hash-sharded keyspace
-// partitions with per-shard latch tables (see latches.go); clients drive
-// deterministic open-loop load (internal/kv/load) against them and record
-// per-request latency into trace log2 histograms.
+// partitions; clients drive deterministic open-loop load (internal/kv/load)
+// against them and record per-request latency into trace log2 histograms.
 //
-// Every operation is a short-message conversation within the GAM handler
-// rules — request handlers may only reply, so all multi-step coordination
-// is client-driven:
+// Every operation is a conversation within the GAM handler rules — request
+// handlers may only reply, so all multi-step coordination is client-driven.
+// A GET is one request to the shard's primary replica (cache.go keeps most of
+// them off the network). Every write is one transaction (txn.go) over a
+// vector of 1..N ops: a DELETE is one op, a Batch the two ops of its atomic
+// even/odd pair, and PUTs bound for one shard coalesce — they wait on the
+// shard's queue until BatchOps are there or BatchWindow of simulated time
+// has passed, and while a vector of several is in flight arrivals accumulate
+// behind it, so vectors grow with the load and cost nothing without it.
 //
-//   - Get: one request to the shard's primary replica.
-//   - Put/Delete: a percolator-lite mini-transaction — try-lock the key at
-//     its primary, commit the value to every live replica, unlock. The
-//     primary latch serializes writers per key, so replicas converge.
-//   - Batch: the same two-phase protocol over multiple keys; any lock
-//     denial aborts (unlocking granted latches) and retries after a
-//     deterministic exponential backoff, so there is no distributed
-//     blocking and no deadlock.
+// A transaction runs three rounds, percolator-lite:
 //
-// Single-key PUTs additionally ride the write batcher (see batch.go and
-// wire.go): puts bound for the same shard coalesce into one multi-op
-// lock-all/commit-all/unlock-all round carried by am_store, with per-op
-// grant status in the reply and server-side last-writer-wins combining of
-// same-key puts within a batch.
+//   - lock: try-lock every key at its shard's primary. Each shard has a latch
+//     table, in the style of tinykv's latches: a map from key to the owning
+//     transaction. A denied lock is reported, never queued, so the server
+//     never blocks, concurrent writers of different keys proceed
+//     independently, and multi-key transactions cannot deadlock. The reply
+//     is a grant bitmap: a member denied while holding nothing leaves the
+//     transaction and retries after a deterministic exponential backoff
+//     (RetryBackoff doubling up to BackoffCap times, jittered from a seeded
+//     per-client stream; MaxAttempts lock rounds, then a typed Conflict); the
+//     granted members go on. A Batch granted one key of two releases it first.
+//   - commit: apply the granted ops at every live replica. The primary latch
+//     serializes writers per key, so replicas converge. Same-key puts in one
+//     vector combine last-writer-wins: one store write, one version bump.
+//   - unlock: release the latches at the servers that granted them.
+//
+// A round sends, per shard, the ops bound for it, and the encoding follows
+// the length of that vector (wire.go): one op rides a short request — four
+// words are all a short message carries — and more ride am_store into a
+// staging block with one short reply for the lot. The short form is the
+// cheaper one for a single op (EXPERIMENTS.md has the measurement), which is
+// what an unloaded service sends.
 //
 // Fail-stop servers are detected by the AM layer's adaptive keep-alive
 // ladder; the client's *am.PeerDeathError handler resolves every in-flight
-// sub-request toward the dead peer and the operation restarts against the
-// surviving replicas (commits are idempotent). Requests whose shard has no
-// live replica left terminate with a typed Unavailable outcome — every
-// request ends in a reply or a typed error in bounded simulated time.
+// sub-request toward the dead peer. A GET re-routes to the next replica. A
+// write round that lost a server releases what it still holds and its
+// members start over against the survivors, PUTs through their shard queue
+// again (commits are idempotent: each op carries a dedup id that is the same
+// in every transaction that carries it). Requests whose shard has no live
+// replica left terminate with a typed Unavailable outcome — every request
+// ends in a reply or a typed error in bounded simulated time.
 package kv
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 
 	"spam/internal/am"
 	"spam/internal/hw"
@@ -42,12 +61,11 @@ import (
 	"spam/internal/trace"
 )
 
-// Outcome statuses. OK/NotFound/Locked travel on the wire in replies;
+// Outcome statuses. OK and NotFound travel on the wire in GET replies;
 // Conflict and Unavailable are client-side terminal outcomes.
 const (
 	StatusOK          uint32 = 0
 	StatusNotFound    uint32 = 1
-	StatusLocked      uint32 = 2
 	StatusConflict    uint32 = 3 // gave up after MaxAttempts lock rounds
 	StatusUnavailable uint32 = 4 // no live replica for a needed shard
 )
@@ -72,31 +90,22 @@ type Config struct {
 
 	Slots        int      // in-flight request slots per client node (default 256, max 4096)
 	InflightCap  int      // per-server outstanding cap per client (default 64 < request window 72)
-	RetryBackoff sim.Time // lock-denial retry delay (default 20us)
-	MaxAttempts  int      // lock rounds before a Conflict give-up (default 64)
+	RetryBackoff sim.Time // lock-denial retry delay before doubling (default 20us)
+	MaxAttempts  int      // lock rounds before a Conflict give-up (default 64, max 65535)
 
 	KillServer int      // server to fail-stop mid-run (-1 = none)
 	KillAt     sim.Time // kill time
 
-	// Client read cache (see cache.go). Leases bound staleness; the
-	// invalidation push only shrinks it, so NoInvalPush is safe (and is how
-	// the lease-expiry path is tested).
-	CacheOff    bool     // disable the client read cache and GET coalescing
-	CacheSize   int      // cache entries per client node (default 4096)
-	Lease       sim.Time // read-lease duration (default 100ms)
-	HolderCap   int      // tracked lease holders per key (default/max 4)
-	NoInvalPush bool     // suppress the push; rely on lease expiry alone
+	// Client read cache (see cache.go).
+	CacheOff  bool     // disable the client read cache and GET coalescing
+	CacheSize int      // cache entries per client node (default 4096)
+	Lease     sim.Time // read-lease duration (default 100ms)
+	HolderCap int      // tracked lease holders per key (default/max 4)
 
-	// Write batching (see batch.go). Single-key PUTs bound for the same
-	// shard coalesce into one lock-all/commit-all/unlock-all round; the
-	// flush window doubles as the server-side combine window (puts to the
-	// same key inside it land in one batch and are combined last-writer-
-	// wins at commit).
-	BatchOff    bool     // disable commit batching and write combining
-	BatchOps    int      // max PUTs per batch (default 16, max 32)
-	BatchWindow sim.Time // flush window: max simulated-time wait to fill a batch (default 20us)
+	// Write coalescing: PUTs bound for one shard share a transaction.
+	BatchOps    int      // max PUTs per transaction (default 16, max 32; 1 = no coalescing)
+	BatchWindow sim.Time // flush window: max simulated-time wait to fill a vector (default 20us)
 	BackoffCap  int      // max lock-retry backoff doublings (default 6)
-	LegacyRetry bool     // fixed RetryBackoff delay, no exponential backoff or jitter (A/B baseline)
 
 	NodePar  int      // intra-run PDES shards (0 = hw.DefaultNodePar)
 	Watchdog sim.Time // RunChecked no-progress budget (default 200ms)
@@ -152,6 +161,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 64
 	}
+	if c.MaxAttempts > math.MaxUint16 {
+		return c, fmt.Errorf("kv: MaxAttempts %d exceeds the attempt counter (max %d)", c.MaxAttempts, math.MaxUint16)
+	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
@@ -173,8 +185,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 6
 	}
-	if c.Servers*c.ShardsPerServer > 1<<12 {
-		return c, fmt.Errorf("kv: %d shards exceed the batch reqID encoding (12 bits)", c.Servers*c.ShardsPerServer)
+	if c.BackoffCap > 62 || c.RetryBackoff > math.MaxInt64>>c.BackoffCap {
+		return c, fmt.Errorf("kv: RetryBackoff %v << BackoffCap %d overflows", c.RetryBackoff, c.BackoffCap)
 	}
 	if c.ClientNodes > 1<<16 {
 		return c, fmt.Errorf("kv: ClientNodes %d exceeds the holder encoding (16 bits)", c.ClientNodes)
@@ -206,7 +218,7 @@ func (c Config) amOptions() am.Options {
 }
 
 const (
-	maxSlots    = 4096 // slot index must fit the reqID encoding (12 bits)
+	maxSlots    = 4096 // transaction index must fit the reqID encoding (12 bits)
 	maxKeys     = 2    // keys per Batch
 	maxReplicas = 3
 	maxTargets  = maxKeys * maxReplicas
@@ -224,10 +236,9 @@ type Service struct {
 	clients   []*client
 	numShards int
 
-	hGet, hLock, hCommitPut, hCommitDel, hUnlock, hDone, hResp, hInval am.HandlerID
-	hLockB, hCommitB, hUnlockB, hBResp                                 am.HandlerID
+	hGet, hLock, hCommit, hUnlock, hVector, hDone, hResp, hInval am.HandlerID
 
-	stageSeg int // batch staging segment id, identical on every server
+	stageSeg int // staging segment id, identical on every server
 
 	// staleCheck, when set (tests; serial runs only, since it reads server
 	// state from the client's process), observes every cache-served GET:
@@ -235,10 +246,10 @@ type Service struct {
 	staleCheck func(key, ver uint32, now sim.Time)
 
 	// batchInvalCheck, when set (tests; serial runs only), observes every
-	// batched commit's version bump: (key, invalidation pushes queued,
-	// unexpired tracked holders). The push protocol queues one per live
-	// holder — including the writer, whose batch reply cannot carry per-key
-	// versions. It must not mutate anything.
+	// version bump of a staged commit vector: (key, invalidation pushes
+	// queued, unexpired tracked holders). The push protocol queues one per
+	// live holder — including the writer, whose one-word reply cannot carry
+	// per-key versions. It must not mutate anything.
 	batchInvalCheck func(key uint32, queued, live int)
 }
 
@@ -266,16 +277,14 @@ func New(cfg Config) (*Service, error) {
 		srv := newServer(svc, k, sys.EPs[k])
 		sys.EPs[k].Data = srv
 		svc.servers = append(svc.servers, srv)
-		if !cfg.BatchOff {
-			// Batch staging: one block per (client, shard) so concurrent
-			// batches never share bytes. Registered first on every server,
-			// so one segment id addresses them all.
-			seg := sys.EPs[k].Node().Mem.Add(make([]byte, cfg.ClientNodes*svc.numShards*stageBytes))
-			if k == 0 {
-				svc.stageSeg = seg
-			} else if seg != svc.stageSeg {
-				panic("kv: staging segment id differs across servers")
-			}
+		// Staging: one block per (client, transaction) so concurrent vectors
+		// never share bytes. Registered first on every server, so one
+		// segment id addresses them all.
+		seg := sys.EPs[k].Node().Mem.Add(make([]byte, cfg.ClientNodes*cfg.Slots*stageBytes))
+		if k == 0 {
+			svc.stageSeg = seg
+		} else if seg != svc.stageSeg {
+			panic("kv: staging segment id differs across servers")
 		}
 	}
 	base, extra := cfg.Requests/cfg.ClientNodes, cfg.Requests%cfg.ClientNodes
@@ -310,44 +319,27 @@ func New(cfg Config) (*Service, error) {
 }
 
 // registerHandlers installs the SPMD handler table. Server-side handlers
-// dispatch through ep.Data (the node's *server); the reply handler through
-// the node's *client.
+// dispatch through ep.Data (the node's *server); the reply and invalidation
+// handlers through the node's *client.
 func (svc *Service) registerHandlers() {
-	svc.hGet = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*server).onGet(p, ep, tok, args)
-	})
-	svc.hLock = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*server).onLock(p, ep, tok, args)
-	})
-	svc.hCommitPut = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*server).onCommitPut(p, ep, tok, args)
-	})
-	svc.hCommitDel = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*server).onCommitDel(p, ep, tok, args)
-	})
-	svc.hUnlock = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*server).onUnlock(p, ep, tok, args)
-	})
-	svc.hDone = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*server).onDone(p, ep, tok, args)
+	srv := func(f func(*server, *sim.Proc, *am.Endpoint, am.Token, []uint32)) am.HandlerID {
+		return svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+			f(ep.Data.(*server), p, ep, tok, args)
+		})
+	}
+	svc.hGet = srv((*server).onGet)
+	svc.hLock = srv((*server).onLock)
+	svc.hCommit = srv((*server).onCommit)
+	svc.hUnlock = srv((*server).onUnlock)
+	svc.hDone = srv((*server).onDone)
+	svc.hVector = svc.sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
+		ep.Data.(*server).onVector(p, ep, tok, addr, n, arg)
 	})
 	svc.hResp = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		ep.Data.(*client).onResp(args)
 	})
 	svc.hInval = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		ep.Data.(*client).onInval(args)
-	})
-	svc.hLockB = svc.sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*server).onLockBatch(p, ep, tok, addr, n, arg)
-	})
-	svc.hCommitB = svc.sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*server).onCommitBatch(p, ep, tok, addr, n, arg)
-	})
-	svc.hUnlockB = svc.sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*server).onUnlockBatch(p, ep, tok, addr, n, arg)
-	})
-	svc.hBResp = svc.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*client).onBResp(args)
 	})
 }
 
@@ -382,71 +374,111 @@ func (svc *Service) hostsShard(k, sh int) bool {
 	return false
 }
 
-// Result aggregates one run: per-outcome counts, latency histograms
-// (open-loop: measured from the scheduled arrival, so queueing delay and
-// failover stalls count), and the fail-stop report for kill runs. All
-// fields are deterministic — byte-identical serial vs -nodepar.
-type Result struct {
-	Issued    int64
-	Completed int64 // OK or NotFound terminal outcomes
-	NotFound  int64
-	Conflicts int64 // Conflict give-ups (typed error)
-	Unavail   int64 // Unavailable outcomes (typed error)
+// Counters is the deterministic accounting of a run. Each client accumulates
+// into one of its own, each server into a ServerOps, and Run sums them, so a
+// count is declared here and nowhere else; the metric tag is its name in the
+// -metrics registry.
+type Counters struct {
+	Issued    int64 `metric:"kv.issued"`
+	Completed int64 `metric:"kv.completed"` // OK or NotFound terminal outcomes
+	NotFound  int64 `metric:"kv.not_found"`
+	Conflicts int64 `metric:"kv.conflict_giveups"` // Conflict give-ups (typed error)
+	Unavail   int64 `metric:"kv.unavailable"`      // Unavailable outcomes (typed error)
 
-	Gets, Puts, Deletes, Batches int64
+	Gets    int64 `metric:"kv.gets"`
+	Puts    int64 `metric:"kv.puts"`
+	Deletes int64 `metric:"kv.deletes"`
+	Batches int64 `metric:"kv.batches"`
 
-	LockRetries int64 // lock rounds lost to a denial
-	Failovers   int64 // operations that survived a replica death
-	Deferrals   int64 // dispatches deferred on the per-server in-flight cap
+	LockRetries int64 `metric:"kv.lock_retries"` // members denied by a lock round
+	Failovers   int64 `metric:"kv.failovers"`    // operations that survived a replica death
+	Deferrals   int64 `metric:"kv.deferrals"`    // rounds deferred on the per-server in-flight cap
 
-	// Write-batching accounting, summed over client nodes. BatchedPuts
-	// counts the distinct PUTs whose first dispatch rode a multi-op batch
-	// (denied members re-ride after backoff without being recounted; the
-	// rest went through the classic per-op rounds); CombinedPuts the ones
-	// superseded by a
-	// later put to the same key in their batch (the server applied the
-	// survivor once, last-writer-wins); Backoffs the retries that slept on
-	// the exponential-backoff queue.
-	WriteBatches int64
-	BatchedPuts  int64
-	CombinedPuts int64
-	Backoffs     int64
+	// PUT coalescing. WriteBatches counts the vectors flushed from the shard
+	// queues and BatchSize their lengths, 1 included; BatchedPuts the
+	// distinct PUTs whose first ride was in a vector of two or more (a
+	// denied member re-rides after backoff without being recounted);
+	// CombinedPuts the ones superseded by a later put to the same key in
+	// their vector (the server applied the survivor once, last-writer-wins);
+	// Backoffs the retries that slept on the exponential-backoff queue.
+	WriteBatches int64           `metric:"kv.write.batches"`
+	BatchedPuts  int64           `metric:"kv.write.batched_puts"`
+	CombinedPuts int64           `metric:"kv.write.combined"`
+	Backoffs     int64           `metric:"kv.write.backoffs"`
+	BatchSize    trace.Histogram `metric:"kv.write.batch_size"`
 
-	BatchSize trace.Histogram // ops per flushed batch
+	// Read cache. Every GET is exactly one of CacheHits, Coalesced, or a
+	// fetch (CacheMisses + CacheStale); with no failover, fetches ==
+	// ServerOps.Gets.
+	CacheHits   int64 `metric:"kv.cache.hits"`
+	CacheMisses int64 `metric:"kv.cache.misses"`
+	CacheStale  int64 `metric:"kv.cache.stale"`        // present but invalidated or lease-expired
+	Coalesced   int64 `metric:"kv.cache.coalesced"`    // rode another slot's in-flight fetch
+	InvalsRecv  int64 `metric:"kv.cache.invals_recv"`  // invalidation pushes delivered to clients
+	Evictions   int64 `metric:"kv.cache.evictions"`    // LRU evictions
+	StaleFills  int64 `metric:"kv.cache.stale_fills"`  // fetches served but not cached (an invalidation outran the reply)
+	StaleServed int64 `metric:"kv.cache.stale_served"` // cache served past lease expiry: must be 0
 
-	// Read-cache accounting, summed over client nodes. Every GET is
-	// exactly one of CacheHits, Coalesced, or a fetch (CacheMisses +
-	// CacheStale); with no failover, fetches == ServerOps.Gets.
-	CacheHits   int64
-	CacheMisses int64
-	CacheStale  int64 // present but invalidated or lease-expired
-	Coalesced   int64 // rode another slot's in-flight fetch
-	InvalsRecv  int64 // invalidation pushes delivered to clients
-	Evictions   int64 // LRU evictions
-	StaleFills  int64 // fetches served but not cached (invalidation raced the reply)
-	StaleServed int64 // lease-bound violations: must be 0
-
-	Lat, LatGet, LatWrite trace.Histogram
-
-	Makespan sim.Time // latest client finish time
-	Detect   sim.Time // kill runs: max detection latency across clients
-	Unavail_ sim.Time // kill runs: kill -> last failed-over request completed
+	// Latency is open-loop: measured from the scheduled arrival, so queueing
+	// delay and failover stalls count.
+	Lat      trace.Histogram `metric:"kv.latency_ns"`
+	LatGet   trace.Histogram `metric:"kv.latency_get_ns"`
+	LatWrite trace.Histogram `metric:"kv.latency_write_ns"`
 
 	ServerOps ServerOps
-	AM        am.Stats
 }
 
 // ServerOps counts operations served, summed over all servers.
 type ServerOps struct {
-	Gets, Locks, LockDenied, Commits, Deletes, Unlocks int64
+	Gets       int64 `metric:"kv.server.gets"`
+	Locks      int64 `metric:"kv.server.locks"`
+	LockDenied int64 `metric:"kv.server.lock_denied"`
+	Commits    int64 `metric:"kv.server.commits"`
+	Deletes    int64 `metric:"kv.server.deletes"`
+	Unlocks    int64 `metric:"kv.server.unlocks"`
 
-	Invals          int64 // invalidation pushes sent
-	InvalsDropped   int64 // pushes skipped (client finished or unreachable)
-	HolderOverflows int64 // GETs not tracked because the holder set was full
-	CommitDups      int64 // failover re-commits deduplicated by version bump
+	Invals          int64 `metric:"kv.server.invals"`           // invalidation pushes sent
+	InvalsDropped   int64 `metric:"kv.server.invals_dropped"`   // pushes skipped (client finished or unreachable)
+	HolderOverflows int64 `metric:"kv.server.holder_overflows"` // GETs not tracked because the holder set was full
+	CommitDups      int64 `metric:"kv.server.commit_dups"`      // failover re-commits deduplicated by version bump
+	Combined        int64 `metric:"kv.server.combined"`         // commit ops superseded by a later same-key op (per replica)
+}
 
-	BatchRounds int64 // lock-all batch rounds served
-	Combined    int64 // batch commit ops superseded by a later same-key op (per replica)
+// fold adds src into dst field by field — int64s sum, histograms merge,
+// nested structs recurse — and, with a registry, publishes src under each
+// field's metric tag.
+func fold(dst, src reflect.Value, reg *trace.Registry) {
+	for i := 0; i < src.NumField(); i++ {
+		d, f := dst.Field(i), src.Field(i)
+		name := src.Type().Field(i).Tag.Get("metric")
+		switch v := f.Addr().Interface().(type) {
+		case *int64:
+			d.SetInt(d.Int() + *v)
+			if reg != nil {
+				reg.Counter(name).Add(*v)
+			}
+		case *trace.Histogram:
+			d.Addr().Interface().(*trace.Histogram).Merge(v)
+			if reg != nil {
+				reg.Histogram(name).Merge(v)
+			}
+		default:
+			fold(d, f, reg)
+		}
+	}
+}
+
+// Result aggregates one run: the counters summed over nodes and the fail-stop
+// report for kill runs. All fields are deterministic — byte-identical serial
+// vs -nodepar.
+type Result struct {
+	Counters
+
+	Makespan      sim.Time // latest client finish time
+	Detect        sim.Time // kill runs: max detection latency across clients
+	UnavailWindow sim.Time // kill runs: kill -> last failed-over request completed
+
+	AM am.Stats
 }
 
 // Throughput is the achieved request rate over the makespan.
@@ -471,9 +503,7 @@ func (svc *Service) Run() (*Result, error) {
 	if err := svc.cluster.RunChecked(svc.cfg.Watchdog); err != nil {
 		return nil, err
 	}
-	res := svc.gather()
-	svc.foldMetrics(res)
-	return res, nil
+	return svc.gather(), nil
 }
 
 // Events reports the simulation events executed so far, summed over shards:
@@ -489,110 +519,28 @@ func Run(cfg Config) (*Result, error) {
 	return svc.Run()
 }
 
-// gather folds the per-client and per-server state, in fixed node order,
-// into a Result.
+// gather folds the per-node counters, in fixed node order, into a Result,
+// publishing them into the process-wide metrics registry when one is
+// installed (the commands' -metrics flag) so multiple runs accumulate.
 func (svc *Service) gather() *Result {
-	res := &Result{}
-	var maxDetect, maxFailoverDone sim.Time
+	res := &Result{AM: svc.sys.Totals()}
+	sum := reflect.ValueOf(&res.Counters).Elem()
+	var detectAt, failoverDone sim.Time
 	for _, cl := range svc.clients {
-		st := &cl.st
-		res.Issued += int64(cl.issued)
-		res.Completed += st.Completed
-		res.NotFound += st.NotFound
-		res.Conflicts += st.ConflictGiveups
-		res.Unavail += st.Unavailable
-		res.Gets += st.Gets
-		res.Puts += st.Puts
-		res.Deletes += st.Deletes
-		res.Batches += st.Batches
-		res.LockRetries += st.LockRetries
-		res.Failovers += st.Failovers
-		res.Deferrals += st.Deferrals
-		res.WriteBatches += st.WriteBatches
-		res.BatchedPuts += st.BatchedPuts
-		res.CombinedPuts += st.CombinedPuts
-		res.Backoffs += st.Backoffs
-		res.BatchSize.Merge(&st.BatchSize)
-		res.CacheHits += st.CacheHits
-		res.CacheMisses += st.CacheMisses
-		res.CacheStale += st.CacheStale
-		res.Coalesced += st.Coalesced
-		res.InvalsRecv += st.InvalsRecv
-		res.Evictions += st.Evictions
-		res.StaleFills += st.StaleFills
-		res.StaleServed += st.StaleServed
-		res.Lat.Merge(&st.Lat)
-		res.LatGet.Merge(&st.LatGet)
-		res.LatWrite.Merge(&st.LatWrite)
-		if st.FinishAt > res.Makespan {
-			res.Makespan = st.FinishAt
-		}
-		if st.DetectAt > maxDetect {
-			maxDetect = st.DetectAt
-		}
-		if st.LastFailoverDone > maxFailoverDone {
-			maxFailoverDone = st.LastFailoverDone
-		}
+		fold(sum, reflect.ValueOf(&cl.st).Elem(), am.DefaultMetrics)
+		res.Makespan = max(res.Makespan, cl.finishAt)
+		detectAt = max(detectAt, cl.detectAt)
+		failoverDone = max(failoverDone, cl.lastFailoverDone)
 	}
+	ops := reflect.ValueOf(&res.ServerOps).Elem()
 	for _, srv := range svc.servers {
-		res.ServerOps.Gets += srv.gets
-		res.ServerOps.Locks += srv.locks
-		res.ServerOps.LockDenied += srv.lockDenied
-		res.ServerOps.Commits += srv.commits
-		res.ServerOps.Deletes += srv.deletes
-		res.ServerOps.Unlocks += srv.unlocks
-		res.ServerOps.Invals += srv.invalsSent
-		res.ServerOps.InvalsDropped += srv.invalsDropped
-		res.ServerOps.HolderOverflows += srv.holderOverflows
-		res.ServerOps.CommitDups += srv.commitDups
-		res.ServerOps.BatchRounds += srv.batchRounds
-		res.ServerOps.Combined += srv.combined
+		fold(ops, reflect.ValueOf(&srv.ops).Elem(), am.DefaultMetrics)
 	}
 	if svc.cfg.KillServer >= 0 {
-		if maxDetect > svc.cfg.KillAt {
-			res.Detect = maxDetect - svc.cfg.KillAt
-		}
-		if maxFailoverDone > svc.cfg.KillAt {
-			res.Unavail_ = maxFailoverDone - svc.cfg.KillAt
-		}
+		res.Detect = max(0, detectAt-svc.cfg.KillAt)
+		res.UnavailWindow = max(0, failoverDone-svc.cfg.KillAt)
 	}
-	res.AM = svc.sys.Totals()
 	return res
-}
-
-// foldMetrics publishes the run into the process-wide metrics registry when
-// one is installed (the commands' -metrics flag), using Histogram.Merge so
-// multiple runs accumulate.
-func (svc *Service) foldMetrics(res *Result) {
-	reg := am.DefaultMetrics
-	if reg == nil {
-		return
-	}
-	reg.Histogram("kv.latency_ns").Merge(&res.Lat)
-	reg.Histogram("kv.latency_get_ns").Merge(&res.LatGet)
-	reg.Histogram("kv.latency_write_ns").Merge(&res.LatWrite)
-	reg.Counter("kv.completed").Add(res.Completed)
-	reg.Counter("kv.not_found").Add(res.NotFound)
-	reg.Counter("kv.conflict_giveups").Add(res.Conflicts)
-	reg.Counter("kv.unavailable").Add(res.Unavail)
-	reg.Counter("kv.lock_retries").Add(res.LockRetries)
-	reg.Counter("kv.failovers").Add(res.Failovers)
-	reg.Counter("kv.deferrals").Add(res.Deferrals)
-	reg.Counter("kv.server.locks").Add(res.ServerOps.Locks)
-	reg.Counter("kv.server.lock_denied").Add(res.ServerOps.LockDenied)
-	reg.Counter("kv.server.combined").Add(res.ServerOps.Combined)
-	reg.Counter("kv.write.batches").Add(res.WriteBatches)
-	reg.Counter("kv.write.batched_puts").Add(res.BatchedPuts)
-	reg.Counter("kv.write.combined").Add(res.CombinedPuts)
-	reg.Counter("kv.write.backoffs").Add(res.Backoffs)
-	reg.Histogram("kv.write.batch_size").Merge(&res.BatchSize)
-	reg.Counter("kv.cache.hits").Add(res.CacheHits)
-	reg.Counter("kv.cache.misses").Add(res.CacheMisses)
-	reg.Counter("kv.cache.stale").Add(res.CacheStale)
-	reg.Counter("kv.cache.coalesced").Add(res.Coalesced)
-	reg.Counter("kv.cache.evictions").Add(res.Evictions)
-	reg.Counter("kv.cache.invals_recv").Add(res.InvalsRecv)
-	reg.Counter("kv.server.invals").Add(res.ServerOps.Invals)
 }
 
 // ReadKey reads a key from the first live replica's post-run state (tests).

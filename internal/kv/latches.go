@@ -1,11 +1,3 @@
-// Per-shard latch tables, in the style of tinykv's latches: a try-lock map
-// from key to transaction owner. A denied lock is reported back to the
-// client (which aborts and retries after a backoff) rather than queued, so
-// the server never blocks and multi-key transactions cannot deadlock —
-// concurrent requests to different keys of one shard proceed independently.
-// Batched commits take their latches in one lock-all round under a batch
-// txn (see wire.go); the discipline is unchanged — per-key try-lock,
-// deny + retry, never queue — only the round trips are amortized.
 package kv
 
 import "spam/internal/sim"
@@ -15,8 +7,8 @@ import "spam/internal/sim"
 // must keep climbing, or a cache could mistake the rebirth for the state
 // it already has.
 type keyMeta struct {
-	ver    uint32 // monotone commit version (0 = never written)
-	lastOp uint64 // dedup id of the last applied commit (see server.bump)
+	ver    uint32   // monotone commit version (0 = never written)
+	lastOp uint64   // dedup id of the last applied commit (see server.bump)
 	verAt  sim.Time // local apply time of ver (staleness oracle; replicas
 	// apply at different times, so verAt is never compared across them)
 }

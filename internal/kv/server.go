@@ -33,9 +33,8 @@ type server struct {
 	clientDone []bool // per client node: done announcement received
 	done       int    // done announcements received (one per client node)
 
-	gets, locks, lockDenied, commits, deletes, unlocks     int64
-	invalsSent, invalsDropped, holderOverflows, commitDups int64
-	batchRounds, combined                                  int64
+	vec [maxBatchOps]wireOp // decode scratch: handlers never nest
+	ops ServerOps
 }
 
 func newServer(svc *Service, id int, ep *am.Endpoint) *server {
@@ -44,7 +43,7 @@ func newServer(svc *Service, id int, ep *am.Endpoint) *server {
 		id:         id,
 		ep:         ep,
 		shards:     make([]*shard, svc.numShards),
-		push:       !svc.cfg.CacheOff && !svc.cfg.NoInvalPush,
+		push:       !svc.cfg.CacheOff,
 		clientDone: make([]bool, svc.cfg.ClientNodes),
 	}
 	// Pre-size each hosted shard's store for its expected share of the
@@ -80,14 +79,14 @@ func (s *server) drainInvals(p *sim.Proc) {
 	for s.invalq.Len() > 0 {
 		e := s.invalq.Pop()
 		if s.clientDone[e.cl] {
-			s.invalsDropped++
+			s.ops.InvalsDropped++
 			continue
 		}
 		if err := s.ep.Request(p, s.svc.cfg.Servers+int(e.cl), s.svc.hInval, e.key, e.ver); err != nil {
-			s.invalsDropped++
+			s.ops.InvalsDropped++
 			continue
 		}
-		s.invalsSent++
+		s.ops.Invals++
 	}
 }
 
@@ -129,7 +128,7 @@ func (s *server) registerHolder(now sim.Time, sh *shard, key uint32, src int) {
 	case free >= 0:
 		h.cl[free], h.exp[free] = cli, exp
 	default:
-		s.holderOverflows++
+		s.ops.HolderOverflows++
 		return // nothing written back; the set is full of live holders
 	}
 	sh.holders[key] = h
@@ -137,23 +136,21 @@ func (s *server) registerHolder(now sim.Time, sh *shard, key uint32, src int) {
 
 // bump advances key's version for this commit unless it is a replay (a
 // failover re-commit of the same operation — commits must stay idempotent
-// in the version domain too, or replicas would diverge). The dedup id
-// pairs the op's txn word (client node + slot) with the slot generation;
-// together they name one operation uniquely even as slots are reused, and
-// a batched member carries the same id it would use individually, so a
-// batch that aborts mid-replication can re-drive members solo without
-// double-bumping replicas that already applied the batch.
+// in the version domain too, or replicas would diverge). opID names one
+// operation uniquely even as slots are reused and is the same whichever
+// transaction carries the op, so a vector that aborts mid-replication can
+// re-drive its members without double-bumping replicas that already applied
+// them.
 //
 // A genuine bump queues invalidation pushes to the key's tracked lease
-// holders. writer is the client index whose own completion already carries
-// the version (individual commits: the reply's third word); it is excluded
-// from the push. Batched commits pass writer < 0 — the one-word batch reply
-// cannot carry per-key versions, so the writer learns them from its own
-// push like everyone else.
-func (s *server) bump(now sim.Time, sh *shard, key uint32, opID uint64, writer int32) uint32 {
+// holders, except writer: the client whose own commit reply already carries
+// the version (one-op vectors). Staged vectors pass writer < 0 — their
+// one-word reply cannot carry per-key versions, so the writer learns them
+// from its own push like everyone else.
+func (s *server) bump(now sim.Time, sh *shard, key uint32, opID uint64, writer int) uint32 {
 	m := sh.meta[key]
 	if m.lastOp == opID {
-		s.commitDups++
+		s.ops.CommitDups++
 		return m.ver
 	}
 	m.ver++
@@ -168,7 +165,7 @@ func (s *server) bump(now sim.Time, sh *shard, key uint32, opID uint64, writer i
 					continue
 				}
 				live++
-				if int32(h.cl[i]) == writer {
+				if int(h.cl[i]) == writer {
 					continue
 				}
 				s.invalq.Push(invalEnt{cl: h.cl[i], key: key, ver: m.ver})
@@ -185,20 +182,13 @@ func (s *server) bump(now sim.Time, sh *shard, key uint32, opID uint64, writer i
 	return m.ver
 }
 
-// opDedupID is the version-domain dedup id shared by the individual and
-// batched commit paths: the op's txn word paired with its slot generation.
-func opDedupID(txn, gen uint32) uint64 { return uint64(txn)<<16 | uint64(gen) }
-
-// opWriter extracts the writing client's index from an individual txn word.
-func opWriter(txn uint32) int32 { return int32(uint16(txn >> 12 & 0x7FFFF)) }
-
-// onGet: args [reqID, key] -> reply [reqID, status, value, version]. The
-// reply stamps the key's commit version and implicitly grants a Lease-long
-// read lease; unless the cache is disabled the client is recorded as a
-// holder so the next commit can push an invalidation.
+// onGet: args [id, key] -> reply [id, status, value, version]. The reply
+// stamps the key's commit version and implicitly grants a Lease-long read
+// lease; unless the cache is disabled the client is recorded as a holder so
+// the next commit can push an invalidation.
 func (s *server) onGet(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-	reqID, key := args[0], args[1]
-	s.gets++
+	id, key := args[0], args[1]
+	s.ops.Gets++
 	sh := s.shardFor(key)
 	v, ok := sh.store[key]
 	st := StatusOK
@@ -208,137 +198,110 @@ func (s *server) onGet(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32
 	if s.push {
 		s.registerHolder(p.Now(), sh, key, tok.Src)
 	}
-	ep.Reply(p, tok, s.svc.hResp, reqID, st, v, sh.meta[key].ver)
+	ep.Reply(p, tok, s.svc.hResp, id, st, v, sh.meta[key].ver)
 }
 
-// onLock: args [reqID, txn, key] -> reply [reqID, OK|Locked, 0].
-func (s *server) onLock(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-	reqID, txn, key := args[0], args[1], args[2]
-	s.locks++
-	st := StatusOK
-	if !s.shardFor(key).tryLock(key, txn) {
-		st = StatusLocked
-		s.lockDenied++
-	}
-	ep.Reply(p, tok, s.svc.hResp, reqID, st, 0)
-}
+// The three write rounds, each over a vector of one shard's ops. They do
+// map operations only; the handlers below decode a vector, run its round and
+// send the one reply.
 
-// onCommitPut: args [reqID, txn, key, val] -> reply [reqID, OK, version].
-// The value is applied unconditionally: the client only commits while
-// holding the key's primary latch, which serializes writers, and
-// re-commits after a failover are idempotent (bump dedups the version).
-// The latch (held at the primary only) is released by a separate unlock
-// once every replica has acknowledged.
-func (s *server) onCommitPut(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-	reqID, txn, key, val := args[0], args[1], args[2], args[3]
-	s.commits++
-	sh := s.shardFor(key)
-	ver := s.bump(p.Now(), sh, key, opDedupID(txn, reqID>>16), opWriter(txn))
-	sh.store[key] = val
-	ep.Reply(p, tok, s.svc.hResp, reqID, StatusOK, ver)
-}
-
-// onCommitDel: args [reqID, txn, key] — the delete-flavored commit. The
-// key's version keeps climbing through the delete (meta is kept outside
-// the store), so caches holding the old value are invalidated exactly like
-// a put, and the NotFound they re-read is itself cacheable.
-func (s *server) onCommitDel(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-	reqID, txn, key := args[0], args[1], args[2]
-	s.deletes++
-	sh := s.shardFor(key)
-	ver := s.bump(p.Now(), sh, key, opDedupID(txn, reqID>>16), opWriter(txn))
-	delete(sh.store, key)
-	ep.Reply(p, tok, s.svc.hResp, reqID, StatusOK, ver)
-}
-
-// onUnlock: args [reqID, txn, key] -> reply [reqID, OK, 0].
-func (s *server) onUnlock(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-	reqID, txn, key := args[0], args[1], args[2]
-	s.unlocks++
-	s.shardFor(key).unlock(key, txn)
-	ep.Reply(p, tok, s.svc.hResp, reqID, StatusOK, 0)
-}
-
-// Batch handlers (see wire.go for the formats). Each runs as a bulk-store
-// completion: the op vector has already landed in this server's staging
-// segment, so the handler parses it in place and sends one short reply for
-// the whole round — the per-op work is map operations only, no sends.
-
-// onLockBatch: a lock-all round at the shard primary. Every key is try-
-// locked under the batch txn (idempotent for duplicate keys within the
-// batch); the reply's payload is the grant bitmap, so partial denials fail
-// only the denied members. The deny+retry latch discipline is unchanged —
-// nothing ever queues on a latch.
-func (s *server) onLockBatch(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nbytes int, arg uint32) {
-	mem := ep.Node().Mem.Slice(addr, nbytes)
-	k := nbytes / 4
-	shID := int(arg>>4) & 0xFFF
-	sh := s.shards[shID]
-	if sh == nil {
-		panic("kv: batch routed to a server not hosting the shard")
-	}
-	btxn := batchTxn(tok.Src-s.svc.cfg.Servers, shID)
-	s.batchRounds++
-	var mask uint32
-	for i := 0; i < k; i++ {
-		s.locks++
-		if sh.tryLock(getU32(mem[4*i:]), btxn) {
-			mask |= 1 << i
+// lock try-locks every key for owner and returns the grant bitmap, so a
+// partial denial fails only the denied ops. Duplicate keys in one vector
+// re-grant idempotently. Nothing ever queues on a latch.
+func (s *server) lock(owner uint32, ops []wireOp) (grant uint32) {
+	sh := s.shardFor(ops[0].key)
+	for i, op := range ops {
+		s.ops.Locks++
+		if sh.tryLock(op.key, owner) {
+			grant |= 1 << i
 		} else {
-			s.lockDenied++
+			s.ops.LockDenied++
 		}
 	}
-	ep.Reply(p, tok, s.svc.hBResp, arg, mask)
+	return grant
 }
 
-// onCommitBatch: a commit-all round at one replica. Same-key puts combine
-// last-writer-wins: only the batch's final put to a key is applied, and the
-// version bumps once for it — every replica sees the same vector, so the
-// survivor (and the resulting meta) is identical everywhere. Each applied
-// op bumps under its member dedup id with writer < 0, so the invalidation
-// push goes to all tracked holders including the writer (the batch reply
-// cannot carry per-key versions).
-func (s *server) onCommitBatch(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nbytes int, arg uint32) {
-	mem := ep.Node().Mem.Slice(addr, nbytes)
-	k := nbytes / stageOpBytes
-	sh := s.shards[int(arg>>4)&0xFFF]
-	now := p.Now()
-	for i := 0; i < k; i++ {
-		key := getU32(mem[i*stageOpBytes:])
-		superseded := false
-		for j := i + 1; j < k; j++ {
-			if getU32(mem[j*stageOpBytes:]) == key {
-				superseded = true
-				break
+// commit applies the vector at this replica and returns the last op's new
+// version. The client commits only while it holds the keys' primary latches,
+// which serialize writers, so ops apply unconditionally and replicas
+// converge; the latch is released by a separate unlock once every replica
+// acknowledged. Same-key ops combine last-writer-wins: only the final one is
+// applied, with one version bump — every replica sees the same vector, so
+// the survivor and the resulting meta are identical everywhere. A delete
+// keeps the version climbing (meta lives outside the store), so caches are
+// invalidated exactly as by a put and the NotFound they re-read is cacheable.
+func (s *server) commit(now sim.Time, cli, writer int, ops []wireOp) (ver uint32) {
+	sh := s.shardFor(ops[0].key)
+next:
+	for i, op := range ops {
+		for _, later := range ops[i+1:] {
+			if later.key == op.key {
+				s.ops.Combined++
+				continue next
 			}
 		}
-		if superseded {
-			s.combined++
-			continue
+		ver = s.bump(now, sh, op.key, uint64(cli)<<32|uint64(op.id), writer)
+		if op.id&opDel != 0 {
+			s.ops.Deletes++
+			delete(sh.store, op.key)
+		} else {
+			s.ops.Commits++
+			sh.store[op.key] = op.val
 		}
-		val := getU32(mem[i*stageOpBytes+4:])
-		txn := getU32(mem[i*stageOpBytes+8:])
-		gen := getU32(mem[i*stageOpBytes+12:])
-		s.commits++
-		s.bump(now, sh, key, opDedupID(txn, gen), -1)
-		sh.store[key] = val
 	}
-	ep.Reply(p, tok, s.svc.hBResp, arg, 0)
+	return ver
 }
 
-// onUnlockBatch: release the batch's granted latches (stale or duplicate
-// unlocks are no-ops, exactly like the individual path).
-func (s *server) onUnlockBatch(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nbytes int, arg uint32) {
-	mem := ep.Node().Mem.Slice(addr, nbytes)
-	k := nbytes / 4
-	shID := int(arg>>4) & 0xFFF
-	sh := s.shards[shID]
-	btxn := batchTxn(tok.Src-s.svc.cfg.Servers, shID)
-	for i := 0; i < k; i++ {
-		s.unlocks++
-		sh.unlock(getU32(mem[4*i:]), btxn)
+// unlock releases the latches owner holds (stale or duplicate unlocks are
+// no-ops).
+func (s *server) unlock(owner uint32, ops []wireOp) {
+	sh := s.shardFor(ops[0].key)
+	for _, op := range ops {
+		s.ops.Unlocks++
+		sh.unlock(op.key, owner)
 	}
-	ep.Reply(p, tok, s.svc.hBResp, arg, 0)
+}
+
+// The short handlers carry a one-op vector in the request words (wire.go).
+
+func (s *server) onLock(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+	s.vec[0] = wireOp{key: args[2]}
+	ep.Reply(p, tok, s.svc.hResp, args[0], s.lock(args[1], s.vec[:1]), 0)
+}
+
+func (s *server) onCommit(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+	s.vec[0] = wireOp{key: args[2], id: args[1]}
+	if len(args) > 3 {
+		s.vec[0].val = args[3]
+	}
+	cli := tok.Src - s.svc.cfg.Servers
+	ep.Reply(p, tok, s.svc.hResp, args[0], 0, s.commit(p.Now(), cli, cli, s.vec[:1]))
+}
+
+func (s *server) onUnlock(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+	s.vec[0] = wireOp{key: args[2]}
+	s.unlock(args[1], s.vec[:1])
+	ep.Reply(p, tok, s.svc.hResp, args[0], 0, 0)
+}
+
+// onVector is the bulk-store completion for a staged vector: the records
+// have landed in this server's staging segment and arg is the request id.
+func (s *server) onVector(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nbytes int, arg uint32) {
+	_, ti, _, phase := splitReqID(arg)
+	ops := decodeOps(s.vec[:], phase, ep.Node().Mem.Slice(addr, nbytes))
+	cli := tok.Src - s.svc.cfg.Servers
+	var grant uint32
+	if len(ops) > 0 {
+		switch phase {
+		case phLock:
+			grant = s.lock(latchOwner(cli, ti), ops)
+		case phCommit:
+			s.commit(p.Now(), cli, -1, ops)
+		case phUnlock:
+			s.unlock(latchOwner(cli, ti), ops)
+		}
+	}
+	ep.Reply(p, tok, s.svc.hResp, arg, grant)
 }
 
 // onDone: args [clientIdx]. No reply — the request's delivery is already

@@ -1,41 +1,39 @@
-// Batch wire format for the write path. Short Active Messages carry at
-// most four words, so a multi-op commit batch cannot ride am_request;
-// instead the client am_stores a packed op vector into a per-(client,
-// shard) staging block registered on every server, and the bulk-completion
-// handler parses it and sends one short reply for the whole batch. The
-// three phases reuse the same staging block — each phase's store is fully
-// consumed by its handler before the client (sequenced by the reply) sends
-// the next one.
-//
-//   - lock-all:   4 bytes per op:  key
-//   - commit-all: 16 bytes per op: key, value, member txn, member slot gen
-//   - unlock-all: 4 bytes per op:  key
-//
-// Latches for the whole batch are taken under a synthetic batch txn
-// (batchTxn) so duplicate keys within one batch re-grant idempotently;
-// commits carry each member's own (txn, gen) so the per-op version dedup id
-// matches what an individual re-commit of that member would use — a batch
-// that aborts mid-replication can fall back to individual re-commits and
-// stay idempotent at replicas that already applied the batch.
-//
-// The batch reply routes on a single word: gen<<16 | shard<<4 | sub, where
-// sub 0 is the lock round, 1 the unlock round, and 2+r the commit to
-// replica r. The lock reply's payload is the per-op grant bitmap (batch
-// size is capped at 32 so it fits one word); partial denials fail only the
-// denied members.
 package kv
 
 import "spam/internal/hw"
 
+// Wire formats of one write round (the protocol is in the package comment).
+// A vector of one op rides a short request, phase by handler:
+//
+//	lock    [id, owner, key]        -> reply [id, grant bitmap, 0]
+//	commit  [id, opid, key, value]  -> reply [id, 0, version]   (a delete omits the value word)
+//	unlock  [id, owner, key]        -> reply [id, 0, 0]
+//
+// A longer one is am_stored as packed little-endian records into the
+// transaction's staging block and consumed by the one bulk handler, which
+// reads the phase out of id and derives the latch owner from the sender:
+//
+//	lock, unlock  4 bytes per op:  key
+//	commit        12 bytes per op: key, value, opid
+//	reply         [id, grant bitmap] (0 outside the lock round: versions do not fit)
 const (
-	maxBatchOps  = 32 // grant bitmap is one wire word
-	stageOpBytes = 16 // commit-all is the widest encoding
-	stageBytes   = maxBatchOps * stageOpBytes
+	maxBatchOps = 32 // the grant bitmap is one wire word
+	stageBytes  = maxBatchOps * 12
 
-	bsubLock   = 0
-	bsubUnlock = 1
-	bsubCommit = 2 // +replica rank
+	opDel = 1 << 30 // opid flag: the commit deletes the key
 )
+
+// wireOp is one decoded op of a round's vector. Lock and unlock rounds carry
+// the key only.
+type wireOp struct{ key, val, id uint32 }
+
+// opBytes is the staged record width of a phase.
+func opBytes(phase uint8) int {
+	if phase == phCommit {
+		return 12
+	}
+	return 4
+}
 
 func putU32(b []byte, v uint32) {
 	b[0] = byte(v)
@@ -48,22 +46,72 @@ func getU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// bReqID is the batch reply routing word. The shard id must fit 12 bits —
-// withDefaults enforces numShards <= 4096.
-func bReqID(gen, sh, sub uint32) uint32 { return gen<<16 | sh<<4 | sub }
-
-// batchTxn is the latch owner for a batch: bit 31 marks a txn (latch owners
-// are never 0), bit 30 marks a batch, and the (client, shard) pair makes it
-// unique among concurrent batches — a client runs at most one batch per
-// shard at a time. Bits 12..27 carry the client index exactly like a slot
-// txn, but bit 30 keeps it out of the individual txn space.
-func batchTxn(cli, sh int) uint32 {
-	return 1<<31 | 1<<30 | uint32(cli)<<12 | uint32(sh)
+// encodeOps packs ops into buf as phase records and returns the bytes used.
+// buf must hold len(ops) records; callers cap vectors at maxBatchOps.
+func encodeOps(buf []byte, phase uint8, ops []wireOp) []byte {
+	w := opBytes(phase)
+	for i, op := range ops {
+		putU32(buf[i*w:], op.key)
+		if phase == phCommit {
+			putU32(buf[i*w+4:], op.val)
+			putU32(buf[i*w+8:], op.id)
+		}
+	}
+	return buf[:len(ops)*w]
 }
 
-// stageAddr is the staging block for this client's batches to shard sh —
-// the same (segment, offset) on every server, so one address works for the
-// lock store at the primary and the commit stores at every replica.
-func (cl *client) stageAddr(sh uint32) hw.Addr {
-	return hw.Addr{Seg: cl.svc.stageSeg, Off: (cl.idx*cl.svc.numShards + int(sh)) * stageBytes}
+// decodeOps unpacks staged bytes into dst and returns the ops decoded. The
+// bytes come off the wire: a trailing partial record is ignored and a vector
+// longer than dst is cut, so no input indexes out of range.
+func decodeOps(dst []wireOp, phase uint8, mem []byte) []wireOp {
+	w := opBytes(phase)
+	n := len(mem) / w
+	if n > len(dst) {
+		n = len(dst)
+	}
+	for i := 0; i < n; i++ {
+		op := wireOp{key: getU32(mem[i*w:])}
+		if phase == phCommit {
+			op.val = getU32(mem[i*w+4:])
+			op.id = getU32(mem[i*w+8:])
+		}
+		dst[i] = op
+	}
+	return dst[:n]
+}
+
+// Request ids route replies without a lookup: transaction generation (14
+// bits), transaction index (12, so Slots <= 4096), sub-request (4) and
+// phase (2). The phase lets the bulk handler pick the record format and the
+// reply handler drop a reply that outlived its round.
+func reqID(gen, ti uint32, sub int, phase uint8) uint32 {
+	return gen<<18 | ti<<6 | uint32(sub)<<2 | uint32(phase)
+}
+
+func splitReqID(id uint32) (gen, ti uint32, sub int, phase uint8) {
+	return id >> 18, id >> 6 & 0xFFF, int(id >> 2 & 0xF), uint8(id & 3)
+}
+
+// latchOwner names the transaction holding a latch: bit 31 keeps it non-zero,
+// then the client node and its transaction index. A client reuses an index
+// only after the transaction's unlock round drained or the holder died.
+func latchOwner(cli int, ti uint32) uint32 { return 1<<31 | uint32(cli)<<12 | ti }
+
+// opID is the commit dedup word of one operation: the issuing slot and its
+// generation, stable across re-drives of the operation in later
+// transactions, so a replica that already applied it does not bump the
+// version twice. The server pairs it with the sending client.
+func opID(si, slotGen uint32, del bool) uint32 {
+	id := 1<<31 | slotGen<<12 | si
+	if del {
+		id |= opDel
+	}
+	return id
+}
+
+// stageAddr is transaction ti's staging block: the same (segment, offset) on
+// every server, so one address serves the lock store at the primary and the
+// commit stores at every replica.
+func (cl *client) stageAddr(ti uint32) hw.Addr {
+	return hw.Addr{Seg: cl.svc.stageSeg, Off: (cl.idx*cl.svc.cfg.Slots + int(ti)) * stageBytes}
 }

@@ -34,13 +34,14 @@
 # simulated-time, deterministic on any host — a failure is a coherence or
 # eviction behavior change, never noise.
 #
-# With GATE_KVWRITE=1 the script runs the write-heavy mix at the pre-change
-# saturation point (default zipf 1.3 skew) with commit batching + write
-# combining on versus the per-op path (-writebatch=false -fixedbackoff) and
-# gates the contention-relief contract: the batched PUT p99 must be at
-# least KVWRITE_RATIO (default 2.0) times better than the per-op arm, and
-# at least one PUT must actually have ridden a batch. Simulated-time,
-# deterministic — a failure is a protocol behavior change, never noise.
+# With GATE_KVWRITE=1 the script runs the write-heavy mix at 200k req/s
+# (default zipf 1.3 skew) with PUT coalescing + write combining on versus
+# one PUT per transaction on the same code path (-batchops 1) and gates the
+# contention-relief contract: the coalesced PUT p99 must be at least
+# KVWRITE_RATIO (default 2.0) times better than the per-op arm, and at
+# least one PUT must actually have ridden a vector of two or more.
+# Simulated-time, deterministic — a failure is a protocol behavior change,
+# never noise.
 #
 #   scripts/bench-regress.sh                    # compare vs BENCH_host.json
 #   scripts/bench-regress.sh baseline.json      # custom baseline
@@ -167,9 +168,9 @@ if [[ "${GATE_KVCACHE:-0}" == 1 ]]; then
 		}'
 fi
 
-# Write-contention gate: batching + combining + adaptive backoff vs the
-# per-op path on the write-heavy mix at saturation. Simulated-time, so the
-# comparison is exact; the arms differ only in -writebatch/-fixedbackoff.
+# Write-contention gate: PUT coalescing + combining vs one PUT per
+# transaction on the write-heavy mix at saturation. Simulated-time, so the
+# comparison is exact; the arms differ only in -batchops.
 if [[ "${GATE_KVWRITE:-0}" == 1 ]]; then
 	kvw_metric() { # kvw_metric <json> <name-prefix>
 		printf '%s\n' "$1" | awk -v pat="\"name\": \"$2" \
@@ -177,7 +178,7 @@ if [[ "${GATE_KVWRITE:-0}" == 1 ]]; then
 	}
 	kvw_flags=(-rate 200000 -reqs 10000 -clients 100000 -mix writeheavy -json)
 	won=$(go run ./cmd/kv-bench "${kvw_flags[@]}")
-	woff=$(go run ./cmd/kv-bench "${kvw_flags[@]}" -writebatch=false -fixedbackoff)
+	woff=$(go run ./cmd/kv-bench "${kvw_flags[@]}" -batchops 1)
 	p99w_on=$(kvw_metric "$won" 'kv_put_p99@')
 	p99w_off=$(kvw_metric "$woff" 'kv_put_p99@')
 	batched=$(printf '%s\n' "$won" | sed -n 's/.*"batched_puts": \([0-9]*\).*/\1/p' | head -1)
