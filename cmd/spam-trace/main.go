@@ -31,10 +31,7 @@ func main() {
 	out := flag.String("out", "", "write the run's Chrome trace-event JSON to this file")
 	timeline := flag.Bool("timeline", false, "print the run's plain-text event timeline")
 	total := flag.Int("total", 1<<20, "bytes moved by the -load run")
-	cf := bench.TraceToolFlags()
 	flag.Parse()
-	cf.Activate()
-	defer func() { check(cf.Finish(os.Stdout)) }()
 
 	var rec *trace.Recorder
 

@@ -5,79 +5,53 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"spam/internal/hw"
 )
 
-// CommonFlags bundles the command-line surface shared by every cmd/* main:
-// sweep fan-out (-par), intra-run PDES sharding (-nodepar), shard-
-// utilization reporting (-shardstats), and the observer hooks (-trace,
-// -metrics). Before this helper each main copy-pasted the same wiring;
-// register with StdFlags (or TraceToolFlags for the subset), call Activate
-// after flag.Parse, and Finish after the run.
+// CommonFlags bundles the command-line surface shared by the five bench
+// commands: sweep fan-out (-par), intra-run PDES sharding (-nodepar), and
+// the observer hooks (-trace, -metrics). Register with StdFlags, call
+// Activate after flag.Parse, and Finish after the run.
 type CommonFlags struct {
-	par        *int
-	nodepar    *string
-	shardstats *bool
-	trace      *string
-	metrics    *bool
-	obs        *Observer
+	par     *int
+	nodepar *int
+	trace   *string
+	metrics *bool
+	obs     *Observer
 }
 
-// StdFlags registers the full shared set on the default FlagSet. Call
-// before flag.Parse.
+// StdFlags registers the shared set on the default FlagSet. Call before
+// flag.Parse.
 func StdFlags() *CommonFlags {
-	cf := &CommonFlags{
+	return &CommonFlags{
 		par:     flag.Int("par", 1, "parallel sweep workers (0 = one per CPU, 1 = serial)"),
+		nodepar: flag.Int("nodepar", 1, "intra-run PDES shards per cluster (1 = serial; output is identical at every count)"),
 		trace:   flag.String("trace", "", "write Chrome trace-event JSON of the run to FILE"),
 		metrics: flag.Bool("metrics", false, "print a protocol metrics snapshot after the run"),
 	}
-	cf.registerRun("intra-run PDES shards per cluster (1 = serial, \"auto\" = pick from GOMAXPROCS and shard stats)")
-	return cf
 }
 
-// TraceToolFlags registers only -nodepar and -shardstats, for commands that
-// manage their own recorders (spam-trace) and must not grow conflicting
-// -trace/-metrics/-par flags.
-func TraceToolFlags() *CommonFlags {
-	cf := &CommonFlags{}
-	cf.registerRun("intra-run PDES shards per cluster (accepted for CLI parity; traced clusters always run serial)")
-	return cf
-}
-
-func (cf *CommonFlags) registerRun(nodeparHelp string) {
-	cf.nodepar = flag.String("nodepar", "1", nodeparHelp)
-	cf.shardstats = flag.Bool("shardstats", false, "print the shard-utilization summary to stderr after the run")
-}
-
-// Activate applies the parsed flags, exiting with status 2 on a bad
-// -nodepar spec. The observers-force-serial rule lives here, once: a
-// tracer or metrics registry hook is not synchronized across PDES shard
-// workers, so installing either (NewObserver) pins hw.DefaultNodePar to 1
-// and any -nodepar request is overridden for the observed run.
+// Activate applies the parsed flags, exiting with status 2 on a -nodepar
+// below 1. The observers-force-serial rule is announced here: a tracer or
+// metrics registry is one stream shared by every cluster of the run, so
+// installing either overrides a -nodepar or -par request, and the run that
+// was asked for is not the run that is observed.
 func (cf *CommonFlags) Activate() {
-	if cf.par != nil {
-		Par = *cf.par
-	}
-	if cf.trace != nil {
-		cf.obs = NewObserver(*cf.trace, *cf.metrics)
-	}
-	if err := SetNodeParSpec(*cf.nodepar); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if *cf.nodepar < 1 {
+		fmt.Fprintf(os.Stderr, "usage: -nodepar N wants a shard count of at least 1, got %d\n", *cf.nodepar)
 		os.Exit(2)
 	}
+	Par = *cf.par
+	cf.obs = NewObserver(*cf.trace, *cf.metrics)
+	SetNodePar(*cf.nodepar)
+	if (*cf.trace != "" || *cf.metrics) && (*cf.nodepar > 1 || *cf.par != 1) {
+		fmt.Fprintf(os.Stderr, "-nodepar %d -par %d requested, running serial: -trace/-metrics collect one shared stream\n",
+			*cf.nodepar, *cf.par)
+	}
 }
 
-// Finish flushes the run's artifacts: the observer's trace file and
-// metrics table (to w), then the -shardstats summary to stderr. Call once,
-// after the last benchmark, on every exit path that produced output.
+// Finish flushes the observer's artifacts: the trace file, and the metrics
+// table to w. Call once, after the last benchmark, on every exit path that
+// produced output.
 func (cf *CommonFlags) Finish(w io.Writer) error {
-	var err error
-	if cf.obs != nil {
-		err = cf.obs.Finish(w)
-	}
-	if *cf.shardstats {
-		fmt.Fprint(os.Stderr, hw.ReadShardStats().Summary())
-	}
-	return err
+	return cf.obs.Finish(w)
 }

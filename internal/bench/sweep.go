@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -26,31 +24,10 @@ var Par = 1
 // sweeps — tracing and metrics are single shared streams — so commands call
 // this after NewObserver.
 func SetNodePar(n int) {
-	if n < 1 && n != hw.NodeParAuto {
-		n = 1
-	}
 	if hw.DefaultTracer != nil || am.DefaultMetrics != nil {
 		n = 1
 	}
 	hw.DefaultNodePar = n
-}
-
-// SetNodeParSpec parses the commands' -nodepar flag value — a shard count or
-// the word "auto" — and installs it via SetNodePar. "auto" maps to
-// hw.NodeParAuto, letting each NewCluster pick its own shard count from
-// GOMAXPROCS, its topology, and accumulated -shardstats utilization
-// (hw.PickShards).
-func SetNodeParSpec(spec string) error {
-	if spec == "auto" {
-		SetNodePar(hw.NodeParAuto)
-		return nil
-	}
-	n, err := strconv.Atoi(spec)
-	if err != nil {
-		return fmt.Errorf("bench: -nodepar wants a shard count or \"auto\", got %q", spec)
-	}
-	SetNodePar(n)
-	return nil
 }
 
 // sweepWorkers resolves Par against the point count and the observer hooks.

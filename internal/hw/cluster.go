@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"spam/internal/sim"
@@ -55,16 +54,10 @@ type Config struct {
 
 	// NodePar requests conservative-parallel execution with this many
 	// shards (0 falls back to DefaultNodePar, 1 is serial; clamped to
-	// NumNodes; NodeParAuto picks from GOMAXPROCS, the topology, and
-	// accumulated -shardstats utilization — see PickShards). A non-nil
-	// tracer forces serial: the recorder is a single shared stream.
+	// NumNodes). A non-nil tracer forces serial: the recorder is a single
+	// shared stream.
 	NodePar int
 }
-
-// NodeParAuto, assigned to Config.NodePar or DefaultNodePar, asks NewCluster
-// to resolve the shard count itself via PickShards (the `-nodepar auto`
-// spelling on the command lines).
-const NodeParAuto = -1
 
 // DefaultConfig returns an n-node thin-node SP, the machine of most of the
 // paper's measurements.
@@ -100,9 +93,6 @@ func NewCluster(cfg Config) *Cluster {
 	shards := cfg.NodePar
 	if shards == 0 {
 		shards = DefaultNodePar
-	}
-	if shards == NodeParAuto {
-		shards = PickShards(cfg.NumNodes, runtime.GOMAXPROCS(0), ReadShardStats())
 	}
 	if shards > cfg.NumNodes {
 		shards = cfg.NumNodes
@@ -196,7 +186,6 @@ func (c *Cluster) Run() {
 			panic(err)
 		}
 		c.Switch.mergeShardStats()
-		recordShardStats(c.grp)
 		return
 	}
 	c.Eng.RunAll()
@@ -301,7 +290,6 @@ func (c *Cluster) RunChecked(budget sim.Time) error {
 		if !pending {
 			if c.grp != nil {
 				c.Switch.mergeShardStats()
-				recordShardStats(c.grp)
 			}
 			return nil
 		}

@@ -1,8 +1,6 @@
 package hw
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"spam/internal/sim"
@@ -166,82 +164,5 @@ func TestTracerForcesSerial(t *testing.T) {
 	cfg.Tracer = trace.New()
 	if tc := NewCluster(cfg); tc.Shards() != 1 {
 		t.Fatalf("traced cluster built %d shards, want 1 (tracing forces serial)", tc.Shards())
-	}
-}
-
-func TestShardStatsAccumulate(t *testing.T) {
-	ResetShardStats()
-	cfg := DefaultConfig(4)
-	cfg.NodePar = 2
-	_, _, _ = allToAll(cfg, 5)
-	st := ReadShardStats()
-	if st.Runs != 1 || st.CrossEvents == 0 || len(st.ShardEvents) != 2 {
-		t.Fatalf("shard stats after one sharded run: %+v", st)
-	}
-	if s := st.Summary(); s == "" {
-		t.Fatal("empty summary")
-	}
-	fmt.Println(st.Summary())
-}
-
-func TestPickShards(t *testing.T) {
-	none := ShardUtilization{}
-	cases := []struct {
-		nodes, procs int
-		u            ShardUtilization
-		want         int
-	}{
-		{64, 1, none, 1},               // single CPU: sharding is pure overhead
-		{1, 8, none, 1},                // one node: nothing to partition
-		{64, 8, none, 8},               // largest power of two within the host
-		{64, 6, none, 4},               // non-power-of-two host rounds down
-		{3, 8, none, 2},                // topology-bound: pow2 <= nodes
-		{1024, 64, none, 16},           // cap: windows too small past 16 shards
-		{64, 8, util(100, 1600, 8), 8}, // 2 events/window/shard: keep 8
-		{64, 8, util(100, 400, 8), 2},  // sparse windows: halve to 2
-		{64, 8, util(100, 100, 8), 1},  // nearly serial traffic: run serial
-		{64, 8, util(0, 0, 0), 8},      // zero-window stats: host bound stands
-	}
-	for _, c := range cases {
-		if got := PickShards(c.nodes, c.procs, c.u); got != c.want {
-			t.Errorf("PickShards(%d nodes, %d procs, %d ev / %d win) = %d, want %d",
-				c.nodes, c.procs, sum64(c.u.ShardEvents), c.u.Windows, got, c.want)
-		}
-	}
-}
-
-// util builds a ShardUtilization with `windows` windows and `events` total
-// events spread over `shards` shards.
-func util(windows, events, shards int64) ShardUtilization {
-	u := ShardUtilization{Runs: 1, Windows: windows}
-	for i := int64(0); i < shards; i++ {
-		u.ShardEvents = append(u.ShardEvents, events/max64(shards, 1))
-	}
-	return u
-}
-
-func sum64(xs []int64) int64 {
-	var t int64
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestNodeParAutoResolvesToConcreteShards(t *testing.T) {
-	ResetShardStats()
-	cfg := DefaultConfig(8)
-	cfg.NodePar = NodeParAuto
-	c := NewCluster(cfg)
-	want := PickShards(8, runtime.GOMAXPROCS(0), ShardUtilization{})
-	if c.Shards() != want {
-		t.Fatalf("auto cluster built %d shards, want %d", c.Shards(), want)
 	}
 }

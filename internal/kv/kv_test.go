@@ -71,10 +71,12 @@ func TestKVBatchAtomicity(t *testing.T) {
 	cfg.Keys = 64 // small keyspace -> heavy lock contention on the pairs
 	cfg.Mix = load.Mix{Batch: 1}
 	cfg.Zipf = 1.3
-	// Below saturation, with enough retry budget that contention always
-	// resolves: a conflict give-up would make atomicity vacuously true for
-	// that pair, so the test requires zero.
-	cfg.Rate = 100e3
+	// 10k req/s is what the hot pair can commit with room to spare (about
+	// 1,600 lock retries over 0.3 s simulated; past ~15k the retries feed on
+	// themselves, see ROADMAP), and the retry budget is large enough that
+	// contention always resolves: a conflict give-up would make atomicity
+	// vacuously true for that pair, so the test requires zero.
+	cfg.Rate = 10e3
 	cfg.MaxAttempts = 10000
 	svc, err := New(cfg)
 	if err != nil {

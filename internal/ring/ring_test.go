@@ -1,6 +1,9 @@
 package ring
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestFIFOOrderAcrossGrowth(t *testing.T) {
 	var r Ring[int]
@@ -130,4 +133,63 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warmed ring allocated %.1f times per cycle, want 0", allocs)
 	}
+}
+
+// FuzzRing drives a ring and a slice model with the same program — one byte
+// per step, the low bits choosing push, pop, peek, indexed read or clear —
+// and requires them to agree on every result, on the length, and on the
+// monotone counters. An operation the ring would panic on (pop or peek of an
+// empty ring) is one the model skips too.
+func FuzzRing(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 1, 1})                // fill, drain
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1})    // head chases tail around one slot
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 1}, 40))    // grows twice with a moving head
+	f.Add(bytes.Repeat([]byte{0, 4, 2, 3, 1}, 30)) // clear between pushes
+	f.Add(append(bytes.Repeat([]byte{0}, 9), 1, 3, 2, 1, 4, 0, 3))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var r Ring[int]
+		var model []int
+		var pushed, popped uint64
+		for step, op := range prog {
+			switch op % 5 {
+			case 0:
+				r.Push(step)
+				model = append(model, step)
+				pushed++
+			case 1:
+				if len(model) == 0 {
+					continue
+				}
+				if got := r.Pop(); got != model[0] {
+					t.Fatalf("step %d: Pop = %d, want %d", step, got, model[0])
+				}
+				model = model[1:]
+				popped++
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
+				if got := *r.Peek(); got != model[0] {
+					t.Fatalf("step %d: Peek = %d, want %d", step, got, model[0])
+				}
+			case 3:
+				if len(model) == 0 {
+					continue
+				}
+				i := int(op) / 5 % len(model)
+				if got := *r.At(i); got != model[i] {
+					t.Fatalf("step %d: At(%d) = %d, want %d", step, i, got, model[i])
+				}
+			case 4:
+				r.Clear()
+				popped += uint64(len(model))
+				model = model[:0]
+			}
+			if r.Len() != len(model) || r.Pushed() != pushed || r.Popped() != popped {
+				t.Fatalf("step %d: len %d pushed %d popped %d, want %d %d %d",
+					step, r.Len(), r.Pushed(), r.Popped(), len(model), pushed, popped)
+			}
+		}
+	})
 }

@@ -130,7 +130,7 @@ func BenchmarkProcYield(b *testing.B) {
 // run one trivial event each, arrive, decide. ns/op is the floor a window
 // pays on top of its events; on a 1-CPU host it is dominated by the
 // park/unpark goroutine switches, with real parallelism most releases are
-// absorbed by the spin loop (see GroupStats.SpinWakes).
+// absorbed by the spin loop.
 func BenchmarkWindowBarrier(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -74,12 +74,8 @@ func (ed *Edge) Send(at Time, payload any) {
 
 // GroupStats summarizes one group's conservative-window scheduling.
 type GroupStats struct {
-	Windows     int64   // barrier-synchronized windows (>= 2 shards active)
-	SoloWindows int64   // windows one shard ran alone, without a barrier
-	CrossEvents int64   // payloads carried between shards through edge mailboxes
-	SpinWakes   int64   // window releases absorbed by a worker's spin loop
-	ParkWakes   int64   // window releases that had to wake a parked worker
-	ShardEvents []int64 // events executed per shard
+	Windows     int64 // barrier-synchronized windows (>= 2 shards active)
+	SoloWindows int64 // windows one shard ran alone, without a barrier
 }
 
 // Worker release commands, written to shardWorker.op before the release word
@@ -112,23 +108,23 @@ type shardWorker struct {
 	// and bound. The owner never compares it against an expected value —
 	// only against the value it last observed — so no reset phase is needed
 	// between windows (the classic sense-reversing trick, generalized to a
-	// counter). parked and wake are the futex-style slow path: after the
-	// spin budget the owner advertises itself parked and blocks on wake;
-	// the releaser CASes the flag back and sends exactly one token.
+	// counter). parked and wake are the slow path: after the spin budget the
+	// owner advertises itself parked and blocks on wake; a releaser that
+	// CASes the flag back owes exactly one token. A token is only a hint to
+	// look at seq again (see Group).
 	seq    atomic.Uint32
 	parked atomic.Uint32
 	wake   chan struct{}
 
 	op    uint32 // release command; written before seq is bumped
 	bound Time   // window end (exclusive); written before seq is bumped
-
-	cross int64 // entries drained into this shard (owner-only; folded by Run)
 }
 
-// await blocks until the release word changes from last, returning the new
-// value. The spin budget keeps a multi-core hand-off out of the Go scheduler
-// entirely; the occasional Gosched keeps oversubscribed hosts (more shards
-// than CPUs) live while spinning.
+// await blocks until the owner has itself observed the release word differ
+// from last, and returns the new value. The spin budget keeps a multi-core
+// hand-off out of the Go scheduler entirely; the occasional Gosched keeps
+// oversubscribed hosts (more shards than CPUs) live while spinning. Past the
+// budget the owner parks, and every wake-up goes back to the same test.
 func (w *shardWorker) await(last uint32, spin int) uint32 {
 	for i := 0; i < spin; i++ {
 		if s := w.seq.Load(); s != last {
@@ -138,19 +134,22 @@ func (w *shardWorker) await(last uint32, spin int) uint32 {
 			runtime.Gosched()
 		}
 	}
-	w.parked.Store(1)
-	if s := w.seq.Load(); s != last {
-		// The release raced our parking. If the flag is still ours the
-		// releaser saw us unparked and sent no token; otherwise a token is
-		// in flight and must be consumed so the channel stays empty.
-		if w.parked.CompareAndSwap(1, 0) {
+	for {
+		w.parked.Store(1)
+		if s := w.seq.Load(); s != last {
+			// The release raced our parking. If the flag is no longer ours
+			// a releaser took it and owes a token, which must be consumed
+			// so the channel stays empty.
+			if !w.parked.CompareAndSwap(1, 0) {
+				<-w.wake
+			}
 			return s
 		}
 		<-w.wake
-		return w.seq.Load()
+		if s := w.seq.Load(); s != last {
+			return s
+		}
 	}
-	<-w.wake
-	return w.seq.Load()
 }
 
 // Group coordinates a set of shard engines as one conservative parallel
@@ -168,6 +167,16 @@ func (w *shardWorker) await(last uint32, spin int) uint32 {
 // window from the per-shard published minima, stages pending mailboxes, and
 // releases the active shards — running its own window inline. Mailboxes are
 // drained in parallel, per destination, in one batched pass per edge.
+//
+// The barrier has one rule: a worker acts on op and bound only after it has
+// itself observed its seq differ from the value it last acted on. A wake-up
+// carries no meaning of its own, so a late or duplicate one is harmless.
+// That matters because release bumps seq before it looks at parked: a
+// releaser descheduled between the two finds its worker — which saw the
+// bump while spinning, ran the window, arrived and parked for the next
+// release — and wakes it. A worker that took that stale wake-up for a
+// release would re-run the consumed command and arrive a second time, and
+// the next window would be decided while a shard was still running.
 type Group struct {
 	lookahead Time
 	engs      []*Engine
@@ -183,13 +192,6 @@ type Group struct {
 	pend   []Time         // scratch: per-shard earliest pending time
 	active []*shardWorker // scratch: shards inside the current window
 	busy   []*Edge        // scratch: non-empty mailboxes at a decision
-
-	// Wake-path counters must be atomic, unlike the rest of stats: release
-	// keeps running after its seq bump hands the window over, so the
-	// released worker can already be the next decision-maker — and inside
-	// its own release — while this one counts its wake.
-	spinWakes atomic.Int64
-	parkWakes atomic.Int64
 
 	// aborted is set by the first worker whose window panicked (a workload
 	// or lookahead-contract violation); panicVal carries the value so Run
@@ -315,7 +317,6 @@ func (g *Group) drainShard(w *shardWorker) {
 			ed.dq.Push(ent)
 			dst.pushCross(ent.at, ent.pushAt, ed.cb, uint64(ent.causeAt)*nedges+base)
 		}
-		w.cross += int64(n)
 	}
 }
 
@@ -333,20 +334,14 @@ func (g *Group) runShardWindow(w *shardWorker) {
 }
 
 // release hands worker w its next command. The plain op/bound stores are
-// published by the atomic bump of the sense word; the parked CAS transfers
-// exactly one wake token when (and only when) the owner got past its spin
-// budget.
+// published by the atomic bump of the sense word; a parked owner is sent one
+// wake token, at most one per time it parks (the channel never fills).
 func (g *Group) release(w *shardWorker, op uint32, bound Time) {
 	w.op = op
 	w.bound = bound
 	w.seq.Add(1)
 	if w.parked.Load() == 1 && w.parked.CompareAndSwap(1, 0) {
 		w.wake <- struct{}{}
-		if op != opExit {
-			g.parkWakes.Add(1)
-		}
-	} else if op != opExit {
-		g.spinWakes.Add(1)
 	}
 }
 
@@ -531,7 +526,6 @@ func (g *Group) drainAll() {
 				}
 				ed.dq.Push(ent)
 				dst.pushCross(ent.at, ent.pushAt, ed.cb, uint64(ent.causeAt)*nedges+uint64(ed.idx))
-				g.stats.CrossEvents++
 			}
 		}
 	}
@@ -565,12 +559,6 @@ func (g *Group) Run(horizon Time) error {
 		g.release(w, opExit, 0)
 	}
 	g.wg.Wait()
-	for _, w := range g.workers {
-		g.stats.CrossEvents += w.cross
-		w.cross = 0
-	}
-	g.stats.SpinWakes = g.spinWakes.Load()
-	g.stats.ParkWakes = g.parkWakes.Load()
 	if outcome == doneAbort {
 		panic(g.panicVal)
 	}
@@ -633,11 +621,4 @@ func (g *Group) deadlockError(at Time, live int) error {
 }
 
 // Stats snapshots the group's scheduling statistics.
-func (g *Group) Stats() GroupStats {
-	st := g.stats
-	st.ShardEvents = make([]int64, len(g.engs))
-	for i, e := range g.engs {
-		st.ShardEvents[i] = e.EventsRun
-	}
-	return st
-}
+func (g *Group) Stats() GroupStats { return g.stats }

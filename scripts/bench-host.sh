@@ -18,13 +18,13 @@
 # ops/sec and p99 are *simulated-time* quantities — deterministic, so any
 # drift is a behavior change, not noise (v3 adds the "kv" member). v4 adds
 # the barrier/drain microbench rows (they ride the internal/sim run) and a
-# "nodepar" member: the same -paper regeneration under `-nodepar auto`,
-# with the resolved shard count and GOMAXPROCS, so the snapshot records
-# what intra-run parallelism buys (or costs) on this host next to the
-# serial wall it is measured against. v5 adds the "kv_cache" member: the
-# same served-workload point under the read-mostly mix with the client
-# read cache on, recording the hit rate and the cached GET p99 — also
-# simulated-time quantities, so drift means a coherence-protocol change.
+# "nodepar" member: the same -paper regeneration under `-nodepar 2`, with
+# the shard count and GOMAXPROCS, so the snapshot records what intra-run
+# sharding costs on this host next to the serial wall it is measured
+# against. v5 adds the "kv_cache" member: the same served-workload point
+# under the read-mostly mix with the client read cache on, recording the
+# hit rate and the cached GET p99 — also simulated-time quantities, so
+# drift means a coherence-protocol change.
 # v6 adds the "kv_write" member: the write-heavy mix with commit batching
 # and write combining on, recording the PUT p99, the batched-PUT fraction,
 # and the server-combined write count — drift here means the contention-
@@ -39,7 +39,6 @@
 #   scripts/bench-host.sh out.json        # custom output path
 #   BENCHTIME=5s scripts/bench-host.sh    # longer, steadier runs
 #   SKIP_PAPER=1 scripts/bench-host.sh    # skip the end-to-end timings
-#   SKIP_NODEPAR=1 scripts/bench-host.sh  # keep serial -paper, skip -nodepar
 #   SKIP_KV=1 scripts/bench-host.sh       # skip the served-workload point
 #   SKIP_HISTORY=1 scripts/bench-host.sh  # don't touch bench-history.jsonl
 set -euo pipefail
@@ -64,21 +63,14 @@ if [[ "${SKIP_PAPER:-0}" != 1 ]]; then
 	end=$(date +%s.%N)
 	paper_wall=$(awk -v s="$start" -v e="$end" 'BEGIN{printf "%.3f", e-s}')
 	echo "splitc-bench -paper: ${paper_wall}s wall" >&2
-	if [[ "${SKIP_NODEPAR:-0}" != 1 ]]; then
-		gmp=${GOMAXPROCS:-$(nproc)}
-		ss=$(mktemp)
-		start=$(date +%s.%N)
-		"$bin" -paper -nodepar auto -shardstats >/dev/null 2>"$ss"
-		end=$(date +%s.%N)
-		nodepar_wall=$(awk -v s="$start" -v e="$end" 'BEGIN{printf "%.3f", e-s}')
-		# Shard count = width of the per-shard event histogram (auto may
-		# resolve 1 on a single-CPU host: no sharded runs are recorded).
-		shards=$(awk '/^events per shard:/{print NF-5; exit} END{if(!NR)print 1}' "$ss")
-		[[ -n "$shards" && "$shards" -ge 1 ]] 2>/dev/null || shards=1
-		rm -f "$ss"
-		echo "splitc-bench -paper -nodepar auto: ${nodepar_wall}s wall (${shards} shards, GOMAXPROCS=${gmp})" >&2
-		nodepar_json="{\"name\": \"splitc-bench -paper -nodepar auto\", \"wall_seconds\": ${nodepar_wall}, \"serial_wall_seconds\": ${paper_wall}, \"shards\": ${shards}, \"gomaxprocs\": ${gmp}}"
-	fi
+	gmp=${GOMAXPROCS:-$(nproc)}
+	shards=2
+	start=$(date +%s.%N)
+	"$bin" -paper -nodepar "$shards" >/dev/null
+	end=$(date +%s.%N)
+	nodepar_wall=$(awk -v s="$start" -v e="$end" 'BEGIN{printf "%.3f", e-s}')
+	echo "splitc-bench -paper -nodepar ${shards}: ${nodepar_wall}s wall (GOMAXPROCS=${gmp})" >&2
+	nodepar_json="{\"name\": \"splitc-bench -paper -nodepar ${shards}\", \"wall_seconds\": ${nodepar_wall}, \"serial_wall_seconds\": ${paper_wall}, \"shards\": ${shards}, \"gomaxprocs\": ${gmp}}"
 	rm -f "$bin"
 fi
 

@@ -16,16 +16,6 @@
 # any host, so they are compared with the same factor purely to allow
 # intentional protocol retuning without a baseline refresh fight.
 #
-# With GATE_NODEPAR=1 the script additionally measures the intra-run
-# parallel speedup itself (schema v4's "nodepar" member): the paper-scale
-# splitc-bench regeneration serial vs `-nodepar auto` on this host, gated
-# on the RATIO between the two runs — same binary, same host, back to
-# back, so host speed cancels out of the comparison unlike the absolute
-# walls. On a multi-core host (GOMAXPROCS >= 4) sharding must win: ratio
-# <= 0.67, i.e. at least the 1.5x speedup the PDES work targets. On fewer
-# cores it must merely stay cheap: ratio <= 1.35, the coordination-
-# overhead bound.
-#
 # With GATE_KVCACHE=1 the script runs the served workload cached and
 # uncached at the same offered load (read-mostly mix, default skew) and
 # gates the client read cache's contract directly: the cached GET p99 must
@@ -47,7 +37,6 @@
 #   scripts/bench-regress.sh baseline.json      # custom baseline
 #   FACTOR=3 scripts/bench-regress.sh           # looser threshold
 #   BENCHTIME=2s scripts/bench-regress.sh       # steadier measurement
-#   GATE_NODEPAR=1 scripts/bench-regress.sh     # also gate -nodepar speedup
 #   GATE_KVCACHE=1 scripts/bench-regress.sh     # also gate the read cache
 #   GATE_KVWRITE=1 scripts/bench-regress.sh     # also gate write batching
 set -euo pipefail
@@ -194,27 +183,5 @@ if [[ "${GATE_KVWRITE:-0}" == 1 ]]; then
 			       rs, on, off, ratio, minratio)
 			printf("%s kv batched puts    %10d  (need > 0)\n", bs, batched)
 			exit bad
-		}'
-fi
-
-# Intra-run parallelism gate (schema v4): ratio of -nodepar auto to serial
-# wall on the paper-scale Split-C regeneration, measured here because the
-# snapshot's absolute walls are not comparable across hosts.
-if [[ "${GATE_NODEPAR:-0}" == 1 ]]; then
-	gmp=${GOMAXPROCS:-$(nproc)}
-	bin=$(mktemp)
-	go build -o "$bin" ./cmd/splitc-bench
-	s0=$(date +%s.%N); "$bin" -paper >/dev/null; s1=$(date +%s.%N)
-	n0=$(date +%s.%N); "$bin" -paper -nodepar auto >/dev/null; n1=$(date +%s.%N)
-	rm -f "$bin"
-	awk -v s0="$s0" -v s1="$s1" -v n0="$n0" -v n1="$n1" -v gmp="$gmp" '
-		BEGIN {
-			serial = s1 - s0; nodepar = n1 - n0
-			ratio = nodepar / serial
-			limit = (gmp >= 4) ? 0.67 : 1.35
-			status = (ratio <= limit) ? "ok  " : "FAIL"
-			printf("%s nodepar auto  serial %.1fs -> nodepar %.1fs  (%.2fx, limit %.2fx, GOMAXPROCS=%d)\n",
-			       status, serial, nodepar, ratio, limit, gmp)
-			exit (ratio <= limit) ? 0 : 1
 		}'
 fi
