@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"spam/internal/bench"
@@ -59,7 +60,13 @@ func main() {
 	mix, err := load.ParseMix(*mixName)
 	check(err)
 	mixSet := false
-	flag.Visit(func(f *flag.Flag) { mixSet = mixSet || f.Name == "mix" })
+	flag.Visit(func(f *flag.Flag) {
+		mixSet = mixSet || f.Name == "mix"
+		// flag.Float64 accepts "inf" and "nan", which no float flag here means.
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			check(fmt.Errorf("-%s must be finite (got %v)", f.Name, v))
+		}
+	})
 
 	base := kv.Config{
 		Servers:        *servers,
@@ -86,7 +93,9 @@ func main() {
 	switch {
 	case *cacheTable:
 		sk, err := load.ParseSkews(*skews)
-		check(err)
+		if err != nil {
+			check(fmt.Errorf("-skews: %w", err))
+		}
 		if !mixSet {
 			base.Mix = load.ReadMostlyMix()
 		}

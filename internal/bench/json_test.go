@@ -11,8 +11,8 @@ import (
 
 // TestKVReportJSONRoundTrip runs a small kv sweep through WriteJSONReport and
 // parses the bytes back: the kv members (kv_cache, kv_classes, kv_write)
-// must survive the trip with consistent accounting, so downstream consumers
-// (bench-host.sh, bench-regress.sh) can rely on the layout.
+// must survive the trip with consistent accounting, so consumers of
+// `kv-bench -json` (CI uploads one as an artifact) can rely on the layout.
 func TestKVReportJSONRoundTrip(t *testing.T) {
 	base := kv.Config{
 		Servers:     3,

@@ -121,11 +121,6 @@ func (a *TB2) CommitLengths(p *sim.Proc) {
 	a.commit()
 }
 
-// CommitLengthsAsyncCost is used by layers that account the MicroChannel
-// store as part of a lumped cost they already charged; it commits without
-// advancing the process clock.
-func (a *TB2) CommitLengthsFree() { a.commit() }
-
 func (a *TB2) commit() {
 	n := a.staged.Len()
 	rec := a.node.Eng.Tracer()

@@ -131,8 +131,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Keys <= 0 {
 		c.Keys = 1 << 16
 	}
-	if c.Rate <= 0 {
-		return c, fmt.Errorf("kv: Rate must be positive")
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 0) {
+		return c, fmt.Errorf("kv: Rate must be positive and finite (got %v)", c.Rate)
+	}
+	if math.IsNaN(c.Zipf) || math.IsInf(c.Zipf, 0) {
+		return c, fmt.Errorf("kv: Zipf must be finite (got %v)", c.Zipf)
 	}
 	if c.Requests <= 0 {
 		return c, fmt.Errorf("kv: Requests must be positive")

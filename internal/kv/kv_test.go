@@ -220,6 +220,20 @@ func TestKVConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("out-of-range KillServer accepted")
 	}
+	// Non-finite floats pass every ordered comparison: an infinite Zipf never
+	// leaves the sampler's rejection loop, a NaN one silently runs uniform.
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		bad = testConfig(100)
+		bad.Zipf = v
+		if _, err := New(bad); err == nil {
+			t.Fatalf("Zipf %v accepted", v)
+		}
+		bad = testConfig(100)
+		bad.Rate = v
+		if _, err := New(bad); err == nil {
+			t.Fatalf("Rate %v accepted", v)
+		}
+	}
 	// The attempt counter is 16 bits: a larger budget would wrap it and the
 	// Conflict give-up would never be reached.
 	bad = testConfig(100)

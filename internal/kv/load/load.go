@@ -129,8 +129,10 @@ func ParseSkews(spec string) ([]float64, error) {
 		if f == "" {
 			continue
 		}
+		// ParseFloat accepts "inf" and "nan"; Zipf's rejection loop never
+		// terminates on either.
 		s, err := strconv.ParseFloat(f, 64)
-		if err != nil || s < 0 {
+		if err != nil || !(s >= 0) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("load: bad skew %q", f)
 		}
 		out = append(out, s)

@@ -176,3 +176,65 @@ func TestParseMixes(t *testing.T) {
 		t.Fatal("empty mix list accepted")
 	}
 }
+
+// TestParseSkews: the skew-list parser keeps order, skips blanks, and
+// rejects what Zipf cannot sample — negatives and the non-finite spellings
+// strconv.ParseFloat accepts (inf spun forever, nan silently ran uniform).
+func TestParseSkews(t *testing.T) {
+	got, err := ParseSkews(" 1.0, ,1.3,-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != 1.0 || got[1] != 1.3 || got[2] != 0 {
+		t.Fatalf("parsed %v, want [1 1.3 0]", got)
+	}
+	for _, bad := range []string{"", ",,", "x", "-1", "inf", "+Inf", "-inf", "nan", "NaN", "1e309", "1.3,infinity"} {
+		if got, err := ParseSkews(bad); err == nil {
+			t.Errorf("ParseSkews(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+// FuzzParseSkews: any spec is either refused or yields a non-empty list of
+// finite, non-negative skews.
+func FuzzParseSkews(f *testing.F) {
+	for _, s := range []string{"1.00,1.10,1.30,1.50", "inf", "nan", "1e309", ",,", "-0", " 0x1p-2 ,1_0", "1e-400"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		skews, err := ParseSkews(spec)
+		if err != nil {
+			return
+		}
+		if len(skews) == 0 {
+			t.Fatalf("ParseSkews(%q): no error and no skews", spec)
+		}
+		for _, s := range skews {
+			if !(s >= 0) || math.IsInf(s, 0) {
+				t.Fatalf("ParseSkews(%q) let %v through", spec, s)
+			}
+		}
+	})
+}
+
+// FuzzParseMixes: any spec is either refused or yields one known mix per
+// name, each the one ParseMix gives for that name.
+func FuzzParseMixes(f *testing.F) {
+	for _, s := range []string{"writeheavy,updateskew", "default", ",,", " readmostly , nobatch ", "bogus", "inf", "default,,default"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		names, mixes, err := ParseMixes(spec)
+		if err != nil {
+			return
+		}
+		if len(names) == 0 || len(names) != len(mixes) {
+			t.Fatalf("ParseMixes(%q): %d names, %d mixes", spec, len(names), len(mixes))
+		}
+		for i, n := range names {
+			if m, err := ParseMix(n); err != nil || m != mixes[i] || m == (Mix{}) {
+				t.Fatalf("ParseMixes(%q): name %q resolved to %+v (ParseMix: %+v, %v)", spec, n, mixes[i], m, err)
+			}
+		}
+	})
+}

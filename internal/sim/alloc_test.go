@@ -1,0 +1,119 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestEngineSteadyStateZeroAlloc makes the "0 allocs/op" column of the
+// benchmarks in engine_bench_test.go a requirement: once its pools, heap and
+// run queue have grown to size, the serial engine schedules, pops and
+// dispatches events and hands control between processes without allocating.
+// Each case is the benchmark of the same name cut into repeatable steps.
+//
+// testing.AllocsPerRun diffs the process-wide malloc count and truncates the
+// per-run average to an integer, so a stray runtime allocation cannot fail
+// the guard while one allocation per step cannot pass it. It pins one P for
+// each measurement; pinning it for the whole test puts the warm-up on that
+// same P's caches.
+func TestEngineSteadyStateZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 200
+
+	// inProc measures step inside a process of a fresh engine, with the
+	// given daemons spawned (and so parked) first; stop is set when the
+	// measurement is over.
+	inProc := func(step func(p *Proc), background ...func(p *Proc, stop *bool)) float64 {
+		e := NewEngine(1)
+		var allocs float64
+		stop := false
+		for _, bg := range background {
+			e.GoDaemon("background", func(p *Proc) { bg(p, &stop) })
+		}
+		e.Go("measured", func(p *Proc) {
+			allocs = testing.AllocsPerRun(runs, func() { step(p) })
+			stop = true
+		})
+		e.RunAll()
+		return allocs
+	}
+
+	cases := []struct {
+		name   string
+		allocs func() float64
+	}{
+		{"callback event", func() float64 {
+			e := NewEngine(1)
+			n := 0
+			var step func()
+			step = func() {
+				if n++; n < 64 {
+					e.After(1, step)
+				}
+			}
+			return testing.AllocsPerRun(runs, func() { n = 0; e.After(1, step); e.RunAll() })
+		}},
+		{"heap churn", func() float64 {
+			e := NewEngine(1)
+			const depth = 512
+			r := NewRand(7)
+			n := 0
+			var fire func()
+			fire = func() {
+				if n++; n <= depth {
+					e.After(Time(1+r.Intn(1000)), fire)
+				}
+			}
+			return testing.AllocsPerRun(runs, func() {
+				n = 0
+				for i := 0; i < depth; i++ {
+					e.After(Time(1+r.Intn(1000)), fire)
+				}
+				e.RunAll()
+			})
+		}},
+		{"Advance", func() float64 { return inProc(func(p *Proc) { p.Advance(1) }) }},
+		{"Yield", func() float64 { return inProc(func(p *Proc) { p.Yield() }) }},
+		{"AdvanceWhile", func() float64 {
+			// The stepper's events run inline in the measured process's
+			// scheduler loop, interleaved with its own wake-ups.
+			return inProc(func(p *Proc) { p.Advance(2) }, func(p *Proc, stop *bool) {
+				p.Advance(1)
+				p.AdvanceWhile(2, func() bool { return !*stop })
+			})
+		}},
+		{"Cond signal ping-pong", func() float64 {
+			a, c := &Cond{Name: "a"}, &Cond{Name: "c"}
+			return inProc(func(p *Proc) { c.Signal(); a.Wait(p) }, func(p *Proc, stop *bool) {
+				for {
+					c.Wait(p)
+					a.Signal()
+				}
+			})
+		}},
+		{"Edge drain", func() float64 {
+			const nedges, batch = 15, 256
+			g := NewGroup(1, 2, 500)
+			src, dst := g.Engines()[0], g.Engines()[1]
+			edges := make([]*Edge, nedges)
+			for i := range edges {
+				edges[i] = g.Edge(src, dst, func(any) {})
+			}
+			g.prepare()
+			at := Time(0)
+			return testing.AllocsPerRun(runs, func() {
+				for i := 0; i < batch; i++ {
+					at += 7
+					edges[i%nedges].staged.Push(crossEntry{at: at, pushAt: at - 500, causeAt: at - 500})
+				}
+				g.drainShard(g.workers[1])
+				dst.RunAll()
+			})
+		}},
+	}
+	for _, tc := range cases {
+		if got := tc.allocs(); got != 0 {
+			t.Errorf("%s: %v allocations per step in steady state, want 0", tc.name, got)
+		}
+	}
+}

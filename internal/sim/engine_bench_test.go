@@ -8,8 +8,10 @@ import (
 // Host-time microbenchmarks of the engine hot paths. Unlike the simulated
 // benchmarks at the repo root (whose Go ns/op is meaningless), these measure
 // the real cost of the event loop itself — events/sec is the figure that
-// bounds how many scenarios a wall-clock budget can afford to run.
-// scripts/bench-host.sh snapshots them into BENCH_host.json.
+// bounds how many scenarios a wall-clock budget can afford to run. The repo
+// benchmark's probes (sim.callback_ns, sim.advance_ns, sim.handoff_ns in
+// BENCH_host.json) time three of these paths; EXPERIMENTS.md tabulates the
+// rest, and TestEngineSteadyStateZeroAlloc requires their 0 allocs/op.
 
 // BenchmarkEngineCallbackEvents drives a self-rechaining callback: one
 // schedule + one pop + one dispatch per op with a near-empty heap. This is
@@ -121,8 +123,29 @@ func BenchmarkProcYield(b *testing.B) {
 // scheduler loops, skipping the nop event and the wake slot) regressed
 // BenchmarkEngineCallbackEvents ~15% by pushing the 32-byte event value out
 // of registers — the cliff documented on the event struct — and was
-// abandoned; the regression gate (scripts/bench-regress.sh, 2x) is the
-// backstop that would catch a real one.
+// abandoned. A real regression on this path shows as sim.handoff_ns in
+// paired benchmark/run.sh reports.
+func BenchmarkCondSignalPingPong(b *testing.B) {
+	e := NewEngine(1)
+	a, c := &Cond{Name: "a"}, &Cond{Name: "b"}
+	e.Go("p0", func(p *Proc) {
+		p.Advance(0) // let p1 reach its first Wait so no signal is lost
+		for i := 0; i < b.N/2; i++ {
+			c.Signal()
+			a.Wait(p)
+		}
+		c.Signal()
+	})
+	e.Go("p1", func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			c.Wait(p)
+			a.Signal()
+		}
+	})
+	e.RunAll()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkWindowBarrier measures the group scheduler's per-window
 // coordination cost: every shard re-chains one event per window
 // (self-rechaining After at exactly one lookahead), so every window has all
@@ -191,25 +214,4 @@ func BenchmarkEdgeDrain(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-}
-
-func BenchmarkCondSignalPingPong(b *testing.B) {
-	e := NewEngine(1)
-	a, c := &Cond{Name: "a"}, &Cond{Name: "b"}
-	e.Go("p0", func(p *Proc) {
-		p.Advance(0) // let p1 reach its first Wait so no signal is lost
-		for i := 0; i < b.N/2; i++ {
-			c.Signal()
-			a.Wait(p)
-		}
-		c.Signal()
-	})
-	e.Go("p1", func(p *Proc) {
-		for i := 0; i < b.N/2; i++ {
-			c.Wait(p)
-			a.Signal()
-		}
-	})
-	e.RunAll()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }

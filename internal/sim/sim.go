@@ -12,8 +12,8 @@
 // Events live in a value-typed arena ordered by an inline 4-ary min-heap on
 // (at, pushAt, seq); same-time wakeups (Advance(0), Cond.Signal) bypass the heap
 // through a FIFO run queue. Neither path boxes events or allocates in steady
-// state, which is what keeps host-time events/sec high (see
-// engine_bench_test.go and scripts/bench-host.sh).
+// state, which is what keeps host-time events/sec high (measured by
+// engine_bench_test.go, required by TestEngineSteadyStateZeroAlloc).
 package sim
 
 import (

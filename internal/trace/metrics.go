@@ -118,10 +118,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 				return lo
 			}
 			frac := (rank - float64(seen)) / float64(c-1)
-			if frac > 1 {
-				frac = 1
+			if frac >= 1 {
+				return hi
 			}
-			return lo + int64(frac*float64(hi-lo))
+			// Past 2^53 float64(hi-lo) is rounded: stay inside the bucket.
+			return min(hi, lo+int64(frac*float64(hi-lo)))
 		}
 		seen += c
 	}

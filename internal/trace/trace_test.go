@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,6 +89,72 @@ func TestHistogram(t *testing.T) {
 	if q := h.Quantile(1.0); q != 1000 { // tightened to the observed max
 		t.Fatalf("p100 = %d, want 1000", q)
 	}
+}
+
+// FuzzHistogramQuantile checks Quantile and Merge against the sorted
+// samples. data is read nine bytes a sample (a 64-bit word shifted right by
+// 0-63, so every bucket is reachable; a set top bit makes a negative, which
+// Observe clamps); the first `split` samples go to one histogram and the
+// rest to another. The estimate may not leave the log2 bucket of the exact
+// order statistic, is exact at both ends, never falls as q rises, and
+// merging the halves equals observing everything into one histogram.
+func FuzzHistogramQuantile(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint16(0), uint16(65535))
+	f.Add(binary.LittleEndian.AppendUint64(nil, 42), uint8(1), uint16(100), uint16(200))
+	var seed []byte
+	for _, v := range []uint64{0, 1, 2, 3, 100, 1000, 1 << 40, 1<<62 + 1, 1<<63 - 1, 1 << 63} {
+		seed = append(binary.LittleEndian.AppendUint64(seed, v), 0)
+	}
+	f.Add(seed, uint8(4), uint16(32768), uint16(64880))
+	// Two samples in the top bucket whose distance float64 rounds down (the
+	// seed above rounds up and overflowed): Quantile(1) must still be Max.
+	seed = append(binary.LittleEndian.AppendUint64(nil, 1<<62), 0)
+	seed = append(binary.LittleEndian.AppendUint64(seed, 6354632057744797744), 0)
+	f.Add(seed, uint8(1), uint16(0), uint16(65535))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, qa, qb uint16) {
+		var a, b, all Histogram
+		var sorted []int64
+		for ; len(data) >= 9; data = data[9:] {
+			v := int64(binary.LittleEndian.Uint64(data) >> (data[8] & 63))
+			if len(sorted) < int(split) {
+				a.Observe(v)
+			} else {
+				b.Observe(v)
+			}
+			all.Observe(v)
+			sorted = append(sorted, max(v, 0))
+		}
+		a.Merge(&b)
+		if a != all {
+			t.Fatalf("Merge differs from observing both sets:\nmerged %+v\nall    %+v", a, all)
+		}
+		if len(sorted) == 0 {
+			if all.Quantile(0.5) != 0 {
+				t.Fatal("empty histogram has a non-zero quantile")
+			}
+			return
+		}
+		slices.Sort(sorted)
+		if all.Quantile(0) != sorted[0] || all.Quantile(1) != sorted[len(sorted)-1] {
+			t.Fatalf("Quantile(0), Quantile(1) = %d, %d, want min %d, max %d",
+				all.Quantile(0), all.Quantile(1), sorted[0], sorted[len(sorted)-1])
+		}
+		if qa > qb {
+			qa, qb = qb, qa
+		}
+		prev := sorted[0]
+		for _, q16 := range []uint16{qa, qb} {
+			q := float64(q16) / 65535
+			got, exact := all.Quantile(q), sorted[int(q*float64(len(sorted)-1))]
+			if bits.Len64(uint64(got)) != bits.Len64(uint64(exact)) || got < sorted[0] || got > sorted[len(sorted)-1] {
+				t.Fatalf("Quantile(%v) = %d outside the bucket of the order statistic %d (n=%d)", q, got, exact, len(sorted))
+			}
+			if got < prev {
+				t.Fatalf("Quantile(%v) = %d below a lower quantile's %d", q, got, prev)
+			}
+			prev = got
+		}
+	})
 }
 
 // TestHistogramQuantileInterpolation pins the interpolated quantiles on
