@@ -2,6 +2,7 @@ package am_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,5 +74,61 @@ func TestBlackoutWatchdogFires(t *testing.T) {
 	if sw.At != w.At || sw.Report != w.Report {
 		t.Errorf("sharded watchdog verdict differs from serial:\nserial  at=%v\n%s\nsharded at=%v\n%s",
 			w.At, w.Report, sw.At, sw.Report)
+	}
+}
+
+// killedPeer is the `-chaos kill` shape in miniature: node 1 fail-stops
+// while polling, so its program detaches and never returns; node 0 probes
+// until it declares the peer dead, and the run completes without it.
+func killedPeer(t *testing.T) {
+	c := hw.NewCluster(hw.DefaultConfig(2))
+	sys := am.NewWithOptions(c, fastKeepAlive())
+	c.Kill(1, hw.US(777))
+	nop := sys.Register(func(*sim.Proc, *am.Endpoint, am.Token, []uint32) {})
+	c.Spawn(0, "survivor", func(p *sim.Proc, _ *hw.Node) {
+		ep := sys.EPs[0]
+		for ep.PeerErr(1) == nil && ep.Request(p, 1, nop) == nil {
+			ep.PollWait(p, p.Now()+hw.US(100))
+		}
+	})
+	c.Spawn(1, "victim", func(p *sim.Proc, _ *hw.Node) {
+		for {
+			sys.EPs[1].Poll(p)
+		}
+	})
+	c.Run()
+	if sys.EPs[0].Stats.DeadPeers != 1 {
+		t.Fatalf("survivor declared %d peers dead, want 1", sys.EPs[0].Stats.DeadPeers)
+	}
+}
+
+// TestFinalRunsLeaveNoGoroutines: a run whose verdict is final — a watchdog
+// stop with both programs wedged, a completed run with a killed node's
+// program detached — releases the processes it leaves parked, serial and
+// sharded. Each one left behind is a goroutine pinning its whole cluster.
+func TestFinalRunsLeaveNoGoroutines(t *testing.T) {
+	settled := func() int {
+		for i := 0; i < 100; i++ { // joined shard workers may still be on their way out
+			runtime.Gosched()
+		}
+		return runtime.NumGoroutine()
+	}
+	defer func(old int) { hw.DefaultNodePar = old }(hw.DefaultNodePar)
+	for _, shards := range []int{1, 2} {
+		hw.DefaultNodePar = shards
+		base := settled()
+		for i := 0; i < 10; i++ {
+			var w *hw.WatchdogError
+			if err := blackoutWedge(hw.US(20_000)); !errors.As(err, &w) {
+				t.Fatalf("RunChecked = %v, want *hw.WatchdogError", err)
+			}
+		}
+		if n := settled(); n > base {
+			t.Errorf("%d shard(s): %d goroutines after ten wedged runs, %d before", shards, n, base)
+		}
+		killedPeer(t)
+		if n := settled(); n > base {
+			t.Errorf("%d shard(s): %d goroutines after a run with a killed node, %d before", shards, n, base)
+		}
 	}
 }

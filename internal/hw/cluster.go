@@ -179,8 +179,11 @@ func (c *Cluster) SpawnAll(name string, fn func(p *sim.Proc, n *Node)) {
 // clusters must run through this method (not Eng.RunAll, which would advance
 // only shard 0): it drives the window scheduler, folds the per-shard switch
 // counters, and leaves every shard clock — including Eng.Now() — at the
-// global finish time, exactly as a serial run would.
+// global finish time, exactly as a serial run would. The run is final: on
+// return (or panic) every process still parked — a killed node's detached
+// program, a drained daemon — has been released.
 func (c *Cluster) Run() {
+	defer c.release()
 	if c.grp != nil {
 		if err := c.grp.Run(0); err != nil {
 			panic(err)
@@ -189,6 +192,19 @@ func (c *Cluster) Run() {
 		return
 	}
 	c.Eng.RunAll()
+}
+
+// release frees the processes a finished run left parked, which would
+// otherwise pin their goroutines — and through them the whole cluster — for
+// the life of the program.
+func (c *Cluster) release() {
+	engs := []*sim.Engine{c.Eng}
+	if c.grp != nil {
+		engs = c.grp.Engines()
+	}
+	for _, e := range engs {
+		e.Release()
+	}
 }
 
 // Kill fail-stops node id at simulated time at: from then on the node
@@ -265,11 +281,14 @@ func (c *Cluster) diagnose() string {
 // returned as errors rather than panics. budget must exceed the longest
 // legitimate communication-free stretch of the workload. Works identically
 // over serial and sharded (-nodepar) clusters: both engines' Run methods
-// are resumable, and slicing by horizon does not perturb event order.
+// are resumable, and slicing by horizon does not perturb event order. Every
+// return is a final verdict, so — as with Run — the processes still parked
+// are released; the slices in between are pauses and release nothing.
 func (c *Cluster) RunChecked(budget sim.Time) error {
 	if budget <= 0 {
 		panic("hw: RunChecked budget must be positive")
 	}
+	defer c.release()
 	last := c.progressMark() - 1 // first slice always counts as progress
 	for horizon := c.Eng.Now() + budget; ; horizon += budget {
 		var err error

@@ -35,6 +35,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 			stop = true
 		})
 		e.RunAll()
+		e.Release() // the daemons still parked
 		return allocs
 	}
 
@@ -80,6 +81,16 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 			return inProc(func(p *Proc) { p.Advance(2) }, func(p *Proc, stop *bool) {
 				p.Advance(1)
 				p.AdvanceWhile(2, func() bool { return !*stop })
+			})
+		}},
+		{"interleaved Advance", func() float64 {
+			// Every wake-up belongs to the other process: one hand-off per
+			// step (BenchmarkProcHandoffInterleaved).
+			return inProc(func(p *Proc) { p.Advance(2) }, func(p *Proc, stop *bool) {
+				p.Advance(1)
+				for !*stop {
+					p.Advance(2)
+				}
 			})
 		}},
 		{"Cond signal ping-pong", func() float64 {

@@ -52,9 +52,9 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkProcAdvance measures the engine<->process control handoff: each
-// op is one Advance(1) — a schedule, a heap pop, and a full goroutine
-// round trip (ns/op is ns/dispatch).
+// BenchmarkProcAdvance measures a process waking itself: each op is one
+// Advance(1) — a schedule and a heap pop inside the process's own scheduler
+// loop, no switch (ns/op is ns/dispatch).
 func BenchmarkProcAdvance(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("p", func(p *Proc) {
@@ -68,10 +68,10 @@ func BenchmarkProcAdvance(b *testing.B) {
 
 // BenchmarkProcAdvanceWhile is the case AdvanceWhile exists for: two
 // processes, one idle-stepping and one advancing, with interleaved wake-ups.
-// Written as two Advance loops every event is a goroutine hand-off (compare
-// BenchmarkCondSignalPingPong's ~250 ns); here the stepper's events run
-// inline, so the advancing process keeps waking itself and ns/op (per event,
-// both processes counted) stays near BenchmarkProcAdvance.
+// Written as two Advance loops every event is a process hand-off
+// (BenchmarkProcHandoffInterleaved); here the stepper's events run inline,
+// so the advancing process keeps waking itself and ns/op (per event, both
+// processes counted) stays near BenchmarkProcAdvance.
 func BenchmarkProcAdvanceWhile(b *testing.B) {
 	e := NewEngine(1)
 	left := b.N / 2
@@ -101,30 +101,45 @@ func BenchmarkProcYield(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkProcHandoffInterleaved is the shape of two nodes polling an empty
+// network (the am_echo workload, 97% of whose polls are empty): two
+// processes each in `for { p.Advance(d) }`, offset by d/2, so every wake-up
+// belongs to the other process and each op is one heap pop plus one
+// hand-off — a yield to the driver loop and a resume, two coroutine
+// switches.
+func BenchmarkProcHandoffInterleaved(b *testing.B) {
+	e := NewEngine(1)
+	const d = 1300
+	for i := 0; i < 2; i++ {
+		offset := Time(i) * d / 2
+		e.Go("poller", func(p *Proc) {
+			p.Advance(offset)
+			for i := 0; i < b.N/2; i++ {
+				p.Advance(d)
+			}
+		})
+	}
+	e.RunAll()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkCondSignalPingPong bounces two processes off each other through
 // a pair of condition variables: each op is one Signal wakeup (same-time
-// scheduling) plus a dispatch.
+// scheduling) plus a hand-off.
 //
 // Signal's handoff fast path (see Cond.Signal) keeps each wakeup out of the
-// event queues entirely when the woken process is provably next. Before/
-// after on the same idle host: 247 -> 243 ns/op. The gain is small here
-// because each op also pays a goroutine switch (~230 ns, the channel-based
-// baton transfer), which the fast path cannot remove; its structural win is
-// that a signal no longer touches the run queue, so wakeup cost stays flat
-// no matter how deep the event heap is at signal time.
+// event queues entirely when the woken process is provably next. The gain
+// is small here because each op also pays the process switch, which the
+// fast path cannot remove; its structural win is that a signal no longer
+// touches the run queue, so wakeup cost stays flat no matter how deep the
+// event heap is at signal time.
 //
-// Treat single-run deltas on this row as noise: a CPU profile attributes
-// >85% of each op to the Go runtime's switch machinery (chansend/chanrecv,
-// casgstatus, scheduler locks), and identical binaries measure anywhere in
-// 260-320 ns/op across runs of this shared host — wider than the 243->256
-// "drift" once suspected between snapshots, which reproduced on unmodified
-// history and was measurement variance, not a regression. An attempt to
-// shave the remaining sim-side cost (consuming the handoff directly in the
-// scheduler loops, skipping the nop event and the wake slot) regressed
-// BenchmarkEngineCallbackEvents ~15% by pushing the 32-byte event value out
-// of registers — the cliff documented on the event struct — and was
-// abandoned. A real regression on this path shows as sim.handoff_ns in
-// paired benchmark/run.sh reports.
+// An attempt to shave the remaining sim-side cost (consuming the handoff
+// directly in the scheduler loops, skipping the nop event and the wake slot)
+// regressed BenchmarkEngineCallbackEvents ~15% by pushing the 32-byte event
+// value out of registers — the cliff documented on the event struct — and
+// was abandoned. A real regression on this path shows as sim.handoff_ns in
+// paired benchmark/run.sh reports; single runs on a shared host are noise.
 func BenchmarkCondSignalPingPong(b *testing.B) {
 	e := NewEngine(1)
 	a, c := &Cond{Name: "a"}, &Cond{Name: "b"}

@@ -195,10 +195,11 @@ type Group struct {
 
 	// aborted is set by the first worker whose window panicked (a workload
 	// or lookahead-contract violation); panicVal carries the value so Run
-	// can re-raise it on its caller, exactly as the old inline coordinator
-	// did. A panicked worker never arrives at its barrier, so no sibling
-	// can become decision-maker afterwards; the panicking worker signals
-	// runDone itself.
+	// can re-raise it on its caller. A panicked worker never arrives at its
+	// barrier, so no sibling can become decision-maker afterwards; the
+	// panicking worker signals runDone itself. Siblings may still be inside
+	// that window, reading op and bound, when Run sends everyone home: after
+	// an abort a release is a bare wake-up and aborted is the exit command.
 	aborted  atomic.Bool
 	panicVal any
 
@@ -337,8 +338,10 @@ func (g *Group) runShardWindow(w *shardWorker) {
 // published by the atomic bump of the sense word; a parked owner is sent one
 // wake token, at most one per time it parks (the channel never fills).
 func (g *Group) release(w *shardWorker, op uint32, bound Time) {
-	w.op = op
-	w.bound = bound
+	if !g.aborted.Load() {
+		w.op = op
+		w.bound = bound
+	}
 	w.seq.Add(1)
 	if w.parked.Load() == 1 && w.parked.CompareAndSwap(1, 0) {
 		w.wake <- struct{}{}
@@ -491,6 +494,9 @@ func (g *Group) worker(w *shardWorker, last uint32) {
 	}()
 	for {
 		last = w.await(last, g.spin)
+		if g.aborted.Load() {
+			return
+		}
 		switch w.op {
 		case opExit:
 			return
@@ -553,8 +559,8 @@ func (g *Group) Run(horizon Time) error {
 	outcome := <-g.runDone
 	// On a normal outcome every worker is parked and the group is exclusive
 	// again; on an abort, stragglers finish their window, fail to complete
-	// the barrier (the panicked shard never arrives), and park. Either way
-	// the sticky release below sends them home, and wg.Wait joins them.
+	// the barrier (the panicked shard never arrives), and find aborted set.
+	// Either way the sticky release below sends them home, and wg.Wait joins.
 	for _, w := range g.workers {
 		g.release(w, opExit, 0)
 	}

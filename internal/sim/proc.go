@@ -1,14 +1,23 @@
+//go:build go1.23
+
 package sim
+
+import "iter"
 
 // Proc is a simulated process: a sequential program whose execution is
 // interleaved with others only at explicit virtual-time operations
-// (Advance, Wait, ...). A Proc must only be used from its own goroutine.
+// (Advance, Wait, ...). A Proc must only be used from its own body, which
+// runs as a runtime coroutine (iter.Pull): resume switches to it from the
+// driver loop and returns when it yields; stop makes a parked yield return
+// false. A switch stays on one thread and never enters the Go scheduler.
 type Proc struct {
 	eng      *Engine
 	name     string
 	daemon   bool
-	resume   chan struct{}
-	finished bool
+	resume   func() (struct{}, bool)
+	yield    func(struct{}) bool
+	stop     func()
+	finished bool   // body returned, panicked, or was released
 	parkedAt string // wait reason while parked on a Cond (diagnostics)
 
 	// wakeFn, allocated once at spawn, deposits this proc into the engine's
@@ -31,17 +40,17 @@ func (p *Proc) Name() string { return p.name }
 // Detach permanently parks the calling process and never returns. The
 // process is reclassified as a daemon — it no longer counts toward the
 // engine's live-workload total, so the run can complete (and deadlock
-// detection stays meaningful) while the goroutine stays parked forever.
-// It models a fail-stop node: the program simply ceases, mid-call, with
-// reason recorded for diagnostics.
+// detection stays meaningful) while the process stays parked until
+// Engine.Release unwinds it. It models a fail-stop node: the program simply
+// ceases, mid-call, with reason recorded for diagnostics.
 func (p *Proc) Detach(reason string) {
 	if !p.daemon {
 		p.daemon = true
 		p.eng.live--
 	}
 	p.parkedAt = reason
-	// No wakeup is ever scheduled: park runs the scheduler loop until the
-	// baton moves elsewhere, then blocks on the resume channel for good.
+	// No wakeup is ever scheduled: park runs the scheduler loop until
+	// control moves elsewhere, then yields for good.
 	p.park()
 	panic("sim: detached process resumed")
 }
@@ -52,11 +61,62 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park deschedules p: the goroutine keeps the baton and runs the scheduler
-// loop itself, returning as soon as p's next wakeup fires (possibly without
-// ever switching goroutines — see Engine.exec).
+// released is the panic that unwinds a process Engine.Release stopped.
+type released struct{}
+
+// park deschedules p: it keeps control and runs the scheduler loop itself
+// (Engine.exec), returning once p's next wakeup has fired. A released
+// process unwinds instead, here and at any park its deferred calls attempt.
 func (p *Proc) park() {
-	p.eng.exec(p)
+	if p.finished || !p.eng.exec(p) {
+		panic(released{})
+	}
+}
+
+// spawn queues a new process; its first resume, at the current time, runs fn.
+func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	p := &Proc{eng: e, name: name, daemon: daemon}
+	p.wakeFn = func() { e.wake = p }
+	p.stepFn = func() {
+		if p.step() {
+			e.push(e.now+p.stepD, p.stepFn)
+		} else {
+			e.wake = p
+		}
+	}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			// Back to drive, and a real panic with it, out of resume or stop.
+			p.finished = true
+			e.running = nil
+			if r := recover(); r != nil && r != (released{}) {
+				panic(r)
+			}
+		}()
+		fn(p)
+		if !daemon {
+			e.live--
+		}
+	})
+	e.procs = append(e.procs, p)
+	if !daemon {
+		e.live++
+	}
+	e.schedule(p, e.now)
+	return p
+}
+
+// Release unwinds every unfinished process — parked for good, detached, or
+// never started — so that it and what its stack references can be collected.
+// Only once a run's verdict is final: a released process never runs again.
+func (e *Engine) Release() {
+	for i := 0; i < len(e.procs); i++ { // an unwinding body may spawn
+		if p := e.procs[i]; !p.finished {
+			p.finished = true
+			p.stop()
+		}
+	}
 }
 
 // Advance charges d nanoseconds of virtual time to this process: the
@@ -72,10 +132,10 @@ func (p *Proc) Advance(d Time) {
 
 // AdvanceWhile is Advance(d) repeated while step reports true, without the
 // process being switched to in between: the wake-up event runs step inline,
-// in whichever goroutine is executing the scheduler loop, and while step
-// returns true re-arms itself at now+d with exactly the key the process's
-// own next Advance(d) would have pushed (same at, pushAt = now, next local
-// seq). On the first false the process wakes as if from a plain Advance(d).
+// in whichever scheduler loop pops it, and while step returns true re-arms
+// itself at now+d with exactly the key the process's own next Advance(d)
+// would have pushed (same at, pushAt = now, next local seq). On the first
+// false the process wakes as if from a plain Advance(d).
 // Event times, ordering keys and EventsRun are therefore identical to the
 // loop
 //

@@ -4,10 +4,10 @@
 //
 // The kernel follows the classic process-interaction style: simulated
 // programs are written as ordinary sequential Go code running in a Proc
-// (backed by a goroutine), and virtual time advances only through the event
-// queue. Exactly one goroutine — the engine or a single process — executes
-// at any instant; control is handed off synchronously through channels, so a
-// simulation is fully deterministic and reproducible.
+// (a runtime coroutine, see proc.go), and virtual time advances only through
+// the event queue. Exactly one of them — the Run caller or a single process
+// — executes at any instant, and control moves by coroutine switch, never
+// through the Go scheduler, so a simulation is deterministic and reproducible.
 //
 // Events live in a value-typed arena ordered by an inline 4-ary min-heap on
 // (at, pushAt, seq); same-time wakeups (Advance(0), Cond.Signal) bypass the heap
@@ -41,7 +41,7 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // event is a single scheduled occurrence. Exactly one of fn and proc is set:
-// Callback events run inline in the engine goroutine (used by hardware
+// Callback events run inline in the scheduler loop (used by hardware
 // pipeline stages); process wakeups carry the proc's preallocated wake
 // closure, which deposits the proc in Engine.wake for the scheduler loop to
 // switch to. Events are plain values — they live in the heap arena or the
@@ -99,12 +99,12 @@ func nop() {}
 // Engine owns the virtual clock and the event queue and drives all
 // processes.
 //
-// Control transfer is baton-passing: whichever goroutine is executing — the
-// Run caller or a process that just parked — runs the scheduler loop itself
-// and switches directly to the next process, rather than bouncing every
-// event through a central engine goroutine. A process whose own wakeup is
-// the next event simply keeps running (zero goroutine switches), and a
-// proc-to-proc wakeup costs one switch instead of two.
+// Whoever is executing — the Run caller or a process that just parked —
+// runs the scheduler loop itself. A process whose own wakeup is the next
+// event simply keeps running, and callbacks run where they are popped:
+// neither costs a switch. Only when the next wakeup belongs to another
+// process does the parked one name it in running and yield to the driver
+// loop (drive), which resumes it: two coroutine switches per hand-off.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -130,8 +130,6 @@ type Engine struct {
 	// event struct carry only a callback (see the event comment).
 	wake *Proc
 
-	parked chan struct{} // last executor -> Run caller: "this run is over"
-
 	// handoff, when non-nil, is a process wakeup that bypassed the queues
 	// entirely: Cond.Signal parks it here when the woken process would be
 	// the very next event anyway (run queue drained, no same-time heap
@@ -141,8 +139,8 @@ type Engine struct {
 	handoff *Proc
 
 	procs   []*Proc
-	live    int // workload (non-daemon) procs that have not finished
-	running *Proc
+	live    int   // workload (non-daemon) procs that have not finished
+	running *Proc // in control, or named for drive to resume next; else nil
 
 	rng *Rand
 
@@ -170,9 +168,8 @@ type Engine struct {
 // events among same-(at, pushAt) ties, in both execution modes.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		parked: make(chan struct{}),
-		seq:    crossSeqBase,
-		rng:    NewRand(seed),
+		seq: crossSeqBase,
+		rng: NewRand(seed),
 	}
 }
 
@@ -240,7 +237,7 @@ func (e *Engine) AfterKeyed(d Time, lane, lanes uint64, fn func()) {
 	e.heapPush(event{at: e.now + d, pushAt: e.now, seq: uint64(e.curPushAt)*lanes + lane, fn: fn})
 }
 
-// At schedules fn to run in the engine goroutine at virtual time t. If t is
+// At schedules fn to run inline in the scheduler loop at virtual time t. If t is
 // in the past it runs at the current time (after already-queued same-time
 // events).
 func (e *Engine) At(t Time, fn func()) { e.push(t, fn) }
@@ -348,24 +345,18 @@ func (e *Engine) nextEvent() (event, bool) {
 	return ev, true
 }
 
-// exec is the scheduler loop as run by a process goroutine, entered when
-// self parks (or finishes, with self.finished set). It executes events until
-// one of three things happens: self's own wakeup fires (return, keep
-// running — no goroutine switch), control passes to another process (one
-// direct switch; block until re-dispatched), or the run is over (hand the
-// baton back to the Run caller and block). A pending handoff (a Signal that
-// bypassed the queues) is consumed first, inside nextEvent.
-func (e *Engine) exec(self *Proc) {
+// exec is the scheduler loop as run by a process, entered when self parks.
+// It executes events until self's own wakeup fires (return, keep running —
+// no switch at all), or control must pass elsewhere: it names the woken
+// process in running (nil: the run is over) and yields to drive, returning
+// once an event has woken self and drive resumed it — or false, if self was
+// released instead. A pending handoff is consumed first, inside nextEvent.
+func (e *Engine) exec(self *Proc) bool {
 	for {
 		ev, ok := e.nextEvent()
 		if !ok {
 			e.running = nil
-			e.parked <- struct{}{}
-			if self.finished {
-				return
-			}
-			<-self.resume
-			return
+			return self.yield(struct{}{})
 		}
 		e.EventsRun++
 		ev.fn()
@@ -378,46 +369,43 @@ func (e *Engine) exec(self *Proc) {
 			continue
 		}
 		e.running = q
-		if q == self {
+		return q == self || self.yield(struct{}{})
+	}
+}
+
+// drive is the one loop that switches processes, under Run and runWindow:
+// resume the process running names; when there is none — at the start, or
+// after one finished — execute events here until one wakes a process. It
+// returns when the run is over. A process's panic surfaces here, in resume.
+func (e *Engine) drive() {
+	for {
+		if p := e.running; p != nil {
+			p.resume()
+			continue
+		}
+		ev, ok := e.nextEvent()
+		if !ok {
 			return
 		}
-		q.resume <- struct{}{}
-		if self.finished {
-			return
+		e.EventsRun++
+		ev.fn()
+		if q := e.wake; q != nil {
+			e.wake = nil
+			if !q.finished {
+				e.running = q
+			}
 		}
-		<-self.resume
-		return
 	}
 }
 
 // Run executes events until the queue is empty or the optional horizon is
 // reached (horizon <= 0 means no horizon). It returns an error if workload
 // processes remain blocked when no more events can occur (a deadlock), with
-// a diagnosis of what each blocked process was waiting for.
+// a diagnosis of what each blocked process was waiting for. A horizon stop
+// leaves processes parked for the next Run to resume, or Release to free.
 func (e *Engine) Run(horizon Time) error {
 	e.horizon = horizon
-	for {
-		ev, ok := e.nextEvent()
-		if !ok {
-			break
-		}
-		e.EventsRun++
-		ev.fn()
-		q := e.wake
-		if q == nil {
-			continue
-		}
-		e.wake = nil
-		if q.finished {
-			continue
-		}
-		// Hand the baton to q; it (or whichever process executes last)
-		// returns it when the run is over.
-		e.running = q
-		q.resume <- struct{}{}
-		<-e.parked
-		break
-	}
+	e.drive()
 	if horizon > 0 && len(e.events) > 0 && e.events[0].at > horizon {
 		e.now = horizon
 		return nil
@@ -436,27 +424,7 @@ func (e *Engine) Run(horizon Time) error {
 // loop observes on the next pop.
 func (e *Engine) runWindow(bound Time) {
 	e.horizon = bound - 1
-	for {
-		ev, ok := e.nextEvent()
-		if !ok {
-			return
-		}
-		e.EventsRun++
-		ev.fn()
-		q := e.wake
-		if q == nil {
-			continue
-		}
-		e.wake = nil
-		if q.finished {
-			continue
-		}
-		e.running = q
-		q.resume <- struct{}{}
-		// The baton comes back only when no window events remain.
-		<-e.parked
-		return
-	}
+	e.drive()
 }
 
 // nextTime reports the time of the engine's earliest pending event (the
@@ -514,38 +482,4 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // to remain blocked forever when the workload drains.
 func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
-}
-
-func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		daemon: daemon,
-		resume: make(chan struct{}),
-	}
-	p.wakeFn = func() { e.wake = p }
-	p.stepFn = func() {
-		if p.step() {
-			e.push(e.now+p.stepD, p.stepFn)
-		} else {
-			e.wake = p
-		}
-	}
-	e.procs = append(e.procs, p)
-	if !daemon {
-		e.live++
-	}
-	go func() {
-		<-p.resume // wait for first dispatch
-		fn(p)
-		p.finished = true
-		if !daemon {
-			e.live--
-		}
-		// The finished process still holds the baton: keep executing events
-		// until control moves to another goroutine, then exit.
-		e.exec(p)
-	}()
-	e.schedule(p, e.now)
-	return p
 }

@@ -181,6 +181,118 @@ func TestRunHorizonStopsEarly(t *testing.T) {
 	if e.Now() != 500 {
 		t.Fatalf("clock at %v, want horizon 500", e.Now())
 	}
+
+	// A horizon stop is a pause: a process it leaves parked — on its own
+	// wake-up or on a Cond — is resumed by the next Run exactly once, at the
+	// time it asked for.
+	e = NewEngine(1)
+	c := &Cond{Name: "gate"}
+	var woke []string
+	e.Go("sleeper", func(p *Proc) {
+		p.Advance(1000)
+		woke = append(woke, fmt.Sprintf("sleeper@%d", p.Now()))
+		c.Signal()
+	})
+	e.Go("waiter", func(p *Proc) {
+		c.Wait(p)
+		woke = append(woke, fmt.Sprintf("waiter@%d", p.Now()))
+	})
+	for _, h := range []Time{400, 800} {
+		if err := e.Run(h); err != nil {
+			t.Fatal(err)
+		}
+		if len(woke) != 0 || e.Live() != 2 || !e.Pending() || e.running != nil {
+			t.Fatalf("paused at %v: woke=%v live=%d pending=%v running=%v", h, woke, e.Live(), e.Pending(), e.running)
+		}
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(woke, ","); got != "sleeper@1000,waiter@1000" {
+		t.Fatalf("after resuming: %q, want each process woken once at t=1000", got)
+	}
+	if e.EventsRun != 4 { // two first dispatches, the sleeper's wake-up, the Signal's handoff
+		t.Fatalf("EventsRun = %d, want 4", e.EventsRun)
+	}
+}
+
+// TestProcPanicReachesRun: a panic inside a simulated process comes out of
+// Run, in the goroutine that called it, with its value intact, and leaves
+// the engine naming no process as running. Under a Group the shard worker
+// carries it to Group.Run the same way.
+func TestProcPanicReachesRun(t *testing.T) {
+	boom := func(e *Engine) {
+		e.Go("bystander", func(p *Proc) { p.Advance(100) })
+		e.Go("faulty", func(p *Proc) {
+			p.Advance(10)
+			panic("boom")
+		})
+	}
+	caught := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+
+	e := NewEngine(1)
+	boom(e)
+	if r := caught(e.RunAll); r != "boom" {
+		t.Fatalf("serial: recovered %v, want the process's panic value", r)
+	}
+	if e.running != nil {
+		t.Fatalf("serial: engine left with %q running", e.running.name)
+	}
+	e.Release()
+
+	g := NewGroup(1, 2, 500)
+	g.Engines()[0].Go("idle", func(p *Proc) { p.Advance(5000) })
+	boom(g.Engines()[1])
+	if r := caught(g.RunAll); r != "boom" {
+		t.Fatalf("group: recovered %v, want the process's panic value", r)
+	}
+	for i, e := range g.Engines() {
+		if e.running != nil {
+			t.Fatalf("group: shard %d left with %q running", i, e.running.name)
+		}
+		e.Release()
+	}
+}
+
+// TestReleaseUnwindsParkedProcs: Release ends every unfinished process —
+// parked on a Cond, detached, never started — by unwinding it, so deferred
+// calls run, and a park attempted on the way out unwinds too instead of
+// running the simulation. Finished processes are left alone.
+func TestReleaseUnwindsParkedProcs(t *testing.T) {
+	e := NewEngine(1)
+	c := &Cond{Name: "never"}
+	var log []string
+	e.Go("done", func(p *Proc) {
+		defer func() { log = append(log, "done") }()
+		p.Advance(5)
+	})
+	e.Go("waiter", func(p *Proc) {
+		defer func() { log = append(log, "waiter") }()
+		defer p.Advance(1)
+		c.Wait(p)
+		t.Error("waiter resumed")
+	})
+	e.Go("detached", func(p *Proc) {
+		defer func() { log = append(log, "detached") }()
+		p.Detach("killed")
+	})
+	if err := e.Run(0); err == nil || !strings.Contains(err.Error(), "waiter (waiting: never)") {
+		t.Fatalf("Run = %v, want a deadlock naming the waiter", err)
+	}
+	e.Go("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	events := e.EventsRun
+	e.Release()
+	if got := strings.Join(log, ","); got != "done,waiter,detached" {
+		t.Fatalf("deferred calls ran as %q, want done (at its end), then waiter and detached at Release", got)
+	}
+	if e.EventsRun != events {
+		t.Fatalf("Release executed %d events", e.EventsRun-events)
+	}
+	e.Release() // idempotent
 }
 
 func TestNestedSpawn(t *testing.T) {
