@@ -15,7 +15,7 @@
 //	kv-bench -json               # machine-readable saturation + tail metrics
 //
 // The run is deterministic: the same flags produce byte-identical output
-// at any -par / -nodepar setting.
+// at any -par setting.
 package main
 
 import (
@@ -89,6 +89,13 @@ func main() {
 	if *rate > 0 {
 		rates = []float64{*rate}
 	}
+	base.Rate = rates[0] // a ladder sweep sets each point's own; the table modes pick theirs below
+	// The sweeps treat a config error as a bug and panic, so each mode asks
+	// kv about the config it is about to run first.
+	valid := func(cfg kv.Config) kv.Config {
+		check(cfg.Validate())
+		return cfg
+	}
 
 	switch {
 	case *cacheTable:
@@ -103,7 +110,7 @@ func main() {
 		if *rate > 0 {
 			base.Rate = *rate
 		}
-		bench.KVCacheTable(os.Stdout, base, sk)
+		bench.KVCacheTable(os.Stdout, valid(base), sk)
 	case *writeTable:
 		names, mixes, err := load.ParseMixes(*mixesSpec)
 		check(err)
@@ -111,20 +118,26 @@ func main() {
 		if *rate > 0 {
 			base.Rate = *rate
 		}
-		bench.KVWriteTable(os.Stdout, base, names, mixes)
+		bench.KVWriteTable(os.Stdout, valid(base), names, mixes)
 	case *chaos == "kill":
+		if *servers < 2 {
+			check(fmt.Errorf("-chaos kill fail-stops server 1: -servers must be at least 2 (got %d)", *servers))
+		}
+		if !(*killat > 0) {
+			check(fmt.Errorf("-killat must be positive (got %v)", *killat))
+		}
 		base.Rate = rates[len(rates)-1] / 2 // hold the service below saturation while failing over
 		if *rate > 0 {
 			base.Rate = *rate
 		}
-		bench.KVKillTable(os.Stdout, base, 1, []sim.Time{hw.US(*killat)})
+		bench.KVKillTable(os.Stdout, valid(base), 1, []sim.Time{hw.US(*killat)})
 	case *chaos != "":
 		fmt.Fprintf(os.Stderr, "kv-bench: unknown -chaos mode %q (want kill)\n", *chaos)
 		os.Exit(2)
 	case *jsonOut:
-		check(bench.WriteJSONReport(os.Stdout, bench.KVReport(base, rates)))
+		check(bench.WriteJSONReport(os.Stdout, bench.KVReport(valid(base), rates)))
 	default:
-		bench.KVTailTable(os.Stdout, base, rates)
+		bench.KVTailTable(os.Stdout, valid(base), rates)
 	}
 
 	check(cf.Finish(os.Stdout))

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	breakdown := flag.Bool("breakdown", false, "print the per-stage round-trip decomposition (default)")
-	words := flag.Int("words", 1, "argument words per request (1-4)")
+	words := flag.Int("words", 1, "argument words per request (0-4)")
 	iters := flag.Int("iters", 32, "steady-state iterations to average (multiple of 16 recommended)")
 	gap := flag.Bool("gap", false, "attribute the per-extra-word cost (1-word vs 4-word stages)")
 	load := flag.Bool("load", false, "trace a bulk-store run and print queueing-delay attribution")
@@ -32,6 +32,9 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print the run's plain-text event timeline")
 	total := flag.Int("total", 1<<20, "bytes moved by the -load run")
 	flag.Parse()
+	if *words < 0 || *words > 4 {
+		check(fmt.Errorf("-words must be 0-4 (got %d)", *words))
+	}
 
 	var rec *trace.Recorder
 

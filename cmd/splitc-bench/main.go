@@ -27,6 +27,9 @@ func main() {
 	cf := bench.StdFlags()
 	flag.Parse()
 	cf.Activate()
+	if *procs < 1 {
+		check(fmt.Errorf("-p must be at least 1 (got %d)", *procs))
+	}
 
 	if *table == 4 {
 		fmt.Println("# Table 4: machine characteristics (model inputs)")

@@ -5,9 +5,8 @@ import "spam/internal/sim"
 // localQuiescent reports whether this endpoint has no protocol work of its
 // own in flight: every packet it injected is acknowledged, none of its
 // operations are queued or awaiting retransmission, no bulk op is pending,
-// and no staged FIFO entries await commit. Unlike a whole-system scan, this
-// reads only the endpoint's own state, so it is safe on a shard of a
-// parallel run while other shards are executing.
+// and no staged FIFO entries await commit. It reads only the endpoint's own
+// state.
 func (ep *Endpoint) localQuiescent() bool {
 	if len(ep.ops) != 0 || ep.pendingCommit != 0 {
 		return false
@@ -29,12 +28,8 @@ func (ep *Endpoint) localQuiescent() bool {
 // Reliability in AM lives in Poll: a node that stops polling also stops
 // acknowledging, so a process that finishes its own communication and exits
 // can wedge a peer that still needs one of its packets delivered or resent.
-// The old Drain closed that gap by polling until the whole system was
-// quiescent — a global snapshot that is exact on a single event loop but a
-// data race on a sharded run, where one shard would read every other
-// shard's protocol state mid-window.
 //
-// This version is shard-local and event-driven. The calling process polls
+// Drain is endpoint-local and event-driven. The calling process polls
 // until the endpoint itself is quiescent and its receive FIFO is empty, then
 // returns; before returning it arms an arrival hook on the adapter. Any
 // packet that lands after that (a retransmission, a request, a probe) spawns

@@ -46,7 +46,7 @@ func blackoutWedge(budget sim.Time) error {
 // protocol cannot unwedge on its own: a total blackout that never lifts,
 // with fail-stop detection switched off. The run must not spin forever —
 // the cluster watchdog has to stop it with a diagnosis naming the stuck
-// peer traffic — and the verdict must be identical under -nodepar sharding.
+// peer traffic.
 func TestBlackoutWatchdogFires(t *testing.T) {
 	budget := hw.US(100_000)
 	err := blackoutWedge(budget)
@@ -59,21 +59,6 @@ func TestBlackoutWatchdogFires(t *testing.T) {
 	}
 	if !strings.Contains(w.Report, "am: node 0 -> 1") || !strings.Contains(w.Report, "unacked") {
 		t.Errorf("stall report does not name the stuck peer traffic:\n%s", w.Report)
-	}
-
-	// Same wedge, sharded cluster: same verdict at the same simulated time
-	// with the same diagnosis.
-	old := hw.DefaultNodePar
-	hw.DefaultNodePar = 4
-	defer func() { hw.DefaultNodePar = old }()
-	serr := blackoutWedge(budget)
-	var sw *hw.WatchdogError
-	if !errors.As(serr, &sw) {
-		t.Fatalf("sharded RunChecked = %v, want *hw.WatchdogError", serr)
-	}
-	if sw.At != w.At || sw.Report != w.Report {
-		t.Errorf("sharded watchdog verdict differs from serial:\nserial  at=%v\n%s\nsharded at=%v\n%s",
-			w.At, w.Report, sw.At, sw.Report)
 	}
 }
 
@@ -104,31 +89,21 @@ func killedPeer(t *testing.T) {
 
 // TestFinalRunsLeaveNoGoroutines: a run whose verdict is final — a watchdog
 // stop with both programs wedged, a completed run with a killed node's
-// program detached — releases the processes it leaves parked, serial and
-// sharded. Each one left behind is a goroutine pinning its whole cluster.
+// program detached — releases the processes it leaves parked. Each one left
+// behind is a goroutine pinning its whole cluster.
 func TestFinalRunsLeaveNoGoroutines(t *testing.T) {
-	settled := func() int {
-		for i := 0; i < 100; i++ { // joined shard workers may still be on their way out
-			runtime.Gosched()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		var w *hw.WatchdogError
+		if err := blackoutWedge(hw.US(20_000)); !errors.As(err, &w) {
+			t.Fatalf("RunChecked = %v, want *hw.WatchdogError", err)
 		}
-		return runtime.NumGoroutine()
 	}
-	defer func(old int) { hw.DefaultNodePar = old }(hw.DefaultNodePar)
-	for _, shards := range []int{1, 2} {
-		hw.DefaultNodePar = shards
-		base := settled()
-		for i := 0; i < 10; i++ {
-			var w *hw.WatchdogError
-			if err := blackoutWedge(hw.US(20_000)); !errors.As(err, &w) {
-				t.Fatalf("RunChecked = %v, want *hw.WatchdogError", err)
-			}
-		}
-		if n := settled(); n > base {
-			t.Errorf("%d shard(s): %d goroutines after ten wedged runs, %d before", shards, n, base)
-		}
-		killedPeer(t)
-		if n := settled(); n > base {
-			t.Errorf("%d shard(s): %d goroutines after a run with a killed node, %d before", shards, n, base)
-		}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after ten wedged runs, %d before", n, base)
+	}
+	killedPeer(t)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after a run with a killed node, %d before", n, base)
 	}
 }

@@ -64,8 +64,7 @@ func amBandwidthUnder(plan *faults.Plan, n, total int) (mbps float64, st am.Stat
 // node 1 at killAt (optionally with uniform packet loss on top), and runs
 // until the survivor's AM layer declares the peer dead. It reports the
 // declaration, the operations completed before it, and the aggregate
-// protocol counters. Faults are installed per-source, so the run is
-// byte-identical under -nodepar sharding.
+// protocol counters.
 func amKillRun(killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, completed int, errAt sim.Time, st am.Stats) {
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := am.New(c)

@@ -23,8 +23,8 @@ type Observer struct {
 
 // NewObserver installs the hooks. A zero tracePath / false metrics leaves the
 // corresponding hook untouched, so plain runs stay on the nil fast path.
-// Either hook forces sweeps and intra-run sharding off (see sweepWorkers and
-// SetNodePar): the collected streams are only meaningful from a serial run.
+// Either hook forces sweeps off (see sweepWorkers): the collected streams
+// are only meaningful from a serial run.
 func NewObserver(tracePath string, metrics bool) *Observer {
 	o := &Observer{TracePath: tracePath, Metrics: metrics}
 	if tracePath != "" {

@@ -17,19 +17,6 @@ import (
 // run regardless of worker count or host scheduling.
 var Par = 1
 
-// SetNodePar installs n as the process-wide intra-run shard request
-// (hw.DefaultNodePar), set from the commands' -nodepar flag: every cluster
-// built afterwards runs as a conservative parallel DES across n shards
-// (1 = serial). The observer hooks force serial exactly as they do for
-// sweeps — tracing and metrics are single shared streams — so commands call
-// this after NewObserver.
-func SetNodePar(n int) {
-	if hw.DefaultTracer != nil || am.DefaultMetrics != nil {
-		n = 1
-	}
-	hw.DefaultNodePar = n
-}
-
 // sweepWorkers resolves Par against the point count and the observer hooks.
 // Tracing and metrics install process-wide collectors (hw.DefaultTracer,
 // am.DefaultMetrics) that every cluster built during the run feeds; those

@@ -201,8 +201,7 @@ func (p *Plan) WithKill(node int, at sim.Time) *Plan {
 }
 
 // applyKills arms the plan's fail-stop kills on the cluster. Kills are
-// time-based state, not scheduled events, so they are deterministic across
-// serial and sharded runs.
+// time-based state, not scheduled events.
 func (p *Plan) applyKills(c *hw.Cluster) {
 	for _, k := range p.Kills {
 		c.Kill(k.Node, k.At)
@@ -279,11 +278,8 @@ func (p *Plan) Apply(c *hw.Cluster) {
 // CompilePerSource lowers the plan into one fault hook per injecting node.
 // Each (rule, source) pair owns a private random stream and burst counter,
 // forked from the plan seed in source-major order, so node i's verdicts are
-// a pure function of node i's own injection sequence. That is what lets
-// faults partition cleanly across PDES shards: a sharded run consults each
-// hook only from its source's shard and fires the exact same faults as a
-// serial run using the same per-source hooks. (The classic Compile draws one
-// stream per rule in global packet order — inherently serial.)
+// a pure function of node i's own injection sequence, whatever the other
+// nodes send. (Compile draws one stream per rule in global packet order.)
 func (p *Plan) CompilePerSource(numNodes int) []hw.SrcFaultFunc {
 	master := sim.NewRand(p.Seed)
 	fns := make([]hw.SrcFaultFunc, numNodes)
@@ -300,10 +296,8 @@ func (p *Plan) CompilePerSource(numNodes int) []hw.SrcFaultFunc {
 	return fns
 }
 
-// ApplyPerSource installs per-source fault hooks on the cluster's switch —
-// the form required for sharded (-nodepar) runs, and identical in serial
-// runs so the two can be compared byte for byte. A nil plan clears the
-// hooks.
+// ApplyPerSource installs per-source fault hooks on the cluster's switch
+// (see CompilePerSource). A nil plan clears the hooks.
 func (p *Plan) ApplyPerSource(c *hw.Cluster) {
 	if p == nil {
 		c.Switch.FaultBySrc = nil

@@ -14,28 +14,19 @@ import (
 // threading a recorder through every signature.
 var DefaultTracer *trace.Recorder
 
-// DefaultNodePar is the intra-run shard count applied to every cluster whose
-// Config does not name its own (the commands' -nodepar flag). 1 — the
-// default — runs each simulation serially on one engine; N > 1 partitions
-// the nodes across N shard engines advanced as a conservative parallel DES
-// with the switch latency as lookahead (see sim.Group). Tracing always
-// forces serial.
+// DefaultNodePar is accepted and ignored: benchmark/ sets and reads it.
 var DefaultNodePar = 1
 
 // Cluster wires N nodes, their adapters, and a switch onto one simulation
-// engine — or, in conservative-parallel mode, onto a group of per-shard
-// engines that only communicate through the switch fabric's mailbox edges.
-// It is the root object every experiment starts from.
+// engine. It is the root object every experiment starts from.
 type Cluster struct {
-	Eng    *sim.Engine // shard 0's engine in sharded mode
+	Eng    *sim.Engine
 	Nodes  []*Node
 	Switch *Switch
-	grp    *sim.Group
 
 	// diags are diagnosis callbacks the protocol layers register (see
-	// AddDiagnostic); the liveness watchdog invokes them to build its stall
-	// report. They run only when no shard is executing, so they may read
-	// any node's state.
+	// AddDiagnostic); the liveness watchdog invokes them between slices of
+	// the run to build its stall report.
 	diags []func() string
 }
 
@@ -52,10 +43,7 @@ type Config struct {
 	// nil means tracing is off and costs nothing.
 	Tracer *trace.Recorder
 
-	// NodePar requests conservative-parallel execution with this many
-	// shards (0 falls back to DefaultNodePar, 1 is serial; clamped to
-	// NumNodes). A non-nil tracer forces serial: the recorder is a single
-	// shared stream.
+	// NodePar is accepted and ignored: benchmark/ sets it.
 	NodePar int
 }
 
@@ -78,11 +66,10 @@ func WideConfig(n int) Config {
 	return c
 }
 
-// NewCluster builds the cluster described by cfg. With an effective NodePar
-// above 1, node i (its processes, TB2 pipelines, and switch ports) is bound
-// to shard engine i mod shards, each shard gets a private PacketPool (the
-// free lists stay single-threaded: Get/Put always run in the owning shard's
-// context), and the switch fabric becomes the only cross-shard channel.
+// NewCluster builds the cluster described by cfg: one engine and one
+// packet pool. The engine runs one callback or process at a time, so the
+// free lists need no locking; parallel sweeps build a cluster (and pool)
+// per worker.
 func NewCluster(cfg Config) *Cluster {
 	if cfg.NumNodes < 1 {
 		panic(fmt.Sprintf("hw: cluster needs at least 1 node, got %d", cfg.NumNodes))
@@ -90,79 +77,25 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Tracer == nil {
 		cfg.Tracer = DefaultTracer
 	}
-	shards := cfg.NodePar
-	if shards == 0 {
-		shards = DefaultNodePar
-	}
-	if shards > cfg.NumNodes {
-		shards = cfg.NumNodes
-	}
-	if shards < 1 || cfg.Tracer != nil || cfg.Switch.Latency <= 0 {
-		shards = 1
-	}
-	engs := make([]*sim.Engine, cfg.NumNodes)
-	pools := make([]*PacketPool, cfg.NumNodes)
-	var grp *sim.Group
-	if shards > 1 {
-		grp = sim.NewGroup(cfg.Seed, shards, cfg.Switch.Latency)
-		se := grp.Engines()
-		sp := make([]*PacketPool, shards)
-		for s := range sp {
-			sp[s] = NewPacketPool()
-		}
-		for i := range engs {
-			engs[i] = se[i%shards]
-			pools[i] = sp[i%shards]
-		}
-	} else {
-		eng := sim.NewEngine(cfg.Seed)
-		eng.SetTracer(cfg.Tracer)
-		// One packet pool per cluster: the engine runs one callback or
-		// process at a time, so the free lists need no locking; parallel
-		// sweeps build a cluster (and pool) per worker.
-		pool := NewPacketPool()
-		for i := range engs {
-			engs[i] = eng
-			pools[i] = pool
-		}
-	}
+	eng := sim.NewEngine(cfg.Seed)
+	eng.SetTracer(cfg.Tracer)
+	pool := NewPacketPool()
 	c := &Cluster{
-		Eng:    engs[0],
-		Switch: NewSwitch(engs, cfg.Switch, pools, grp),
-		grp:    grp,
+		Eng:    eng,
+		Switch: NewSwitch(eng, cfg.NumNodes, cfg.Switch, pool),
 	}
 	for i := 0; i < cfg.NumNodes; i++ {
-		n := &Node{ID: i, Eng: engs[i], P: cfg.Node, Mem: &Memory{}, Pool: pools[i]}
+		n := &Node{ID: i, Eng: eng, P: cfg.Node, Mem: &Memory{}, Pool: pool}
 		n.Adapter = newTB2(n, c.Switch, cfg.Adapter, cfg.NumNodes)
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c
 }
 
-// Shards reports the number of shard engines driving this cluster (1 when
-// serial).
-func (c *Cluster) Shards() int {
-	if c.grp == nil {
-		return 1
-	}
-	return len(c.grp.Engines())
-}
+// Events reports how many events the cluster's engine has executed.
+func (c *Cluster) Events() int64 { return c.Eng.EventsRun }
 
-// Events reports how many events the cluster's engines have executed, summed
-// over shards.
-func (c *Cluster) Events() int64 {
-	if c.grp == nil {
-		return c.Eng.EventsRun
-	}
-	var n int64
-	for _, e := range c.grp.Engines() {
-		n += e.EventsRun
-	}
-	return n
-}
-
-// Spawn starts fn as node id's program (a workload process) on the node's
-// own shard engine.
+// Spawn starts fn as node id's program (a workload process).
 func (c *Cluster) Spawn(id int, name string, fn func(p *sim.Proc, n *Node)) {
 	n := c.Nodes[id]
 	n.Eng.Go(fmt.Sprintf("n%d:%s", id, name), func(p *sim.Proc) { fn(p, n) })
@@ -175,43 +108,20 @@ func (c *Cluster) SpawnAll(name string, fn func(p *sim.Proc, n *Node)) {
 	}
 }
 
-// Run drives the simulation to completion, panicking on deadlock. Sharded
-// clusters must run through this method (not Eng.RunAll, which would advance
-// only shard 0): it drives the window scheduler, folds the per-shard switch
-// counters, and leaves every shard clock — including Eng.Now() — at the
-// global finish time, exactly as a serial run would. The run is final: on
-// return (or panic) every process still parked — a killed node's detached
-// program, a drained daemon — has been released.
-func (c *Cluster) Run() {
-	defer c.release()
-	if c.grp != nil {
-		if err := c.grp.Run(0); err != nil {
-			panic(err)
-		}
-		c.Switch.mergeShardStats()
-		return
-	}
-	c.Eng.RunAll()
-}
-
-// release frees the processes a finished run left parked, which would
-// otherwise pin their goroutines — and through them the whole cluster — for
+// Run drives the simulation to completion, panicking on deadlock. The run
+// is final: on return (or panic) every process still parked — a killed
+// node's detached program, a drained daemon — has been released, which
+// would otherwise pin its goroutine, and through it the whole cluster, for
 // the life of the program.
-func (c *Cluster) release() {
-	engs := []*sim.Engine{c.Eng}
-	if c.grp != nil {
-		engs = c.grp.Engines()
-	}
-	for _, e := range engs {
-		e.Release()
-	}
+func (c *Cluster) Run() {
+	defer c.Eng.Release()
+	c.Eng.RunAll()
 }
 
 // Kill fail-stops node id at simulated time at: from then on the node
 // injects nothing at the fabric and delivers nothing into its receive FIFO,
 // and its program process detaches at its next network operation. Kill
-// state is time-based (no event is scheduled), so it is deterministic
-// across serial and sharded runs; arm it before Run.
+// state is time-based (no event is scheduled); arm it before Run.
 func (c *Cluster) Kill(id int, at sim.Time) {
 	c.Nodes[id].Kill(at)
 	c.Switch.SetKillTime(id, at)
@@ -250,14 +160,7 @@ func (c *Cluster) progressMark() int64 {
 	for _, n := range c.Nodes {
 		m += n.Adapter.Delivered + n.Adapter.DroppedOverflow
 	}
-	if c.grp != nil {
-		for _, e := range c.grp.Engines() {
-			m -= int64(e.Live())
-		}
-	} else {
-		m -= int64(c.Eng.Live())
-	}
-	return m
+	return m - int64(c.Eng.Live())
 }
 
 func (c *Cluster) diagnose() string {
@@ -279,37 +182,21 @@ func (c *Cluster) diagnose() string {
 // process finishing, it stops and returns a *WatchdogError carrying the
 // registered diagnostics instead of spinning forever. Deadlocks are
 // returned as errors rather than panics. budget must exceed the longest
-// legitimate communication-free stretch of the workload. Works identically
-// over serial and sharded (-nodepar) clusters: both engines' Run methods
-// are resumable, and slicing by horizon does not perturb event order. Every
+// legitimate communication-free stretch of the workload. Engine.Run is
+// resumable, and slicing by horizon does not perturb event order. Every
 // return is a final verdict, so — as with Run — the processes still parked
 // are released; the slices in between are pauses and release nothing.
 func (c *Cluster) RunChecked(budget sim.Time) error {
 	if budget <= 0 {
 		panic("hw: RunChecked budget must be positive")
 	}
-	defer c.release()
+	defer c.Eng.Release()
 	last := c.progressMark() - 1 // first slice always counts as progress
 	for horizon := c.Eng.Now() + budget; ; horizon += budget {
-		var err error
-		if c.grp != nil {
-			err = c.grp.Run(horizon)
-		} else {
-			err = c.Eng.Run(horizon)
-		}
-		if err != nil {
+		if err := c.Eng.Run(horizon); err != nil {
 			return err
 		}
-		pending := false
-		if c.grp != nil {
-			pending = c.grp.Pending()
-		} else {
-			pending = c.Eng.Pending()
-		}
-		if !pending {
-			if c.grp != nil {
-				c.Switch.mergeShardStats()
-			}
+		if !c.Eng.Pending() {
 			return nil
 		}
 		cur := c.progressMark()

@@ -19,8 +19,7 @@ type Node struct {
 	// killAt, when nonzero, is the simulated time at or after which this
 	// node is fail-stopped (Cluster.Kill). Kill state is a pure function of
 	// time — no event is scheduled — so every layer that consults it sees
-	// the same answer in serial and sharded runs regardless of same-instant
-	// event ordering.
+	// the same answer regardless of same-instant event ordering.
 	killAt sim.Time
 }
 

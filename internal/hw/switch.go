@@ -109,9 +109,8 @@ type FaultFunc func(pkt *Packet) Verdict
 
 // SrcFaultFunc is a fault hook owned by one injecting node: it sees only
 // that node's packets, in injection order, with the injection-time clock
-// passed in. Because its state (RNG streams, burst counters) is touched from
-// a single shard, per-source hooks work identically in serial and
-// conservative-parallel runs — faults.Plan.CompilePerSource builds them.
+// passed in. Its verdicts are a function of that node's injection sequence
+// alone — faults.Plan.CompilePerSource builds them.
 type SrcFaultFunc func(now sim.Time, pkt *Packet) Verdict
 
 // DropIf adapts a boolean drop predicate to a FaultFunc — the historical
@@ -144,32 +143,14 @@ func (f FaultStats) Total() int64 {
 // completion callback is allocated once at construction and finds its
 // packet at the head of the stage's ring (valid because sim.Server
 // completions fire in submission order).
-//
-// In sharded (conservative-parallel) mode every field of port i is touched
-// only by node i's shard: the injection side runs in the sender's context,
-// and the ejection side runs in the receiver's — the fabric hop between them
-// is the cross-shard mailbox.
 type swPort struct {
-	eng  *sim.Engine // the owning node's engine (== Switch.eng when serial)
-	pool *PacketPool // the owning node's packet pool
-
 	in, out *sim.Server
 
 	injQ ring.Ring[*Packet] // serializing at the injection port
-	fabQ ring.Ring[*Packet] // traversing the fabric latency (serial mode)
+	fabQ ring.Ring[*Packet] // traversing the fabric latency
 	ejQ  ring.Ring[*Packet] // serializing at the ejection port
 
 	injectCB, fabricCB, ejectCB func()
-
-	// Sharded mode only: cross[dst] is the mailbox edge carrying fabric
-	// hops to dst's shard; chaos is this source's private corruption
-	// stream; the counters shadow the switch-wide ones and are folded in
-	// after the run (mergeShardStats).
-	cross  []*sim.Edge
-	chaos  *sim.Rand
-	sent   int64
-	lost   int64
-	faults FaultStats
 }
 
 // Switch models the SP high-performance switch as an input-queued,
@@ -179,17 +160,14 @@ type swPort struct {
 // paper's protocols never exploit them (delivery is kept in order) — so the
 // fabric is contention-free between distinct (src,dst) port pairs.
 type Switch struct {
-	eng   *sim.Engine // serial engine; shard-0's engine in sharded mode
-	grp   *sim.Group  // non-nil in conservative-parallel mode
+	eng   *sim.Engine
 	p     SwitchParams
 	pool  *PacketPool
 	ports []swPort
 	deliv []func(*Packet)
 	Fault FaultFunc
 	// FaultBySrc, when non-nil, is consulted instead of Fault, indexed by
-	// the injecting node. It is the only fault interface allowed in sharded
-	// mode — a single shared FaultFunc closure would be called from every
-	// shard — and faults.Plan.ApplyPerSource installs it.
+	// the injecting node; faults.Plan.ApplyPerSource installs it.
 	FaultBySrc []SrcFaultFunc
 	Sent       int64
 	Lost       int64 // packets lost to drop verdicts (== Faults.Dropped)
@@ -197,11 +175,11 @@ type Switch struct {
 	Faults FaultStats
 	// chaosRng picks corruption bit positions. Created at construction
 	// (fixed seed, drawn from only on corrupt verdicts) so the corruption
-	// path does no lazy setup. Sharded runs use per-port streams instead.
+	// path does no lazy setup.
 	chaosRng *sim.Rand
 	// killAt[i], when nonzero, is the time from which node i's injections
 	// are discarded at the fabric (Cluster.Kill keeps it in sync with the
-	// node's own kill state). Read only from node i's shard.
+	// node's own kill state).
 	killAt []sim.Time
 }
 
@@ -211,63 +189,22 @@ func (s *Switch) SetKillTime(node int, at sim.Time) { s.killAt[node] = at }
 
 const chaosSeed = 0x5eedc0de
 
-// NewSwitch builds a fabric whose port i lives on engs[i] and recycles
-// packets through pools[i]. Serial callers pass the same engine and pool in
-// every slot and a nil group; with a group, the fabric hop between distinct
-// nodes travels a cross-shard mailbox edge drained at window barriers.
-func NewSwitch(engs []*sim.Engine, p SwitchParams, pools []*PacketPool, grp *sim.Group) *Switch {
-	n := len(engs)
-	s := &Switch{eng: engs[0], grp: grp, p: p, pool: pools[0], chaosRng: sim.NewRand(chaosSeed)}
+// NewSwitch builds an n-port fabric on eng that recycles the packets it
+// discards through pool.
+func NewSwitch(eng *sim.Engine, n int, p SwitchParams, pool *PacketPool) *Switch {
+	s := &Switch{eng: eng, p: p, pool: pool, chaosRng: sim.NewRand(chaosSeed)}
 	s.killAt = make([]sim.Time, n)
 	s.ports = make([]swPort, n)
 	s.deliv = make([]func(*Packet), n)
 	for i := 0; i < n; i++ {
 		pt := &s.ports[i]
-		pt.eng = engs[i]
-		pt.pool = pools[i]
-		pt.in = sim.NewServer(engs[i])
-		pt.out = sim.NewServer(engs[i])
+		pt.in = sim.NewServer(eng)
+		pt.out = sim.NewServer(eng)
 		pt.injectCB = func() { s.injectDone(pt) }
 		pt.fabricCB = func() { s.eject(pt.fabQ.Pop()) }
 		pt.ejectCB = func() { s.ejectDone(pt) }
 	}
-	if grp != nil {
-		// One mailbox edge per ordered node pair, created in (src, dst)
-		// order: the edge index is the deterministic tie-break when two
-		// fabric hops reach a barrier with equal timestamps, so drain order
-		// is a pure function of the traffic — independent of the shard
-		// count. eject reads the destination from the packet itself, so one
-		// delivery closure serves every edge.
-		ejectFn := func(payload any) { s.eject(payload.(*Packet)) }
-		for src := 0; src < n; src++ {
-			pt := &s.ports[src]
-			pt.cross = make([]*sim.Edge, n)
-			pt.chaos = sim.NewRand(chaosSeed ^ uint64(src+1)*0x9e3779b97f4a7c15)
-			for dst := 0; dst < n; dst++ {
-				if dst == src {
-					continue
-				}
-				pt.cross[dst] = grp.Edge(engs[src], engs[dst], ejectFn)
-			}
-		}
-	}
 	return s
-}
-
-// mergeShardStats folds the per-port counters into the switch-wide fields
-// after a sharded run; during the run each source port counts privately on
-// its own shard.
-func (s *Switch) mergeShardStats() {
-	for i := range s.ports {
-		pt := &s.ports[i]
-		s.Sent += pt.sent
-		s.Lost += pt.lost
-		s.Faults.Dropped += pt.faults.Dropped
-		s.Faults.Duplicated += pt.faults.Duplicated
-		s.Faults.Delayed += pt.faults.Delayed
-		s.Faults.Corrupted += pt.faults.Corrupted
-		pt.sent, pt.lost, pt.faults = 0, 0, FaultStats{}
-	}
 }
 
 // Attach registers the delivery callback for a node's ejection port (called
@@ -285,72 +222,52 @@ func (s *Switch) xferTime(bytes int) sim.Time {
 // and ejection serialization. Loopback (src == dst) skips the fabric but
 // still pays the ejection port, matching the adapter's self-send path.
 func (s *Switch) Send(pkt *Packet) {
-	pt := &s.ports[pkt.Src]
-	if at := s.killAt[pkt.Src]; at > 0 && pt.eng.Now() >= at {
+	if at := s.killAt[pkt.Src]; at > 0 && s.eng.Now() >= at {
 		// Fail-stopped source: anything still draining out of its adapter
 		// pipeline after the kill instant never reaches the wire.
-		pt.pool.Put(pkt)
+		s.pool.Put(pkt)
 		return
 	}
-	if s.grp != nil {
-		pt.sent++
-	} else {
-		s.Sent++
-	}
+	s.Sent++
 	var v Verdict
 	haveFault := false
 	switch {
 	case s.FaultBySrc != nil && s.FaultBySrc[pkt.Src] != nil:
-		v = s.FaultBySrc[pkt.Src](pt.eng.Now(), pkt)
+		v = s.FaultBySrc[pkt.Src](s.eng.Now(), pkt)
 		haveFault = true
 	case s.Fault != nil:
-		if s.grp != nil {
-			panic("hw: Switch.Fault is serial-only; sharded runs need FaultBySrc (faults.Plan.ApplyPerSource)")
-		}
 		v = s.Fault(pkt)
 		haveFault = true
 	}
 	if haveFault {
 		if v.Action != ActDeliver {
-			if rec := pt.eng.Tracer(); rec != nil {
-				rec.Emit(int64(pt.eng.Now()), trace.EvFault, pkt.Src, pkt.TraceID,
+			if rec := s.eng.Tracer(); rec != nil {
+				rec.Emit(int64(s.eng.Now()), trace.EvFault, pkt.Src, pkt.TraceID,
 					int64(v.Action), v.Action.String())
 			}
 		}
-		fs := &s.Faults
-		if s.grp != nil {
-			fs = &pt.faults
-		}
 		switch v.Action {
 		case ActDrop:
-			if s.grp != nil {
-				pt.lost++
-			} else {
-				s.Lost++
-			}
-			fs.Dropped++
-			pt.pool.Put(pkt)
+			s.Lost++
+			s.Faults.Dropped++
+			s.pool.Put(pkt)
 			return
 		case ActDuplicate:
-			fs.Duplicated++
-			dup := pt.pool.Get()
+			s.Faults.Duplicated++
+			dup := s.pool.Get()
 			*dup = *pkt
 			// The copy shares the original's Data (never pooled at this
 			// point: a packet gets at most one verdict, and only corrupt
 			// verdicts attach pooled payloads).
 			s.route(dup)
 		case ActDelay:
-			fs.Delayed++
-			pt.eng.After(v.Delay, func() { s.route(pkt) })
+			s.Faults.Delayed++
+			s.eng.After(v.Delay, func() { s.route(pkt) })
 			return
 		case ActCorrupt:
-			fs.Corrupted++
-			rng := s.chaosRng
-			if s.grp != nil {
-				rng = pt.chaos
-			}
-			if !s.corruptPacket(pkt, rng, pt.pool) {
-				pt.pool.Put(pkt) // nothing corruptible: the packet is unusable
+			s.Faults.Corrupted++
+			if !s.corruptPacket(pkt) {
+				s.pool.Put(pkt) // nothing corruptible: the packet is unusable
 				return
 			}
 		}
@@ -368,17 +285,15 @@ func (s *Switch) route(pkt *Packet) {
 	pt.injQ.Push(pkt)
 	sta := pt.in.IdleAt()
 	end := pt.in.Submit(s.xferTime(pkt.WireBytes()), pt.injectCB)
-	if rec := pt.eng.Tracer(); rec != nil && pkt.TraceID != 0 {
+	if rec := s.eng.Tracer(); rec != nil && pkt.TraceID != 0 {
 		rec.Emit(int64(sta), trace.EvInjectSta, pkt.Src, pkt.TraceID, 0, "")
 		rec.Emit(int64(end), trace.EvInjectEnd, pkt.Src, pkt.TraceID, 0, "")
 	}
 }
 
-// lane maps a (src, dst) node pair to its fabric-hop ordering lane — the
-// same index the sharded constructor assigns the pair's mailbox edge (src
-// major, dst minor, self pair skipped). Serial and sharded runs must agree
-// on this number: it is the last tie-break component of a delivery's
-// ordering key.
+// lane maps a (src, dst) node pair to its fabric-hop ordering lane (src
+// major, dst minor, self pair skipped): the last tie-break component of a
+// delivery's ordering key (see sim.Engine.AfterKeyed).
 func (s *Switch) lane(src, dst int) uint64 {
 	if dst > src {
 		dst--
@@ -388,22 +303,13 @@ func (s *Switch) lane(src, dst int) uint64 {
 
 // injectDone fires when the injection port finishes serializing its oldest
 // packet: the packet enters the fabric for the (constant) switch latency.
-// Constant latency plus FIFO event ordering keeps fabQ in arrival order
-// (one source's hops never share a timestamp — injection serializes them).
-// In sharded mode the fabric hop is the cross-shard channel: the packet
-// arrives at the destination port exactly one switch latency — the group's
-// lookahead — later, via the barrier-drained mailbox edge. The serial hop
-// is scheduled through AfterKeyed with the pair's lane so it carries the
-// identical (at, pushAt, causeAt, lane) ordering key: deliveries that tie
-// with local events or with hops from other sources break the tie the same
-// way in both modes, which is what keeps serial and -nodepar runs
-// byte-identical under many-to-one traffic.
+// Constant latency plus the keyed order keeps fabQ in arrival order (one
+// source's hops never share a timestamp — injection serializes them). The
+// hop is keyed by the pair's lane, so deliveries that tie with local events
+// or with hops from other sources are ordered by the traffic, not by which
+// sender's event popped first.
 func (s *Switch) injectDone(pt *swPort) {
 	pkt := pt.injQ.Pop()
-	if s.grp != nil {
-		pt.cross[pkt.Dst].Send(pt.eng.Now()+s.p.Latency, pkt)
-		return
-	}
 	pt.fabQ.Push(pkt)
 	n := len(s.ports)
 	s.eng.AfterKeyed(s.p.Latency, s.lane(pkt.Src, pkt.Dst), uint64(n*(n-1)), pt.fabricCB)
@@ -415,7 +321,7 @@ func (s *Switch) eject(pkt *Packet) {
 	pt.ejQ.Push(pkt)
 	sta := pt.out.IdleAt()
 	end := pt.out.Submit(s.xferTime(pkt.WireBytes()), pt.ejectCB)
-	if rec := pt.eng.Tracer(); rec != nil && pkt.TraceID != 0 {
+	if rec := s.eng.Tracer(); rec != nil && pkt.TraceID != 0 {
 		rec.Emit(int64(sta), trace.EvEjectSta, pkt.Dst, pkt.TraceID, 0, "")
 		rec.Emit(int64(end), trace.EvEjectEnd, pkt.Dst, pkt.TraceID, 0, "")
 	}
@@ -433,14 +339,15 @@ func (s *Switch) ejectDone(pt *swPort) {
 // modified (Data may alias a retransmission source), so corrupt copies
 // never alias pooled or sender-owned buffers. Returns false when the packet
 // has nothing corruptible to flip.
-func (s *Switch) corruptPacket(pkt *Packet, rng *sim.Rand, pool *PacketPool) bool {
+func (s *Switch) corruptPacket(pkt *Packet) bool {
+	rng := s.chaosRng
 	hasHdr := pkt.Hdr.Kind.amKind()
 	if hasHdr && (len(pkt.Data) == 0 || rng.Intn(4) == 0) {
 		pkt.Hdr.corruptIn(rng)
 		return true
 	}
 	if len(pkt.Data) > 0 {
-		data := pool.GetData(len(pkt.Data))
+		data := s.pool.GetData(len(pkt.Data))
 		copy(data, pkt.Data)
 		data[rng.Intn(len(data))] ^= 1 << uint(rng.Intn(8))
 		pkt.Data = data
@@ -453,7 +360,7 @@ func (s *Switch) corruptPacket(pkt *Packet, rng *sim.Rand, pool *PacketPool) boo
 // Util returns the busy fractions of a node's injection and ejection ports
 // up to the current time (diagnostics for bandwidth experiments).
 func (s *Switch) Util(node int) (in, out float64) {
-	now := float64(s.ports[node].eng.Now())
+	now := float64(s.eng.Now())
 	if now == 0 {
 		return 0, 0
 	}

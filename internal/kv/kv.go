@@ -89,7 +89,6 @@ type Config struct {
 	Seed uint64 // run seed (default 1); client node i forks a derived stream
 
 	Slots        int      // in-flight request slots per client node (default 256, max 4096)
-	InflightCap  int      // per-server outstanding cap per client (default 64 < request window 72)
 	RetryBackoff sim.Time // lock-denial retry delay before doubling (default 20us)
 	MaxAttempts  int      // lock rounds before a Conflict give-up (default 64, max 65535)
 
@@ -100,15 +99,20 @@ type Config struct {
 	CacheOff  bool     // disable the client read cache and GET coalescing
 	CacheSize int      // cache entries per client node (default 4096)
 	Lease     sim.Time // read-lease duration (default 100ms)
-	HolderCap int      // tracked lease holders per key (default/max 4)
 
 	// Write coalescing: PUTs bound for one shard share a transaction.
 	BatchOps    int      // max PUTs per transaction (default 16, max 32; 1 = no coalescing)
 	BatchWindow sim.Time // flush window: max simulated-time wait to fill a vector (default 20us)
 	BackoffCap  int      // max lock-retry backoff doublings (default 6)
 
-	NodePar  int      // intra-run PDES shards (0 = hw.DefaultNodePar)
-	Watchdog sim.Time // RunChecked no-progress budget (default 200ms)
+	NodePar int // accepted and ignored: benchmark/ sets it
+}
+
+// Validate reports the error New would return for c, without building
+// anything: commands call it on flag-built configs before a sweep starts.
+func (c Config) Validate() error {
+	_, err := c.withDefaults()
+	return err
 }
 
 // withDefaults fills the zero values and validates the shape.
@@ -155,9 +159,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Slots > maxSlots {
 		return c, fmt.Errorf("kv: Slots %d exceeds max %d", c.Slots, maxSlots)
 	}
-	if c.InflightCap <= 0 {
-		c.InflightCap = 64
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = hw.US(20)
 	}
@@ -172,9 +173,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Lease <= 0 {
 		c.Lease = hw.US(100_000)
-	}
-	if c.HolderCap <= 0 || c.HolderCap > holderMax {
-		c.HolderCap = holderMax
 	}
 	if c.BatchOps <= 0 {
 		c.BatchOps = 16
@@ -200,9 +198,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.KillServer >= c.Servers {
 		return c, fmt.Errorf("kv: KillServer %d out of range", c.KillServer)
 	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 200 * hw.US(1000)
-	}
 	return c, nil
 }
 
@@ -225,7 +220,10 @@ const (
 	maxKeys     = 2    // keys per Batch
 	maxReplicas = 3
 	maxTargets  = maxKeys * maxReplicas
-	holderMax   = 4 // inline lease-holder slots per key (see holderSet)
+	holderMax   = 4 // tracked lease holders per key (see holderSet)
+
+	inflightCap = 64                   // per-server outstanding cap per client, below am's request window of 72
+	watchdog    = 200 * hw.Millisecond // Run's no-progress budget (hw.Cluster.RunChecked)
 )
 
 // Service is one instantiated kv cluster: servers, clients, and the shared
@@ -243,16 +241,15 @@ type Service struct {
 
 	stageSeg int // staging segment id, identical on every server
 
-	// staleCheck, when set (tests; serial runs only, since it reads server
-	// state from the client's process), observes every cache-served GET:
-	// (key, served version, serve time). It must not mutate anything.
+	// staleCheck, when set (tests), observes every cache-served GET: (key,
+	// served version, serve time). It must not mutate anything.
 	staleCheck func(key, ver uint32, now sim.Time)
 
-	// batchInvalCheck, when set (tests; serial runs only), observes every
-	// version bump of a staged commit vector: (key, invalidation pushes
-	// queued, unexpired tracked holders). The push protocol queues one per
-	// live holder — including the writer, whose one-word reply cannot carry
-	// per-key versions. It must not mutate anything.
+	// batchInvalCheck, when set (tests), observes every version bump of a
+	// staged commit vector: (key, invalidation pushes queued, unexpired
+	// tracked holders). The push protocol queues one per live holder —
+	// including the writer, whose one-word reply cannot carry per-key
+	// versions. It must not mutate anything.
 	batchInvalCheck func(key uint32, queued, live int)
 }
 
@@ -265,7 +262,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	hc := hw.DefaultConfig(cfg.Servers + cfg.ClientNodes)
 	hc.Seed = cfg.Seed
-	hc.NodePar = cfg.NodePar
 	c := hw.NewCluster(hc)
 	sys := am.NewWithOptions(c, cfg.amOptions())
 	svc := &Service{
@@ -472,8 +468,7 @@ func fold(dst, src reflect.Value, reg *trace.Registry) {
 }
 
 // Result aggregates one run: the counters summed over nodes and the fail-stop
-// report for kill runs. All fields are deterministic — byte-identical serial
-// vs -nodepar.
+// report for kill runs. All fields are deterministic.
 type Result struct {
 	Counters
 
@@ -503,14 +498,13 @@ func (r *Result) HitRate() float64 {
 // Run drives the simulation to completion and gathers the result. The
 // liveness watchdog converts a wedged run into an error instead of a hang.
 func (svc *Service) Run() (*Result, error) {
-	if err := svc.cluster.RunChecked(svc.cfg.Watchdog); err != nil {
+	if err := svc.cluster.RunChecked(watchdog); err != nil {
 		return nil, err
 	}
 	return svc.gather(), nil
 }
 
-// Events reports the simulation events executed so far, summed over shards:
-// the deterministic proxy for what a run costs the host.
+// Events reports the simulation events executed so far: the deterministic proxy for what a run costs the host.
 func (svc *Service) Events() int64 { return svc.cluster.Events() }
 
 // Run builds and executes cfg in one call.

@@ -104,51 +104,25 @@ func TestKVBatchAtomicity(t *testing.T) {
 	}
 }
 
-// TestKVNodeParDeterminism: the full Result — histograms, counters, and
-// protocol statistics — must be identical between a serial run and a
-// 4-shard conservative-parallel run.
-func TestKVNodeParDeterminism(t *testing.T) {
-	run := func(nodePar int) *Result {
-		cfg := testConfig(3000)
-		cfg.NodePar = nodePar
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(1)
-	sharded := run(4)
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("serial and -nodepar 4 results diverge:\nserial:  %+v\nsharded: %+v", serial, sharded)
-	}
-}
-
 // TestKVFailoverSoak kills a server mid-run: every request must still reach
 // a reply or a typed error in bounded simulated time, the detection latency
-// and unavailability window must be reported and bounded, and the verdict
-// must be identical serial vs -nodepar 4.
+// and unavailability window must be reported and bounded.
 func TestKVFailoverSoak(t *testing.T) {
-	run := func(nodePar int) *Result {
-		cfg := testConfig(6000)
-		cfg.Rate = 200e3 // below saturation: clients see empty polls, so detection is prompt
-		cfg.KillServer = 1
-		cfg.KillAt = hw.US(3000)
-		cfg.NodePar = nodePar
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := testConfig(6000)
+	cfg.Rate = 200e3 // below saturation: clients see empty polls, so detection is prompt
+	cfg.KillServer = 1
+	cfg.KillAt = hw.US(3000)
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := run(1)
+	res, err := svc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	if got := res.Completed + res.Conflicts + res.Unavail; got != res.Issued {
 		t.Fatalf("outcomes %d != issued %d after kill", got, res.Issued)
 	}
@@ -164,9 +138,6 @@ func TestKVFailoverSoak(t *testing.T) {
 	// With 2 replicas and one kill every shard keeps a live replica.
 	if res.Unavail != 0 {
 		t.Fatalf("%d Unavailable outcomes despite a surviving replica per shard", res.Unavail)
-	}
-	if sharded := run(4); !reflect.DeepEqual(res, sharded) {
-		t.Fatalf("failover verdict diverges under -nodepar 4:\nserial:  %+v\nsharded: %+v", res, sharded)
 	}
 }
 
@@ -351,33 +322,30 @@ func TestKVCacheBookkeeping(t *testing.T) {
 }
 
 // TestKVCacheDeterminismSoak: the cached service — LRU state, coalescing
-// chains, invalidation pushes and all — must produce byte-identical Results
-// serial vs 2-, 4-, and 8-shard conservative-parallel runs.
+// chains, invalidation pushes and all — must produce the identical Result
+// every time it runs.
 func TestKVCacheDeterminismSoak(t *testing.T) {
-	run := func(nodePar int) *Result {
+	run := func() *Result {
 		cfg := testConfig(6000)
 		cfg.Keys = 1 << 10
 		cfg.Zipf = 1.3
 		cfg.CacheSize = 256
-		cfg.NodePar = nodePar
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(1)
-	if serial.CacheHits == 0 || serial.InvalsRecv == 0 {
-		t.Fatalf("soak isn't exercising the cache: hits=%d invals=%d", serial.CacheHits, serial.InvalsRecv)
+	first := run()
+	if first.CacheHits == 0 || first.InvalsRecv == 0 {
+		t.Fatalf("soak isn't exercising the cache: hits=%d invals=%d", first.CacheHits, first.InvalsRecv)
 	}
-	for _, np := range []int{2, 4, 8} {
-		if sharded := run(np); !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("cached run diverges at -nodepar %d:\nserial:  %+v\nsharded: %+v", np, serial, sharded)
-		}
+	if again := run(); !reflect.DeepEqual(first, again) {
+		t.Fatalf("cached run differs from its re-run:\nfirst: %+v\nagain: %+v", first, again)
 	}
 }
 
-// staleOracle attaches a staleCheck hook (serial runs only) that verifies
+// staleOracle attaches a staleCheck hook that verifies
 // the lease bound on every cache-served GET: a served version may trail the
 // committed one only while the newest commit is younger than the lease (plus
 // slack for replica apply skew — KeyVersion reports the *earliest* live
@@ -445,22 +413,15 @@ func TestKVLeaseExpiryBound(t *testing.T) {
 
 // TestKVCacheKillSoak kills a server mid-run with the cache on: failover
 // re-commits and dead lease holders must never widen the staleness bound
-// (oracle + client-side check), replicas must stay convergent, and the
-// verdict must be identical serial vs -nodepar 4.
+// (oracle + client-side check), and replicas must stay convergent.
 func TestKVCacheKillSoak(t *testing.T) {
-	mkCfg := func(nodePar int) Config {
-		cfg := testConfig(6000)
-		cfg.Keys = 1 << 10
-		cfg.Zipf = 1.3
-		cfg.Rate = 200e3
-		cfg.KillServer = 1
-		cfg.KillAt = hw.US(3000)
-		cfg.NodePar = nodePar
-		return cfg
-	}
-	// Serial run with the staleness oracle attached (it reads server state
-	// from the client's process, so it is serial-only).
-	svc, err := New(mkCfg(1))
+	cfg := testConfig(6000)
+	cfg.Keys = 1 << 10
+	cfg.Zipf = 1.3
+	cfg.Rate = 200e3
+	cfg.KillServer = 1
+	cfg.KillAt = hw.US(3000)
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,17 +442,6 @@ func TestKVCacheKillSoak(t *testing.T) {
 	}
 	if err := svc.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	// Determinism: the same config without the oracle, serial vs sharded.
-	run := func(nodePar int) *Result {
-		res, err := Run(mkCfg(nodePar))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if serial, sharded := run(1), run(4); !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("cached kill run diverges under -nodepar 4:\nserial:  %+v\nsharded: %+v", serial, sharded)
 	}
 }
 
@@ -568,31 +518,27 @@ func TestKVWriteBookkeeping(t *testing.T) {
 }
 
 // TestKVWriteDeterminismSoak: the batched write path — flush windows,
-// grant bitmaps, exponential backoff draws and all — must produce
-// byte-identical Results serial vs 2-, 4-, and 8-shard conservative-
-// parallel runs on the write-heavy mix.
+// grant bitmaps, exponential backoff draws and all — must produce the
+// identical Result every time it runs on the write-heavy mix.
 func TestKVWriteDeterminismSoak(t *testing.T) {
-	run := func(nodePar int) *Result {
+	run := func() *Result {
 		cfg := testConfig(6000)
 		cfg.Keys = 1 << 10
 		cfg.Zipf = 1.3
 		cfg.Mix = load.WriteHeavyMix()
-		cfg.NodePar = nodePar
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(1)
-	if serial.WriteBatches == 0 || serial.CombinedPuts == 0 || serial.Backoffs == 0 {
+	first := run()
+	if first.WriteBatches == 0 || first.CombinedPuts == 0 || first.Backoffs == 0 {
 		t.Fatalf("soak isn't exercising batching: batches=%d combined=%d backoffs=%d",
-			serial.WriteBatches, serial.CombinedPuts, serial.Backoffs)
+			first.WriteBatches, first.CombinedPuts, first.Backoffs)
 	}
-	for _, np := range []int{2, 4, 8} {
-		if sharded := run(np); !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("write-heavy run diverges at -nodepar %d:\nserial:  %+v\nsharded: %+v", np, serial, sharded)
-		}
+	if again := run(); !reflect.DeepEqual(first, again) {
+		t.Fatalf("write-heavy run differs from its re-run:\nfirst: %+v\nagain: %+v", first, again)
 	}
 }
 
@@ -645,32 +591,27 @@ func TestKVBatchInvalOracle(t *testing.T) {
 
 // TestKVWriteKillSoak kills a server mid-run on the write-heavy mix: rounds
 // caught by the death at any phase must release their latches and re-drive
-// their members through the shard queues, every request must still reach a
-// terminal outcome, and the verdict must be identical serial vs -nodepar 4.
+// their members through the shard queues, and every request must still
+// reach a terminal outcome.
 func TestKVWriteKillSoak(t *testing.T) {
-	run := func(nodePar int) *Result {
-		cfg := testConfig(6000)
-		cfg.Keys = 1 << 10
-		cfg.Zipf = 1.3
-		cfg.Rate = 200e3
-		cfg.Mix = load.WriteHeavyMix()
-		cfg.KillServer = 1
-		cfg.KillAt = hw.US(3000)
-		cfg.NodePar = nodePar
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := svc.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := testConfig(6000)
+	cfg.Keys = 1 << 10
+	cfg.Zipf = 1.3
+	cfg.Rate = 200e3
+	cfg.Mix = load.WriteHeavyMix()
+	cfg.KillServer = 1
+	cfg.KillAt = hw.US(3000)
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := run(1)
+	res, err := svc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	if got := res.Completed + res.Conflicts + res.Unavail; got != res.Issued {
 		t.Fatalf("outcomes %d != issued %d after kill", got, res.Issued)
 	}
@@ -679,8 +620,5 @@ func TestKVWriteKillSoak(t *testing.T) {
 	}
 	if res.Unavail != 0 {
 		t.Fatalf("%d Unavailable outcomes despite a surviving replica per shard", res.Unavail)
-	}
-	if sharded := run(4); !reflect.DeepEqual(res, sharded) {
-		t.Fatalf("write-heavy kill run diverges under -nodepar 4:\nserial:  %+v\nsharded: %+v", res, sharded)
 	}
 }

@@ -122,7 +122,7 @@ func (s *server) registerHolder(now sim.Time, sh *shard, key uint32, src int) {
 		}
 	}
 	switch {
-	case int(h.n) < s.svc.cfg.HolderCap:
+	case int(h.n) < holderMax:
 		h.cl[h.n], h.exp[h.n] = cli, exp
 		h.n++
 	case free >= 0:

@@ -173,13 +173,12 @@ func (cl *client) primary(sh int) int {
 // round about to be sent (all-or-nothing); on failure the transaction parks
 // on the deferral ring and the round is retried next loop iteration.
 func (cl *client) reserve(ti uint32, dst []int8) bool {
-	cap32 := int32(cl.svc.cfg.InflightCap)
 	for _, d := range dst {
 		cl.need[d]++
 	}
 	ok := true
 	for _, d := range dst {
-		if cl.inflight[d]+cl.need[d] > cap32 {
+		if cl.inflight[d]+cl.need[d] > inflightCap {
 			ok = false
 		}
 		cl.need[d] = 0

@@ -7,7 +7,7 @@ import (
 
 // TestEngineSteadyStateZeroAlloc makes the "0 allocs/op" column of the
 // benchmarks in engine_bench_test.go a requirement: once its pools, heap and
-// run queue have grown to size, the serial engine schedules, pops and
+// run queue have grown to size, the engine schedules, pops and
 // dispatches events and hands control between processes without allocating.
 // Each case is the benchmark of the same name cut into repeatable steps.
 //
@@ -100,25 +100,6 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 					c.Wait(p)
 					a.Signal()
 				}
-			})
-		}},
-		{"Edge drain", func() float64 {
-			const nedges, batch = 15, 256
-			g := NewGroup(1, 2, 500)
-			src, dst := g.Engines()[0], g.Engines()[1]
-			edges := make([]*Edge, nedges)
-			for i := range edges {
-				edges[i] = g.Edge(src, dst, func(any) {})
-			}
-			g.prepare()
-			at := Time(0)
-			return testing.AllocsPerRun(runs, func() {
-				for i := 0; i < batch; i++ {
-					at += 7
-					edges[i%nedges].staged.Push(crossEntry{at: at, pushAt: at - 500, causeAt: at - 500})
-				}
-				g.drainShard(g.workers[1])
-				dst.RunAll()
 			})
 		}},
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // Host-time microbenchmarks of the engine hot paths. Unlike the simulated
 // benchmarks at the repo root (whose Go ns/op is meaningless), these measure
@@ -159,74 +156,4 @@ func BenchmarkCondSignalPingPong(b *testing.B) {
 	})
 	e.RunAll()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkWindowBarrier measures the group scheduler's per-window
-// coordination cost: every shard re-chains one event per window
-// (self-rechaining After at exactly one lookahead), so every window has all
-// shards active and each op is one full barrier cycle — release all shards,
-// run one trivial event each, arrive, decide. ns/op is the floor a window
-// pays on top of its events; on a 1-CPU host it is dominated by the
-// park/unpark goroutine switches, with real parallelism most releases are
-// absorbed by the spin loop.
-func BenchmarkWindowBarrier(b *testing.B) {
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			g := NewGroup(1, shards, 500)
-			for _, e := range g.Engines() {
-				e := e
-				n := 0
-				var step func()
-				step = func() {
-					n++
-					if n < b.N {
-						e.After(500, step)
-					}
-				}
-				e.After(500, step)
-			}
-			b.ResetTimer()
-			g.RunAll()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows/sec")
-		})
-	}
-}
-
-// BenchmarkEdgeDrain measures the batched mailbox drain in isolation: each
-// op moves one staged cross entry into its destination's delivery queue and
-// event heap (no window scheduling, no barrier). The staging pattern mirrors
-// a busy switch — entries spread over 15 edges into one shard, drained in
-// one batched pass per edge.
-func BenchmarkEdgeDrain(b *testing.B) {
-	const nedges = 15
-	g := NewGroup(1, 2, 500)
-	src, dst := g.Engines()[0], g.Engines()[1]
-	edges := make([]*Edge, nedges)
-	for i := range edges {
-		edges[i] = g.Edge(src, dst, func(any) {})
-	}
-	g.prepare()
-	w := g.workers[1]
-	const batch = 4096 // entries staged per drain pass
-	at := Time(0)
-	done := 0
-	for done < b.N {
-		n := batch
-		if n > b.N-done {
-			n = b.N - done
-		}
-		b.StopTimer()
-		for i := 0; i < n; i++ {
-			at += 7
-			edges[i%nedges].staged.Push(crossEntry{at: at, pushAt: at - 500, causeAt: at - 500})
-		}
-		b.StartTimer()
-		g.drainShard(w)
-		done += n
-		// Consume the heap outside the timer so it cannot grow unboundedly.
-		b.StopTimer()
-		dst.RunAll()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
 }

@@ -182,7 +182,7 @@ func (c *Cond) Wait(p *Proc) {
 // pending — it skips the queues entirely and is parked in the engine's
 // handoff slot, which every scheduler loop consumes first. Any event pushed
 // after this Signal carries a larger seq and would run after the wakeup
-// regardless, so the fast path preserves the exact serial order.
+// regardless, so the fast path preserves the queue-based order.
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return

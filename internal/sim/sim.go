@@ -65,14 +65,11 @@ type event struct {
 // the run queue; it is what makes event execution order a pure function of
 // the schedule calls, independent of Go's scheduler.
 //
-// On a serial engine pushAt is redundant: pushes happen in clock order, so
-// seq alone already sorts same-time events by when they were scheduled, and
-// (at, pushAt, seq) orders identically to (at, seq). It exists for sharded
-// runs (group.go), where a cross-shard arrival is physically pushed at a
-// window barrier — later than every local event of the window — but must
-// order among same-time local events by the time its sender injected it,
-// exactly as it would have in a serial run. Carrying the logical time in the
-// key makes the two modes' orders coincide.
+// Among events pushed by At, After and process wake-ups pushAt is redundant:
+// pushes happen in clock order, so seq alone sorts same-time events by when
+// they were scheduled. It is in the key for AfterKeyed events, whose seq is
+// not a push counter: pushAt places them among same-time local events by
+// when they were scheduled.
 func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -146,16 +143,10 @@ type Engine struct {
 
 	tracer *trace.Recorder
 
-	// curPushAt is the logical schedule time (pushAt) of the event currently
-	// executing — the second component of its ordering key. Edge.Send stamps
-	// it onto cross-shard entries as the cause's schedule time, one more
-	// level of the causal chain for the drain's tie-break (see group.go).
+	// curPushAt is the schedule time (pushAt) of the event currently
+	// executing — the second component of its ordering key, and the cause
+	// component of the keys AfterKeyed composes.
 	curPushAt Time
-
-	// Conservative-parallel fields, used only when the engine is one shard
-	// of a Group (see group.go); all zero on a serial engine.
-	shard   int  // index within the group
-	soloing bool // inside a solo window: a cross send re-bounds horizon
 
 	// EventsRun counts executed events (performance/sanity diagnostics).
 	EventsRun int64
@@ -163,9 +154,7 @@ type Engine struct {
 
 // NewEngine returns an engine with its clock at zero and a deterministic
 // random stream derived from seed. The local seq counter starts at
-// crossSeqBase so that keyed network events — cross-shard arrivals in a
-// group, AfterKeyed deliveries on a serial engine — always precede local
-// events among same-(at, pushAt) ties, in both execution modes.
+// crossSeqBase (see AfterKeyed).
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
 		seq: crossSeqBase,
@@ -203,36 +192,21 @@ func (e *Engine) push(t Time, fn func()) {
 	e.heapPush(event{at: t, pushAt: e.now, seq: e.seq, fn: fn})
 }
 
-// crossSeqBase offsets every engine's local seq counter (set by NewEngine)
-// so that keyed arrivals — whose seq encodes (cause schedule time, lane
-// index), always below the base — precede local events among same-(at,
-// pushAt) ties. Cross events must not use the local counter: the barrier at
-// which a sharded arrival is physically pushed depends on the window
-// schedule, so a counter seq would make tie order a function of the shard
-// packing instead of the traffic. Serial engines share the base (and the
-// AfterKeyed key construction) so the two modes' tie order coincides.
+// crossSeqBase is where every engine's local seq counter starts, so that
+// AfterKeyed events, whose seq is always below it, precede local events
+// among same-(at, pushAt) ties.
 const crossSeqBase = uint64(1) << 62
 
-// pushCross schedules fn at t carrying an explicit logical schedule time —
-// the group drain's entry point for cross-shard arrivals, whose cause ran on
-// another shard at pushAt < t — and a pre-composed seq encoding (cause
-// schedule time, edge index), both shard-count-invariant. (at, pushAt, seq)
-// is unique: one edge's deliveries are serialized by its source, so they
-// never share a timestamp. t must be strictly in this engine's future.
-func (e *Engine) pushCross(t, pushAt Time, fn func(), seq uint64) {
-	e.heapPush(event{at: t, pushAt: pushAt, seq: seq, fn: fn})
-}
-
-// AfterKeyed schedules fn to run d (> 0) nanoseconds from now carrying the
-// cross-arrival ordering key a group drain would give it: pushAt is the
-// current clock and seq encodes (schedule time of the currently executing
-// event, lane) — the same (causeAt, edge-index) composition pushCross uses,
-// with lane playing the edge-index role among `lanes` total. A serial
-// engine delivering network hops through AfterKeyed therefore breaks
-// same-(at, pushAt) ties exactly as a sharded run does — by the causal
-// chain and then the lane — instead of by local push order, which is what
-// keeps serial and sharded runs of one workload byte-identical even when
-// deliveries tie with local events or with each other.
+// AfterKeyed schedules fn to run d (> 0) nanoseconds from now with an
+// ordering key that does not depend on push order: pushAt is the current
+// clock and seq is (schedule time of the currently executing event) × lanes
+// + lane. Among events that tie on (at, pushAt), keyed ones therefore run
+// before local ones, and among themselves by what caused them and then by
+// lane, whichever was pushed first. The switch delivers every fabric hop
+// this way, one lane per (source, destination) pair — a key is unique
+// because a source serializes its injections — so the order in which
+// same-instant arrivals reach their nodes is a function of the traffic, not
+// of the order the senders' events happened to pop. The kv goldens pin it.
 func (e *Engine) AfterKeyed(d Time, lane, lanes uint64, fn func()) {
 	e.heapPush(event{at: e.now + d, pushAt: e.now, seq: uint64(e.curPushAt)*lanes + lane, fn: fn})
 }
@@ -305,7 +279,7 @@ func (e *Engine) heapPop() event {
 	return top
 }
 
-// nextEvent removes and returns the next event in (at, seq) order, or
+// nextEvent removes and returns the next event in (at, pushAt, seq) order, or
 // reports false when the run is over (queue empty, or every remaining event
 // lies beyond the horizon). Run-queue entries are at the current time; they
 // run before any heap event scheduled later, but after heap events at now
@@ -373,10 +347,10 @@ func (e *Engine) exec(self *Proc) bool {
 	}
 }
 
-// drive is the one loop that switches processes, under Run and runWindow:
-// resume the process running names; when there is none — at the start, or
-// after one finished — execute events here until one wakes a process. It
-// returns when the run is over. A process's panic surfaces here, in resume.
+// drive is the one loop that switches processes, under Run: resume the
+// process running names; when there is none — at the start, or after one
+// finished — execute events here until one wakes a process. It returns when
+// the run is over. A process's panic surfaces here, in resume.
 func (e *Engine) drive() {
 	for {
 		if p := e.running; p != nil {
@@ -416,29 +390,6 @@ func (e *Engine) Run(horizon Time) error {
 	return nil
 }
 
-// runWindow executes every event strictly before bound and returns. It is
-// the per-shard body of one conservative window (see Group): unlike Run it
-// performs no deadlock check — a shard may legitimately idle mid-run waiting
-// for cross-shard arrivals — and leaves now at the last executed event. A
-// solo window may lower e.horizon mid-flight (Edge.Send), which the event
-// loop observes on the next pop.
-func (e *Engine) runWindow(bound Time) {
-	e.horizon = bound - 1
-	e.drive()
-}
-
-// nextTime reports the time of the engine's earliest pending event (the
-// group scheduler's window-placement input).
-func (e *Engine) nextTime() (Time, bool) {
-	if e.handoff != nil || e.runqHead < len(e.runq) {
-		return e.now, true
-	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
-	}
-	return 0, false
-}
-
 // Live reports the number of workload (non-daemon) processes that have not
 // finished.
 func (e *Engine) Live() int { return e.live }
@@ -447,8 +398,7 @@ func (e *Engine) Live() int { return e.live }
 // event, a runnable process, or a pending handoff. After Run returned at a
 // horizon it distinguishes "paused" from "finished".
 func (e *Engine) Pending() bool {
-	_, ok := e.nextTime()
-	return ok
+	return e.handoff != nil || e.runqHead < len(e.runq) || len(e.events) > 0
 }
 
 // RunAll runs with no horizon and panics on deadlock; it is the common form

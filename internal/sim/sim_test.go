@@ -218,8 +218,7 @@ func TestRunHorizonStopsEarly(t *testing.T) {
 
 // TestProcPanicReachesRun: a panic inside a simulated process comes out of
 // Run, in the goroutine that called it, with its value intact, and leaves
-// the engine naming no process as running. Under a Group the shard worker
-// carries it to Group.Run the same way.
+// the engine naming no process as running.
 func TestProcPanicReachesRun(t *testing.T) {
 	boom := func(e *Engine) {
 		e.Go("bystander", func(p *Proc) { p.Advance(100) })
@@ -237,24 +236,41 @@ func TestProcPanicReachesRun(t *testing.T) {
 	e := NewEngine(1)
 	boom(e)
 	if r := caught(e.RunAll); r != "boom" {
-		t.Fatalf("serial: recovered %v, want the process's panic value", r)
+		t.Fatalf("recovered %v, want the process's panic value", r)
 	}
 	if e.running != nil {
-		t.Fatalf("serial: engine left with %q running", e.running.name)
+		t.Fatalf("engine left with %q running", e.running.name)
 	}
 	e.Release()
+}
 
-	g := NewGroup(1, 2, 500)
-	g.Engines()[0].Go("idle", func(p *Proc) { p.Advance(5000) })
-	boom(g.Engines()[1])
-	if r := caught(g.RunAll); r != "boom" {
-		t.Fatalf("group: recovered %v, want the process's panic value", r)
+// TestSignalHandoffOrder pins the Signal fast path's ordering contract:
+// events pushed after a Signal still run after the woken process, exactly as
+// the queue-based path ordered them.
+func TestSignalHandoffOrder(t *testing.T) {
+	e := NewEngine(1)
+	var c Cond
+	c.Name = "order"
+	var order []string
+	e.Go("waiter", func(p *Proc) {
+		c.Wait(p)
+		order = append(order, "waiter")
+	})
+	e.Go("signaler", func(p *Proc) {
+		p.Yield() // let the waiter park
+		c.Signal()
+		e.At(e.Now(), func() { order = append(order, "callback") })
+		p.Yield()
+		order = append(order, "signaler")
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range g.Engines() {
-		if e.running != nil {
-			t.Fatalf("group: shard %d left with %q running", i, e.running.name)
+	want := []string{"waiter", "callback", "signaler"}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
 		}
-		e.Release()
 	}
 }
 

@@ -8,15 +8,11 @@
 #   scripts/check-golden.sh -update    # refresh the goldens in place
 #   scripts/check-golden.sh -par N     # fan sweeps across N workers (0 = all
 #                                      # CPUs); output must stay byte-identical
-#   scripts/check-golden.sh -nodepar N # shard each simulated cluster across N
-#                                      # engines (conservative PDES); output
-#                                      # must stay byte-identical to serial
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 update=0
 par=1
-nodepar=1
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-update) update=1 ;;
@@ -24,12 +20,8 @@ while [ $# -gt 0 ]; do
 		shift
 		par=$1
 		;;
-	-nodepar)
-		shift
-		nodepar=$1
-		;;
 	*)
-		echo "usage: $0 [-update] [-par N] [-nodepar N]" >&2
+		echo "usage: $0 [-update] [-par N]" >&2
 		exit 2
 		;;
 	esac
@@ -48,19 +40,19 @@ gen() { # gen <name> <command...>
 	"$@" >"$tmp/$name"
 }
 
-gen table3.txt go run ./cmd/spam-bench -par "$par" -nodepar "$nodepar" -table 3
-gen figure3.txt go run ./cmd/spam-bench -par "$par" -nodepar "$nodepar" -figure 3
-gen figure7.txt go run ./cmd/mpi-bench -par "$par" -nodepar "$nodepar" -figure 7
-gen figure8.txt go run ./cmd/mpi-bench -par "$par" -nodepar "$nodepar" -figure 8
-gen figure9.txt go run ./cmd/mpi-bench -par "$par" -nodepar "$nodepar" -figure 9
-gen figure10.txt go run ./cmd/mpi-bench -par "$par" -nodepar "$nodepar" -figure 10
-gen figure11.txt go run ./cmd/mpi-bench -par "$par" -nodepar "$nodepar" -figure 11
-gen table5.txt go run ./cmd/splitc-bench -par "$par" -nodepar "$nodepar" -paper
-gen table6.txt go run ./cmd/nas-bench -par "$par" -nodepar "$nodepar"
-gen chaos-kill.txt go run ./cmd/spam-bench -par "$par" -nodepar "$nodepar" -chaos kill
-gen kv-tail.txt go run ./cmd/kv-bench -par "$par" -nodepar "$nodepar" -reqs 10000 -clients 100000
-gen kv-cache.txt go run ./cmd/kv-bench -par "$par" -nodepar "$nodepar" -cachetable -reqs 10000 -clients 100000
-gen kv-write.txt go run ./cmd/kv-bench -par "$par" -nodepar "$nodepar" -writetable -reqs 10000 -clients 100000
+gen table3.txt go run ./cmd/spam-bench -par "$par" -table 3
+gen figure3.txt go run ./cmd/spam-bench -par "$par" -figure 3
+gen figure7.txt go run ./cmd/mpi-bench -par "$par" -figure 7
+gen figure8.txt go run ./cmd/mpi-bench -par "$par" -figure 8
+gen figure9.txt go run ./cmd/mpi-bench -par "$par" -figure 9
+gen figure10.txt go run ./cmd/mpi-bench -par "$par" -figure 10
+gen figure11.txt go run ./cmd/mpi-bench -par "$par" -figure 11
+gen table5.txt go run ./cmd/splitc-bench -par "$par" -paper
+gen table6.txt go run ./cmd/nas-bench -par "$par"
+gen chaos-kill.txt go run ./cmd/spam-bench -par "$par" -chaos kill
+gen kv-tail.txt go run ./cmd/kv-bench -par "$par" -reqs 10000 -clients 100000
+gen kv-cache.txt go run ./cmd/kv-bench -par "$par" -cachetable -reqs 10000 -clients 100000
+gen kv-write.txt go run ./cmd/kv-bench -par "$par" -writetable -reqs 10000 -clients 100000
 
 fail=0
 for f in "$tmp"/*; do
