@@ -166,38 +166,14 @@ func BenchmarkTable6NAS(b *testing.B) {
 
 // --- Ablations of SP AM design choices (DESIGN.md §6) ---
 
-func ablatedBandwidth(b *testing.B, opt am.Options, size, total int) float64 {
-	b.Helper()
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.NewWithOptions(c, opt)
-	dst := make([]byte, size)
-	seg := c.Nodes[1].Mem.Add(dst)
-	ops := total / size
-	var mbps float64
-	finished := false
-	c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[0]
-		src := make([]byte, size)
-		completed := 0
-		t0 := p.Now()
-		for i := 0; i < ops; i++ {
-			ep.StoreAsync(p, 1, hw.Addr{Seg: seg}, src, am.NoHandler, 0,
-				func(q *sim.Proc, e *am.Endpoint) { completed++ })
-		}
-		for completed < ops {
-			ep.Poll(p)
-		}
-		mbps = float64(ops*size) / 1e6 / (p.Now() - t0).Seconds()
-		finished = true
-	})
-	c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[1]
-		for !finished {
-			ep.Poll(p)
-		}
-	})
-	c.Run()
-	return mbps
+// ablated is the Setup of one DESIGN §6 ablation: the paper's machine with
+// one protocol option changed. The one-way rows run on the shared drivers
+// (bench.Bandwidth, bench.PingPong), the same loops Table 3 and Figure 3
+// are measured with.
+func ablated(change func(o *am.Options)) bench.Setup {
+	o := am.DefaultOptions()
+	change(&o)
+	return bench.Setup{Options: &o}
 }
 
 // ablatedExchange runs a bidirectional store exchange (both nodes stream
@@ -258,62 +234,21 @@ func BenchmarkAblationAckPerPacket(b *testing.B) {
 	b.ReportMetric(float64(acksPkt), "acks/ack-per-packet")
 }
 
-// pingPongAcks measures a request/reply workload — where replies can carry
-// the acks — returning the round-trip time and the explicit acks emitted.
-func pingPongAcks(b *testing.B, opt am.Options, iters int) (rtt float64, acks int64) {
-	b.Helper()
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.NewWithOptions(c, opt)
-	gotReply := false
-	done := false
-	replyH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		gotReply = true
-	})
-	var pingH am.HandlerID
-	pingH = sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Reply(p, tok, replyH, args[0])
-	})
-	c.Spawn(0, "ping", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[0]
-		t0 := p.Now()
-		for i := 0; i < iters; i++ {
-			gotReply = false
-			ep.Request(p, 1, pingH, 1)
-			for !gotReply {
-				ep.Poll(p)
-			}
-		}
-		rtt = (p.Now() - t0).Microseconds() / float64(iters)
-		done = true
-	})
-	c.Spawn(1, "pong", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[1]
-		for !done {
-			ep.Poll(p)
-		}
-	})
-	c.Run()
-	acks = sys.EPs[0].Stats.AcksSent + sys.EPs[1].Stats.AcksSent
-	return rtt, acks
-}
-
 // BenchmarkAblationNoPiggyback prices piggybacked acknowledgements on a
 // request/reply workload, where replies can carry the acks. (Under
 // saturated bidirectional bulk traffic piggybacking is moot: both windows
 // are full, so there is no outgoing data packet for an ack to ride.)
 func BenchmarkAblationNoPiggyback(b *testing.B) {
 	var with, without float64
-	var acksWith, acksWithout int64
+	var ranWith, ranWithout bench.Ran
 	for i := 0; i < b.N; i++ {
-		with, acksWith = pingPongAcks(b, am.DefaultOptions(), 200)
-		o := am.DefaultOptions()
-		o.PiggybackAcks = false
-		without, acksWithout = pingPongAcks(b, o, 200)
+		with, ranWith = bench.PingPong(bench.Setup{}, 1, 0, 200)
+		without, ranWithout = bench.PingPong(ablated(func(o *am.Options) { o.PiggybackAcks = false }), 1, 0, 200)
 	}
 	b.ReportMetric(with, "us-rtt/piggyback")
 	b.ReportMetric(without, "us-rtt/explicit-only")
-	b.ReportMetric(float64(acksWith), "acks/piggyback")
-	b.ReportMetric(float64(acksWithout), "acks/explicit-only")
+	b.ReportMetric(float64(ranWith.Stats.AcksSent), "acks/piggyback")
+	b.ReportMetric(float64(ranWithout.Stats.AcksSent), "acks/explicit-only")
 }
 
 // BenchmarkAblationEagerPop prices the lazy receive-FIFO pop.
@@ -321,10 +256,8 @@ func BenchmarkAblationEagerPop(b *testing.B) {
 	const size, total = 1024, 1 << 18
 	var lazy, eager float64
 	for i := 0; i < b.N; i++ {
-		lazy = ablatedBandwidth(b, am.DefaultOptions(), size, total)
-		o := am.DefaultOptions()
-		o.LazyPop = false
-		eager = ablatedBandwidth(b, o, size, total)
+		lazy = bench.AMBandwidth(bench.AsyncStore, size, total)
+		eager, _ = bench.Bandwidth(ablated(func(o *am.Options) { o.LazyPop = false }), bench.AsyncStore, size, total)
 	}
 	b.ReportMetric(lazy, "MBps/lazy-pop")
 	b.ReportMetric(eager, "MBps/eager-pop")
@@ -338,10 +271,10 @@ func BenchmarkAblationWindow(b *testing.B) {
 		b.Run(map[int]string{36: "wnd36", 72: "wnd72", 144: "wnd144"}[wnd], func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				o := am.DefaultOptions()
-				o.WndRequest = wnd
-				o.WndReply = wnd + 4
-				mbps = ablatedBandwidth(b, o, size, total)
+				mbps, _ = bench.Bandwidth(ablated(func(o *am.Options) {
+					o.WndRequest = wnd
+					o.WndReply = wnd + 4
+				}), bench.AsyncStore, size, total)
 			}
 			b.ReportMetric(mbps, "MBps")
 		})
@@ -367,8 +300,6 @@ func BenchmarkAblationHybridPrefix(b *testing.B) {
 		b.Run(map[int]string{0: "prefix0", 1: "prefix1K", 4: "prefix4K", 8: "prefix8K"}[kb], func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				impl := bench.MPIHybrid
-				_ = impl
 				mbps = bench.MPIHybridPrefixBandwidth(kb<<10, 12<<10, 1<<19)
 			}
 			b.ReportMetric(mbps, "MBps/12KB-msgs")

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"spam/internal/am"
 	"spam/internal/bench"
 	"spam/internal/trace"
 )
@@ -34,6 +33,9 @@ func main() {
 	flag.Parse()
 	if *words < 0 || *words > 4 {
 		check(fmt.Errorf("-words must be 0-4 (got %d)", *words))
+	}
+	if *iters < 1 {
+		check(fmt.Errorf("-iters must be at least 1 (got %d)", *iters))
 	}
 
 	var rec *trace.Recorder
@@ -58,11 +60,9 @@ func main() {
 		trace.WriteQueueing(os.Stdout, trace.PacketStageStats(rec.Sorted()))
 
 	case *metrics:
+		rec = trace.New()
 		reg := trace.NewRegistry()
-		am.DefaultMetrics = reg
-		r, rtt := bench.TracedPingPong(*words, 8, *iters)
-		am.DefaultMetrics = nil
-		rec = r
+		rtt, _ := bench.PingPong(bench.Setup{Tracer: rec, Metrics: reg}, *words, 8, *iters+1)
 		fmt.Printf("# protocol metrics: %d-word ping-pong, %d iterations, %.1f us/rtt\n", *words, *iters, rtt)
 		trace.WriteMetrics(os.Stdout, reg.Snapshot())
 

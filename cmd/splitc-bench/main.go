@@ -30,6 +30,9 @@ func main() {
 	if *procs < 1 {
 		check(fmt.Errorf("-p must be at least 1 (got %d)", *procs))
 	}
+	if *table != 4 && *table != 5 {
+		check(fmt.Errorf("-table must be 4 or 5 (got %d)", *table))
+	}
 
 	if *table == 4 {
 		fmt.Println("# Table 4: machine characteristics (model inputs)")

@@ -22,7 +22,7 @@ func blackoutWedge(budget sim.Time) error {
 		PiggybackAcks: true, AckPerChunk: true, LazyPop: true,
 		DeathThreshold: -1, // probe forever; nothing rescues the wedge
 	})
-	faults.NewPlan("blackout-forever", 11, faults.Blackout(hw.US(200), 0)).ApplyPerSource(c)
+	faults.NewPlan("blackout-forever", 11, faults.Blackout(hw.US(200), 0)).Apply(c)
 	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, 256))
 	c.Spawn(0, "mover", func(p *sim.Proc, _ *hw.Node) {
 		ep := sys.EPs[0]

@@ -11,6 +11,8 @@ var DefaultMetrics *trace.Registry
 // metrics-enabled run pays two pointer loads and an integer op per sample —
 // and a disabled run (nil *sysMetrics) pays one nil check.
 type sysMetrics struct {
+	reg *trace.Registry
+
 	polls, emptyPolls *trace.Counter
 	retransmits       *trace.Counter
 	acksSent          *trace.Counter
@@ -30,6 +32,7 @@ type sysMetrics struct {
 
 func newSysMetrics(reg *trace.Registry) *sysMetrics {
 	return &sysMetrics{
+		reg:            reg,
 		polls:          reg.Counter("am.polls"),
 		emptyPolls:     reg.Counter("am.polls_empty"),
 		retransmits:    reg.Counter("am.retransmits"),
@@ -53,4 +56,13 @@ func newSysMetrics(reg *trace.Registry) *sysMetrics {
 // is what the bench reports want).
 func (s *System) EnableMetrics(reg *trace.Registry) {
 	s.met = newSysMetrics(reg)
+}
+
+// Metrics returns the registry this system publishes into, nil when metrics
+// are off. Layers built on the system publish their own counters there.
+func (s *System) Metrics() *trace.Registry {
+	if s.met == nil {
+		return nil
+	}
+	return s.met.reg
 }

@@ -9,19 +9,19 @@ import (
 	"spam/internal/sim"
 )
 
-// AMRoundTrip measures the SP AM ping-pong round-trip time for a
-// words-word message (paper §2.3): node 0 am_request's node 1, whose
-// handler am_reply's back. It returns microseconds per round trip averaged
-// over iters trips.
-func AMRoundTrip(words, iters int) float64 {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
+// PingPong is the one SP AM request/reply ping-pong (paper §2.3): node 0
+// am_request's node 1 with words argument words, node 1's handler
+// am_reply's them back, and the next trip starts when the reply handler has
+// run. After warmup untimed trips (the first packet sees a cold pipeline) it
+// times iters trips and returns microseconds per trip. A Setup.Tracer is
+// reset when the warm-up ends, so it holds the timed trips only.
+func PingPong(s Setup, words, warmup, iters int) (rttUS float64, r Ran) {
+	c, sys := s.am(2)
 	var gotReply, done bool
 	replyH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		gotReply = true
 	})
-	var pingH am.HandlerID
-	pingH = sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+	pingH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		ep.Reply(p, tok, replyH, args...)
 	})
 	doneH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
@@ -29,24 +29,26 @@ func AMRoundTrip(words, iters int) float64 {
 	})
 
 	args := make([]uint32, words)
-	var perRTT float64
 	c.Spawn(0, "pinger", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[0]
-		// Warm-up trip (first packet sees a cold pipeline).
-		gotReply = false
-		ep.Request(p, 1, pingH, args...)
-		for !gotReply {
-			ep.PollWait(p, 0)
-		}
-		t0 := p.Now()
-		for i := 0; i < iters; i++ {
+		trip := func() {
 			gotReply = false
 			ep.Request(p, 1, pingH, args...)
 			for !gotReply {
 				ep.PollWait(p, 0)
 			}
 		}
-		perRTT = (p.Now() - t0).Microseconds() / float64(iters)
+		for i := 0; i < warmup; i++ {
+			trip()
+		}
+		if s.Tracer != nil {
+			s.Tracer.Reset()
+		}
+		t0 := p.Now()
+		for i := 0; i < iters; i++ {
+			trip()
+		}
+		rttUS = (p.Now() - t0).Microseconds() / float64(iters)
 		ep.Request(p, 1, doneH)
 	})
 	c.Spawn(1, "ponger", func(p *sim.Proc, n *hw.Node) {
@@ -56,14 +58,21 @@ func AMRoundTrip(words, iters int) float64 {
 		}
 	})
 	c.Run()
-	return perRTT
+	return rttUS, ran(c, sys)
+}
+
+// AMRoundTrip measures the SP AM ping-pong round-trip time for a
+// words-word message, in microseconds averaged over iters trips after one
+// warm-up trip.
+func AMRoundTrip(words, iters int) float64 {
+	rtt, _ := PingPong(Setup{}, words, 1, iters)
+	return rtt
 }
 
 // RawRoundTrip measures the protocol-less ping-pong the paper uses as the
 // latency floor (§2.3).
 func RawRoundTrip(iters int) float64 {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
+	c, sys := Setup{}.am(2)
 	var perRTT float64
 	stop := false
 	c.Spawn(0, "pinger", func(p *sim.Proc, n *hw.Node) {
@@ -99,8 +108,7 @@ func RawRoundTrip(iters int) float64 {
 // RequestCost measures the host time of one am_request_N call on an
 // otherwise empty network (paper Table 2).
 func RequestCost(words int) float64 {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
+	c, sys := Setup{}.am(2)
 	nop := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {})
 	var cost float64
 	c.Spawn(0, "caller", func(p *sim.Proc, n *hw.Node) {
@@ -123,8 +131,7 @@ func RequestCost(words int) float64 {
 // ReplyCost measures the host time of one am_reply_N call, timed inside the
 // request handler (paper Table 2).
 func ReplyCost(words int) float64 {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
+	c, sys := Setup{}.am(2)
 	var cost float64
 	nop := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {})
 	echo := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
@@ -182,90 +189,69 @@ func (m BulkMode) String() string {
 	return "?"
 }
 
-// AMBandwidth measures one-way delivered bandwidth moving total bytes in
-// n-byte operations with the given mode, in MB/s (paper §2.4, Figure 3).
-func AMBandwidth(mode BulkMode, n, total int) float64 {
+// Bandwidth is the one SP AM bulk mover (paper §2.4, Figure 3): node 0
+// moves total bytes to or from node 1 in n-byte operations of the given
+// mode and the rate is timed until the last operation's data has arrived
+// and been acknowledged, so retransmission stalls under a Setup.Plan count
+// against it. It returns delivered MB/s. Both nodes then drain, so Ran
+// includes whatever recovery the tail of the transfer needed.
+func Bandwidth(s Setup, mode BulkMode, n, total int) (mbps float64, r Ran) {
 	if n > total {
 		total = n
 	}
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
-	doneH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {})
-	var mbps float64
-	finished := false
-
-	// Destination (and get-source) region on node 1; local region on node 0.
-	remoteBuf := make([]byte, n)
-	localBuf := make([]byte, n)
-	var remoteSeg, localSeg int
-	remoteSeg = c.Nodes[1].Mem.Add(remoteBuf)
-	localSeg = c.Nodes[0].Mem.Add(localBuf)
-
 	ops := total / n
-	if ops == 0 {
-		ops = 1
-	}
+	c, sys := s.am(2)
+	// Destination (and get-source) region on node 1; local region on node 0.
+	raddr := hw.Addr{Seg: c.Nodes[1].Mem.Add(make([]byte, n))}
+	laddr := hw.Addr{Seg: c.Nodes[0].Mem.Add(make([]byte, n))}
+	completed := 0
+	gotH := sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nb int, arg uint32) {
+		completed++
+	})
+	finished := false
 
 	c.Spawn(0, "mover", func(p *sim.Proc, n0 *hw.Node) {
 		ep := sys.EPs[0]
 		src := make([]byte, n)
-		raddr := hw.Addr{Seg: remoteSeg}
-		laddr := hw.Addr{Seg: localSeg}
 		t0 := p.Now()
-		switch mode {
-		case SyncStore:
-			for i := 0; i < ops; i++ {
+		for i := 0; i < ops; i++ {
+			switch mode {
+			case SyncStore:
 				ep.Store(p, 1, raddr, src, am.NoHandler, 0)
-			}
-		case SyncGet:
-			for i := 0; i < ops; i++ {
+				completed++
+			case SyncGet:
 				ep.Get(p, 1, raddr, laddr, n, am.NoHandler, 0)
-			}
-		case AsyncStore:
-			completed := 0
-			for i := 0; i < ops; i++ {
+				completed++
+			case AsyncStore:
 				ep.StoreAsync(p, 1, raddr, src, am.NoHandler, 0,
 					func(q *sim.Proc, e *am.Endpoint) { completed++ })
-			}
-			for completed < ops {
-				ep.PollWait(p, 0)
-			}
-		case AsyncGet:
-			completed := 0
-			h := getCounter(sys, &completed)
-			for i := 0; i < ops; i++ {
-				ep.GetAsync(p, 1, raddr, laddr, n, h, 0)
-			}
-			for completed < ops {
-				ep.PollWait(p, 0)
+			case AsyncGet:
+				ep.GetAsync(p, 1, raddr, laddr, n, gotH, 0)
 			}
 		}
-		elapsed := (p.Now() - t0).Seconds()
-		mbps = float64(ops*n) / 1e6 / elapsed
+		for completed < ops {
+			ep.PollWait(p, 0)
+		}
+		mbps = float64(ops*n) / 1e6 / (p.Now() - t0).Seconds()
 		finished = true
-		ep.Request(p, 1, doneH)
+		ep.Drain(p, 0)
 	})
 	c.Spawn(1, "peer", func(p *sim.Proc, n1 *hw.Node) {
 		ep := sys.EPs[1]
 		for !finished { // set by the mover, not by a poll: plain Poll, not PollWait
 			ep.Poll(p)
 		}
-		// Drain the final done request so no traffic is left hanging.
-		for i := 0; i < 20; i++ {
-			ep.Poll(p)
-		}
+		ep.Drain(p, 0)
 	})
 	c.Run()
-	return mbps
+	return mbps, ran(c, sys)
 }
 
-// getCounter registers a bulk handler that increments *n on each completed
-// get. Registration happens lazily per system, which is safe because these
-// micro-benchmarks build a fresh cluster per measurement.
-func getCounter(sys *am.System, n *int) am.HandlerID {
-	return sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nb int, arg uint32) {
-		*n++
-	})
+// AMBandwidth measures one-way delivered bandwidth moving total bytes in
+// n-byte operations with the given mode, in MB/s, on the paper's machine.
+func AMBandwidth(mode BulkMode, n, total int) float64 {
+	mbps, _ := Bandwidth(Setup{}, mode, n, total)
+	return mbps
 }
 
 // ProtocolStats runs a mixed 4-node workload (requests, stores, gets)
@@ -274,8 +260,7 @@ func getCounter(sys *am.System, n *int) am.HandlerID {
 // on (retransmissions, explicit acks, wasted polls).
 func ProtocolStats(w io.Writer) {
 	const nn = 4
-	c := hw.NewCluster(hw.DefaultConfig(nn))
-	sys := am.New(c)
+	c, sys := Setup{}.am(nn)
 	rng := sim.NewRand(123)
 	c.Switch.Fault = hw.DropIf(func(pkt *hw.Packet) bool { return rng.Intn(200) == 0 })
 
@@ -321,12 +306,7 @@ func ProtocolStats(w io.Writer) {
 func amStoreRingLatency(size int, wide bool) float64 {
 	const ringN = 4
 	const laps = 5
-	cfg := hw.DefaultConfig(ringN)
-	if wide {
-		cfg = hw.WideConfig(ringN)
-	}
-	c := hw.NewCluster(cfg)
-	sys := am.New(c)
+	c, sys := Setup{Wide: wide}.am(ringN)
 	counts := make([]int, ringN)
 	h := sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 		counts[ep.ID()]++

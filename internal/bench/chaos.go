@@ -10,70 +10,18 @@ import (
 	"spam/internal/sim"
 )
 
-// amBandwidthUnder measures one-way async-store bandwidth moving total
-// bytes in n-byte operations with the given fault plan applied to the
-// 2-node cluster (nil plan = lossless). It returns the delivered MB/s —
-// timed until every operation's acknowledgement is back, so retransmission
-// stalls count against the number — plus the aggregate protocol counters
-// and the switch's injected-fault tally for the run.
-func amBandwidthUnder(plan *faults.Plan, n, total int) (mbps float64, st am.Stats, lr hw.LossReport) {
-	if n > total {
-		total = n
-	}
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
-	plan.Apply(c)
-	finished := false
-
-	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, n))
-	ops := total / n
-	if ops == 0 {
-		ops = 1
-	}
-
-	c.Spawn(0, "mover", func(p *sim.Proc, n0 *hw.Node) {
-		ep := sys.EPs[0]
-		src := make([]byte, n)
-		raddr := hw.Addr{Seg: remoteSeg}
-		t0 := p.Now()
-		completed := 0
-		for i := 0; i < ops; i++ {
-			ep.StoreAsync(p, 1, raddr, src, am.NoHandler, 0,
-				func(q *sim.Proc, e *am.Endpoint) { completed++ })
-		}
-		for completed < ops {
-			ep.PollWait(p, 0)
-		}
-		elapsed := (p.Now() - t0).Seconds()
-		mbps = float64(ops*n) / 1e6 / elapsed
-		finished = true
-		ep.Drain(p, 0)
-	})
-	c.Spawn(1, "peer", func(p *sim.Proc, n1 *hw.Node) {
-		ep := sys.EPs[1]
-		for !finished { // set by the mover, not by a poll: plain Poll, not PollWait
-			ep.Poll(p)
-		}
-		ep.Drain(p, 0)
-	})
-	c.Run()
-	return mbps, sys.Totals(), c.Losses()
-}
-
 // amKillRun streams n-byte blocking stores from node 0 at node 1, fail-stops
 // node 1 at killAt (optionally with uniform packet loss on top), and runs
 // until the survivor's AM layer declares the peer dead. It reports the
 // declaration, the operations completed before it, and the aggregate
 // protocol counters.
 func amKillRun(killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, completed int, errAt sim.Time, st am.Stats) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
 	var rules []*faults.Rule
 	if loss > 0 {
 		rules = append(rules, faults.Loss(loss))
 	}
 	plan := faults.NewPlan(fmt.Sprintf("kill@%v", killAt), 0x51a11, rules...).WithKill(1, killAt)
-	plan.ApplyPerSource(c)
+	c, sys := Setup{Plan: plan}.am(2)
 
 	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, n))
 	c.Spawn(0, "mover", func(p *sim.Proc, n0 *hw.Node) {
@@ -145,12 +93,12 @@ func ChaosTable(w io.Writer, total int) {
 			plan = faults.NewPlan(fmt.Sprintf("loss-%.3f", r),
 				0xc4a05+uint64(r*1e6), faults.Loss(r))
 		}
-		mbps, st, lr := amBandwidthUnder(plan, n, total)
+		mbps, after := Bandwidth(Setup{Plan: plan}, AsyncStore, n, total)
 		if base == 0 {
 			base = mbps
 		}
 		fmt.Fprintf(w, "%7.1f%% %10.2f %8.1f%% %9d %7d %7d %9d\n",
-			r*100, mbps, 100*mbps/base, st.Retransmits, st.NacksSent,
-			st.Probes, lr.FaultDropped)
+			r*100, mbps, 100*mbps/base, after.Stats.Retransmits, after.Stats.NacksSent,
+			after.Stats.Probes, after.Losses.FaultDropped)
 	}
 }

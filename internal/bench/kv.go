@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"spam/internal/hw"
 	"spam/internal/kv"
 	"spam/internal/kv/load"
 	"spam/internal/sim"
@@ -18,12 +17,6 @@ func qUS(h *trace.Histogram, q float64) float64 {
 	return float64(h.Quantile(q)) / 1e3
 }
 
-// KVPoint is one offered-load point of a kv tail-latency sweep.
-type KVPoint struct {
-	OfferedRPS float64
-	Res        *kv.Result
-}
-
 // KVDefaultRates is the offered-load ladder swept by KVTailTable: it starts
 // well below the service's saturation throughput and ends past it, so the
 // table shows both the flat region (latency == protocol floor) and the
@@ -32,21 +25,26 @@ func KVDefaultRates() []float64 {
 	return []float64{50e3, 100e3, 200e3, 400e3, 600e3}
 }
 
-// KVSweep evaluates base at each offered rate. Points are independent
-// simulations, so they fan across the sweep workers (-par); results are
-// assembled in rate order, keeping the output byte-identical to a serial
-// sweep.
-func KVSweep(base kv.Config, rates []float64) []KVPoint {
-	pts := Sweep(len(rates), func(i int) KVPoint {
+// kvRuns runs n variations of base, one simulation each. Points are
+// independent, so they fan across the sweep workers (-par); results come
+// back in index order, keeping the output byte-identical to a serial sweep.
+// vary edits point i's config. The commands validate base before they
+// sweep, so a config error here is a bug and panics.
+func kvRuns(base kv.Config, n int, vary func(i int, cfg *kv.Config)) []*kv.Result {
+	return Sweep(n, func(i int) *kv.Result {
 		cfg := base
-		cfg.Rate = rates[i]
+		vary(i, &cfg)
 		res, err := kv.Run(cfg)
 		if err != nil {
-			panic(fmt.Sprintf("bench: kv sweep point %.0f rps: %v", rates[i], err))
+			panic(fmt.Sprintf("bench: kv sweep point %d of %d: %v", i, n, err))
 		}
-		return KVPoint{OfferedRPS: rates[i], Res: res}
+		return res
 	})
-	return pts
+}
+
+// kvLadder runs base at each offered rate; Result.Config.Rate says which.
+func kvLadder(base kv.Config, rates []float64) []*kv.Result {
+	return kvRuns(base, len(rates), func(i int, cfg *kv.Config) { cfg.Rate = rates[i] })
 }
 
 // KVTailTable sweeps offered load against a fixed cluster and prints, per
@@ -55,34 +53,27 @@ func KVSweep(base kv.Config, rates []float64) []KVPoint {
 // so queueing delay behind a saturated client node counts against the tail
 // (no coordinated omission).
 func KVTailTable(w io.Writer, base kv.Config, rates []float64) {
-	pts := KVSweep(base, rates)
+	runs := kvLadder(base, rates)
+	cfg := runs[0].Config
 	fmt.Fprintf(w, "# kv-bench: open-loop tail latency vs offered load (%d servers, %d client nodes, %d virtual clients, zipf %.2f, %d keys, %d reqs/point, %s)\n",
-		base.Servers, base.ClientNodes, maxInt(base.VirtualClients, base.ClientNodes), base.Zipf, keysOrDefault(base.Keys), base.Requests, cacheDesc(base))
+		cfg.Servers, cfg.ClientNodes, cfg.VirtualClients, cfg.Zipf, cfg.Keys, cfg.Requests, cacheDesc(cfg))
 	fmt.Fprintf(w, "%-12s %12s %9s %9s %9s %10s %9s %9s %6s\n",
 		"offered_rps", "achieved_rps", "p50_us", "p99_us", "p999_us", "retries", "conflict", "unavail", "hit%")
-	for _, pt := range pts {
-		r := pt.Res
+	for _, r := range runs {
 		fmt.Fprintf(w, "%-12.0f %12.0f %9.1f %9.1f %9.1f %10d %9d %9d %6.1f\n",
-			pt.OfferedRPS, r.Throughput(),
+			r.Config.Rate, r.Throughput(),
 			qUS(&r.Lat, 0.5), qUS(&r.Lat, 0.99), qUS(&r.Lat, 0.999),
 			r.LockRetries, r.Conflicts, r.Unavail,
 			100*r.HitRate())
 	}
 }
 
-// cacheDesc summarizes the cache configuration for table headers.
-func cacheDesc(base kv.Config) string {
-	if base.CacheOff {
+// cacheDesc summarizes the cache configuration of a run for table headers.
+func cacheDesc(cfg kv.Config) string {
+	if cfg.CacheOff {
 		return "cache off"
 	}
-	size, lease := base.CacheSize, base.Lease
-	if size <= 0 {
-		size = 4096
-	}
-	if lease <= 0 {
-		lease = hw.US(100_000)
-	}
-	return fmt.Sprintf("cache %d/node lease %v", size, lease)
+	return fmt.Sprintf("cache %d/node lease %v", cfg.CacheSize, cfg.Lease)
 }
 
 // KVCacheTable sweeps key-popularity skew at a fixed offered rate and
@@ -93,21 +84,18 @@ func cacheDesc(base kv.Config) string {
 // isolates exactly what the cache buys. StaleServed is asserted zero here
 // too: a golden regeneration doubles as a lease-safety check.
 func KVCacheTable(w io.Writer, base kv.Config, skews []float64) {
-	runs := Sweep(2*len(skews), func(i int) *kv.Result {
-		cfg := base
+	runs := kvRuns(base, 2*len(skews), func(i int, cfg *kv.Config) {
 		cfg.Zipf = skews[i/2]
 		cfg.CacheOff = i%2 == 1
-		res, err := kv.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("bench: kv cache point zipf %.2f: %v", skews[i/2], err))
-		}
+	})
+	for i, res := range runs {
 		if res.StaleServed != 0 {
 			panic(fmt.Sprintf("bench: kv cache point zipf %.2f: %d lease-expired cache serves", skews[i/2], res.StaleServed))
 		}
-		return res
-	})
+	}
+	cfg := runs[0].Config
 	fmt.Fprintf(w, "# kv-bench: client-cache hit rate and GET tail vs key skew (%d servers, %d client nodes, %.0f rps offered, read-mostly mix, %d keys, %d reqs/point, %s)\n",
-		base.Servers, base.ClientNodes, base.Rate, keysOrDefault(base.Keys), base.Requests, cacheDesc(base))
+		cfg.Servers, cfg.ClientNodes, cfg.Rate, cfg.Keys, cfg.Requests, cacheDesc(cfg))
 	fmt.Fprintf(w, "%-6s %6s %7s %9s %8s %10s %10s | %10s %10s %9s\n",
 		"zipf", "hit%", "stale%", "coalesce", "invals", "get_p50us", "get_p99us", "off_p50us", "off_p99us", "p99_ratio")
 	for i, s := range skews {
@@ -137,20 +125,15 @@ func KVCacheTable(w io.Writer, base kv.Config, skews []float64) {
 // schedule (the load generator draws are independent of service behavior),
 // so the p99 ratio isolates what coalescing buys.
 func KVWriteTable(w io.Writer, base kv.Config, names []string, mixes []load.Mix) {
-	runs := Sweep(2*len(mixes), func(i int) *kv.Result {
-		cfg := base
+	runs := kvRuns(base, 2*len(mixes), func(i int, cfg *kv.Config) {
 		cfg.Mix = mixes[i/2]
 		if i%2 == 1 {
 			cfg.BatchOps = 1
 		}
-		res, err := kv.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("bench: kv write point mix %s: %v", names[i/2], err))
-		}
-		return res
 	})
+	cfg := runs[0].Config
 	fmt.Fprintf(w, "# kv-bench: write batching + combining vs the per-op path across mixes (%d servers, %d client nodes, %.0f rps offered, zipf %.2f, %d keys, %d reqs/point, %s)\n",
-		base.Servers, base.ClientNodes, base.Rate, base.Zipf, keysOrDefault(base.Keys), base.Requests, cacheDesc(base))
+		cfg.Servers, cfg.ClientNodes, cfg.Rate, cfg.Zipf, cfg.Keys, cfg.Requests, cacheDesc(cfg))
 	fmt.Fprintf(w, "%-11s %8s %8s %6s %9s %7s %9s %9s %9s | %9s %9s %9s\n",
 		"mix", "puts", "batched%", "avg_b", "combined", "denies", "backoffs", "put_p50us", "put_p99us", "off_p50us", "off_p99us", "p99_ratio")
 	for i, name := range names {
@@ -178,15 +161,9 @@ func KVWriteTable(w io.Writer, base kv.Config, names []string, mixes []load.Mix)
 // failed-over request's completion), and the outcome split — every issued
 // request must still end in a reply or a typed error.
 func KVKillTable(w io.Writer, base kv.Config, killServer int, kills []sim.Time) {
-	pts := Sweep(len(kills), func(i int) *kv.Result {
-		cfg := base
+	pts := kvRuns(base, len(kills), func(i int, cfg *kv.Config) {
 		cfg.KillServer = killServer
 		cfg.KillAt = kills[i]
-		res, err := kv.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("bench: kv kill point %v: %v", kills[i], err))
-		}
-		return res
 	})
 	fmt.Fprintf(w, "# kv-bench: fail-stop server %d under load (%d servers, %d client nodes, %.0f rps offered)\n",
 		killServer, base.Servers, base.ClientNodes, base.Rate)
@@ -206,28 +183,27 @@ func KVKillTable(w io.Writer, base kv.Config, killServer int, kills []sim.Time) 
 // across the ladder) and the tail quantiles at the highest offered load
 // that still achieved its target.
 func KVReport(base kv.Config, rates []float64) JSONReport {
-	pts := KVSweep(base, rates)
+	runs := kvLadder(base, rates)
 	r := JSONReport{Command: "kv-bench"}
 	var satur float64
-	best := pts[0]
-	for _, pt := range pts {
-		if t := pt.Res.Throughput(); t > satur {
-			satur = t
-		}
+	res := runs[0]
+	for _, run := range runs {
+		t := run.Throughput()
+		satur = max(satur, t)
 		// The "served" point: highest offered load achieving >=99% of it.
-		if pt.Res.Throughput() >= 0.99*pt.OfferedRPS {
-			best = pt
+		if t >= 0.99*run.Config.Rate {
+			res = run
 		}
 	}
+	at := fmt.Sprintf("@%.0frps", res.Config.Rate)
 	r.Metrics = append(r.Metrics,
 		JSONMetric{Name: "kv_saturation", Value: satur, Unit: "req/s"},
-		JSONMetric{Name: fmt.Sprintf("kv_p50@%.0frps", best.OfferedRPS), Value: qUS(&best.Res.Lat, 0.5), Unit: "us"},
-		JSONMetric{Name: fmt.Sprintf("kv_p99@%.0frps", best.OfferedRPS), Value: qUS(&best.Res.Lat, 0.99), Unit: "us"},
-		JSONMetric{Name: fmt.Sprintf("kv_p999@%.0frps", best.OfferedRPS), Value: qUS(&best.Res.Lat, 0.999), Unit: "us"},
-		JSONMetric{Name: fmt.Sprintf("kv_get_p99@%.0frps", best.OfferedRPS), Value: qUS(&best.Res.LatGet, 0.99), Unit: "us"},
-		JSONMetric{Name: fmt.Sprintf("kv_put_p99@%.0frps", best.OfferedRPS), Value: qUS(&best.Res.LatWrite, 0.99), Unit: "us"},
-		JSONMetric{Name: "kv_hit_rate", Value: best.Res.HitRate(), Unit: "frac"})
-	res := best.Res
+		JSONMetric{Name: "kv_p50" + at, Value: qUS(&res.Lat, 0.5), Unit: "us"},
+		JSONMetric{Name: "kv_p99" + at, Value: qUS(&res.Lat, 0.99), Unit: "us"},
+		JSONMetric{Name: "kv_p999" + at, Value: qUS(&res.Lat, 0.999), Unit: "us"},
+		JSONMetric{Name: "kv_get_p99" + at, Value: qUS(&res.LatGet, 0.99), Unit: "us"},
+		JSONMetric{Name: "kv_put_p99" + at, Value: qUS(&res.LatWrite, 0.99), Unit: "us"},
+		JSONMetric{Name: "kv_hit_rate", Value: res.HitRate(), Unit: "frac"})
 	r.KVCache = &KVCacheJSON{
 		Hits:         res.CacheHits,
 		Misses:       res.CacheMisses,
@@ -262,18 +238,4 @@ func kvClassRow(class string, h *trace.Histogram) KVClassJSON {
 		P99us:  qUS(h, 0.99),
 		P999us: qUS(h, 0.999),
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func keysOrDefault(k int) int {
-	if k <= 0 {
-		return 1 << 16
-	}
-	return k
 }

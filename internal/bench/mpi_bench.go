@@ -63,14 +63,10 @@ func (m MPIImpl) options() mpi.Options {
 	panic("bench: no mpi options for " + m.String())
 }
 
-// ptRanks builds a cluster and the chosen MPI on it, returning the PT per
-// rank.
-func ptRanks(n int, impl MPIImpl, wide bool) (*hw.Cluster, []mpi.PT) {
-	cfg := hw.DefaultConfig(n)
-	if wide {
-		cfg = hw.WideConfig(n)
-	}
-	cluster := hw.NewCluster(cfg)
+// ptRanks builds s's n-node cluster and the chosen MPI on it, returning the
+// PT per rank.
+func ptRanks(s Setup, n int, impl MPIImpl) (*hw.Cluster, []mpi.PT) {
+	cluster := s.cluster(n)
 	var pts []mpi.PT
 	if impl == MPIF {
 		sys := mpif.New(cluster)
@@ -95,7 +91,7 @@ func MPIRingLatency(impl MPIImpl, size int, wide bool) float64 {
 	if impl == AMStoreRaw {
 		return amStoreRingLatency(size, wide)
 	}
-	cluster, pts := ptRanks(ringN, impl, wide)
+	cluster, pts := ptRanks(Setup{Wide: wide}, ringN, impl)
 	var perHop float64
 	for i := 0; i < ringN; i++ {
 		i := i
@@ -138,11 +134,8 @@ func MPIBandwidth(impl MPIImpl, size, total int, wide bool) float64 {
 		total = size
 	}
 	msgs := total / size
-	if msgs == 0 {
-		msgs = 1
-	}
 	const window = 8
-	cluster, pts := ptRanks(2, impl, wide)
+	cluster, pts := ptRanks(Setup{Wide: wide}, 2, impl)
 	var mbps float64
 	tx, rx := pts[0], pts[1]
 	cluster.Spawn(0, "tx", func(p *sim.Proc, nd *hw.Node) {
@@ -196,7 +189,7 @@ func MPIBandwidth(impl MPIImpl, size, total int, wide bool) float64 {
 func MPIHybridPrefixBandwidth(prefix, size, total int) float64 {
 	opt := mpi.Options{Optimized: true, PerPeerBuf: 16 << 10, BufferedMax: 8 << 10,
 		HybridPrefix: prefix, RdvSlots: 128}
-	cluster := hw.NewCluster(hw.DefaultConfig(2))
+	cluster := Setup{}.cluster(2)
 	sys := mpi.New(cluster, opt)
 	msgs := total / size
 	var mbps float64

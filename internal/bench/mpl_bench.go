@@ -9,7 +9,7 @@ import (
 // MPLRoundTrip measures MPL's one-word ping-pong round trip (mpc_bsend /
 // mpc_brecv), the paper's 88 µs baseline (§2.3).
 func MPLRoundTrip(iters int) float64 {
-	c := hw.NewCluster(hw.DefaultConfig(2))
+	c := Setup{}.cluster(2)
 	sys := mpl.New(c)
 	word := make([]byte, 4)
 	var perRTT float64
@@ -45,16 +45,12 @@ func MPLBandwidth(blocking bool, n, total int) float64 {
 		total = n
 	}
 	ops := total / n
-	if ops == 0 {
-		ops = 1
-	}
-	c := hw.NewCluster(hw.DefaultConfig(2))
+	c := Setup{}.cluster(2)
 	sys := mpl.New(c)
 	var mbps float64
 	c.Spawn(0, "tx", func(p *sim.Proc, nd *hw.Node) {
 		ep := sys.EPs[0]
 		data := make([]byte, n)
-		zero := make([]byte, 0)
 		ack := make([]byte, 0)
 		t0 := p.Now()
 		if blocking {
@@ -71,7 +67,6 @@ func MPLBandwidth(blocking bool, n, total int) float64 {
 			// covers delivery, as in the paper's one-way tests.
 			ep.Recv(p, 1, 3, ack)
 		}
-		_ = zero
 		elapsed := (p.Now() - t0).Seconds()
 		mbps = float64(ops*n) / 1e6 / elapsed
 	})

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"spam/internal/hw"
-	"spam/internal/mpi"
-	"spam/internal/mpif"
 	"spam/internal/nas"
 )
 
@@ -68,8 +65,9 @@ func RunNAS(cfg NASConfig) []NASRow {
 	// One sweep point per (kernel, implementation) run: the ten simulations
 	// are independent, so they fan out across the sweep workers.
 	res := Sweep(2*len(kernels), func(i int) nas.Result {
-		kk := kernels[i/2]
-		return runNASOn(cfg.NProcs, i%2 == 0, kk.name, kk.k)
+		kk, impl := kernels[i/2], [2]MPIImpl{MPIF, MPIAMOpt}[i%2]
+		cluster, pts := ptRanks(Setup{}, cfg.NProcs, impl)
+		return nas.Run(cluster, pts, kk.name, impl.String(), kk.k)
 	})
 	var rows []NASRow
 	for i, kk := range kernels {
@@ -80,25 +78,6 @@ func RunNAS(cfg NASConfig) []NASRow {
 		})
 	}
 	return rows
-}
-
-func runNASOn(n int, useMPIF bool, bench string, k nas.Kernel) nas.Result {
-	cluster := hw.NewCluster(hw.DefaultConfig(n))
-	var pts []mpi.PT
-	impl := "MPI-AM"
-	if useMPIF {
-		impl = "MPI-F"
-		sys := mpif.New(cluster)
-		for _, c := range sys.Comms {
-			pts = append(pts, c)
-		}
-	} else {
-		sys := mpi.New(cluster, mpi.Optimized())
-		for _, c := range sys.Comms {
-			pts = append(pts, c)
-		}
-	}
-	return nas.Run(cluster, pts, bench, impl, k)
 }
 
 // PrintNAS writes the Table-6 analogue.

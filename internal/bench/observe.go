@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -10,44 +11,62 @@ import (
 	"spam/internal/trace"
 )
 
-// Observer wires the shared -trace/-metrics command-line flags: it installs
-// the package-level hooks (hw.DefaultTracer, am.DefaultMetrics) that every
-// cluster and AM system built during the run picks up, and Finish writes the
-// artifacts once the benchmarks have run.
-type Observer struct {
-	TracePath string
-	Metrics   bool
-	rec       *trace.Recorder
-	reg       *trace.Registry
+// CommonFlags is the command-line surface shared by the five bench
+// commands: sweep fan-out (-par) and the observers (-trace, -metrics). The
+// commands call drivers whose signatures carry no Setup, so their observers
+// travel by the package-level hooks hw.DefaultTracer and am.DefaultMetrics,
+// which every cluster and AM system built during the run picks up; this
+// type is the only code outside tests that writes them. Register with
+// StdFlags, call Activate after flag.Parse, and Finish after the run.
+type CommonFlags struct {
+	par     *int
+	trace   *string
+	metrics *bool
+	rec     *trace.Recorder
+	reg     *trace.Registry
 }
 
-// NewObserver installs the hooks. A zero tracePath / false metrics leaves the
-// corresponding hook untouched, so plain runs stay on the nil fast path.
-// Either hook forces sweeps off (see sweepWorkers): the collected streams
-// are only meaningful from a serial run.
-func NewObserver(tracePath string, metrics bool) *Observer {
-	o := &Observer{TracePath: tracePath, Metrics: metrics}
-	if tracePath != "" {
-		o.rec = trace.New()
-		hw.DefaultTracer = o.rec
+// StdFlags registers the shared set on the default FlagSet. Call before
+// flag.Parse.
+func StdFlags() *CommonFlags {
+	return &CommonFlags{
+		par:     flag.Int("par", 1, "parallel sweep workers (0 = one per CPU, 1 = serial)"),
+		trace:   flag.String("trace", "", "write Chrome trace-event JSON of the run to FILE"),
+		metrics: flag.Bool("metrics", false, "print a protocol metrics snapshot after the run"),
 	}
-	if metrics {
-		o.reg = trace.NewRegistry()
-		am.DefaultMetrics = o.reg
-	}
-	return o
 }
 
-// Finish tears the hooks down, writes the Chrome trace-event file, and
-// prints the metrics snapshot to w.
-func (o *Observer) Finish(w io.Writer) error {
-	if o.rec != nil {
+// Activate applies the parsed flags: it sets Par and installs the hooks. A
+// plain run leaves both hooks nil and stays on the nil fast path. A tracer
+// or metrics registry is one stream shared by every cluster of the run, so
+// installing either overrides a -par request (see sweepWorkers), and the run
+// that was asked for is not the run that is observed — said here, once.
+func (cf *CommonFlags) Activate() {
+	Par = *cf.par
+	if *cf.trace != "" {
+		cf.rec = trace.New()
+		hw.DefaultTracer = cf.rec
+	}
+	if *cf.metrics {
+		cf.reg = trace.NewRegistry()
+		am.DefaultMetrics = cf.reg
+	}
+	if (*cf.trace != "" || *cf.metrics) && *cf.par != 1 {
+		fmt.Fprintf(os.Stderr, "-par %d requested, running serial: -trace/-metrics collect one shared stream\n", *cf.par)
+	}
+}
+
+// Finish tears the hooks down and flushes their artifacts: the Chrome
+// trace-event file, and the metrics snapshot to w. Call once, after the
+// last benchmark, on every exit path that produced output.
+func (cf *CommonFlags) Finish(w io.Writer) error {
+	if cf.rec != nil {
 		hw.DefaultTracer = nil
-		f, err := os.Create(o.TracePath)
+		f, err := os.Create(*cf.trace)
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteChromeTrace(f, o.rec.Sorted()); err != nil {
+		if err := trace.WriteChromeTrace(f, cf.rec.Sorted()); err != nil {
 			f.Close()
 			return err
 		}
@@ -55,17 +74,12 @@ func (o *Observer) Finish(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in https://ui.perfetto.dev)\n",
-			o.rec.Len(), o.TracePath)
+			cf.rec.Len(), *cf.trace)
 	}
-	if o.reg != nil {
+	if cf.reg != nil {
 		am.DefaultMetrics = nil
 		fmt.Fprintln(w, "# protocol metrics")
-		WriteMetricsTable(w, o.reg)
+		trace.WriteMetrics(w, cf.reg.Snapshot())
 	}
 	return nil
-}
-
-// WriteMetricsTable prints a registry snapshot as an aligned table.
-func WriteMetricsTable(w io.Writer, reg *trace.Registry) {
-	trace.WriteMetrics(w, reg.Snapshot())
 }

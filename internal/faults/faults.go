@@ -200,17 +200,8 @@ func (p *Plan) WithKill(node int, at sim.Time) *Plan {
 	return p
 }
 
-// applyKills arms the plan's fail-stop kills on the cluster. Kills are
-// time-based state, not scheduled events.
-func (p *Plan) applyKills(c *hw.Cluster) {
-	for _, k := range p.Kills {
-		c.Kill(k.Node, k.At)
-	}
-}
-
 // verdict runs the plan's rule list against one packet using the given
-// per-rule random streams and burst counters — the shared core of Compile
-// and CompilePerSource.
+// per-rule random streams and burst counters.
 func (p *Plan) verdict(now sim.Time, pkt *hw.Packet, rngs []*sim.Rand, burstLeft []int) hw.Verdict {
 	for i, r := range p.Rules {
 		if !r.matches(now, pkt) {
@@ -272,39 +263,9 @@ func (p *Plan) Apply(c *hw.Cluster) {
 		return
 	}
 	c.Switch.Fault = p.Compile(c.Eng)
-	p.applyKills(c)
-}
-
-// CompilePerSource lowers the plan into one fault hook per injecting node.
-// Each (rule, source) pair owns a private random stream and burst counter,
-// forked from the plan seed in source-major order, so node i's verdicts are
-// a pure function of node i's own injection sequence, whatever the other
-// nodes send. (Compile draws one stream per rule in global packet order.)
-func (p *Plan) CompilePerSource(numNodes int) []hw.SrcFaultFunc {
-	master := sim.NewRand(p.Seed)
-	fns := make([]hw.SrcFaultFunc, numNodes)
-	for src := 0; src < numNodes; src++ {
-		rngs := make([]*sim.Rand, len(p.Rules))
-		burstLeft := make([]int, len(p.Rules))
-		for i := range p.Rules {
-			rngs[i] = master.Fork()
-		}
-		fns[src] = func(now sim.Time, pkt *hw.Packet) hw.Verdict {
-			return p.verdict(now, pkt, rngs, burstLeft)
-		}
+	for _, k := range p.Kills { // time-based state, not scheduled events
+		c.Kill(k.Node, k.At)
 	}
-	return fns
-}
-
-// ApplyPerSource installs per-source fault hooks on the cluster's switch
-// (see CompilePerSource). A nil plan clears the hooks.
-func (p *Plan) ApplyPerSource(c *hw.Cluster) {
-	if p == nil {
-		c.Switch.FaultBySrc = nil
-		return
-	}
-	c.Switch.FaultBySrc = p.CompilePerSource(len(c.Nodes))
-	p.applyKills(c)
 }
 
 // StandardPlans returns the canonical chaos suite: one plan per fault kind,

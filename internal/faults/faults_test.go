@@ -350,24 +350,16 @@ func TestPartitionOneWayMatching(t *testing.T) {
 }
 
 // TestWithKillArmsCluster checks that applying a plan with kills arms the
-// fail-stop gate on both the node and the switch, for Apply and
-// ApplyPerSource alike.
+// fail-stop gate on both the node and the switch.
 func TestWithKillArmsCluster(t *testing.T) {
 	const at = sim.Time(12345)
-	for _, mode := range []string{"apply", "per-source"} {
-		c := hw.NewCluster(hw.DefaultConfig(3))
-		plan := NewPlan("kill", 1).WithKill(2, at)
-		if mode == "apply" {
-			plan.Apply(c)
-		} else {
-			plan.ApplyPerSource(c)
-		}
-		if got := c.Nodes[2].KillTime(); got != at {
-			t.Errorf("%s: node kill time = %v, want %v", mode, got, at)
-		}
-		if c.Nodes[0].KillTime() != 0 || c.Nodes[1].KillTime() != 0 {
-			t.Errorf("%s: kill leaked to other nodes", mode)
-		}
+	c := hw.NewCluster(hw.DefaultConfig(3))
+	NewPlan("kill", 1).WithKill(2, at).Apply(c)
+	if got := c.Nodes[2].KillTime(); got != at {
+		t.Errorf("node kill time = %v, want %v", got, at)
+	}
+	if c.Nodes[0].KillTime() != 0 || c.Nodes[1].KillTime() != 0 {
+		t.Errorf("kill leaked to other nodes")
 	}
 }
 

@@ -182,49 +182,6 @@ func TestSwitchFaultInjection(t *testing.T) {
 	}
 }
 
-// TestSwitchFaultBySrc: a per-source hook sees only its own node's
-// injections, with the injection-time clock, and takes precedence over
-// Fault; its verdicts land in the same counters.
-func TestSwitchFaultBySrc(t *testing.T) {
-	const nodes, pkts = 4, 40
-	c := NewCluster(DefaultConfig(nodes))
-	c.Switch.Fault = func(*Packet) Verdict {
-		t.Error("Fault consulted for a source that has a FaultBySrc hook")
-		return Deliver()
-	}
-	c.Switch.FaultBySrc = make([]SrcFaultFunc, nodes)
-	for i := range c.Switch.FaultBySrc {
-		src, count := i, 0
-		c.Switch.FaultBySrc[i] = func(now sim.Time, pkt *Packet) Verdict {
-			if pkt.Src != src || now != c.Eng.Now() {
-				t.Errorf("hook of node %d called at %v for a packet of node %d at %v", src, now, pkt.Src, c.Eng.Now())
-			}
-			if count++; count%7 == 0 { // state owned by one injector
-				return Drop()
-			}
-			return Deliver()
-		}
-	}
-	c.SpawnAll("lossy", func(p *sim.Proc, nd *Node) {
-		for i := 0; i < pkts; i++ {
-			for nd.Adapter.SendSpace() == 0 {
-				p.Advance(US(2))
-			}
-			nd.Adapter.PushSend(&Packet{Dst: (nd.ID + 1) % nodes, HdrBytes: 32})
-			nd.Adapter.CommitLengths(p)
-			for nd.Adapter.RecvPeek() != nil {
-				nd.Pool.Put(nd.Adapter.RecvPop())
-			}
-		}
-		p.Advance(US(1000))
-	})
-	c.Run()
-	if want := int64(nodes * (pkts / 7)); c.Switch.Sent != nodes*pkts || c.Losses().FaultDropped != want || c.Switch.Lost != want {
-		t.Fatalf("sent %d, lost %d, losses %+v; want %d sent and every source's 7th packet (%d) dropped",
-			c.Switch.Sent, c.Switch.Lost, c.Losses(), nodes*pkts, want)
-	}
-}
-
 func TestSwitchVerdictDuplicate(t *testing.T) {
 	c := twoNodes(t)
 	c.Switch.Fault = func(pkt *Packet) Verdict { return Duplicate() }

@@ -107,12 +107,6 @@ func Corrupt() Verdict           { return Verdict{Action: ActCorrupt} }
 // leave it nil; internal/faults compiles declarative fault plans into one.
 type FaultFunc func(pkt *Packet) Verdict
 
-// SrcFaultFunc is a fault hook owned by one injecting node: it sees only
-// that node's packets, in injection order, with the injection-time clock
-// passed in. Its verdicts are a function of that node's injection sequence
-// alone — faults.Plan.CompilePerSource builds them.
-type SrcFaultFunc func(now sim.Time, pkt *Packet) Verdict
-
 // DropIf adapts a boolean drop predicate to a FaultFunc — the historical
 // drop-only fault interface most flow-control tests use.
 func DropIf(pred func(*Packet) bool) FaultFunc {
@@ -166,11 +160,8 @@ type Switch struct {
 	ports []swPort
 	deliv []func(*Packet)
 	Fault FaultFunc
-	// FaultBySrc, when non-nil, is consulted instead of Fault, indexed by
-	// the injecting node; faults.Plan.ApplyPerSource installs it.
-	FaultBySrc []SrcFaultFunc
-	Sent       int64
-	Lost       int64 // packets lost to drop verdicts (== Faults.Dropped)
+	Sent  int64
+	Lost  int64 // packets lost to drop verdicts (== Faults.Dropped)
 	// Faults counts applied fault verdicts; all zero when Fault is nil.
 	Faults FaultStats
 	// chaosRng picks corruption bit positions. Created at construction
@@ -229,17 +220,8 @@ func (s *Switch) Send(pkt *Packet) {
 		return
 	}
 	s.Sent++
-	var v Verdict
-	haveFault := false
-	switch {
-	case s.FaultBySrc != nil && s.FaultBySrc[pkt.Src] != nil:
-		v = s.FaultBySrc[pkt.Src](s.eng.Now(), pkt)
-		haveFault = true
-	case s.Fault != nil:
-		v = s.Fault(pkt)
-		haveFault = true
-	}
-	if haveFault {
+	if s.Fault != nil {
+		v := s.Fault(pkt)
 		if v.Action != ActDeliver {
 			if rec := s.eng.Tracer(); rec != nil {
 				rec.Emit(int64(s.eng.Now()), trace.EvFault, pkt.Src, pkt.TraceID,

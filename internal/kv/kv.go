@@ -472,6 +472,8 @@ func fold(dst, src reflect.Value, reg *trace.Registry) {
 type Result struct {
 	Counters
 
+	Config Config // the configuration the run used: the caller's, defaults filled in
+
 	Makespan      sim.Time // latest client finish time
 	Detect        sim.Time // kill runs: max detection latency across clients
 	UnavailWindow sim.Time // kill runs: kill -> last failed-over request completed
@@ -517,21 +519,23 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // gather folds the per-node counters, in fixed node order, into a Result,
-// publishing them into the process-wide metrics registry when one is
-// installed (the commands' -metrics flag) so multiple runs accumulate.
+// publishing them into the registry the AM system publishes into, when it
+// has one (the commands' -metrics flag installs one registry for every run,
+// so multiple runs accumulate).
 func (svc *Service) gather() *Result {
-	res := &Result{AM: svc.sys.Totals()}
+	res := &Result{Config: svc.cfg, AM: svc.sys.Totals()}
+	reg := svc.sys.Metrics()
 	sum := reflect.ValueOf(&res.Counters).Elem()
 	var detectAt, failoverDone sim.Time
 	for _, cl := range svc.clients {
-		fold(sum, reflect.ValueOf(&cl.st).Elem(), am.DefaultMetrics)
+		fold(sum, reflect.ValueOf(&cl.st).Elem(), reg)
 		res.Makespan = max(res.Makespan, cl.finishAt)
 		detectAt = max(detectAt, cl.detectAt)
 		failoverDone = max(failoverDone, cl.lastFailoverDone)
 	}
 	ops := reflect.ValueOf(&res.ServerOps).Elem()
 	for _, srv := range svc.servers {
-		fold(ops, reflect.ValueOf(&srv.ops).Elem(), am.DefaultMetrics)
+		fold(ops, reflect.ValueOf(&srv.ops).Elem(), reg)
 	}
 	if svc.cfg.KillServer >= 0 {
 		res.Detect = max(0, detectAt-svc.cfg.KillAt)

@@ -9,6 +9,7 @@ import (
 	"spam/internal/hw"
 	"spam/internal/kv/load"
 	"spam/internal/sim"
+	"spam/internal/trace"
 )
 
 func testConfig(reqs int) Config {
@@ -59,6 +60,28 @@ func TestKVBasic(t *testing.T) {
 	}
 	if res.Makespan <= 0 {
 		t.Fatal("zero makespan")
+	}
+}
+
+// TestKVMetricsFollowTheSystem: kv publishes its counters into the registry
+// its AM system publishes into — given one by EnableMetrics, with the
+// process-wide hook nil, kv and AM metrics land in the same place.
+func TestKVMetricsFollowTheSystem(t *testing.T) {
+	svc, err := New(testConfig(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := trace.NewRegistry()
+	svc.sys.EnableMetrics(reg)
+	res, err := svc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("kv.issued").Value(); got != 500 || got != res.Issued {
+		t.Errorf("registry holds kv.issued = %d, result says %d, want 500", got, res.Issued)
+	}
+	if got := reg.Counter("am.polls").Value(); got != res.AM.Polls {
+		t.Errorf("registry holds am.polls = %d, result says %d", got, res.AM.Polls)
 	}
 }
 

@@ -20,8 +20,7 @@ type mplTransport struct {
 	ctlFn  func(p *sim.Proc, src int, a, b uint64)
 	stored int64
 
-	cbs  []func()
-	free []uint32
+	cbs cbTable // puts and gets in flight; the index is a header field
 
 	scratch []byte
 }
@@ -92,24 +91,6 @@ func (t *mplTransport) Compute(p *sim.Proc, d sim.Time) {
 	t.ep.Node().Compute(p, d)
 }
 
-func (t *mplTransport) addCb(fn func()) uint32 {
-	if n := len(t.free); n > 0 {
-		idx := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.cbs[idx] = fn
-		return idx
-	}
-	t.cbs = append(t.cbs, fn)
-	return uint32(len(t.cbs) - 1)
-}
-
-func (t *mplTransport) fire(idx uint32) {
-	fn := t.cbs[idx]
-	t.cbs[idx] = nil
-	t.free = append(t.free, idx)
-	fn()
-}
-
 // header builds the fixed 24-byte wire header: three little-endian uint64s.
 func header(a, b, c uint64) []byte {
 	h := make([]byte, 24)
@@ -124,7 +105,7 @@ func (t *mplTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 }
 
 func (t *mplTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
-	idx := t.addCb(onDone)
+	idx := t.cbs.add(onDone)
 	msg := make([]byte, 24+len(data))
 	copy(msg, header(uint64(roff), uint64(idx), uint64(len(data))))
 	copy(msg[24:], data)
@@ -133,7 +114,7 @@ func (t *mplTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func(
 }
 
 func (t *mplTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := t.addCb(onDone)
+	idx := t.cbs.add(onDone)
 	// The response deposits at loff; stash it alongside the callback.
 	t.ep.Send(p, dst, tagGetReq, header(uint64(roff), uint64(idx)<<32|uint64(loff), uint64(n)))
 }
@@ -156,7 +137,7 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 		if !ep.Probe(p, mpl.AnySource, mpl.AnyTag) {
 			return
 		}
-		n, src, tag := ep.Recv(p, mpl.AnySource, mpl.AnyTag, t.scratch)
+		_, src, tag := ep.Recv(p, mpl.AnySource, mpl.AnyTag, t.scratch)
 		h0 := binary.LittleEndian.Uint64(t.scratch[0:])
 		h1 := binary.LittleEndian.Uint64(t.scratch[8:])
 		h2 := binary.LittleEndian.Uint64(t.scratch[16:])
@@ -169,7 +150,7 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 			t.ep.Node().Memcpy(p, ln)
 			t.ep.Send(p, src, tagPutAck, header(uint64(idx), 0, 0))
 		case tagPutAck:
-			t.fire(uint32(h0))
+			t.cbs.fire(uint32(h0))
 		case tagGetReq:
 			roff, ln := int(h0), int(h2)
 			msg := make([]byte, 24+ln)
@@ -182,13 +163,12 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 			ln := int(h2)
 			copy(t.mem[loff:], t.scratch[24:24+ln])
 			t.ep.Node().Memcpy(p, ln)
-			t.fire(idx)
+			t.cbs.fire(idx)
 		case tagStore:
 			roff, ln := int(h0), int(h2)
 			copy(t.mem[roff:], t.scratch[24:24+ln])
 			t.ep.Node().Memcpy(p, ln)
 			t.stored += int64(ln)
 		}
-		_ = n
 	}
 }

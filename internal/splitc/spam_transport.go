@@ -17,10 +17,7 @@ type spamTransport struct {
 	stored int64
 	err    error // first peer-death error; sticky
 
-	// Completion-callback table for split-phase ops (index rides in the AM
-	// handler argument word).
-	cbs  []func()
-	free []uint32
+	cbs cbTable // gets in flight; the index is the AM handler argument word
 
 	h *spamHandlers
 }
@@ -60,7 +57,7 @@ func newSPAM(c *hw.Cluster, heapBytes int, name string) *SPAMPlatform {
 		t.ctlFn(p, tok.Src, a, b)
 	})
 	h.getDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*spamTransport).fire(arg)
+		ep.Data.(*spamTransport).cbs.fire(arg)
 	})
 	h.putDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 		// Runs on the destination; nothing to do there. The sender-side
@@ -129,31 +126,13 @@ func (t *spamTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 		uint32(a>>32), uint32(a), uint32(b>>32), uint32(b))
 }
 
-func (t *spamTransport) addCb(fn func()) uint32 {
-	if n := len(t.free); n > 0 {
-		idx := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.cbs[idx] = fn
-		return idx
-	}
-	t.cbs = append(t.cbs, fn)
-	return uint32(len(t.cbs) - 1)
-}
-
-func (t *spamTransport) fire(idx uint32) {
-	fn := t.cbs[idx]
-	t.cbs[idx] = nil
-	t.free = append(t.free, idx)
-	fn()
-}
-
 func (t *spamTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
 	t.ep.StoreAsync(p, dst, hw.Addr{Seg: 0, Off: roff}, data, t.h.putDone, 0,
 		func(q *sim.Proc, e *am.Endpoint) { onDone() })
 }
 
 func (t *spamTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := t.addCb(onDone)
+	idx := t.cbs.add(onDone)
 	t.ep.GetAsync(p, dst, hw.Addr{Seg: 0, Off: roff}, hw.Addr{Seg: 0, Off: loff}, n,
 		t.h.getDone, idx)
 }

@@ -77,3 +77,30 @@ type Platform interface {
 	// completion, returning the final virtual time.
 	Run(program func(p *sim.Proc, rt *RT)) sim.Time
 }
+
+// cbTable holds the completion callbacks of a transport's in-flight
+// split-phase operations. The index add returns rides in the message (the AM
+// handler argument word, an MPL header field) and comes back with the
+// completion, which fires the callback and frees the slot.
+type cbTable struct {
+	cbs  []func()
+	free []uint32
+}
+
+func (t *cbTable) add(fn func()) uint32 {
+	if n := len(t.free); n > 0 {
+		idx := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.cbs[idx] = fn
+		return idx
+	}
+	t.cbs = append(t.cbs, fn)
+	return uint32(len(t.cbs) - 1)
+}
+
+func (t *cbTable) fire(idx uint32) {
+	fn := t.cbs[idx]
+	t.cbs[idx] = nil
+	t.free = append(t.free, idx)
+	fn()
+}
