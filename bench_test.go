@@ -352,7 +352,9 @@ func BenchmarkKVServed(b *testing.B) {
 // polls/req and 155.2 events/req. Host time is noisy and judged by paired
 // benchmark/run.sh runs; these counts are not, so any drift — a change that
 // polls or schedules more per request, or one that is meant to elide idle
-// polls — shows here first and has to move the constants on purpose.
+// polls — shows here first and has to move the constants on purpose. The
+// second pair is the proxy for switching between the eight node programs:
+// 16.8 hand-offs per request at 1.18 coroutine switches each.
 func TestKVServedEventBudget(t *testing.T) {
 	const wantPolls, wantEvents = 525431, 776154
 	svc, err := kv.New(kvServedConfig())
@@ -366,5 +368,10 @@ func TestKVServedEventBudget(t *testing.T) {
 	if polls, events := res.AM.Polls, svc.Events(); polls != wantPolls || events != wantEvents {
 		t.Fatalf("%d requests cost %d polls and %d events, want %d and %d",
 			kvServedReqs, polls, events, wantPolls, wantEvents)
+	}
+	const wantHandoffs, wantSwitches = 84109, 99515
+	if handoffs, switches := svc.Handoffs(); handoffs != wantHandoffs || switches != wantSwitches {
+		t.Fatalf("%d requests cost %d process hand-offs and %d coroutine switches, want %d and %d",
+			kvServedReqs, handoffs, switches, wantHandoffs, wantSwitches)
 	}
 }

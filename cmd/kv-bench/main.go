@@ -55,7 +55,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
-	cf.Activate()
+	check(cf.Activate())
 
 	mix, err := load.ParseMix(*mixName)
 	check(err)
@@ -67,6 +67,13 @@ func main() {
 			check(fmt.Errorf("-%s must be finite (got %v)", f.Name, v))
 		}
 	})
+
+	if *keys < 1 {
+		check(fmt.Errorf("-keys must be at least 1 (got %d)", *keys))
+	}
+	if *rate < 0 {
+		check(fmt.Errorf("-rate must be positive, or 0 to sweep the default ladder (got %v)", *rate))
+	}
 
 	base := kv.Config{
 		Servers:        *servers,

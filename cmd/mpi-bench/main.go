@@ -27,7 +27,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
-	cf.Activate()
+	check(cf.Activate())
 
 	latSizes := []int{4, 16, 64, 100, 256, 1024, 4096, 8192, 16384, 65536}
 	bwSizes := bench.SizesLog(64, 1<<18)

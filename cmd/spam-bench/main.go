@@ -29,7 +29,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
-	cf.Activate()
+	check(cf.Activate())
 
 	switch {
 	case *stats:

@@ -26,7 +26,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
-	cf.Activate()
+	check(cf.Activate())
 	if *procs < 1 {
 		check(fmt.Errorf("-p must be at least 1 (got %d)", *procs))
 	}

@@ -72,6 +72,9 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"kv-bench", "-batchops", "99"},
 		{"kv-bench", "-servers", "1", "-chaos", "kill"},
 		{"kv-bench", "-chaos", "kill", "-killat", "-5"},
+		{"kv-bench", "-keys", "-5"},
+		{"kv-bench", "-rate", "-1"},
+		{"spam-bench", "-par", "-3", "-table", "2"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(dir, args[0]), args[1:]...)

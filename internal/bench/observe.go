@@ -41,7 +41,11 @@ func StdFlags() *CommonFlags {
 // or metrics registry is one stream shared by every cluster of the run, so
 // installing either overrides a -par request (see sweepWorkers), and the run
 // that was asked for is not the run that is observed — said here, once.
-func (cf *CommonFlags) Activate() {
+// An out-of-range -par is an error, returned before anything is installed.
+func (cf *CommonFlags) Activate() error {
+	if *cf.par < 0 {
+		return fmt.Errorf("-par must be at least 0, where 0 is one worker per CPU (got %d)", *cf.par)
+	}
 	Par = *cf.par
 	if *cf.trace != "" {
 		cf.rec = trace.New()
@@ -54,6 +58,7 @@ func (cf *CommonFlags) Activate() {
 	if (*cf.trace != "" || *cf.metrics) && *cf.par != 1 {
 		fmt.Fprintf(os.Stderr, "-par %d requested, running serial: -trace/-metrics collect one shared stream\n", *cf.par)
 	}
+	return nil
 }
 
 // Finish tears the hooks down and flushes their artifacts: the Chrome

@@ -85,15 +85,15 @@ type Header struct {
 	Args  [4]uint32
 
 	// Bulk data packets (AM); MPL reuses Op/Total/BOff/Final.
-	BK        uint8   // bulk kind (store data vs get-response data)
-	Op        uint64  // bulk operation id, sender-scoped / MPL message id
-	DAddr     Addr    // destination of this packet's payload
-	Total     int     // total bytes in the whole operation / MPL message
-	ChunkPkts int     // packets in this packet's chunk (= its seq span)
-	PktIdx    int     // index of this packet within its chunk
-	BOff      int     // byte offset of this packet's payload within the op
-	Final     bool    // set on packets of the op's last chunk / MPL last pkt
-	Arg       uint32  // user argument delivered to the bulk handler
+	BK        uint8  // bulk kind (store data vs get-response data)
+	Op        uint64 // bulk operation id, sender-scoped / MPL message id
+	DAddr     Addr   // destination of this packet's payload
+	Total     int    // total bytes in the whole operation / MPL message
+	ChunkPkts int    // packets in this packet's chunk (= its seq span)
+	PktIdx    int    // index of this packet within its chunk
+	BOff      int    // byte offset of this packet's payload within the op
+	Final     bool   // set on packets of the op's last chunk / MPL last pkt
+	Arg       uint32 // user argument delivered to the bulk handler
 
 	// Get requests (AM).
 	RAddr  Addr // remote (data source) address

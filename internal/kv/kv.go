@@ -509,6 +509,12 @@ func (svc *Service) Run() (*Result, error) {
 // Events reports the simulation events executed so far: the deterministic proxy for what a run costs the host.
 func (svc *Service) Events() int64 { return svc.cluster.Events() }
 
+// Handoffs reports the process hand-offs so far and the coroutine switches
+// they took (sim.Engine.Handoffs, Switches).
+func (svc *Service) Handoffs() (handoffs, switches int64) {
+	return svc.cluster.Eng.Handoffs, svc.cluster.Eng.Switches
+}
+
 // Run builds and executes cfg in one call.
 func Run(cfg Config) (*Result, error) {
 	svc, err := New(cfg)

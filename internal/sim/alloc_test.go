@@ -93,6 +93,20 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 				}
 			})
 		}},
+		{"ring of 8", func() float64 {
+			// Round-robin: seven nested resumes, then seven yields back to
+			// the measured process (BenchmarkProcHandoffRing).
+			var others []func(p *Proc, stop *bool)
+			for i := 1; i < 8; i++ {
+				others = append(others, func(p *Proc, stop *bool) {
+					p.Advance(Time(i))
+					for !*stop {
+						p.Advance(8)
+					}
+				})
+			}
+			return inProc(func(p *Proc) { p.Advance(8) }, others...)
+		}},
 		{"Cond signal ping-pong", func() float64 {
 			a, c := &Cond{Name: "a"}, &Cond{Name: "c"}
 			return inProc(func(p *Proc) { c.Signal(); a.Wait(p) }, func(p *Proc, stop *bool) {

@@ -98,26 +98,74 @@ func BenchmarkProcYield(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkProcHandoffInterleaved is the shape of two nodes polling an empty
-// network (the am_echo workload, 97% of whose polls are empty): two
-// processes each in `for { p.Advance(d) }`, offset by d/2, so every wake-up
-// belongs to the other process and each op is one heap pop plus one
-// hand-off — a yield to the driver loop and a resume, two coroutine
-// switches.
-func BenchmarkProcHandoffInterleaved(b *testing.B) {
-	e := NewEngine(1)
+// spawnPollers starts n processes each doing laps Advance(d), offset by d/n,
+// so every wake-up belongs to the next process round-robin and costs one
+// heap pop plus one hand-off.
+func spawnPollers(e *Engine, n, laps int) {
 	const d = 1300
-	for i := 0; i < 2; i++ {
-		offset := Time(i) * d / 2
+	for i := 0; i < n; i++ {
+		offset := Time(i) * d / Time(n)
 		e.Go("poller", func(p *Proc) {
 			p.Advance(offset)
-			for i := 0; i < b.N/2; i++ {
+			for k := 0; k < laps; k++ {
 				p.Advance(d)
 			}
 		})
 	}
+}
+
+// spawnFan starts one hub that wakes seven spokes in turn, rounds times,
+// each of which wakes the hub back; the spokes are daemons, left parked.
+func spawnFan(e *Engine, rounds int) {
+	back := &Cond{Name: "hub"}
+	spokes := make([]Cond, 7)
+	for i := range spokes {
+		c := &spokes[i]
+		c.Name = "spoke"
+		e.GoDaemon("spoke", func(p *Proc) {
+			for {
+				c.Wait(p)
+				back.Signal()
+			}
+		})
+	}
+	e.Go("hub", func(p *Proc) {
+		p.Yield() // let every spoke reach its Wait
+		for k := 0; k < rounds; k++ {
+			spokes[k%len(spokes)].Signal()
+			back.Wait(p)
+		}
+	})
+}
+
+// handoffs runs a shape of b.N hand-offs to completion.
+func handoffs(b *testing.B, spawn func(e *Engine)) {
+	e := NewEngine(1)
+	spawn(e)
 	e.RunAll()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	e.Release()
+}
+
+// BenchmarkProcHandoffInterleaved is the shape of two nodes polling an empty
+// network (the am_echo workload, 97% of whose polls are empty): the parked
+// process resumes the other one, which yields back to it — one coroutine
+// switch per hand-off.
+func BenchmarkProcHandoffInterleaved(b *testing.B) {
+	handoffs(b, func(e *Engine) { spawnPollers(e, 2, b.N/2) })
+}
+
+// BenchmarkProcHandoffRing is the unwinding worst case: eight processes
+// round-robin, so seven nested resumes are followed by seven yields back to
+// the first — 1.75 switches per hand-off.
+func BenchmarkProcHandoffRing(b *testing.B) {
+	handoffs(b, func(e *Engine) { spawnPollers(e, 8, b.N/8) })
+}
+
+// BenchmarkProcHandoffFan: the chain is never deeper than two, one switch
+// per hand-off however many processes there are.
+func BenchmarkProcHandoffFan(b *testing.B) {
+	handoffs(b, func(e *Engine) { spawnFan(e, b.N/2) })
 }
 
 // BenchmarkCondSignalPingPong bounces two processes off each other through

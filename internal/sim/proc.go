@@ -7,9 +7,10 @@ import "iter"
 // Proc is a simulated process: a sequential program whose execution is
 // interleaved with others only at explicit virtual-time operations
 // (Advance, Wait, ...). A Proc must only be used from its own body, which
-// runs as a runtime coroutine (iter.Pull): resume switches to it from the
-// driver loop and returns when it yields; stop makes a parked yield return
-// false. A switch stays on one thread and never enters the Go scheduler.
+// runs as a runtime coroutine (iter.Pull): resume switches to it from
+// whoever calls it — drive, or a parked process's scheduler loop — and
+// returns when it yields or ends; stop makes a parked yield return false. A
+// switch stays on one thread and never enters the Go scheduler.
 type Proc struct {
 	eng      *Engine
 	name     string
@@ -18,6 +19,7 @@ type Proc struct {
 	yield    func(struct{}) bool
 	stop     func()
 	finished bool   // body returned, panicked, or was released
+	inResume bool   // suspended in a resume call: an ancestor of the one in control
 	parkedAt string // wait reason while parked on a Cond (diagnostics)
 
 	// wakeFn, allocated once at spawn, deposits this proc into the engine's
@@ -87,7 +89,7 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			// Back to drive, and a real panic with it, out of resume or stop.
+			// Back to whoever resumed it, and a real panic with it, out of resume or stop.
 			p.finished = true
 			e.running = nil
 			if r := recover(); r != nil && r != (released{}) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,34 +215,129 @@ func TestRunHorizonStopsEarly(t *testing.T) {
 	if e.EventsRun != 4 { // two first dispatches, the sleeper's wake-up, the Signal's handoff
 		t.Fatalf("EventsRun = %d, want 4", e.EventsRun)
 	}
-}
 
-// TestProcPanicReachesRun: a panic inside a simulated process comes out of
-// Run, in the goroutine that called it, with its value intact, and leaves
-// the engine naming no process as running.
-func TestProcPanicReachesRun(t *testing.T) {
-	boom := func(e *Engine) {
-		e.Go("bystander", func(p *Proc) { p.Advance(100) })
-		e.Go("faulty", func(p *Proc) {
-			p.Advance(10)
-			panic("boom")
+	// The same with the pause taken while four processes are on the chain,
+	// each suspended in its resume of the next: all of them come off it, and
+	// the next Run resumes each once per wake-up.
+	e = NewEngine(1)
+	woke = nil
+	var depths []int
+	for i := 1; i <= 4; i++ {
+		e.Go(fmt.Sprint("p", i), func(p *Proc) {
+			for k := 0; k < 2; k++ {
+				p.Advance(500 + Time(i))
+				woke = append(woke, fmt.Sprintf("%s@%d", p.name, p.Now()))
+			}
 		})
 	}
-	caught := func(run func()) (r any) {
-		defer func() { r = recover() }()
-		run()
-		return nil
+	for _, at := range []Time{300, 900} {
+		e.At(at, func() { depths = append(depths, chainDepth(e)) })
 	}
+	for _, h := range []Time{400, 950} {
+		if err := e.Run(h); err != nil {
+			t.Fatal(err)
+		}
+		if e.Live() != 4 || !e.Pending() || e.running != nil || chainDepth(e) != 0 {
+			t.Fatalf("paused at %v: live=%d pending=%v running=%v chain=%d", h, e.Live(), e.Pending(), e.running, chainDepth(e))
+		}
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(woke, ","); got != "p1@501,p2@502,p3@503,p4@504,p1@1002,p2@1004,p3@1006,p4@1008" {
+		t.Fatalf("after two pauses: %q, want each process woken once per Advance", got)
+	}
+	if fmt.Sprint(depths) != "[3 3]" {
+		t.Fatalf("%v ancestors suspended when the horizons were near, want 3 both times", depths)
+	}
+}
 
+// chainDepth counts the processes suspended in a resume call: the ancestors
+// of whichever is in control.
+func chainDepth(e *Engine) (n int) {
+	for _, p := range e.procs {
+		if p.inResume {
+			n++
+		}
+	}
+	return n
+}
+
+// TestProcPanicReachesRun: a panic inside a simulated process — here one
+// resumed by a process that was itself resumed by another — comes out of
+// Run, in the goroutine that called it, with its value intact, and leaves
+// the engine naming no process as running and every goroutine collectable.
+func TestProcPanicReachesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := NewEngine(1)
-	boom(e)
-	if r := caught(e.RunAll); r != "boom" {
+	e.Go("bystander", func(p *Proc) { p.Advance(100) })
+	e.Go("bystander", func(p *Proc) { p.Advance(100) })
+	e.Go("faulty", func(p *Proc) {
+		p.Advance(10)
+		if d := chainDepth(e); d != 2 {
+			t.Errorf("faulty runs under %d ancestors, want 2", d)
+		}
+		panic("boom")
+	})
+	e.Go("parked", func(p *Proc) { p.Advance(100) }) // yielded back to faulty: off the chain
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		e.RunAll()
+		return nil
+	}()
+	if r != "boom" {
 		t.Fatalf("recovered %v, want the process's panic value", r)
 	}
 	if e.running != nil {
 		t.Fatalf("engine left with %q running", e.running.name)
 	}
 	e.Release()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Release, %d before the run", n, base)
+	}
+}
+
+// TestFinishAndDetachOnTheChain: a process that detaches goes on resuming
+// others as their ancestor, one that finishes under it hands control back to
+// it, and when the detached one's own ancestor wakes it comes off the chain
+// for good; Release then unwinds it.
+func TestFinishAndDetachOnTheChain(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	var log []string
+	note := func(p *Proc, what string) {
+		log = append(log, fmt.Sprintf("%s %s@%d/%d", p.name, what, p.Now(), chainDepth(e)))
+	}
+	e.Go("a", func(p *Proc) {
+		p.Advance(10)
+		note(p, "woke")
+		p.Advance(100) // resumes d, which finishes under a
+		note(p, "done")
+	})
+	e.Go("b", func(p *Proc) {
+		defer note(p, "released")
+		p.Detach("killed") // under a; resumes c
+	})
+	e.Go("c", func(p *Proc) {
+		p.Advance(5) // resumes d, which yields back
+		note(p, "done")
+	})
+	e.Go("d", func(p *Proc) {
+		note(p, "started")
+		p.Advance(20)
+		note(p, "done")
+	})
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	e.Release()
+	want := "d started@0/3,c done@5/2,a woke@10/0,d done@20/1,a done@110/0,b released@110/0"
+	if got := strings.Join(log, ","); got != want {
+		t.Fatalf("log (what@time/ancestors)\n got %s\nwant %s", got, want)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Release, %d before the run", n, base)
+	}
 }
 
 // TestSignalHandoffOrder pins the Signal fast path's ordering contract:

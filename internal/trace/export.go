@@ -13,13 +13,13 @@ var lanes = map[Kind]struct {
 	tid  int
 	name string
 }{
-	EvI860SendSta: {EvI860SendEnd, 2, "i860 send"},
-	EvDMAOutSta:   {EvDMAOutEnd, 3, "dma out"},
-	EvInjectSta:   {EvInjectEnd, 4, "sw inject"},
-	EvEjectSta:    {EvEjectEnd, 5, "sw eject"},
-	EvI860RecvSta: {EvI860RecvEnd, 6, "i860 recv"},
-	EvDMAInSta:    {EvDMAInEnd, 7, "dma in"},
-	EvPollStart:   {EvPollEnd, 1, "host"},
+	EvI860SendSta:  {EvI860SendEnd, 2, "i860 send"},
+	EvDMAOutSta:    {EvDMAOutEnd, 3, "dma out"},
+	EvInjectSta:    {EvInjectEnd, 4, "sw inject"},
+	EvEjectSta:     {EvEjectEnd, 5, "sw eject"},
+	EvI860RecvSta:  {EvI860RecvEnd, 6, "i860 recv"},
+	EvDMAInSta:     {EvDMAInEnd, 7, "dma in"},
+	EvPollStart:    {EvPollEnd, 1, "host"},
 	EvHandlerStart: {EvHandlerEnd, 8, "handler"},
 }
 

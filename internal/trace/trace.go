@@ -27,24 +27,24 @@ const (
 
 	// Packet lifecycle, in path order. Node is the side the event happens
 	// on (source until EvInjectEnd, destination from EvEjectStart).
-	EvStaged       // host wrote the packet into a send-FIFO entry
-	EvCommitted    // host committed the entry's length-array slot
-	EvI860SendSta  // adapter i860 began send processing
-	EvI860SendEnd  // ... and finished
-	EvDMAOutSta    // outbound MicroChannel DMA began
-	EvDMAOutEnd    // ... and finished
-	EvInjectSta    // switch injection-port serialization began
-	EvInjectEnd    // ... and finished
-	EvEjectSta     // switch ejection-port serialization began
-	EvEjectEnd     // ... and finished
-	EvI860RecvSta  // adapter i860 began receive processing
-	EvI860RecvEnd  // ... and finished
-	EvDMAInSta     // inbound MicroChannel DMA began
-	EvDMAInEnd     // ... and finished
-	EvFIFOArrive   // packet entered the host receive FIFO (residency start)
-	EvPolled       // packet popped from the receive FIFO (residency end)
-	EvFIFODrop     // packet lost to receive-FIFO overflow
-	EvFault        // an injected fault verdict touched the packet (Arg = action)
+	EvStaged      // host wrote the packet into a send-FIFO entry
+	EvCommitted   // host committed the entry's length-array slot
+	EvI860SendSta // adapter i860 began send processing
+	EvI860SendEnd // ... and finished
+	EvDMAOutSta   // outbound MicroChannel DMA began
+	EvDMAOutEnd   // ... and finished
+	EvInjectSta   // switch injection-port serialization began
+	EvInjectEnd   // ... and finished
+	EvEjectSta    // switch ejection-port serialization began
+	EvEjectEnd    // ... and finished
+	EvI860RecvSta // adapter i860 began receive processing
+	EvI860RecvEnd // ... and finished
+	EvDMAInSta    // inbound MicroChannel DMA began
+	EvDMAInEnd    // ... and finished
+	EvFIFOArrive  // packet entered the host receive FIFO (residency start)
+	EvPolled      // packet popped from the receive FIFO (residency end)
+	EvFIFODrop    // packet lost to receive-FIFO overflow
+	EvFault       // an injected fault verdict touched the packet (Arg = action)
 
 	// Protocol / host events.
 	EvReqStart     // am.Request entered (before any cost is charged)
