@@ -1,6 +1,10 @@
 package hw
 
-import "spam/internal/sim"
+import (
+	"hash/crc32"
+
+	"spam/internal/sim"
+)
 
 // Kind enumerates the wire packet types of every protocol that rides the
 // TB2 model. The hardware does not interpret protocol headers — this enum
@@ -100,11 +104,16 @@ type Header struct {
 	LAddr  Addr // local (data sink) address at the requester
 	NBytes int
 
-	// Csum covers every header field above plus the payload bytes; it
-	// models the adapter's hardware CRC. Stamped at injection (after ack
-	// piggybacking), verified before any receive-side processing.
+	// Csum covers every header field above plus the payload bytes (see
+	// WireChecksum); it models the adapter's hardware CRC. Stamped at
+	// injection (after ack piggybacking), verified before any receive-side
+	// processing.
 	Csum uint32
 }
+
+// castagnoli is the CRC-32C table: hash/crc32 computes that polynomial with
+// the CPU's CRC instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // mix64 is the splitmix64 finalizer, used to fold header fields into the
 // wire checksum.
@@ -114,10 +123,12 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// WireChecksum hashes every header field and the payload. It deliberately
-// covers all fields corruptIn can damage; the computation is host-side
-// bookkeeping only (the real CRC is adapter hardware) and charges no
-// simulated time.
+// WireChecksum hashes every header field and the payload: the header words
+// are folded through mix64 and the last word folded is the payload's CRC-32C
+// with its length, so every single-bit payload flip changes the result. It
+// deliberately covers all fields corruptIn can damage; the computation is
+// host-side bookkeeping only (the real CRC is adapter hardware) and charges
+// no simulated time.
 func (h *Header) WireChecksum(data []byte) uint32 {
 	b2u := func(b bool) uint64 {
 		if b {
@@ -141,17 +152,7 @@ func (h *Header) WireChecksum(data []byte) uint32 {
 	fold(uint64(uint32(h.RAddr.Seg))<<32 ^ uint64(uint32(h.RAddr.Off)))
 	fold(uint64(uint32(h.LAddr.Seg))<<32 ^ uint64(uint32(h.LAddr.Off)))
 	fold(uint64(uint32(h.NBytes)))
-	for i := 0; i+8 <= len(data); i += 8 {
-		fold(uint64(data[i]) | uint64(data[i+1])<<8 | uint64(data[i+2])<<16 |
-			uint64(data[i+3])<<24 | uint64(data[i+4])<<32 | uint64(data[i+5])<<40 |
-			uint64(data[i+6])<<48 | uint64(data[i+7])<<56)
-	}
-	tail := len(data) &^ 7
-	var last uint64
-	for i := tail; i < len(data); i++ {
-		last = last<<8 | uint64(data[i])
-	}
-	fold(last ^ uint64(len(data))<<56)
+	fold(uint64(crc32.Update(0, castagnoli, data)) ^ uint64(len(data))<<56)
 	return uint32(acc) ^ uint32(acc>>32)
 }
 

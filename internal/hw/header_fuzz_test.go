@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"testing"
 
 	"spam/internal/sim"
@@ -59,4 +60,25 @@ func FuzzHeaderChecksum(f *testing.F) {
 			payload[bit/8] ^= 1 << (bit % 8)
 		}
 	})
+}
+
+// BenchmarkWireChecksum: the host cost of stamping or verifying one packet,
+// at no payload (acks, short messages with no data), one word and a full
+// packet. Every packet pays it twice; internal/am's zero-alloc guards
+// depend on its 0 allocs/op.
+func BenchmarkWireChecksum(b *testing.B) {
+	for _, n := range []int{0, 8, PacketDataSize} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			h := Header{Kind: KindChunk, Seq: 77, Op: 3, Total: 1 << 20, ChunkPkts: 36}
+			payload := make([]byte, n)
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			var sum uint32
+			for i := 0; i < b.N; i++ {
+				h.PktIdx = i
+				sum ^= h.WireChecksum(payload)
+			}
+			h.Csum = sum // keep the loop's result live
+		})
+	}
 }

@@ -512,6 +512,31 @@ func TestSwitchUtilizationAccounting(t *testing.T) {
 	}
 }
 
+// TestSwitchUtilizationMidBacklog: a reading taken while packets are still
+// queued at a port counts the service performed, not the service queued.
+// Fifty packets enter the injection port at once and the run pauses after
+// about ten have crossed; counting at submit would read 5.
+func TestSwitchUtilizationMidBacklog(t *testing.T) {
+	c := twoNodes(t)
+	c.Eng.After(1, func() {
+		for i := 0; i < 50; i++ {
+			c.Switch.Send(&Packet{Src: 0, Dst: 1, HdrBytes: 32, Data: make([]byte, PacketDataSize)})
+		}
+	})
+	if err := c.Eng.Run(10 * c.Switch.xferTime(32+PacketDataSize)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Eng.Pending() {
+		t.Fatal("run finished before the pause")
+	}
+	if in0, _ := c.Switch.Util(0); in0 <= 0.9 || in0 > 1 {
+		t.Fatalf("injection port utilization %.3f mid-backlog, want in (0.9, 1]", in0)
+	}
+	if _, out1 := c.Switch.Util(1); out1 <= 0 || out1 > 1 {
+		t.Fatalf("ejection port utilization %.3f mid-backlog, want in (0, 1]", out1)
+	}
+}
+
 func TestEngineEventAccounting(t *testing.T) {
 	c := NewCluster(DefaultConfig(2))
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {

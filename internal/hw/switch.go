@@ -340,11 +340,12 @@ func (s *Switch) corruptPacket(pkt *Packet) bool {
 }
 
 // Util returns the busy fractions of a node's injection and ejection ports
-// up to the current time (diagnostics for bandwidth experiments).
+// up to the current time (diagnostics for bandwidth experiments): service
+// performed, not service queued, so a reading taken mid-backlog stays <= 1.
 func (s *Switch) Util(node int) (in, out float64) {
 	now := float64(s.eng.Now())
 	if now == 0 {
 		return 0, 0
 	}
-	return float64(s.ports[node].in.Busy) / now, float64(s.ports[node].out.Busy) / now
+	return float64(s.ports[node].in.Served()) / now, float64(s.ports[node].out.Served()) / now
 }

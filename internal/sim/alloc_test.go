@@ -73,6 +73,10 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 				e.RunAll()
 			})
 		}},
+		{"server backlog", func() float64 {
+			run := serverBacklog(NewEngine(1))
+			return testing.AllocsPerRun(runs, func() { run(8 * 512) })
+		}},
 		{"Advance", func() float64 { return inProc(func(p *Proc) { p.Advance(1) }) }},
 		{"Yield", func() float64 { return inProc(func(p *Proc) { p.Yield() }) }},
 		{"AdvanceWhile", func() float64 {

@@ -49,6 +49,48 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// serverBacklog builds eight servers on e and returns a function that runs n
+// jobs through them, 512 outstanding on the first and one on each of the
+// others, every completion submitting the next job to its own server: the
+// shape of a backlogged port among idle ones.
+func serverBacklog(e *Engine) func(n int) {
+	var srv [8]*Server
+	var done [8]func()
+	left := 0
+	for i := range srv {
+		s := NewServer(e)
+		srv[i] = s
+		done[i] = func() {
+			if left > 0 {
+				left--
+				s.Submit(8, done[i])
+			}
+		}
+	}
+	return func(n int) {
+		left = n
+		for i, s := range srv {
+			outstanding := 1
+			if i == 0 {
+				outstanding = 512
+			}
+			for ; outstanding > 0 && left > 0; outstanding-- {
+				left--
+				s.Submit(8, done[i])
+			}
+		}
+		e.RunAll()
+	}
+}
+
+// BenchmarkServerBacklog: one job per op through serverBacklog. The heap
+// holds the eight jobs in service, not the 519 outstanding, so a completion
+// sifts through two levels rather than five.
+func BenchmarkServerBacklog(b *testing.B) {
+	serverBacklog(NewEngine(1))(b.N)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkProcAdvance measures a process waking itself: each op is one
 // Advance(1) — a schedule and a heap pop inside the process's own scheduler
 // loop, no switch (ns/op is ns/dispatch).

@@ -138,3 +138,172 @@ func TestEventOrderMatchesContainerHeap(t *testing.T) {
 		}
 	}
 }
+
+// refServer is Server as it was before completions queued outside the heap:
+// every job's completion is pushed at Submit. It is the reference the
+// backlogged Server must reproduce event for event.
+type refServer struct {
+	eng       *Engine
+	busyUntil Time
+}
+
+func (s *refServer) Submit(service Time, done func()) Time {
+	if service < 0 {
+		service = 0
+	}
+	start := s.eng.now
+	if s.busyUntil > start {
+		start = s.busyUntil
+	}
+	s.busyUntil = start + service
+	if done != nil {
+		s.eng.At(s.busyUntil, done)
+	}
+	return s.busyUntil
+}
+
+type submitter interface {
+	Submit(service Time, done func()) Time
+}
+
+type step struct {
+	now Time
+	id  int
+}
+
+// serverMix drives six servers wired like two adapters and a switch port —
+// stage k's done submits to stage k+1; chains 0→1 and 2→3 each cross an
+// AfterKeyed hop (one lane per chain) into the shared server 4, then 5, whose
+// done signals a consumer — from two processes (Advance, AdvanceWhile) and a
+// re-arming After timer, all drawing from one seeded stream, so the first
+// event that pops out of order changes every draw after it. Service times
+// come from a small set, zero included, so completions tie across servers
+// and with the timers; servers 1 and 3 never serve in zero time, as a link
+// never does, which keeps the hops' keys unique. The run pauses at a horizon
+// (paused sees the servers then) and is resumed to the end.
+func serverMix(t *testing.T, seed uint64, mk func(e *Engine) submitter, paused func(srv []submitter)) ([]step, int64) {
+	e := NewEngine(1)
+	r := NewRand(seed)
+	srv := make([]submitter, 6)
+	for i := range srv {
+		srv[i] = mk(e)
+	}
+	services := []Time{0, 3, 3, 7, 7, 7, 12}
+	svc := func() Time { return services[r.Intn(len(services))] }
+	var log []step
+	mark := func(id int) { log = append(log, step{e.Now(), id}) }
+	arrived := &Cond{Name: "arrived"}
+
+	var stage func(k, job int) func()
+	stage = func(k, job int) func() {
+		return func() {
+			mark(k*100000 + job)
+			switch k {
+			case 1, 3:
+				e.AfterKeyed(10, uint64(k/2), 2, func() {
+					mark(600000 + job)
+					srv[4].Submit(svc(), stage(4, job))
+				})
+			case 5:
+				arrived.Signal()
+			default:
+				d := svc()
+				if k == 0 || k == 2 {
+					d++ // into server 1 or 3
+				}
+				srv[k+1].Submit(d, stage(k+1, job))
+			}
+		}
+	}
+	jobs := 0
+	inject := func(chain int) {
+		for n := 1 + r.Intn(6); n > 0; n-- {
+			jobs++
+			if r.Intn(8) == 0 {
+				srv[2*chain].Submit(svc(), nil) // occupies the server, no event
+				continue
+			}
+			srv[2*chain].Submit(svc(), stage(2*chain, jobs))
+		}
+	}
+
+	e.Go("advance", func(p *Proc) {
+		for i := 0; i < 60; i++ {
+			inject(0)
+			p.Advance(Time(r.Intn(30)))
+			mark(700000)
+		}
+	})
+	e.Go("advancewhile", func(p *Proc) {
+		for i := 0; i < 60; i++ {
+			inject(1)
+			left := r.Intn(3)
+			p.AdvanceWhile(Time(1+r.Intn(12)), func() bool { left--; return left >= 0 })
+			mark(700001)
+		}
+	})
+	e.GoDaemon("consumer", func(p *Proc) {
+		for {
+			arrived.Wait(p)
+			mark(700002)
+		}
+	})
+	timers := 40
+	var timer func()
+	timer = func() {
+		mark(700003)
+		inject(r.Intn(2))
+		if timers--; timers > 0 {
+			e.After(Time(r.Intn(40)), timer)
+		}
+	}
+	e.After(5, timer)
+
+	if err := e.Run(400); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if !e.Pending() {
+		t.Fatalf("seed %d: run finished before the pause at %v", seed, e.Now())
+	}
+	paused(srv)
+	if err := e.Run(0); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if e.Pending() {
+		t.Fatalf("seed %d: events pending after the run", seed)
+	}
+	e.Release()
+	return log, e.EventsRun
+}
+
+// TestServerOrderMatchesSubmitTimePush: keeping queued completions out of
+// the heap must not move a single event. The same seeded mix runs on Server
+// and on refServer, and the (now, id) execution sequences and event counts
+// must be equal.
+func TestServerOrderMatchesSubmitTimePush(t *testing.T) {
+	for seed := uint64(1); seed <= 25; seed++ {
+		backlogged := 0
+		got, gotEvents := serverMix(t, seed*977,
+			func(e *Engine) submitter { return NewServer(e) },
+			func(srv []submitter) {
+				for _, s := range srv {
+					backlogged += s.(*Server).backlog.Len()
+				}
+			})
+		if backlogged == 0 {
+			t.Fatalf("seed %d: no server had a backlog at the pause; the mix does not exercise it", seed)
+		}
+		want, wantEvents := serverMix(t, seed*977,
+			func(e *Engine) submitter { return &refServer{eng: e} },
+			func([]submitter) {})
+		if len(got) != len(want) || gotEvents != wantEvents {
+			t.Fatalf("seed %d: %d steps in %d events, reference %d in %d",
+				seed, len(got), gotEvents, len(want), wantEvents)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: divergence at step %d: server ran %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

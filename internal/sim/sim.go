@@ -13,7 +13,10 @@
 //
 // Events live in a value-typed arena ordered by an inline 4-ary min-heap on
 // (at, pushAt, seq); same-time wakeups (Advance(0), Cond.Signal) bypass the heap
-// through a FIFO run queue. Neither path boxes events or allocates in steady
+// through a FIFO run queue. The heap holds one entry per parked process, per
+// timer and per busy Server — the job in service, not the jobs queued behind
+// it (see Server) — so its depth follows the size of the machine, not the
+// packets in flight. Neither path boxes events or allocates in steady
 // state, which is what keeps host-time events/sec high (measured by
 // engine_bench_test.go, required by TestEngineSteadyStateZeroAlloc).
 package sim
@@ -117,7 +120,7 @@ type Engine struct {
 	horizon Time // active Run's horizon (0 = none); read by the exec loop
 
 	// events is a 4-ary min-heap on (at, pushAt, seq) holding only future
-	// events (at > now at push time). 4-ary beats binary here: same
+	// events (at > now when their key was taken). 4-ary beats binary here: same
 	// asymptotics, half the depth, and the four-way child scan stays in one
 	// cache line of 32-byte events.
 	events []event
@@ -126,7 +129,7 @@ type Engine struct {
 	// runqHead is the index of the next entry to run. Every entry's at is
 	// the current now: the clock only advances when the run queue is empty.
 	// Heap events with at == now always precede run-queue entries — they
-	// were pushed before the clock reached now, so their seq is smaller.
+	// were keyed before the clock reached now, so their seq is smaller.
 	runq     []runqEvent
 	runqHead int
 

@@ -156,16 +156,40 @@ func TestServerFIFOAndOccupancy(t *testing.T) {
 	}
 }
 
-func TestServerSubmitAtWaitsForRelease(t *testing.T) {
+// TestServerBacklogStaysOutOfHeap is the gate on what the event heap holds:
+// one completion per busy server, however many jobs are queued behind it
+// (pushing each at Submit, as Server once did, reads 3999 here).
+func TestServerBacklogStaysOutOfHeap(t *testing.T) {
 	e := NewEngine(1)
-	s := NewServer(e)
-	var at Time
-	e.Go("g", func(p *Proc) {
-		s.SubmitAt(500, 100, func() { at = e.Now() })
-	})
+	const servers, jobs = 4, 1000
+	var srv [servers]*Server
+	for i := range srv {
+		srv[i] = NewServer(e)
+	}
+	peak, completed := 0, 0
+	var done [servers]func()
+	for k := range done {
+		done[k] = func() {
+			completed++
+			if len(e.events) > peak {
+				peak = len(e.events)
+			}
+			if k+1 < servers {
+				srv[k+1].Submit(Time(1+k), done[k+1])
+			}
+		}
+	}
+	for k, s := range srv {
+		for j := 0; j < jobs; j++ {
+			s.Submit(Time(1+k), done[k])
+		}
+	}
 	e.RunAll()
-	if at != 600 {
-		t.Fatalf("completion at %v, want 600", at)
+	if want := jobs * servers * (servers + 1) / 2; completed != want {
+		t.Fatalf("%d completions, want %d", completed, want)
+	}
+	if peak > servers+1 {
+		t.Fatalf("event heap held %d entries at a completion, want at most %d (one per busy server)", peak, servers+1)
 	}
 }
 
