@@ -1,311 +1,11 @@
 package spam
 
-// One benchmark per table and figure of the paper, plus ablations of the
-// design choices DESIGN.md calls out. Each benchmark drives the simulator
-// and reports the simulated metric via b.ReportMetric (the Go ns/op of a
-// simulation run is meaningless; the simulated microseconds and MB/s are
-// the results).
-
 import (
-	"strconv"
-	"strings"
 	"testing"
 
-	"spam/internal/am"
-	"spam/internal/bench"
-	"spam/internal/hw"
 	"spam/internal/kv"
 	"spam/internal/kv/load"
-	"spam/internal/sim"
 )
-
-// metricName makes a label safe for b.ReportMetric units.
-func metricName(parts ...string) string {
-	return strings.ReplaceAll(strings.Join(parts, "/"), " ", "-")
-}
-
-// BenchmarkTable2RequestReplyCost regenerates Table 2.
-func BenchmarkTable2RequestReplyCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for n := 1; n <= 4; n++ {
-			req := bench.RequestCost(n)
-			rep := bench.ReplyCost(n)
-			if i == 0 {
-				b.ReportMetric(req, "us/request_"+strconv.Itoa(n))
-				b.ReportMetric(rep, "us/reply_"+strconv.Itoa(n))
-			}
-		}
-	}
-}
-
-// BenchmarkTable3RoundTrip regenerates the §2.3 / Table 3 latencies.
-func BenchmarkTable3RoundTrip(b *testing.B) {
-	var amRTT, mplRTT, raw float64
-	for i := 0; i < b.N; i++ {
-		amRTT = bench.AMRoundTrip(1, 10)
-		mplRTT = bench.MPLRoundTrip(10)
-		raw = bench.RawRoundTrip(10)
-	}
-	b.ReportMetric(amRTT, "us/AM-rtt")
-	b.ReportMetric(mplRTT, "us/MPL-rtt")
-	b.ReportMetric(raw, "us/raw-rtt")
-}
-
-// BenchmarkFigure3Bandwidth regenerates Figure 3's six curves at a
-// representative size plus the asymptote.
-func BenchmarkFigure3Bandwidth(b *testing.B) {
-	const total = 1 << 19
-	modes := []bench.BulkMode{bench.SyncStore, bench.SyncGet, bench.AsyncStore, bench.AsyncGet}
-	for _, m := range modes {
-		m := m
-		b.Run(m.String(), func(b *testing.B) {
-			var rinf, small float64
-			for i := 0; i < b.N; i++ {
-				rinf = bench.AMBandwidth(m, total, total)
-				small = bench.AMBandwidth(m, 1024, 1<<16)
-			}
-			b.ReportMetric(rinf, "MBps/r_inf")
-			b.ReportMetric(small, "MBps/1KB")
-		})
-	}
-	b.Run("MPL-pipelined", func(b *testing.B) {
-		var rinf float64
-		for i := 0; i < b.N; i++ {
-			rinf = bench.MPLBandwidth(false, total, total)
-		}
-		b.ReportMetric(rinf, "MBps/r_inf")
-	})
-	b.Run("MPL-blocking", func(b *testing.B) {
-		var rinf float64
-		for i := 0; i < b.N; i++ {
-			rinf = bench.MPLBandwidth(true, total, total)
-		}
-		b.ReportMetric(rinf, "MBps/r_inf")
-	})
-}
-
-// BenchmarkTable5SplitC regenerates Table 5 / Figure 4 at quick scale.
-func BenchmarkTable5SplitC(b *testing.B) {
-	cfg := bench.QuickTable5()
-	machines := bench.Table5Machines(cfg.NProcs)
-	for i := 0; i < b.N; i++ {
-		results := bench.RunTable5(cfg, machines)
-		if i == 0 {
-			for _, r := range results {
-				b.ReportMetric(r.TotalSec*1000, metricName("ms", r.Platform, r.Bench))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure7Protocols regenerates Figure 7 at the switch boundary.
-func BenchmarkFigure7Protocols(b *testing.B) {
-	const total = 1 << 19
-	for _, impl := range []bench.MPIImpl{bench.MPIBufferedOnly, bench.MPIRdvOnly, bench.MPIHybrid} {
-		impl := impl
-		b.Run(impl.String(), func(b *testing.B) {
-			var at4k, at16k float64
-			for i := 0; i < b.N; i++ {
-				at4k = bench.MPIBandwidth(impl, 4096, total, false)
-				at16k = bench.MPIBandwidth(impl, 16384, total, false)
-			}
-			b.ReportMetric(at4k, "MBps/4KB")
-			b.ReportMetric(at16k, "MBps/16KB")
-		})
-	}
-}
-
-// BenchmarkFigure89ThinMPI regenerates the thin-node latency/bandwidth
-// points of Figures 8 and 9.
-func BenchmarkFigure89ThinMPI(b *testing.B) {
-	impls := []bench.MPIImpl{bench.AMStoreRaw, bench.MPIAMUnopt, bench.MPIAMOpt, bench.MPIF}
-	for _, impl := range impls {
-		impl := impl
-		b.Run(impl.String(), func(b *testing.B) {
-			var lat, bw float64
-			for i := 0; i < b.N; i++ {
-				lat = bench.MPIRingLatency(impl, 16, false)
-				bw = bench.MPIBandwidth(impl, 65536, 1<<19, false)
-			}
-			b.ReportMetric(lat, "us/hop-16B")
-			b.ReportMetric(bw, "MBps/64KB")
-		})
-	}
-}
-
-// BenchmarkFigure1011WideMPI regenerates the wide-node points of
-// Figures 10 and 11.
-func BenchmarkFigure1011WideMPI(b *testing.B) {
-	impls := []bench.MPIImpl{bench.MPIAMOpt, bench.MPIF}
-	for _, impl := range impls {
-		impl := impl
-		b.Run(impl.String(), func(b *testing.B) {
-			var lat, bw float64
-			for i := 0; i < b.N; i++ {
-				lat = bench.MPIRingLatency(impl, 16, true)
-				bw = bench.MPIBandwidth(impl, 65536, 1<<19, true)
-			}
-			b.ReportMetric(lat, "us/hop-16B")
-			b.ReportMetric(bw, "MBps/64KB")
-		})
-	}
-}
-
-// BenchmarkTable6NAS regenerates Table 6 at quick scale.
-func BenchmarkTable6NAS(b *testing.B) {
-	cfg := bench.QuickNAS()
-	for i := 0; i < b.N; i++ {
-		rows := bench.RunNAS(cfg)
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.MPIAM/r.MPIF, "ratio/"+r.Bench)
-			}
-		}
-	}
-}
-
-// --- Ablations of SP AM design choices (DESIGN.md §6) ---
-
-// ablated is the Setup of one DESIGN §6 ablation: the paper's machine with
-// one protocol option changed. The one-way rows run on the shared drivers
-// (bench.Bandwidth, bench.PingPong), the same loops Table 3 and Figure 3
-// are measured with.
-func ablated(change func(o *am.Options)) bench.Setup {
-	o := am.DefaultOptions()
-	change(&o)
-	return bench.Setup{Options: &o}
-}
-
-// ablatedExchange runs a bidirectional store exchange (both nodes stream
-// simultaneously, the regime where ack policy matters) and returns the
-// aggregate bandwidth plus the explicit acks emitted.
-func ablatedExchange(b *testing.B, opt am.Options, size, total int) (mbps float64, acks int64) {
-	b.Helper()
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.NewWithOptions(c, opt)
-	ops := total / size
-	segs := [2]int{
-		c.Nodes[0].Mem.Add(make([]byte, size)),
-		c.Nodes[1].Mem.Add(make([]byte, size)),
-	}
-	doneCnt := 0
-	var end sim.Time
-	for i := 0; i < 2; i++ {
-		i := i
-		c.Spawn(i, "xchg", func(p *sim.Proc, n *hw.Node) {
-			ep := sys.EPs[i]
-			src := make([]byte, size)
-			completed := 0
-			for k := 0; k < ops; k++ {
-				ep.StoreAsync(p, 1-i, hw.Addr{Seg: segs[1-i]}, src, am.NoHandler, 0,
-					func(q *sim.Proc, e *am.Endpoint) { completed++ })
-			}
-			for completed < ops {
-				ep.Poll(p)
-			}
-			doneCnt++
-			for doneCnt < 2 {
-				ep.Poll(p)
-			}
-			end = p.Now()
-		})
-	}
-	c.Run()
-	mbps = float64(2*ops*size) / 1e6 / end.Seconds()
-	acks = sys.EPs[0].Stats.AcksSent + sys.EPs[1].Stats.AcksSent
-	return mbps, acks
-}
-
-// BenchmarkAblationAckPerPacket prices the one-ack-per-chunk design
-// against acknowledging every packet, under bidirectional load.
-func BenchmarkAblationAckPerPacket(b *testing.B) {
-	const size, total = 8064, 1 << 19
-	var perChunk, perPkt float64
-	var acksChunk, acksPkt int64
-	for i := 0; i < b.N; i++ {
-		perChunk, acksChunk = ablatedExchange(b, am.DefaultOptions(), size, total)
-		o := am.DefaultOptions()
-		o.AckPerChunk = false
-		perPkt, acksPkt = ablatedExchange(b, o, size, total)
-	}
-	b.ReportMetric(perChunk, "MBps/ack-per-chunk")
-	b.ReportMetric(perPkt, "MBps/ack-per-packet")
-	b.ReportMetric(float64(acksChunk), "acks/per-chunk")
-	b.ReportMetric(float64(acksPkt), "acks/ack-per-packet")
-}
-
-// BenchmarkAblationNoPiggyback prices piggybacked acknowledgements on a
-// request/reply workload, where replies can carry the acks. (Under
-// saturated bidirectional bulk traffic piggybacking is moot: both windows
-// are full, so there is no outgoing data packet for an ack to ride.)
-func BenchmarkAblationNoPiggyback(b *testing.B) {
-	var with, without float64
-	var ranWith, ranWithout bench.Ran
-	for i := 0; i < b.N; i++ {
-		with, ranWith = bench.PingPong(bench.Setup{}, 1, 0, 200)
-		without, ranWithout = bench.PingPong(ablated(func(o *am.Options) { o.PiggybackAcks = false }), 1, 0, 200)
-	}
-	b.ReportMetric(with, "us-rtt/piggyback")
-	b.ReportMetric(without, "us-rtt/explicit-only")
-	b.ReportMetric(float64(ranWith.Stats.AcksSent), "acks/piggyback")
-	b.ReportMetric(float64(ranWithout.Stats.AcksSent), "acks/explicit-only")
-}
-
-// BenchmarkAblationEagerPop prices the lazy receive-FIFO pop.
-func BenchmarkAblationEagerPop(b *testing.B) {
-	const size, total = 1024, 1 << 18
-	var lazy, eager float64
-	for i := 0; i < b.N; i++ {
-		lazy = bench.AMBandwidth(bench.AsyncStore, size, total)
-		eager, _ = bench.Bandwidth(ablated(func(o *am.Options) { o.LazyPop = false }), bench.AsyncStore, size, total)
-	}
-	b.ReportMetric(lazy, "MBps/lazy-pop")
-	b.ReportMetric(eager, "MBps/eager-pop")
-}
-
-// BenchmarkAblationWindow sweeps the request window around the paper's 72.
-func BenchmarkAblationWindow(b *testing.B) {
-	const size, total = 8064, 1 << 19
-	for _, wnd := range []int{36, 72, 144} {
-		wnd := wnd
-		b.Run(map[int]string{36: "wnd36", 72: "wnd72", 144: "wnd144"}[wnd], func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps, _ = bench.Bandwidth(ablated(func(o *am.Options) {
-					o.WndRequest = wnd
-					o.WndReply = wnd + 4
-				}), bench.AsyncStore, size, total)
-			}
-			b.ReportMetric(mbps, "MBps")
-		})
-	}
-}
-
-// BenchmarkAblationFirstFit prices the binned allocator of optimized
-// MPI-AM against first-fit-only (the §4.2 small-message cost).
-func BenchmarkAblationFirstFit(b *testing.B) {
-	var opt, unopt float64
-	for i := 0; i < b.N; i++ {
-		opt = bench.MPIRingLatency(bench.MPIAMOpt, 64, false)
-		unopt = bench.MPIRingLatency(bench.MPIAMUnopt, 64, false)
-	}
-	b.ReportMetric(opt, "us-hop/binned")
-	b.ReportMetric(unopt, "us-hop/first-fit")
-}
-
-// BenchmarkAblationHybridPrefix sweeps the hybrid prefix size.
-func BenchmarkAblationHybridPrefix(b *testing.B) {
-	for _, kb := range []int{0, 1, 4, 8} {
-		kb := kb
-		b.Run(map[int]string{0: "prefix0", 1: "prefix1K", 4: "prefix4K", 8: "prefix8K"}[kb], func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps = bench.MPIHybridPrefixBandwidth(kb<<10, 12<<10, 1<<19)
-			}
-			b.ReportMetric(mbps, "MBps/12KB-msgs")
-		})
-	}
-}
 
 // kvServedReqs and kvServedConfig are the repo benchmark's first kv_mixed
 // rung: 50k req/s offered for 0.1 simulated seconds by 4 client nodes to 4
@@ -320,13 +20,13 @@ func kvServedConfig() kv.Config {
 }
 
 // BenchmarkKVServed is the host-time row of the served path: one whole
-// kvServedConfig run per op, timed around Service.Run only. Unlike the
-// benchmarks above, its Go time IS the result: ns/req is what a served
-// request costs the host. The two counts beside it are deterministic —
-// polls/req says how much polling a request buys (mostly idle at this rate),
-// events/req how many scheduler events; a host-time change with both
-// unchanged is a change in the cost per poll or per event, not in their
-// number. TestKVServedEventBudget pins both.
+// kvServedConfig run per op, timed around Service.Run only. Its Go time is
+// the result: ns/req is what a served request costs the host. The two
+// counts beside it are deterministic — polls/req says how much polling a
+// request buys (mostly idle at this rate), events/req how many scheduler
+// events; a host-time change with both unchanged is a change in the cost
+// per poll or per event, not in their number. TestKVServedEventBudget pins
+// both.
 func BenchmarkKVServed(b *testing.B) {
 	var polls, events int64
 	for i := 0; i < b.N; i++ {

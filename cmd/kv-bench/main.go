@@ -12,7 +12,6 @@
 //	kv-bench -writetable         # PUT coalescing/combining vs one PUT per transaction across -mixes
 //	kv-bench -batchops 1         # no PUT coalescing
 //	kv-bench -chaos kill         # fail-stop a server mid-run, report failover
-//	kv-bench -json               # machine-readable saturation + tail metrics
 //
 // The run is deterministic: the same flags produce byte-identical output
 // at any -par setting.
@@ -52,7 +51,6 @@ func main() {
 	batchWindowUS := flag.Float64("batchwindow", 0, "batch flush window in us of simulated time (0 = default 20)")
 	chaos := flag.String("chaos", "", "chaos mode: 'kill' fail-stops a server mid-run")
 	killat := flag.Float64("killat", 5000, "kill time in us of simulated time (-chaos kill)")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
 	check(cf.Activate())
@@ -70,6 +68,9 @@ func main() {
 
 	if *keys < 1 {
 		check(fmt.Errorf("-keys must be at least 1 (got %d)", *keys))
+	}
+	if *chaos != "" && *chaos != "kill" {
+		check(fmt.Errorf("-chaos must be kill (got %q)", *chaos))
 	}
 	if *rate < 0 {
 		check(fmt.Errorf("-rate must be positive, or 0 to sweep the default ladder (got %v)", *rate))
@@ -138,11 +139,6 @@ func main() {
 			base.Rate = *rate
 		}
 		bench.KVKillTable(os.Stdout, valid(base), 1, []sim.Time{hw.US(*killat)})
-	case *chaos != "":
-		fmt.Fprintf(os.Stderr, "kv-bench: unknown -chaos mode %q (want kill)\n", *chaos)
-		os.Exit(2)
-	case *jsonOut:
-		check(bench.WriteJSONReport(os.Stdout, bench.KVReport(valid(base), rates)))
 	default:
 		bench.KVTailTable(os.Stdout, valid(base), rates)
 	}

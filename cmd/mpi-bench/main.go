@@ -24,10 +24,12 @@ import (
 func main() {
 	figure := flag.Int("figure", 0, "figure to regenerate (7-11)")
 	total := flag.Int("total", 1<<20, "bytes per bandwidth measurement")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
 	check(cf.Activate())
+	if *figure != 0 && (*figure < 7 || *figure > 11) {
+		check(fmt.Errorf("-figure must be 7-11 (got %d)", *figure))
+	}
 
 	latSizes := []int{4, 16, 64, 100, 256, 1024, 4096, 8192, 16384, 65536}
 	bwSizes := bench.SizesLog(64, 1<<18)
@@ -48,54 +50,31 @@ func main() {
 		}
 	}
 
+	// Figures 8/9 are the thin nodes, 10/11 the same series on wide ones.
+	wide, where := *figure >= 10, "thin"
+	if wide {
+		where = "wide"
+	}
+	series := []bench.MPIImpl{bench.AMStoreRaw, bench.MPIAMUnopt, bench.MPIAMOpt, bench.MPIF}
+	var curves []bench.Curve
+
 	switch *figure {
 	case 7:
-		curves := []bench.Curve{
+		bench.PrintCurves(os.Stdout, "Figure 7: performance of buffered and rendezvous protocols (MB/s)", []bench.Curve{
 			bench.MPIBandwidthCurve(bench.MPIBufferedOnly, bench.SizesLog(64, 16<<10), *total, false),
 			bench.MPIBandwidthCurve(bench.MPIRdvOnly, bwSizes, *total, false),
 			bench.MPIBandwidthCurve(bench.MPIHybrid, bwSizes, *total, false),
-		}
-		if *jsonOut {
-			check(bench.WriteJSONReport(os.Stdout, bench.CurvesReport("mpi-bench -figure 7", curves)))
-			break
-		}
-		bench.PrintCurves(os.Stdout, "Figure 7: performance of buffered and rendezvous protocols (MB/s)", curves)
+		})
 
 	case 8, 10:
-		wide := *figure == 10
-		where := "thin"
-		if wide {
-			where = "wide"
-		}
-		curves := []bench.Curve{
-			bench.MPILatencyCurve(bench.AMStoreRaw, latSizes, wide),
-			bench.MPILatencyCurve(bench.MPIAMUnopt, latSizes, wide),
-			bench.MPILatencyCurve(bench.MPIAMOpt, latSizes, wide),
-			bench.MPILatencyCurve(bench.MPIF, latSizes, wide),
-		}
-		if *jsonOut {
-			check(bench.WriteJSONReport(os.Stdout,
-				bench.LatencyCurvesReport(fmt.Sprintf("mpi-bench -figure %d", *figure), curves)))
-			break
+		for _, impl := range series {
+			curves = append(curves, bench.MPILatencyCurve(impl, latSizes, wide))
 		}
 		printLat(fmt.Sprintf("Figure %d: MPI per-hop latency on %s SP nodes (us, 4-node ring)", *figure, where), curves)
 
 	case 9, 11:
-		wide := *figure == 11
-		where := "thin"
-		if wide {
-			where = "wide"
-		}
-		curves := []bench.Curve{
-			bench.MPIBandwidthCurve(bench.AMStoreRaw, bwSizes, *total, wide),
-			bench.MPIBandwidthCurve(bench.MPIAMUnopt, bwSizes, *total, wide),
-			bench.MPIBandwidthCurve(bench.MPIAMOpt, bwSizes, *total, wide),
-			bench.MPIBandwidthCurve(bench.MPIF, bwSizes, *total, wide),
-		}
-		if *jsonOut {
-			check(bench.WriteJSONReport(os.Stdout,
-				bench.CurvesReport(fmt.Sprintf("mpi-bench -figure %d", *figure), curves)))
-			break
+		for _, impl := range series {
+			curves = append(curves, bench.MPIBandwidthCurve(impl, bwSizes, *total, wide))
 		}
 		bench.PrintCurves(os.Stdout,
 			fmt.Sprintf("Figure %d: MPI point-to-point bandwidth on %s SP nodes (MB/s)", *figure, where), curves)

@@ -18,7 +18,6 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "small smoke configuration")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
 	check(cf.Activate())
@@ -27,12 +26,7 @@ func main() {
 	if *quick {
 		cfg = bench.QuickNAS()
 	}
-	rows := bench.RunNAS(cfg)
-	if *jsonOut {
-		check(bench.WriteJSONReport(os.Stdout, bench.NASReport(rows, cfg.NProcs)))
-	} else {
-		bench.PrintNAS(os.Stdout, rows, cfg.NProcs)
-	}
+	bench.PrintNAS(os.Stdout, bench.RunNAS(cfg), cfg.NProcs)
 	check(cf.Finish(os.Stdout))
 }
 

@@ -8,6 +8,7 @@
 //	spam-bench -table 2      # am_request_N / am_reply_N costs
 //	spam-bench -table 3      # round trips + r_inf + n_1/2 summary
 //	spam-bench -figure 3     # the six bandwidth curves
+//	spam-bench -ablations    # the DESIGN.md §6 design choices, one changed per row
 //	spam-bench -chaos loss   # bandwidth degradation vs packet-loss rate
 //	spam-bench -chaos kill   # fail-stop detection latency + goodput
 package main
@@ -26,26 +27,30 @@ func main() {
 	total := flag.Int("total", 1<<20, "bytes moved per bandwidth measurement")
 	stats := flag.Bool("stats", false, "run a mixed workload and dump protocol statistics")
 	chaos := flag.String("chaos", "", "chaos sweep: 'loss' (bandwidth vs packet-loss rate) or 'kill' (fail-stop detection latency)")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
+	ablations := flag.Bool("ablations", false, "price the SP AM and MPI-AM design choices, one changed per row")
 	cf := bench.StdFlags()
 	flag.Parse()
 	check(cf.Activate())
+	if *table != 0 && *table != 2 && *table != 3 {
+		check(fmt.Errorf("-table must be 2 or 3 (got %d)", *table))
+	}
+	if *figure != 0 && *figure != 3 {
+		check(fmt.Errorf("-figure must be 3 (got %d)", *figure))
+	}
+	if *chaos != "" && *chaos != "loss" && *chaos != "kill" {
+		check(fmt.Errorf("-chaos must be loss or kill (got %q)", *chaos))
+	}
 
 	switch {
 	case *stats:
 		bench.ProtocolStats(os.Stdout)
+	case *ablations:
+		bench.AblationTable(os.Stdout)
 	case *chaos == "loss":
 		bench.ChaosTable(os.Stdout, *total)
 	case *chaos == "kill":
 		bench.KillTable(os.Stdout)
-	case *chaos != "":
-		fmt.Fprintf(os.Stderr, "spam-bench: unknown -chaos mode %q (want loss or kill)\n", *chaos)
-		os.Exit(2)
 	case *table == 2:
-		if *jsonOut {
-			check(bench.WriteJSONReport(os.Stdout, bench.Table2Report()))
-			break
-		}
 		fmt.Println("# Table 2: cost of am_request_N / am_reply_N calls (us)")
 		fmt.Printf("%-4s %12s %12s\n", "N", "am_request", "am_reply")
 		for n := 1; n <= 4; n++ {
@@ -54,27 +59,18 @@ func main() {
 		fmt.Println("# paper: request 7.7/7.9/8.0/8.2, reply 4.0/4.1/4.3/4.4")
 
 	case *table == 3:
-		if *jsonOut {
-			check(bench.WriteJSONReport(os.Stdout, bench.Table3Report(30, *total)))
-			break
-		}
 		bench.WriteTable3(os.Stdout, *total)
 
 	case *figure == 3:
 		sizes := bench.SizesLog(16, 1<<20)
-		curves := []bench.Curve{
+		bench.PrintCurves(os.Stdout, "Figure 3: bandwidth of blocking and non-blocking bulk transfers (MB/s)", []bench.Curve{
 			bench.AMBandwidthCurve(bench.SyncStore, sizes, *total),
 			bench.AMBandwidthCurve(bench.SyncGet, sizes, *total),
 			bench.MPLBandwidthCurve(true, sizes, *total),
 			bench.AMBandwidthCurve(bench.AsyncStore, sizes, *total),
 			bench.AMBandwidthCurve(bench.AsyncGet, sizes, *total),
 			bench.MPLBandwidthCurve(false, sizes, *total),
-		}
-		if *jsonOut {
-			check(bench.WriteJSONReport(os.Stdout, bench.CurvesReport("spam-bench -figure 3", curves)))
-			break
-		}
-		bench.PrintCurves(os.Stdout, "Figure 3: bandwidth of blocking and non-blocking bulk transfers (MB/s)", curves)
+		})
 
 	default:
 		flag.Usage()

@@ -54,8 +54,8 @@ func main() {
 		return
 
 	case *load:
-		r, mbps := bench.TracedBandwidth(bench.AsyncStore, 1<<16, *total)
-		rec = r
+		rec = trace.New()
+		mbps, _ := bench.Bandwidth(bench.Setup{Tracer: rec}, bench.AsyncStore, 1<<16, *total)
 		fmt.Printf("# queueing attribution: async store of %d bytes in 64 KiB ops (%.2f MB/s)\n", *total, mbps)
 		trace.WriteQueueing(os.Stdout, trace.PacketStageStats(rec.Sorted()))
 
@@ -84,13 +84,9 @@ func main() {
 		trace.WriteTimeline(os.Stdout, rec.Sorted())
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		check(err)
-		check(trace.WriteChromeTrace(f, rec.Sorted()))
-		check(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %d events to %s (load in https://ui.perfetto.dev or chrome://tracing)\n",
-			rec.Len(), *out)
+		check(bench.WriteTrace(*out, rec))
 	}
+	check(rec.Truncated()) // the tables above came from what the recorder kept
 }
 
 func check(err error) {

@@ -23,7 +23,6 @@ func main() {
 	table := flag.Int("table", 5, "table to regenerate (4 or 5)")
 	paper := flag.Bool("paper", false, "use paper-scale problem sizes")
 	procs := flag.Int("p", 8, "number of processors")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	cf := bench.StdFlags()
 	flag.Parse()
 	check(cf.Activate())
@@ -53,12 +52,6 @@ func main() {
 	}
 	cfg.NProcs = *procs
 	machines := bench.Table5Machines(cfg.NProcs)
-	if *jsonOut {
-		results := bench.RunTable5(cfg, machines)
-		check(bench.WriteJSONReport(os.Stdout, bench.Table5Report(results)))
-		check(cf.Finish(os.Stdout))
-		return
-	}
 	fmt.Printf("# Split-C benchmarks on %d processors (keys=%d, mm %dx%d blocks of %d^2 and %dx%d of %d^2)\n",
 		cfg.NProcs, cfg.Keys, cfg.MMLgN, cfg.MMLgN, cfg.MMLgB, cfg.MMSmN, cfg.MMSmN, cfg.MMSmB)
 	results := bench.RunTable5(cfg, machines)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +15,7 @@ import (
 )
 
 var (
-	goldenAll    = flag.Bool("golden", false, "TestGoldens: regenerate all 13 results/ files (about 70 s serial), not only the six that take under a second")
+	goldenAll    = flag.Bool("golden", false, "TestGoldens: regenerate all 20 results/ files (about 70 s serial), not only the 13 that take under a second")
 	goldenUpdate = flag.Bool("update", false, "TestGoldens: rewrite the results/ files it regenerates instead of comparing them")
 	goldenPar    = flag.Int("par", 1, "TestGoldens: the -par the commands run with (0 = one sweep worker per CPU); the bytes must not depend on it")
 )
@@ -75,6 +76,11 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"kv-bench", "-keys", "-5"},
 		{"kv-bench", "-rate", "-1"},
 		{"spam-bench", "-par", "-3", "-table", "2"},
+		{"spam-bench", "-table", "7"},
+		{"spam-bench", "-figure", "7"},
+		{"spam-bench", "-chaos", "flood"},
+		{"mpi-bench", "-figure", "99"},
+		{"kv-bench", "-chaos", "loss"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(dir, args[0]), args[1:]...)
@@ -89,7 +95,7 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 			t.Errorf("%v: stderr is not one line of diagnosis:\n%s", args, msg)
 		}
 		// kv-bench leaves most ranges to kv.Config.Validate, which names the
-		// field; the other two check their own flags and name the flag.
+		// field; the others check their own flags and name the flag.
 		if args[0] != "kv-bench" && !strings.Contains(msg, args[1]+" must be ") {
 			t.Errorf("%v: diagnosis does not name %s and its range:\n%s", args, args[1], msg)
 		}
@@ -111,27 +117,99 @@ func TestKVBenchHeaderIsTheRunConfig(t *testing.T) {
 	}
 }
 
-// goldens is the behaviour contract: every checked-in results/ file and the
-// command line that regenerates it. The fast rows take under a second each
-// and run in every `go test ./...`; the rest run under -golden.
+// goldens is the behaviour contract, and the only route from a command to a
+// published number: every checked-in results/ file and the command line that
+// regenerates it. The fast rows take under a second each and run in every
+// `go test ./...`; the rest run under -golden. spam-trace runs one traced
+// cluster and sweeps nothing, so it has no -par to pass.
 var goldens = []struct {
-	file string
-	fast bool
-	args []string
+	file  string
+	fast  bool
+	noPar bool
+	args  []string
 }{
-	{"table3.txt", false, []string{"spam-bench", "-table", "3"}},
-	{"figure3.txt", false, []string{"spam-bench", "-figure", "3"}},
-	{"figure7.txt", true, []string{"mpi-bench", "-figure", "7"}},
-	{"figure8.txt", true, []string{"mpi-bench", "-figure", "8"}},
-	{"figure9.txt", false, []string{"mpi-bench", "-figure", "9"}},
-	{"figure10.txt", true, []string{"mpi-bench", "-figure", "10"}},
-	{"figure11.txt", false, []string{"mpi-bench", "-figure", "11"}},
-	{"table5.txt", false, []string{"splitc-bench", "-paper"}},
-	{"table6.txt", false, []string{"nas-bench"}},
-	{"chaos-kill.txt", true, []string{"spam-bench", "-chaos", "kill"}},
-	{"kv-tail.txt", true, []string{"kv-bench", "-reqs", "10000", "-clients", "100000"}},
-	{"kv-cache.txt", true, []string{"kv-bench", "-cachetable", "-reqs", "10000", "-clients", "100000"}},
-	{"kv-write.txt", false, []string{"kv-bench", "-writetable", "-reqs", "10000", "-clients", "100000"}},
+	{file: "table2.txt", fast: true, args: []string{"spam-bench", "-table", "2"}},
+	{file: "table3.txt", args: []string{"spam-bench", "-table", "3"}},
+	{file: "figure3.txt", args: []string{"spam-bench", "-figure", "3"}},
+	{file: "ablations.txt", fast: true, args: []string{"spam-bench", "-ablations"}},
+	{file: "trace-breakdown.txt", fast: true, noPar: true, args: []string{"spam-trace", "-breakdown"}},
+	{file: "trace-gap.txt", fast: true, noPar: true, args: []string{"spam-trace", "-gap"}},
+	{file: "trace-load.txt", fast: true, noPar: true, args: []string{"spam-trace", "-load"}},
+	{file: "figure7.txt", fast: true, args: []string{"mpi-bench", "-figure", "7"}},
+	{file: "figure8.txt", fast: true, args: []string{"mpi-bench", "-figure", "8"}},
+	{file: "figure9.txt", args: []string{"mpi-bench", "-figure", "9"}},
+	{file: "figure10.txt", fast: true, args: []string{"mpi-bench", "-figure", "10"}},
+	{file: "figure11.txt", args: []string{"mpi-bench", "-figure", "11"}},
+	{file: "table5.txt", args: []string{"splitc-bench", "-paper"}},
+	{file: "table6.txt", args: []string{"nas-bench"}},
+	{file: "chaos-loss.txt", fast: true, args: []string{"spam-bench", "-chaos", "loss"}},
+	{file: "chaos-kill.txt", fast: true, args: []string{"spam-bench", "-chaos", "kill"}},
+	{file: "kv-tail.txt", fast: true, args: []string{"kv-bench", "-reqs", "10000", "-clients", "100000"}},
+	{file: "kv-cache.txt", fast: true, args: []string{"kv-bench", "-cachetable", "-reqs", "10000", "-clients", "100000"}},
+	{file: "kv-write.txt", args: []string{"kv-bench", "-writetable", "-reqs", "10000", "-clients", "100000"}},
+	{file: "kv-kill.txt", fast: true, args: []string{"kv-bench", "-chaos", "kill", "-reqs", "10000", "-clients", "100000"}},
+}
+
+// goldenTableIsComplete keeps the table honest in both directions: a file
+// under results/ that no row regenerates is a number nothing guards, a row
+// without its file guards nothing, and every results/ file an EXPERIMENTS.md
+// `guard:` line names must be a row. A section of EXPERIMENTS.md that prints
+// a table (a markdown one, or command output in an untagged fence) without a
+// `guard:` line fails too.
+func goldenTableIsComplete(t *testing.T) {
+	rows := map[string]bool{}
+	for _, g := range goldens {
+		if rows[g.file] {
+			t.Errorf("results/%s has two rows", g.file)
+		}
+		rows[g.file] = true
+		if _, err := os.Stat(filepath.Join("results", g.file)); err != nil && !*goldenUpdate {
+			t.Errorf("row %v has no file: %v", g.args, err)
+		}
+	}
+	files, err := os.ReadDir("results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !rows[f.Name()] {
+			t.Errorf("results/%s has no row in goldens: nothing regenerates or compares it", f.Name())
+		}
+	}
+
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile("results/([a-z0-9-]+\\.txt)")
+	section, hasTable, guarded := "", false, false
+	closeSection := func() {
+		if hasTable && !guarded {
+			t.Errorf("EXPERIMENTS.md %q prints a table and has no `guard:` line", section)
+		}
+	}
+	fenced := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+			hasTable = hasTable || fenced && line == "```" // an untagged fence opens: command output
+		case fenced:
+		case strings.HasPrefix(line, "## "):
+			closeSection()
+			section, hasTable, guarded = line, false, false
+		case strings.HasPrefix(line, "|---"):
+			hasTable = true
+		case strings.Contains(line, "guard:"):
+			guarded = true
+			for _, m := range named.FindAllStringSubmatch(line, -1) {
+				if !rows[m[1]] {
+					t.Errorf("EXPERIMENTS.md %q: guard names results/%s, which is not a goldens row", section, m[1])
+				}
+			}
+		}
+	}
+	closeSection()
 }
 
 // TestGoldens regenerates the checked-in results/ files from the current
@@ -139,11 +217,12 @@ var goldens = []struct {
 // simulator deterministic, keeps refactors behaviour-preserving, and keeps
 // observability provably free when disabled.
 //
-//	go test . -run TestGoldens                   # the six fast files (tier-1)
-//	go test . -run TestGoldens -golden           # all 13
-//	go test . -run TestGoldens -golden -par 0    # all 13, sweeps fanned over every CPU
+//	go test . -run TestGoldens                   # the 13 fast files (tier-1)
+//	go test . -run TestGoldens -golden           # all 20
+//	go test . -run TestGoldens -golden -par 0    # all 20, sweeps fanned over every CPU
 //	go test . -run TestGoldens -golden -update   # refresh them in place
 func TestGoldens(t *testing.T) {
+	t.Run("table", goldenTableIsComplete)
 	dir := builtCommands(t)
 	for _, g := range goldens {
 		if !g.fast && !*goldenAll {
@@ -151,7 +230,10 @@ func TestGoldens(t *testing.T) {
 		}
 		t.Run(g.file, func(t *testing.T) {
 			t.Parallel()
-			args := append([]string{"-par", strconv.Itoa(*goldenPar)}, g.args[1:]...)
+			args := g.args[1:]
+			if !g.noPar {
+				args = append([]string{"-par", strconv.Itoa(*goldenPar)}, args...)
+			}
 			var stderr bytes.Buffer
 			cmd := exec.Command(filepath.Join(dir, g.args[0]), args...)
 			cmd.Stderr = &stderr

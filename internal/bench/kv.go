@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"spam/internal/faults"
 	"spam/internal/kv"
 	"spam/internal/kv/load"
 	"spam/internal/sim"
@@ -12,7 +13,7 @@ import (
 
 // qUS reads one latency quantile out of a histogram in microseconds — the
 // single conversion point from the simulator's nanosecond Time to the
-// microsecond figures every kv table and JSON report prints.
+// microsecond figures every kv table prints.
 func qUS(h *trace.Histogram, q float64) float64 {
 	return float64(h.Quantile(q)) / 1e3
 }
@@ -162,8 +163,7 @@ func KVWriteTable(w io.Writer, base kv.Config, names []string, mixes []load.Mix)
 // request must still end in a reply or a typed error.
 func KVKillTable(w io.Writer, base kv.Config, killServer int, kills []sim.Time) {
 	pts := kvRuns(base, len(kills), func(i int, cfg *kv.Config) {
-		cfg.KillServer = killServer
-		cfg.KillAt = kills[i]
+		cfg.Plan = faults.NewPlan(fmt.Sprintf("kill@%v", kills[i]), 0).WithKill(killServer, kills[i])
 	})
 	fmt.Fprintf(w, "# kv-bench: fail-stop server %d under load (%d servers, %d client nodes, %.0f rps offered)\n",
 		killServer, base.Servers, base.ClientNodes, base.Rate)
@@ -175,67 +175,5 @@ func KVKillTable(w io.Writer, base kv.Config, killServer int, kills []sim.Time) 
 			float64(r.Detect)/1e6, float64(r.UnavailWindow)/1e6,
 			r.Failovers, r.Completed, r.Conflicts, r.Unavail,
 			100*r.HitRate(), r.StaleServed)
-	}
-}
-
-// KVReport condenses a tail sweep into the machine-readable metrics the
-// regression gate tracks: the saturation throughput (best achieved rate
-// across the ladder) and the tail quantiles at the highest offered load
-// that still achieved its target.
-func KVReport(base kv.Config, rates []float64) JSONReport {
-	runs := kvLadder(base, rates)
-	r := JSONReport{Command: "kv-bench"}
-	var satur float64
-	res := runs[0]
-	for _, run := range runs {
-		t := run.Throughput()
-		satur = max(satur, t)
-		// The "served" point: highest offered load achieving >=99% of it.
-		if t >= 0.99*run.Config.Rate {
-			res = run
-		}
-	}
-	at := fmt.Sprintf("@%.0frps", res.Config.Rate)
-	r.Metrics = append(r.Metrics,
-		JSONMetric{Name: "kv_saturation", Value: satur, Unit: "req/s"},
-		JSONMetric{Name: "kv_p50" + at, Value: qUS(&res.Lat, 0.5), Unit: "us"},
-		JSONMetric{Name: "kv_p99" + at, Value: qUS(&res.Lat, 0.99), Unit: "us"},
-		JSONMetric{Name: "kv_p999" + at, Value: qUS(&res.Lat, 0.999), Unit: "us"},
-		JSONMetric{Name: "kv_get_p99" + at, Value: qUS(&res.LatGet, 0.99), Unit: "us"},
-		JSONMetric{Name: "kv_put_p99" + at, Value: qUS(&res.LatWrite, 0.99), Unit: "us"},
-		JSONMetric{Name: "kv_hit_rate", Value: res.HitRate(), Unit: "frac"})
-	r.KVCache = &KVCacheJSON{
-		Hits:         res.CacheHits,
-		Misses:       res.CacheMisses,
-		Stale:        res.CacheStale,
-		Coalesced:    res.Coalesced,
-		InvalsRecv:   res.InvalsRecv,
-		InvalsPushed: res.ServerOps.Invals,
-		Evictions:    res.Evictions,
-		HitRate:      res.HitRate(),
-	}
-	r.KVClasses = []KVClassJSON{
-		kvClassRow("all", &res.Lat),
-		kvClassRow("get", &res.LatGet),
-		kvClassRow("write", &res.LatWrite),
-	}
-	r.KVWrite = &KVWriteJSON{
-		Batches:      res.WriteBatches,
-		BatchedPuts:  res.BatchedPuts,
-		CombinedPuts: res.CombinedPuts,
-		Backoffs:     res.Backoffs,
-		LatchDenies:  res.LockRetries,
-		AvgBatchSize: res.BatchSize.Mean(),
-	}
-	return r
-}
-
-func kvClassRow(class string, h *trace.Histogram) KVClassJSON {
-	return KVClassJSON{
-		Class:  class,
-		Count:  h.Count(),
-		P50us:  qUS(h, 0.5),
-		P99us:  qUS(h, 0.99),
-		P999us: qUS(h, 0.999),
 	}
 }

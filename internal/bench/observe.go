@@ -61,30 +61,38 @@ func (cf *CommonFlags) Activate() error {
 	return nil
 }
 
-// Finish tears the hooks down and flushes their artifacts: the Chrome
-// trace-event file, and the metrics snapshot to w. Call once, after the
-// last benchmark, on every exit path that produced output.
+// Finish tears the hooks down and flushes their artifacts: the metrics
+// snapshot to w, and the Chrome trace-event file. Call once, after the last
+// benchmark, on every exit path that produced output.
 func (cf *CommonFlags) Finish(w io.Writer) error {
-	if cf.rec != nil {
-		hw.DefaultTracer = nil
-		f, err := os.Create(*cf.trace)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChromeTrace(f, cf.rec.Sorted()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in https://ui.perfetto.dev)\n",
-			cf.rec.Len(), *cf.trace)
-	}
 	if cf.reg != nil {
 		am.DefaultMetrics = nil
 		fmt.Fprintln(w, "# protocol metrics")
 		trace.WriteMetrics(w, cf.reg.Snapshot())
 	}
+	if cf.rec != nil {
+		hw.DefaultTracer = nil
+		return WriteTrace(*cf.trace, cf.rec)
+	}
 	return nil
+}
+
+// WriteTrace writes rec's events to path as Chrome trace-event JSON and
+// says so on stderr. A recorder that hit its cap still leaves the file it
+// has, and the error says how much the file lacks.
+func WriteTrace(path string, rec *trace.Recorder) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteChromeTrace(f, rec.Sorted()); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in https://ui.perfetto.dev or chrome://tracing)\n",
+		rec.Len(), path)
+	return rec.Truncated()
 }

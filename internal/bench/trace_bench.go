@@ -20,12 +20,3 @@ func PingPongBreakdown(words, iters int) (*trace.Breakdown, error) {
 	rec, _ := TracedPingPong(words, 8, iters)
 	return trace.DecomposeRoundTrip(rec.Sorted(), 0, 1)
 }
-
-// TracedBandwidth runs one Figure-3 bandwidth measurement with a trace
-// recorder attached, returning the recorder and the measured rate — the
-// event stream under load feeds the queueing-delay attribution.
-func TracedBandwidth(mode BulkMode, n, total int) (*trace.Recorder, float64) {
-	rec := trace.New()
-	mbps, _ := Bandwidth(Setup{Tracer: rec}, mode, n, total)
-	return rec, mbps
-}

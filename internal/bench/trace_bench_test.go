@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -79,45 +78,12 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestJSONReportRoundTrip consumes the -json output path: the report must
-// unmarshal back with the stable schema and the same metrics.
-func TestJSONReportRoundTrip(t *testing.T) {
-	r := Table2Report()
-	var buf bytes.Buffer
-	if err := WriteJSONReport(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	var got JSONReport
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, buf.String())
-	}
-	if got.Schema != JSONSchemaVersion {
-		t.Fatalf("schema = %d, want %d", got.Schema, JSONSchemaVersion)
-	}
-	if got.Command != "spam-bench -table 2" {
-		t.Fatalf("command = %q", got.Command)
-	}
-	if len(got.Metrics) != 8 {
-		t.Fatalf("%d metrics, want 8 (request/reply x 4 words)", len(got.Metrics))
-	}
-	for _, m := range got.Metrics {
-		if m.Name == "" || m.Unit != "us" || m.Value <= 0 || m.Paper <= 0 {
-			t.Fatalf("malformed metric %+v", m)
-		}
-	}
-	// The modeled call costs should track the paper's Table 2 closely.
-	for _, m := range got.Metrics {
-		if math.Abs(m.Value-m.Paper) > 0.2 {
-			t.Fatalf("%s = %.2f us, paper says %.2f", m.Name, m.Value, m.Paper)
-		}
-	}
-}
-
 // TestTracedBandwidthRecordsLoad checks the load-tracing path used for
-// queueing attribution: a bulk transfer with the global tracer hook set
-// records full packet lifecycles, and the hook is cleared afterwards.
+// queueing attribution (spam-trace -load): a bulk transfer with a recorder
+// in its Setup records full packet lifecycles.
 func TestTracedBandwidthRecordsLoad(t *testing.T) {
-	rec, mbps := TracedBandwidth(AsyncStore, 1<<14, 1<<16)
+	rec := trace.New()
+	mbps, _ := Bandwidth(Setup{Tracer: rec}, AsyncStore, 1<<14, 1<<16)
 	if mbps <= 0 {
 		t.Fatalf("bandwidth = %f", mbps)
 	}

@@ -50,11 +50,14 @@
 package kv
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 
 	"spam/internal/am"
+	"spam/internal/faults"
 	"spam/internal/hw"
 	"spam/internal/kv/load"
 	"spam/internal/sim"
@@ -71,7 +74,7 @@ const (
 )
 
 // Config describes one kv run: the cluster shape, the keyspace sharding,
-// the offered load, and the optional mid-run server kill.
+// the offered load, and the optional fault plan.
 type Config struct {
 	Servers     int // server nodes (node ids 0..Servers-1)
 	ClientNodes int // client nodes (node ids Servers..Servers+ClientNodes-1)
@@ -92,8 +95,7 @@ type Config struct {
 	RetryBackoff sim.Time // lock-denial retry delay before doubling (default 20us)
 	MaxAttempts  int      // lock rounds before a Conflict give-up (default 64, max 65535)
 
-	KillServer int      // server to fail-stop mid-run (-1 = none)
-	KillAt     sim.Time // kill time
+	Plan *faults.Plan // nil = lossless; its kills must name servers
 
 	// Client read cache (see cache.go).
 	CacheOff  bool     // disable the client read cache and GET coalescing
@@ -192,11 +194,12 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ClientNodes > 1<<16 {
 		return c, fmt.Errorf("kv: ClientNodes %d exceeds the holder encoding (16 bits)", c.ClientNodes)
 	}
-	if c.KillServer == 0 && c.KillAt == 0 {
-		c.KillServer = -1 // zero value means "no kill"
-	}
-	if c.KillServer >= c.Servers {
-		return c, fmt.Errorf("kv: KillServer %d out of range", c.KillServer)
+	if c.Plan != nil {
+		for _, k := range c.Plan.Kills {
+			if k.Node < 0 || k.Node >= c.Servers {
+				return c, fmt.Errorf("kv: Plan %q kills node %d, not a server (0..%d)", c.Plan.Name, k.Node, c.Servers-1)
+			}
+		}
 	}
 	return c, nil
 }
@@ -263,6 +266,7 @@ func New(cfg Config) (*Service, error) {
 	hc := hw.DefaultConfig(cfg.Servers + cfg.ClientNodes)
 	hc.Seed = cfg.Seed
 	c := hw.NewCluster(hc)
+	cfg.Plan.Apply(c)
 	sys := am.NewWithOptions(c, cfg.amOptions())
 	svc := &Service{
 		cfg:       cfg,
@@ -302,9 +306,6 @@ func New(cfg Config) (*Service, error) {
 		sys.EPs[cfg.Servers+j].Data = cl
 		sys.EPs[cfg.Servers+j].SetErrorHandler(cl.onPeerDeath)
 		svc.clients = append(svc.clients, cl)
-	}
-	if cfg.KillServer >= 0 {
-		c.Kill(cfg.KillServer, cfg.KillAt)
 	}
 	for k := 0; k < cfg.Servers; k++ {
 		srv := svc.servers[k]
@@ -509,6 +510,10 @@ func (svc *Service) Run() (*Result, error) {
 // Events reports the simulation events executed so far: the deterministic proxy for what a run costs the host.
 func (svc *Service) Events() int64 { return svc.cluster.Events() }
 
+// Losses reports what the fault plan and the adapters have cost so far
+// (hw.Cluster.Losses).
+func (svc *Service) Losses() hw.LossReport { return svc.cluster.Losses() }
+
 // Handoffs reports the process hand-offs so far and the coroutine switches
 // they took (sim.Engine.Handoffs, Switches).
 func (svc *Service) Handoffs() (handoffs, switches int64) {
@@ -543,9 +548,10 @@ func (svc *Service) gather() *Result {
 	for _, srv := range svc.servers {
 		fold(ops, reflect.ValueOf(&srv.ops).Elem(), reg)
 	}
-	if svc.cfg.KillServer >= 0 {
-		res.Detect = max(0, detectAt-svc.cfg.KillAt)
-		res.UnavailWindow = max(0, failoverDone-svc.cfg.KillAt)
+	if p := svc.cfg.Plan; p != nil && len(p.Kills) > 0 { // measured from the earliest kill
+		killAt := slices.MinFunc(p.Kills, func(a, b faults.NodeKill) int { return cmp.Compare(a.At, b.At) }).At
+		res.Detect = max(0, detectAt-killAt)
+		res.UnavailWindow = max(0, failoverDone-killAt)
 	}
 	return res
 }

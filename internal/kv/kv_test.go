@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"spam/internal/faults"
 	"spam/internal/hw"
 	"spam/internal/kv/load"
 	"spam/internal/sim"
@@ -133,8 +134,7 @@ func TestKVBatchAtomicity(t *testing.T) {
 func TestKVFailoverSoak(t *testing.T) {
 	cfg := testConfig(6000)
 	cfg.Rate = 200e3 // below saturation: clients see empty polls, so detection is prompt
-	cfg.KillServer = 1
-	cfg.KillAt = hw.US(3000)
+	cfg.Plan = faults.NewPlan("kill", 0).WithKill(1, hw.US(3000))
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +210,11 @@ func TestKVConfigValidation(t *testing.T) {
 		t.Fatal("oversized Slots accepted")
 	}
 	bad = testConfig(100)
-	bad.KillServer = 99
-	if _, err := New(bad); err == nil {
-		t.Fatal("out-of-range KillServer accepted")
+	for _, node := range []int{-1, 99} {
+		bad.Plan = faults.NewPlan("kill", 0).WithKill(node, hw.US(1))
+		if _, err := New(bad); err == nil {
+			t.Fatalf("kill of node %d, not a server, accepted", node)
+		}
 	}
 	// Non-finite floats pass every ordered comparison: an infinite Zipf never
 	// leaves the sampler's rejection loop, a NaN one silently runs uniform.
@@ -442,8 +444,7 @@ func TestKVCacheKillSoak(t *testing.T) {
 	cfg.Keys = 1 << 10
 	cfg.Zipf = 1.3
 	cfg.Rate = 200e3
-	cfg.KillServer = 1
-	cfg.KillAt = hw.US(3000)
+	cfg.Plan = faults.NewPlan("kill", 0).WithKill(1, hw.US(3000))
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -622,8 +623,7 @@ func TestKVWriteKillSoak(t *testing.T) {
 	cfg.Zipf = 1.3
 	cfg.Rate = 200e3
 	cfg.Mix = load.WriteHeavyMix()
-	cfg.KillServer = 1
-	cfg.KillAt = hw.US(3000)
+	cfg.Plan = faults.NewPlan("kill", 0).WithKill(1, hw.US(3000))
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,15 +19,6 @@ func (c *Counter) Add(d int64) { c.v += d }
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v }
 
-// Gauge is a sampled instantaneous value.
-type Gauge struct{ v int64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value reports the last set value.
-func (g *Gauge) Value() int64 { return g.v }
-
 // HistBuckets is the fixed bucket count of a Histogram: bucket i counts
 // observations v with bits.Len64(v) == i, i.e. bucket 0 holds v == 0 and
 // bucket i>0 holds 2^(i-1) <= v < 2^i.
@@ -165,7 +156,6 @@ type MetricKind uint8
 
 const (
 	KCounter MetricKind = iota
-	KGauge
 	KHistogram
 )
 
@@ -173,8 +163,6 @@ func (k MetricKind) String() string {
 	switch k {
 	case KCounter:
 		return "counter"
-	case KGauge:
-		return "gauge"
 	case KHistogram:
 		return "histogram"
 	}
@@ -186,7 +174,7 @@ type Metric struct {
 	Name string
 	Kind MetricKind
 
-	// Value is the counter/gauge value; for histograms it is the mean.
+	// Value is the counter value; for histograms it is the mean.
 	Value float64
 
 	// Histogram-only fields.
@@ -199,7 +187,6 @@ type Metric struct {
 // the same way a nil *Recorder disables tracing.
 type Registry struct {
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -207,7 +194,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -220,16 +206,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram.
@@ -248,9 +224,6 @@ func (r *Registry) Snapshot() []Metric {
 	var out []Metric
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: KCounter, Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Kind: KGauge, Value: float64(g.Value())})
 	}
 	for name, h := range r.histograms {
 		out = append(out, Metric{

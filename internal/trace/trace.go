@@ -15,7 +15,10 @@
 // byte-identical).
 package trace
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Kind enumerates trace event types. Events come in two flavors: instants
 // (a point in virtual time) and span edges (XxxStart/XxxEnd pairs that the
@@ -156,6 +159,15 @@ func (r *Recorder) Emit(t int64, k Kind, node int, pkt, arg int64, class string)
 
 // Len reports the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
+
+// Truncated is the error for a recorder that hit its cap: whatever is read
+// or written from it lacks the events past it. nil when nothing was dropped.
+func (r *Recorder) Truncated() error {
+	if r.Dropped == 0 {
+		return nil
+	}
+	return fmt.Errorf("trace truncated: kept %d events, dropped %d past the recorder's cap", len(r.events), r.Dropped)
+}
 
 // Events returns the raw event slice in emission order (not a copy; do not
 // mutate).
