@@ -53,7 +53,8 @@ func main() {
 	killat := flag.Float64("killat", 5000, "kill time in us of simulated time (-chaos kill)")
 	cf := bench.StdFlags()
 	flag.Parse()
-	check(cf.Activate())
+	s, err := cf.Setup()
+	check(err)
 
 	mix, err := load.ParseMix(*mixName)
 	check(err)
@@ -118,7 +119,7 @@ func main() {
 		if *rate > 0 {
 			base.Rate = *rate
 		}
-		bench.KVCacheTable(os.Stdout, valid(base), sk)
+		bench.KVCacheTable(os.Stdout, s, valid(base), sk)
 	case *writeTable:
 		names, mixes, err := load.ParseMixes(*mixesSpec)
 		check(err)
@@ -126,7 +127,7 @@ func main() {
 		if *rate > 0 {
 			base.Rate = *rate
 		}
-		bench.KVWriteTable(os.Stdout, valid(base), names, mixes)
+		bench.KVWriteTable(os.Stdout, s, valid(base), names, mixes)
 	case *chaos == "kill":
 		if *servers < 2 {
 			check(fmt.Errorf("-chaos kill fail-stops server 1: -servers must be at least 2 (got %d)", *servers))
@@ -138,9 +139,9 @@ func main() {
 		if *rate > 0 {
 			base.Rate = *rate
 		}
-		bench.KVKillTable(os.Stdout, valid(base), 1, []sim.Time{hw.US(*killat)})
+		bench.KVKillTable(os.Stdout, s, valid(base), 1, []sim.Time{hw.US(*killat)})
 	default:
-		bench.KVTailTable(os.Stdout, valid(base), rates)
+		bench.KVTailTable(os.Stdout, s, valid(base), rates)
 	}
 
 	check(cf.Finish(os.Stdout))

@@ -26,7 +26,8 @@ func main() {
 	total := flag.Int("total", 1<<20, "bytes per bandwidth measurement")
 	cf := bench.StdFlags()
 	flag.Parse()
-	check(cf.Activate())
+	s, err := cf.Setup()
+	check(err)
 	if *figure != 0 && (*figure < 7 || *figure > 11) {
 		check(fmt.Errorf("-figure must be 7-11 (got %d)", *figure))
 	}
@@ -51,8 +52,9 @@ func main() {
 	}
 
 	// Figures 8/9 are the thin nodes, 10/11 the same series on wide ones.
-	wide, where := *figure >= 10, "thin"
-	if wide {
+	s.Wide = *figure >= 10
+	where := "thin"
+	if s.Wide {
 		where = "wide"
 	}
 	series := []bench.MPIImpl{bench.AMStoreRaw, bench.MPIAMUnopt, bench.MPIAMOpt, bench.MPIF}
@@ -61,20 +63,20 @@ func main() {
 	switch *figure {
 	case 7:
 		bench.PrintCurves(os.Stdout, "Figure 7: performance of buffered and rendezvous protocols (MB/s)", []bench.Curve{
-			bench.MPIBandwidthCurve(bench.MPIBufferedOnly, bench.SizesLog(64, 16<<10), *total, false),
-			bench.MPIBandwidthCurve(bench.MPIRdvOnly, bwSizes, *total, false),
-			bench.MPIBandwidthCurve(bench.MPIHybrid, bwSizes, *total, false),
+			bench.MPIBandwidthCurve(s, bench.MPIBufferedOnly, bench.SizesLog(64, 16<<10), *total),
+			bench.MPIBandwidthCurve(s, bench.MPIRdvOnly, bwSizes, *total),
+			bench.MPIBandwidthCurve(s, bench.MPIHybrid, bwSizes, *total),
 		})
 
 	case 8, 10:
 		for _, impl := range series {
-			curves = append(curves, bench.MPILatencyCurve(impl, latSizes, wide))
+			curves = append(curves, bench.MPILatencyCurve(s, impl, latSizes))
 		}
 		printLat(fmt.Sprintf("Figure %d: MPI per-hop latency on %s SP nodes (us, 4-node ring)", *figure, where), curves)
 
 	case 9, 11:
 		for _, impl := range series {
-			curves = append(curves, bench.MPIBandwidthCurve(impl, bwSizes, *total, wide))
+			curves = append(curves, bench.MPIBandwidthCurve(s, impl, bwSizes, *total))
 		}
 		bench.PrintCurves(os.Stdout,
 			fmt.Sprintf("Figure %d: MPI point-to-point bandwidth on %s SP nodes (MB/s)", *figure, where), curves)

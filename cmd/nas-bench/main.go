@@ -20,13 +20,14 @@ func main() {
 	quick := flag.Bool("quick", false, "small smoke configuration")
 	cf := bench.StdFlags()
 	flag.Parse()
-	check(cf.Activate())
+	s, err := cf.Setup()
+	check(err)
 
 	cfg := bench.PaperNAS()
 	if *quick {
 		cfg = bench.QuickNAS()
 	}
-	bench.PrintNAS(os.Stdout, bench.RunNAS(cfg), cfg.NProcs)
+	bench.PrintNAS(os.Stdout, bench.RunNAS(s, cfg), cfg.NProcs)
 	check(cf.Finish(os.Stdout))
 }
 

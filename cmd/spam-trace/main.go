@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"spam/internal/bench"
 	"spam/internal/trace"
@@ -36,6 +37,18 @@ func main() {
 	}
 	if *iters < 1 {
 		check(fmt.Errorf("-iters must be at least 1 (got %d)", *iters))
+	}
+	var modes []string // every bool flag but -timeline picks a mode
+	flag.Visit(func(f *flag.Flag) {
+		if on, _ := f.Value.(flag.Getter).Get().(bool); on && f.Name != "timeline" {
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	if len(modes) > 1 {
+		check(fmt.Errorf("%s must be the only mode flag (got %s)", modes[0], strings.Join(modes, " ")))
+	}
+	if *gap && (*out != "" || *timeline) {
+		check(fmt.Errorf("-gap must be run without -out and -timeline: it traces two ping-pongs, not one run"))
 	}
 
 	var rec *trace.Recorder
@@ -60,9 +73,9 @@ func main() {
 		trace.WriteQueueing(os.Stdout, trace.PacketStageStats(rec.Sorted()))
 
 	case *metrics:
-		rec = trace.New()
 		reg := trace.NewRegistry()
-		rtt, _ := bench.PingPong(bench.Setup{Tracer: rec, Metrics: reg}, *words, 8, *iters+1)
+		var rtt float64
+		rec, rtt = bench.TracedPingPong(bench.Setup{Metrics: reg}, *words, 8, *iters)
 		fmt.Printf("# protocol metrics: %d-word ping-pong, %d iterations, %.1f us/rtt\n", *words, *iters, rtt)
 		trace.WriteMetrics(os.Stdout, reg.Snapshot())
 
@@ -70,8 +83,8 @@ func main() {
 		*breakdown = true
 		fallthrough
 	case *breakdown:
-		r, rtt := bench.TracedPingPong(*words, 8, *iters)
-		rec = r
+		var rtt float64
+		rec, rtt = bench.TracedPingPong(bench.Setup{}, *words, 8, *iters)
 		b, err := trace.DecomposeRoundTrip(rec.Sorted(), 0, 1)
 		check(err)
 		fmt.Printf("# round-trip decomposition: %d-word SP AM ping-pong, %d steady-state iterations\n",

@@ -25,7 +25,8 @@ func main() {
 	procs := flag.Int("p", 8, "number of processors")
 	cf := bench.StdFlags()
 	flag.Parse()
-	check(cf.Activate())
+	s, err := cf.Setup()
+	check(err)
 	if *procs < 1 {
 		check(fmt.Errorf("-p must be at least 1 (got %d)", *procs))
 	}
@@ -54,7 +55,7 @@ func main() {
 	machines := bench.Table5Machines(cfg.NProcs)
 	fmt.Printf("# Split-C benchmarks on %d processors (keys=%d, mm %dx%d blocks of %d^2 and %dx%d of %d^2)\n",
 		cfg.NProcs, cfg.Keys, cfg.MMLgN, cfg.MMLgN, cfg.MMLgB, cfg.MMSmN, cfg.MMSmN, cfg.MMSmB)
-	results := bench.RunTable5(cfg, machines)
+	results := bench.RunTable5(s, cfg, machines)
 	bench.PrintTable5(os.Stdout, results, machines)
 	check(cf.Finish(os.Stdout))
 }

@@ -81,6 +81,10 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"spam-bench", "-chaos", "flood"},
 		{"mpi-bench", "-figure", "99"},
 		{"kv-bench", "-chaos", "loss"},
+		{"spam-trace", "-gap", "-out", "gap.json"},
+		{"spam-trace", "-gap", "-timeline"},
+		{"spam-trace", "-gap", "-load"},
+		{"spam-trace", "-breakdown", "-metrics"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(dir, args[0]), args[1:]...)
@@ -99,6 +103,40 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		if args[0] != "kv-bench" && !strings.Contains(msg, args[1]+" must be ") {
 			t.Errorf("%v: diagnosis does not name %s and its range:\n%s", args, args[1], msg)
 		}
+	}
+}
+
+// TestObservedParMatchesSerial: -trace and -metrics keep the -par they are
+// given, and what they write is the serial run's, byte for byte — the kv
+// ladder's five points fanned over every CPU print the same snapshot and
+// write the same trace file as one after another.
+func TestObservedParMatchesSerial(t *testing.T) {
+	dir, tmp := builtCommands(t), t.TempDir()
+	run := func(par string) (stdout, file []byte) {
+		path := filepath.Join(tmp, "trace-"+par+".json")
+		var stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(dir, "kv-bench"), "-par", par,
+			"-reqs", "200", "-clients", "1000", "-metrics", "-trace", path)
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("kv-bench -par %s: %v\n%s", par, err, stderr.Bytes())
+		}
+		if file, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return stdout, file
+	}
+	out1, file1 := run("1")
+	out0, file0 := run("0")
+	if !bytes.Equal(out0, out1) {
+		t.Errorf("kv-bench -metrics at -par 0 differs from -par 1: %s", firstDiff(out0, out1))
+	}
+	if !bytes.Equal(file0, file1) {
+		t.Errorf("kv-bench -trace at -par 0 wrote %d bytes, -par 1 wrote %d, and they differ", len(file0), len(file1))
+	}
+	if !bytes.Contains(out1, []byte("kv.issued")) || len(file1) < 1<<20 {
+		t.Errorf("the observers saw too little: %d bytes of trace, snapshot:\n%s", len(file1), out1)
 	}
 }
 

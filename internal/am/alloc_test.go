@@ -268,13 +268,9 @@ func TestBulkZeroAlloc(t *testing.T) {
 // stay within a small fixed budget per round trip.
 func TestEchoAllocBoundWithObservability(t *testing.T) {
 	pinOneP(t)
-	reg := trace.NewRegistry()
-	am.DefaultMetrics = reg
-	defer func() { am.DefaultMetrics = nil }()
-	cfg := hw.DefaultConfig(2)
-	cfg.Tracer = trace.NewWithCap(1024)
-
-	c, sys, reqH, replies := echoPair(cfg)
+	c, sys, reqH, replies := echoPair(hw.DefaultConfig(2))
+	c.Eng.SetTracer(trace.NewWithCap(1024))
+	sys.EnableMetrics(trace.NewRegistry())
 	stop := false
 	var delta uint64
 	const rounds = 200
@@ -363,15 +359,13 @@ func BenchmarkBulkStore(b *testing.B) {
 	b.SetBytes(8 << 10)
 }
 
-// TestMetricsCounters wires a registry through the DefaultMetrics hook and
-// checks the protocol counters a request/reply exchange must move.
+// TestMetricsCounters wires a registry in with EnableMetrics and checks the
+// protocol counters a request/reply exchange must move.
 func TestMetricsCounters(t *testing.T) {
-	reg := trace.NewRegistry()
-	am.DefaultMetrics = reg
-	defer func() { am.DefaultMetrics = nil }()
-
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := am.New(c)
+	reg := trace.NewRegistry()
+	sys.EnableMetrics(reg)
 	done := false
 	replyH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		done = true

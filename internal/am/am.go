@@ -95,9 +95,6 @@ func New(c *hw.Cluster) *System { return NewWithOptions(c, DefaultOptions()) }
 // NewWithOptions builds the AM layer with explicit protocol options.
 func NewWithOptions(c *hw.Cluster, opt Options) *System {
 	s := &System{Cluster: c, Opt: opt}
-	if DefaultMetrics != nil {
-		s.EnableMetrics(DefaultMetrics)
-	}
 	for _, n := range c.Nodes {
 		ep := &Endpoint{sys: s, node: n, n: len(c.Nodes)}
 		ep.idleStepFn = ep.idleStep

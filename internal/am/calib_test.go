@@ -22,10 +22,10 @@ func within(t *testing.T, name string, got, want, frac float64) {
 // trip of 51.0 µs, rising ~0.5 µs per additional word, against a raw
 // (protocol-less) round trip of ~47 µs.
 func TestCalibRoundTrip(t *testing.T) {
-	rtt1 := bench.AMRoundTrip(1, 20)
+	rtt1, _ := bench.PingPong(bench.Setup{}, 1, 1, 20)
 	within(t, "AM 1-word RTT (us)", rtt1, 51.0, 0.05)
 
-	rtt4 := bench.AMRoundTrip(4, 20)
+	rtt4, _ := bench.PingPong(bench.Setup{}, 4, 1, 20)
 	perWord := (rtt4 - rtt1) / 3
 	if perWord < 0.2 || perWord > 1.0 {
 		t.Errorf("per-word RTT increase = %.2fus, want ~0.5us", perWord)
@@ -45,8 +45,8 @@ func TestCalibTable2(t *testing.T) {
 	wantReq := []float64{7.7, 7.9, 8.0, 8.2}
 	wantRep := []float64{4.0, 4.1, 4.3, 4.4}
 	for n := 1; n <= 4; n++ {
-		within(t, "am_request cost (us)", bench.RequestCost(n), wantReq[n-1], 0.06)
-		within(t, "am_reply cost (us)", bench.ReplyCost(n), wantRep[n-1], 0.08)
+		within(t, "am_request cost (us)", bench.RequestCost(bench.Setup{}, n), wantReq[n-1], 0.06)
+		within(t, "am_reply cost (us)", bench.ReplyCost(bench.Setup{}, n), wantRep[n-1], 0.08)
 	}
 }
 
@@ -60,15 +60,15 @@ func TestCalibBandwidth(t *testing.T) {
 	within(t, "r_inf async store (MB/s)", r, 34.3, 0.03)
 
 	sizes := []int{64, 128, 192, 256, 320, 512, 1024, 4096, 16384, 65536, 1 << 20}
-	cur := bench.AMBandwidthCurve(bench.AsyncStore, sizes, 1<<20)
+	cur := bench.AMBandwidthCurve(bench.Setup{}, bench.AsyncStore, sizes, 1<<20)
 	nh := cur.NHalf()
 	within(t, "n_1/2 async store (bytes)", nh, 260, 0.30)
 
-	syncStore := bench.AMBandwidthCurve(bench.SyncStore,
+	syncStore := bench.AMBandwidthCurve(bench.Setup{}, bench.SyncStore,
 		[]int{256, 512, 800, 1024, 2048, 4096, 16384, 65536, 1 << 20}, 1<<20)
 	t.Logf("n_1/2 sync store = %.0f bytes (paper: ~800)", syncStore.NHalf())
 
-	syncGet := bench.AMBandwidthCurve(bench.SyncGet,
+	syncGet := bench.AMBandwidthCurve(bench.Setup{}, bench.SyncGet,
 		[]int{256, 512, 1024, 2048, 3072, 4096, 16384, 65536, 1 << 20}, 1<<20)
 	t.Logf("n_1/2 sync get = %.0f bytes (paper: ~3000)", syncGet.NHalf())
 	if syncGet.NHalf() <= syncStore.NHalf() {

@@ -55,11 +55,12 @@ const (
 	maxBackoffShift = 30
 )
 
-// Retransmission-timer defaults (Jacobson/Karn estimator bounds).
+// Retransmission-timer defaults (Jacobson/Karn estimator bounds); the
+// ceiling has no override.
 var (
 	defaultInitialRTO = hw.US(2000)
 	defaultMinRTO     = hw.US(500)
-	defaultMaxRTO     = hw.US(50000)
+	maxRTO            = hw.US(50000)
 )
 
 // Protocol constants from paper §2.2.
@@ -103,9 +104,9 @@ type Options struct {
 	// negative disables fail-stop detection entirely, zero keeps the
 	// default.
 	DeathThreshold int
-	// InitialRTO/MinRTO/MaxRTO override (when positive) the retransmission
-	// timer used to pace backoff rounds before and after RTT samples exist.
-	InitialRTO, MinRTO, MaxRTO sim.Time
+	// InitialRTO/MinRTO override (when positive) the retransmission timer
+	// used to pace backoff rounds before and after RTT samples exist.
+	InitialRTO, MinRTO sim.Time
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -169,13 +170,6 @@ func (o Options) minRTO() sim.Time {
 		return o.MinRTO
 	}
 	return defaultMinRTO
-}
-
-func (o Options) maxRTO() sim.Time {
-	if o.MaxRTO > 0 {
-		return o.MaxRTO
-	}
-	return defaultMaxRTO
 }
 
 func wordsCost(n int) sim.Time {

@@ -62,7 +62,7 @@ func (ep *Endpoint) PeerErr(id int) error {
 }
 
 // RTO returns the current retransmission timeout toward peer id: the
-// Jacobson estimate srtt + 4·rttvar clamped to [MinRTO, MaxRTO], or
+// Jacobson estimate srtt + 4·rttvar clamped to [MinRTO, 50 ms], or
 // InitialRTO before the first Karn-valid sample.
 func (ep *Endpoint) RTO(id int) sim.Time { return ep.rto(ep.peer(id)) }
 
@@ -71,14 +71,7 @@ func (ep *Endpoint) rto(ps *peerState) sim.Time {
 	if ps.srtt == 0 {
 		return o.initialRTO()
 	}
-	r := ps.srtt + 4*ps.rttvar
-	if min := o.minRTO(); r < min {
-		r = min
-	}
-	if max := o.maxRTO(); r > max {
-		r = max
-	}
-	return r
+	return min(max(ps.srtt+4*ps.rttvar, o.minRTO()), maxRTO)
 }
 
 // sampleRTT folds one Karn-valid round-trip sample into the peer's

@@ -2,9 +2,8 @@ package am
 
 import "spam/internal/trace"
 
-// DefaultMetrics, when non-nil, is the registry new AM systems publish
-// into (the command-line hook mirroring hw.DefaultTracer). Explicit
-// EnableMetrics calls override it per system.
+// Accepted and never read: benchmark/ checks that it is nil. A registry
+// reaches an AM system by EnableMetrics.
 var DefaultMetrics *trace.Registry
 
 // sysMetrics caches the typed metric handles the hot paths touch, so a

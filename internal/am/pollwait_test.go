@@ -62,8 +62,9 @@ func runWait(n int, sendProc sim.Time, opt am.Options, wait waitFn, scenario fun
 	if sendProc > 0 {
 		cfg.Adapter.SendProc = sendProc
 	}
-	cfg.Tracer = trace.New()
 	c := hw.NewCluster(cfg)
+	rec := trace.New()
+	c.Eng.SetTracer(rec)
 	sys := am.NewWithOptions(c, opt)
 	reg := trace.NewRegistry()
 	sys.EnableMetrics(reg)
@@ -78,7 +79,7 @@ func runWait(n int, sendProc sim.Time, opt am.Options, wait waitFn, scenario fun
 		}
 	}
 	var b bytes.Buffer
-	trace.WriteTimeline(&b, cfg.Tracer.Sorted())
+	trace.WriteTimeline(&b, rec.Sorted())
 	trace.WriteMetrics(&b, reg.Snapshot())
 	out.Observed = b.String()
 	return out

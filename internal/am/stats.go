@@ -1,10 +1,5 @@
 package am
 
-import (
-	"fmt"
-	"io"
-)
-
 // Totals aggregates protocol statistics across all endpoints of a system.
 func (s *System) Totals() Stats {
 	var t Stats
@@ -30,39 +25,4 @@ func (s *System) Totals() Stats {
 		t.DeadPeers += st.DeadPeers
 	}
 	return t
-}
-
-// Report writes a human-readable protocol-statistics summary: per-node
-// counters plus switch utilization. The paper's analysis leans on exactly
-// these quantities (retransmissions, explicit acks, wasted polls).
-func (s *System) Report(w io.Writer) {
-	fmt.Fprintf(w, "%-5s %9s %8s %8s %6s %10s %8s %6s %6s %6s %6s %9s\n",
-		"node", "reqs", "replies", "stores", "gets", "pkts-sent", "retrans", "nacks", "acks", "dups", "crpt", "polls")
-	for _, ep := range s.EPs {
-		st := ep.Stats
-		fmt.Fprintf(w, "%-5d %9d %8d %8d %6d %10d %8d %6d %6d %6d %6d %9d\n",
-			ep.ID(), st.Requests, st.Replies, st.Stores, st.Gets,
-			st.PacketsSent, st.Retransmits, st.NacksSent, st.AcksSent,
-			st.Duplicates, st.CorruptDropped, st.Polls)
-	}
-	t := s.Totals()
-	fmt.Fprintf(w, "total bytes on wire: %d; empty polls: %d/%d (%.0f%%)\n",
-		t.BytesSent, t.EmptyPolls, t.Polls,
-		100*float64(t.EmptyPolls)/float64(max64(t.Polls, 1)))
-	lr := s.Cluster.Losses()
-	fmt.Fprintf(w, "losses: injected drop %d, dup %d, delay %d, corrupt %d; fifo overflow %d; checksum-discarded %d\n",
-		lr.FaultDropped, lr.FaultDuplicated, lr.FaultDelayed, lr.FaultCorrupted,
-		lr.Overflow, t.CorruptDropped)
-	for _, n := range s.Cluster.Nodes {
-		in, out := s.Cluster.Switch.Util(n.ID)
-		fmt.Fprintf(w, "node %d switch ports: inject %.1f%% busy, eject %.1f%% busy\n",
-			n.ID, in*100, out*100)
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,14 +9,13 @@ import (
 	"spam/internal/sim"
 )
 
-// ablated is the Setup of one DESIGN §6 ablation: the paper's machine with
-// one protocol option changed. The one-way rows run on the shared drivers
-// (Bandwidth, PingPong), the same loops Table 3 and Figure 3 are measured
-// with.
-func ablated(change func(o *am.Options)) Setup {
+// ablated is the protocol of one DESIGN §6 ablation: the paper's options
+// with one changed. The one-way rows run on the shared drivers (Bandwidth,
+// PingPong), the same loops Table 3 and Figure 3 are measured with.
+func ablated(change func(o *am.Options)) *am.Options {
 	o := am.DefaultOptions()
 	change(&o)
-	return Setup{Options: &o}
+	return &o
 }
 
 // Exchange runs a bidirectional store exchange: both nodes stream total
@@ -59,54 +58,58 @@ func Exchange(s Setup, size, total int) (mbps float64, r Ran) {
 // AblationTable prices the design choices DESIGN.md §6 lists, one row per
 // variant: the figure the choice is judged by and, where the choice is
 // about acknowledgement traffic, the explicit acks both endpoints sent.
-// Rows are independent runs, so they fan across the sweep workers.
-func AblationTable(w io.Writer) {
+// Rows are independent runs, so they fan across s's sweep workers.
+func AblationTable(w io.Writer, s Setup) {
 	const (
 		bulk, bulkTotal   = 8064, 1 << 19 // one full chunk per store: window and ack rows
 		small, smallTotal = 1024, 1 << 18 // where a per-pop MicroChannel access shows
 	)
-	window := func(wnd int) Setup {
+	window := func(wnd int) *am.Options {
 		return ablated(func(o *am.Options) { o.WndRequest, o.WndReply = wnd, wnd+4 })
 	}
 	perPacket := ablated(func(o *am.Options) { o.AckPerChunk = false })
 	explicitOnly := ablated(func(o *am.Options) { o.PiggybackAcks = false })
 	eagerPop := ablated(func(o *am.Options) { o.LazyPop = false })
-	mover := func(s Setup, n, total int) func() (float64, Ran) {
-		return func() (float64, Ran) { return Bandwidth(s, AsyncStore, n, total) }
+	mover := func(n, total int) func(Setup) (float64, Ran) {
+		return func(s Setup) (float64, Ran) { return Bandwidth(s, AsyncStore, n, total) }
 	}
-	hop := func(impl MPIImpl) func() (float64, Ran) {
-		return func() (float64, Ran) { return MPIRingLatency(impl, 64, false), Ran{} }
+	exchange := func(s Setup) (float64, Ran) { return Exchange(s, bulk, bulkTotal) }
+	pingPong := func(s Setup) (float64, Ran) { return PingPong(s, 1, 0, 200) }
+	hop := func(impl MPIImpl) func(Setup) (float64, Ran) {
+		return func(s Setup) (float64, Ran) { return MPIRingLatency(s, impl, 64), Ran{} }
 	}
-	prefix := func(kb int) func() (float64, Ran) {
-		return func() (float64, Ran) { return MPIHybridPrefixBandwidth(kb<<10, 12<<10, 1<<19), Ran{} }
+	prefix := func(kb int) func(Setup) (float64, Ran) {
+		return func(s Setup) (float64, Ran) { return MPIHybridPrefixBandwidth(s, kb<<10, 12<<10, 1<<19), Ran{} }
 	}
 	rows := []struct {
 		choice, variant, unit string
-		acks                  bool // the choice is about ack traffic: print Ran.Stats.AcksSent
-		run                   func() (float64, Ran)
+		acks                  bool        // the choice is about ack traffic: print Ran.Stats.AcksSent
+		opt                   *am.Options // the SP AM protocol the row runs; nil = the paper's
+		run                   func(Setup) (float64, Ran)
 	}{
-		{"request window", "36 packets", "MB/s", false, mover(window(36), bulk, bulkTotal)},
-		{"request window", "72 packets", "MB/s", false, mover(window(72), bulk, bulkTotal)},
-		{"request window", "144 packets", "MB/s", false, mover(window(144), bulk, bulkTotal)},
-		{"bulk ack policy", "one per chunk", "MB/s", true, func() (float64, Ran) { return Exchange(Setup{}, bulk, bulkTotal) }},
-		{"bulk ack policy", "one per packet", "MB/s", true, func() (float64, Ran) { return Exchange(perPacket, bulk, bulkTotal) }},
-		{"piggybacked acks", "on", "us/rtt", true, func() (float64, Ran) { return PingPong(Setup{}, 1, 0, 200) }},
-		{"piggybacked acks", "off", "us/rtt", true, func() (float64, Ran) { return PingPong(explicitOnly, 1, 0, 200) }},
-		{"receive-FIFO pop", "lazy", "MB/s", false, mover(Setup{}, small, smallTotal)},
-		{"receive-FIFO pop", "eager", "MB/s", false, mover(eagerPop, small, smallTotal)},
-		{"MPI-AM allocator", "binned", "us/hop", false, hop(MPIAMOpt)},
-		{"MPI-AM allocator", "first-fit", "us/hop", false, hop(MPIAMUnopt)},
-		{"hybrid prefix", "0 KB", "MB/s", false, prefix(0)},
-		{"hybrid prefix", "1 KB", "MB/s", false, prefix(1)},
-		{"hybrid prefix", "4 KB", "MB/s", false, prefix(4)},
-		{"hybrid prefix", "8 KB", "MB/s", false, prefix(8)},
+		{"request window", "36 packets", "MB/s", false, window(36), mover(bulk, bulkTotal)},
+		{"request window", "72 packets", "MB/s", false, window(72), mover(bulk, bulkTotal)},
+		{"request window", "144 packets", "MB/s", false, window(144), mover(bulk, bulkTotal)},
+		{"bulk ack policy", "one per chunk", "MB/s", true, nil, exchange},
+		{"bulk ack policy", "one per packet", "MB/s", true, perPacket, exchange},
+		{"piggybacked acks", "on", "us/rtt", true, nil, pingPong},
+		{"piggybacked acks", "off", "us/rtt", true, explicitOnly, pingPong},
+		{"receive-FIFO pop", "lazy", "MB/s", false, nil, mover(small, smallTotal)},
+		{"receive-FIFO pop", "eager", "MB/s", false, eagerPop, mover(small, smallTotal)},
+		{"MPI-AM allocator", "binned", "us/hop", false, nil, hop(MPIAMOpt)},
+		{"MPI-AM allocator", "first-fit", "us/hop", false, nil, hop(MPIAMUnopt)},
+		{"hybrid prefix", "0 KB", "MB/s", false, nil, prefix(0)},
+		{"hybrid prefix", "1 KB", "MB/s", false, nil, prefix(1)},
+		{"hybrid prefix", "4 KB", "MB/s", false, nil, prefix(4)},
+		{"hybrid prefix", "8 KB", "MB/s", false, nil, prefix(8)},
 	}
 	type cell struct {
 		figure float64
 		acks   int64
 	}
-	cells := Sweep(len(rows), func(i int) cell {
-		f, r := rows[i].run()
+	cells := Sweep(s, len(rows), func(s Setup, i int) cell {
+		s.Options = rows[i].opt
+		f, r := rows[i].run(s)
 		return cell{f, r.Stats.AcksSent}
 	})
 	fmt.Fprintln(w, "# ablations of the SP AM and MPI-AM design choices (DESIGN.md section 6): the paper's machine, one choice changed per row")

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"io"
-
 	"spam/internal/am"
 	"spam/internal/hw"
 	"spam/internal/sim"
@@ -13,8 +10,8 @@ import (
 // am_request's node 1 with words argument words, node 1's handler
 // am_reply's them back, and the next trip starts when the reply handler has
 // run. After warmup untimed trips (the first packet sees a cold pipeline) it
-// times iters trips and returns microseconds per trip. A Setup.Tracer is
-// reset when the warm-up ends, so it holds the timed trips only.
+// times iters trips and returns microseconds per trip. A Setup.Tracer holds
+// the warm-up trips too; TracedPingPong cuts them.
 func PingPong(s Setup, words, warmup, iters int) (rttUS float64, r Ran) {
 	c, sys := s.am(2)
 	var gotReply, done bool
@@ -41,9 +38,6 @@ func PingPong(s Setup, words, warmup, iters int) (rttUS float64, r Ran) {
 		for i := 0; i < warmup; i++ {
 			trip()
 		}
-		if s.Tracer != nil {
-			s.Tracer.Reset()
-		}
 		t0 := p.Now()
 		for i := 0; i < iters; i++ {
 			trip()
@@ -61,18 +55,12 @@ func PingPong(s Setup, words, warmup, iters int) (rttUS float64, r Ran) {
 	return rttUS, ran(c, sys)
 }
 
-// AMRoundTrip measures the SP AM ping-pong round-trip time for a
-// words-word message, in microseconds averaged over iters trips after one
-// warm-up trip.
-func AMRoundTrip(words, iters int) float64 {
-	rtt, _ := PingPong(Setup{}, words, 1, iters)
-	return rtt
-}
-
 // RawRoundTrip measures the protocol-less ping-pong the paper uses as the
-// latency floor (§2.3).
-func RawRoundTrip(iters int) float64 {
-	c, sys := Setup{}.am(2)
+// latency floor (§2.3) on the paper's machine.
+func RawRoundTrip(iters int) float64 { return rawRoundTrip(Setup{}, iters) }
+
+func rawRoundTrip(s Setup, iters int) float64 {
+	c, sys := s.am(2)
 	var perRTT float64
 	stop := false
 	c.Spawn(0, "pinger", func(p *sim.Proc, n *hw.Node) {
@@ -107,8 +95,8 @@ func RawRoundTrip(iters int) float64 {
 
 // RequestCost measures the host time of one am_request_N call on an
 // otherwise empty network (paper Table 2).
-func RequestCost(words int) float64 {
-	c, sys := Setup{}.am(2)
+func RequestCost(s Setup, words int) float64 {
+	c, sys := s.am(2)
 	nop := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {})
 	var cost float64
 	c.Spawn(0, "caller", func(p *sim.Proc, n *hw.Node) {
@@ -130,8 +118,8 @@ func RequestCost(words int) float64 {
 
 // ReplyCost measures the host time of one am_reply_N call, timed inside the
 // request handler (paper Table 2).
-func ReplyCost(words int) float64 {
-	c, sys := Setup{}.am(2)
+func ReplyCost(s Setup, words int) float64 {
+	c, sys := s.am(2)
 	var cost float64
 	nop := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {})
 	echo := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
@@ -254,59 +242,12 @@ func AMBandwidth(mode BulkMode, n, total int) float64 {
 	return mbps
 }
 
-// ProtocolStats runs a mixed 4-node workload (requests, stores, gets)
-// with mild packet loss and writes the per-node protocol counters and
-// switch-port utilization — the quantities the paper's §2 analysis leans
-// on (retransmissions, explicit acks, wasted polls).
-func ProtocolStats(w io.Writer) {
-	const nn = 4
-	c, sys := Setup{}.am(nn)
-	rng := sim.NewRand(123)
-	c.Switch.Fault = hw.DropIf(func(pkt *hw.Packet) bool { return rng.Intn(200) == 0 })
-
-	h := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {})
-	bh := sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {})
-	segs := make([]int, nn)
-	for i, nd := range c.Nodes {
-		segs[i] = nd.Mem.Add(make([]byte, 1<<16))
-	}
-	done := 0
-	for i := 0; i < nn; i++ {
-		i := i
-		wr := sim.NewRand(uint64(i) + 5)
-		c.Spawn(i, "mix", func(p *sim.Proc, nd *hw.Node) {
-			ep := sys.EPs[i]
-			for op := 0; op < 200; op++ {
-				dst := (i + 1 + wr.Intn(nn-1)) % nn
-				switch wr.Intn(3) {
-				case 0:
-					ep.Request(p, dst, h, uint32(op))
-				case 1:
-					ep.Store(p, dst, hw.Addr{Seg: segs[dst], Off: wr.Intn(1 << 15)},
-						make([]byte, 64+wr.Intn(4000)), bh, 0)
-				case 2:
-					ep.Get(p, dst, hw.Addr{Seg: segs[dst], Off: wr.Intn(1 << 15)},
-						hw.Addr{Seg: segs[i], Off: wr.Intn(1 << 15)}, 64+wr.Intn(2000),
-						am.NoHandler, 0)
-				}
-			}
-			done++
-			for done < nn { // bumped by the other procs, not by a poll: plain Poll
-				ep.Poll(p)
-			}
-		})
-	}
-	c.Run()
-	fmt.Fprintf(w, "# protocol statistics: 4 nodes x 200 mixed ops, 0.5%% packet loss, t=%v\n", c.Eng.Now())
-	sys.Report(w)
-}
-
 // amStoreRingLatency measures the bare am_store per-hop time around a
 // 4-node ring — the lower-bound series of Figures 8 and 10.
-func amStoreRingLatency(size int, wide bool) float64 {
+func amStoreRingLatency(s Setup, size int) float64 {
 	const ringN = 4
 	const laps = 5
-	c, sys := Setup{Wide: wide}.am(ringN)
+	c, sys := s.am(ringN)
 	counts := make([]int, ringN)
 	h := sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 		counts[ep.ID()]++
@@ -353,8 +294,9 @@ func amStoreRingLatency(size int, wide bool) float64 {
 
 // AMBandwidthCurve sweeps message sizes and returns the Figure-3 curve for
 // one mode; total is the bytes moved per measurement (the paper uses 1 MB).
-func AMBandwidthCurve(mode BulkMode, sizes []int, total int) Curve {
-	return Curve{Name: "AM " + mode.String(), Points: Sweep(len(sizes), func(i int) Point {
-		return Point{N: sizes[i], MBps: AMBandwidth(mode, sizes[i], total)}
+func AMBandwidthCurve(s Setup, mode BulkMode, sizes []int, total int) Curve {
+	return Curve{Name: "AM " + mode.String(), Points: Sweep(s, len(sizes), func(s Setup, i int) Point {
+		mbps, _ := Bandwidth(s, mode, sizes[i], total)
+		return Point{N: sizes[i], MBps: mbps}
 	})}
 }

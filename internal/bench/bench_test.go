@@ -41,10 +41,10 @@ func TestSizesLog(t *testing.T) {
 // MPI-AM below MPI-F ("on thin nodes MPI over AM achieves a lower
 // small-message latency than MPI-F").
 func TestFigure8ThinShape(t *testing.T) {
-	raw := bench.MPIRingLatency(bench.AMStoreRaw, 16, false)
-	opt := bench.MPIRingLatency(bench.MPIAMOpt, 16, false)
-	unopt := bench.MPIRingLatency(bench.MPIAMUnopt, 16, false)
-	f := bench.MPIRingLatency(bench.MPIF, 16, false)
+	raw := bench.MPIRingLatency(bench.Setup{}, bench.AMStoreRaw, 16)
+	opt := bench.MPIRingLatency(bench.Setup{}, bench.MPIAMOpt, 16)
+	unopt := bench.MPIRingLatency(bench.Setup{}, bench.MPIAMUnopt, 16)
+	f := bench.MPIRingLatency(bench.Setup{}, bench.MPIF, 16)
 	t.Logf("thin 16B/hop: am_store %.1f, opt %.1f, unopt %.1f, MPI-F %.1f", raw, opt, unopt, f)
 	if !(raw < opt && opt < unopt) {
 		t.Errorf("expected am_store < optimized < unoptimized, got %.1f, %.1f, %.1f", raw, opt, unopt)
@@ -57,10 +57,11 @@ func TestFigure8ThinShape(t *testing.T) {
 // TestFigure10WideCrossover pins the Figure-10/11 wide-node claim: MPI-F
 // is faster for very small messages but slower for larger ones.
 func TestFigure10WideCrossover(t *testing.T) {
-	amSmall := bench.MPIRingLatency(bench.MPIAMOpt, 16, true)
-	fSmall := bench.MPIRingLatency(bench.MPIF, 16, true)
-	amBig := bench.MPIRingLatency(bench.MPIAMOpt, 4096, true)
-	fBig := bench.MPIRingLatency(bench.MPIF, 4096, true)
+	wide := bench.Setup{Wide: true}
+	amSmall := bench.MPIRingLatency(wide, bench.MPIAMOpt, 16)
+	fSmall := bench.MPIRingLatency(wide, bench.MPIF, 16)
+	amBig := bench.MPIRingLatency(wide, bench.MPIAMOpt, 4096)
+	fBig := bench.MPIRingLatency(wide, bench.MPIF, 4096)
 	t.Logf("wide 16B: AM %.1f vs F %.1f; wide 4KB: AM %.1f vs F %.1f",
 		amSmall, fSmall, amBig, fBig)
 	if !(fSmall < amSmall) {
@@ -77,8 +78,8 @@ func TestFigure10WideCrossover(t *testing.T) {
 func TestFigure9MidrangeAdvantage(t *testing.T) {
 	const total = 1 << 19
 	for _, n := range []int{16384, 32768} {
-		am := bench.MPIBandwidth(bench.MPIAMOpt, n, total, false)
-		f := bench.MPIBandwidth(bench.MPIF, n, total, false)
+		am := bench.MPIBandwidth(bench.Setup{}, bench.MPIAMOpt, n, total)
+		f := bench.MPIBandwidth(bench.Setup{}, bench.MPIF, n, total)
 		t.Logf("thin %dB: MPI-AM %.2f MB/s vs MPI-F %.2f MB/s (+%.0f%%)", n, am, f, (am/f-1)*100)
 		if am <= f {
 			t.Errorf("MPI-AM (%.2f) should beat MPI-F (%.2f) at %dB on thin nodes", am, f, n)
@@ -92,8 +93,8 @@ func TestFigure9MidrangeAdvantage(t *testing.T) {
 func TestFigure7HybridBest(t *testing.T) {
 	const total = 1 << 19
 	for _, n := range []int{32768, 131072} {
-		rdv := bench.MPIBandwidth(bench.MPIRdvOnly, n, total, false)
-		hyb := bench.MPIBandwidth(bench.MPIHybrid, n, total, false)
+		rdv := bench.MPIBandwidth(bench.Setup{}, bench.MPIRdvOnly, n, total)
+		hyb := bench.MPIBandwidth(bench.Setup{}, bench.MPIHybrid, n, total)
 		t.Logf("%dB: rendezvous %.2f, hybrid %.2f MB/s", n, rdv, hyb)
 		if hyb < rdv*0.97 {
 			t.Errorf("hybrid (%.2f) fell below rendezvous (%.2f) at %dB", hyb, rdv, n)
@@ -103,8 +104,8 @@ func TestFigure7HybridBest(t *testing.T) {
 
 // TestAMStoreRingSanity checks the am_store lower-bound series is sane.
 func TestAMStoreRingSanity(t *testing.T) {
-	hop16 := bench.MPIRingLatency(bench.AMStoreRaw, 16, false)
-	hop4k := bench.MPIRingLatency(bench.AMStoreRaw, 4096, false)
+	hop16 := bench.MPIRingLatency(bench.Setup{}, bench.AMStoreRaw, 16)
+	hop4k := bench.MPIRingLatency(bench.Setup{}, bench.AMStoreRaw, 4096)
 	if hop16 < 20 || hop16 > 50 {
 		t.Errorf("am_store 16B per hop = %.1fus, expected ~30", hop16)
 	}

@@ -15,13 +15,13 @@ import (
 // until the survivor's AM layer declares the peer dead. It reports the
 // declaration, the operations completed before it, and the aggregate
 // protocol counters.
-func amKillRun(killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, completed int, errAt sim.Time, st am.Stats) {
+func amKillRun(s Setup, killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, completed int, errAt sim.Time, st am.Stats) {
 	var rules []*faults.Rule
 	if loss > 0 {
 		rules = append(rules, faults.Loss(loss))
 	}
-	plan := faults.NewPlan(fmt.Sprintf("kill@%v", killAt), 0x51a11, rules...).WithKill(1, killAt)
-	c, sys := Setup{Plan: plan}.am(2)
+	s.Plan = faults.NewPlan(fmt.Sprintf("kill@%v", killAt), 0x51a11, rules...).WithKill(1, killAt)
+	c, sys := s.am(2)
 
 	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, n))
 	c.Spawn(0, "mover", func(p *sim.Proc, n0 *hw.Node) {
@@ -54,7 +54,7 @@ func amKillRun(killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, c
 // failure-detection-latency experiment: detection is driven entirely by the
 // adaptive RTO backoff ladder, so latency grows with the measured RTT and
 // with loss-induced RTO inflation, not with a hardwired timeout.
-func KillTable(w io.Writer) {
+func KillTable(w io.Writer, s Setup) {
 	const n = 4 << 10
 	kills := []sim.Time{hw.US(500), hw.US(1000), hw.US(2000), hw.US(4000)}
 	losses := []float64{0, 0.02}
@@ -63,7 +63,7 @@ func KillTable(w io.Writer) {
 		"kill_at", "loss", "detect_us", "rounds", "backoffs", "probes", "ops", "MB/s")
 	for _, ka := range kills {
 		for _, loss := range losses {
-			derr, completed, errAt, st := amKillRun(ka, loss, n)
+			derr, completed, errAt, st := amKillRun(s, ka, loss, n)
 			if derr == nil {
 				fmt.Fprintf(w, "%-10v %5.1f%% %11s\n", ka, loss*100, "no-detect")
 				continue
@@ -80,7 +80,7 @@ func KillTable(w io.Writer) {
 // delivered async-store bandwidth under each, alongside the recovery work
 // the protocol performed (retransmissions, NACKs, keep-alive probes). The
 // 0% row is the lossless baseline the others are normalized against.
-func ChaosTable(w io.Writer, total int) {
+func ChaosTable(w io.Writer, s Setup, total int) {
 	const n = 1 << 16
 	rates := []float64{0, 0.001, 0.005, 0.01, 0.02, 0.05}
 	fmt.Fprintf(w, "# chaos: async-store bandwidth vs uniform packet-loss rate (%d bytes in %d-byte ops)\n", total, n)
@@ -88,12 +88,12 @@ func ChaosTable(w io.Writer, total int) {
 		"loss", "MB/s", "vs 0%", "retrans", "nacks", "probes", "dropped")
 	var base float64
 	for _, r := range rates {
-		var plan *faults.Plan
+		s.Plan = nil
 		if r > 0 {
-			plan = faults.NewPlan(fmt.Sprintf("loss-%.3f", r),
+			s.Plan = faults.NewPlan(fmt.Sprintf("loss-%.3f", r),
 				0xc4a05+uint64(r*1e6), faults.Loss(r))
 		}
-		mbps, after := Bandwidth(Setup{Plan: plan}, AsyncStore, n, total)
+		mbps, after := Bandwidth(s, AsyncStore, n, total)
 		if base == 0 {
 			base = mbps
 		}

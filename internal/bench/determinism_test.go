@@ -11,19 +11,9 @@ import (
 // commands (spam-bench -figure 3, mpi-bench -figure 8/9, splitc-bench,
 // nas-bench) at reduced scale.
 
-// withPar runs f under the given sweep setting and restores the default.
-func withPar(par int, f func()) {
-	old := Par
-	Par = par
-	defer func() { Par = old }()
-	f()
-}
-
-func requireSameBytes(t *testing.T, name string, render func() []byte) {
+func requireSameBytes(t *testing.T, name string, render func(s Setup) []byte) {
 	t.Helper()
-	var serial, parallel []byte
-	withPar(1, func() { serial = render() })
-	withPar(0, func() { parallel = render() })
+	serial, parallel := render(Setup{Par: 1}), render(Setup{Par: 0})
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("%s: parallel sweep output differs from serial\nserial:\n%s\nparallel:\n%s",
 			name, serial, parallel)
@@ -32,12 +22,12 @@ func requireSameBytes(t *testing.T, name string, render func() []byte) {
 
 func TestParallelSweepMatchesSerialAMCurves(t *testing.T) {
 	sizes := SizesLog(64, 4096)
-	requireSameBytes(t, "spam-bench figure-3 path", func() []byte {
+	requireSameBytes(t, "spam-bench figure-3 path", func(s Setup) []byte {
 		curves := []Curve{
-			AMBandwidthCurve(SyncStore, sizes, 1<<16),
-			AMBandwidthCurve(AsyncStore, sizes, 1<<16),
-			MPLBandwidthCurve(true, sizes, 1<<16),
-			MPLBandwidthCurve(false, sizes, 1<<16),
+			AMBandwidthCurve(s, SyncStore, sizes, 1<<16),
+			AMBandwidthCurve(s, AsyncStore, sizes, 1<<16),
+			MPLBandwidthCurve(s, true, sizes, 1<<16),
+			MPLBandwidthCurve(s, false, sizes, 1<<16),
 		}
 		var buf bytes.Buffer
 		PrintCurves(&buf, "determinism", curves)
@@ -48,15 +38,15 @@ func TestParallelSweepMatchesSerialAMCurves(t *testing.T) {
 func TestParallelSweepMatchesSerialMPICurves(t *testing.T) {
 	latSizes := []int{4, 64, 1024}
 	bwSizes := SizesLog(256, 8192)
-	requireSameBytes(t, "mpi-bench figure-8/9 path", func() []byte {
+	requireSameBytes(t, "mpi-bench figure-8/9 path", func(s Setup) []byte {
 		var buf bytes.Buffer
 		lat := []Curve{
-			MPILatencyCurve(MPIAMOpt, latSizes, false),
-			MPILatencyCurve(MPIF, latSizes, false),
+			MPILatencyCurve(s, MPIAMOpt, latSizes),
+			MPILatencyCurve(s, MPIF, latSizes),
 		}
 		bw := []Curve{
-			MPIBandwidthCurve(MPIAMOpt, bwSizes, 1<<16, false),
-			MPIBandwidthCurve(MPIF, bwSizes, 1<<16, false),
+			MPIBandwidthCurve(s, MPIAMOpt, bwSizes, 1<<16),
+			MPIBandwidthCurve(s, MPIF, bwSizes, 1<<16),
 		}
 		PrintCurves(&buf, "latency", lat)
 		PrintCurves(&buf, "bandwidth", bw)
@@ -71,9 +61,9 @@ func TestParallelSweepMatchesSerialTable5(t *testing.T) {
 	cfg := QuickTable5()
 	cfg.Keys = 1 << 10 // smallest sort that still runs every phase
 	machines := Table5Machines(cfg.NProcs)
-	requireSameBytes(t, "splitc-bench path", func() []byte {
+	requireSameBytes(t, "splitc-bench path", func(s Setup) []byte {
 		var buf bytes.Buffer
-		PrintTable5(&buf, RunTable5(cfg, machines), machines)
+		PrintTable5(&buf, RunTable5(s, cfg, machines), machines)
 		return buf.Bytes()
 	})
 }
@@ -82,9 +72,9 @@ func TestParallelSweepMatchesSerialNAS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	requireSameBytes(t, "nas-bench path", func() []byte {
+	requireSameBytes(t, "nas-bench path", func(s Setup) []byte {
 		var buf bytes.Buffer
-		PrintNAS(&buf, RunNAS(QuickNAS()), 4)
+		PrintNAS(&buf, RunNAS(s, QuickNAS()), 4)
 		return buf.Bytes()
 	})
 }
@@ -93,13 +83,11 @@ func TestParallelSweepMatchesSerialNAS(t *testing.T) {
 // index is evaluated exactly once and results land at their own index.
 func TestSweepOrderAndCoverage(t *testing.T) {
 	for _, par := range []int{1, 0, 3, 64} {
-		withPar(par, func() {
-			got := Sweep(257, func(i int) int { return i * i })
-			for i, v := range got {
-				if v != i*i {
-					t.Fatalf("par=%d: index %d holds %d, want %d", par, i, v, i*i)
-				}
+		got := Sweep(Setup{Par: par}, 257, func(_ Setup, i int) int { return i * i })
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("par=%d: index %d holds %d, want %d", par, i, v, i*i)
 			}
-		})
+		}
 	}
 }

@@ -26,16 +26,21 @@ func KVDefaultRates() []float64 {
 	return []float64{50e3, 100e3, 200e3, 400e3, 600e3}
 }
 
-// kvRuns runs n variations of base, one simulation each. Points are
-// independent, so they fan across the sweep workers (-par); results come
+// kvRuns runs n variations of base, one observed simulation each. Points
+// are independent, so they fan across s's sweep workers (-par); results come
 // back in index order, keeping the output byte-identical to a serial sweep.
 // vary edits point i's config. The commands validate base before they
 // sweep, so a config error here is a bug and panics.
-func kvRuns(base kv.Config, n int, vary func(i int, cfg *kv.Config)) []*kv.Result {
-	return Sweep(n, func(i int) *kv.Result {
+func kvRuns(s Setup, base kv.Config, n int, vary func(i int, cfg *kv.Config)) []*kv.Result {
+	return Sweep(s, n, func(s Setup, i int) *kv.Result {
 		cfg := base
 		vary(i, &cfg)
-		res, err := kv.Run(cfg)
+		svc, err := kv.New(cfg)
+		var res *kv.Result
+		if err == nil {
+			s.observe(svc.System().Cluster, svc.System())
+			res, err = svc.Run()
+		}
 		if err != nil {
 			panic(fmt.Sprintf("bench: kv sweep point %d of %d: %v", i, n, err))
 		}
@@ -43,18 +48,13 @@ func kvRuns(base kv.Config, n int, vary func(i int, cfg *kv.Config)) []*kv.Resul
 	})
 }
 
-// kvLadder runs base at each offered rate; Result.Config.Rate says which.
-func kvLadder(base kv.Config, rates []float64) []*kv.Result {
-	return kvRuns(base, len(rates), func(i int, cfg *kv.Config) { cfg.Rate = rates[i] })
-}
-
 // KVTailTable sweeps offered load against a fixed cluster and prints, per
 // rate, the achieved throughput and the open-loop latency tail. Latency is
 // measured from each request's scheduled arrival — not from its dispatch —
 // so queueing delay behind a saturated client node counts against the tail
 // (no coordinated omission).
-func KVTailTable(w io.Writer, base kv.Config, rates []float64) {
-	runs := kvLadder(base, rates)
+func KVTailTable(w io.Writer, s Setup, base kv.Config, rates []float64) {
+	runs := kvRuns(s, base, len(rates), func(i int, cfg *kv.Config) { cfg.Rate = rates[i] })
 	cfg := runs[0].Config
 	fmt.Fprintf(w, "# kv-bench: open-loop tail latency vs offered load (%d servers, %d client nodes, %d virtual clients, zipf %.2f, %d keys, %d reqs/point, %s)\n",
 		cfg.Servers, cfg.ClientNodes, cfg.VirtualClients, cfg.Zipf, cfg.Keys, cfg.Requests, cacheDesc(cfg))
@@ -84,8 +84,8 @@ func cacheDesc(cfg kv.Config) string {
 // generator draws are independent of service behavior — so the p99 ratio
 // isolates exactly what the cache buys. StaleServed is asserted zero here
 // too: a golden regeneration doubles as a lease-safety check.
-func KVCacheTable(w io.Writer, base kv.Config, skews []float64) {
-	runs := kvRuns(base, 2*len(skews), func(i int, cfg *kv.Config) {
+func KVCacheTable(w io.Writer, s Setup, base kv.Config, skews []float64) {
+	runs := kvRuns(s, base, 2*len(skews), func(i int, cfg *kv.Config) {
 		cfg.Zipf = skews[i/2]
 		cfg.CacheOff = i%2 == 1
 	})
@@ -125,8 +125,8 @@ func KVCacheTable(w io.Writer, base kv.Config, skews []float64) {
 // (BatchOps 1) on the same code path. Both arms see the identical arrival
 // schedule (the load generator draws are independent of service behavior),
 // so the p99 ratio isolates what coalescing buys.
-func KVWriteTable(w io.Writer, base kv.Config, names []string, mixes []load.Mix) {
-	runs := kvRuns(base, 2*len(mixes), func(i int, cfg *kv.Config) {
+func KVWriteTable(w io.Writer, s Setup, base kv.Config, names []string, mixes []load.Mix) {
+	runs := kvRuns(s, base, 2*len(mixes), func(i int, cfg *kv.Config) {
 		cfg.Mix = mixes[i/2]
 		if i%2 == 1 {
 			cfg.BatchOps = 1
@@ -161,8 +161,8 @@ func KVWriteTable(w io.Writer, base kv.Config, names []string, mixes []load.Mix)
 // peer-death declaration), the unavailability window (kill to the last
 // failed-over request's completion), and the outcome split — every issued
 // request must still end in a reply or a typed error.
-func KVKillTable(w io.Writer, base kv.Config, killServer int, kills []sim.Time) {
-	pts := kvRuns(base, len(kills), func(i int, cfg *kv.Config) {
+func KVKillTable(w io.Writer, s Setup, base kv.Config, killServer int, kills []sim.Time) {
+	pts := kvRuns(s, base, len(kills), func(i int, cfg *kv.Config) {
 		cfg.Plan = faults.NewPlan(fmt.Sprintf("kill@%v", kills[i]), 0).WithKill(killServer, kills[i])
 	})
 	fmt.Fprintf(w, "# kv-bench: fail-stop server %d under load (%d servers, %d client nodes, %.0f rps offered)\n",

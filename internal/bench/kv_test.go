@@ -20,22 +20,19 @@ func TestKVUnderStandardPlans(t *testing.T) {
 		losses hw.LossReport
 		err    error
 	}
-	var outs []outcome
-	withPar(0, func() {
-		outs = Sweep(len(plans), func(i int) outcome {
-			svc, err := kv.New(kv.Config{
-				Servers: 3, ClientNodes: 3, Replicas: 2, Keys: 1 << 10, Zipf: 1.1,
-				Rate: 100e3, Requests: 2000, Seed: 7, Plan: plans[i],
-			})
-			if err != nil {
-				return outcome{err: err}
-			}
-			res, err := svc.Run()
-			if err == nil {
-				err = svc.CheckInvariants()
-			}
-			return outcome{res, svc.Losses(), err}
+	outs := Sweep(Setup{}, len(plans), func(_ Setup, i int) outcome {
+		svc, err := kv.New(kv.Config{
+			Servers: 3, ClientNodes: 3, Replicas: 2, Keys: 1 << 10, Zipf: 1.1,
+			Rate: 100e3, Requests: 2000, Seed: 7, Plan: plans[i],
 		})
+		if err != nil {
+			return outcome{err: err}
+		}
+		res, err := svc.Run()
+		if err == nil {
+			err = svc.CheckInvariants()
+		}
+		return outcome{res, svc.Losses(), err}
 	})
 	for i, o := range outs {
 		name := plans[i].Name

@@ -54,27 +54,29 @@ func (m MPIImpl) options() mpi.Options {
 	case MPIAMOpt:
 		return mpi.Optimized()
 	case MPIBufferedOnly:
-		return mpi.Options{Optimized: false, PerPeerBuf: 16 << 10, BufferedMax: 16 << 10, RdvSlots: 128}
+		return mpi.Options{Optimized: false, BufferedMax: 16 << 10}
 	case MPIRdvOnly:
-		return mpi.Options{Optimized: false, PerPeerBuf: 16 << 10, BufferedMax: 0, RdvSlots: 128}
+		return mpi.Options{Optimized: false, BufferedMax: 0}
 	case MPIHybrid:
-		return mpi.Options{Optimized: true, PerPeerBuf: 16 << 10, BufferedMax: 4 << 10, HybridPrefix: 4 << 10, RdvSlots: 128}
+		return mpi.Options{Optimized: true, BufferedMax: 4 << 10, HybridPrefix: 4 << 10}
 	}
 	panic("bench: no mpi options for " + m.String())
 }
 
-// ptRanks builds s's n-node cluster and the chosen MPI on it, returning the
-// PT per rank.
+// ptRanks builds s's n-node cluster and the chosen MPI on it, observed,
+// returning the PT per rank.
 func ptRanks(s Setup, n int, impl MPIImpl) (*hw.Cluster, []mpi.PT) {
 	cluster := s.cluster(n)
 	var pts []mpi.PT
 	if impl == MPIF {
 		sys := mpif.New(cluster)
+		s.observe(cluster, nil)
 		for _, c := range sys.Comms {
 			pts = append(pts, c)
 		}
 	} else {
 		sys := mpi.New(cluster, impl.options())
+		s.observe(cluster, sys.AM)
 		for _, c := range sys.Comms {
 			pts = append(pts, c)
 		}
@@ -85,13 +87,13 @@ func ptRanks(s Setup, n int, impl MPIImpl) (*hw.Cluster, []mpi.PT) {
 // MPIRingLatency measures the paper's Figures 8/10 metric: messages of
 // size bytes sent around a 4-node ring with MPI_Send/MPI_Recv, reported as
 // microseconds per hop.
-func MPIRingLatency(impl MPIImpl, size int, wide bool) float64 {
+func MPIRingLatency(s Setup, impl MPIImpl, size int) float64 {
 	const ringN = 4
 	const laps = 5
 	if impl == AMStoreRaw {
-		return amStoreRingLatency(size, wide)
+		return amStoreRingLatency(s, size)
 	}
-	cluster, pts := ptRanks(Setup{Wide: wide}, ringN, impl)
+	cluster, pts := ptRanks(s, ringN, impl)
 	var perHop float64
 	for i := 0; i < ringN; i++ {
 		i := i
@@ -125,17 +127,19 @@ func MPIRingLatency(impl MPIImpl, size int, wide bool) float64 {
 // MPIBandwidth measures point-to-point one-way bandwidth (Figures 7/9/11):
 // total bytes moved in size-byte messages with a window of nonblocking
 // operations, in MB/s.
-func MPIBandwidth(impl MPIImpl, size, total int, wide bool) float64 {
+func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 	if impl == AMStoreRaw {
-		// Thin-node am_store bound comes straight from the AM benchmark.
-		return AMBandwidth(AsyncStore, size, total)
+		// The am_store bound is the thin-node AM benchmark's, on either node type.
+		s.Wide = false
+		mbps, _ := Bandwidth(s, AsyncStore, size, total)
+		return mbps
 	}
 	if size > total {
 		total = size
 	}
 	msgs := total / size
 	const window = 8
-	cluster, pts := ptRanks(Setup{Wide: wide}, 2, impl)
+	cluster, pts := ptRanks(s, 2, impl)
 	var mbps float64
 	tx, rx := pts[0], pts[1]
 	cluster.Spawn(0, "tx", func(p *sim.Proc, nd *hw.Node) {
@@ -186,11 +190,10 @@ func MPIBandwidth(impl MPIImpl, size, total int, wide bool) float64 {
 // MPIHybridPrefixBandwidth measures MPI-AM bandwidth at one message size
 // with an explicit hybrid-prefix setting (0 disables the hybrid protocol),
 // for the prefix-size ablation.
-func MPIHybridPrefixBandwidth(prefix, size, total int) float64 {
-	opt := mpi.Options{Optimized: true, PerPeerBuf: 16 << 10, BufferedMax: 8 << 10,
-		HybridPrefix: prefix, RdvSlots: 128}
-	cluster := Setup{}.cluster(2)
-	sys := mpi.New(cluster, opt)
+func MPIHybridPrefixBandwidth(s Setup, prefix, size, total int) float64 {
+	cluster := s.cluster(2)
+	sys := mpi.New(cluster, mpi.Options{Optimized: true, BufferedMax: 8 << 10, HybridPrefix: prefix})
+	s.observe(cluster, sys.AM)
 	msgs := total / size
 	var mbps float64
 	tx, rx := sys.Comms[0], sys.Comms[1]
@@ -215,15 +218,15 @@ func MPIHybridPrefixBandwidth(prefix, size, total int) float64 {
 }
 
 // MPILatencyCurve sweeps Figure 8/10 sizes for one implementation.
-func MPILatencyCurve(impl MPIImpl, sizes []int, wide bool) Curve {
-	return Curve{Name: impl.String(), Points: Sweep(len(sizes), func(i int) Point {
-		return Point{N: sizes[i], MBps: MPIRingLatency(impl, sizes[i], wide)}
+func MPILatencyCurve(s Setup, impl MPIImpl, sizes []int) Curve {
+	return Curve{Name: impl.String(), Points: Sweep(s, len(sizes), func(s Setup, i int) Point {
+		return Point{N: sizes[i], MBps: MPIRingLatency(s, impl, sizes[i])}
 	})}
 }
 
 // MPIBandwidthCurve sweeps Figure 7/9/11 sizes for one implementation.
-func MPIBandwidthCurve(impl MPIImpl, sizes []int, total int, wide bool) Curve {
-	return Curve{Name: impl.String(), Points: Sweep(len(sizes), func(i int) Point {
-		return Point{N: sizes[i], MBps: MPIBandwidth(impl, sizes[i], total, wide)}
+func MPIBandwidthCurve(s Setup, impl MPIImpl, sizes []int, total int) Curve {
+	return Curve{Name: impl.String(), Points: Sweep(s, len(sizes), func(s Setup, i int) Point {
+		return Point{N: sizes[i], MBps: MPIBandwidth(s, impl, sizes[i], total)}
 	})}
 }

@@ -8,9 +8,10 @@ import (
 
 // MPLRoundTrip measures MPL's one-word ping-pong round trip (mpc_bsend /
 // mpc_brecv), the paper's 88 µs baseline (§2.3).
-func MPLRoundTrip(iters int) float64 {
-	c := Setup{}.cluster(2)
+func MPLRoundTrip(s Setup, iters int) float64 {
+	c := s.cluster(2)
 	sys := mpl.New(c)
+	s.observe(c, nil)
 	word := make([]byte, 4)
 	var perRTT float64
 	c.Spawn(0, "pinger", func(p *sim.Proc, n *hw.Node) {
@@ -40,13 +41,14 @@ func MPLRoundTrip(iters int) float64 {
 // MPLBandwidth measures MPL one-way bandwidth moving total bytes in n-byte
 // messages. Blocking mode follows the paper's method: each mpc_bsend is
 // followed by a 0-byte mpc_brecv reply; pipelined mode streams mpc_send's.
-func MPLBandwidth(blocking bool, n, total int) float64 {
+func MPLBandwidth(s Setup, blocking bool, n, total int) float64 {
 	if n > total {
 		total = n
 	}
 	ops := total / n
-	c := Setup{}.cluster(2)
+	c := s.cluster(2)
 	sys := mpl.New(c)
+	s.observe(c, nil)
 	var mbps float64
 	c.Spawn(0, "tx", func(p *sim.Proc, nd *hw.Node) {
 		ep := sys.EPs[0]
@@ -91,12 +93,12 @@ func MPLBandwidth(blocking bool, n, total int) float64 {
 }
 
 // MPLBandwidthCurve sweeps message sizes for Figure 3's MPL curves.
-func MPLBandwidthCurve(blocking bool, sizes []int, total int) Curve {
+func MPLBandwidthCurve(s Setup, blocking bool, sizes []int, total int) Curve {
 	name := "MPL pipelined send"
 	if blocking {
 		name = "MPL send/reply"
 	}
-	return Curve{Name: name, Points: Sweep(len(sizes), func(i int) Point {
-		return Point{N: sizes[i], MBps: MPLBandwidth(blocking, sizes[i], total)}
+	return Curve{Name: name, Points: Sweep(s, len(sizes), func(s Setup, i int) Point {
+		return Point{N: sizes[i], MBps: MPLBandwidth(s, blocking, sizes[i], total)}
 	})}
 }

@@ -51,7 +51,7 @@ type NASRow struct {
 
 // RunNAS executes every kernel on MPI-F and MPI-AM (optimized) and returns
 // the Table-6 rows.
-func RunNAS(cfg NASConfig) []NASRow {
+func RunNAS(s Setup, cfg NASConfig) []NASRow {
 	kernels := []struct {
 		name string
 		k    nas.Kernel
@@ -64,9 +64,9 @@ func RunNAS(cfg NASConfig) []NASRow {
 	}
 	// One sweep point per (kernel, implementation) run: the ten simulations
 	// are independent, so they fan out across the sweep workers.
-	res := Sweep(2*len(kernels), func(i int) nas.Result {
+	res := Sweep(s, 2*len(kernels), func(s Setup, i int) nas.Result {
 		kk, impl := kernels[i/2], [2]MPIImpl{MPIF, MPIAMOpt}[i%2]
-		cluster, pts := ptRanks(Setup{}, cfg.NProcs, impl)
+		cluster, pts := ptRanks(s, cfg.NProcs, impl)
 		return nas.Run(cluster, pts, kk.name, impl.String(), kk.k)
 	})
 	var rows []NASRow

@@ -6,18 +6,14 @@ import (
 	"io"
 	"os"
 
-	"spam/internal/am"
-	"spam/internal/hw"
 	"spam/internal/trace"
 )
 
 // CommonFlags is the command-line surface shared by the five bench
-// commands: sweep fan-out (-par) and the observers (-trace, -metrics). The
-// commands call drivers whose signatures carry no Setup, so their observers
-// travel by the package-level hooks hw.DefaultTracer and am.DefaultMetrics,
-// which every cluster and AM system built during the run picks up; this
-// type is the only code outside tests that writes them. Register with
-// StdFlags, call Activate after flag.Parse, and Finish after the run.
+// commands: sweep fan-out (-par) and the observers (-trace, -metrics).
+// Register with StdFlags, build the run's Setup with Setup after
+// flag.Parse and hand it to every driver the command calls, and call Finish
+// after the run.
 type CommonFlags struct {
 	par     *int
 	trace   *string
@@ -36,42 +32,32 @@ func StdFlags() *CommonFlags {
 	}
 }
 
-// Activate applies the parsed flags: it sets Par and installs the hooks. A
-// plain run leaves both hooks nil and stays on the nil fast path. A tracer
-// or metrics registry is one stream shared by every cluster of the run, so
-// installing either overrides a -par request (see sweepWorkers), and the run
-// that was asked for is not the run that is observed — said here, once.
-// An out-of-range -par is an error, returned before anything is installed.
-func (cf *CommonFlags) Activate() error {
+// Setup is the Setup the parsed flags ask for: -par's worker count and,
+// when asked for, the recorder and registry every machine of the run feeds.
+// A plain run has neither and stays on the nil fast path. An out-of-range
+// -par is an error. Call once.
+func (cf *CommonFlags) Setup() (Setup, error) {
 	if *cf.par < 0 {
-		return fmt.Errorf("-par must be at least 0, where 0 is one worker per CPU (got %d)", *cf.par)
+		return Setup{}, fmt.Errorf("-par must be at least 0, where 0 is one worker per CPU (got %d)", *cf.par)
 	}
-	Par = *cf.par
 	if *cf.trace != "" {
 		cf.rec = trace.New()
-		hw.DefaultTracer = cf.rec
 	}
 	if *cf.metrics {
 		cf.reg = trace.NewRegistry()
-		am.DefaultMetrics = cf.reg
 	}
-	if (*cf.trace != "" || *cf.metrics) && *cf.par != 1 {
-		fmt.Fprintf(os.Stderr, "-par %d requested, running serial: -trace/-metrics collect one shared stream\n", *cf.par)
-	}
-	return nil
+	return Setup{Par: *cf.par, Tracer: cf.rec, Metrics: cf.reg}, nil
 }
 
-// Finish tears the hooks down and flushes their artifacts: the metrics
-// snapshot to w, and the Chrome trace-event file. Call once, after the last
-// benchmark, on every exit path that produced output.
+// Finish flushes the observers' artifacts: the metrics snapshot to w, and
+// the Chrome trace-event file. Call once, after the last benchmark, on every
+// exit path that produced output.
 func (cf *CommonFlags) Finish(w io.Writer) error {
 	if cf.reg != nil {
-		am.DefaultMetrics = nil
 		fmt.Fprintln(w, "# protocol metrics")
 		trace.WriteMetrics(w, cf.reg.Snapshot())
 	}
 	if cf.rec != nil {
-		hw.DefaultTracer = nil
 		return WriteTrace(*cf.trace, cf.rec)
 	}
 	return nil

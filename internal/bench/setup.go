@@ -7,35 +7,35 @@ import (
 	"spam/internal/trace"
 )
 
-// Setup is what a measurement attaches to the cluster it runs on. The zero
+// Setup is what a measurement attaches to the machines it runs on. The zero
 // value is the paper's machine: thin nodes, the default protocol options, a
-// lossless switch, nothing observing. Every driver in this package builds
-// its cluster through a Setup, so a recorder, a fault plan or an option
-// reaches a cluster by this one route, and the traced, faulted and ablated
-// figures come from the same loop as the plain one.
+// lossless switch, nothing observing, sweeps fanned over every CPU. Every
+// driver in this package takes its Setup from its caller, so a recorder, a
+// registry, a fault plan, an option or the sweep width reaches a run by this
+// one route, and the traced, faulted and ablated figures come from the same
+// loop as the plain one.
 type Setup struct {
 	Wide    bool            // wide nodes instead of thin (Figures 10/11)
 	Options *am.Options     // nil = am.DefaultOptions(); the DESIGN §6 ablations set it
 	Plan    *faults.Plan    // nil = lossless; the chaos tables set it
-	Tracer  *trace.Recorder // nil = hw.DefaultTracer (the commands' -trace)
-	Metrics *trace.Registry // nil = am.DefaultMetrics (the commands' -metrics)
+	Tracer  *trace.Recorder // nil = untraced (the commands' -trace)
+	Metrics *trace.Registry // nil = no metrics (the commands' -metrics)
+	Par     int             // sweep workers, as -par: 0 one per CPU, 1 serial
 }
 
-// cluster builds the n-node machine: node type, tracer and fault plan.
-// Drivers that put MPL or an MPI on it stop here; Options and Metrics
-// belong to the AM system that am adds.
+// cluster builds the n-node machine: node type and fault plan. Drivers
+// that put MPL or an MPI on it attach the observers once that is built.
 func (s Setup) cluster(n int) *hw.Cluster {
 	cfg := hw.DefaultConfig(n)
 	if s.Wide {
 		cfg = hw.WideConfig(n)
 	}
-	cfg.Tracer = s.Tracer
 	c := hw.NewCluster(cfg)
 	s.Plan.Apply(c)
 	return c
 }
 
-// am builds the n-node machine and the SP AM system on it.
+// am builds the n-node machine and the SP AM system on it, observed.
 func (s Setup) am(n int) (*hw.Cluster, *am.System) {
 	c := s.cluster(n)
 	opt := am.DefaultOptions()
@@ -43,10 +43,19 @@ func (s Setup) am(n int) (*hw.Cluster, *am.System) {
 		opt = *s.Options
 	}
 	sys := am.NewWithOptions(c, opt)
-	if s.Metrics != nil {
+	s.observe(c, sys)
+	return c, sys
+}
+
+// observe attaches s's observers to a machine that is already built, before
+// it runs: the recorder to its engine and the registry to its AM system (nil
+// for a machine without one). It is the one place observers reach a machine,
+// whichever constructor built it.
+func (s Setup) observe(c *hw.Cluster, sys *am.System) {
+	c.Eng.SetTracer(s.Tracer)
+	if sys != nil && s.Metrics != nil {
 		sys.EnableMetrics(s.Metrics)
 	}
-	return c, sys
 }
 
 // Ran is the state a driver's cluster was left in once its run drained:

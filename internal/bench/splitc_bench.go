@@ -9,21 +9,30 @@ import (
 	"spam/internal/splitc/apps"
 )
 
-// MachineFactory builds a Split-C platform with a given global heap size.
+// MachineFactory builds a Split-C platform with a given global heap size;
+// the two SPs are observed by s.
 type MachineFactory struct {
 	Name string
-	New  func(heapBytes int) splitc.Platform
+	New  func(s Setup, heapBytes int) splitc.Platform
 }
 
 // Table5Machines returns the five machines of the paper's Split-C
 // comparison, in the paper's column order.
 func Table5Machines(nprocs int) []MachineFactory {
 	return []MachineFactory{
-		{"IBM SP AM", func(h int) splitc.Platform { return splitc.NewSPAM(nprocs, h) }},
-		{"IBM SP MPL", func(h int) splitc.Platform { return splitc.NewMPL(nprocs, h) }},
-		{"TMC CM-5", func(h int) splitc.Platform { return gam.New(gam.CM5(), nprocs, h) }},
-		{"Meiko CS-2", func(h int) splitc.Platform { return gam.New(gam.CS2(), nprocs, h) }},
-		{"U-Net ATM", func(h int) splitc.Platform { return gam.New(gam.UNetATM(), nprocs, h) }},
+		{"IBM SP AM", func(s Setup, h int) splitc.Platform {
+			pl := splitc.NewSPAM(nprocs, h)
+			s.observe(pl.Cluster, pl.Sys)
+			return pl
+		}},
+		{"IBM SP MPL", func(s Setup, h int) splitc.Platform {
+			pl := splitc.NewMPL(nprocs, h)
+			s.observe(pl.Cluster, nil)
+			return pl
+		}},
+		{"TMC CM-5", func(_ Setup, h int) splitc.Platform { return gam.New(gam.CM5(), nprocs, h) }},
+		{"Meiko CS-2", func(_ Setup, h int) splitc.Platform { return gam.New(gam.CS2(), nprocs, h) }},
+		{"U-Net ATM", func(_ Setup, h int) splitc.Platform { return gam.New(gam.UNetATM(), nprocs, h) }},
 	}
 }
 
@@ -55,7 +64,7 @@ func QuickTable5() Table5Config {
 
 // RunTable5 executes the six Split-C benchmarks on every machine and
 // returns results in row-major (benchmark, machine) order.
-func RunTable5(cfg Table5Config, machines []MachineFactory) []apps.Result {
+func RunTable5(s Setup, cfg Table5Config, machines []MachineFactory) []apps.Result {
 	type benchDef struct {
 		name string
 		run  func(pl splitc.Platform) apps.Result
@@ -84,9 +93,9 @@ func RunTable5(cfg Table5Config, machines []MachineFactory) []apps.Result {
 	// Fan the (benchmark, machine) grid across the sweep workers; the
 	// row-major result order the printers rely on is preserved by index.
 	nm := len(machines)
-	return Sweep(len(benches)*nm, func(i int) apps.Result {
+	return Sweep(s, len(benches)*nm, func(s Setup, i int) apps.Result {
 		b, m := benches[i/nm], machines[i%nm]
-		res := b.run(m.New(b.heap))
+		res := b.run(m.New(s, b.heap))
 		res.Bench = b.name
 		res.Platform = m.Name
 		return res

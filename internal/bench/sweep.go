@@ -3,69 +3,79 @@ package bench
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"spam/internal/am"
-	"spam/internal/hw"
+	"spam/internal/trace"
 )
 
-// Par is the sweep worker count, set from the commands' -par flag: 1 (the
-// default) runs points serially, 0 means one worker per GOMAXPROCS, and any
-// other value is used as given. Independent simulation points — each builds
-// its own cluster and engine — are fanned across workers; results are always
-// assembled in index order, so sweep output is byte-identical to a serial
-// run regardless of worker count or host scheduling.
-var Par = 1
-
-// sweepWorkers resolves Par against the point count and the observer hooks.
-// Tracing and metrics install process-wide collectors (hw.DefaultTracer,
-// am.DefaultMetrics) that every cluster built during the run feeds; those
-// runs must stay serial to keep the collected streams meaningful.
-func sweepWorkers(n int) int {
-	w := Par
+// Sweep evaluates f for points 0..n-1 across s.Par workers and returns the
+// results indexed by point. Each call to f must be self-contained: it builds
+// its own machines, under the Setup it is handed, and touches no shared
+// mutable state. That Setup is s with, when s observes, a private recorder
+// and registry, folded into s's own in index order as the points finish —
+// so s's observers end holding what one shared stream would hold after a
+// serial run (the same events, packet ids, cap and counters), and the
+// output is byte-identical whatever the worker count.
+func Sweep[T any](s Setup, n int, f func(s Setup, i int) T) []T {
+	out := make([]T, n)
+	pts := make([]Setup, n)
+	done := make([]bool, n)
+	var mu sync.Mutex
+	next, folded := 0, 0
+	var wg sync.WaitGroup
+	w := s.Par
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if hw.DefaultTracer != nil || am.DefaultMetrics != nil {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Sweep evaluates f(0..n-1) across the configured workers and returns the
-// results indexed by i. Each call to f must be self-contained (build its own
-// engine/cluster and touch no shared mutable state); every sweep in this
-// package satisfies that by construction.
-func Sweep[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	w := sweepWorkers(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = f(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
+	for k := max(1, min(w, n)); k > 0; k-- {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
+				mu.Lock()
+				i := next
+				next++
 				if i >= n {
+					mu.Unlock()
 					return
 				}
-				out[i] = f(i)
+				pts[i] = s.fork()
+				mu.Unlock()
+
+				out[i] = f(pts[i], i)
+
+				mu.Lock()
+				for done[i] = true; folded < n && done[folded]; folded++ {
+					s.join(pts[folded])
+					pts[folded] = Setup{}
+				}
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// fork is the Setup one sweep point runs under: s with a fresh recorder and
+// registry of its own in place of s's. The recorder is capped at the room
+// s's has now, so no point holds events s's could not keep.
+func (s Setup) fork() Setup {
+	if s.Tracer != nil {
+		s.Tracer = s.Tracer.Fork()
+	}
+	if s.Metrics != nil {
+		s.Metrics = trace.NewRegistry()
+	}
+	return s
+}
+
+// join folds what the point run under p (s.fork()) observed into s's
+// observers.
+func (s Setup) join(p Setup) {
+	if s.Tracer != nil {
+		s.Tracer.Join(p.Tracer)
+	}
+	if s.Metrics != nil {
+		s.Metrics.Merge(p.Metrics)
+	}
 }

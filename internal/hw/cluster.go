@@ -8,14 +8,13 @@ import (
 	"spam/internal/trace"
 )
 
-// DefaultTracer, when non-nil, is attached to every cluster whose Config
-// does not name its own recorder. It exists so command-line tools can trace
-// benchmark functions that build their clusters internally, without
-// threading a recorder through every signature.
-var DefaultTracer *trace.Recorder
-
-// DefaultNodePar is accepted and ignored: benchmark/ sets and reads it.
-var DefaultNodePar = 1
+// Accepted and ignored: benchmark/ sets and reads DefaultNodePar, and
+// checks that the recorder is nil. Nothing in this module reads either; a
+// recorder reaches a cluster by Engine.SetTracer.
+var (
+	DefaultNodePar = 1
+	DefaultTracer  *trace.Recorder
+)
 
 // Cluster wires N nodes, their adapters, and a switch onto one simulation
 // engine. It is the root object every experiment starts from.
@@ -37,11 +36,6 @@ type Config struct {
 	Adapter  AdapterParams
 	Switch   SwitchParams
 	Seed     uint64
-
-	// Tracer, when non-nil, records per-packet lifecycle events for this
-	// cluster (see internal/trace). Nil falls back to DefaultTracer; both
-	// nil means tracing is off and costs nothing.
-	Tracer *trace.Recorder
 
 	// NodePar is accepted and ignored: benchmark/ sets it.
 	NodePar int
@@ -74,11 +68,7 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.NumNodes < 1 {
 		panic(fmt.Sprintf("hw: cluster needs at least 1 node, got %d", cfg.NumNodes))
 	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = DefaultTracer
-	}
 	eng := sim.NewEngine(cfg.Seed)
-	eng.SetTracer(cfg.Tracer)
 	pool := NewPacketPool()
 	c := &Cluster{
 		Eng:    eng,

@@ -507,6 +507,10 @@ func (svc *Service) Run() (*Result, error) {
 	return svc.gather(), nil
 }
 
+// System is the AM system the service runs on, and through it the cluster:
+// what an observer attaches to between New and Run.
+func (svc *Service) System() *am.System { return svc.sys }
+
 // Events reports the simulation events executed so far: the deterministic proxy for what a run costs the host.
 func (svc *Service) Events() int64 { return svc.cluster.Events() }
 
@@ -531,8 +535,7 @@ func Run(cfg Config) (*Result, error) {
 
 // gather folds the per-node counters, in fixed node order, into a Result,
 // publishing them into the registry the AM system publishes into, when it
-// has one (the commands' -metrics flag installs one registry for every run,
-// so multiple runs accumulate).
+// has one.
 func (svc *Service) gather() *Result {
 	res := &Result{Config: svc.cfg, AM: svc.sys.Totals()}
 	reg := svc.sys.Metrics()

@@ -65,15 +65,15 @@ func TestKVBasic(t *testing.T) {
 }
 
 // TestKVMetricsFollowTheSystem: kv publishes its counters into the registry
-// its AM system publishes into — given one by EnableMetrics, with the
-// process-wide hook nil, kv and AM metrics land in the same place.
+// its AM system publishes into — given one by EnableMetrics, kv and AM
+// metrics land in the same place.
 func TestKVMetricsFollowTheSystem(t *testing.T) {
 	svc, err := New(testConfig(500))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := trace.NewRegistry()
-	svc.sys.EnableMetrics(reg)
+	svc.System().EnableMetrics(reg)
 	res, err := svc.Run()
 	if err != nil {
 		t.Fatal(err)

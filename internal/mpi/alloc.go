@@ -24,7 +24,7 @@ func newAllocator(opt Options) allocator {
 		a.bins = make([]bool, numBins)
 		a.ffBase = numBins * a.binSize
 	}
-	a.ffLen = opt.PerPeerBuf - a.ffBase
+	a.ffLen = perPeerBuf - a.ffBase
 	a.holes = []hole{{off: a.ffBase, ln: a.ffLen}}
 	return a
 }

@@ -9,7 +9,7 @@ import (
 
 func TestAllocatorGrabRelease(t *testing.T) {
 	for _, optimized := range []bool{false, true} {
-		a := newAllocator(Options{Optimized: optimized, PerPeerBuf: 16 << 10})
+		a := newAllocator(Options{Optimized: optimized})
 		total := a.freeBytes()
 		off1, _, ok := a.grab(100)
 		if !ok {
@@ -67,7 +67,7 @@ func TestAllocatorExhaustionAndRecovery(t *testing.T) {
 func TestAllocatorPropertyNoOverlapConservation(t *testing.T) {
 	check := func(seed uint64, optimized bool) bool {
 		rng := sim.NewRand(seed)
-		a := newAllocator(Options{Optimized: optimized, PerPeerBuf: 16 << 10})
+		a := newAllocator(Options{Optimized: optimized})
 		initial := a.freeBytes()
 		type ext struct{ off, ln int }
 		var live []ext

@@ -52,16 +52,20 @@ const (
 	tagAllgather = -8
 )
 
-// envelope layout inside a buffered message: 16 bytes before the payload.
-const envBytes = 16
+const (
+	// envelope layout inside a buffered message: 16 bytes before the payload.
+	envBytes = 16
+	// perPeerBuf is the per-sender buffered region size.
+	perPeerBuf = 16 << 10
+	// rdvSlots is the size of the receive-buffer registration pool.
+	rdvSlots = 128
+)
 
 // Options selects the protocol configuration.
 type Options struct {
 	// Optimized selects the paper's §4.2 optimizations: binned allocator,
 	// batched buffer frees, hybrid protocol.
 	Optimized bool
-	// PerPeerBuf is the per-sender buffered region size (16 KB).
-	PerPeerBuf int
 	// BufferedMax is the largest message sent purely buffered; beyond it
 	// the rendezvous (or hybrid) protocol takes over. 16 KB unoptimized,
 	// 8 KB optimized.
@@ -69,18 +73,16 @@ type Options struct {
 	// HybridPrefix is the prefix shipped buffered while the rendezvous
 	// handshake is in flight (0 disables the hybrid protocol).
 	HybridPrefix int
-	// RdvSlots is the size of the receive-buffer registration pool.
-	RdvSlots int
 }
 
 // Unoptimized returns the paper's first-cut configuration.
 func Unoptimized() Options {
-	return Options{Optimized: false, PerPeerBuf: 16 << 10, BufferedMax: 16 << 10, HybridPrefix: 0, RdvSlots: 128}
+	return Options{Optimized: false, BufferedMax: 16 << 10, HybridPrefix: 0}
 }
 
 // Optimized returns the §4.2 configuration.
 func Optimized() Options {
-	return Options{Optimized: true, PerPeerBuf: 16 << 10, BufferedMax: 8 << 10, HybridPrefix: 4 << 10, RdvSlots: 128}
+	return Options{Optimized: true, BufferedMax: 8 << 10, HybridPrefix: 4 << 10}
 }
 
 // Calibrated MPICH-layer software costs (on top of the AM calls).
@@ -219,7 +221,7 @@ type Comm struct {
 	sys *System
 	ep  *am.Endpoint
 
-	bufSeg   int   // segment 0: P x PerPeerBuf buffered regions
+	bufSeg   int   // segment 0: P x perPeerBuf buffered regions
 	slotSegs []int // rendezvous registration pool
 	slotFree []int
 
@@ -283,9 +285,9 @@ func newComm(s *System, ep *am.Endpoint) *Comm {
 		rdvSend:   make(map[uint32]*Request),
 		rdvRecv:   make(map[rdvKey]*Request),
 	}
-	region := make([]byte, n*s.Opt.PerPeerBuf)
+	region := make([]byte, n*perPeerBuf)
 	c.bufSeg = ep.Node().Mem.Add(region)
-	for i := 0; i < s.Opt.RdvSlots; i++ {
+	for i := 0; i < rdvSlots; i++ {
 		seg := ep.Node().Mem.Add(nil)
 		c.slotSegs = append(c.slotSegs, seg)
 		c.slotFree = append(c.slotFree, seg)

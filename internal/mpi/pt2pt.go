@@ -12,15 +12,11 @@ import (
 // bufferedMax is the largest payload the buffered protocol carries (the
 // envelope must fit the allocated extent too).
 func (c *Comm) bufferedMax() int {
-	m := c.sys.Opt.BufferedMax
-	if lim := c.sys.Opt.PerPeerBuf - envBytes; m > lim {
-		m = lim
-	}
-	return m
+	return min(c.sys.Opt.BufferedMax, perPeerBuf-envBytes)
 }
 
 // regionBase is where rank src's buffered region starts in my bufSeg.
-func (c *Comm) regionBase(src int) int { return src * c.sys.Opt.PerPeerBuf }
+func (c *Comm) regionBase(src int) int { return src * perPeerBuf }
 
 // packFree encodes a region-relative extent in one 32-bit word
 // (off in 14 bits, length in 15 bits, +1 so a zero word means "no free").

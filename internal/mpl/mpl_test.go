@@ -128,7 +128,7 @@ func TestPipelinedSendsAllArrive(t *testing.T) {
 // asymptotic bandwidth, and a non-blocking half-power point in the
 // kilobytes (reconstructed ~2.4 KB; an order of magnitude above SP AM's).
 func TestCalibMPL(t *testing.T) {
-	rtt := bench.MPLRoundTrip(20)
+	rtt := bench.MPLRoundTrip(bench.Setup{}, 20)
 	if rtt < 83 || rtt > 93 {
 		t.Errorf("MPL RTT = %.2fus, want 88 +/- 5", rtt)
 	} else {
@@ -138,14 +138,14 @@ func TestCalibMPL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth sweep is slow")
 	}
-	r := bench.MPLBandwidth(false, 1<<20, 1<<20)
+	r := bench.MPLBandwidth(bench.Setup{}, false, 1<<20, 1<<20)
 	if r < 33.5 || r > 35.7 {
 		t.Errorf("MPL r_inf = %.2f MB/s, want ~34.6", r)
 	} else {
 		t.Logf("MPL r_inf = %.2f MB/s (paper: 34.6)", r)
 	}
 
-	cur := bench.MPLBandwidthCurve(false,
+	cur := bench.MPLBandwidthCurve(bench.Setup{}, false,
 		[]int{228, 512, 1024, 2048, 3072, 4096, 8192, 16384, 65536, 1 << 20}, 1<<20)
 	nh := cur.NHalf()
 	if nh < 1800 || nh > 4200 {
@@ -154,7 +154,7 @@ func TestCalibMPL(t *testing.T) {
 		t.Logf("MPL pipelined n_1/2 = %.0f bytes (~%.0fx SP AM's)", nh, nh/308)
 	}
 
-	blk := bench.MPLBandwidthCurve(true,
+	blk := bench.MPLBandwidthCurve(bench.Setup{}, true,
 		[]int{512, 2048, 4096, 8192, 16384, 65536, 1 << 20}, 1<<20)
 	t.Logf("MPL blocking n_1/2 = %.0f bytes (paper: 'greater than' the pipelined point)", blk.NHalf())
 	if blk.NHalf() <= nh {

@@ -76,7 +76,7 @@ func newLife() *pktLife {
 // DecomposeRoundTrip reconstructs the per-stage timeline of a two-node
 // ping-pong (pinger issues Requests, ponger's handler Replies) from a
 // time-sorted event stream and averages the stages across all complete
-// iterations found. The caller should Reset the recorder after warm-up so
+// iterations found. The caller should Cut the warm-up from the recorder so
 // the stream holds only steady-state iterations.
 func DecomposeRoundTrip(evs []Event, pinger, ponger int) (*Breakdown, error) {
 	life := map[int64]*pktLife{}

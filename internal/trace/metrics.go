@@ -218,6 +218,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Merge folds o into r: counters add, histograms Merge, and every name o
+// holds is then in r, so r reads as one registry both runs published into.
+func (r *Registry) Merge(o *Registry) {
+	for name, c := range o.counters {
+		r.Counter(name).Add(c.Value())
+	}
+	for name, h := range o.histograms {
+		r.Histogram(name).Merge(h)
+	}
+}
+
 // Snapshot returns every metric, sorted by name (deterministic output for
 // reports and tests).
 func (r *Registry) Snapshot() []Metric {

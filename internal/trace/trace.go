@@ -113,7 +113,7 @@ type Event struct {
 }
 
 // DefaultMaxEvents bounds a Recorder's memory (~48 B/event, so the default
-// is ~380 MB worst case; long traced soaks should export and Reset).
+// is ~380 MB worst case; long traced soaks should export and Cut).
 const DefaultMaxEvents = 8 << 20
 
 // Recorder accumulates events in emission order. It is used only from the
@@ -182,9 +182,36 @@ func (r *Recorder) Sorted() []Event {
 	return out
 }
 
-// Reset discards recorded events (packet ids keep counting, so ids stay
-// unique across a Reset — a warmup phase can be cut without id reuse).
-func (r *Recorder) Reset() {
-	r.events = r.events[:0]
-	r.Dropped = 0
+// Cut discards the first n recorded events (packet ids keep counting, so
+// ids stay unique across a Cut — a warmup phase can be cut without id
+// reuse).
+func (r *Recorder) Cut(n int) {
+	r.events = append(r.events[:0], r.events[n:]...)
+}
+
+// Fork returns an empty recorder for one run of several that will be
+// folded back into r with Join. It keeps at most the events r has room for
+// now, which is at least what r will have room for when it is joined.
+func (r *Recorder) Fork() *Recorder {
+	return &Recorder{max: r.max - len(r.events)}
+}
+
+// Join appends f's events to r as though f's run had emitted them into r:
+// packet ids are offset by the ids r has already issued, and the events
+// past r's cap count as dropped, as do the ones f dropped itself. Joining
+// forks in run order leaves r as one recorder shared by the runs in that
+// order would be.
+func (r *Recorder) Join(f *Recorder) {
+	for _, e := range f.events {
+		if len(r.events) >= r.max {
+			r.Dropped++
+			continue
+		}
+		if e.Pkt != 0 {
+			e.Pkt += r.nextPkt
+		}
+		r.events = append(r.events, e)
+	}
+	r.nextPkt += f.nextPkt
+	r.Dropped += f.Dropped
 }

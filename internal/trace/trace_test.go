@@ -33,12 +33,12 @@ func TestRecorderBasics(t *testing.T) {
 	if e := r.Events(); e[0].T != 100 {
 		t.Fatalf("Events reordered: %v", e)
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("Reset left %d events", r.Len())
+	r.Cut(1)
+	if e := r.Events(); len(e) != 1 || e[0].T != 50 {
+		t.Fatalf("Cut(1) left %v", e)
 	}
 	if id3 := r.NewPacketID(); id3 == id || id3 == id2 {
-		t.Fatalf("Reset recycled packet ID %d", id3)
+		t.Fatalf("Cut recycled packet ID %d", id3)
 	}
 }
 
