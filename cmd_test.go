@@ -181,7 +181,7 @@ var goldens = []struct {
 	{file: "table5.txt", args: []string{"splitc-bench", "-paper"}},
 	{file: "table6.txt", args: []string{"nas-bench"}},
 	{file: "chaos-loss.txt", fast: true, args: []string{"spam-bench", "-chaos", "loss"}},
-	{file: "chaos-kill.txt", fast: true, args: []string{"spam-bench", "-chaos", "kill"}},
+	{file: "chaos-kill.txt", fast: true, args: []string{"spam-bench", "-chaos", "kill", "-metrics"}},
 	{file: "kv-tail.txt", fast: true, args: []string{"kv-bench", "-reqs", "10000", "-clients", "100000"}},
 	{file: "kv-cache.txt", fast: true, args: []string{"kv-bench", "-cachetable", "-reqs", "10000", "-clients", "100000"}},
 	{file: "kv-write.txt", args: []string{"kv-bench", "-writetable", "-reqs", "10000", "-clients", "100000"}},
