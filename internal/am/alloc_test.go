@@ -1,6 +1,7 @@
 package am_test
 
 import (
+	"maps"
 	"runtime"
 	"testing"
 
@@ -359,45 +360,73 @@ func BenchmarkBulkStore(b *testing.B) {
 	b.SetBytes(8 << 10)
 }
 
-// TestMetricsCounters wires a registry in with EnableMetrics and checks the
-// protocol counters a request/reply exchange must move.
+// TestMetricsCounters wires a registry in with EnableMetrics and checks
+// that the run publishes each tagged Stats field once, under its name, with
+// the value Totals sums — whether the cluster runs through Run or RunChecked
+// — and that the live histograms saw the run. The first reply is dropped,
+// so the keep-alive probe and a retransmission move too.
 func TestMetricsCounters(t *testing.T) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.New(c)
-	reg := trace.NewRegistry()
-	sys.EnableMetrics(reg)
-	done := false
-	replyH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		done = true
-	})
-	reqH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Reply(p, tok, replyH, args[0])
-	})
-	c.Spawn(0, "a", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[0]
-		ep.Request(p, 1, reqH, 7)
-		for !done {
-			ep.Poll(p)
+	for _, checked := range []bool{false, true} {
+		c := hw.NewCluster(hw.DefaultConfig(2))
+		sent := 0
+		c.Switch.Fault = hw.DropIf(func(pkt *hw.Packet) bool {
+			sent++
+			return pkt.Src == 1 && sent == 2
+		})
+		sys := am.New(c)
+		reg := trace.NewRegistry()
+		sys.EnableMetrics(reg)
+		done := false
+		replyH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+			done = true
+		})
+		reqH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
+			ep.Reply(p, tok, replyH, args[0])
+		})
+		c.Spawn(0, "a", func(p *sim.Proc, n *hw.Node) {
+			ep := sys.EPs[0]
+			ep.Request(p, 1, reqH, 7)
+			for !done {
+				ep.Poll(p)
+			}
+		})
+		c.Spawn(1, "b", func(p *sim.Proc, n *hw.Node) {
+			ep := sys.EPs[1]
+			for !done {
+				ep.Poll(p)
+			}
+		})
+		if !checked {
+			c.Run()
+		} else if err := c.RunChecked(hw.US(50_000)); err != nil {
+			t.Fatal(err)
 		}
-	})
-	c.Spawn(1, "b", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[1]
-		for !done {
-			ep.Poll(p)
-		}
-	})
-	c.Run()
 
-	if v := reg.Counter("am.polls").Value(); v == 0 {
-		t.Fatal("am.polls did not count")
-	}
-	if v := reg.Counter("am.retransmits").Value(); v != 0 {
-		t.Fatalf("am.retransmits = %d on a clean run", v)
-	}
-	if h := reg.Histogram("am.window_inflight"); h.Count() == 0 {
-		t.Fatal("am.window_inflight saw no observations")
-	}
-	if h := reg.Histogram("am.recv_fifo_occupancy"); h.Count() == 0 {
-		t.Fatal("am.recv_fifo_occupancy saw no observations")
+		st := sys.Totals()
+		want := map[string]int64{
+			"am.polls": st.Polls, "am.polls_empty": st.EmptyPolls,
+			"am.retransmits": st.Retransmits, "am.acks_sent": st.AcksSent,
+			"am.nacks_sent": st.NacksSent, "am.probes_sent": st.Probes,
+			"am.corrupt_dropped": st.CorruptDropped, "am.backoffs": st.Backoffs,
+			"am.peer_deaths": st.DeadPeers,
+		}
+		got := map[string]int64{}
+		for _, m := range reg.Snapshot() {
+			if m.Kind == trace.KCounter {
+				got[m.Name] = int64(m.Value)
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("RunChecked %v: registry counters %v, Totals %v", checked, got, want)
+		}
+		if st.Polls == 0 || st.EmptyPolls == 0 || st.Probes == 0 || st.Retransmits == 0 {
+			t.Errorf("RunChecked %v: the run moved too little to check: %+v", checked, st)
+		}
+		if h := reg.Histogram("am.window_inflight"); h.Count() == 0 {
+			t.Errorf("RunChecked %v: am.window_inflight saw no observations", checked)
+		}
+		if h := reg.Histogram("am.recv_fifo_occupancy"); h.Count() != st.Polls {
+			t.Errorf("RunChecked %v: am.recv_fifo_occupancy saw %d polls, Totals %d", checked, h.Count(), st.Polls)
+		}
 	}
 }

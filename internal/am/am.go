@@ -51,30 +51,35 @@ type CompletionFunc func(p *sim.Proc, ep *Endpoint)
 // NoHandler suppresses the completion-side handler of a bulk operation.
 const NoHandler HandlerID = -1
 
-// Stats counts protocol events on one endpoint.
+// Stats counts protocol events on one endpoint. It is the only declaration
+// of an AM count: Totals folds the endpoints with trace.Fold, and a system
+// with a registry publishes the tagged fields under their tags once its
+// cluster's run is over (EnableMetrics).
 type Stats struct {
-	Requests, Replies   int64
-	Stores, Gets        int64
-	BytesSent           int64
-	PacketsSent         int64
-	PacketsReceived     int64
-	Retransmits         int64
-	NacksSent, AcksSent int64
-	Probes              int64
-	Polls, EmptyPolls   int64
-	Duplicates          int64
+	Requests, Replies int64
+	Stores, Gets      int64
+	BytesSent         int64
+	PacketsSent       int64
+	PacketsReceived   int64
+	Retransmits       int64 `metric:"am.retransmits"`
+	NacksSent         int64 `metric:"am.nacks_sent"`
+	AcksSent          int64 `metric:"am.acks_sent"`
+	Probes            int64 `metric:"am.probes_sent"`
+	Polls             int64 `metric:"am.polls"`
+	EmptyPolls        int64 `metric:"am.polls_empty"`
+	Duplicates        int64
 	// CorruptDropped counts received packets discarded for a wire-checksum
 	// mismatch (injected corruption); the data is recovered by
 	// retransmission like any other loss.
-	CorruptDropped int64
+	CorruptDropped int64 `metric:"am.corrupt_dropped"`
 	// RTTSamples counts Karn-valid round-trip samples folded into the
 	// Jacobson RTO estimators.
 	RTTSamples int64
 	// Backoffs counts keep-alive probe rounds beyond the first (each paid an
 	// exponentially grown empty-poll threshold and RTO wait).
-	Backoffs int64
+	Backoffs int64 `metric:"am.backoffs"`
 	// DeadPeers counts fail-stop declarations this endpoint made.
-	DeadPeers int64
+	DeadPeers int64 `metric:"am.peer_deaths"`
 }
 
 // System is the AM layer instantiated across a cluster: one Endpoint per

@@ -423,8 +423,8 @@ func TestWindowNeverExceeded(t *testing.T) {
 		t.Fatalf("sent %d before window filled, want %d", sent, am.WndRequest)
 	}
 	// No drops may have occurred: window (72) < receive FIFO (128).
-	if c.DroppedPackets() != 0 {
-		t.Fatalf("dropped %d packets despite window", c.DroppedPackets())
+	if c.Losses().TotalLost() != 0 {
+		t.Fatalf("dropped %d packets despite window", c.Losses().TotalLost())
 	}
 }
 

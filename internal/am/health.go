@@ -137,7 +137,6 @@ func (ep *Endpoint) declarePeerDead(p *sim.Proc, id int, ps *peerState) {
 	ps.probed = false
 	ep.Stats.DeadPeers++
 	if met := ep.sys.met; met != nil {
-		met.peerDeaths.Inc()
 		if ka := ep.sys.Cluster.Nodes[id].KillTime(); ka > 0 && e.At > ka {
 			met.detectNS.Observe(int64(e.At - ka))
 		}

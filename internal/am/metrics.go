@@ -6,20 +6,12 @@ import "spam/internal/trace"
 // reaches an AM system by EnableMetrics.
 var DefaultMetrics *trace.Registry
 
-// sysMetrics caches the typed metric handles the hot paths touch, so a
+// sysMetrics caches the histogram handles the hot paths sample, so a
 // metrics-enabled run pays two pointer loads and an integer op per sample —
-// and a disabled run (nil *sysMetrics) pays one nil check.
+// and a disabled run (nil *sysMetrics) pays one nil check. Counts are not
+// here: they live in Stats and are published once, at run end.
 type sysMetrics struct {
 	reg *trace.Registry
-
-	polls, emptyPolls *trace.Counter
-	retransmits       *trace.Counter
-	acksSent          *trace.Counter
-	nacksSent         *trace.Counter
-	probes            *trace.Counter
-	corruptDropped    *trace.Counter
-	backoffs          *trace.Counter // probe rounds beyond the first
-	peerDeaths        *trace.Counter // fail-stop declarations
 
 	recvFIFO  *trace.Histogram // receive-FIFO occupancy seen at each poll
 	pollBatch *trace.Histogram // packets drained per poll
@@ -29,32 +21,22 @@ type sysMetrics struct {
 	detectNS  *trace.Histogram // kill-to-declaration latency (ns)
 }
 
-func newSysMetrics(reg *trace.Registry) *sysMetrics {
-	return &sysMetrics{
-		reg:            reg,
-		polls:          reg.Counter("am.polls"),
-		emptyPolls:     reg.Counter("am.polls_empty"),
-		retransmits:    reg.Counter("am.retransmits"),
-		acksSent:       reg.Counter("am.acks_sent"),
-		nacksSent:      reg.Counter("am.nacks_sent"),
-		probes:         reg.Counter("am.probes_sent"),
-		corruptDropped: reg.Counter("am.corrupt_dropped"),
-		backoffs:       reg.Counter("am.backoffs"),
-		peerDeaths:     reg.Counter("am.peer_deaths"),
-		recvFIFO:       reg.Histogram("am.recv_fifo_occupancy"),
-		pollBatch:      reg.Histogram("am.poll_batch"),
-		inflight:       reg.Histogram("am.window_inflight"),
-		sendFIFO:       reg.Histogram("am.send_fifo_occupancy"),
-		rtoNS:          reg.Histogram("am.rto_ns"),
-		detectNS:       reg.Histogram("am.death_detect_ns"),
-	}
-}
-
-// EnableMetrics publishes this system's protocol metrics into reg. All
-// endpoints share the handles (the registry aggregates cluster-wide, which
-// is what the bench reports want).
+// EnableMetrics publishes this system's protocol metrics into reg: the
+// histograms live, sampled as the run goes, and the tagged Stats fields
+// summed over the endpoints once the cluster's run is over. All endpoints
+// share the handles (the registry aggregates cluster-wide, which is what the
+// bench reports want).
 func (s *System) EnableMetrics(reg *trace.Registry) {
-	s.met = newSysMetrics(reg)
+	s.met = &sysMetrics{
+		reg:       reg,
+		recvFIFO:  reg.Histogram("am.recv_fifo_occupancy"),
+		pollBatch: reg.Histogram("am.poll_batch"),
+		inflight:  reg.Histogram("am.window_inflight"),
+		sendFIFO:  reg.Histogram("am.send_fifo_occupancy"),
+		rtoNS:     reg.Histogram("am.rto_ns"),
+		detectNS:  reg.Histogram("am.death_detect_ns"),
+	}
+	s.Cluster.OnRunEnd(func() { s.fold(reg) })
 }
 
 // Metrics returns the registry this system publishes into, nil when metrics
@@ -64,4 +46,17 @@ func (s *System) Metrics() *trace.Registry {
 		return nil
 	}
 	return s.met.reg
+}
+
+// Totals aggregates protocol statistics across all endpoints of a system.
+func (s *System) Totals() Stats { return s.fold(nil) }
+
+// fold sums the endpoints' Stats in node order and, with a registry,
+// publishes each tagged field into it.
+func (s *System) fold(reg *trace.Registry) Stats {
+	var t Stats
+	for _, ep := range s.EPs {
+		trace.Fold(&t, &ep.Stats, reg)
+	}
+	return t
 }

@@ -71,7 +71,6 @@ func (ep *Endpoint) pollStart() {
 	ep.Stats.Polls++
 	ep.emit(trace.EvPollStart, 0, 0, "")
 	if m := ep.sys.met; m != nil {
-		m.polls.Inc()
 		m.recvFIFO.Observe(int64(ep.node.Adapter.RecvLen()))
 	}
 }
@@ -105,9 +104,6 @@ func (ep *Endpoint) pollFinish(p *sim.Proc) {
 func (ep *Endpoint) pollEnd(got int) {
 	if m := ep.sys.met; m != nil {
 		m.pollBatch.Observe(int64(got))
-		if got == 0 {
-			m.emptyPolls.Inc()
-		}
 	}
 	ep.emit(trace.EvPollEnd, 0, int64(got), "")
 }
@@ -210,9 +206,6 @@ func (ep *Endpoint) processPacket(p *sim.Proc, pkt *hw.Packet) bool {
 	// control packets via probe/refresh).
 	if m.Csum != m.WireChecksum(pkt.Data) {
 		ep.Stats.CorruptDropped++
-		if met := ep.sys.met; met != nil {
-			met.corruptDropped.Inc()
-		}
 		ep.node.ComputeUnscaled(p, costPerMsg) // the host still examined it
 		return false
 	}
@@ -556,9 +549,6 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 		ps.probed = true
 		if ps.probeRounds > 0 {
 			ep.Stats.Backoffs++
-			if met := ep.sys.met; met != nil {
-				met.backoffs.Inc()
-			}
 		}
 		ps.probeRounds++
 		ps.nextProbeAt = ep.node.Eng.Now() + ep.rto(ps)<<r

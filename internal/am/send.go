@@ -435,9 +435,6 @@ func (ep *Endpoint) injectSaved(p *sim.Proc, dst int, sp savedPkt) {
 		tc.rttValid = false
 	}
 	ep.Stats.Retransmits++
-	if met := ep.sys.met; met != nil {
-		met.retransmits.Inc()
-	}
 	ep.emit(trace.EvRetransmit, 0, int64(sp.m.Seq), sp.m.Kind.Class())
 	m := sp.m // copy; re-stamp acks freshly
 	var wire int
@@ -495,15 +492,5 @@ func (ep *Endpoint) sendCtrl(p *sim.Proc, dst int, k hw.Kind, nackSeq uint64, ch
 		ep.Stats.NacksSent++
 	case kProbe:
 		ep.Stats.Probes++
-	}
-	if met := ep.sys.met; met != nil {
-		switch k {
-		case kAck:
-			met.acksSent.Inc()
-		case kNack:
-			met.nacksSent.Inc()
-		case kProbe:
-			met.probes.Inc()
-		}
 	}
 }

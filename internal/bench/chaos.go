@@ -99,6 +99,6 @@ func ChaosTable(w io.Writer, s Setup, total int) {
 		}
 		fmt.Fprintf(w, "%7.1f%% %10.2f %8.1f%% %9d %7d %7d %9d\n",
 			r*100, mbps, 100*mbps/base, after.Stats.Retransmits, after.Stats.NacksSent,
-			after.Stats.Probes, after.Losses.FaultDropped)
+			after.Stats.Probes, after.Losses.Faults.Dropped)
 	}
 }

@@ -40,8 +40,8 @@ func TestKVUnderStandardPlans(t *testing.T) {
 			t.Errorf("%s: %v", name, o.err)
 			continue
 		}
-		if l := o.losses; l.FaultDropped+l.FaultDuplicated+l.FaultDelayed+l.FaultCorrupted == 0 {
-			t.Errorf("%s: the plan never fired: %+v", name, l)
+		if o.losses.Faults.Total() == 0 {
+			t.Errorf("%s: the plan never fired: %+v", name, o.losses)
 		}
 		r := o.res
 		if got := r.Completed + r.Conflicts + r.Unavail; got != r.Issued || r.Issued != 2000 {

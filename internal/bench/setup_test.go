@@ -105,7 +105,7 @@ func TestSweepFoldIsOneSharedStream(t *testing.T) {
 	emit := func(rec *trace.Recorder, reg *trace.Registry, i int) {
 		for k := 0; k < perPoint; k++ {
 			rec.Emit(int64(k), trace.EvStaged, i, rec.NewPacketID(), int64(k), "")
-			reg.Counter("emitted").Inc()
+			reg.Counter("emitted").Add(1)
 			reg.Histogram("value").Observe(int64(i*perPoint + k))
 		}
 	}

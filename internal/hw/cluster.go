@@ -27,6 +27,9 @@ type Cluster struct {
 	// AddDiagnostic); the liveness watchdog invokes them between slices of
 	// the run to build its stall report.
 	diags []func() string
+	// ends are the run-end callbacks the protocol layers register (see
+	// OnRunEnd).
+	ends []func()
 }
 
 // Config selects the hardware variant for a cluster.
@@ -102,10 +105,19 @@ func (c *Cluster) SpawnAll(name string, fn func(p *sim.Proc, n *Node)) {
 // is final: on return (or panic) every process still parked — a killed
 // node's detached program, a drained daemon — has been released, which
 // would otherwise pin its goroutine, and through it the whole cluster, for
-// the life of the program.
+// the life of the program — and the run-end callbacks have been called.
 func (c *Cluster) Run() {
-	defer c.Eng.Release()
+	defer c.end()
 	c.Eng.RunAll()
+}
+
+// end releases the processes still parked, then calls the run-end callbacks
+// in registration order.
+func (c *Cluster) end() {
+	c.Eng.Release()
+	for _, fn := range c.ends {
+		fn()
+	}
 }
 
 // Kill fail-stops node id at simulated time at: from then on the node
@@ -122,6 +134,13 @@ func (c *Cluster) Kill(id int, at sim.Time) {
 // liveness watchdog's stall report.
 func (c *Cluster) AddDiagnostic(fn func() string) {
 	c.diags = append(c.diags, fn)
+}
+
+// OnRunEnd registers a callback that Run and RunChecked call on every
+// return. A run is final, so the callback runs once: a protocol layer
+// publishes its counters from one, and nothing mirrors them live.
+func (c *Cluster) OnRunEnd(fn func()) {
+	c.ends = append(c.ends, fn)
 }
 
 // WatchdogError reports that the simulation made no delivery progress for a
@@ -175,12 +194,13 @@ func (c *Cluster) diagnose() string {
 // legitimate communication-free stretch of the workload. Engine.Run is
 // resumable, and slicing by horizon does not perturb event order. Every
 // return is a final verdict, so — as with Run — the processes still parked
-// are released; the slices in between are pauses and release nothing.
+// are released and the run-end callbacks called; the slices in between are
+// pauses and do neither.
 func (c *Cluster) RunChecked(budget sim.Time) error {
 	if budget <= 0 {
 		panic("hw: RunChecked budget must be positive")
 	}
-	defer c.Eng.Release()
+	defer c.end()
 	last := c.progressMark() - 1 // first slice always counts as progress
 	for horizon := c.Eng.Now() + budget; ; horizon += budget {
 		if err := c.Eng.Run(horizon); err != nil {
@@ -201,34 +221,21 @@ func (c *Cluster) RunChecked(budget sim.Time) error {
 // sources: faults injected at the fabric (by verdict kind) versus
 // receive-FIFO overflow at the adapters — the SP's one organic loss mode.
 type LossReport struct {
-	FaultDropped    int64 // injected drop verdicts at the switch
-	FaultDuplicated int64
-	FaultDelayed    int64
-	FaultCorrupted  int64
-	Overflow        int64 // receive-FIFO overflow at the adapters
+	Faults   FaultStats // the switch's applied fault verdicts
+	Overflow int64      // receive-FIFO overflow at the adapters
 }
 
 // TotalLost is the number of packets that never reached a receive FIFO
 // intact-and-once guarantees aside: injected drops plus FIFO overflow.
 // (Corrupted packets are delivered and discarded by the protocol layer,
 // which counts them separately.)
-func (lr LossReport) TotalLost() int64 { return lr.FaultDropped + lr.Overflow }
+func (lr LossReport) TotalLost() int64 { return lr.Faults.Dropped + lr.Overflow }
 
 // Losses gathers the cluster-wide loss accounting.
 func (c *Cluster) Losses() LossReport {
-	f := c.Switch.Faults
-	lr := LossReport{
-		FaultDropped:    f.Dropped,
-		FaultDuplicated: f.Duplicated,
-		FaultDelayed:    f.Delayed,
-		FaultCorrupted:  f.Corrupted,
-	}
+	lr := LossReport{Faults: c.Switch.Faults}
 	for _, n := range c.Nodes {
 		lr.Overflow += n.Adapter.DroppedOverflow
 	}
 	return lr
 }
-
-// DroppedPackets totals every packet lost in flight: injected switch drops
-// plus receive-FIFO overflow. Use Losses for the per-source breakdown.
-func (c *Cluster) DroppedPackets() int64 { return c.Losses().TotalLost() }

@@ -174,8 +174,8 @@ func TestSwitchFaultInjection(t *testing.T) {
 		p.Advance(US(1000))
 	})
 	c.Run()
-	if c.Switch.Lost != 5 {
-		t.Fatalf("lost %d, want 5", c.Switch.Lost)
+	if c.Switch.Faults.Dropped != 5 {
+		t.Fatalf("Faults.Dropped = %d, want 5", c.Switch.Faults.Dropped)
 	}
 	if got := c.Nodes[1].Adapter.Delivered; got != 5 {
 		t.Fatalf("delivered %d, want 5", got)
@@ -320,11 +320,11 @@ func TestClusterLossReport(t *testing.T) {
 	})
 	c.Run()
 	lr := c.Losses()
-	if lr.FaultDropped != 2 || lr.FaultDuplicated != 2 {
+	if lr.Faults.Dropped != 2 || lr.Faults.Duplicated != 2 {
 		t.Fatalf("loss report %+v, want 2 drops and 2 dups", lr)
 	}
-	if lr.TotalLost() != 2 || c.DroppedPackets() != 2 {
-		t.Fatalf("TotalLost = %d / DroppedPackets = %d, want 2", lr.TotalLost(), c.DroppedPackets())
+	if lr.TotalLost() != 2 {
+		t.Fatalf("TotalLost = %d, want 2", lr.TotalLost())
 	}
 }
 

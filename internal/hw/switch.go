@@ -161,7 +161,6 @@ type Switch struct {
 	deliv []func(*Packet)
 	Fault FaultFunc
 	Sent  int64
-	Lost  int64 // packets lost to drop verdicts (== Faults.Dropped)
 	// Faults counts applied fault verdicts; all zero when Fault is nil.
 	Faults FaultStats
 	// chaosRng picks corruption bit positions. Created at construction
@@ -230,7 +229,6 @@ func (s *Switch) Send(pkt *Packet) {
 		}
 		switch v.Action {
 		case ActDrop:
-			s.Lost++
 			s.Faults.Dropped++
 			s.pool.Put(pkt)
 			return

@@ -53,7 +53,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 
 	"spam/internal/am"
@@ -375,9 +374,9 @@ func (svc *Service) hostsShard(k, sh int) bool {
 }
 
 // Counters is the deterministic accounting of a run. Each client accumulates
-// into one of its own, each server into a ServerOps, and Run sums them, so a
-// count is declared here and nowhere else; the metric tag is its name in the
-// -metrics registry.
+// into one of its own, each server into a ServerOps, and Run sums them with
+// trace.Fold, so a count is declared here and nowhere else; the metric tag is
+// its name in the -metrics registry.
 type Counters struct {
 	Issued    int64 `metric:"kv.issued"`
 	Completed int64 `metric:"kv.completed"` // OK or NotFound terminal outcomes
@@ -442,30 +441,6 @@ type ServerOps struct {
 	HolderOverflows int64 `metric:"kv.server.holder_overflows"` // GETs not tracked because the holder set was full
 	CommitDups      int64 `metric:"kv.server.commit_dups"`      // failover re-commits deduplicated by version bump
 	Combined        int64 `metric:"kv.server.combined"`         // commit ops superseded by a later same-key op (per replica)
-}
-
-// fold adds src into dst field by field — int64s sum, histograms merge,
-// nested structs recurse — and, with a registry, publishes src under each
-// field's metric tag.
-func fold(dst, src reflect.Value, reg *trace.Registry) {
-	for i := 0; i < src.NumField(); i++ {
-		d, f := dst.Field(i), src.Field(i)
-		name := src.Type().Field(i).Tag.Get("metric")
-		switch v := f.Addr().Interface().(type) {
-		case *int64:
-			d.SetInt(d.Int() + *v)
-			if reg != nil {
-				reg.Counter(name).Add(*v)
-			}
-		case *trace.Histogram:
-			d.Addr().Interface().(*trace.Histogram).Merge(v)
-			if reg != nil {
-				reg.Histogram(name).Merge(v)
-			}
-		default:
-			fold(d, f, reg)
-		}
-	}
 }
 
 // Result aggregates one run: the counters summed over nodes and the fail-stop
@@ -539,17 +514,15 @@ func Run(cfg Config) (*Result, error) {
 func (svc *Service) gather() *Result {
 	res := &Result{Config: svc.cfg, AM: svc.sys.Totals()}
 	reg := svc.sys.Metrics()
-	sum := reflect.ValueOf(&res.Counters).Elem()
 	var detectAt, failoverDone sim.Time
 	for _, cl := range svc.clients {
-		fold(sum, reflect.ValueOf(&cl.st).Elem(), reg)
+		trace.Fold(&res.Counters, &cl.st, reg)
 		res.Makespan = max(res.Makespan, cl.finishAt)
 		detectAt = max(detectAt, cl.detectAt)
 		failoverDone = max(failoverDone, cl.lastFailoverDone)
 	}
-	ops := reflect.ValueOf(&res.ServerOps).Elem()
 	for _, srv := range svc.servers {
-		fold(ops, reflect.ValueOf(&srv.ops).Elem(), reg)
+		trace.Fold(&res.ServerOps, &srv.ops, reg)
 	}
 	if p := svc.cfg.Plan; p != nil && len(p.Kills) > 0 { // measured from the earliest kill
 		killAt := slices.MinFunc(p.Kills, func(a, b faults.NodeKill) int { return cmp.Compare(a.At, b.At) }).At

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"spam/internal/am"
 	"spam/internal/faults"
 	"spam/internal/hw"
 	"spam/internal/kv/load"
@@ -66,7 +67,9 @@ func TestKVBasic(t *testing.T) {
 
 // TestKVMetricsFollowTheSystem: kv publishes its counters into the registry
 // its AM system publishes into — given one by EnableMetrics, kv and AM
-// metrics land in the same place.
+// metrics land in the same place, and every tagged field of the result
+// (kv.Counters, ServerOps and am.Stats) has its registry row, once, through
+// the RunChecked that kv runs on.
 func TestKVMetricsFollowTheSystem(t *testing.T) {
 	svc, err := New(testConfig(500))
 	if err != nil {
@@ -81,8 +84,17 @@ func TestKVMetricsFollowTheSystem(t *testing.T) {
 	if got := reg.Counter("kv.issued").Value(); got != 500 || got != res.Issued {
 		t.Errorf("registry holds kv.issued = %d, result says %d, want 500", got, res.Issued)
 	}
-	if got := reg.Counter("am.polls").Value(); got != res.AM.Polls {
-		t.Errorf("registry holds am.polls = %d, result says %d", got, res.AM.Polls)
+	want := trace.NewRegistry()
+	trace.Fold(new(Counters), &res.Counters, want)
+	trace.Fold(new(am.Stats), &res.AM, want)
+	got := map[string]trace.Metric{}
+	for _, m := range reg.Snapshot() {
+		got[m.Name] = m
+	}
+	for _, m := range want.Snapshot() {
+		if got[m.Name] != m {
+			t.Errorf("registry holds %+v, result says %+v", got[m.Name], m)
+		}
 	}
 }
 

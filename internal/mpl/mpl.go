@@ -105,10 +105,6 @@ type Endpoint struct {
 	posted     []*postedRecv    // receives waiting for a matching message
 	rxSince    []int            // data packets received per source since last credit
 	pendCommit int
-
-	// Stats
-	Sends, Recvs int64
-	BytesSent    int64
 }
 
 type rxKey struct {
@@ -185,7 +181,6 @@ func (h *SendHandle) Injected() bool { return h.m.injected }
 
 // SendH is Send returning an injection handle.
 func (ep *Endpoint) SendH(p *sim.Proc, dst, tag int, data []byte) *SendHandle {
-	ep.Sends++
 	ep.node.ComputeUnscaled(p, ep.callCost(costSendOverhead))
 	ep.nextMsg++
 	m := &txMsg{msgID: ep.nextMsg, tag: tag, data: data}
@@ -197,7 +192,6 @@ func (ep *Endpoint) SendH(p *sim.Proc, dst, tag int, data []byte) *SendHandle {
 // BSend is mpc_bsend: it blocks until the source buffer is reusable, i.e.
 // the message is fully injected into the adapter.
 func (ep *Endpoint) BSend(p *sim.Proc, dst, tag int, data []byte) {
-	ep.Sends++
 	ep.node.ComputeUnscaled(p, ep.callCost(costSendOverhead))
 	ep.nextMsg++
 	m := &txMsg{msgID: ep.nextMsg, tag: tag, data: data}
@@ -233,7 +227,6 @@ func (ep *Endpoint) DrainSends(p *sim.Proc) {
 // receive is posted lands directly in buf; an early arrival sits in a
 // library buffer and pays a second copy.
 func (ep *Endpoint) Recv(p *sim.Proc, src, tag int, buf []byte) (int, int, int) {
-	ep.Recvs++
 	if m := ep.matchUnexpected(src, tag); m != nil {
 		n := copy(buf, m.buf[:m.total])
 		ep.node.Memcpy(p, n)
@@ -268,7 +261,6 @@ type RecvHandle struct {
 // PostRecv registers a receive without blocking; messages that begin
 // arriving after registration land directly in buf.
 func (ep *Endpoint) PostRecv(p *sim.Proc, src, tag int, buf []byte) *RecvHandle {
-	ep.Recvs++
 	if m := ep.matchUnexpected(src, tag); m != nil {
 		pr := &postedRecv{src: src, tag: tag, buf: buf, msg: m}
 		return &RecvHandle{ep: ep, pr: pr}
@@ -376,7 +368,6 @@ func (ep *Endpoint) progress(p *sim.Proc) {
 }
 
 func (ep *Endpoint) pushPkt(p *sim.Proc, dst int, w *hw.Header, data []byte) {
-	ep.BytesSent += int64(HeaderBytes + len(data))
 	pkt := ep.node.Pool.Get()
 	pkt.Dst = dst
 	pkt.HdrBytes = HeaderBytes

@@ -75,8 +75,8 @@ func TestLargeMessage(t *testing.T) {
 	if !ok {
 		t.Fatal("large message corrupted")
 	}
-	if c.DroppedPackets() != 0 {
-		t.Fatalf("%d packets dropped", c.DroppedPackets())
+	if c.Losses().TotalLost() != 0 {
+		t.Fatalf("%d packets dropped", c.Losses().TotalLost())
 	}
 }
 

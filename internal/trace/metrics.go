@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 	"sort"
 )
 
 // Counter is a monotonically increasing count.
 type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
 
 // Add adds d.
 func (c *Counter) Add(d int64) { c.v += d }
@@ -226,6 +224,36 @@ func (r *Registry) Merge(o *Registry) {
 	}
 	for name, h := range o.histograms {
 		r.Histogram(name).Merge(h)
+	}
+}
+
+// Fold adds *src into *dst field by field — int64s sum, histograms merge,
+// nested structs recurse — and, with a registry, publishes each src field
+// that carries a `metric:"name"` tag under that name. A layer declares its
+// counters as a tagged struct, counts into one per node, and folds the nodes
+// once the run is over: a count is declared once and never mirrored live.
+func Fold[T any](dst, src *T, reg *Registry) {
+	fold(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem(), reg)
+}
+
+func fold(dst, src reflect.Value, reg *Registry) {
+	for i := 0; i < src.NumField(); i++ {
+		d, f := dst.Field(i), src.Field(i)
+		name := src.Type().Field(i).Tag.Get("metric")
+		switch v := f.Addr().Interface().(type) {
+		case *int64:
+			d.SetInt(d.Int() + *v)
+			if reg != nil && name != "" {
+				reg.Counter(name).Add(*v)
+			}
+		case *Histogram:
+			d.Addr().Interface().(*Histogram).Merge(v)
+			if reg != nil && name != "" {
+				reg.Histogram(name).Merge(v)
+			}
+		default:
+			fold(d, f, reg)
+		}
 	}
 }
 

@@ -254,7 +254,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	reg.Counter("a.first").Add(7)
 	reg.Histogram("m.mid").Observe(42)
 	// Same name must return the same instrument.
-	reg.Counter("z.last").Inc()
+	reg.Counter("z.last").Add(1)
 	snap := reg.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d metrics, want 3", len(snap))
@@ -271,6 +271,66 @@ func TestRegistrySnapshot(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("WriteMetrics output missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// foldInner and foldOuter are a hand-written counter declaration: tagged
+// and untagged counts, a tagged and an untagged histogram, and a nested
+// struct whose fields carry their own tags.
+type foldInner struct {
+	Hits int64 `metric:"in.hits"`
+	Raw  int64
+}
+
+type foldOuter struct {
+	Sent   int64     `metric:"out.sent"`
+	Quiet  int64     // folds, never published
+	Lat    Histogram `metric:"out.lat"`
+	Sample Histogram
+	Inner  foldInner
+}
+
+// TestFold: int64 fields sum, histograms merge, nested structs recurse, an
+// untagged field folds but is not published, and a nil registry publishes
+// nothing.
+func TestFold(t *testing.T) {
+	node := func(k int64) *foldOuter {
+		n := &foldOuter{Sent: k, Quiet: 10 * k, Inner: foldInner{Hits: 100 * k, Raw: 1000 * k}}
+		n.Lat.Observe(k)
+		n.Sample.Observe(2 * k)
+		return n
+	}
+	var sum, quiet foldOuter
+	reg := NewRegistry()
+	for k := int64(1); k <= 3; k++ {
+		Fold(&sum, node(k), reg)
+		Fold(&quiet, node(k), nil)
+	}
+	if sum.Sent != 6 || sum.Quiet != 60 || sum.Inner.Hits != 600 || sum.Inner.Raw != 6000 {
+		t.Fatalf("int64 fields did not sum: %+v", sum)
+	}
+	if sum.Lat.Count() != 3 || sum.Lat.Sum() != 6 || sum.Sample.Count() != 3 || sum.Sample.Max() != 6 {
+		t.Fatalf("histograms did not merge: lat n=%d sum=%d, sample n=%d max=%d",
+			sum.Lat.Count(), sum.Lat.Sum(), sum.Sample.Count(), sum.Sample.Max())
+	}
+	if quiet != sum {
+		t.Fatalf("a nil registry changed the fold: %+v, want %+v", quiet, sum)
+	}
+	var names []string
+	for _, m := range reg.Snapshot() {
+		names = append(names, m.Name)
+	}
+	if want := []string{"in.hits", "out.lat", "out.sent"}; !slices.Equal(names, want) {
+		t.Fatalf("published %v, want only the tagged fields %v", names, want)
+	}
+	if got := reg.Counter("out.sent").Value(); got != 6 {
+		t.Fatalf("out.sent = %d, want 6", got)
+	}
+	if got := reg.Counter("in.hits").Value(); got != 600 {
+		t.Fatalf("in.hits = %d, want 600", got)
+	}
+	if h := reg.Histogram("out.lat"); h.Count() != 3 || h.Sum() != 6 {
+		t.Fatalf("out.lat n=%d sum=%d, want 3 and 6", h.Count(), h.Sum())
 	}
 }
 
