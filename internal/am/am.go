@@ -265,8 +265,8 @@ type peerState struct {
 
 func newPeerState(opt Options) *peerState {
 	ps := &peerState{}
-	ps.tx[chReq].wnd = opt.wndRequest()
-	ps.tx[chRep].wnd = opt.wndReply()
+	ps.tx[chReq].wnd = opt.WndRequest
+	ps.tx[chRep].wnd = opt.WndReply
 	ps.rx[chReq].lastNacked = ^uint64(0)
 	ps.rx[chRep].lastNacked = ^uint64(0)
 	return ps

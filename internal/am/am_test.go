@@ -15,6 +15,26 @@ func pair() (*hw.Cluster, *am.System) {
 	return c, am.New(c)
 }
 
+// TestDefaultOptionsArePaper pins every DefaultOptions field to the paper's
+// §2.2 protocol: the three features on, a 72-packet request and 76-packet
+// reply window, a keep-alive probe after 1,500 empty polls, then backoff
+// capped at six doublings and a death declaration after eight silent rounds.
+func TestDefaultOptionsArePaper(t *testing.T) {
+	want := am.Options{
+		PiggybackAcks:  true,
+		AckPerChunk:    true,
+		LazyPop:        true,
+		WndRequest:     72,
+		WndReply:       76,
+		KeepAlivePolls: 1500,
+		BackoffCap:     6,
+		DeathThreshold: 8,
+	}
+	if got := am.DefaultOptions(); got != want {
+		t.Fatalf("DefaultOptions() = %+v, want %+v", got, want)
+	}
+}
+
 func TestRequestReplyDelivery(t *testing.T) {
 	c, sys := pair()
 	var gotArgs []uint32

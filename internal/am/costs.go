@@ -36,31 +36,12 @@ var (
 // polled) to reduce the number of microchannel accesses".
 const lazyPopBatch = 16
 
-// Keep-alive and fail-stop defaults (overridable through Options).
+// Retransmission-timer bounds (Jacobson/Karn estimator): the RTO before the
+// first Karn-valid sample, and the clamp applied to the estimate after it.
 const (
-	// defaultKeepAlivePolls is the number of consecutive empty polls with
-	// unacknowledged traffic outstanding before the keep-alive protocol sends
-	// a probe ("timeouts are emulated by counting the number of unsuccessful
-	// polls" — paper §2.2).
-	defaultKeepAlivePolls = 1500
-	// defaultBackoffCap bounds the exponential growth of successive probe
-	// rounds: round r waits keepAlivePolls << min(r, cap) empty polls.
-	defaultBackoffCap = 6
-	// defaultDeathThreshold is how many successive probe rounds may elapse
-	// with no cumulative-ack progress before the peer is declared dead.
-	defaultDeathThreshold = 8
-	// maxBackoffShift bounds the shift applied to poll thresholds and RTOs
-	// regardless of a caller-supplied BackoffCap, keeping the arithmetic far
-	// from overflow.
-	maxBackoffShift = 30
-)
-
-// Retransmission-timer defaults (Jacobson/Karn estimator bounds); the
-// ceiling has no override.
-var (
-	defaultInitialRTO = hw.US(2000)
-	defaultMinRTO     = hw.US(500)
-	maxRTO            = hw.US(50000)
+	initialRTO = 2 * hw.Millisecond
+	minRTO     = 500 * hw.Microsecond
+	maxRTO     = 50 * hw.Millisecond
 )
 
 // Protocol constants from paper §2.2.
@@ -77,99 +58,50 @@ const (
 	WndReply = 76
 )
 
-// Options tune protocol features; the defaults are the paper's design.
-// Every switch exists so the ablation benchmarks can price the feature.
+// Options are the protocol settings a System runs with; every field holds
+// the value in use, and DefaultOptions holds the paper's. A setting is a
+// field only because some caller runs a value other than the paper's.
 type Options struct {
-	// PiggybackAcks piggybacks cumulative acks on all outgoing packets
-	// (default true). Off forces explicit ack traffic.
+	// PiggybackAcks piggybacks cumulative acks on all outgoing packets.
+	// Off forces explicit ack traffic (the ablation table prices it).
 	PiggybackAcks bool
-	// AckPerChunk acknowledges bulk data once per completed chunk (default
-	// true, the paper's design). Off selects the naive alternative the
-	// ablation benchmarks price: an explicit acknowledgement after every
-	// received packet.
+	// AckPerChunk acknowledges bulk data once per completed chunk. Off
+	// sends an explicit acknowledgement after every received packet (the
+	// ablation table prices it).
 	AckPerChunk bool
-	// LazyPop batches receive-FIFO pops (default true). Off pays one
-	// MicroChannel access per popped entry.
+	// LazyPop batches receive-FIFO pops. Off pays one MicroChannel access
+	// per popped entry (the ablation table prices it).
 	LazyPop bool
-	// WndRequest/WndReply override the window sizes when nonzero.
+	// WndRequest/WndReply are the request and reply channel windows in
+	// packets (the ablation table sweeps them).
 	WndRequest, WndReply int
-	// KeepAlivePolls overrides (when positive) the empty-poll count that
-	// triggers the first keep-alive probe of a round sequence.
+	// KeepAlivePolls is the number of consecutive empty polls with
+	// unacknowledged traffic outstanding before the first keep-alive probe
+	// of a round sequence ("timeouts are emulated by counting the number
+	// of unsuccessful polls" — paper §2.2). kv's serving ladder shortens it.
 	KeepAlivePolls int
-	// BackoffCap overrides (when positive) the cap on the exponential
-	// poll-threshold growth across successive probe rounds.
+	// BackoffCap bounds the exponential growth of successive probe rounds:
+	// round r waits KeepAlivePolls << min(r, BackoffCap) empty polls and at
+	// least RTO << min(r, BackoffCap). kv's serving ladder lowers it.
 	BackoffCap int
-	// DeathThreshold overrides the number of successive unanswered probe
-	// rounds before a peer is declared dead: positive sets the count,
-	// negative disables fail-stop detection entirely, zero keeps the
-	// default.
+	// DeathThreshold is how many successive probe rounds may elapse with
+	// no cumulative-ack progress before the peer is declared dead. kv's
+	// serving ladder lowers it.
 	DeathThreshold int
-	// InitialRTO/MinRTO override (when positive) the retransmission timer
-	// used to pace backoff rounds before and after RTT samples exist.
-	InitialRTO, MinRTO sim.Time
 }
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
-	return Options{PiggybackAcks: true, AckPerChunk: true, LazyPop: true}
-}
-
-func (o Options) wndRequest() int {
-	if o.WndRequest > 0 {
-		return o.WndRequest
+	return Options{
+		PiggybackAcks:  true,
+		AckPerChunk:    true,
+		LazyPop:        true,
+		WndRequest:     WndRequest,
+		WndReply:       WndReply,
+		KeepAlivePolls: 1500,
+		BackoffCap:     6,
+		DeathThreshold: 8,
 	}
-	return WndRequest
-}
-
-func (o Options) wndReply() int {
-	if o.WndReply > 0 {
-		return o.WndReply
-	}
-	return WndReply
-}
-
-func (o Options) keepAlivePolls() int {
-	if o.KeepAlivePolls > 0 {
-		return o.KeepAlivePolls
-	}
-	return defaultKeepAlivePolls
-}
-
-func (o Options) backoffCap() int {
-	c := o.BackoffCap
-	if c <= 0 {
-		c = defaultBackoffCap
-	}
-	if c > maxBackoffShift {
-		c = maxBackoffShift
-	}
-	return c
-}
-
-// deathDisabled reports whether fail-stop detection is switched off
-// (DeathThreshold < 0): probe rounds back off forever, no peer is ever
-// declared dead.
-func (o Options) deathDisabled() bool { return o.DeathThreshold < 0 }
-
-func (o Options) deathThreshold() int {
-	if o.DeathThreshold > 0 {
-		return o.DeathThreshold
-	}
-	return defaultDeathThreshold
-}
-
-func (o Options) initialRTO() sim.Time {
-	if o.InitialRTO > 0 {
-		return o.InitialRTO
-	}
-	return defaultInitialRTO
-}
-
-func (o Options) minRTO() sim.Time {
-	if o.MinRTO > 0 {
-		return o.MinRTO
-	}
-	return defaultMinRTO
 }
 
 func wordsCost(n int) sim.Time {

@@ -12,16 +12,13 @@ import (
 	"spam/internal/sim"
 )
 
-// blackoutWedge runs a 2-node cluster with fail-stop detection disabled
-// under a blackout that never lifts: node 0 blocks forever in a Store it
-// can never complete, node 1 polls an empty network. It returns what
+// blackoutWedge runs a 2-node cluster on the paper's protocol under a
+// blackout that never lifts: node 0 blocks in a Store it can never
+// complete, node 1 polls an empty network. It returns the system and what
 // RunChecked makes of the wedge.
-func blackoutWedge(budget sim.Time) error {
+func blackoutWedge(budget sim.Time) (*am.System, error) {
 	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := am.NewWithOptions(c, am.Options{
-		PiggybackAcks: true, AckPerChunk: true, LazyPop: true,
-		DeathThreshold: -1, // probe forever; nothing rescues the wedge
-	})
+	sys := am.New(c)
 	faults.NewPlan("blackout-forever", 11, faults.Blackout(hw.US(200), 0)).Apply(c)
 	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, 256))
 	c.Spawn(0, "mover", func(p *sim.Proc, _ *hw.Node) {
@@ -39,17 +36,17 @@ func blackoutWedge(budget sim.Time) error {
 			ep.Poll(p)
 		}
 	})
-	return c.RunChecked(budget)
+	return sys, c.RunChecked(budget)
 }
 
-// TestBlackoutWatchdogFires is the liveness soak for the one wedge the
-// protocol cannot unwedge on its own: a total blackout that never lifts,
-// with fail-stop detection switched off. The run must not spin forever —
-// the cluster watchdog has to stop it with a diagnosis naming the stuck
-// peer traffic.
+// TestBlackoutWatchdogFires is the liveness soak for a wedge that outlasts
+// the run's budget before fail-stop detection (about 0.5 s of probe rounds)
+// can end it: a total blackout that never lifts. The run must not spin
+// forever — the cluster watchdog has to stop it with a diagnosis naming the
+// stuck peer traffic, before either node has declared the other dead.
 func TestBlackoutWatchdogFires(t *testing.T) {
 	budget := hw.US(100_000)
-	err := blackoutWedge(budget)
+	sys, err := blackoutWedge(budget)
 	var w *hw.WatchdogError
 	if !errors.As(err, &w) {
 		t.Fatalf("RunChecked = %v, want *hw.WatchdogError", err)
@@ -59,6 +56,11 @@ func TestBlackoutWatchdogFires(t *testing.T) {
 	}
 	if !strings.Contains(w.Report, "am: node 0 -> 1") || !strings.Contains(w.Report, "unacked") {
 		t.Errorf("stall report does not name the stuck peer traffic:\n%s", w.Report)
+	}
+	for i, ep := range sys.EPs {
+		if ep.Stats.DeadPeers != 0 {
+			t.Errorf("node %d declared %d peers dead before the watchdog stop; the wedge must outlast detection", i, ep.Stats.DeadPeers)
+		}
 	}
 }
 
@@ -95,7 +97,7 @@ func TestFinalRunsLeaveNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		var w *hw.WatchdogError
-		if err := blackoutWedge(hw.US(20_000)); !errors.As(err, &w) {
+		if _, err := blackoutWedge(hw.US(20_000)); !errors.As(err, &w) {
 			t.Fatalf("RunChecked = %v, want *hw.WatchdogError", err)
 		}
 	}

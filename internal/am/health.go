@@ -62,16 +62,15 @@ func (ep *Endpoint) PeerErr(id int) error {
 }
 
 // RTO returns the current retransmission timeout toward peer id: the
-// Jacobson estimate srtt + 4·rttvar clamped to [MinRTO, 50 ms], or
-// InitialRTO before the first Karn-valid sample.
+// Jacobson estimate srtt + 4·rttvar clamped to [500 µs, 50 ms], or
+// 2 ms before the first Karn-valid sample.
 func (ep *Endpoint) RTO(id int) sim.Time { return ep.rto(ep.peer(id)) }
 
 func (ep *Endpoint) rto(ps *peerState) sim.Time {
-	o := ep.sys.Opt
 	if ps.srtt == 0 {
-		return o.initialRTO()
+		return initialRTO
 	}
-	return min(max(ps.srtt+4*ps.rttvar, o.minRTO()), maxRTO)
+	return min(max(ps.srtt+4*ps.rttvar, minRTO), maxRTO)
 }
 
 // sampleRTT folds one Karn-valid round-trip sample into the peer's

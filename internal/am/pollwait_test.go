@@ -86,13 +86,11 @@ func runWait(n int, sendProc sim.Time, opt am.Options, wait waitFn, scenario fun
 }
 
 // fastKeepAlive shortens the keep-alive ladder so probe rounds, backoff and
-// a death declaration fit in a few simulated milliseconds; the thresholds
+// a death declaration fit in well under a simulated second; the thresholds
 // still span hundreds of idle polls each.
 func fastKeepAlive() am.Options {
 	o := am.DefaultOptions()
 	o.KeepAlivePolls = 150
-	o.InitialRTO = hw.US(300)
-	o.MinRTO = hw.US(100)
 	return o
 }
 

@@ -155,7 +155,7 @@ func (ep *Endpoint) idleBudget() int {
 		if req.saved.Len() == 0 && rep.saved.Len() == 0 {
 			continue
 		}
-		left := ep.sys.Opt.keepAlivePolls()<<ep.probeShift(ps) - 1 - ps.emptyStreak
+		left := ep.sys.Opt.KeepAlivePolls<<ep.probeShift(ps) - 1 - ps.emptyStreak
 		if left <= 0 {
 			return 0
 		}
@@ -496,19 +496,15 @@ func (ep *Endpoint) explicitAcks(p *sim.Proc) {
 // ackDue reports whether ps is owed an explicit acknowledgement.
 func (ep *Endpoint) ackDue(ps *peerState) bool {
 	return ps.forceAck ||
-		ps.rx[chReq].unackedPkts >= ep.sys.Opt.wndRequest()/4 ||
-		ps.rx[chRep].unackedPkts >= ep.sys.Opt.wndReply()/4
+		ps.rx[chReq].unackedPkts >= ep.sys.Opt.WndRequest/4 ||
+		ps.rx[chRep].unackedPkts >= ep.sys.Opt.WndReply/4
 }
 
 // probeShift is the backoff exponent of ps's current keep-alive round,
-// min(probeRounds, backoffCap): the round fires once the empty-poll streak
-// reaches keepAlivePolls << probeShift.
+// min(probeRounds, BackoffCap): the round fires once the empty-poll streak
+// reaches KeepAlivePolls << probeShift.
 func (ep *Endpoint) probeShift(ps *peerState) uint {
-	r := ps.probeRounds
-	if c := ep.sys.Opt.backoffCap(); r > c {
-		r = c
-	}
-	return uint(r)
+	return uint(min(ps.probeRounds, ep.sys.Opt.BackoffCap))
 }
 
 // keepAlive sends a probe to any peer with long-unacknowledged traffic; the
@@ -535,13 +531,13 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 		}
 		ps.emptyStreak++
 		r := ep.probeShift(ps)
-		if ps.emptyStreak < o.keepAlivePolls()<<r {
+		if ps.emptyStreak < o.KeepAlivePolls<<r {
 			continue
 		}
 		if r > 0 && ep.node.Eng.Now() < ps.nextProbeAt {
 			continue
 		}
-		if !o.deathDisabled() && ps.probeRounds >= o.deathThreshold() {
+		if ps.probeRounds >= o.DeathThreshold {
 			ep.declarePeerDead(p, id, ps)
 			continue
 		}

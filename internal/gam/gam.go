@@ -129,9 +129,7 @@ type gnode struct {
 	q      []*message
 	ctlFn  func(p *sim.Proc, src int, a, b uint64)
 	stored int64
-
-	cbs  []func()
-	free []uint32
+	cbs    splitc.Callbacks // puts and gets in flight; the index is a message field
 }
 
 var _ splitc.Transport = (*gnode)(nil)
@@ -170,40 +168,18 @@ func (g *gnode) send(p *sim.Proc, dst int, msg *message) {
 	})
 }
 
-// sendFrom routes a message generated while servicing the network (e.g. a
-// get response); identical to send but callable with the polling proc.
-func (g *gnode) sendFrom(p *sim.Proc, dst int, msg *message) { g.send(p, dst, msg) }
-
-func (g *gnode) addCb(fn func()) uint32 {
-	if n := len(g.free); n > 0 {
-		idx := g.free[n-1]
-		g.free = g.free[:n-1]
-		g.cbs[idx] = fn
-		return idx
-	}
-	g.cbs = append(g.cbs, fn)
-	return uint32(len(g.cbs) - 1)
-}
-
-func (g *gnode) fire(idx uint32) {
-	fn := g.cbs[idx]
-	g.cbs[idx] = nil
-	g.free = append(g.free, idx)
-	fn()
-}
-
 func (g *gnode) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	g.send(p, dst, &message{kind: mCtl, a: a, b: b})
 }
 
 func (g *gnode) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
-	idx := g.addCb(onDone)
+	idx := g.cbs.Add(onDone)
 	buf := append([]byte(nil), data...)
 	g.send(p, dst, &message{kind: mPut, roff: roff, idx: idx, n: len(buf), data: buf})
 }
 
 func (g *gnode) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := g.addCb(onDone)
+	idx := g.cbs.Add(onDone)
 	g.send(p, dst, &message{kind: mGetReq, roff: roff, loff: loff, n: n, idx: idx})
 }
 
@@ -231,15 +207,15 @@ func (g *gnode) Poll(p *sim.Proc) {
 			g.ctlFn(p, msg.src, msg.a, msg.b)
 		case mPut:
 			copy(g.mem[msg.roff:], msg.data)
-			g.sendFrom(p, msg.src, &message{kind: mPutAck, idx: msg.idx})
+			g.send(p, msg.src, &message{kind: mPutAck, idx: msg.idx})
 		case mPutAck:
-			g.fire(msg.idx)
+			g.cbs.Fire(msg.idx)
 		case mGetReq:
 			buf := append([]byte(nil), g.mem[msg.roff:msg.roff+msg.n]...)
-			g.sendFrom(p, msg.src, &message{kind: mGetData, loff: msg.loff, idx: msg.idx, n: msg.n, data: buf})
+			g.send(p, msg.src, &message{kind: mGetData, loff: msg.loff, idx: msg.idx, n: msg.n, data: buf})
 		case mGetData:
 			copy(g.mem[msg.loff:], msg.data)
-			g.fire(msg.idx)
+			g.cbs.Fire(msg.idx)
 		case mStore:
 			copy(g.mem[msg.roff:], msg.data)
 			g.stored += int64(msg.n)

@@ -143,8 +143,8 @@ func newClient(svc *Service, idx int, ep *am.Endpoint, budget int, vlo, vn uint3
 		idx:      idx,
 		ep:       ep,
 		gen:      load.NewGen(seed, cfg.Rate/float64(cfg.ClientNodes), cfg.Keys, cfg.Zipf, cfg.Mix, vlo, vn),
-		slots:    make([]reqSlot, cfg.Slots),
-		txns:     make([]txn, cfg.Slots),
+		slots:    make([]reqSlot, slots),
+		txns:     make([]txn, slots),
 		shardq:   make([]shardQ, svc.numShards),
 		inflight: make([]int32, cfg.Servers),
 		need:     make([]int32, cfg.Servers),
@@ -154,14 +154,14 @@ func newClient(svc *Service, idx int, ep *am.Endpoint, budget int, vlo, vn uint3
 	}
 	if !cfg.CacheOff {
 		cl.cache = newReadCache(cfg.CacheSize, cfg.Lease)
-		cl.getInflight = make(map[uint32]uint32, cfg.Slots)
+		cl.getInflight = make(map[uint32]uint32, slots)
 	}
 	// Every slot can be the only member of a transaction, so one transaction
 	// per slot is enough. A transaction's staging source is rewritten only
 	// after the round it carried was answered, which implies the server
 	// consumed the store — so reuse never races a live transfer, and a
 	// retransmission of an answered round is dropped as a duplicate.
-	slab := make([]byte, cfg.Slots*stageBytes)
+	slab := make([]byte, slots*stageBytes)
 	for i := range cl.txns {
 		t := &cl.txns[i]
 		t.buf, slab = slab[:stageBytes], slab[stageBytes:]
@@ -353,7 +353,7 @@ func (cl *client) serveOrCoalesce(p *sim.Proc, si uint32) bool {
 
 // scheduleRetry parks the slot for another lock round after a backoff, or
 // gives up with a typed Conflict once the attempt budget is spent. The
-// delay doubles per attempt up to BackoffCap doublings, with jitter drawn
+// delay doubles per attempt up to retryBackoffCap doublings, with jitter drawn
 // from the client's own seeded stream (uniform over the delay's upper
 // half) — contending clients decorrelate instead of re-colliding, and the
 // draw order is deterministic because retries are scheduled by the main
@@ -376,10 +376,10 @@ func (cl *client) backoffDelay(attempts uint16) sim.Time {
 	if shift < 0 {
 		shift = 0
 	}
-	if shift > cl.svc.cfg.BackoffCap {
-		shift = cl.svc.cfg.BackoffCap
+	if shift > retryBackoffCap {
+		shift = retryBackoffCap
 	}
-	d := cl.svc.cfg.RetryBackoff << shift
+	d := retryBackoff << shift
 	half := d >> 1
 	return half + sim.Time(cl.retryRng.Uint64()%uint64(half+1))
 }

@@ -23,7 +23,7 @@
 //     independently, and multi-key transactions cannot deadlock. The reply
 //     is a grant bitmap: a member denied while holding nothing leaves the
 //     transaction and retries after a deterministic exponential backoff
-//     (RetryBackoff doubling up to BackoffCap times, jittered from a seeded
+//     (20 µs doubling up to six times, jittered from a seeded
 //     per-client stream; MaxAttempts lock rounds, then a typed Conflict); the
 //     granted members go on. A Batch granted one key of two releases it first.
 //   - commit: apply the granted ops at every live replica. The primary latch
@@ -90,9 +90,7 @@ type Config struct {
 
 	Seed uint64 // run seed (default 1); client node i forks a derived stream
 
-	Slots        int      // in-flight request slots per client node (default 256, max 4096)
-	RetryBackoff sim.Time // lock-denial retry delay before doubling (default 20us)
-	MaxAttempts  int      // lock rounds before a Conflict give-up (default 64, max 65535)
+	MaxAttempts int // lock rounds before a Conflict give-up (default 64, max 65535)
 
 	Plan *faults.Plan // nil = lossless; its kills must name servers
 
@@ -104,7 +102,6 @@ type Config struct {
 	// Write coalescing: PUTs bound for one shard share a transaction.
 	BatchOps    int      // max PUTs per transaction (default 16, max 32; 1 = no coalescing)
 	BatchWindow sim.Time // flush window: max simulated-time wait to fill a vector (default 20us)
-	BackoffCap  int      // max lock-retry backoff doublings (default 6)
 
 	NodePar int // accepted and ignored: benchmark/ sets it
 }
@@ -154,15 +151,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Slots <= 0 {
-		c.Slots = 256
-	}
-	if c.Slots > maxSlots {
-		return c, fmt.Errorf("kv: Slots %d exceeds max %d", c.Slots, maxSlots)
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = hw.US(20)
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 64
 	}
@@ -183,12 +171,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = hw.US(20)
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 6
-	}
-	if c.BackoffCap > 62 || c.RetryBackoff > math.MaxInt64>>c.BackoffCap {
-		return c, fmt.Errorf("kv: RetryBackoff %v << BackoffCap %d overflows", c.RetryBackoff, c.BackoffCap)
 	}
 	if c.ClientNodes > 1<<16 {
 		return c, fmt.Errorf("kv: ClientNodes %d exceeds the holder encoding (16 bits)", c.ClientNodes)
@@ -218,6 +200,7 @@ func (c Config) amOptions() am.Options {
 }
 
 const (
+	slots       = 256  // in-flight request slots per client node
 	maxSlots    = 4096 // transaction index must fit the reqID encoding (12 bits)
 	maxKeys     = 2    // keys per Batch
 	maxReplicas = 3
@@ -226,6 +209,16 @@ const (
 
 	inflightCap = 64                   // per-server outstanding cap per client, below am's request window of 72
 	watchdog    = 200 * hw.Millisecond // Run's no-progress budget (hw.Cluster.RunChecked)
+
+	retryBackoff    = 20 * hw.Microsecond // lock-denial retry delay before doubling
+	retryBackoffCap = 6                   // max lock-retry backoff doublings
+)
+
+// Compile-time range checks: a negative constant does not convert to uint,
+// and a typed constant that overflows sim.Time does not compile.
+const (
+	_ = uint(maxSlots - slots)
+	_ = retryBackoff << retryBackoffCap
 )
 
 // Service is one instantiated kv cluster: servers, clients, and the shared
@@ -282,7 +275,7 @@ func New(cfg Config) (*Service, error) {
 		// Staging: one block per (client, transaction) so concurrent vectors
 		// never share bytes. Registered first on every server, so one
 		// segment id addresses them all.
-		seg := sys.EPs[k].Node().Mem.Add(make([]byte, cfg.ClientNodes*cfg.Slots*stageBytes))
+		seg := sys.EPs[k].Node().Mem.Add(make([]byte, cfg.ClientNodes*slots*stageBytes))
 		if k == 0 {
 			svc.stageSeg = seg
 		} else if seg != svc.stageSeg {

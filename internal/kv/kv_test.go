@@ -211,17 +211,27 @@ func TestKVServerAllocs(t *testing.T) {
 	t.Fatalf("steady state allocates %.4f objects/request, want ~0", best)
 }
 
+// TestKVServingOptions pins kv's departure from the paper's AM protocol to
+// the keep-alive ladder alone: every other setting is am.DefaultOptions'.
+func TestKVServingOptions(t *testing.T) {
+	want := am.DefaultOptions()
+	want.KeepAlivePolls, want.BackoffCap, want.DeathThreshold = 150, 4, 6
+	got := testConfig(100).amOptions()
+	if got != want {
+		t.Fatalf("amOptions() = %+v, want %+v", got, want)
+	}
+	def := am.DefaultOptions()
+	if got.KeepAlivePolls == def.KeepAlivePolls || got.BackoffCap == def.BackoffCap || got.DeathThreshold == def.DeathThreshold {
+		t.Fatalf("amOptions() = %+v keeps a default keep-alive setting of %+v", got, def)
+	}
+}
+
 // TestKVConfigValidation pins the config error paths.
 func TestKVConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	bad := testConfig(100)
-	bad.Slots = maxSlots + 1
-	if _, err := New(bad); err == nil {
-		t.Fatal("oversized Slots accepted")
-	}
-	bad = testConfig(100)
 	for _, node := range []int{-1, 99} {
 		bad.Plan = faults.NewPlan("kill", 0).WithKill(node, hw.US(1))
 		if _, err := New(bad); err == nil {
@@ -252,21 +262,6 @@ func TestKVConfigValidation(t *testing.T) {
 	bad.MaxAttempts = math.MaxUint16
 	if _, err := New(bad); err != nil {
 		t.Fatalf("MaxAttempts %d rejected: %v", bad.MaxAttempts, err)
-	}
-	// RetryBackoff << BackoffCap is the longest backoff and must fit sim.Time.
-	bad = testConfig(100)
-	bad.BackoffCap = 63
-	if _, err := New(bad); err == nil {
-		t.Fatal("BackoffCap 63 accepted")
-	}
-	bad.BackoffCap = 40
-	bad.RetryBackoff = 1 << 23
-	if _, err := New(bad); err == nil {
-		t.Fatal("RetryBackoff << BackoffCap overflowing sim.Time accepted")
-	}
-	bad.RetryBackoff = 1 << 22
-	if _, err := New(bad); err != nil {
-		t.Fatalf("RetryBackoff 1<<22 with BackoffCap 40 rejected: %v", err)
 	}
 }
 

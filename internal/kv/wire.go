@@ -81,7 +81,7 @@ func decodeOps(dst []wireOp, phase uint8, mem []byte) []wireOp {
 }
 
 // Request ids route replies without a lookup: transaction generation (14
-// bits), transaction index (12, so Slots <= 4096), sub-request (4) and
+// bits), transaction index (12, so slots <= 4096), sub-request (4) and
 // phase (2). The phase lets the bulk handler pick the record format and the
 // reply handler drop a reply that outlived its round.
 func reqID(gen, ti uint32, sub int, phase uint8) uint32 {
@@ -113,5 +113,5 @@ func opID(si, slotGen uint32, del bool) uint32 {
 // every server, so one address serves the lock store at the primary and the
 // commit stores at every replica.
 func (cl *client) stageAddr(ti uint32) hw.Addr {
-	return hw.Addr{Seg: cl.svc.stageSeg, Off: (cl.idx*cl.svc.cfg.Slots + int(ti)) * stageBytes}
+	return hw.Addr{Seg: cl.svc.stageSeg, Off: (cl.idx*slots + int(ti)) * stageBytes}
 }

@@ -26,6 +26,12 @@ type PT interface {
 	// picks the algorithm (MPICH generic vs vendor-tuned — see Table 6's
 	// FT discussion).
 	Alltoall(p *sim.Proc, send, recv []byte, chunk int) error
+	// SetDeadline arms an absolute simulated-time deadline on every
+	// blocking call (0 disarms); an overdue call returns ErrTimeout.
+	SetDeadline(at sim.Time)
+	// Finalize is MPI_Finalize: a closing barrier, then a drain of this
+	// rank's transport traffic, bounded by budget (0 = unbounded).
+	Finalize(p *sim.Proc, budget sim.Time) error
 }
 
 // PT adapter methods for *Comm.

@@ -78,26 +78,21 @@ func RunBudget(cluster *hw.Cluster, comms []mpi.PT, bench, impl string, kernel K
 				t0 = p.Now()
 			}
 			sums[i] = kernel(p, env)
-			dl, hasDL := c.(interface{ SetDeadline(sim.Time) })
-			if hasDL && budget > 0 {
-				dl.SetDeadline(p.Now() + budget)
+			if budget > 0 {
+				c.SetDeadline(p.Now() + budget)
 			}
 			err := mpi.Barrier(p, c)
 			if i == 0 {
 				t1 = p.Now()
 			}
-			if hasDL && budget > 0 {
-				dl.SetDeadline(0) // Finalize arms its own budget
+			if budget > 0 {
+				c.SetDeadline(0) // Finalize arms its own budget
 			}
-			// Drain before exiting, when the comm layer supports it: under
-			// fault injection a rank must keep polling (and retransmitting)
-			// until every peer's traffic is fully acknowledged.
-			if f, ok := c.(interface {
-				Finalize(p *sim.Proc, budget sim.Time) error
-			}); ok {
-				if ferr := f.Finalize(p, budget); err == nil {
-					err = ferr
-				}
+			// Drain before exiting: under fault injection a rank must keep
+			// polling (and retransmitting) until every peer's traffic is
+			// fully acknowledged.
+			if ferr := c.Finalize(p, budget); err == nil {
+				err = ferr
 			}
 			errs[i] = err
 		})

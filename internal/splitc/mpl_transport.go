@@ -20,7 +20,7 @@ type mplTransport struct {
 	ctlFn  func(p *sim.Proc, src int, a, b uint64)
 	stored int64
 
-	cbs cbTable // puts and gets in flight; the index is a header field
+	cbs Callbacks // puts and gets in flight; the index is a header field
 
 	scratch []byte
 }
@@ -105,7 +105,7 @@ func (t *mplTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 }
 
 func (t *mplTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
-	idx := t.cbs.add(onDone)
+	idx := t.cbs.Add(onDone)
 	msg := make([]byte, 24+len(data))
 	copy(msg, header(uint64(roff), uint64(idx), uint64(len(data))))
 	copy(msg[24:], data)
@@ -114,7 +114,7 @@ func (t *mplTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func(
 }
 
 func (t *mplTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := t.cbs.add(onDone)
+	idx := t.cbs.Add(onDone)
 	// The response deposits at loff; stash it alongside the callback.
 	t.ep.Send(p, dst, tagGetReq, header(uint64(roff), uint64(idx)<<32|uint64(loff), uint64(n)))
 }
@@ -150,7 +150,7 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 			t.ep.Node().Memcpy(p, ln)
 			t.ep.Send(p, src, tagPutAck, header(uint64(idx), 0, 0))
 		case tagPutAck:
-			t.cbs.fire(uint32(h0))
+			t.cbs.Fire(uint32(h0))
 		case tagGetReq:
 			roff, ln := int(h0), int(h2)
 			msg := make([]byte, 24+ln)
@@ -163,7 +163,7 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 			ln := int(h2)
 			copy(t.mem[loff:], t.scratch[24:24+ln])
 			t.ep.Node().Memcpy(p, ln)
-			t.cbs.fire(idx)
+			t.cbs.Fire(idx)
 		case tagStore:
 			roff, ln := int(h0), int(h2)
 			copy(t.mem[roff:], t.scratch[24:24+ln])

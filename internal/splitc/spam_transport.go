@@ -17,7 +17,7 @@ type spamTransport struct {
 	stored int64
 	err    error // first peer-death error; sticky
 
-	cbs cbTable // gets in flight; the index is the AM handler argument word
+	cbs Callbacks // gets in flight; the index is the AM handler argument word
 
 	h *spamHandlers
 }
@@ -57,7 +57,7 @@ func newSPAM(c *hw.Cluster, heapBytes int, name string) *SPAMPlatform {
 		t.ctlFn(p, tok.Src, a, b)
 	})
 	h.getDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*spamTransport).cbs.fire(arg)
+		ep.Data.(*spamTransport).cbs.Fire(arg)
 	})
 	h.putDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 		// Runs on the destination; nothing to do there. The sender-side
@@ -132,7 +132,7 @@ func (t *spamTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func
 }
 
 func (t *spamTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := t.cbs.add(onDone)
+	idx := t.cbs.Add(onDone)
 	t.ep.GetAsync(p, dst, hw.Addr{Seg: 0, Off: roff}, hw.Addr{Seg: 0, Off: loff}, n,
 		t.h.getDone, idx)
 }

@@ -78,16 +78,18 @@ type Platform interface {
 	Run(program func(p *sim.Proc, rt *RT)) sim.Time
 }
 
-// cbTable holds the completion callbacks of a transport's in-flight
-// split-phase operations. The index add returns rides in the message (the AM
-// handler argument word, an MPL header field) and comes back with the
-// completion, which fires the callback and frees the slot.
-type cbTable struct {
+// Callbacks holds the completion callbacks of a transport's in-flight
+// split-phase operations. The index Add returns rides in the message (the AM
+// handler argument word, an MPL header field, a LogGP message field) and
+// comes back with the completion, which fires the callback and frees the
+// slot. Freed slots are reused last-in first-out.
+type Callbacks struct {
 	cbs  []func()
 	free []uint32
 }
 
-func (t *cbTable) add(fn func()) uint32 {
+// Add stores fn in a free slot and returns its index.
+func (t *Callbacks) Add(fn func()) uint32 {
 	if n := len(t.free); n > 0 {
 		idx := t.free[n-1]
 		t.free = t.free[:n-1]
@@ -98,7 +100,8 @@ func (t *cbTable) add(fn func()) uint32 {
 	return uint32(len(t.cbs) - 1)
 }
 
-func (t *cbTable) fire(idx uint32) {
+// Fire frees slot idx and runs the callback it held.
+func (t *Callbacks) Fire(idx uint32) {
 	fn := t.cbs[idx]
 	t.cbs[idx] = nil
 	t.free = append(t.free, idx)
