@@ -1,6 +1,7 @@
 package spam
 
 import (
+	"runtime"
 	"testing"
 
 	"spam/internal/kv"
@@ -73,5 +74,43 @@ func TestKVServedEventBudget(t *testing.T) {
 	if handoffs, switches := svc.Handoffs(); handoffs != wantHandoffs || switches != wantSwitches {
 		t.Fatalf("%d requests cost %d process hand-offs and %d coroutine switches, want %d and %d",
 			kvServedReqs, handoffs, switches, wantHandoffs, wantSwitches)
+	}
+}
+
+// BenchmarkKVNew is the host-time row of the kv set-up: one kv.New of the
+// kvServedConfig shape per op, which is what benchmark/run.sh times as a kv
+// rung's share of setup_s. With -benchmem, B/op is the count
+// TestKVNewFootprint bounds.
+func BenchmarkKVNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		svc, err := kv.New(kvServedConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		svc.System().Cluster.Eng.Release() // the processes New spawned and no Run will finish
+		b.StartTimer()
+	}
+}
+
+// TestKVNewFootprint bounds the deterministic proxy of the kv set-up cost:
+// the bytes kv.New allocates for the kvServedConfig shape, 13.0 MB, of which
+// the record table (Keys x Replicas records of 72 B) is 9.4 MB.
+func TestKVNewFootprint(t *testing.T) {
+	// One P, as TestKVServerAllocs: TotalAlloc is process-wide.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const limit = 16_000_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	svc, err := kv.New(kvServedConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.System().Cluster.Eng.Release()
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("kv.New allocated %.1f MB, want at most %.1f", float64(got)/1e6, float64(limit)/1e6)
 	}
 }

@@ -74,6 +74,7 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"kv-bench", "-servers", "1", "-chaos", "kill"},
 		{"kv-bench", "-chaos", "kill", "-killat", "-5"},
 		{"kv-bench", "-keys", "-5"},
+		{"kv-bench", "-keys", "4194305"},
 		{"kv-bench", "-rate", "-1"},
 		{"spam-bench", "-par", "-3", "-table", "2"},
 		{"spam-bench", "-table", "7"},

@@ -16,10 +16,10 @@
 //
 // A transaction runs three rounds, percolator-lite:
 //
-//   - lock: try-lock every key at its shard's primary. Each shard has a latch
-//     table, in the style of tinykv's latches: a map from key to the owning
-//     transaction. A denied lock is reported, never queued, so the server
-//     never blocks, concurrent writers of different keys proceed
+//   - lock: try-lock every key at its shard's primary. Each replica's record
+//     of a key carries a latch, in the style of tinykv's latches: the owning
+//     transaction, or none. A denied lock is reported, never queued, so the
+//     server never blocks, concurrent writers of different keys proceed
 //     independently, and multi-key transactions cannot deadlock. The reply
 //     is a grant bitmap: a member denied while holding nothing leaves the
 //     transaction and retries after a deterministic exponential backoff
@@ -80,7 +80,7 @@ type Config struct {
 
 	ShardsPerServer int // keyspace partitions per server (default 8)
 	Replicas        int // replicas per shard (default 2, clamped to Servers)
-	Keys            int // keyspace size (default 1<<16)
+	Keys            int // keyspace size (default 1<<16, max 1<<22)
 
 	Rate           float64  // aggregate offered load, requests/s of simulated time
 	Requests       int      // total requests to issue across all client nodes
@@ -132,6 +132,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Keys <= 0 {
 		c.Keys = 1 << 16
+	}
+	if c.Keys > maxKeyspace {
+		return c, fmt.Errorf("kv: Keys %d exceeds max %d (the per-key table is sized by it)", c.Keys, maxKeyspace)
 	}
 	if !(c.Rate > 0) || math.IsInf(c.Rate, 0) {
 		return c, fmt.Errorf("kv: Rate must be positive and finite (got %v)", c.Rate)
@@ -200,12 +203,15 @@ func (c Config) amOptions() am.Options {
 }
 
 const (
-	slots       = 256  // in-flight request slots per client node
-	maxSlots    = 4096 // transaction index must fit the reqID encoding (12 bits)
-	maxKeys     = 2    // keys per Batch
+	slots    = 256  // in-flight request slots per client node
+	maxSlots = 4096 // transaction index must fit the reqID encoding (12 bits)
+	// maxKeyspace bounds Keys: the record table holds Keys x Replicas records
+	// of 72 B, about 0.9 GB at this bound and three replicas.
+	maxKeyspace = 1 << 22
+	maxKeys     = 2 // keys per Batch
 	maxReplicas = 3
 	maxTargets  = maxKeys * maxReplicas
-	holderMax   = 4 // tracked lease holders per key (see holderSet)
+	holderMax   = 4 // tracked lease holders per key (see record)
 
 	inflightCap = 64                   // per-server outstanding cap per client, below am's request window of 72
 	watchdog    = 200 * hw.Millisecond // Run's no-progress budget (hw.Cluster.RunChecked)
@@ -231,6 +237,7 @@ type Service struct {
 	servers   []*server
 	clients   []*client
 	numShards int
+	table     []record // every replica's per-key state: record key*Replicas+i is replica i's
 
 	hGet, hLock, hCommit, hUnlock, hVector, hDone, hResp, hInval am.HandlerID
 
@@ -265,6 +272,9 @@ func New(cfg Config) (*Service, error) {
 		cluster:   c,
 		sys:       sys,
 		numShards: cfg.Servers * cfg.ShardsPerServer,
+		// A Batch writes the pair key&^1, key|1, so an odd keyspace has one
+		// more row than it has generated keys.
+		table: make([]record, (cfg.Keys+cfg.Keys&1)*cfg.Replicas),
 	}
 	svc.registerHandlers()
 
@@ -356,14 +366,15 @@ func (svc *Service) replicaSrv(sh, i int) int {
 	return (sh + i) % svc.cfg.Servers
 }
 
-// hostsShard reports whether server k holds a replica of shard sh.
-func (svc *Service) hostsShard(k, sh int) bool {
-	for i := 0; i < svc.cfg.Replicas; i++ {
-		if svc.replicaSrv(sh, i) == k {
-			return true
-		}
-	}
-	return false
+// rec returns replica i's record of key.
+func (svc *Service) rec(key uint32, i int) *record {
+	return &svc.table[int(key)*svc.cfg.Replicas+i]
+}
+
+// inTable reports whether key has records; ReadKey and KeyVersion report
+// zero for one that has none.
+func (svc *Service) inTable(key uint32) bool {
+	return int(key) < len(svc.table)/svc.cfg.Replicas
 }
 
 // Counters is the deterministic accounting of a run. Each client accumulates
@@ -527,60 +538,51 @@ func (svc *Service) gather() *Result {
 
 // ReadKey reads a key from the first live replica's post-run state (tests).
 func (svc *Service) ReadKey(key uint32) (uint32, bool) {
+	if !svc.inTable(key) {
+		return 0, false
+	}
 	sh := svc.shardOf(key)
 	for i := 0; i < svc.cfg.Replicas; i++ {
 		srv := svc.replicaSrv(sh, i)
 		if svc.cluster.Nodes[srv].Killed() {
 			continue
 		}
-		v, ok := svc.servers[srv].shards[sh].store[key]
-		return v, ok
+		r := svc.rec(key, i)
+		return r.val, r.present
 	}
 	return 0, false
 }
 
 // CheckInvariants verifies the post-run state: no latch is left held on any
-// live server, and every shard's live replicas hold identical stores and
-// identical per-key version metadata (the primary-latch write protocol plus
-// the commit-dedup version bump must keep both convergent — a version skew
-// would let caches accept fills that resurrect overwritten data).
+// live server, and every key's live replicas hold identical values and
+// identical version metadata (the primary-latch write protocol plus the
+// commit-dedup version bump must keep both convergent — a version skew would
+// let caches accept fills that resurrect overwritten data).
 func (svc *Service) CheckInvariants() error {
-	for sh := 0; sh < svc.numShards; sh++ {
-		var ref map[uint32]uint32
-		var refMeta map[uint32]keyMeta
+	for key := uint32(0); svc.inTable(key); key++ {
+		sh := svc.shardOf(key)
+		var ref *record
 		refSrv := -1
 		for i := 0; i < svc.cfg.Replicas; i++ {
 			srvID := svc.replicaSrv(sh, i)
 			if svc.cluster.Nodes[srvID].Killed() {
 				continue
 			}
-			s := svc.servers[srvID].shards[sh]
-			if n := len(s.latch); n != 0 {
-				return fmt.Errorf("kv: server %d shard %d: %d latches leaked", srvID, sh, n)
+			r := svc.rec(key, i)
+			if r.owner != 0 {
+				return fmt.Errorf("kv: server %d key %d: latch left held by txn %#x", srvID, key, r.owner)
 			}
 			if ref == nil {
-				ref, refMeta, refSrv = s.store, s.meta, srvID
+				ref, refSrv = r, srvID
 				continue
 			}
-			if len(s.store) != len(ref) {
-				return fmt.Errorf("kv: shard %d: replica %d has %d keys, replica %d has %d",
-					sh, srvID, len(s.store), refSrv, len(ref))
+			if r.present != ref.present || r.val != ref.val {
+				return fmt.Errorf("kv: key %d: replica %d=%d(%v), replica %d=%d(%v)",
+					key, srvID, r.val, r.present, refSrv, ref.val, ref.present)
 			}
-			for k, v := range ref {
-				if w, ok := s.store[k]; !ok || w != v {
-					return fmt.Errorf("kv: shard %d key %d: replica %d=%d(%v), replica %d=%d",
-						sh, k, srvID, w, ok, refSrv, v)
-				}
-			}
-			if len(s.meta) != len(refMeta) {
-				return fmt.Errorf("kv: shard %d: replica %d has %d versioned keys, replica %d has %d",
-					sh, srvID, len(s.meta), refSrv, len(refMeta))
-			}
-			for k, m := range refMeta {
-				if w := s.meta[k]; w.ver != m.ver || w.lastOp != m.lastOp {
-					return fmt.Errorf("kv: shard %d key %d: version skew: replica %d v%d/op%x, replica %d v%d/op%x",
-						sh, k, srvID, w.ver, w.lastOp, refSrv, m.ver, m.lastOp)
-				}
+			if r.ver != ref.ver || r.lastOp != ref.lastOp {
+				return fmt.Errorf("kv: key %d: version skew: replica %d v%d/op%x, replica %d v%d/op%x",
+					key, srvID, r.ver, r.lastOp, refSrv, ref.ver, ref.lastOp)
 			}
 		}
 	}
@@ -591,16 +593,19 @@ func (svc *Service) CheckInvariants() error {
 // replicas and the time that version was applied there (tests; the
 // staleness oracle reads it mid-run, so serial runs only).
 func (svc *Service) KeyVersion(key uint32) (uint32, sim.Time) {
-	sh := svc.shardOf(key)
 	var ver uint32
 	var at sim.Time
+	if !svc.inTable(key) {
+		return ver, at
+	}
+	sh := svc.shardOf(key)
 	for i := 0; i < svc.cfg.Replicas; i++ {
 		srv := svc.replicaSrv(sh, i)
 		if svc.cluster.Nodes[srv].Killed() {
 			continue
 		}
-		if m := svc.servers[srv].shards[sh].meta[key]; m.ver > ver {
-			ver, at = m.ver, m.verAt
+		if r := svc.rec(key, i); r.ver > ver {
+			ver, at = r.ver, r.verAt
 		}
 	}
 	return ver, at

@@ -140,6 +140,33 @@ func TestKVBatchAtomicity(t *testing.T) {
 	}
 }
 
+// TestKVOddKeyspace: a Batch writes the pair key&^1, key|1, so in an odd
+// keyspace the last pair's odd key is Keys itself; the record table has a
+// row for it, and the pair stays whole.
+func TestKVOddKeyspace(t *testing.T) {
+	cfg := testConfig(500)
+	cfg.Keys = 5
+	cfg.Zipf = 0 // uniform: the last pair is drawn
+	cfg.Mix = load.Mix{Batch: 1}
+	cfg.Rate = 10e3
+	cfg.MaxAttempts = 10000
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	v4, ok4 := svc.ReadKey(4)
+	v5, ok5 := svc.ReadKey(5)
+	if !ok5 || ok4 != ok5 || v4 != v5 {
+		t.Fatalf("last pair: key 4 = %d(%v), key 5 = %d(%v), want equal and written", v4, ok4, v5, ok5)
+	}
+}
+
 // TestKVFailoverSoak kills a server mid-run: every request must still reach
 // a reply or a typed error in bounded simulated time, the detection latency
 // and unavailability window must be reported and bounded.
@@ -262,6 +289,91 @@ func TestKVConfigValidation(t *testing.T) {
 	bad.MaxAttempts = math.MaxUint16
 	if _, err := New(bad); err != nil {
 		t.Fatalf("MaxAttempts %d rejected: %v", bad.MaxAttempts, err)
+	}
+	// The record table is sized by Keys, and the load generator reduces keys
+	// modulo a uint32 of it. Validate, not New: the bound itself is a large
+	// table.
+	bad = testConfig(100)
+	bad.Keys = maxKeyspace + 1
+	if err := bad.Validate(); err == nil {
+		t.Fatalf("Keys %d beyond the keyspace bound accepted", bad.Keys)
+	}
+	bad.Keys = maxKeyspace
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("Keys %d rejected: %v", bad.Keys, err)
+	}
+}
+
+// TestKVCheckInvariantsOracle: after a run with a kill, the invariant check
+// passes; each divergence injected into one live replica's record of a key
+// is then reported, and the same divergence in a killed replica's record is
+// ignored. Outside the table, ReadKey and KeyVersion report zero.
+func TestKVCheckInvariantsOracle(t *testing.T) {
+	cfg := testConfig(3000)
+	cfg.Rate = 200e3
+	const killed = 1
+	cfg.Plan = faults.NewPlan("kill", 0).WithKill(killed, hw.US(3000))
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// live is replica 1 of a written key whose replicas both live; dead is
+	// the killed server's replica of another written key.
+	var live, dead *record
+	for key := uint32(0); key < uint32(cfg.Keys) && (live == nil || dead == nil); key++ {
+		if !svc.rec(key, 0).present {
+			continue
+		}
+		sh := svc.shardOf(key)
+		switch killed {
+		case svc.replicaSrv(sh, 0):
+			dead = svc.rec(key, 0)
+		case svc.replicaSrv(sh, 1):
+			dead = svc.rec(key, 1)
+		default:
+			live = svc.rec(key, 1)
+		}
+	}
+	if live == nil || dead == nil {
+		t.Fatalf("no written key with live replicas (%v) or with a killed one (%v)", live != nil, dead != nil)
+	}
+	for _, c := range []struct {
+		name    string
+		diverge func(r *record)
+	}{
+		{"value", func(r *record) { r.val++ }},
+		{"present on one replica only", func(r *record) { r.present = false }},
+		{"version", func(r *record) { r.ver++ }},
+		{"last op", func(r *record) { r.lastOp++ }},
+		{"latch held", func(r *record) { r.owner = latchOwner(0, 1) }},
+	} {
+		for _, r := range []*record{live, dead} {
+			saved := *r
+			c.diverge(r)
+			err := svc.CheckInvariants()
+			*r = saved
+			if r == live && err == nil {
+				t.Errorf("%s divergence on a live replica not reported", c.name)
+			}
+			if r == dead && err != nil {
+				t.Errorf("%s divergence on a killed replica reported: %v", c.name, err)
+			}
+		}
+	}
+	if err := svc.CheckInvariants(); err != nil {
+		t.Fatalf("restored state: %v", err)
+	}
+	if v, ok := svc.ReadKey(uint32(cfg.Keys)); v != 0 || ok {
+		t.Errorf("ReadKey(Keys) = %d, %v, want 0, false", v, ok)
+	}
+	if ver, at := svc.KeyVersion(uint32(cfg.Keys)); ver != 0 || at != 0 {
+		t.Errorf("KeyVersion(Keys) = %d, %v, want 0, 0", ver, at)
 	}
 }
 

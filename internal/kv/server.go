@@ -16,17 +16,17 @@ type invalEnt struct {
 	ver uint32
 }
 
-// server is one server node's state: the shard replicas it hosts, the
+// server is one server node's state: which shard replicas it hosts, the
 // pending invalidation pushes, and the operation counters. All handlers
 // run inside the node's Poll and only Reply (the GAM handler rule); the
-// steady-state path performs no heap allocations — shard maps are
-// pre-sized, replies are value messages on warmed rings, and the
-// invalidation ring is warmed by its first few pushes.
+// steady-state path performs no heap allocations — the per-key records are
+// one table built with the Service, replies are value messages on warmed
+// rings, and the invalidation ring is warmed by its first few pushes.
 type server struct {
-	svc    *Service
-	id     int
-	ep     *am.Endpoint
-	shards []*shard // indexed by global shard id; nil when not hosted
+	svc *Service
+	id  int
+	ep  *am.Endpoint
+	rep []int8 // per global shard: the replica this server hosts, -1 when none
 
 	push       bool // track lease holders and push invalidations
 	invalq     ring.Ring[invalEnt]
@@ -42,17 +42,16 @@ func newServer(svc *Service, id int, ep *am.Endpoint) *server {
 		svc:        svc,
 		id:         id,
 		ep:         ep,
-		shards:     make([]*shard, svc.numShards),
+		rep:        make([]int8, svc.numShards),
 		push:       !svc.cfg.CacheOff,
 		clientDone: make([]bool, svc.cfg.ClientNodes),
 	}
-	// Pre-size each hosted shard's store for its expected share of the
-	// keyspace with generous headroom, so map growth never happens on the
-	// handler path.
-	per := svc.cfg.Keys/svc.numShards*3 + 64
-	for sh := 0; sh < svc.numShards; sh++ {
-		if svc.hostsShard(id, sh) {
-			s.shards[sh] = newShard(per)
+	for sh := range s.rep {
+		s.rep[sh] = -1
+		for i := 0; i < svc.cfg.Replicas; i++ {
+			if svc.replicaSrv(sh, i) == id {
+				s.rep[sh] = int8(i)
+			}
 		}
 	}
 	return s
@@ -90,14 +89,15 @@ func (s *server) drainInvals(p *sim.Proc) {
 	}
 }
 
-// shardFor locates the hosted shard for key; a miss is a routing bug, and
-// in a deterministic simulation a panic is the loudest way to surface it.
-func (s *server) shardFor(key uint32) *shard {
-	sh := s.shards[s.svc.shardOf(key)]
-	if sh == nil {
+// recFor locates this server's record of key; a key whose shard it does not
+// host is a routing bug, and in a deterministic simulation a panic is the
+// loudest way to surface it.
+func (s *server) recFor(key uint32) *record {
+	i := s.rep[s.svc.shardOf(key)]
+	if i < 0 {
 		panic("kv: request routed to a server not hosting the key's shard")
 	}
-	return sh
+	return s.svc.rec(key, int(i))
 }
 
 // registerHolder records the requesting client as a lease holder of key.
@@ -106,32 +106,28 @@ func (s *server) shardFor(key uint32) *shard {
 // skipping an "expired" holder can never skip a client still inside its
 // lease. A full set stops tracking: the untracked cache falls back to
 // plain lease expiry, which correctness never depends on anyway.
-func (s *server) registerHolder(now sim.Time, sh *shard, key uint32, src int) {
+func (s *server) registerHolder(now sim.Time, r *record, src int) {
 	cli := uint16(src - s.svc.cfg.Servers)
-	h := sh.holders[key]
 	exp := now + s.svc.cfg.Lease
 	free := -1
-	for i := 0; i < int(h.n); i++ {
-		if h.cl[i] == cli {
-			h.exp[i] = exp
-			sh.holders[key] = h
+	for i := 0; i < int(r.n); i++ {
+		if r.cl[i] == cli {
+			r.exp[i] = exp
 			return
 		}
-		if h.exp[i] <= now && free < 0 {
+		if r.exp[i] <= now && free < 0 {
 			free = i
 		}
 	}
 	switch {
-	case int(h.n) < holderMax:
-		h.cl[h.n], h.exp[h.n] = cli, exp
-		h.n++
+	case int(r.n) < holderMax:
+		r.cl[r.n], r.exp[r.n] = cli, exp
+		r.n++
 	case free >= 0:
-		h.cl[free], h.exp[free] = cli, exp
+		r.cl[free], r.exp[free] = cli, exp
 	default:
-		s.ops.HolderOverflows++
-		return // nothing written back; the set is full of live holders
+		s.ops.HolderOverflows++ // the set is full of live holders
 	}
-	sh.holders[key] = h
 }
 
 // bump advances key's version for this commit unless it is a replay (a
@@ -147,39 +143,35 @@ func (s *server) registerHolder(now sim.Time, sh *shard, key uint32, src int) {
 // the version (one-op vectors). Staged vectors pass writer < 0 — their
 // one-word reply cannot carry per-key versions, so the writer learns them
 // from its own push like everyone else.
-func (s *server) bump(now sim.Time, sh *shard, key uint32, opID uint64, writer int) uint32 {
-	m := sh.meta[key]
-	if m.lastOp == opID {
+func (s *server) bump(now sim.Time, r *record, key uint32, opID uint64, writer int) uint32 {
+	if r.lastOp == opID {
 		s.ops.CommitDups++
-		return m.ver
+		return r.ver
 	}
-	m.ver++
-	m.lastOp = opID
-	m.verAt = now
-	sh.meta[key] = m
+	r.ver++
+	r.lastOp = opID
+	r.verAt = now
 	if s.push {
 		queued, live := 0, 0
-		if h, ok := sh.holders[key]; ok {
-			for i := 0; i < int(h.n); i++ {
-				if h.exp[i] <= now {
-					continue
-				}
-				live++
-				if int(h.cl[i]) == writer {
-					continue
-				}
-				s.invalq.Push(invalEnt{cl: h.cl[i], key: key, ver: m.ver})
-				queued++
+		for i := 0; i < int(r.n); i++ {
+			if r.exp[i] <= now {
+				continue
 			}
-			delete(sh.holders, key)
+			live++
+			if int(r.cl[i]) == writer {
+				continue
+			}
+			s.invalq.Push(invalEnt{cl: r.cl[i], key: key, ver: r.ver})
+			queued++
 		}
+		r.n = 0
 		if writer < 0 {
 			if f := s.svc.batchInvalCheck; f != nil {
 				f(key, queued, live)
 			}
 		}
 	}
-	return m.ver
+	return r.ver
 }
 
 // onGet: args [id, key] -> reply [id, status, value, version]. The reply
@@ -189,30 +181,28 @@ func (s *server) bump(now sim.Time, sh *shard, key uint32, opID uint64, writer i
 func (s *server) onGet(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 	id, key := args[0], args[1]
 	s.ops.Gets++
-	sh := s.shardFor(key)
-	v, ok := sh.store[key]
+	r := s.recFor(key)
 	st := StatusOK
-	if !ok {
+	if !r.present {
 		st = StatusNotFound
 	}
 	if s.push {
-		s.registerHolder(p.Now(), sh, key, tok.Src)
+		s.registerHolder(p.Now(), r, tok.Src)
 	}
-	ep.Reply(p, tok, s.svc.hResp, id, st, v, sh.meta[key].ver)
+	ep.Reply(p, tok, s.svc.hResp, id, st, r.val, r.ver)
 }
 
-// The three write rounds, each over a vector of one shard's ops. They do
-// map operations only; the handlers below decode a vector, run its round and
-// send the one reply.
+// The three write rounds, each over a vector of one shard's ops. They touch
+// records only; the handlers below decode a vector, run its round and send
+// the one reply.
 
 // lock try-locks every key for owner and returns the grant bitmap, so a
 // partial denial fails only the denied ops. Duplicate keys in one vector
 // re-grant idempotently. Nothing ever queues on a latch.
 func (s *server) lock(owner uint32, ops []wireOp) (grant uint32) {
-	sh := s.shardFor(ops[0].key)
 	for i, op := range ops {
 		s.ops.Locks++
-		if sh.tryLock(op.key, owner) {
+		if s.recFor(op.key).tryLock(owner) {
 			grant |= 1 << i
 		} else {
 			s.ops.LockDenied++
@@ -227,11 +217,11 @@ func (s *server) lock(owner uint32, ops []wireOp) (grant uint32) {
 // converge; the latch is released by a separate unlock once every replica
 // acknowledged. Same-key ops combine last-writer-wins: only the final one is
 // applied, with one version bump — every replica sees the same vector, so
-// the survivor and the resulting meta are identical everywhere. A delete
-// keeps the version climbing (meta lives outside the store), so caches are
-// invalidated exactly as by a put and the NotFound they re-read is cacheable.
+// the survivor and the resulting metadata are identical everywhere. A delete
+// keeps the version climbing (it clears the value, not the metadata), so
+// caches are invalidated exactly as by a put and the NotFound they re-read is
+// cacheable.
 func (s *server) commit(now sim.Time, cli, writer int, ops []wireOp) (ver uint32) {
-	sh := s.shardFor(ops[0].key)
 next:
 	for i, op := range ops {
 		for _, later := range ops[i+1:] {
@@ -240,13 +230,14 @@ next:
 				continue next
 			}
 		}
-		ver = s.bump(now, sh, op.key, uint64(cli)<<32|uint64(op.id), writer)
+		r := s.recFor(op.key)
+		ver = s.bump(now, r, op.key, uint64(cli)<<32|uint64(op.id), writer)
 		if op.id&opDel != 0 {
 			s.ops.Deletes++
-			delete(sh.store, op.key)
+			r.val, r.present = 0, false
 		} else {
 			s.ops.Commits++
-			sh.store[op.key] = op.val
+			r.val, r.present = op.val, true
 		}
 	}
 	return ver
@@ -255,10 +246,9 @@ next:
 // unlock releases the latches owner holds (stale or duplicate unlocks are
 // no-ops).
 func (s *server) unlock(owner uint32, ops []wireOp) {
-	sh := s.shardFor(ops[0].key)
 	for _, op := range ops {
 		s.ops.Unlocks++
-		sh.unlock(op.key, owner)
+		s.recFor(op.key).unlock(owner)
 	}
 }
 
