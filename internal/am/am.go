@@ -180,9 +180,6 @@ func (ep *Endpoint) ID() int { return ep.node.ID }
 // N returns the number of nodes in the system.
 func (ep *Endpoint) N() int { return ep.n }
 
-// System returns the owning AM system.
-func (ep *Endpoint) System() *System { return ep.sys }
-
 func (ep *Endpoint) peer(id int) *peerState {
 	if id < 0 || id >= len(ep.peers) {
 		panic(fmt.Sprintf("am: bad node id %d", id))

@@ -341,7 +341,7 @@ func TestFourNodeAllToAll(t *testing.T) {
 	})
 	const per = 50
 	doneCnt := 0
-	c.SpawnAll("node", func(p *sim.Proc, nd *hw.Node) {
+	node := func(p *sim.Proc, nd *hw.Node) {
 		ep := sys.EPs[nd.ID]
 		for i := 0; i < per; i++ {
 			for d := 0; d < nn; d++ {
@@ -358,7 +358,10 @@ func TestFourNodeAllToAll(t *testing.T) {
 				break
 			}
 		}
-	})
+	}
+	for id := 0; id < nn; id++ {
+		c.Spawn(id, "node", node)
+	}
 	c.Run()
 	for id := 0; id < nn; id++ {
 		if len(received[id]) != per*(nn-1) {

@@ -16,19 +16,19 @@ import (
 //	am_reply_1    4.0 us   = build 2.55 + flush 0.45 + MC 1.00
 //	poll (empty)  1.3 us
 //	per message  +1.8 us
-var (
-	costReqBuild   = hw.US(5.00) // request build + window/retransmit bookkeeping
-	costReplyBuild = hw.US(2.55) // reply build (no am_poll, less bookkeeping)
-	costPerWord    = hw.US(0.15) // per 32-bit argument word beyond the first
-	costPollEmpty  = hw.US(1.30) // polling an empty network
-	costPerMsg     = hw.US(1.80) // per received message (FIFO bookkeeping)
-	costDispatch   = hw.US(0.20) // handler table dispatch
-	costStoreSetup = hw.US(6.00) // per store/get op: header build + bookkeeping
-	costBulkPerPkt = hw.US(0.95) // per bulk packet build, excluding copy+flush
-	costCtrlBuild  = hw.US(1.00) // explicit ack / nack / probe build
-	costGetServe   = hw.US(2.00) // remote-side get request service
-	costRawSend    = hw.US(1.45) // raw (protocol-less) packet send build
-	costRawRecv    = hw.US(1.30) // raw per-message receive handling
+const (
+	costReqBuild   = 5000 * hw.Nanosecond // request build + window/retransmit bookkeeping
+	costReplyBuild = 2550 * hw.Nanosecond // reply build (no am_poll, less bookkeeping)
+	costPerWord    = 150 * hw.Nanosecond  // per 32-bit argument word beyond the first
+	costPollEmpty  = 1300 * hw.Nanosecond // polling an empty network
+	costPerMsg     = 1800 * hw.Nanosecond // per received message (FIFO bookkeeping)
+	costDispatch   = 200 * hw.Nanosecond  // handler table dispatch
+	costStoreSetup = 6000 * hw.Nanosecond // per store/get op: header build + bookkeeping
+	costBulkPerPkt = 950 * hw.Nanosecond  // per bulk packet build, excluding copy+flush
+	costCtrlBuild  = 1000 * hw.Nanosecond // explicit ack / nack / probe build
+	costGetServe   = 2000 * hw.Nanosecond // remote-side get request service
+	costRawSend    = 1450 * hw.Nanosecond // raw (protocol-less) packet send build
+	costRawRecv    = 1300 * hw.Nanosecond // raw per-message receive handling
 )
 
 // lazyPopBatch is how many receive-FIFO entries are popped per MicroChannel
@@ -48,8 +48,6 @@ const (
 const (
 	// ChunkBytes is the bulk-transfer chunk size: 36 packets of 224 bytes.
 	ChunkBytes = 8064
-	// ChunkPackets is the number of packets per full chunk.
-	ChunkPackets = ChunkBytes / hw.PacketDataSize
 	// WndRequest is the request-channel window in packets: at least two
 	// chunks so the 2-outstanding-chunk pipeline never stalls on window.
 	WndRequest = 72

@@ -61,11 +61,9 @@ func (ep *Endpoint) PeerErr(id int) error {
 	return nil
 }
 
-// RTO returns the current retransmission timeout toward peer id: the
-// Jacobson estimate srtt + 4·rttvar clamped to [500 µs, 50 ms], or
-// 2 ms before the first Karn-valid sample.
-func (ep *Endpoint) RTO(id int) sim.Time { return ep.rto(ep.peer(id)) }
-
+// rto returns the current retransmission timeout toward a peer: the
+// Jacobson estimate srtt + 4·rttvar clamped to [500 µs, 50 ms], or 2 ms
+// before the first Karn-valid sample.
 func (ep *Endpoint) rto(ps *peerState) sim.Time {
 	if ps.srtt == 0 {
 		return initialRTO

@@ -59,8 +59,6 @@ type mKind uint8
 
 const (
 	mCtl mKind = iota
-	mPut
-	mPutAck
 	mGetReq
 	mGetData
 	mStore
@@ -129,7 +127,7 @@ type gnode struct {
 	q      []*message
 	ctlFn  func(p *sim.Proc, src int, a, b uint64)
 	stored int64
-	cbs    splitc.Callbacks // puts and gets in flight; the index is a message field
+	cbs    splitc.Callbacks // gets in flight; the index is a message field
 }
 
 var _ splitc.Transport = (*gnode)(nil)
@@ -172,12 +170,6 @@ func (g *gnode) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	g.send(p, dst, &message{kind: mCtl, a: a, b: b})
 }
 
-func (g *gnode) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
-	idx := g.cbs.Add(onDone)
-	buf := append([]byte(nil), data...)
-	g.send(p, dst, &message{kind: mPut, roff: roff, idx: idx, n: len(buf), data: buf})
-}
-
 func (g *gnode) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
 	idx := g.cbs.Add(onDone)
 	g.send(p, dst, &message{kind: mGetReq, roff: roff, loff: loff, n: n, idx: idx})
@@ -205,11 +197,6 @@ func (g *gnode) Poll(p *sim.Proc) {
 		switch msg.kind {
 		case mCtl:
 			g.ctlFn(p, msg.src, msg.a, msg.b)
-		case mPut:
-			copy(g.mem[msg.roff:], msg.data)
-			g.send(p, msg.src, &message{kind: mPutAck, idx: msg.idx})
-		case mPutAck:
-			g.cbs.Fire(msg.idx)
 		case mGetReq:
 			buf := append([]byte(nil), g.mem[msg.roff:msg.roff+msg.n]...)
 			g.send(p, msg.src, &message{kind: mGetData, loff: msg.loff, idx: msg.idx, n: msg.n, data: buf})

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRoundTripMatchesTable4 checks each parameterized machine reproduces
-// its Table-4 round trip: a put + ack exchange measured at the runtime
-// level should land near 2*(o_s+o_r) + 2*L plus the wire time.
+// its Table-4 round trip: a get (request + data reply) measured at the
+// runtime level should land near 2*(o_s+o_r) + 2*L plus the wire time.
 func TestRoundTripMatchesTable4(t *testing.T) {
 	cases := []struct {
 		p       gam.Params
@@ -33,20 +33,19 @@ func TestRoundTripMatchesTable4(t *testing.T) {
 				return
 			}
 			const iters = 20
-			data := []byte{1, 2, 3, 4}
 			// Warm-up.
-			rt.Write(p, splitc.GlobalPtr{Node: 1, Off: 0}, data)
+			rt.Read(p, splitc.GlobalPtr{Node: 1, Off: 0}, 0, 4)
 			t0 := p.Now()
 			for i := 0; i < iters; i++ {
-				rt.Write(p, splitc.GlobalPtr{Node: 1, Off: 0}, data)
+				rt.Read(p, splitc.GlobalPtr{Node: 1, Off: 0}, 0, 4)
 			}
 			rtt = (p.Now() - t0).Microseconds() / iters
 		})
 		if rtt < tc.wantRTT-tc.tol || rtt > tc.wantRTT+tc.tol {
-			t.Errorf("%s: put round trip %.1fus, want %0.f +/- %.0f",
+			t.Errorf("%s: get round trip %.1fus, want %0.f +/- %.0f",
 				tc.p.Name, rtt, tc.wantRTT, tc.tol)
 		} else {
-			t.Logf("%s: put round trip %.1fus (Table 4: %.0f)", tc.p.Name, rtt, tc.wantRTT)
+			t.Logf("%s: get round trip %.1fus (Table 4: %.0f)", tc.p.Name, rtt, tc.wantRTT)
 		}
 	}
 }

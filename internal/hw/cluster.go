@@ -94,13 +94,6 @@ func (c *Cluster) Spawn(id int, name string, fn func(p *sim.Proc, n *Node)) {
 	n.Eng.Go(fmt.Sprintf("n%d:%s", id, name), func(p *sim.Proc) { fn(p, n) })
 }
 
-// SpawnAll starts fn on every node, SPMD style.
-func (c *Cluster) SpawnAll(name string, fn func(p *sim.Proc, n *Node)) {
-	for i := range c.Nodes {
-		c.Spawn(i, name, fn)
-	}
-}
-
 // Run drives the simulation to completion, panicking on deadlock. The run
 // is final: on return (or panic) every process still parked — a killed
 // node's detached program, a drained daemon — has been released, which

@@ -409,7 +409,7 @@ func TestMemorySegments(t *testing.T) {
 	if b[10] != 42 {
 		t.Fatal("slice does not alias segment")
 	}
-	if m.SegLen(0) != 100 || m.NumSegs() != 2 {
+	if len(m.segs[0].Buf) != 100 || len(m.segs) != 2 {
 		t.Fatal("segment accounting wrong")
 	}
 }
@@ -445,21 +445,6 @@ func TestNodeCostModel(t *testing.T) {
 	wide := NewCluster(WideConfig(1)).Nodes[0]
 	if wide.FlushCost(256) >= n.FlushCost(256) {
 		t.Fatal("wide-node flush should be cheaper for a 256B entry")
-	}
-}
-
-func TestClusterSpawnAllRuns(t *testing.T) {
-	c := NewCluster(DefaultConfig(4))
-	ran := make([]bool, 4)
-	c.SpawnAll("x", func(p *sim.Proc, n *Node) {
-		p.Advance(US(1))
-		ran[n.ID] = true
-	})
-	c.Run()
-	for i, ok := range ran {
-		if !ok {
-			t.Fatalf("node %d did not run", i)
-		}
 	}
 }
 

@@ -50,9 +50,3 @@ func (m *Memory) Slice(addr Addr, n int) []byte {
 	}
 	return buf[addr.Off : addr.Off+n]
 }
-
-// SegLen reports the length of a registered segment.
-func (m *Memory) SegLen(seg int) int { return len(m.segs[seg].Buf) }
-
-// NumSegs reports how many segments are registered.
-func (m *Memory) NumSegs() int { return len(m.segs) }

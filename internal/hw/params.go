@@ -19,7 +19,6 @@ const (
 	Nanosecond  sim.Time = 1
 	Microsecond sim.Time = 1000
 	Millisecond sim.Time = 1000 * 1000
-	Second      sim.Time = 1000 * 1000 * 1000
 )
 
 // US converts a floating-point number of microseconds to sim.Time.

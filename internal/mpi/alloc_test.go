@@ -132,34 +132,3 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestVectorPackUnpackRoundTrip(t *testing.T) {
-	if err := quick.Check(func(seed uint64, cRaw, blRaw, gapRaw uint8) bool {
-		count := int(cRaw%20) + 1
-		blockLen := int(blRaw%32) + 1
-		stride := blockLen + int(gapRaw%16)
-		v := Vector{Count: count, BlockLen: blockLen, Stride: stride}
-		rng := sim.NewRand(seed)
-		src := make([]byte, v.Extent())
-		for i := range src {
-			src[i] = byte(rng.Uint64())
-		}
-		packed := v.Pack(src)
-		if len(packed) != v.Size() {
-			return false
-		}
-		dst := make([]byte, v.Extent())
-		v.Unpack(dst, packed)
-		// Every block byte must round-trip; gap bytes stay zero.
-		for i := 0; i < count; i++ {
-			for j := 0; j < blockLen; j++ {
-				if dst[i*stride+j] != src[i*stride+j] {
-					return false
-				}
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

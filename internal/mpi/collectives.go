@@ -8,8 +8,8 @@ type Req interface{ Done() bool }
 // PT is the point-to-point surface the generic (MPICH-style) collectives
 // and the NAS kernels program against; both MPI-AM (*mpi.Comm) and MPI-F
 // (*mpif.Comm) implement it. Every blocking call reports failure — a dead
-// peer, an abort, an expired deadline — as a typed error instead of
-// spinning forever.
+// peer or an expired deadline — as a typed error instead of spinning
+// forever.
 type PT interface {
 	Rank() int
 	Size() int
@@ -220,14 +220,6 @@ func Scatter(p *sim.Proc, c PT, send, recv []byte, root int) error {
 		}
 	}
 	return nil
-}
-
-// Allgather is Gather to 0 followed by Bcast (MPICH basic).
-func Allgather(p *sim.Proc, c PT, send, recv []byte) error {
-	if err := Gather(p, c, send, recv, 0); err != nil {
-		return err
-	}
-	return Bcast(p, c, recv, 0)
 }
 
 // AlltoallNaive is the MPICH generic all-to-all: all receives posted, then

@@ -13,9 +13,6 @@ const (
 	// ErrTimeout reports that the communicator's deadline expired while the
 	// operation was still incomplete.
 	ErrTimeout
-	// ErrAborted reports that this rank's communicator was poisoned by an
-	// Abort — its own or a peer's.
-	ErrAborted
 )
 
 func (c ErrCode) String() string {
@@ -24,15 +21,13 @@ func (c ErrCode) String() string {
 		return "peer dead"
 	case ErrTimeout:
 		return "timeout"
-	case ErrAborted:
-		return "aborted"
 	}
 	return fmt.Sprintf("ErrCode(%d)", int(c))
 }
 
 // Error is the typed failure every erring MPI call returns. Errors are
-// sticky per peer (and per communicator for aborts): once a peer is dead
-// every later operation naming it fails with the same code.
+// sticky per peer: once a peer is dead every later operation naming it fails
+// with the same code.
 type Error struct {
 	Code  ErrCode
 	Rank  int // local rank observing the failure

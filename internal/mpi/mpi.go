@@ -41,17 +41,6 @@ const (
 	AnyTag    = -1
 )
 
-// Reserved internal tag space (collectives use negative tags).
-const (
-	tagBarrier   = -2
-	tagBcast     = -3
-	tagReduce    = -4
-	tagGather    = -5
-	tagScatter   = -6
-	tagAlltoall  = -7
-	tagAllgather = -8
-)
-
 const (
 	// envelope layout inside a buffered message: 16 bytes before the payload.
 	envBytes = 16
@@ -86,14 +75,14 @@ func Optimized() Options {
 }
 
 // Calibrated MPICH-layer software costs (on top of the AM calls).
-var (
-	costEnvBuild = hw.US(1.2) // building the envelope + protocol decision
-	costMatch    = hw.US(0.8) // matching a message against the queues
-	costAllocBin = hw.US(0.4) // binned allocation (optimized)
-	costAllocFF  = hw.US(2.4) // first-fit allocation (the §4.2 culprit)
-	costFree     = hw.US(0.5) // processing one buffer free
-	costPostRecv = hw.US(0.7) // posting a receive
-	costRdvSetup = hw.US(1.5) // rendezvous state bookkeeping
+const (
+	costEnvBuild = 1200 * hw.Nanosecond // building the envelope + protocol decision
+	costMatch    = 800 * hw.Nanosecond  // matching a message against the queues
+	costAllocBin = 400 * hw.Nanosecond  // binned allocation (optimized)
+	costAllocFF  = 2400 * hw.Nanosecond // first-fit allocation (the §4.2 culprit)
+	costFree     = 500 * hw.Nanosecond  // processing one buffer free
+	costPostRecv = 700 * hw.Nanosecond  // posting a receive
+	costRdvSetup = 1500 * hw.Nanosecond // rendezvous state bookkeeping
 )
 
 // System is MPI-AM instantiated across a cluster.
@@ -112,7 +101,6 @@ type handlers struct {
 	rts      am.HandlerID // short: rendezvous request-to-send
 	cts      am.HandlerID // short: clear-to-send (buffer address)
 	rdvData  am.HandlerID // bulk: rendezvous payload landed
-	abort    am.HandlerID // short: a peer aborted the communicator
 }
 
 // New builds MPI-AM over a fresh AM system on c.
@@ -167,20 +155,6 @@ func (c *Comm) Finalize(p *sim.Proc, budget sim.Time) error {
 // call on this communicator (0 disarms). A call still incomplete when the
 // deadline passes returns *Error with ErrTimeout instead of spinning.
 func (c *Comm) SetDeadline(at sim.Time) { c.deadline = at }
-
-// Abort poisons this communicator and best-effort notifies every peer, whose
-// next blocking call then fails with ErrAborted.
-func (c *Comm) Abort(p *sim.Proc) {
-	if c.commErr == nil {
-		c.commErr = &Error{Code: ErrAborted, Rank: c.Rank(), Peer: c.Rank()}
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
-			continue
-		}
-		c.ep.Request(p, r, c.sys.h.abort) // dead peers just error; ignore
-	}
-}
 
 // reqKind distinguishes request types.
 type reqKind uint8
@@ -241,10 +215,9 @@ type Comm struct {
 	collSeq int                 // collective sequence number (tag salt)
 
 	// Failure state. peerErrs is sticky per peer (set once when the AM layer
-	// declares the peer dead); commErr poisons the whole communicator
-	// (Abort); deadline, when nonzero, bounds every blocking call.
+	// declares the peer dead); deadline, when nonzero, bounds every blocking
+	// call.
 	peerErrs []error
-	commErr  error
 	deadline sim.Time
 
 	// Stats
@@ -305,13 +278,6 @@ func newComm(s *System, ep *am.Endpoint) *Comm {
 	ep.Data = c
 	return c
 }
-
-// PeerErr reports the sticky failure recorded against rank (a fail-stop
-// declaration from the AM layer), or nil.
-func (c *Comm) PeerErr(rank int) error { return c.peerErrs[rank] }
-
-// Err reports the communicator-wide failure (an abort), or nil.
-func (c *Comm) Err() error { return c.commErr }
 
 // Rank returns this process's rank.
 func (c *Comm) Rank() int { return c.ep.ID() }

@@ -123,15 +123,6 @@ func (s *System) registerHandlers() {
 		c.releaseSlot(req.slot)
 		req.done = true
 	})
-
-	// A peer called Abort: poison this rank's communicator so its next
-	// blocking call fails instead of waiting on ranks that have given up.
-	s.h.abort = s.AM.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		c := ep.Data.(*Comm)
-		if c.commErr == nil {
-			c.commErr = &Error{Code: ErrAborted, Rank: c.Rank(), Peer: tok.Src}
-		}
-	})
 }
 
 // replyFrees sends the am_reply that frees the just-consumed extent, plus
@@ -148,23 +139,18 @@ func (c *Comm) replyFrees(p *sim.Proc, tok am.Token, src, absOff, ln int) {
 	c.ep.Reply(p, tok, c.sys.h.bufFree, words[0], words[1], words[2], words[3])
 }
 
-// progress drives everything that cannot run in handler context: it polls
-// the AM layer once, issues rendezvous stores whose CTS has arrived, and
-// ages out batched frees so a space-starved sender cannot wedge.
-func (c *Comm) progress(p *sim.Proc) {
-	c.ep.Poll(p)
-	c.afterPolls(p, 1)
-}
-
-// progressWait is progress for a caller blocked on something only a poll or
-// the communicator deadline can change (am.PollWait's contract). With a CTS
-// or a batched free pending, the work after the very next poll matters, so
-// it is plain progress; otherwise idle polls are waited out in one call and
-// tick advances by their number, which keeps the every-64th-poll free flush
-// on the poll it always fell on.
+// progressWait drives everything that cannot run in handler context, for a
+// caller blocked on something only a poll or the communicator deadline can
+// change (am.PollWait's contract): it polls the AM layer, issues rendezvous
+// stores whose CTS has arrived, and ages out batched frees so a
+// space-starved sender cannot wedge. With a CTS or a batched free pending,
+// the work after the very next poll matters, so it polls once; otherwise
+// idle polls are waited out in one call and tick advances by their number,
+// which keeps the every-64th-poll free flush on the poll it always fell on.
 func (c *Comm) progressWait(p *sim.Proc) {
 	if c.pendCTS.Len() > 0 || c.nFrees > 0 {
-		c.progress(p)
+		c.ep.Poll(p)
+		c.afterPolls(p, 1)
 		return
 	}
 	c.afterPolls(p, c.ep.PollWait(p, c.deadline))

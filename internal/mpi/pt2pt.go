@@ -36,7 +36,7 @@ func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
 		panic(fmt.Sprintf("mpi: bad destination rank %d", dst))
 	}
 	req := &Request{kind: rkSend, dst: dst, tag: tag, data: data, ctsSlot: -1}
-	if err := c.pathErr(dst); err != nil {
+	if err := c.peerErrs[dst]; err != nil {
 		req.err = err
 		return req
 	}
@@ -229,18 +229,6 @@ func (c *Comm) flushFreesTo(p *sim.Proc, src int) {
 	}
 }
 
-// pathErr reports the sticky failure governing traffic to/from peer, if any:
-// a communicator-wide abort, or the peer's fail-stop declaration.
-func (c *Comm) pathErr(peer int) error {
-	if c.commErr != nil {
-		return c.commErr
-	}
-	if peer >= 0 && c.peerErrs[peer] != nil {
-		return c.peerErrs[peer]
-	}
-	return nil
-}
-
 // peerError converts an AM-layer failure on traffic to peer into the typed
 // MPI error. The AM error handler fires before any call returns an error, so
 // peerErrs normally already holds the entry; the wrap is a fallback.
@@ -252,8 +240,7 @@ func (c *Comm) peerError(peer int, cause error) error {
 }
 
 // waitErr decides whether Wait should give up on req: the request itself
-// failed, the communicator was aborted, the involved peer is dead, or the
-// communicator deadline passed.
+// failed, the involved peer is dead, or the communicator deadline passed.
 func (c *Comm) waitErr(req *Request) error {
 	if req.err != nil {
 		return req.err
@@ -267,8 +254,8 @@ func (c *Comm) waitErr(req *Request) error {
 			peer = req.src
 		}
 	}
-	if err := c.pathErr(peer); err != nil {
-		return err
+	if peer >= 0 && c.peerErrs[peer] != nil {
+		return c.peerErrs[peer]
 	}
 	if c.deadline > 0 && c.node().Eng.Now() >= c.deadline {
 		return &Error{Code: ErrTimeout, Rank: c.Rank(), Peer: peer}
@@ -290,9 +277,9 @@ func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 }
 
 // Wait blocks until req completes, driving the progress engine — or until
-// the operation can provably never complete (peer dead, communicator
-// aborted, deadline passed), in which case it returns the typed error
-// instead of spinning forever. The error is sticky on the request.
+// the operation can provably never complete (peer dead, deadline passed), in
+// which case it returns the typed error instead of spinning forever. The
+// error is sticky on the request.
 func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
 	for !req.done {
 		if err := c.waitErr(req); err != nil {
@@ -323,18 +310,6 @@ func (c *Comm) cancel(req *Request) {
 	}
 }
 
-// Waitall completes a set of requests; it returns the first error but still
-// attempts every request, so survivors' completions are not lost.
-func (c *Comm) Waitall(p *sim.Proc, reqs []*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := c.Wait(p, r); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Sendrecv performs the combined operation (used heavily by collectives
 // and the NAS kernels).
 func (c *Comm) Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []byte, src, rtag int) (Status, error) {
@@ -345,15 +320,4 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []by
 		return Status{}, err
 	}
 	return c.Wait(p, rr)
-}
-
-// Probe reports whether a matching message has arrived (one progress step).
-func (c *Comm) Probe(p *sim.Proc, src, tag int) bool {
-	c.progress(p)
-	for _, m := range c.unexpected {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			return true
-		}
-	}
-	return false
 }

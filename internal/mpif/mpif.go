@@ -43,9 +43,9 @@ const (
 )
 
 // MPI-F layer costs (on top of the transport's).
-var (
-	costEnv   = hw.US(1.0)
-	costMatch = hw.US(0.8)
+const (
+	costEnv   = 1000 * hw.Nanosecond
+	costMatch = 800 * hw.Nanosecond
 )
 
 // System is MPI-F instantiated across a cluster.

@@ -181,18 +181,6 @@ func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (mpi.Status, error) {
 	return c.Wait(p, req)
 }
 
-// Waitall completes a set of requests; it returns the first error but still
-// attempts every request.
-func (c *Comm) Waitall(p *sim.Proc, reqs []*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := c.Wait(p, r); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Sendrecv performs the combined operation.
 func (c *Comm) Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []byte, src, rtag int) (mpi.Status, error) {
 	rr := c.Irecv(p, recvbuf, src, rtag)

@@ -22,14 +22,14 @@ import (
 
 // Calibrated MPL constants. Round trip: 2*(sendOverhead + packet host work
 // + one-way pipe + recvOverhead) = 88 µs on thin nodes.
-var (
-	costSendOverhead = hw.US(11.0) // per mpc_send/bsend call: library+kernel entry
-	costRecvOverhead = hw.US(8.0)  // per message: matching + completion processing
-	costMatch        = hw.US(1.0)  // handing a completed message to a waiting recv
-	costPollEmpty    = hw.US(1.6)  // MPL's internal poll is heavier than SP AM's
-	costPerPkt       = hw.US(1.1)  // per received packet bookkeeping
-	costPktBuild     = hw.US(0.85) // per sent packet build (plus copy + flush)
-	costCreditSend   = hw.US(2.0)  // credit (flow-control) packet emission
+const (
+	costSendOverhead = 11000 * hw.Nanosecond // per mpc_send/bsend call: library+kernel entry
+	costRecvOverhead = 8000 * hw.Nanosecond  // per message: matching + completion processing
+	costMatch        = 1000 * hw.Nanosecond  // handing a completed message to a waiting recv
+	costPollEmpty    = 1600 * hw.Nanosecond  // MPL's internal poll is heavier than SP AM's
+	costPerPkt       = 1100 * hw.Nanosecond  // per received packet bookkeeping
+	costPktBuild     = 850 * hw.Nanosecond   // per sent packet build (plus copy + flush)
+	costCreditSend   = 2000 * hw.Nanosecond  // credit (flow-control) packet emission
 )
 
 const (
@@ -199,7 +199,7 @@ func (ep *Endpoint) BSend(p *sim.Proc, dst, tag int, data []byte) {
 	for !m.injected {
 		ep.progress(p)
 		if !m.injected {
-			ep.pollOnce(p, nil)
+			ep.pollOnce(p)
 		}
 	}
 }
@@ -217,7 +217,7 @@ func (ep *Endpoint) SendsDrained() bool {
 // DrainSends drives the library until every queued send has been injected.
 func (ep *Endpoint) DrainSends(p *sim.Proc) {
 	for !ep.SendsDrained() {
-		ep.pollOnce(p, nil)
+		ep.pollOnce(p)
 	}
 }
 
@@ -236,7 +236,7 @@ func (ep *Endpoint) Recv(p *sim.Proc, src, tag int, buf []byte) (int, int, int) 
 	pr := &postedRecv{src: src, tag: tag, buf: buf}
 	ep.posted = append(ep.posted, pr)
 	for pr.msg == nil || !pr.msg.done {
-		ep.pollOnce(p, nil)
+		ep.pollOnce(p)
 	}
 	ep.node.ComputeUnscaled(p, costMatch)
 	m := pr.msg
@@ -293,7 +293,7 @@ func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 // Probe reports whether a matching message has arrived without receiving
 // it, polling once.
 func (ep *Endpoint) Probe(p *sim.Proc, src, tag int) bool {
-	ep.pollOnce(p, nil)
+	ep.pollOnce(p)
 	for _, m := range ep.unexpected {
 		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
 			return true
@@ -389,10 +389,9 @@ func (ep *Endpoint) commit(p *sim.Proc, force bool) {
 }
 
 // pollOnce drains the receive FIFO once, reassembling messages, issuing
-// credits, and driving pending sends. If completed is non-nil it is invoked
-// for each message that finishes arriving. Every popped packet goes back to
-// the node's pool once its payload has been copied out.
-func (ep *Endpoint) pollOnce(p *sim.Proc, completed func(*rxMsg)) {
+// credits, and driving pending sends. Every popped packet goes back to the
+// node's pool once its payload has been copied out.
+func (ep *Endpoint) pollOnce(p *sim.Proc) {
 	ep.node.ComputeUnscaled(p, ep.callCost(costPollEmpty))
 	ad := ep.node.Adapter
 	for {
@@ -449,9 +448,6 @@ func (ep *Endpoint) pollOnce(p *sim.Proc, completed func(*rxMsg)) {
 					} else {
 						ep.unexpected = append(ep.unexpected, m)
 					}
-				}
-				if completed != nil {
-					completed(m)
 				}
 			}
 		}

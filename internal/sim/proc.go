@@ -36,9 +36,6 @@ type Proc struct {
 	stepFn func()
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Detach permanently parks the calling process and never returns. The
 // process is reclassified as a daemon — it no longer counts toward the
 // engine's live-workload total, so the run can complete (and deadlock
@@ -56,9 +53,6 @@ func (p *Proc) Detach(reason string) {
 	p.park()
 	panic("sim: detached process resumed")
 }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }

@@ -33,25 +33,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes a slice of uint32 in place.
-func (r *Rand) Shuffle(xs []uint32) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
 // Fork derives an independent stream; streams forked in the same order from
 // the same parent are identical across runs.
 func (r *Rand) Fork() *Rand { return NewRand(r.Uint64()) }

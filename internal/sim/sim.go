@@ -40,9 +40,6 @@ func (t Time) Microseconds() float64 { return float64(t) / 1e3 }
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Duration converts t to a time.Duration for formatting.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // event is a single scheduled occurrence. Exactly one of fn and proc is set:

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestAdvanceMovesClock(t *testing.T) {
@@ -436,7 +435,7 @@ func TestNestedSpawn(t *testing.T) {
 	sum := 0
 	e.Go("outer", func(p *Proc) {
 		p.Advance(10)
-		p.Engine().Go("inner", func(q *Proc) {
+		e.Go("inner", func(q *Proc) {
 			q.Advance(5)
 			sum += int(q.Now())
 		})
@@ -466,23 +465,6 @@ func TestRandDeterministicAndUniform(t *testing.T) {
 		if c < 9000 || c > 11000 {
 			t.Fatalf("bucket %d has %d of 80000 (expected ~10000)", i, c)
 		}
-	}
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRand(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

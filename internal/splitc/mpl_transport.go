@@ -10,9 +10,9 @@ import (
 
 // mplTransport runs Split-C over IBM MPL, reproducing the paper's MPL port
 // of Split-C (Section 3). MPL has no remote handlers, so every runtime
-// operation becomes an explicit message serviced when the peer polls:
-// puts need an acknowledgement message, gets need a request/response pair,
-// and every message pays MPL's per-call software overhead — which is
+// operation becomes an explicit message serviced when the peer polls: gets
+// need a request/response pair, and every message pays MPL's per-call
+// software overhead — which is
 // precisely why the paper's fine-grained benchmarks degrade over MPL.
 type mplTransport struct {
 	ep     *mpl.Endpoint
@@ -20,7 +20,7 @@ type mplTransport struct {
 	ctlFn  func(p *sim.Proc, src int, a, b uint64)
 	stored int64
 
-	cbs Callbacks // puts and gets in flight; the index is a header field
+	cbs Callbacks // gets in flight; the index is a header field
 
 	scratch []byte
 }
@@ -28,8 +28,6 @@ type mplTransport struct {
 // Message tags of the Split-C/MPL wire protocol.
 const (
 	tagCtl = iota + 100
-	tagPut
-	tagPutAck
 	tagGetReq
 	tagGetData
 	tagStore
@@ -104,15 +102,6 @@ func (t *mplTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	t.ep.Send(p, dst, tagCtl, header(a, b, 0))
 }
 
-func (t *mplTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
-	idx := t.cbs.Add(onDone)
-	msg := make([]byte, 24+len(data))
-	copy(msg, header(uint64(roff), uint64(idx), uint64(len(data))))
-	copy(msg[24:], data)
-	t.ep.Node().Memcpy(p, len(data)) // marshalling copy the AM path avoids
-	t.ep.Send(p, dst, tagPut, msg)
-}
-
 func (t *mplTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
 	idx := t.cbs.Add(onDone)
 	// The response deposits at loff; stash it alongside the callback.
@@ -144,13 +133,6 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 		switch tag {
 		case tagCtl:
 			t.ctlFn(p, src, h0, h1)
-		case tagPut:
-			roff, idx, ln := int(h0), uint32(h1), int(h2)
-			copy(t.mem[roff:], t.scratch[24:24+ln])
-			t.ep.Node().Memcpy(p, ln)
-			t.ep.Send(p, src, tagPutAck, header(uint64(idx), 0, 0))
-		case tagPutAck:
-			t.cbs.Fire(uint32(h0))
 		case tagGetReq:
 			roff, ln := int(h0), int(h2)
 			msg := make([]byte, 24+ln)

@@ -44,7 +44,6 @@ func (op ReduceOp) combine(a, b uint64) uint64 {
 const (
 	ctlUp uint64 = iota + 1
 	ctlDown
-	ctlScan
 )
 
 // RT is one process's Split-C runtime state.
@@ -60,11 +59,10 @@ type RT struct {
 	outstanding int   // split-phase ops issued and not yet completed
 	storesSent  int64 // store payload bytes this node has issued
 
-	gen      uint32 // collective generation counter
-	upVal    map[uint32]uint64
-	upCnt    map[uint32]int
-	downOK   map[uint32]uint64
-	scanPend map[uint32]map[int]uint64 // rank 0: scan contributions per gen
+	gen    uint32 // collective generation counter
+	upVal  map[uint32]uint64
+	upCnt  map[uint32]int
+	downOK map[uint32]uint64
 
 	// CommTime accumulates virtual time spent inside communication
 	// operations (including synchronization waits); the benchmarks report
@@ -75,11 +73,10 @@ type RT struct {
 // NewRT wraps a transport; the platform calls this for each node.
 func NewRT(t Transport) *RT {
 	rt := &RT{
-		T:        t,
-		upVal:    make(map[uint32]uint64),
-		upCnt:    make(map[uint32]int),
-		downOK:   make(map[uint32]uint64),
-		scanPend: make(map[uint32]map[int]uint64),
+		T:      t,
+		upVal:  make(map[uint32]uint64),
+		upCnt:  make(map[uint32]int),
+		downOK: make(map[uint32]uint64),
 	}
 	t.SetCtlHandler(rt.handleCtl)
 	return rt
@@ -101,14 +98,6 @@ func (rt *RT) Compute(p *sim.Proc, d sim.Time) { rt.T.Compute(p, d) }
 func (rt *RT) Poll(p *sim.Proc) {
 	t0 := p.Now()
 	rt.T.Poll(p)
-	rt.CommTime += p.Now() - t0
-}
-
-// PutAsync issues a split-phase write of data to gp; complete after Sync.
-func (rt *RT) PutAsync(p *sim.Proc, gp GlobalPtr, data []byte) {
-	t0 := p.Now()
-	rt.outstanding++
-	rt.T.Put(p, gp.Node, gp.Off, data, func() { rt.outstanding-- })
 	rt.CommTime += p.Now() - t0
 }
 
@@ -162,12 +151,6 @@ func (rt *RT) Read(p *sim.Proc, gp GlobalPtr, loff, n int) error {
 	return rt.Sync(p)
 }
 
-// Write performs a blocking remote write.
-func (rt *RT) Write(p *sim.Proc, gp GlobalPtr, data []byte) error {
-	rt.PutAsync(p, gp, data)
-	return rt.Sync(p)
-}
-
 // handleCtl is the collective-tree message handler. Word a packs
 // (kind, gen, op); word b carries the value.
 func (rt *RT) handleCtl(p *sim.Proc, src int, a, b uint64) {
@@ -184,14 +167,6 @@ func (rt *RT) handleCtl(p *sim.Proc, src int, a, b uint64) {
 		rt.upCnt[gen]++
 	case ctlDown:
 		rt.downOK[gen] = b
-	case ctlScan:
-		rank := int(a >> 48)
-		m := rt.scanPend[gen]
-		if m == nil {
-			m = make(map[int]uint64)
-			rt.scanPend[gen] = m
-		}
-		m[rank] = b
 	}
 }
 
@@ -265,53 +240,6 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 func (rt *RT) Barrier(p *sim.Proc) error {
 	rt.AllReduce(p, OpSum, 0)
 	return rt.Err
-}
-
-// Scan returns the inclusive prefix reduction of val across ranks: rank i
-// receives op(val_0, ..., val_i). It runs as a gather up the collective
-// tree followed by rank-indexed sends from the root, which is how Split-C's
-// all_scan family was commonly implemented on small machines.
-func (rt *RT) Scan(p *sim.Proc, op ReduceOp, val uint64) uint64 {
-	t0 := p.Now()
-	defer func() { rt.CommTime += p.Now() - t0 }()
-
-	n := rt.N()
-	me := rt.ID()
-	// Everyone contributes via stores into rank 0's scan area at a
-	// reserved negative... we have no reserved region, so use Ctl: send
-	// (rank, value) pairs to rank 0, which computes prefixes and sends
-	// each rank its result.
-	gen := rt.gen
-	rt.gen++
-	if me != 0 {
-		rt.T.Ctl(p, 0, packCtl(ctlScan, gen, op)|uint64(me)<<48, val)
-		for {
-			if v, ok := rt.downOK[gen]; ok {
-				delete(rt.downOK, gen)
-				return v
-			}
-			if rt.failed() {
-				return 0
-			}
-			rt.T.PollWait(p)
-		}
-	}
-	// Rank 0: collect the other n-1 contributions (tagged with rank;
-	// early contributions to the NEXT scan are kept per-generation).
-	for len(rt.scanPend[gen]) < n-1 {
-		if rt.failed() {
-			return 0
-		}
-		rt.T.PollWait(p)
-	}
-	vals := rt.scanPend[gen]
-	delete(rt.scanPend, gen)
-	acc := val
-	for i := 1; i < n; i++ {
-		acc = op.combine(acc, vals[i])
-		rt.T.Ctl(p, i, packCtl(ctlDown, gen, op), acc)
-	}
-	return val
 }
 
 // AllStoreSync is Split-C's all_store_sync: a global barrier that also

@@ -7,9 +7,9 @@ import (
 )
 
 // spamTransport runs Split-C over SP Active Messages — the configuration
-// the paper advocates. Puts and gets map directly onto am_store_async and
-// am_get; the one-way store maps onto am_store_async with a receiver-side
-// byte-counting handler; control messages are am_request_4's.
+// the paper advocates. Gets map directly onto am_get; the one-way store maps
+// onto am_store_async with a receiver-side byte-counting handler; control
+// messages are am_request_4's.
 type spamTransport struct {
 	ep     *am.Endpoint
 	mem    []byte
@@ -26,7 +26,6 @@ type spamTransport struct {
 type spamHandlers struct {
 	ctl      am.HandlerID
 	getDone  am.HandlerID
-	putDone  am.HandlerID
 	storeCnt am.HandlerID
 }
 
@@ -58,10 +57,6 @@ func newSPAM(c *hw.Cluster, heapBytes int, name string) *SPAMPlatform {
 	})
 	h.getDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 		ep.Data.(*spamTransport).cbs.Fire(arg)
-	})
-	h.putDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		// Runs on the destination; nothing to do there. The sender-side
-		// completion is the StoreAsync onComplete.
 	})
 	h.storeCnt = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 		ep.Data.(*spamTransport).stored += int64(n)
@@ -124,11 +119,6 @@ func (t *spamTransport) Compute(p *sim.Proc, d sim.Time) { t.ep.Node().Compute(p
 func (t *spamTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	t.ep.Request(p, dst, t.h.ctl,
 		uint32(a>>32), uint32(a), uint32(b>>32), uint32(b))
-}
-
-func (t *spamTransport) Put(p *sim.Proc, dst, roff int, data []byte, onDone func()) {
-	t.ep.StoreAsync(p, dst, hw.Addr{Seg: 0, Off: roff}, data, t.h.putDone, 0,
-		func(q *sim.Proc, e *am.Endpoint) { onDone() })
 }
 
 func (t *spamTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {

@@ -38,10 +38,6 @@ type Transport interface {
 	// Must be called before any traffic.
 	SetCtlHandler(fn func(p *sim.Proc, src int, a, b uint64))
 
-	// Put writes data to dst's global segment at roff; onDone runs on this
-	// node once the write is complete (split-phase).
-	Put(p *sim.Proc, dst, roff int, data []byte, onDone func())
-
 	// Get reads n bytes from dst's segment at roff into this node's
 	// segment at loff; onDone runs when the data has arrived.
 	Get(p *sim.Proc, dst, roff, loff, n int, onDone func())
