@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -19,12 +20,14 @@ import (
 )
 
 // keep names the declarations that no command, example or benchmark
-// workload reaches and that stay anyway, each with the test that needs it.
-// A key is the package path below the module, a dot, and the declaration
-// (Type.Method for a method).
+// workload reaches, and the fields nothing outside tests reads, that stay
+// anyway, each with the test or benchmark/ file that needs it. A key is the
+// package path below the module, a dot, and the declaration (Type.Method
+// for a method, Type.Field for a field).
 var keep = map[string]string{
 	"internal/am.ChannelDebug":          "am's PollWait equivalence tests compare channel snapshots before and after",
 	"internal/am.Endpoint.DebugChannel": "am's PollWait equivalence tests take the channel snapshot through it",
+	"internal/am.Stats.RTTSamples":      "TestShortEchoZeroAlloc, TestBulkZeroAlloc and TestPollWaitMatchesPollLoop check Karn samples were taken; a metric tag would move chaos-kill.txt",
 
 	"internal/faults.BurstLoss":       "StandardPlans' burst-loss plan; faults and am tests build it directly",
 	"internal/faults.Duplicate":       "StandardPlans' duplication plan; faults and hw tests build it directly",
@@ -48,6 +51,8 @@ var keep = map[string]string{
 	"internal/hw.DropIf":               "am and hw tests drop chosen packets with it to drive retransmission",
 	"internal/hw.LossReport.TotalLost": "am, hw and mpl tests assert no packet was lost",
 	"internal/hw.FaultStats.Total":     "bench's kv chaos test asserts the fault plan touched packets",
+	"internal/hw.Config.NodePar":       "benchmark/rep.go sets it (goes when benchmark/ drops its shims)",
+	"internal/bench.Ran.Events":        "TestObserversDoNotPerturb checks a run fired events",
 
 	"internal/kv.Service.Events":     "TestKVServedEventBudget pins the served path's event count",
 	"internal/kv.Service.Losses":     "bench's kv chaos test reads the injected faults",
@@ -55,14 +60,23 @@ var keep = map[string]string{
 	"internal/kv.Run":                "kv tests build and run a service in one call",
 	"internal/kv.Service.ReadKey":    "kv tests check the post-run value of a key on every replica",
 	"internal/kv.Service.KeyVersion": "kv tests check the post-run version of a key on every replica",
+	"internal/kv.Config.NodePar":     "benchmark/workloads.go sets it (goes when benchmark/ drops its shims)",
 
 	"internal/mpi.allocator.freeBytes": "the allocator tests check that every freed byte comes back",
+	"internal/mpi.Status.Source":       "TestSendRecvAcrossProtocolSizes checks the receive status",
+	"internal/mpi.Status.Tag":          "TestSendRecvAcrossProtocolSizes and TestTagAndSourceMatching check the receive status",
+	"internal/mpi.Status.Size":         "TestSendRecvAcrossProtocolSizes checks the receive status",
+
+	"internal/nas.Result.Bench": "benchmark/workloads.go names the kernel through nas.Run, which returns it",
+	"internal/nas.Result.Impl":  "benchmark/workloads.go names the implementation through nas.Run, which returns it",
 
 	"internal/sim.Proc.Yield":     "TestWakeOrderPinned and the engine benchmarks yield with it",
 	"internal/sim.Cond.Broadcast": "TestWakeOrderPinned and the condition tests wake every waiter with it",
 	"internal/sim.Cond.Waiting":   "TestWakeOrderPinned counts the parked waiters with it",
 	"internal/sim.Engine.Rand":    "TestWakeOrderPinned draws its schedule from the engine's seeded stream",
 	"internal/sim.Engine.At":      "the heap-order reference tests schedule absolute-time events with it",
+
+	"internal/trace.Histogram.Sum": "TestKVUnloadedWriteCost pins the summed write latency",
 
 	"internal/splitc/apps.MatMulSerialChecksum": "the apps tests' serial reference for the distributed matmul",
 	"internal/splitc/apps.SampleSortLayout":     "the apps tests' reference for where sample sort leaves each key",
@@ -77,7 +91,9 @@ var keep = map[string]string{
 // receiver type is reached and either something names it or the type
 // implements an interface with that method (see dynamicCalls). A declaration it
 // never reaches serves tests at most: delete it, or give it a keep entry
-// naming the test that needs it.
+// naming the test that needs it. The same rule holds one level down: a struct
+// field nothing outside tests reads (unreadFields), and a parameter every
+// production call passes the same constant (constantParams).
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	c := newCensus()
 	for _, dir := range []string{".", "benchmark"} {
@@ -90,6 +106,9 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 			if dir == "benchmark" || strings.HasPrefix(p.ImportPath, "spam/cmd/") || strings.HasPrefix(p.ImportPath, "spam/examples/") {
 				c.rootPkgs[p.ImportPath] = true
 			}
+			if dir == "." {
+				c.checked[p.ImportPath] = true
+			}
 		}
 	}
 	for path := range c.listed {
@@ -97,33 +116,64 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	unreached := c.walk()
+	dynamic := c.dynamicCalls()
+	var found []finding
+	for _, d := range c.walk(dynamic) {
+		found = append(found, finding{d.obj.Pos(), d.key(), "no command, example or benchmark reaches it", declKind})
+	}
+	found = append(found, c.unreadFields()...)
+	found = append(found, c.constantParams(dynamic)...)
+	sort.Slice(found, func(i, j int) bool {
+		pi, pj := c.fset.Position(found[i].pos), c.fset.Position(found[j].pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
+		}
+		return pi.Offset < pj.Offset
+	})
 
 	wd, _ := os.Getwd()
 	seen := make(map[string]bool)
-	for _, d := range unreached {
-		key := d.key()
-		seen[key] = true
-		if _, ok := keep[key]; ok {
+	var kept [3]int
+	for _, f := range found {
+		seen[f.key] = true
+		if _, ok := keep[f.key]; ok {
+			kept[f.kind]++
 			continue
 		}
-		pos := c.fset.Position(d.obj.Pos())
+		pos := c.fset.Position(f.pos)
 		if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
 			pos.Filename = rel
 		}
-		t.Errorf("%s: no command, example or benchmark reaches %s", pos, key)
+		t.Errorf("%s: %s: %s", pos, f.key, f.what)
 	}
 	for key := range keep {
 		if !seen[key] {
-			t.Errorf("keep entry %s names no unreached declaration; delete the entry", key)
+			t.Errorf("keep entry %s names nothing the census finds; delete the entry", key)
 		}
 	}
+	t.Logf("census: %d declarations, %d fields, %d parameters kept", kept[declKind], kept[fieldKind], kept[paramKind])
 }
 
-// listedPkg is the part of `go list -json` the census reads.
+// finding is one thing the census reports: an unreached declaration, an
+// unread field or a constant parameter, under its keep key.
+type finding struct {
+	pos       token.Pos
+	key, what string
+	kind      int
+}
+
+const (
+	declKind = iota
+	fieldKind
+	paramKind
+)
+
+// listedPkg is the part of `go list -json` the census reads. The census's
+// self-test lists packages whose files are Src, not on disk.
 type listedPkg struct {
 	Dir, ImportPath string
 	GoFiles         []string
+	Src             map[string]string `json:"-"`
 }
 
 func goList(dir string) ([]listedPkg, error) {
@@ -155,6 +205,7 @@ type census struct {
 	info     *types.Info
 	listed   map[string]listedPkg
 	rootPkgs map[string]bool
+	checked  map[string]bool // the root module's packages, whose fields and parameters are checked
 	pkgs     map[string]*types.Package
 	files    map[string][]*ast.File
 }
@@ -162,11 +213,17 @@ type census struct {
 func newCensus() *census {
 	fset := token.NewFileSet()
 	return &census{
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil),
-		info:     &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		listed:   map[string]listedPkg{},
 		rootPkgs: map[string]bool{},
+		checked:  map[string]bool{},
 		pkgs:     map[string]*types.Package{},
 		files:    map[string][]*ast.File{},
 	}
@@ -182,7 +239,11 @@ func (c *census) Import(path string) (*types.Package, error) {
 	}
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(c.fset, filepath.Join(lp.Dir, name), nil, 0)
+		var src any
+		if lp.Src != nil {
+			src = lp.Src[name]
+		}
+		f, err := parser.ParseFile(c.fset, filepath.Join(lp.Dir, name), src, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -214,8 +275,8 @@ func (d *decl) key() string {
 }
 
 // walk returns the declarations outside the root packages that no root
-// reaches, in source order.
-func (c *census) walk() []*decl {
+// reaches.
+func (c *census) walk(dynamic func(tn *types.TypeName, method string) bool) []*decl {
 	var all []*decl
 	decls := make(map[types.Object]*decl)
 	methods := make(map[*types.TypeName][]*decl)
@@ -282,7 +343,6 @@ func (c *census) walk() []*decl {
 		}
 	}
 
-	dynamic := c.dynamicCalls()
 	reached := make(map[*decl]bool)
 	named := make(map[*decl]bool) // methods something names
 	var work []*decl
@@ -336,14 +396,248 @@ func (c *census) walk() []*decl {
 			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		pi, pj := c.fset.Position(out[i].obj.Pos()), c.fset.Position(out[j].obj.Pos())
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
+	return out
+}
+
+// unreadFields returns the struct fields the root module declares that no
+// non-test code reads. Assigning a field (with = or op=), ++ or -- on it,
+// writing one of its elements and naming it as a composite-literal key are
+// not reads; every other use is. A tagged field is read by reflection, the
+// fields of a struct used as a map key or compared with == or != are read
+// by the comparison, an embedded field is read by every promotion through
+// it, and the fields of a kept type stay with it.
+func (c *census) unreadFields() []finding {
+	writes := make(map[*ast.Ident]bool)
+	read := make(map[*types.Var]bool)
+	// compared marks every field a comparison of a t value reads.
+	var compared func(t types.Type)
+	compared = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i).Origin(); !read[f] {
+					read[f] = true
+					compared(f.Type())
+				}
+			}
+		case *types.Array:
+			compared(u.Elem())
 		}
-		return pi.Offset < pj.Offset
+	}
+	for _, files := range c.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if id := assigned(lhs); id != nil {
+							writes[id] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if id := assigned(n.X); id != nil {
+						writes[id] = true
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				case *ast.MapType:
+					compared(c.info.Types[n.Key].Type)
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						compared(c.info.Types[n.X].Type)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for id, obj := range c.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
+	}
+
+	var out []finding
+	for path, files := range c.files {
+		if !c.checked[path] {
+			continue
+		}
+		for _, f := range files {
+			for _, gd := range f.Decls {
+				// owner is the declaration a struct type is written in:
+				// its type, or the function or variable holding a literal.
+				var owner string
+				switch gd := gd.(type) {
+				case *ast.FuncDecl:
+					owner = gd.Name.Name
+					if gd.Recv != nil {
+						owner = namedOf(c.info.Defs[gd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()).Obj().Name() + "." + owner
+					}
+					out = append(out, c.structFields(path, owner, gd, read)...)
+				case *ast.GenDecl:
+					for _, spec := range gd.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							owner = s.Name.Name
+						case *ast.ValueSpec:
+							owner = s.Names[0].Name
+						default:
+							continue
+						}
+						out = append(out, c.structFields(path, owner, spec, read)...)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// structFields returns a finding for each unread named field of the struct
+// types written in node, which belongs to the declaration owner of path.
+func (c *census) structFields(path, owner string, node ast.Node, read map[*types.Var]bool) []finding {
+	prefix := strings.TrimPrefix(path, "spam/") + "." + owner
+	if _, ok := keep[prefix]; ok {
+		return nil
+	}
+	var out []finding
+	ast.Inspect(node, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, field := range st.Fields.List {
+			if field.Tag != nil {
+				continue
+			}
+			for _, id := range field.Names {
+				if v := c.info.Defs[id].(*types.Var); !read[v] && id.Name != "_" {
+					out = append(out, finding{id.Pos(), prefix + "." + id.Name, "no non-test code reads this field", fieldKind})
+				}
+			}
+		}
+		return true
 	})
 	return out
+}
+
+// assigned returns the selector an assignment or ++/-- writes through:
+// f in x.f, x.f[i] or x.f[i][j]; nil when the target is no selector.
+func assigned(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		default:
+			return nil
+		}
+	}
+}
+
+// constantParams returns the parameters of the root module's functions and
+// methods that every production call passes the same constant, among those
+// called from at least two places. Variadic functions, functions used as
+// values and methods an interface may call (dynamic) are left out: their
+// call sites are not all visible.
+func (c *census) constantParams(dynamic func(tn *types.TypeName, method string) bool) []finding {
+	calls := make(map[*types.Func][]*ast.CallExpr)
+	callee := make(map[*ast.Ident]bool) // identifiers in call position
+	for _, files := range c.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fun := ast.Unparen(call.Fun)
+				switch x := fun.(type) {
+				case *ast.IndexExpr:
+					fun = x.X
+				case *ast.IndexListExpr:
+					fun = x.X
+				}
+				var id *ast.Ident
+				switch x := fun.(type) {
+				case *ast.Ident:
+					id = x
+				case *ast.SelectorExpr:
+					if sel := c.info.Selections[x]; sel != nil && sel.Kind() == types.MethodExpr {
+						return true
+					}
+					id = x.Sel
+				}
+				if fn, ok := c.info.Uses[id].(*types.Func); ok {
+					callee[id] = true
+					calls[fn.Origin()] = append(calls[fn.Origin()], call)
+				}
+				return true
+			})
+		}
+	}
+	asValue := make(map[*types.Func]bool)
+	for id, obj := range c.info.Uses {
+		if fn, ok := obj.(*types.Func); ok && !callee[id] {
+			asValue[fn.Origin()] = true
+		}
+	}
+
+	var out []finding
+	for path, files := range c.files {
+		if !c.checked[path] {
+			continue
+		}
+		for _, f := range files {
+			for _, gd := range f.Decls {
+				fd, ok := gd.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn := c.info.Defs[fd.Name].(*types.Func)
+				sig := fn.Type().(*types.Signature)
+				name := fn.Name()
+				if sig.Recv() != nil {
+					recv := namedOf(sig.Recv().Type()).Obj()
+					if dynamic(recv, name) {
+						continue
+					}
+					name = recv.Name() + "." + name
+				}
+				if sig.Variadic() || asValue[fn] || len(calls[fn]) < 2 {
+					continue
+				}
+				for i := 0; i < sig.Params().Len(); i++ {
+					if v := c.sameConstant(calls[fn], i); v != "" {
+						p := sig.Params().At(i)
+						out = append(out, finding{p.Pos(), strings.TrimPrefix(path, "spam/") + "." + name + "." + p.Name(), "every production call passes " + v, paramKind})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sameConstant returns the constant every call passes as argument i, or ""
+// when some call passes another value or no constant.
+func (c *census) sameConstant(calls []*ast.CallExpr, i int) string {
+	var first constant.Value
+	for _, call := range calls {
+		if i >= len(call.Args) {
+			return ""
+		}
+		v := c.info.Types[call.Args[i]].Value
+		if v == nil || first != nil && (v.Kind() != first.Kind() || !constant.Compare(v, token.EQL, first)) {
+			return ""
+		}
+		first = v
+	}
+	return first.ExactString()
 }
 
 // dynamicCalls returns the test for a method that no identifier names: it
@@ -416,4 +710,58 @@ func namedOf(t types.Type) *types.Named {
 		t = p.Elem()
 	}
 	return t.(*types.Named).Origin()
+}
+
+// TestCensusRules pins each rule of the field and parameter passes on a
+// one-file package, type-checked by the census's own loader: a rule change
+// that hides a write-only field or a constant parameter fails here.
+func TestCensusRules(t *testing.T) {
+	const T = "type T struct{ f int }\n"
+	cases := []struct {
+		name, path, src string
+		want            []string // the keys found, below the package; the path is spam/x unless set
+	}{
+		{"assign is no read", "", T + "func g(x *T) { x.f = 1 }", []string{"T.f"}},
+		{"op-assign is no read", "", T + "func g(x *T) { x.f += 1 }", []string{"T.f"}},
+		{"increment is no read", "", T + "func g(x *T) { x.f++ }", []string{"T.f"}},
+		{"element write is no read", "", "type T struct{ f []int }\nfunc g(x *T) { x.f[0] = 1 }", []string{"T.f"}},
+		{"composite key is no read", "", T + "var v = T{f: 1}", []string{"T.f"}},
+		{"nested literal field", "", "var v = struct{ f int }{f: 1}", []string{"v.f"}},
+		{"plain read", "", T + "func g(x *T) int { return x.f }", nil},
+		{"tagged field", "", "type T struct{ f int `metric:\"f\"` }\nfunc g(x *T) { x.f++ }", nil},
+		{"map key struct", "", "type K struct{ a, b int }\nvar m = map[K]bool{{a: 1, b: 2}: true}", nil},
+		{"compared struct", "", "type K struct{ a int }\nfunc g(x K) bool { return x != K{a: 1} }", nil},
+		{"address taken", "", T + "func g(x *T) *int { return &x.f }", nil},
+		{"method value", "", "type N int\nfunc (N) M() {}\ntype T struct{ n N }\nfunc g(x *T) func() { x.n = 1; return x.n.M }", nil},
+		{"embedded field", "", "type E struct{}\ntype T struct{ E }\nvar v = T{E: E{}}", nil},
+		{"generic field through an instance", "", "type R[E any] struct{ buf []E }\nfunc g(r R[int]) []int { return r.buf }", nil},
+		{"kept type", "spam/internal/am", "type ChannelDebug struct{ f int }\nfunc g(x *ChannelDebug) { x.f = 1 }", nil},
+
+		{"constant parameter", "", "func h(a, b int) int { return a + b }\nfunc g(x int) { h(1, x); h(1, x+1) }", []string{"h.a"}},
+		{"constant method parameter", "", "type T struct{}\nfunc (T) M(a int) {}\nfunc g(t T) { t.M(1); t.M(1) }", []string{"T.M.a"}},
+		{"one call", "", "func h(a int) {}\nfunc g() { h(1) }", nil},
+		{"different constants", "", "func h(a int) {}\nfunc g() { h(1); h(2) }", nil},
+		{"interface method", "", "type I interface{ M(int) }\ntype T struct{}\nfunc (T) M(a int) {}\nfunc g(t T) { t.M(1); t.M(1) }", nil},
+		{"function value", "", "func h(a int) {}\nvar f = h\nfunc g() { h(1); h(1) }", nil},
+		{"variadic", "", "func h(a int, b ...int) {}\nfunc g() { h(1); h(1) }", nil},
+	}
+	for _, tc := range cases {
+		path := tc.path
+		if path == "" {
+			path = "spam/x"
+		}
+		c := newCensus()
+		c.listed[path] = listedPkg{ImportPath: path, GoFiles: []string{"x.go"}, Src: map[string]string{"x.go": "package x\n" + tc.src}}
+		c.checked[path] = true
+		if _, err := c.Import(path); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []string
+		for _, f := range append(c.unreadFields(), c.constantParams(c.dynamicCalls())...) {
+			got = append(got, strings.TrimPrefix(f.key, strings.TrimPrefix(path, "spam/")+"."))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: census finds %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }

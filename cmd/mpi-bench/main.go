@@ -31,6 +31,9 @@ func main() {
 	if *figure != 0 && (*figure < 7 || *figure > 11) {
 		check(fmt.Errorf("-figure must be 7-11 (got %d)", *figure))
 	}
+	if *total < 1 {
+		check(fmt.Errorf("-total must be at least 1 (got %d)", *total))
+	}
 
 	latSizes := []int{4, 16, 64, 100, 256, 1024, 4096, 8192, 16384, 65536}
 	bwSizes := bench.SizesLog(64, 1<<18)

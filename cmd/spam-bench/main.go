@@ -40,6 +40,9 @@ func main() {
 	if *chaos != "" && *chaos != "loss" && *chaos != "kill" {
 		check(fmt.Errorf("-chaos must be loss or kill (got %q)", *chaos))
 	}
+	if *total < 1 {
+		check(fmt.Errorf("-total must be at least 1 (got %d)", *total))
+	}
 
 	switch {
 	case *ablations:

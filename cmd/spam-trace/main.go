@@ -30,13 +30,16 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the protocol metrics snapshot of a traced ping-pong")
 	out := flag.String("out", "", "write the run's Chrome trace-event JSON to this file")
 	timeline := flag.Bool("timeline", false, "print the run's plain-text event timeline")
-	total := flag.Int("total", 1<<20, "bytes moved by the -load run")
+	total := flag.Int("total", 1<<20, "bytes moved by the -load run (a multiple of its 64 KiB ops)")
 	flag.Parse()
 	if *words < 0 || *words > 4 {
 		check(fmt.Errorf("-words must be 0-4 (got %d)", *words))
 	}
 	if *iters < 1 {
 		check(fmt.Errorf("-iters must be at least 1 (got %d)", *iters))
+	}
+	if *total < 1 || *total%(1<<16) != 0 {
+		check(fmt.Errorf("-total must be a positive multiple of 65536 (got %d)", *total))
 	}
 	var modes []string // every bool flag but -timeline picks a mode
 	flag.Visit(func(f *flag.Flag) {
@@ -75,7 +78,7 @@ func main() {
 	case *metrics:
 		reg := trace.NewRegistry()
 		var rtt float64
-		rec, rtt = bench.TracedPingPong(bench.Setup{Metrics: reg}, *words, 8, *iters)
+		rec, rtt = bench.TracedPingPong(bench.Setup{Metrics: reg}, *words, *iters)
 		fmt.Printf("# protocol metrics: %d-word ping-pong, %d iterations, %.1f us/rtt\n", *words, *iters, rtt)
 		trace.WriteMetrics(os.Stdout, reg.Snapshot())
 
@@ -84,8 +87,8 @@ func main() {
 		fallthrough
 	case *breakdown:
 		var rtt float64
-		rec, rtt = bench.TracedPingPong(bench.Setup{}, *words, 8, *iters)
-		b, err := trace.DecomposeRoundTrip(rec.Sorted(), 0, 1)
+		rec, rtt = bench.TracedPingPong(bench.Setup{}, *words, *iters)
+		b, err := trace.DecomposeRoundTrip(rec.Sorted())
 		check(err)
 		fmt.Printf("# round-trip decomposition: %d-word SP AM ping-pong, %d steady-state iterations\n",
 			*words, b.Iters)

@@ -20,9 +20,10 @@ var (
 	goldenPar    = flag.Int("par", 1, "TestGoldens: the -par the commands run with (0 = one sweep worker per CPU); the bytes must not depend on it")
 )
 
-// commands builds every command under cmd/ once per test run, without
-// -race whatever the test binary was built with, and returns the directory
-// holding the binaries. TestMain removes it.
+// commands builds every command under cmd/ and every example under
+// examples/ once per test run, without -race whatever the test binary was
+// built with, and returns the directory holding the binaries. TestMain
+// removes it.
 var commands struct {
 	once sync.Once
 	dir  string
@@ -35,13 +36,25 @@ func builtCommands(t *testing.T) string {
 	commands.once.Do(func() {
 		commands.dir, commands.err = os.MkdirTemp("", "spam-cmds-")
 		if commands.err == nil {
-			commands.out, commands.err = exec.Command("go", "build", "-o", commands.dir, "./cmd/...").CombinedOutput()
+			commands.out, commands.err = exec.Command("go", "build", "-o", commands.dir, "./cmd/...", "./examples/...").CombinedOutput()
 		}
 	})
 	if commands.err != nil {
-		t.Fatalf("go build ./cmd/...: %v\n%s", commands.err, commands.out)
+		t.Fatalf("go build ./cmd/... ./examples/...: %v\n%s", commands.err, commands.out)
 	}
 	return commands.dir
+}
+
+// TestExamplesRun runs the three examples, which the census counts as
+// callers: stencil and globalarray each compare their two implementations
+// and exit 1 when they disagree.
+func TestExamplesRun(t *testing.T) {
+	dir := builtCommands(t)
+	for _, name := range []string{"quickstart", "stencil", "globalarray"} {
+		if out, err := exec.Command(filepath.Join(dir, name)).CombinedOutput(); err != nil {
+			t.Errorf("%s: %v\n%s", name, err, out)
+		}
+	}
 }
 
 func TestMain(m *testing.M) {
@@ -86,6 +99,10 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"spam-trace", "-gap", "-timeline"},
 		{"spam-trace", "-gap", "-load"},
 		{"spam-trace", "-breakdown", "-metrics"},
+		{"spam-bench", "-total", "0", "-figure", "3"},
+		{"mpi-bench", "-total", "0", "-figure", "7"},
+		{"spam-trace", "-total", "-5", "-load"},
+		{"spam-trace", "-total", "100", "-load"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(dir, args[0]), args[1:]...)

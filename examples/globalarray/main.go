@@ -14,6 +14,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
 
 	"spam/internal/sim"
 	"spam/internal/splitc"
@@ -58,7 +59,7 @@ func run(pl splitc.Platform) (seconds float64, total uint64) {
 				local++
 			}
 		}
-		grand := rt.AllReduce(p, splitc.OpSum, local)
+		grand := rt.AllReduce(p, local)
 		if me == 0 {
 			counts[0] = grand
 		}
@@ -75,4 +76,8 @@ func main() {
 	fmt.Printf("  over SP AM : %8.2f ms  (touched buckets: %d)\n", amSec*1000, amTotal)
 	fmt.Printf("  over MPL   : %8.2f ms  (touched buckets: %d)\n", mplSec*1000, mplTotal)
 	fmt.Printf("  MPL/AM slowdown: %.1fx — the paper's fine-grain argument in one number\n", mplSec/amSec)
+	if amTotal != mplTotal {
+		fmt.Fprintln(os.Stderr, "globalarray: SP AM and MPL disagree on the touched buckets")
+		os.Exit(1)
+	}
 }

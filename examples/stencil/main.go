@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
 
 	"spam/internal/hw"
 	"spam/internal/mpi"
@@ -114,8 +115,8 @@ func main() {
 	fmt.Printf("  MPI-AM: %7.2f ms   total heat %.6f\n", amSec*1000, amHeat)
 	fmt.Printf("  MPI-F : %7.2f ms   total heat %.6f\n", fSec*1000, fHeat)
 	if amHeat != fHeat {
-		fmt.Println("  WARNING: implementations disagree!")
-	} else {
-		fmt.Println("  results identical across MPI implementations (conservation holds)")
+		fmt.Fprintln(os.Stderr, "stencil: MPI-AM and MPI-F disagree on the total heat")
+		os.Exit(1)
 	}
+	fmt.Println("  results identical across MPI implementations (conservation holds)")
 }

@@ -56,18 +56,15 @@ const NoHandler HandlerID = -1
 // with a registry publishes the tagged fields under their tags once its
 // cluster's run is over (EnableMetrics).
 type Stats struct {
-	Requests, Replies int64
-	Stores, Gets      int64
-	BytesSent         int64
-	PacketsSent       int64
-	PacketsReceived   int64
-	Retransmits       int64 `metric:"am.retransmits"`
-	NacksSent         int64 `metric:"am.nacks_sent"`
-	AcksSent          int64 `metric:"am.acks_sent"`
-	Probes            int64 `metric:"am.probes_sent"`
-	Polls             int64 `metric:"am.polls"`
-	EmptyPolls        int64 `metric:"am.polls_empty"`
-	Duplicates        int64
+	PacketsSent     int64
+	PacketsReceived int64
+	Retransmits     int64 `metric:"am.retransmits"`
+	NacksSent       int64 `metric:"am.nacks_sent"`
+	AcksSent        int64 `metric:"am.acks_sent"`
+	Probes          int64 `metric:"am.probes_sent"`
+	Polls           int64 `metric:"am.polls"`
+	EmptyPolls      int64 `metric:"am.polls_empty"`
+	Duplicates      int64
 	// CorruptDropped counts received packets discarded for a wire-checksum
 	// mismatch (injected corruption); the data is recovered by
 	// retransmission like any other loss.
@@ -361,8 +358,7 @@ type bulkOp struct {
 	gen      uint64 // bumped on every allocation from the free list
 	id       uint64
 	bk       uint8
-	dst      int // node receiving the data
-	peer     int // remote party of the op (differs from dst for gets)
+	peer     int // remote party of the op
 	ch       int
 	src      []byte  // data source (sender side)
 	daddr    hw.Addr // destination base address

@@ -437,7 +437,6 @@ func (ep *Endpoint) deliverShort(p *sim.Proc, src int, m *msg, tid int64) {
 		op := ep.getBulkOp()
 		op.id = m.Op
 		op.bk = bkGetData
-		op.dst = src
 		op.peer = src
 		op.ch = chRep
 		op.src = srcData

@@ -19,7 +19,6 @@ func (ep *Endpoint) Request(p *sim.Proc, dst int, h HandlerID, args ...uint32) e
 	if err := ep.PeerErr(dst); err != nil {
 		return err
 	}
-	ep.Stats.Requests++
 	ep.emit(trace.EvReqStart, 0, int64(len(args)), "")
 	m := ep.shortMsg(kRequest, chReq, h, args)
 	ep.sendShortBlocking(p, dst, m, costReqBuild+wordsCost(len(args)))
@@ -38,7 +37,6 @@ func (ep *Endpoint) Reply(p *sim.Proc, tok Token, h HandlerID, args ...uint32) e
 	if err := ep.PeerErr(tok.Src); err != nil {
 		return err
 	}
-	ep.Stats.Replies++
 	ep.emit(trace.EvReplyStart, 0, int64(len(args)), "")
 	m := ep.shortMsg(kReply, chRep, h, args)
 	ps := ep.peer(tok.Src)
@@ -89,12 +87,10 @@ func (ep *Endpoint) startStore(p *sim.Proc, dst int, raddr hw.Addr, data []byte,
 	if err := ep.PeerErr(dst); err != nil {
 		return nil, 0, err
 	}
-	ep.Stats.Stores++
 	ep.node.ComputeUnscaled(p, costStoreSetup)
 	op := ep.getBulkOp()
 	op.id = ep.opID()
 	op.bk = bkStore
-	op.dst = dst
 	op.peer = dst
 	op.ch = chReq
 	op.src = data
@@ -150,11 +146,9 @@ func (ep *Endpoint) startGet(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr,
 	if err := ep.PeerErr(dst); err != nil {
 		return nil, 0, err
 	}
-	ep.Stats.Gets++
 	op := ep.getBulkOp()
 	op.id = ep.opID()
 	op.bk = bkGetData
-	op.dst = ep.ID()
 	op.peer = dst
 	op.ch = chRep
 	op.daddr = laddr
@@ -461,7 +455,6 @@ func (ep *Endpoint) injectSaved(p *sim.Proc, dst int, sp savedPkt) {
 func (ep *Endpoint) push(dst int, m *msg, data []byte, wire int) {
 	m.Csum = m.WireChecksum(data)
 	ep.Stats.PacketsSent++
-	ep.Stats.BytesSent += int64(wire)
 	ep.pendingCommit++
 	pkt := ep.node.Pool.Get()
 	pkt.Dst = dst

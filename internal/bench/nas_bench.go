@@ -37,8 +37,8 @@ func QuickNAS() NASConfig {
 		FT:     nas.FTConfig{N: 16, Iters: 2},
 		MG:     nas.MGConfig{N: 32, Iters: 2, Levels: 2},
 		LU:     nas.LUConfig{N: 16, Iters: 5},
-		BT:     nas.ADIConfig{Name: "BT", N: 16, Iters: 5, FlopsPerPoint: 250, FacesPerSweep: 2},
-		SP:     nas.ADIConfig{Name: "SP", N: 16, Iters: 10, FlopsPerPoint: 120, FacesPerSweep: 3},
+		BT:     nas.ADIConfig{N: 16, Iters: 5, FlopsPerPoint: 250, FacesPerSweep: 2},
+		SP:     nas.ADIConfig{N: 16, Iters: 10, FlopsPerPoint: 120, FacesPerSweep: 3},
 	}
 }
 

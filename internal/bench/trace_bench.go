@@ -3,12 +3,13 @@ package bench
 import "spam/internal/trace"
 
 // TracedPingPong runs the ping-pong under s with a recorder of its own and
-// returns it holding the timed trips only, with the measured round trip in
-// microseconds. The recorder captures iters+1 request windows so
-// DecomposeRoundTrip sees exactly iters complete iterations; pick iters a
-// multiple of 16 so the lazy-pop MicroChannel amortization (one access per
-// 16 pops) averages out exactly.
-func TracedPingPong(s Setup, words, warmup, iters int) (*trace.Recorder, float64) {
+// returns it holding the timed trips only (eight warm-up trips are cut),
+// with the measured round trip in microseconds. The recorder captures
+// iters+1 request windows so DecomposeRoundTrip sees exactly iters complete
+// iterations; pick iters a multiple of 16 so the lazy-pop MicroChannel
+// amortization (one access per 16 pops) averages out exactly.
+func TracedPingPong(s Setup, words, iters int) (*trace.Recorder, float64) {
+	const warmup = 8
 	rec := trace.New()
 	s.Tracer = rec
 	rtt, _ := PingPong(s, words, warmup, iters+1)
@@ -30,6 +31,6 @@ func TracedPingPong(s Setup, words, warmup, iters int) (*trace.Recorder, float64
 // PingPongBreakdown runs a traced steady-state ping-pong and decomposes it.
 // The returned breakdown's stage means sum to the measured round trip.
 func PingPongBreakdown(words, iters int) (*trace.Breakdown, error) {
-	rec, _ := TracedPingPong(Setup{}, words, 8, iters)
-	return trace.DecomposeRoundTrip(rec.Sorted(), 0, 1)
+	rec, _ := TracedPingPong(Setup{}, words, iters)
+	return trace.DecomposeRoundTrip(rec.Sorted())
 }

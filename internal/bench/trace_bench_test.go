@@ -12,8 +12,8 @@ import (
 // 1-word round trip decomposes into stages whose means sum exactly to the
 // measured round-trip time, and that time is the paper's ~51 us.
 func TestBreakdownMatchesPaper(t *testing.T) {
-	rec, rtt := TracedPingPong(Setup{}, 1, 8, 32)
-	b, err := trace.DecomposeRoundTrip(rec.Sorted(), 0, 1)
+	rec, rtt := TracedPingPong(Setup{}, 1, 32)
+	b, err := trace.DecomposeRoundTrip(rec.Sorted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPerWordGap(t *testing.T) {
 // recorder, and the exporter are all deterministic.
 func TestTraceDeterminism(t *testing.T) {
 	export := func() []byte {
-		rec, _ := TracedPingPong(Setup{}, 2, 4, 16)
+		rec, _ := TracedPingPong(Setup{}, 2, 16)
 		var buf bytes.Buffer
 		if err := trace.WriteChromeTrace(&buf, rec.Sorted()); err != nil {
 			t.Fatal(err)

@@ -36,13 +36,12 @@ const (
 	RecvFIFOPerNode  = 64                                // paper §2.1: 64 entries per active processing node
 )
 
-// SwitchParams describes the SP high-performance switch (paper §1.2: four
-// routes per node pair, ~500 ns hardware latency, links "close to
-// 40 MBytes/s").
+// SwitchParams describes the SP high-performance switch (paper §1.2:
+// ~500 ns hardware latency, links "close to 40 MBytes/s"). The paper's four
+// routes per node pair are not modelled: contention is at the ports.
 type SwitchParams struct {
-	Latency   sim.Time // fabric traversal latency
-	LinkBPS   float64  // per-port link bandwidth, bytes/second
-	NumRoutes int      // informational; contention is modeled at the ports
+	Latency sim.Time // fabric traversal latency
+	LinkBPS float64  // per-port link bandwidth, bytes/second
 }
 
 // DefaultSwitch returns the calibrated SP switch. The link rate is set so
@@ -50,9 +49,8 @@ type SwitchParams struct {
 // bytes per packet yields the paper's 34.3 MB/s asymptotic AM bandwidth.
 func DefaultSwitch() SwitchParams {
 	return SwitchParams{
-		Latency:   500 * Nanosecond,
-		LinkBPS:   39.2e6,
-		NumRoutes: 4,
+		Latency: 500 * Nanosecond,
+		LinkBPS: 39.2e6,
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 // transaction carrying it (txn.go); the slot keeps the operation itself and
 // what must survive from one transaction to the next.
 type reqSlot struct {
-	active     bool
 	failedOver bool // the op survived at least one replica death
-	coalesced  bool // GET riding another slot's in-flight fetch
 	op         load.Op
 	nkeys      uint8
 	status     uint8
@@ -268,7 +266,7 @@ func (cl *client) startOp(p *sim.Proc) {
 	cl.gen.NextClient() // attribute the request to a virtual end-client
 	gen := (s.gen + 1) & 0xFFFF
 
-	*s = reqSlot{active: true, op: op, arrive: arrive, gen: gen, val: val, nkeys: 1}
+	*s = reqSlot{op: op, arrive: arrive, gen: gen, val: val, nkeys: 1}
 	s.keys[0] = key
 	s.waitHead, s.waitNext = -1, -1
 	cl.st.Issued++
@@ -337,7 +335,6 @@ func (cl *client) serveOrCoalesce(p *sim.Proc, si uint32) bool {
 	// stale revalidation, so the four classes partition the GETs.
 	if li, ok := cl.getInflight[key]; ok {
 		cl.st.Coalesced++
-		s.coalesced = true
 		s.waitNext = cl.slots[li].waitHead
 		cl.slots[li].waitHead = int32(si)
 		return true
@@ -465,7 +462,6 @@ func (cl *client) terminal(p *sim.Proc, si uint32, status uint32) {
 			cl.lastFailoverDone = now
 		}
 	}
-	s.active = false
 	cl.finished++
 	cl.free.Push(si)
 }

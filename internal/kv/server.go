@@ -24,7 +24,6 @@ type invalEnt struct {
 // rings, and the invalidation ring is warmed by its first few pushes.
 type server struct {
 	svc *Service
-	id  int
 	ep  *am.Endpoint
 	rep []int8 // per global shard: the replica this server hosts, -1 when none
 
@@ -40,7 +39,6 @@ type server struct {
 func newServer(svc *Service, id int, ep *am.Endpoint) *server {
 	s := &server{
 		svc:        svc,
-		id:         id,
 		ep:         ep,
 		rep:        make([]int8, svc.numShards),
 		push:       !svc.cfg.CacheOff,

@@ -87,10 +87,9 @@ const (
 
 // System is MPI-AM instantiated across a cluster.
 type System struct {
-	Cluster *hw.Cluster
-	AM      *am.System
-	Comms   []*Comm
-	Opt     Options
+	AM    *am.System
+	Comms []*Comm
+	Opt   Options
 
 	h handlers
 }
@@ -105,7 +104,7 @@ type handlers struct {
 
 // New builds MPI-AM over a fresh AM system on c.
 func New(c *hw.Cluster, opt Options) *System {
-	s := &System{Cluster: c, AM: am.New(c), Opt: opt}
+	s := &System{AM: am.New(c), Opt: opt}
 	s.registerHandlers()
 	for i := range c.Nodes {
 		s.Comms = append(s.Comms, newComm(s, s.AM.EPs[i]))
@@ -177,8 +176,6 @@ type Request struct {
 	rdvID    uint32
 	prefix   int // bytes already shipped via the hybrid prefix
 	ctsSlot  int // receiver segment for the rendezvous store (-1 until CTS)
-	ctsSeen  bool
-	storing  bool
 
 	// recv state
 	buf  []byte

@@ -104,7 +104,6 @@ func (s *System) registerHandlers() {
 		}
 		delete(c.rdvSend, rdvID)
 		req.ctsSlot = int(args[1])
-		req.ctsSeen = true
 		if off, ln, ok := unpackFree(args[2]); ok {
 			c.alloc[tok.Src].release(off, ln)
 		}
@@ -159,7 +158,6 @@ func (c *Comm) progressWait(p *sim.Proc) {
 func (c *Comm) afterPolls(p *sim.Proc, polls int) {
 	for c.pendCTS.Len() > 0 {
 		req := c.pendCTS.Pop().req
-		req.storing = true
 		if err := c.ep.StoreAsync(p, req.dst, hw.Addr{Seg: req.ctsSlot, Off: 0},
 			req.data[req.prefix:], c.sys.h.rdvData, req.rdvID,
 			func(q *sim.Proc, e *am.Endpoint) { req.done = true }); err != nil {

@@ -50,15 +50,14 @@ const (
 
 // System is MPI-F instantiated across a cluster.
 type System struct {
-	Cluster *hw.Cluster
-	MPL     *mpl.System
-	Comms   []*Comm
+	MPL   *mpl.System
+	Comms []*Comm
 }
 
 // New builds MPI-F on c. On wide nodes the call path runs at the tuned
 // (reduced) overhead — "evidently MPI-F was optimized for the wide nodes".
 func New(c *hw.Cluster) *System {
-	s := &System{Cluster: c, MPL: mpl.New(c)}
+	s := &System{MPL: mpl.New(c)}
 	if len(c.Nodes) > 0 && c.Nodes[0].P.Name == "wide" {
 		s.MPL.CallScale = 0.35
 	} else {
@@ -66,7 +65,7 @@ func New(c *hw.Cluster) *System {
 	}
 	for i := range c.Nodes {
 		s.Comms = append(s.Comms, &Comm{
-			sys: s, ep: s.MPL.EPs[i],
+			ep:       s.MPL.EPs[i],
 			rdvSends: make(map[uint32]*Request),
 		})
 	}
@@ -79,13 +78,11 @@ type Request struct {
 	status mpi.Status
 
 	// send side
-	isSend  bool
-	dst     int
-	tag     int
-	data    []byte
-	rdvID   uint32
-	ctsSeen bool
-	sendH   *mpl.SendHandle // rendezvous data injection progress
+	isSend bool
+	dst    int
+	data   []byte
+	rdvID  uint32
+	sendH  *mpl.SendHandle // rendezvous data injection progress
 
 	// recv side
 	buf    []byte
@@ -107,8 +104,7 @@ type inMsg struct {
 
 // Comm is one rank's MPI-F library state.
 type Comm struct {
-	sys *System
-	ep  *mpl.Endpoint
+	ep *mpl.Endpoint
 
 	posted     []*Request
 	unexpected []*inMsg

@@ -8,7 +8,7 @@ import (
 
 // Isend starts a nonblocking send: eager below EagerMax, rendezvous above.
 func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
-	req := &Request{isSend: true, dst: dst, tag: tag, data: data}
+	req := &Request{isSend: true, dst: dst, data: data}
 	c.node().ComputeUnscaled(p, costEnv)
 	if len(data) <= EagerMax {
 		msg := make([]byte, hdrBytes+len(data))
@@ -80,7 +80,7 @@ func (c *Comm) matchPosted(src, tag int) *Request {
 // progress drains the control plane and completes in-flight rendezvous
 // receives.
 func (c *Comm) progress(p *sim.Proc) {
-	for c.ep.Probe(p, mpl.AnySource, ctlTag) {
+	for c.ep.Probe(p, ctlTag) {
 		n, src, _ := c.ep.Recv(p, mpl.AnySource, ctlTag, c.scratch[:])
 		kind, tag, size, rdvID := readHdr(c.scratch[:])
 		switch kind {
@@ -137,7 +137,6 @@ func (c *Comm) shipData(p *sim.Proc, dst int, rdvID uint32) {
 	// injection finishes (see Wait), keeping the sender driving the credit
 	// window instead of stranding a queued message while it computes.
 	req.sendH = c.ep.SendH(p, dst, dataTag(rdvID), append([]byte(nil), req.data...))
-	req.ctsSeen = true
 	req.done = true
 }
 

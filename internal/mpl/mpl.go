@@ -68,8 +68,7 @@ const (
 
 // System is MPL instantiated across a cluster.
 type System struct {
-	Cluster *hw.Cluster
-	EPs     []*Endpoint
+	EPs []*Endpoint
 	// CallScale multiplies the per-call software overheads; MPI-F uses a
 	// leaner, wide-node-tuned entry path over the same transport (<1.0).
 	CallScale float64
@@ -77,7 +76,7 @@ type System struct {
 
 // New builds the MPL layer on c.
 func New(c *hw.Cluster) *System {
-	s := &System{Cluster: c, CallScale: 1.0}
+	s := &System{CallScale: 1.0}
 	for _, n := range c.Nodes {
 		ep := &Endpoint{node: n, n: len(c.Nodes), sys: s}
 		ep.tx = make([]txState, len(c.Nodes))
@@ -116,10 +115,8 @@ type rxKey struct {
 type rxMsg struct {
 	src    int
 	tag    int
-	msgID  uint64
 	buf    []byte
 	total  int
-	got    int
 	done   bool
 	direct bool // assembled straight into a posted receive's buffer
 }
@@ -290,12 +287,12 @@ func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 	return n, m.src, m.tag
 }
 
-// Probe reports whether a matching message has arrived without receiving
-// it, polling once.
-func (ep *Endpoint) Probe(p *sim.Proc, src, tag int) bool {
+// Probe reports whether a message with tag (or any, for AnyTag) has
+// arrived from any source without receiving it, polling once.
+func (ep *Endpoint) Probe(p *sim.Proc, tag int) bool {
 	ep.pollOnce(p)
 	for _, m := range ep.unexpected {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+		if tag == AnyTag || m.tag == tag {
 			return true
 		}
 	}
@@ -417,7 +414,7 @@ func (ep *Endpoint) pollOnce(p *sim.Proc) {
 			key := rxKey{src: pkt.Src, msgID: h.Op}
 			m := ep.rx[key]
 			if m == nil {
-				m = &rxMsg{src: pkt.Src, tag: h.H, msgID: h.Op, total: h.Total}
+				m = &rxMsg{src: pkt.Src, tag: h.H, total: h.Total}
 				// A matching posted receive gets the data in place.
 				if pr := ep.matchPosted(pkt.Src, h.H); pr != nil {
 					m.direct = true
@@ -431,7 +428,6 @@ func (ep *Endpoint) pollOnce(p *sim.Proc) {
 			if len(pkt.Data) > 0 && h.BOff < len(m.buf) {
 				copy(m.buf[h.BOff:], pkt.Data)
 				ep.node.Memcpy(p, len(pkt.Data))
-				m.got += len(pkt.Data)
 			}
 			if h.Final {
 				m.done = true

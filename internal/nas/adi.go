@@ -12,7 +12,6 @@ import (
 // sweep exchanges. Class A is 64^3 with 200 (BT) / 400 (SP) steps; the
 // scaled defaults keep 64^3 and run 20 / 40 steps.
 type ADIConfig struct {
-	Name          string
 	N             int
 	Iters         int
 	FlopsPerPoint float64 // per direction sweep
@@ -21,14 +20,14 @@ type ADIConfig struct {
 
 // DefaultBT returns the scaled BT configuration.
 func DefaultBT() ADIConfig {
-	return ADIConfig{Name: "BT", N: 64, Iters: 20, FlopsPerPoint: 250, FacesPerSweep: 2}
+	return ADIConfig{N: 64, Iters: 20, FlopsPerPoint: 250, FacesPerSweep: 2}
 }
 
 // DefaultSP returns the scaled SP configuration. SP does less arithmetic
 // per point but exchanges boundary data more often, so its communication
 // fraction (and its sensitivity to the MPI layer, per Table 6) is higher.
 func DefaultSP() ADIConfig {
-	return ADIConfig{Name: "SP", N: 64, Iters: 40, FlopsPerPoint: 120, FacesPerSweep: 3}
+	return ADIConfig{N: 64, Iters: 40, FlopsPerPoint: 120, FacesPerSweep: 3}
 }
 
 // ADI builds the BT/SP-style kernel: a px x py pencil decomposition with

@@ -28,8 +28,6 @@ type Server struct {
 	// Busy accumulates the service time of every job submitted, performed or
 	// not yet (see Served), for utilization accounting.
 	Busy Time
-	// Jobs counts submitted jobs.
-	Jobs int64
 }
 
 // NewServer returns a FIFO server on e.
@@ -61,7 +59,6 @@ func (s *Server) Submit(service Time, done func()) Time {
 	}
 	s.busyUntil = start + service
 	s.Busy += service
-	s.Jobs++
 	switch {
 	case done == nil:
 	case s.busyUntil == e.now:

@@ -96,7 +96,7 @@ func RadixSort(pl splitc.Platform, totalKeys int, bulk bool) Result {
 				}
 				rt.Compute(p, sim.Time(radixBuckets*P*10))
 			}
-			rt.BroadcastBytes(p, 0, offBase, radixBuckets*P*4)
+			rt.BroadcastBytes(p, offBase, radixBuckets*P*4)
 			for d := 0; d < radixBuckets; d++ {
 				base[d] = int(getU32(mem[offBase+(d*P+me)*4:]))
 			}

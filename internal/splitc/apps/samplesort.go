@@ -77,7 +77,7 @@ func SampleSort(pl splitc.Platform, totalKeys int, bulk bool) Result {
 				putU32(mem[offSplit+4*s:], all[(s+1)*oversample])
 			}
 		}
-		rt.BroadcastBytes(p, 0, offSplit, (P-1)*4)
+		rt.BroadcastBytes(p, offSplit, (P-1)*4)
 		split := make([]uint32, P-1)
 		for s := range split {
 			split[s] = getU32(mem[offSplit+4*s:])

@@ -36,7 +36,6 @@ const (
 // MPLPlatform is an SP running Split-C over MPL.
 type MPLPlatform struct {
 	Cluster *hw.Cluster
-	Sys     *mpl.System
 	rts     []*RT
 }
 
@@ -44,7 +43,7 @@ type MPLPlatform struct {
 func NewMPL(n, heapBytes int) *MPLPlatform {
 	c := hw.NewCluster(hw.DefaultConfig(n))
 	sys := mpl.New(c)
-	pl := &MPLPlatform{Cluster: c, Sys: sys}
+	pl := &MPLPlatform{Cluster: c}
 	for i := range c.Nodes {
 		t := &mplTransport{
 			ep:      sys.EPs[i],
@@ -123,7 +122,7 @@ func (t *mplTransport) PollWait(p *sim.Proc) { t.Poll(p) }
 func (t *mplTransport) Poll(p *sim.Proc) {
 	ep := t.ep
 	for {
-		if !ep.Probe(p, mpl.AnySource, mpl.AnyTag) {
+		if !ep.Probe(p, mpl.AnyTag) {
 			return
 		}
 		_, src, tag := ep.Recv(p, mpl.AnySource, mpl.AnyTag, t.scratch)

@@ -1,43 +1,12 @@
 package splitc
 
-import (
-	"fmt"
-
-	"spam/internal/sim"
-)
+import "spam/internal/sim"
 
 // GlobalPtr names memory anywhere in the machine: a node and a byte offset
 // into that node's global segment.
 type GlobalPtr struct {
 	Node int
 	Off  int
-}
-
-// ReduceOp selects the combining operator of AllReduce.
-type ReduceOp int
-
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-func (op ReduceOp) combine(a, b uint64) uint64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	panic(fmt.Sprintf("splitc: bad reduce op %d", op))
 }
 
 // Control-message kinds (packed into the Ctl word a).
@@ -152,26 +121,21 @@ func (rt *RT) Read(p *sim.Proc, gp GlobalPtr, loff, n int) error {
 }
 
 // handleCtl is the collective-tree message handler. Word a packs
-// (kind, gen, op); word b carries the value.
+// (kind, gen); word b carries the value.
 func (rt *RT) handleCtl(p *sim.Proc, src int, a, b uint64) {
 	kind := a & 0xff
 	gen := uint32(a >> 8 & 0xffffffff)
-	op := ReduceOp(a >> 40 & 0xff)
 	switch kind {
 	case ctlUp:
-		if cur, ok := rt.upVal[gen]; ok {
-			rt.upVal[gen] = op.combine(cur, b)
-		} else {
-			rt.upVal[gen] = b
-		}
+		rt.upVal[gen] += b
 		rt.upCnt[gen]++
 	case ctlDown:
 		rt.downOK[gen] = b
 	}
 }
 
-func packCtl(kind uint64, gen uint32, op ReduceOp) uint64 {
-	return kind | uint64(gen)<<8 | uint64(op)<<40
+func packCtl(kind uint64, gen uint32) uint64 {
+	return kind | uint64(gen)<<8
 }
 
 func (rt *RT) children(id int) []int {
@@ -185,9 +149,9 @@ func (rt *RT) children(id int) []int {
 	return cs
 }
 
-// AllReduce combines val across all processes with op and returns the
-// result everywhere (binary-tree up/down sweep over control messages).
-func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
+// AllReduce sums val across all processes and returns the sum everywhere
+// (binary-tree up/down sweep over control messages).
+func (rt *RT) AllReduce(p *sim.Proc, val uint64) uint64 {
 	t0 := p.Now()
 	defer func() { rt.CommTime += p.Now() - t0 }()
 
@@ -197,11 +161,7 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 	kids := rt.children(id)
 
 	// Fold in our own contribution.
-	if cur, ok := rt.upVal[gen]; ok {
-		rt.upVal[gen] = op.combine(cur, val)
-	} else {
-		rt.upVal[gen] = val
-	}
+	rt.upVal[gen] += val
 	// Wait for the children's partial results.
 	for rt.upCnt[gen] < len(kids) {
 		if rt.failed() {
@@ -214,7 +174,7 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 		result = rt.upVal[gen]
 	} else {
 		parent := (id - 1) / 2
-		rt.T.Ctl(p, parent, packCtl(ctlUp, gen, op), rt.upVal[gen])
+		rt.T.Ctl(p, parent, packCtl(ctlUp, gen), rt.upVal[gen])
 		for {
 			if v, ok := rt.downOK[gen]; ok {
 				result = v
@@ -227,7 +187,7 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 		}
 	}
 	for _, c := range kids {
-		rt.T.Ctl(p, c, packCtl(ctlDown, gen, op), result)
+		rt.T.Ctl(p, c, packCtl(ctlDown, gen), result)
 	}
 	delete(rt.upVal, gen)
 	delete(rt.upCnt, gen)
@@ -238,7 +198,7 @@ func (rt *RT) AllReduce(p *sim.Proc, op ReduceOp, val uint64) uint64 {
 // Barrier blocks until every process has entered it; a peer death breaks
 // the wait and surfaces as the returned error.
 func (rt *RT) Barrier(p *sim.Proc) error {
-	rt.AllReduce(p, OpSum, 0)
+	rt.AllReduce(p, 0)
 	return rt.Err
 }
 
@@ -249,8 +209,8 @@ func (rt *RT) AllStoreSync(p *sim.Proc) error {
 	// Communication time is accumulated by the AllReduce and Poll calls
 	// themselves; wrapping them again would double-count.
 	for {
-		sent := rt.AllReduce(p, OpSum, uint64(rt.storesSent))
-		recvd := rt.AllReduce(p, OpSum, uint64(rt.T.StoredBytes()))
+		sent := rt.AllReduce(p, uint64(rt.storesSent))
+		recvd := rt.AllReduce(p, uint64(rt.T.StoredBytes()))
 		if rt.failed() {
 			return rt.Err
 		}
@@ -261,16 +221,13 @@ func (rt *RT) AllStoreSync(p *sim.Proc) error {
 	}
 }
 
-// BroadcastBytes copies buf (significant on root) from root's segment
-// region [off, off+n) to the same region on every node. It is implemented
-// with stores plus a barrier, as Split-C programs typically do.
-func (rt *RT) BroadcastBytes(p *sim.Proc, root, off, n int) error {
-	if rt.ID() == root {
+// BroadcastBytes copies node 0's segment region [off, off+n) to the same
+// region on every node. It is implemented with stores plus a barrier, as
+// Split-C programs typically do.
+func (rt *RT) BroadcastBytes(p *sim.Proc, off, n int) error {
+	if rt.ID() == 0 {
 		data := rt.Mem()[off : off+n]
-		for d := 0; d < rt.N(); d++ {
-			if d == root {
-				continue
-			}
+		for d := 1; d < rt.N(); d++ {
 			rt.Store(p, GlobalPtr{Node: d, Off: off}, data)
 		}
 	}

@@ -8,35 +8,17 @@ import (
 // TestPackCtlRoundTrip checks the collective-message word packing across
 // the full field ranges.
 func TestPackCtlRoundTrip(t *testing.T) {
-	if err := quick.Check(func(genRaw uint32, opRaw uint8) bool {
-		op := ReduceOp(opRaw % 3)
+	if err := quick.Check(func(genRaw uint32) bool {
 		for _, kind := range []uint64{ctlUp, ctlDown} {
-			a := packCtl(kind, genRaw, op)
+			a := packCtl(kind, genRaw)
 			if a&0xff != kind {
 				return false
 			}
 			if uint32(a>>8&0xffffffff) != genRaw {
 				return false
 			}
-			if ReduceOp(a>>40&0xff) != op {
-				return false
-			}
 		}
 		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReduceOpProperties checks the combiners are commutative and
-// associative (required: the tree combines children in arrival order).
-func TestReduceOpProperties(t *testing.T) {
-	if err := quick.Check(func(a, b, c uint64, opRaw uint8) bool {
-		op := ReduceOp(opRaw % 3)
-		if op.combine(a, b) != op.combine(b, a) {
-			return false
-		}
-		return op.combine(op.combine(a, b), c) == op.combine(a, op.combine(b, c))
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -51,26 +51,21 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 }
 
-func TestAllReduceSumMaxMin(t *testing.T) {
+func TestAllReduceSum(t *testing.T) {
 	forEachPlatform(t, 5, 1024, func(t *testing.T, pl splitc.Platform) {
 		sums := make([]uint64, pl.N())
-		maxs := make([]uint64, pl.N())
-		mins := make([]uint64, pl.N())
+		again := make([]uint64, pl.N())
 		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
 			id := uint64(rt.ID())
-			sums[rt.ID()] = rt.AllReduce(p, splitc.OpSum, id+1)
-			maxs[rt.ID()] = rt.AllReduce(p, splitc.OpMax, id*10)
-			mins[rt.ID()] = rt.AllReduce(p, splitc.OpMin, 100-id)
+			sums[rt.ID()] = rt.AllReduce(p, id+1)
+			again[rt.ID()] = rt.AllReduce(p, 100-id)
 		})
 		for i := 0; i < pl.N(); i++ {
 			if sums[i] != 15 { // 1+2+3+4+5
 				t.Fatalf("node %d sum = %d, want 15", i, sums[i])
 			}
-			if maxs[i] != 40 {
-				t.Fatalf("node %d max = %d, want 40", i, maxs[i])
-			}
-			if mins[i] != 96 {
-				t.Fatalf("node %d min = %d, want 96", i, mins[i])
+			if again[i] != 490 { // the next generation: 100+99+98+97+96
+				t.Fatalf("node %d second sum = %d, want 490", i, again[i])
 			}
 		}
 	})
@@ -146,7 +141,7 @@ func TestBroadcastBytes(t *testing.T) {
 			if rt.ID() == 0 {
 				copy(rt.Mem()[100:], []byte("splitters!"))
 			}
-			rt.BroadcastBytes(p, 0, 100, 10)
+			rt.BroadcastBytes(p, 100, 10)
 			if string(rt.Mem()[100:110]) != "splitters!" {
 				ok = false
 			}

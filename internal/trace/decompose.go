@@ -74,11 +74,12 @@ func newLife() *pktLife {
 }
 
 // DecomposeRoundTrip reconstructs the per-stage timeline of a two-node
-// ping-pong (pinger issues Requests, ponger's handler Replies) from a
+// ping-pong (node 0 issues Requests, node 1's handler Replies) from a
 // time-sorted event stream and averages the stages across all complete
 // iterations found. The caller should Cut the warm-up from the recorder so
 // the stream holds only steady-state iterations.
-func DecomposeRoundTrip(evs []Event, pinger, ponger int) (*Breakdown, error) {
+func DecomposeRoundTrip(evs []Event) (*Breakdown, error) {
+	const pinger, ponger = 0, 1
 	life := map[int64]*pktLife{}
 	var reqStarts []int64
 	type stamped struct {

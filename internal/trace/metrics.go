@@ -176,7 +176,7 @@ type Metric struct {
 	Value float64
 
 	// Histogram-only fields.
-	Count, Sum, Min, Max, P50, P99, P999 int64
+	Count, Min, Max, P50, P99, P999 int64
 }
 
 // Registry names and owns a set of metrics. Lookup by name happens at
@@ -267,7 +267,7 @@ func (r *Registry) Snapshot() []Metric {
 	for name, h := range r.histograms {
 		out = append(out, Metric{
 			Name: name, Kind: KHistogram, Value: h.Mean(),
-			Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
+			Count: h.Count(), Min: h.Min(), Max: h.Max(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99), P999: h.Quantile(0.999),
 		})
 	}

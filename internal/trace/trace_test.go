@@ -446,7 +446,7 @@ func TestPacketStageStats(t *testing.T) {
 }
 
 func TestDecomposeRejectsEmpty(t *testing.T) {
-	if _, err := DecomposeRoundTrip(nil, 0, 1); err == nil {
+	if _, err := DecomposeRoundTrip(nil); err == nil {
 		t.Fatal("DecomposeRoundTrip accepted an empty event stream")
 	}
 }
