@@ -104,18 +104,18 @@ func MPIRingLatency(s Setup, impl MPIImpl, size int) float64 {
 			buf := make([]byte, size)
 			if i == 0 {
 				// Warm-up lap, then timed laps.
-				c.SendB(p, buf, next, 1)
-				c.RecvB(p, buf, prev, 1)
+				c.Send(p, buf, next, 1)
+				c.Recv(p, buf, prev, 1)
 				t0 := p.Now()
 				for l := 0; l < laps; l++ {
-					c.SendB(p, buf, next, 1)
-					c.RecvB(p, buf, prev, 1)
+					c.Send(p, buf, next, 1)
+					c.Recv(p, buf, prev, 1)
 				}
 				perHop = (p.Now() - t0).Microseconds() / float64(laps*ringN)
 			} else {
 				for l := 0; l < laps+1; l++ {
-					c.RecvB(p, buf, prev, 1)
-					c.SendB(p, buf, next, 1)
+					c.Recv(p, buf, prev, 1)
+					c.Send(p, buf, next, 1)
 				}
 			}
 		})
@@ -154,14 +154,14 @@ func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 			}
 			reqs := make([]mpi.Req, 0, batch)
 			for k := 0; k < batch; k++ {
-				reqs = append(reqs, tx.IsendR(p, data, 1, 7))
+				reqs = append(reqs, tx.Isend(p, data, 1, 7))
 			}
 			for _, r := range reqs {
-				tx.WaitR(p, r)
+				tx.Wait(p, r)
 			}
 			sent += batch
 		}
-		tx.RecvB(p, ack, 1, 8) // delivery confirmation
+		tx.Recv(p, ack, 1, 8) // delivery confirmation
 		mbps = float64(msgs*size) / 1e6 / (p.Now() - t0).Seconds()
 	})
 	cluster.Spawn(1, "rx", func(p *sim.Proc, nd *hw.Node) {
@@ -174,14 +174,14 @@ func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 			}
 			reqs := make([]mpi.Req, 0, batch)
 			for k := 0; k < batch; k++ {
-				reqs = append(reqs, rx.IrecvR(p, buf[k*size:(k+1)*size], 0, 7))
+				reqs = append(reqs, rx.Irecv(p, buf[k*size:(k+1)*size], 0, 7))
 			}
 			for _, r := range reqs {
-				rx.WaitR(p, r)
+				rx.Wait(p, r)
 			}
 			got += batch
 		}
-		rx.SendB(p, nil, 0, 8)
+		rx.Send(p, nil, 0, 8)
 	})
 	cluster.Run()
 	return mbps

@@ -54,6 +54,9 @@ func UNetATM() Params {
 // headerBytes is the modeled per-message wire header.
 const headerBytes = 8
 
+// idlePoll is what an empty poll costs: something, on every machine.
+const idlePoll = 500 * hw.Nanosecond
+
 // mKind enumerates transport messages.
 type mKind uint8
 
@@ -180,14 +183,21 @@ func (g *gnode) Store(p *sim.Proc, dst, roff int, data []byte) {
 	g.send(p, dst, &message{kind: mStore, roff: roff, n: len(buf), data: buf})
 }
 
-func (g *gnode) PollWait(p *sim.Proc) { g.Poll(p) }
+// PollWait sits out a run of idle polls inline: an empty poll is one
+// 0.5 µs Advance and only a delivery fills q, so stepping while q stays
+// empty matches the plain Poll loop event for event.
+func (g *gnode) PollWait(p *sim.Proc) {
+	if len(g.q) == 0 {
+		p.AdvanceWhile(idlePoll, func() bool { return len(g.q) == 0 })
+	}
+	g.Poll(p)
+}
 
 // Poll drains the delivery queue, charging the per-message receive
 // overhead and dispatching the runtime protocol.
 func (g *gnode) Poll(p *sim.Proc) {
 	if len(g.q) == 0 {
-		// An idle poll still costs something on every machine.
-		p.Advance(hw.US(0.5))
+		p.Advance(idlePoll)
 		return
 	}
 	for len(g.q) > 0 {

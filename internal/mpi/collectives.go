@@ -13,11 +13,11 @@ type Req interface{ Done() bool }
 type PT interface {
 	Rank() int
 	Size() int
-	IsendR(p *sim.Proc, data []byte, dst, tag int) Req
-	IrecvR(p *sim.Proc, buf []byte, src, tag int) Req
-	WaitR(p *sim.Proc, r Req) (Status, error)
-	SendB(p *sim.Proc, data []byte, dst, tag int) error
-	RecvB(p *sim.Proc, buf []byte, src, tag int) (Status, error)
+	Isend(p *sim.Proc, data []byte, dst, tag int) Req
+	Irecv(p *sim.Proc, buf []byte, src, tag int) Req
+	Wait(p *sim.Proc, r Req) (Status, error)
+	Send(p *sim.Proc, data []byte, dst, tag int) error
+	Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error)
 	Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []byte, src, rtag int) (Status, error)
 	// NextCollTag returns a fresh reserved (negative) tag; collectives are
 	// issued in the same order on every rank, so the sequence matches.
@@ -34,27 +34,10 @@ type PT interface {
 	Finalize(p *sim.Proc, budget sim.Time) error
 }
 
-// PT adapter methods for *Comm.
+// SendB is Send under the name benchmark/ladder.go calls.
+func (c *Comm) SendB(p *sim.Proc, data []byte, dst, tag int) error { return c.Send(p, data, dst, tag) }
 
-// IsendR adapts Isend to the PT interface.
-func (c *Comm) IsendR(p *sim.Proc, data []byte, dst, tag int) Req {
-	return c.Isend(p, data, dst, tag)
-}
-
-// IrecvR adapts Irecv to the PT interface.
-func (c *Comm) IrecvR(p *sim.Proc, buf []byte, src, tag int) Req {
-	return c.Irecv(p, buf, src, tag)
-}
-
-// WaitR adapts Wait to the PT interface.
-func (c *Comm) WaitR(p *sim.Proc, r Req) (Status, error) { return c.Wait(p, r.(*Request)) }
-
-// SendB adapts Send to the PT interface.
-func (c *Comm) SendB(p *sim.Proc, data []byte, dst, tag int) error {
-	return c.Send(p, data, dst, tag)
-}
-
-// RecvB adapts Recv to the PT interface.
+// RecvB is Recv under the name benchmark/ladder.go calls.
 func (c *Comm) RecvB(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 	return c.Recv(p, buf, src, tag)
 }
@@ -82,13 +65,13 @@ func Barrier(p *sim.Proc, c PT) error {
 	mask := 1
 	for mask < n {
 		if me&mask != 0 {
-			if err := c.SendB(p, none, me-mask, tag); err != nil {
+			if err := c.Send(p, none, me-mask, tag); err != nil {
 				return err
 			}
 			break
 		}
 		if me+mask < n {
-			if _, err := c.RecvB(p, none, me+mask, tag); err != nil {
+			if _, err := c.Recv(p, none, me+mask, tag); err != nil {
 				return err
 			}
 		}
@@ -114,7 +97,7 @@ func bcastBinomial(p *sim.Proc, c PT, buf []byte, root, tag int) error {
 		}
 		mask >>= 1
 		parent := (rel - mask + root) % n
-		if _, err := c.RecvB(p, buf, parent, tag); err != nil {
+		if _, err := c.Recv(p, buf, parent, tag); err != nil {
 			return err
 		}
 	}
@@ -126,7 +109,7 @@ func bcastBinomial(p *sim.Proc, c PT, buf []byte, root, tag int) error {
 	for ; mask < n; mask <<= 1 {
 		child := rel + mask
 		if child < n {
-			if err := c.SendB(p, buf, (child+root)%n, tag); err != nil {
+			if err := c.Send(p, buf, (child+root)%n, tag); err != nil {
 				return err
 			}
 		}
@@ -149,14 +132,14 @@ func Reduce(p *sim.Proc, c PT, send, recv []byte, root int, op Op) error {
 	for mask < n {
 		if rel&mask != 0 {
 			parent := ((rel &^ mask) + root) % n
-			if err := c.SendB(p, acc, parent, tag); err != nil {
+			if err := c.Send(p, acc, parent, tag); err != nil {
 				return err
 			}
 			break
 		}
 		if rel+mask < n {
 			child := (rel + mask + root) % n
-			if _, err := c.RecvB(p, tmp, child, tag); err != nil {
+			if _, err := c.Recv(p, tmp, child, tag); err != nil {
 				return err
 			}
 			op(acc, tmp)
@@ -186,7 +169,7 @@ func Gather(p *sim.Proc, c PT, send, recv []byte, root int) error {
 	tag := c.NextCollTag()
 	me, n := c.Rank(), c.Size()
 	if me != root {
-		return c.SendB(p, send, root, tag)
+		return c.Send(p, send, root, tag)
 	}
 	chunk := len(send)
 	copy(recv[me*chunk:], send)
@@ -194,7 +177,7 @@ func Gather(p *sim.Proc, c PT, send, recv []byte, root int) error {
 		if r == root {
 			continue
 		}
-		if _, err := c.RecvB(p, recv[r*chunk:(r+1)*chunk], r, tag); err != nil {
+		if _, err := c.Recv(p, recv[r*chunk:(r+1)*chunk], r, tag); err != nil {
 			return err
 		}
 	}
@@ -207,7 +190,7 @@ func Scatter(p *sim.Proc, c PT, send, recv []byte, root int) error {
 	me, n := c.Rank(), c.Size()
 	chunk := len(recv)
 	if me != root {
-		_, err := c.RecvB(p, recv, root, tag)
+		_, err := c.Recv(p, recv, root, tag)
 		return err
 	}
 	copy(recv, send[me*chunk:(me+1)*chunk])
@@ -215,7 +198,7 @@ func Scatter(p *sim.Proc, c PT, send, recv []byte, root int) error {
 		if r == root {
 			continue
 		}
-		if err := c.SendB(p, send[r*chunk:(r+1)*chunk], r, tag); err != nil {
+		if err := c.Send(p, send[r*chunk:(r+1)*chunk], r, tag); err != nil {
 			return err
 		}
 	}
@@ -235,17 +218,17 @@ func AlltoallNaive(p *sim.Proc, c PT, send, recv []byte, chunk int) error {
 			copy(recv[r*chunk:(r+1)*chunk], send[r*chunk:(r+1)*chunk])
 			continue
 		}
-		reqs = append(reqs, c.IrecvR(p, recv[r*chunk:(r+1)*chunk], r, tag))
+		reqs = append(reqs, c.Irecv(p, recv[r*chunk:(r+1)*chunk], r, tag))
 	}
 	for r := 0; r < n; r++ { // same order everywhere: the convoy
 		if r == me {
 			continue
 		}
-		reqs = append(reqs, c.IsendR(p, send[r*chunk:(r+1)*chunk], r, tag))
+		reqs = append(reqs, c.Isend(p, send[r*chunk:(r+1)*chunk], r, tag))
 	}
 	var first error
 	for _, r := range reqs {
-		if _, err := c.WaitR(p, r); err != nil && first == nil {
+		if _, err := c.Wait(p, r); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -262,12 +245,12 @@ func AlltoallPairwise(p *sim.Proc, c PT, send, recv []byte, chunk int) error {
 	for k := 1; k < n; k++ {
 		dst := (me + k) % n
 		src := (me - k + n) % n
-		rr := c.IrecvR(p, recv[src*chunk:(src+1)*chunk], src, tag)
-		sr := c.IsendR(p, send[dst*chunk:(dst+1)*chunk], dst, tag)
-		if _, err := c.WaitR(p, sr); err != nil {
+		rr := c.Irecv(p, recv[src*chunk:(src+1)*chunk], src, tag)
+		sr := c.Isend(p, send[dst*chunk:(dst+1)*chunk], dst, tag)
+		if _, err := c.Wait(p, sr); err != nil {
 			return err
 		}
-		if _, err := c.WaitR(p, rr); err != nil {
+		if _, err := c.Wait(p, rr); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"spam/internal/am"
 	"spam/internal/hw"
@@ -31,7 +32,7 @@ func unpackFree(w uint32) (off, ln int, ok bool) {
 }
 
 // Isend starts a nonblocking standard send.
-func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
+func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) Req {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mpi: bad destination rank %d", dst))
 	}
@@ -120,7 +121,7 @@ func (c *Comm) storeBuffered(p *sim.Proc, req *Request, off int, bin bool, rdvID
 }
 
 // Irecv posts a nonblocking receive.
-func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
+func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) Req {
 	req := &Request{kind: rkRecv, buf: buf, src: src, rtag: tag}
 	c.node().ComputeUnscaled(p, costPostRecv)
 	if m := c.matchUnexpected(src, tag); m != nil {
@@ -177,23 +178,27 @@ func (c *Comm) releaseSlot(slot int) {
 }
 
 func (c *Comm) matchUnexpected(src, tag int) *inMsg {
-	for i, m := range c.unexpected {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			return m
-		}
+	i := slices.IndexFunc(c.unexpected, func(m *inMsg) bool {
+		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+	})
+	if i < 0 {
+		return nil
 	}
-	return nil
+	m := c.unexpected[i]
+	c.unexpected = slices.Delete(c.unexpected, i, i+1)
+	return m
 }
 
 func (c *Comm) matchPosted(src, tag int) *Request {
-	for i, r := range c.posted {
-		if (r.src == AnySource || r.src == src) && (r.rtag == AnyTag || r.rtag == tag) {
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			return r
-		}
+	i := slices.IndexFunc(c.posted, func(r *Request) bool {
+		return (r.src == AnySource || r.src == src) && (r.rtag == AnyTag || r.rtag == tag)
+	})
+	if i < 0 {
+		return nil
 	}
-	return nil
+	r := c.posted[i]
+	c.posted = slices.Delete(c.posted, i, i+1)
+	return r
 }
 
 // queueFree records a buffered-region extent to give back to src's
@@ -280,7 +285,8 @@ func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 // the operation can provably never complete (peer dead, deadline passed), in
 // which case it returns the typed error instead of spinning forever. The
 // error is sticky on the request.
-func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
+func (c *Comm) Wait(p *sim.Proc, r Req) (Status, error) {
+	req := r.(*Request)
 	for !req.done {
 		if err := c.waitErr(req); err != nil {
 			req.err = err
@@ -299,14 +305,8 @@ func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
 // registered: its buffer size was validated at match time, and in-flight
 // data may still land in it.
 func (c *Comm) cancel(req *Request) {
-	if req == nil || req.kind != rkRecv || req.done {
-		return
-	}
-	for i, r := range c.posted {
-		if r == req {
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			return
-		}
+	if i := slices.Index(c.posted, req); i >= 0 {
+		c.posted = slices.Delete(c.posted, i, i+1)
 	}
 }
 
@@ -316,7 +316,7 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []by
 	rr := c.Irecv(p, recvbuf, src, rtag)
 	sr := c.Isend(p, sendbuf, dst, stag)
 	if _, err := c.Wait(p, sr); err != nil {
-		c.cancel(rr) // don't leave a stale posting behind the failed half
+		c.cancel(rr.(*Request)) // don't leave a stale posting behind the failed half
 		return Status{}, err
 	}
 	return c.Wait(p, rr)

@@ -3,6 +3,7 @@ package mpif_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -186,4 +187,71 @@ func TestWideNodesTunedFaster(t *testing.T) {
 		t.Fatalf("MPI-F should be faster on wide nodes: thin %.1fus, wide %.1fus", thin, wide)
 	}
 	t.Logf("MPI-F small-message per-hop: thin %.1fus, wide %.1fus", thin, wide)
+}
+
+// TestTimedOutReceiveIsDeregistered: a receive that fails on the deadline,
+// alone or as the second half of a Sendrecv whose send times out, must not
+// stay posted. Rank 1 sends tag 5 only after rank 0 gave up, and rank 0's
+// next receive for it must get the message, not an abandoned buffer.
+func TestTimedOutReceiveIsDeregistered(t *testing.T) {
+	stacks := []struct {
+		name string
+		pts  func(c *hw.Cluster) []mpi.PT
+	}{
+		{"MPI-AM unoptimized", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.New(c, mpi.Unoptimized()).Comms) }},
+		{"MPI-AM optimized", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.New(c, mpi.Optimized()).Comms) }},
+		{"MPI-F", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpif.New(c).Comms) }},
+	}
+	ops := []struct {
+		name   string
+		giveUp func(p *sim.Proc, c mpi.PT, buf []byte) error
+	}{
+		{"Recv", func(p *sim.Proc, c mpi.PT, buf []byte) error {
+			_, err := c.Recv(p, buf, 1, 5)
+			return err
+		}},
+		{"Sendrecv", func(p *sim.Proc, c mpi.PT, buf []byte) error {
+			// A rendezvous-sized send rank 1 never receives: it times out first.
+			_, err := c.Sendrecv(p, make([]byte, 64<<10), 1, 9, buf, 1, 5)
+			return err
+		}},
+	}
+	msg := pattern(256, 3)
+	for _, st := range stacks {
+		for _, op := range ops {
+			t.Run(st.name+"/"+op.name, func(t *testing.T) {
+				cluster := hw.NewCluster(hw.DefaultConfig(2))
+				pts := st.pts(cluster)
+				var first, second error
+				got := make([]byte, len(msg))
+				cluster.Spawn(0, "rx", func(p *sim.Proc, n *hw.Node) {
+					c := pts[0]
+					c.SetDeadline(p.Now() + hw.US(100))
+					first = op.giveUp(p, c, make([]byte, len(msg)))
+					c.SetDeadline(p.Now() + hw.US(5000))
+					_, second = c.Recv(p, got, 1, 5)
+				})
+				cluster.Spawn(1, "tx", func(p *sim.Proc, n *hw.Node) {
+					p.Advance(hw.US(500))
+					pts[1].Send(p, msg, 0, 5)
+				})
+				cluster.Run()
+				var e *mpi.Error
+				if !errors.As(first, &e) || e.Code != mpi.ErrTimeout {
+					t.Fatalf("first %s returned %v, want a timeout", op.name, first)
+				}
+				if second != nil || !bytes.Equal(got, msg) {
+					t.Fatalf("next Recv returned %v with %q, want the message", second, got[:8])
+				}
+			})
+		}
+	}
+}
+
+func ptsOf[C mpi.PT](comms []C) []mpi.PT {
+	pts := make([]mpi.PT, len(comms))
+	for i, c := range comms {
+		pts[i] = c
+	}
+	return pts
 }

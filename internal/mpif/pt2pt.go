@@ -1,13 +1,15 @@
 package mpif
 
 import (
+	"slices"
+
 	"spam/internal/mpi"
 	"spam/internal/mpl"
 	"spam/internal/sim"
 )
 
 // Isend starts a nonblocking send: eager below EagerMax, rendezvous above.
-func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
+func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) mpi.Req {
 	req := &Request{isSend: true, dst: dst, data: data}
 	c.node().ComputeUnscaled(p, costEnv)
 	if len(data) <= EagerMax {
@@ -30,7 +32,7 @@ func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
 }
 
 // Irecv posts a nonblocking receive.
-func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
+func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) mpi.Req {
 	req := &Request{buf: buf, src: src, rtag: tag}
 	c.node().ComputeUnscaled(p, costMatch)
 	if m := c.matchUnexpected(src, tag); m != nil {
@@ -41,6 +43,8 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	return req
 }
 
+// claim delivers a matched message to req: an eager one is copied in, a
+// rendezvous one opens the data path and answers clear-to-send.
 func (c *Comm) claim(p *sim.Proc, req *Request, m *inMsg) {
 	req.status = mpi.Status{Source: m.src, Tag: m.tag, Size: m.size}
 	if m.eager {
@@ -49,8 +53,7 @@ func (c *Comm) claim(p *sim.Proc, req *Request, m *inMsg) {
 		req.done = true
 		return
 	}
-	// Parked RTS: open the data path and send clear-to-send.
-	req.handle = c.ep.PostRecv(p, m.src, dataTag(m.rdvID), req.buf[:m.size])
+	req.handle = c.ep.PostRecv(m.src, dataTag(m.rdvID), req.buf[:m.size])
 	c.inflight = append(c.inflight, req)
 	var cts [hdrBytes]byte
 	putHdr(cts[:], kCTS, m.tag, m.size, m.rdvID)
@@ -58,60 +61,63 @@ func (c *Comm) claim(p *sim.Proc, req *Request, m *inMsg) {
 }
 
 func (c *Comm) matchUnexpected(src, tag int) *inMsg {
-	for i, m := range c.unexpected {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			return m
-		}
+	i := slices.IndexFunc(c.unexpected, func(m *inMsg) bool {
+		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+	})
+	if i < 0 {
+		return nil
 	}
-	return nil
+	m := c.unexpected[i]
+	c.unexpected = slices.Delete(c.unexpected, i, i+1)
+	return m
 }
 
 func (c *Comm) matchPosted(src, tag int) *Request {
-	for i, r := range c.posted {
-		if (r.src == AnySource || r.src == src) && (r.rtag == AnyTag || r.rtag == tag) {
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			return r
-		}
+	i := slices.IndexFunc(c.posted, func(r *Request) bool {
+		return (r.src == AnySource || r.src == src) && (r.rtag == AnyTag || r.rtag == tag)
+	})
+	if i < 0 {
+		return nil
 	}
-	return nil
+	r := c.posted[i]
+	c.posted = slices.Delete(c.posted, i, i+1)
+	return r
+}
+
+// cancel deregisters a receive still waiting for its message, so a later
+// message cannot land in an abandoned buffer. A receive already matched to
+// a rendezvous stays registered: its data may still be in flight.
+func (c *Comm) cancel(req *Request) {
+	if i := slices.Index(c.posted, req); i >= 0 {
+		c.posted = slices.Delete(c.posted, i, i+1)
+	}
 }
 
 // progress drains the control plane and completes in-flight rendezvous
 // receives.
 func (c *Comm) progress(p *sim.Proc) {
-	for c.ep.Probe(p, ctlTag) {
-		n, src, _ := c.ep.Recv(p, mpl.AnySource, ctlTag, c.scratch[:])
-		kind, tag, size, rdvID := readHdr(c.scratch[:])
-		switch kind {
-		case kEager:
-			c.node().ComputeUnscaled(p, costMatch)
-			if req := c.matchPosted(src, tag); req != nil {
-				nc := copy(req.buf, c.scratch[hdrBytes:n])
-				c.node().Memcpy(p, nc)
-				req.status = mpi.Status{Source: src, Tag: tag, Size: size}
-				req.done = true
-				continue
-			}
-			// Early arrival: keep the library copy.
-			cp := append([]byte(nil), c.scratch[hdrBytes:n]...)
-			c.node().Memcpy(p, len(cp))
-			c.unexpected = append(c.unexpected, &inMsg{src: src, tag: tag, size: size, eager: true, data: cp})
-		case kRTS:
-			c.node().ComputeUnscaled(p, costMatch)
-			if req := c.matchPosted(src, tag); req != nil {
-				req.status = mpi.Status{Source: src, Tag: tag, Size: size}
-				req.handle = c.ep.PostRecv(p, src, dataTag(rdvID), req.buf[:size])
-				c.inflight = append(c.inflight, req)
-				var cts [hdrBytes]byte
-				putHdr(cts[:], kCTS, tag, size, rdvID)
-				c.ep.Send(p, src, ctlTag, append([]byte(nil), cts[:]...))
-				continue
-			}
-			c.unexpected = append(c.unexpected, &inMsg{src: src, tag: tag, size: size, rdvID: rdvID})
-		case kCTS:
-			c.shipData(p, src, rdvID)
+	for c.ep.Poll(p); ; c.ep.Poll(p) {
+		n, src, _, ok := c.ep.TryRecv(p, mpl.AnySource, ctlTag, c.scratch[:])
+		if !ok {
+			break
 		}
+		kind, tag, size, rdvID := readHdr(c.scratch[:])
+		if kind == kCTS {
+			c.shipData(p, src, rdvID)
+			continue
+		}
+		c.node().ComputeUnscaled(p, costMatch)
+		m := &inMsg{src: src, tag: tag, size: size, eager: kind == kEager, data: c.scratch[hdrBytes:n], rdvID: rdvID}
+		if req := c.matchPosted(src, tag); req != nil {
+			c.claim(p, req, m)
+			continue
+		}
+		if m.eager {
+			// Early arrival: keep the library copy.
+			m.data = append([]byte(nil), m.data...)
+			c.node().Memcpy(p, len(m.data))
+		}
+		c.unexpected = append(c.unexpected, m)
 	}
 	// Complete rendezvous receives whose data has fully arrived.
 	for i := 0; i < len(c.inflight); {
@@ -136,7 +142,7 @@ func (c *Comm) shipData(p *sim.Proc, dst int, rdvID uint32) {
 	// holds it by reference until injection. The request only completes once
 	// injection finishes (see Wait), keeping the sender driving the credit
 	// window instead of stranding a queued message while it computes.
-	req.sendH = c.ep.SendH(p, dst, dataTag(rdvID), append([]byte(nil), req.data...))
+	req.sendH = c.ep.Send(p, dst, dataTag(rdvID), append([]byte(nil), req.data...))
 	req.done = true
 }
 
@@ -145,8 +151,10 @@ func (c *Comm) shipData(p *sim.Proc, dst int, rdvID uint32) {
 // is host-driven (per-destination message credits and the packet window are
 // serviced by library calls only), so returning at clear-to-send with the
 // data still queued would let the caller enter a long computation phase
-// during which no packet moves — the 16-node NAS exchange stall.
-func (c *Comm) Wait(p *sim.Proc, req *Request) (mpi.Status, error) {
+// during which no packet moves — the 16-node NAS exchange stall. A receive
+// that times out unmatched is deregistered.
+func (c *Comm) Wait(p *sim.Proc, r mpi.Req) (mpi.Status, error) {
+	req := r.(*Request)
 	for !req.done || (req.sendH != nil && !req.sendH.Injected()) {
 		if c.deadline > 0 && c.node().Eng.Now() >= c.deadline {
 			peer := -1
@@ -155,6 +163,7 @@ func (c *Comm) Wait(p *sim.Proc, req *Request) (mpi.Status, error) {
 			} else if req.src != AnySource {
 				peer = req.src
 			}
+			c.cancel(req)
 			return req.status, &mpi.Error{Code: mpi.ErrTimeout, Rank: c.Rank(), Peer: peer}
 		}
 		c.progress(p)
@@ -185,35 +194,10 @@ func (c *Comm) Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []by
 	rr := c.Irecv(p, recvbuf, src, rtag)
 	sr := c.Isend(p, sendbuf, dst, stag)
 	if _, err := c.Wait(p, sr); err != nil {
+		c.cancel(rr.(*Request))
 		return mpi.Status{}, err
 	}
 	return c.Wait(p, rr)
-}
-
-// mpi.PT adapters, so the MPICH-style generic collectives and the NAS
-// kernels run unchanged on MPI-F.
-
-// IsendR adapts Isend to mpi.PT.
-func (c *Comm) IsendR(p *sim.Proc, data []byte, dst, tag int) mpi.Req {
-	return c.Isend(p, data, dst, tag)
-}
-
-// IrecvR adapts Irecv to mpi.PT.
-func (c *Comm) IrecvR(p *sim.Proc, buf []byte, src, tag int) mpi.Req {
-	return c.Irecv(p, buf, src, tag)
-}
-
-// WaitR adapts Wait to mpi.PT.
-func (c *Comm) WaitR(p *sim.Proc, r mpi.Req) (mpi.Status, error) { return c.Wait(p, r.(*Request)) }
-
-// SendB adapts Send to mpi.PT.
-func (c *Comm) SendB(p *sim.Proc, data []byte, dst, tag int) error {
-	return c.Send(p, data, dst, tag)
-}
-
-// RecvB adapts Recv to mpi.PT.
-func (c *Comm) RecvB(p *sim.Proc, buf []byte, src, tag int) (mpi.Status, error) {
-	return c.Recv(p, buf, src, tag)
 }
 
 // NextCollTag returns the next reserved collective tag.

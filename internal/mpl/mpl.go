@@ -14,6 +14,7 @@ package mpl
 
 import (
 	"fmt"
+	"slices"
 
 	"spam/internal/hw"
 	"spam/internal/ring"
@@ -101,7 +102,7 @@ type Endpoint struct {
 
 	rx         map[rxKey]*rxMsg // partially arrived messages
 	unexpected []*rxMsg         // complete but unmatched messages
-	posted     []*postedRecv    // receives waiting for a matching message
+	posted     []*RecvHandle    // receives waiting for a matching message
 	rxSince    []int            // data packets received per source since last credit
 	pendCommit int
 }
@@ -121,30 +122,12 @@ type rxMsg struct {
 	direct bool // assembled straight into a posted receive's buffer
 }
 
-// postedRecv is a blocking receive waiting for its message; a message whose
-// first packet finds a matching posted receive is assembled directly into
-// the user buffer (one copy), otherwise it lands in a library buffer and is
-// copied again at match time (the eager early-arrival penalty).
-type postedRecv struct {
-	src, tag int
-	buf      []byte
-	msg      *rxMsg
-}
-
 // txState is per-destination sender state: queued messages awaiting the
 // one-outstanding-message credit.
 type txState struct {
-	q        ring.Ring[*txMsg]
+	q        ring.Ring[*SendHandle]
 	credit   int // messages we may inject (window of 1)
 	pktAhead int // data packets in flight toward this destination
-}
-
-type txMsg struct {
-	msgID    uint64
-	tag      int
-	data     []byte
-	sent     int
-	injected bool
 }
 
 // Node returns the underlying node.
@@ -160,43 +143,41 @@ func (ep *Endpoint) callCost(base sim.Time) sim.Time {
 	return sim.Time(float64(base) * ep.sys.CallScale)
 }
 
-// Send is mpc_send: it enqueues the message and returns once the library
-// has accepted it, pipelining injection behind per-message credits. Data is
-// captured by reference; the caller must not reuse it until SendsDrained.
-func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, data []byte) {
-	ep.SendH(p, dst, tag, data)
+// SendHandle is one queued message and its progress into the adapter.
+type SendHandle struct {
+	msgID    uint64
+	tag      int
+	data     []byte
+	sent     int
+	injected bool
 }
-
-// SendHandle tracks one queued message's progress into the adapter.
-type SendHandle struct{ m *txMsg }
 
 // Injected reports whether the message has fully entered the send FIFO.
 // Injection is driven by library calls (credits arrive in the receive FIFO
 // and are only seen by polling), so a caller that needs the message moving
 // before a long silence must drive the endpoint until Injected.
-func (h *SendHandle) Injected() bool { return h.m.injected }
+func (m *SendHandle) Injected() bool { return m.injected }
 
-// SendH is Send returning an injection handle.
-func (ep *Endpoint) SendH(p *sim.Proc, dst, tag int, data []byte) *SendHandle {
+// Send is mpc_send: it enqueues the message and returns once the library
+// has accepted it, pipelining injection behind per-message credits. Data is
+// captured by reference; the caller must not reuse it until it is Injected.
+func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, data []byte) *SendHandle {
 	ep.node.ComputeUnscaled(p, ep.callCost(costSendOverhead))
 	ep.nextMsg++
-	m := &txMsg{msgID: ep.nextMsg, tag: tag, data: data}
+	m := &SendHandle{msgID: ep.nextMsg, tag: tag, data: data}
 	ep.tx[dst].q.Push(m)
 	ep.progress(p)
-	return &SendHandle{m: m}
+	return m
 }
 
 // BSend is mpc_bsend: it blocks until the source buffer is reusable, i.e.
 // the message is fully injected into the adapter.
 func (ep *Endpoint) BSend(p *sim.Proc, dst, tag int, data []byte) {
-	ep.node.ComputeUnscaled(p, ep.callCost(costSendOverhead))
-	ep.nextMsg++
-	m := &txMsg{msgID: ep.nextMsg, tag: tag, data: data}
-	ep.tx[dst].q.Push(m)
+	m := ep.Send(p, dst, tag, data)
 	for !m.injected {
-		ep.progress(p)
+		ep.Poll(p)
 		if !m.injected {
-			ep.pollOnce(p)
+			ep.progress(p)
 		}
 	}
 }
@@ -214,7 +195,7 @@ func (ep *Endpoint) SendsDrained() bool {
 // DrainSends drives the library until every queued send has been injected.
 func (ep *Endpoint) DrainSends(p *sim.Proc) {
 	for !ep.SendsDrained() {
-		ep.pollOnce(p)
+		ep.Poll(p)
 	}
 }
 
@@ -224,99 +205,89 @@ func (ep *Endpoint) DrainSends(p *sim.Proc) {
 // receive is posted lands directly in buf; an early arrival sits in a
 // library buffer and pays a second copy.
 func (ep *Endpoint) Recv(p *sim.Proc, src, tag int, buf []byte) (int, int, int) {
-	if m := ep.matchUnexpected(src, tag); m != nil {
-		n := copy(buf, m.buf[:m.total])
-		ep.node.Memcpy(p, n)
-		ep.node.ComputeUnscaled(p, costMatch)
-		return n, m.src, m.tag
+	if n, from, got, ok := ep.TryRecv(p, src, tag, buf); ok {
+		return n, from, got
 	}
-	pr := &postedRecv{src: src, tag: tag, buf: buf}
-	ep.posted = append(ep.posted, pr)
-	for pr.msg == nil || !pr.msg.done {
-		ep.pollOnce(p)
+	h := ep.PostRecv(src, tag, buf)
+	for !h.Done() {
+		ep.Poll(p)
 	}
-	ep.node.ComputeUnscaled(p, costMatch)
-	m := pr.msg
-	n := m.total
-	if n > len(buf) {
-		n = len(buf)
-	}
-	if !m.direct {
-		copy(buf, m.buf[:n])
-		ep.node.Memcpy(p, n)
-	}
-	return n, m.src, m.tag
+	return h.Complete(p)
 }
 
-// RecvHandle is a nonblocking posted receive (mpc_irecv-style); it is what
-// MPI-F builds its rendezvous data path on.
+// TryRecv receives a matching message that has already fully arrived,
+// without polling; ok is false when there is none.
+func (ep *Endpoint) TryRecv(p *sim.Proc, src, tag int, buf []byte) (n, from, got int, ok bool) {
+	m := ep.matchUnexpected(src, tag)
+	if m == nil {
+		return 0, 0, 0, false
+	}
+	n = copy(buf, m.buf[:m.total])
+	ep.node.Memcpy(p, n)
+	ep.node.ComputeUnscaled(p, costMatch)
+	return n, m.src, m.tag, true
+}
+
+// RecvHandle is a posted receive (mpc_irecv-style), what MPI-F builds its
+// rendezvous data path on. A message whose first packet finds it is
+// assembled directly in buf (one copy); otherwise the message lands in a
+// library buffer and is copied again by Complete (the eager early-arrival
+// penalty).
 type RecvHandle struct {
-	ep *Endpoint
-	pr *postedRecv
+	ep       *Endpoint
+	src, tag int
+	buf      []byte
+	msg      *rxMsg
 }
 
 // PostRecv registers a receive without blocking; messages that begin
 // arriving after registration land directly in buf.
-func (ep *Endpoint) PostRecv(p *sim.Proc, src, tag int, buf []byte) *RecvHandle {
-	if m := ep.matchUnexpected(src, tag); m != nil {
-		pr := &postedRecv{src: src, tag: tag, buf: buf, msg: m}
-		return &RecvHandle{ep: ep, pr: pr}
+func (ep *Endpoint) PostRecv(src, tag int, buf []byte) *RecvHandle {
+	h := &RecvHandle{ep: ep, src: src, tag: tag, buf: buf, msg: ep.matchUnexpected(src, tag)}
+	if h.msg == nil {
+		ep.posted = append(ep.posted, h)
 	}
-	pr := &postedRecv{src: src, tag: tag, buf: buf}
-	ep.posted = append(ep.posted, pr)
-	return &RecvHandle{ep: ep, pr: pr}
+	return h
 }
 
 // Done reports whether the posted receive's message has fully arrived.
-func (h *RecvHandle) Done() bool { return h.pr.msg != nil && h.pr.msg.done }
+func (h *RecvHandle) Done() bool { return h.msg != nil && h.msg.done }
 
 // Complete finalizes a Done receive (performing the early-arrival copy if
 // needed) and returns (bytes, source, tag).
 func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
-	ep := h.ep
-	m := h.pr.msg
-	ep.node.ComputeUnscaled(p, costMatch)
-	n := m.total
-	if n > len(h.pr.buf) {
-		n = len(h.pr.buf)
-	}
+	m := h.msg
+	h.ep.node.ComputeUnscaled(p, costMatch)
+	n := min(m.total, len(h.buf))
 	if !m.direct {
-		copy(h.pr.buf, m.buf[:n])
-		ep.node.Memcpy(p, n)
+		copy(h.buf, m.buf[:n])
+		h.ep.node.Memcpy(p, n)
 	}
 	return n, m.src, m.tag
 }
 
-// Probe reports whether a message with tag (or any, for AnyTag) has
-// arrived from any source without receiving it, polling once.
-func (ep *Endpoint) Probe(p *sim.Proc, tag int) bool {
-	ep.pollOnce(p)
-	for _, m := range ep.unexpected {
-		if tag == AnyTag || m.tag == tag {
-			return true
-		}
+func (ep *Endpoint) matchPosted(src, tag int) *RecvHandle {
+	i := slices.IndexFunc(ep.posted, func(h *RecvHandle) bool {
+		return (h.src == AnySource || h.src == src) && (h.tag == AnyTag || h.tag == tag)
+	})
+	if i < 0 {
+		return nil
 	}
-	return false
-}
-
-func (ep *Endpoint) matchPosted(src, tag int) *postedRecv {
-	for i, pr := range ep.posted {
-		if (pr.src == AnySource || pr.src == src) && (pr.tag == AnyTag || pr.tag == tag) {
-			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
-			return pr
-		}
-	}
-	return nil
+	h := ep.posted[i]
+	ep.posted = slices.Delete(ep.posted, i, i+1)
+	return h
 }
 
 func (ep *Endpoint) matchUnexpected(src, tag int) *rxMsg {
-	for i, m := range ep.unexpected {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			ep.unexpected = append(ep.unexpected[:i], ep.unexpected[i+1:]...)
-			return m
-		}
+	i := slices.IndexFunc(ep.unexpected, func(m *rxMsg) bool {
+		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+	})
+	if i < 0 {
+		return nil
 	}
-	return nil
+	m := ep.unexpected[i]
+	ep.unexpected = slices.Delete(ep.unexpected, i, i+1)
+	return m
 }
 
 // progress injects packets for queued messages as credits and FIFO space
@@ -385,10 +356,10 @@ func (ep *Endpoint) commit(p *sim.Proc, force bool) {
 	}
 }
 
-// pollOnce drains the receive FIFO once, reassembling messages, issuing
+// Poll drains the receive FIFO once, reassembling messages, issuing
 // credits, and driving pending sends. Every popped packet goes back to the
 // node's pool once its payload has been copied out.
-func (ep *Endpoint) pollOnce(p *sim.Proc) {
+func (ep *Endpoint) Poll(p *sim.Proc) {
 	ep.node.ComputeUnscaled(p, ep.callCost(costPollEmpty))
 	ad := ep.node.Adapter
 	for {

@@ -130,10 +130,10 @@ func ADI(cfg ADIConfig) Kernel {
 				nb = yVals * 8
 			}
 			if hasLo {
-				reqs = append(reqs, c.IrecvR(p, recvLo[:nb], loRank, tag+1))
+				reqs = append(reqs, c.Irecv(p, recvLo[:nb], loRank, tag+1))
 			}
 			if hasHi {
-				reqs = append(reqs, c.IrecvR(p, recvHi[:nb], hiRank, tag))
+				reqs = append(reqs, c.Irecv(p, recvHi[:nb], hiRank, tag))
 			}
 			if hasLo {
 				if dir == 0 {
@@ -142,7 +142,7 @@ func ADI(cfg ADIConfig) Kernel {
 					packY(0)
 				}
 				putF64s(sendLo[:nb], faceF[:nb/8])
-				reqs = append(reqs, c.IsendR(p, sendLo[:nb], loRank, tag))
+				reqs = append(reqs, c.Isend(p, sendLo[:nb], loRank, tag))
 			}
 			if hasHi {
 				if dir == 0 {
@@ -151,10 +151,10 @@ func ADI(cfg ADIConfig) Kernel {
 					packY(ly - 1)
 				}
 				putF64s(sendHi[:nb], faceF[:nb/8])
-				reqs = append(reqs, c.IsendR(p, sendHi[:nb], hiRank, tag+1))
+				reqs = append(reqs, c.Isend(p, sendHi[:nb], hiRank, tag+1))
 			}
 			for _, r := range reqs {
-				c.WaitR(p, r)
+				c.Wait(p, r)
 			}
 			if hasLo {
 				if dir == 0 {

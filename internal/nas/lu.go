@@ -70,7 +70,7 @@ func LU(cfg LUConfig) Kernel {
 					if !lower {
 						ny = my + 1
 					}
-					c.RecvB(p, rowB, rankOf(mx, ny), tagBase-z)
+					c.Recv(p, rowB, rankOf(mx, ny), tagBase-z)
 					getF64s(rowF, rowB)
 					for x := 0; x < lx; x++ {
 						for v := 0; v < nv; v++ {
@@ -83,7 +83,7 @@ func LU(cfg LUConfig) Kernel {
 					if !lower {
 						nx = mx + 1
 					}
-					c.RecvB(p, colB, rankOf(nx, my), tagBase-1000-z)
+					c.Recv(p, colB, rankOf(nx, my), tagBase-1000-z)
 					getF64s(colF, colB)
 					for y := 0; y < ly; y++ {
 						for v := 0; v < nv; v++ {
@@ -121,7 +121,7 @@ func LU(cfg LUConfig) Kernel {
 						}
 					}
 					putF64s(rowB, rowF)
-					c.SendB(p, rowB, rankOf(mx, ny), tagBase-z)
+					c.Send(p, rowB, rankOf(mx, ny), tagBase-z)
 				}
 				if sendE {
 					nx := mx + 1
@@ -134,7 +134,7 @@ func LU(cfg LUConfig) Kernel {
 						}
 					}
 					putF64s(colB, colF)
-					c.SendB(p, colB, rankOf(nx, my), tagBase-1000-z)
+					c.Send(p, colB, rankOf(nx, my), tagBase-1000-z)
 				}
 			}
 		}

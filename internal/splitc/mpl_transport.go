@@ -120,12 +120,11 @@ func (t *mplTransport) PollWait(p *sim.Proc) { t.Poll(p) }
 // Poll services every message currently deliverable, dispatching the
 // Split-C/MPL protocol.
 func (t *mplTransport) Poll(p *sim.Proc) {
-	ep := t.ep
-	for {
-		if !ep.Probe(p, mpl.AnyTag) {
+	for t.ep.Poll(p); ; t.ep.Poll(p) {
+		_, src, tag, ok := t.ep.TryRecv(p, mpl.AnySource, mpl.AnyTag, t.scratch)
+		if !ok {
 			return
 		}
-		_, src, tag := ep.Recv(p, mpl.AnySource, mpl.AnyTag, t.scratch)
 		h0 := binary.LittleEndian.Uint64(t.scratch[0:])
 		h1 := binary.LittleEndian.Uint64(t.scratch[8:])
 		h2 := binary.LittleEndian.Uint64(t.scratch[16:])
