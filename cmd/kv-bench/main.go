@@ -56,6 +56,7 @@ func main() {
 	s, err := cf.Setup()
 	check(err)
 
+	check(bench.OneMode("cachetable", "writetable", "chaos"))
 	mix, err := load.ParseMix(*mixName)
 	check(err)
 	mixSet := false
@@ -90,9 +91,7 @@ func main() {
 		CacheSize:      *cacheSize,
 		Lease:          hw.US(*leaseUS),
 		BatchOps:       *batchOps,
-	}
-	if *batchWindowUS > 0 {
-		base.BatchWindow = hw.US(*batchWindowUS)
+		BatchWindow:    hw.US(*batchWindowUS),
 	}
 	rates := bench.KVDefaultRates()
 	if *rate > 0 {

@@ -76,10 +76,10 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"splitc-bench", "-p", "0"},
 		{"splitc-bench", "-p", "-2"},
 		{"splitc-bench", "-table", "7"},
-		{"spam-trace", "-words", "5"},
-		{"spam-trace", "-words", "-1"},
-		{"spam-trace", "-iters", "0"},
-		{"spam-trace", "-iters", "-1"},
+		{"spam-bench", "-words", "5", "-breakdown"},
+		{"spam-bench", "-words", "-1", "-breakdown"},
+		{"spam-bench", "-iters", "0", "-breakdown"},
+		{"spam-bench", "-iters", "-1", "-breakdown"},
 		{"kv-bench", "-servers", "0"},
 		{"kv-bench", "-nodes", "0"},
 		{"kv-bench", "-reqs", "0"},
@@ -89,20 +89,27 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"kv-bench", "-keys", "-5"},
 		{"kv-bench", "-keys", "4194305"},
 		{"kv-bench", "-rate", "-1"},
+		{"kv-bench", "-cachesize", "-5"},
+		{"kv-bench", "-lease", "-1"},
+		{"kv-bench", "-batchops", "-3"},
+		{"kv-bench", "-batchwindow", "-2"},
+		{"kv-bench", "-clients", "-7"},
+		{"kv-bench", "-cachetable", "-writetable"},
 		{"spam-bench", "-par", "-3", "-table", "2"},
 		{"spam-bench", "-table", "7"},
 		{"spam-bench", "-figure", "7"},
 		{"spam-bench", "-chaos", "flood"},
 		{"mpi-bench", "-figure", "99"},
 		{"kv-bench", "-chaos", "loss"},
-		{"spam-trace", "-gap", "-out", "gap.json"},
-		{"spam-trace", "-gap", "-timeline"},
-		{"spam-trace", "-gap", "-load"},
-		{"spam-trace", "-breakdown", "-metrics"},
+		{"spam-bench", "-gap", "-trace", "gap.json"},
+		{"spam-bench", "-gap", "-metrics"},
+		{"spam-bench", "-timeline", "-gap"},
+		{"spam-bench", "-gap", "-load"},
+		{"spam-bench", "-figure", "3", "-table", "2"},
 		{"spam-bench", "-total", "0", "-figure", "3"},
 		{"mpi-bench", "-total", "0", "-figure", "7"},
-		{"spam-trace", "-total", "-5", "-load"},
-		{"spam-trace", "-total", "100", "-load"},
+		{"spam-bench", "-total", "-5", "-load"},
+		{"spam-bench", "-total", "100", "-load"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(dir, args[0]), args[1:]...)
@@ -158,6 +165,41 @@ func TestObservedParMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBreakdownObserved: -metrics and -trace compose with the round-trip
+// breakdown without changing it. One run prints the golden breakdown, then
+// the snapshot, and writes the trace file -breakdown -trace writes alone.
+func TestBreakdownObserved(t *testing.T) {
+	dir, tmp := builtCommands(t), t.TempDir()
+	run := func(name string, args ...string) (stdout, file []byte) {
+		path := filepath.Join(tmp, name)
+		stdout, err := exec.Command(filepath.Join(dir, "spam-bench"),
+			append([]string{"-breakdown", "-trace", path}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("spam-bench -breakdown -trace %v: %v", args, err)
+		}
+		if file, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return stdout, file
+	}
+	out, observed := run("observed.json", "-metrics")
+	_, alone := run("alone.json")
+	golden, err := os.ReadFile(filepath.Join("results", "trace-breakdown.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, ok := bytes.CutPrefix(out, golden)
+	if !ok {
+		t.Errorf("-breakdown -metrics -trace does not begin with results/trace-breakdown.txt: %s", firstDiff(out, golden))
+	}
+	if !bytes.HasPrefix(snapshot, []byte("# protocol metrics\n")) || !bytes.Contains(snapshot, []byte("am.polls ")) {
+		t.Errorf("no protocol metrics snapshot after the breakdown:\n%s", snapshot)
+	}
+	if !bytes.Equal(observed, alone) {
+		t.Errorf("-metrics changed the trace file: %d bytes with it, %d without", len(observed), len(alone))
+	}
+}
+
 // TestKVBenchHeaderIsTheRunConfig: the table header states the configuration
 // kv ran, not a second derivation of kv's defaults. Fewer virtual clients
 // than client nodes is where the two used to part.
@@ -176,21 +218,19 @@ func TestKVBenchHeaderIsTheRunConfig(t *testing.T) {
 // goldens is the behaviour contract, and the only route from a command to a
 // published number: every checked-in results/ file and the command line that
 // regenerates it. The fast rows take under a second each and run in every
-// `go test ./...`; the rest run under -golden. spam-trace runs one traced
-// cluster and sweeps nothing, so it has no -par to pass.
+// `go test ./...`; the rest run under -golden.
 var goldens = []struct {
-	file  string
-	fast  bool
-	noPar bool
-	args  []string
+	file string
+	fast bool
+	args []string
 }{
 	{file: "table2.txt", fast: true, args: []string{"spam-bench", "-table", "2"}},
 	{file: "table3.txt", args: []string{"spam-bench", "-table", "3"}},
 	{file: "figure3.txt", args: []string{"spam-bench", "-figure", "3"}},
 	{file: "ablations.txt", fast: true, args: []string{"spam-bench", "-ablations"}},
-	{file: "trace-breakdown.txt", fast: true, noPar: true, args: []string{"spam-trace", "-breakdown"}},
-	{file: "trace-gap.txt", fast: true, noPar: true, args: []string{"spam-trace", "-gap"}},
-	{file: "trace-load.txt", fast: true, noPar: true, args: []string{"spam-trace", "-load"}},
+	{file: "trace-breakdown.txt", fast: true, args: []string{"spam-bench", "-breakdown"}},
+	{file: "trace-gap.txt", fast: true, args: []string{"spam-bench", "-gap"}},
+	{file: "trace-load.txt", fast: true, args: []string{"spam-bench", "-load"}},
 	{file: "figure7.txt", fast: true, args: []string{"mpi-bench", "-figure", "7"}},
 	{file: "figure8.txt", fast: true, args: []string{"mpi-bench", "-figure", "8"}},
 	{file: "figure9.txt", args: []string{"mpi-bench", "-figure", "9"}},
@@ -286,10 +326,7 @@ func TestGoldens(t *testing.T) {
 		}
 		t.Run(g.file, func(t *testing.T) {
 			t.Parallel()
-			args := g.args[1:]
-			if !g.noPar {
-				args = append([]string{"-par", strconv.Itoa(*goldenPar)}, args...)
-			}
+			args := append([]string{"-par", strconv.Itoa(*goldenPar)}, g.args[1:]...)
 			var stderr bytes.Buffer
 			cmd := exec.Command(filepath.Join(dir, g.args[0]), args...)
 			cmd.Stderr = &stderr

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"spam/internal/trace"
 )
@@ -30,6 +32,23 @@ func StdFlags() *CommonFlags {
 		trace:   flag.String("trace", "", "write Chrome trace-event JSON of the run to FILE"),
 		metrics: flag.Bool("metrics", false, "print a protocol metrics snapshot after the run"),
 	}
+}
+
+// OneMode is the error for a command line that sets more than one of the
+// named mode flags (names without the dash) away from its default: a
+// command runs one mode, and would drop the second silently. Call after
+// flag.Parse.
+func OneMode(names ...string) error {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { // in lexical order
+		if slices.Contains(names, f.Name) && f.Value.String() != f.DefValue {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 1 {
+		return fmt.Errorf("%s must be the only mode flag (got %s)", set[0], strings.Join(set, " "))
+	}
+	return nil
 }
 
 // Setup is the Setup the parsed flags ask for: -par's worker count and,

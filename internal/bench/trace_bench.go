@@ -2,16 +2,20 @@ package bench
 
 import "spam/internal/trace"
 
-// TracedPingPong runs the ping-pong under s with a recorder of its own and
-// returns it holding the timed trips only (eight warm-up trips are cut),
-// with the measured round trip in microseconds. The recorder captures
-// iters+1 request windows so DecomposeRoundTrip sees exactly iters complete
+// TracedPingPong runs the ping-pong under s, recording into s.Tracer (which
+// must be empty) or, when s has none, into a recorder of its own, and
+// returns the recorder holding the timed trips only (eight warm-up trips are
+// cut), with the measured round trip in microseconds: spam-bench -breakdown
+// decomposes it and its -trace writes it. The recorder captures iters+1
+// request windows so DecomposeRoundTrip sees exactly iters complete
 // iterations; pick iters a multiple of 16 so the lazy-pop MicroChannel
 // amortization (one access per 16 pops) averages out exactly.
 func TracedPingPong(s Setup, words, iters int) (*trace.Recorder, float64) {
 	const warmup = 8
-	rec := trace.New()
-	s.Tracer = rec
+	if s.Tracer == nil {
+		s.Tracer = trace.New()
+	}
+	rec := s.Tracer
 	rtt, _ := PingPong(s, words, warmup, iters+1)
 	// The warm-up ends where node 0 issues its first timed request: nothing
 	// runs between the last warm-up reply and that request's first event.

@@ -79,7 +79,7 @@ func TestTraceDeterminism(t *testing.T) {
 }
 
 // TestTracedBandwidthRecordsLoad checks the load-tracing path used for
-// queueing attribution (spam-trace -load): a bulk transfer with a recorder
+// queueing attribution (spam-bench -load): a bulk transfer with a recorder
 // in its Setup records full packet lifecycles.
 func TestTracedBandwidthRecordsLoad(t *testing.T) {
 	rec := trace.New()

@@ -73,7 +73,8 @@ const (
 )
 
 // Config describes one kv run: the cluster shape, the keyspace sharding,
-// the offered load, and the optional fault plan.
+// the offered load, and the optional fault plan. A zero field with a default
+// takes it; a negative one is an error naming the field.
 type Config struct {
 	Servers     int // server nodes (node ids 0..Servers-1)
 	ClientNodes int // client nodes (node ids Servers..Servers+ClientNodes-1)
@@ -118,21 +119,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Servers < 1 || c.ClientNodes < 1 {
 		return c, fmt.Errorf("kv: need at least 1 server and 1 client node (got %d/%d)", c.Servers, c.ClientNodes)
 	}
-	if c.ShardsPerServer <= 0 {
-		c.ShardsPerServer = 8
+	var err error
+	orDefault(&err, "ShardsPerServer", &c.ShardsPerServer, 8)
+	orDefault(&err, "Replicas", &c.Replicas, 2)
+	orDefault(&err, "Keys", &c.Keys, 1<<16)
+	orDefault(&err, "VirtualClients", &c.VirtualClients, c.ClientNodes)
+	orDefault(&err, "MaxAttempts", &c.MaxAttempts, 64)
+	orDefault(&err, "CacheSize", &c.CacheSize, 4096)
+	orDefault(&err, "Lease", &c.Lease, hw.US(100_000))
+	orDefault(&err, "BatchOps", &c.BatchOps, 16)
+	orDefault(&err, "BatchWindow", &c.BatchWindow, hw.US(20))
+	if err != nil {
+		return c, err
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.Replicas > c.Servers {
-		c.Replicas = c.Servers
-	}
-	if c.Replicas > maxReplicas {
-		c.Replicas = maxReplicas
-	}
-	if c.Keys <= 0 {
-		c.Keys = 1 << 16
-	}
+	c.Replicas = min(c.Replicas, c.Servers, maxReplicas)
 	if c.Keys > maxKeyspace {
 		return c, fmt.Errorf("kv: Keys %d exceeds max %d (the per-key table is sized by it)", c.Keys, maxKeyspace)
 	}
@@ -148,32 +148,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Mix == (load.Mix{}) {
 		c.Mix = load.DefaultMix()
 	}
-	if c.VirtualClients <= 0 {
-		c.VirtualClients = c.ClientNodes
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 64
 	}
 	if c.MaxAttempts > math.MaxUint16 {
 		return c, fmt.Errorf("kv: MaxAttempts %d exceeds the attempt counter (max %d)", c.MaxAttempts, math.MaxUint16)
 	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 4096
-	}
-	if c.Lease <= 0 {
-		c.Lease = hw.US(100_000)
-	}
-	if c.BatchOps <= 0 {
-		c.BatchOps = 16
-	}
 	if c.BatchOps > maxBatchOps {
 		return c, fmt.Errorf("kv: BatchOps %d exceeds max %d (grant bitmap is one wire word)", c.BatchOps, maxBatchOps)
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = hw.US(20)
 	}
 	if c.ClientNodes > 1<<16 {
 		return c, fmt.Errorf("kv: ClientNodes %d exceeds the holder encoding (16 bits)", c.ClientNodes)
@@ -186,6 +168,17 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// orDefault sets a zero *v to def. A negative *v is an error naming the
+// field, kept in *err unless an earlier field's is there.
+func orDefault[T int | sim.Time](err *error, field string, v *T, def T) {
+	switch {
+	case *v < 0 && *err == nil:
+		*err = fmt.Errorf("kv: %s must not be negative (got %v)", field, *v)
+	case *v == 0:
+		*v = def
+	}
 }
 
 // amOptions tunes the AM keep-alive ladder for a serving workload: a busy

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"spam/internal/am"
@@ -301,6 +302,25 @@ func TestKVConfigValidation(t *testing.T) {
 	bad.Keys = maxKeyspace
 	if err := bad.Validate(); err != nil {
 		t.Fatalf("Keys %d rejected: %v", bad.Keys, err)
+	}
+	// Zero selects a field's default; a negative value is an error naming
+	// the field, not the default run silently.
+	for field, set := range map[string]func(*Config){
+		"ShardsPerServer": func(c *Config) { c.ShardsPerServer = -1 },
+		"Replicas":        func(c *Config) { c.Replicas = -1 },
+		"Keys":            func(c *Config) { c.Keys = -5 },
+		"VirtualClients":  func(c *Config) { c.VirtualClients = -7 },
+		"MaxAttempts":     func(c *Config) { c.MaxAttempts = -1 },
+		"CacheSize":       func(c *Config) { c.CacheSize = -5 },
+		"Lease":           func(c *Config) { c.Lease = -hw.US(1) },
+		"BatchOps":        func(c *Config) { c.BatchOps = -3 },
+		"BatchWindow":     func(c *Config) { c.BatchWindow = -hw.US(2) },
+	} {
+		bad = testConfig(100)
+		set(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), field+" must not be negative") {
+			t.Errorf("negative %s: %v, want an error naming the field", field, err)
+		}
 	}
 }
 

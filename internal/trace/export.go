@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // lane maps a span-start kind to its display lane and matching end kind.
@@ -44,33 +45,6 @@ var laneNames = func() map[int]string {
 
 const fifoLane = 9
 
-// jsonEscape writes s as a JSON string body (no quotes); event labels are
-// plain ASCII so only the mandatory escapes are handled.
-func jsonEscape(s string) string {
-	ok := true
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == '"' || c == '\\' || c < 0x20 {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		return s
-	}
-	out := make([]byte, 0, len(s)+8)
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			out = append(out, '\\', c)
-		case c < 0x20:
-			out = append(out, fmt.Sprintf("\\u%04x", c)...)
-		default:
-			out = append(out, c)
-		}
-	}
-	return string(out)
-}
-
 type spanKey struct {
 	kind Kind
 	node int32
@@ -83,6 +57,9 @@ type spanKey struct {
 // threads; packets appear as complete ("X") slices named by their protocol
 // class, instants as "i" events. Timestamps are microseconds, as the format
 // requires. Output is deterministic for a deterministic event stream.
+// Names are written unescaped: every label is a constant of trace, hw or am
+// (kind, lane and packet-class names, fault actions, "bulk") with no quote,
+// backslash or control character.
 func WriteChromeTrace(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
@@ -104,18 +81,12 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 	for n := range nodes {
 		nodeList = append(nodeList, n)
 	}
-	for i := 0; i < len(nodeList); i++ { // insertion-order-free: sort small list
-		for j := i + 1; j < len(nodeList); j++ {
-			if nodeList[j] < nodeList[i] {
-				nodeList[i], nodeList[j] = nodeList[j], nodeList[i]
-			}
-		}
-	}
+	slices.Sort(nodeList)
 	for _, n := range nodeList {
 		item(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":"node %d"}}`, n, n)
 		for tid := 0; tid <= fifoLane; tid++ {
 			item(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"%s"}}`,
-				n, tid, jsonEscape(laneNames[tid]))
+				n, tid, laneNames[tid])
 		}
 	}
 
@@ -130,7 +101,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 			dur = 0
 		}
 		item(`{"ph":"X","pid":%d,"tid":%d,"ts":%.3f,"dur":%.3f,"name":"%s","args":{"pkt":%d}}`,
-			start.Node, tid, float64(start.T)/1e3, float64(dur)/1e3, jsonEscape(name), start.Pkt)
+			start.Node, tid, float64(start.T)/1e3, float64(dur)/1e3, name, start.Pkt)
 	}
 	for _, e := range evs {
 		if e.Kind == EvStaged && e.Class != "" {
@@ -173,7 +144,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 			}
 		default:
 			item(`{"ph":"i","pid":%d,"tid":0,"ts":%.3f,"s":"t","name":"%s","args":{"pkt":%d,"arg":%d}}`,
-				e.Node, float64(e.T)/1e3, jsonEscape(e.Kind.String()+labelSuffix(e)), e.Pkt, e.Arg)
+				e.Node, float64(e.T)/1e3, e.Kind.String()+labelSuffix(e), e.Pkt, e.Arg)
 		}
 	}
 	fmt.Fprintf(bw, "\n]}\n")
