@@ -29,24 +29,13 @@ var keep = map[string]string{
 	"internal/am.Endpoint.DebugChannel": "am's PollWait equivalence tests take the channel snapshot through it",
 	"internal/am.Stats.RTTSamples":      "TestShortEchoZeroAlloc, TestBulkZeroAlloc and TestPollWaitMatchesPollLoop check Karn samples were taken; a metric tag would move chaos-kill.txt",
 
-	"internal/faults.BurstLoss":       "StandardPlans' burst-loss plan; faults and am tests build it directly",
-	"internal/faults.Duplicate":       "StandardPlans' duplication plan; faults and hw tests build it directly",
-	"internal/faults.Reorder":         "StandardPlans' reorder plan, run by the chaos soaks of four packages",
-	"internal/faults.Corrupt":         "StandardPlans' corruption plan; faults and hw tests build it directly",
-	"internal/faults.Blackout":        "StandardPlans' blackout plan; am's fail-stop and PollWait tests build it directly",
-	"internal/faults.PartitionOneWay": "FailStopPlans' one-way partition, checked by the faults tests",
-	"internal/faults.Degrade":         "StandardPlans' degraded-link plan, run by the chaos soaks",
-	"internal/faults.Rule.OnClass":    "the faults tests scope a rule to a traffic class with it",
-	"internal/faults.Rule.FromNode":   "the faults tests scope a rule to a source node with it",
-	"internal/faults.Rule.ToNode":     "the faults tests scope a rule to a destination node with it",
-	"internal/faults.Rule.Between":    "the faults tests scope a rule to a time window with it",
-	"internal/faults.StandardPlans":   "the chaos harness the am, mpi, nas, splitc and bench soaks share",
-	"internal/faults.FailStopPlans":   "the fail-stop plans the faults tests check against the standard ones",
-	"internal/faults/soak.Run":        "the soak harness the mpi, nas and splitc chaos tests share",
-	"internal/faults/soak.Workload":   "the workload type the shared soak harness runs",
-	"internal/faults/soak.Soak":       "the per-plan soak loop the mpi, nas and splitc chaos tests share",
-	"internal/faults/soak.Mix":        "the checksum the shared soak compares across plans",
-	"internal/faults/soak.MixBytes":   "the byte checksum the shared soak compares across plans",
+	"internal/faults.StandardPlans": "the chaos harness the am, mpi, nas, splitc and bench soaks share",
+	"internal/faults.FailStopPlans": "the fail-stop plans the faults tests check against the standard ones",
+	"internal/faults/soak.Run":      "the soak harness the mpi, nas and splitc chaos tests share",
+	"internal/faults/soak.Workload": "the workload type the shared soak harness runs",
+	"internal/faults/soak.Soak":     "the per-plan soak loop the mpi, nas and splitc chaos tests share",
+	"internal/faults/soak.Mix":      "the checksum the shared soak compares across plans",
+	"internal/faults/soak.MixBytes": "the byte checksum the shared soak compares across plans",
 
 	"internal/hw.DropIf":               "am and hw tests drop chosen packets with it to drive retransmission",
 	"internal/hw.LossReport.TotalLost": "am, hw and mpl tests assert no packet was lost",

@@ -33,7 +33,7 @@ import (
 func main() {
 	servers := flag.Int("servers", 4, "server nodes")
 	nodes := flag.Int("nodes", 4, "client nodes driving the load")
-	clients := flag.Int("clients", 1_000_000, "virtual end-clients multiplexed over the client nodes")
+	clients := flag.Int("clients", 1_000_000, "end-client ids spread over the client nodes, at least -nodes (each request draws one; nothing in the model reads it)")
 	rate := flag.Float64("rate", 0, "offered load in requests/s (0 = sweep the default ladder)")
 	zipf := flag.Float64("zipf", 1.3, "key-popularity skew (<= 1 uniform)")
 	keys := flag.Int("keys", 1<<16, "keyspace size")

@@ -94,6 +94,7 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"kv-bench", "-batchops", "-3"},
 		{"kv-bench", "-batchwindow", "-2"},
 		{"kv-bench", "-clients", "-7"},
+		{"kv-bench", "-clients", "2", "-nodes", "4"},
 		{"kv-bench", "-cachetable", "-writetable"},
 		{"spam-bench", "-par", "-3", "-table", "2"},
 		{"spam-bench", "-table", "7"},
@@ -197,21 +198,6 @@ func TestBreakdownObserved(t *testing.T) {
 	}
 	if !bytes.Equal(observed, alone) {
 		t.Errorf("-metrics changed the trace file: %d bytes with it, %d without", len(observed), len(alone))
-	}
-}
-
-// TestKVBenchHeaderIsTheRunConfig: the table header states the configuration
-// kv ran, not a second derivation of kv's defaults. Fewer virtual clients
-// than client nodes is where the two used to part.
-func TestKVBenchHeaderIsTheRunConfig(t *testing.T) {
-	out, err := exec.Command(filepath.Join(builtCommands(t), "kv-bench"),
-		"-reqs", "200", "-rate", "50e3", "-clients", "2", "-nodes", "4").Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, _, _ := strings.Cut(string(out), "\n")
-	if !strings.Contains(header, "4 client nodes, 2 virtual clients,") {
-		t.Errorf("kv-bench -clients 2 -nodes 4 header:\n%s", header)
 	}
 }
 

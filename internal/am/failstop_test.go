@@ -19,7 +19,7 @@ import (
 func blackoutWedge(budget sim.Time) (*am.System, error) {
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := am.New(c)
-	faults.NewPlan("blackout-forever", 11, faults.Blackout(hw.US(200), 0)).Apply(c)
+	(&faults.Plan{Name: "blackout-forever", Seed: 11, Rules: []faults.Rule{{Action: hw.ActDrop, Rate: 1, From: hw.US(200)}}}).Apply(c)
 	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, 256))
 	c.Spawn(0, "mover", func(p *sim.Proc, _ *hw.Node) {
 		ep := sys.EPs[0]

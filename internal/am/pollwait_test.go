@@ -162,7 +162,7 @@ var waitScenarios = []struct {
 		// idleBudget's checks fails this scenario.)
 		name: "all-to-all-bulk", nodes: 4, sendProc: hw.US(40), opt: am.DefaultOptions(),
 		build: func(e *waitEnv) {
-			faults.NewPlan("loss", 4, faults.Loss(0.02)).Apply(e.c)
+			(&faults.Plan{Name: "loss", Seed: 4, Rules: []faults.Rule{{Action: hw.ActDrop, Rate: 0.02}}}).Apply(e.c)
 			const nn, size = 4, 48 << 10
 			landed := make([]int, nn)
 			bh := e.sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
@@ -198,7 +198,8 @@ var waitScenarios = []struct {
 		// resumes and the retransmission gets through.
 		name: "blackout-probes-backoff", nodes: 2, opt: fastKeepAlive(),
 		build: func(e *waitEnv) {
-			faults.NewPlan("blackout", 7, faults.Blackout(hw.US(400), hw.US(2500))).Apply(e.c)
+			(&faults.Plan{Name: "blackout", Seed: 7, Rules: []faults.Rule{
+				{Action: hw.ActDrop, Rate: 1, From: hw.US(400), Until: hw.US(2500)}}}).Apply(e.c)
 			replies, done := 0, false
 			replyH := e.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) { replies++ })
 			reqH := e.sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {

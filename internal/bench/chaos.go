@@ -16,11 +16,11 @@ import (
 // declaration, the operations completed before it, and the aggregate
 // protocol counters.
 func amKillRun(s Setup, killAt sim.Time, loss float64, n int) (derr *am.PeerDeathError, completed int, errAt sim.Time, st am.Stats) {
-	var rules []*faults.Rule
+	s.Plan = &faults.Plan{Name: fmt.Sprintf("kill@%v", killAt), Seed: 0x51a11,
+		Kills: []faults.NodeKill{{Node: 1, At: killAt}}}
 	if loss > 0 {
-		rules = append(rules, faults.Loss(loss))
+		s.Plan.Rules = []faults.Rule{{Action: hw.ActDrop, Rate: loss}}
 	}
-	s.Plan = faults.NewPlan(fmt.Sprintf("kill@%v", killAt), 0x51a11, rules...).WithKill(1, killAt)
 	c, sys := s.am(2)
 
 	remoteSeg := c.Nodes[1].Mem.Add(make([]byte, n))
@@ -90,8 +90,8 @@ func ChaosTable(w io.Writer, s Setup, total int) {
 	for _, r := range rates {
 		s.Plan = nil
 		if r > 0 {
-			s.Plan = faults.NewPlan(fmt.Sprintf("loss-%.3f", r),
-				0xc4a05+uint64(r*1e6), faults.Loss(r))
+			s.Plan = &faults.Plan{Name: fmt.Sprintf("loss-%.3f", r), Seed: 0xc4a05 + uint64(r*1e6),
+				Rules: []faults.Rule{{Action: hw.ActDrop, Rate: r}}}
 		}
 		mbps, after := Bandwidth(s, AsyncStore, n, total)
 		if base == 0 {

@@ -163,7 +163,8 @@ func KVWriteTable(w io.Writer, s Setup, base kv.Config, names []string, mixes []
 // request must still end in a reply or a typed error.
 func KVKillTable(w io.Writer, s Setup, base kv.Config, killServer int, kills []sim.Time) {
 	pts := kvRuns(s, base, len(kills), func(i int, cfg *kv.Config) {
-		cfg.Plan = faults.NewPlan(fmt.Sprintf("kill@%v", kills[i]), 0).WithKill(killServer, kills[i])
+		cfg.Plan = &faults.Plan{Name: fmt.Sprintf("kill@%v", kills[i]),
+			Kills: []faults.NodeKill{{Node: killServer, At: kills[i]}}}
 	})
 	fmt.Fprintf(w, "# kv-bench: fail-stop server %d under load (%d servers, %d client nodes, %.0f rps offered)\n",
 		killServer, base.Servers, base.ClientNodes, base.Rate)

@@ -37,7 +37,7 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			s    Setup
 		}{
 			{"tracer and metrics", Setup{Tracer: rec, Metrics: reg}},
-			{"empty fault plan", Setup{Plan: faults.NewPlan("none", 1)}},
+			{"empty fault plan", Setup{Plan: &faults.Plan{Name: "none", Seed: 1}}},
 		} {
 			got, gotRan := d.run(o.s)
 			if got != want || gotRan != wantRan {

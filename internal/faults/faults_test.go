@@ -13,20 +13,21 @@ func TestRuleMatching(t *testing.T) {
 	pkt := func(src, dst int) *hw.Packet { return &hw.Packet{Src: src, Dst: dst} }
 	cases := []struct {
 		name string
-		r    *Rule
+		r    Rule
 		now  sim.Time
 		pkt  *hw.Packet
 		want bool
 	}{
-		{"any", Loss(1), 0, pkt(0, 1), true},
-		{"src match", Loss(1).FromNode(0), 0, pkt(0, 1), true},
-		{"src miss", Loss(1).FromNode(2), 0, pkt(0, 1), false},
-		{"dst match", Loss(1).ToNode(1), 0, pkt(0, 1), true},
-		{"dst miss", Loss(1).ToNode(0), 0, pkt(0, 1), false},
-		{"before window", Loss(1).Between(100, 200), 99, pkt(0, 1), false},
-		{"in window", Loss(1).Between(100, 200), 100, pkt(0, 1), true},
-		{"after window", Loss(1).Between(100, 200), 200, pkt(0, 1), false},
-		{"class miss on untyped pkt", Loss(1).OnClass("ack"), 0, pkt(0, 1), false},
+		{"any", Rule{}, 0, pkt(0, 1), true},
+		{"empty sets match any node", Rule{Srcs: []int{}, Dsts: []int{}}, 0, pkt(0, 1), true},
+		{"src match", Rule{Srcs: []int{0}}, 0, pkt(0, 1), true},
+		{"src miss", Rule{Srcs: []int{2}}, 0, pkt(0, 1), false},
+		{"dst match", Rule{Dsts: []int{1}}, 0, pkt(0, 1), true},
+		{"dst miss", Rule{Dsts: []int{0}}, 0, pkt(0, 1), false},
+		{"before window", Rule{From: 100, Until: 200}, 99, pkt(0, 1), false},
+		{"in window", Rule{From: 100, Until: 200}, 100, pkt(0, 1), true},
+		{"after window", Rule{From: 100, Until: 200}, 200, pkt(0, 1), false},
+		{"class miss on untyped pkt", Rule{Classes: []string{"ack"}}, 0, pkt(0, 1), false},
 	}
 	for _, tc := range cases {
 		if got := tc.r.matches(tc.now, tc.pkt); got != tc.want {
@@ -36,7 +37,7 @@ func TestRuleMatching(t *testing.T) {
 }
 
 func TestRuleClassMatching(t *testing.T) {
-	r := Loss(1).OnClass("ack", "reply")
+	r := Rule{Classes: []string{"ack", "reply"}}
 	for kind, want := range map[hw.Kind]bool{hw.KindAck: true, hw.KindReply: true, hw.KindRequest: false} {
 		p := &hw.Packet{Hdr: hw.Header{Kind: kind}}
 		if got := r.matches(0, p); got != want {
@@ -51,7 +52,7 @@ func TestRuleClassMatching(t *testing.T) {
 func TestBurstSemantics(t *testing.T) {
 	const burst = 4
 	eng := sim.NewEngine(1)
-	f := NewPlan("b", 7, BurstLoss(0.05, burst)).Compile(eng)
+	f := (&Plan{Name: "b", Seed: 7, Rules: []Rule{{Action: hw.ActDrop, Rate: 0.05, Burst: burst}}}).Compile(eng)
 	run, drops := 0, 0
 	for i := 0; i < 5000; i++ {
 		v := f(&hw.Packet{Src: 0, Dst: 1})
@@ -75,7 +76,11 @@ func TestBurstSemantics(t *testing.T) {
 func TestPlanDeterminism(t *testing.T) {
 	mk := func() []hw.FaultAction {
 		eng := sim.NewEngine(1)
-		f := NewPlan("d", 42, Loss(0.1), Duplicate(0.1), Corrupt(0.1)).Compile(eng)
+		f := (&Plan{Name: "d", Seed: 42, Rules: []Rule{
+			{Action: hw.ActDrop, Rate: 0.1},
+			{Action: hw.ActDuplicate, Rate: 0.1},
+			{Action: hw.ActCorrupt, Rate: 0.1},
+		}}).Compile(eng)
 		var out []hw.FaultAction
 		for i := 0; i < 2000; i++ {
 			out = append(out, f(&hw.Packet{Src: 0, Dst: 1}).Action)
@@ -103,8 +108,9 @@ func TestRuleOrderIndependentStreams(t *testing.T) {
 	}
 	// The second plan's extra rule only matches node 5 traffic, so it never
 	// fires here — the drop pattern must be unchanged.
-	a := fire(NewPlan("p", 9, Loss(0.1)))
-	b := fire(NewPlan("p", 9, Loss(0.1), Duplicate(0.5).FromNode(5)))
+	loss := Rule{Action: hw.ActDrop, Rate: 0.1}
+	a := fire(&Plan{Name: "p", Seed: 9, Rules: []Rule{loss}})
+	b := fire(&Plan{Name: "p", Seed: 9, Rules: []Rule{loss, {Action: hw.ActDuplicate, Rate: 0.5, Srcs: []int{5}}}})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("drop pattern diverged at packet %d after appending an unrelated rule", i)
@@ -148,7 +154,7 @@ func storeUnder(t *testing.T, plan *Plan, size int) (*am.System, []byte, []byte)
 // checksum (counted in CorruptDropped), never handed to a handler, and the
 // transfer must still complete intact via retransmission.
 func TestCorruptedPacketsNeverDelivered(t *testing.T) {
-	sys, src, dst := storeUnder(t, NewPlan("corrupt", 3, Corrupt(0.15)), 64<<10)
+	sys, src, dst := storeUnder(t, &Plan{Name: "corrupt", Seed: 3, Rules: []Rule{{Action: hw.ActCorrupt, Rate: 0.15}}}, 64<<10)
 	if !bytes.Equal(src, dst) {
 		t.Fatal("payload damaged end-to-end: corruption leaked past the checksum")
 	}
@@ -178,9 +184,9 @@ func TestCorruptedPacketsNeverDelivered(t *testing.T) {
 func TestReplyChannelStarvation(t *testing.T) {
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := am.New(c)
-	NewPlan("reply-starve", 11,
-		Loss(1).OnClass("reply", "ack").Between(0, 800*hw.Microsecond),
-	).Apply(c)
+	(&Plan{Name: "reply-starve", Seed: 11, Rules: []Rule{
+		{Action: hw.ActDrop, Rate: 1, Classes: []string{"reply", "ack"}, Until: 800 * hw.Microsecond},
+	}}).Apply(c)
 
 	const nReq = 8
 	gotReplies := 0
@@ -225,7 +231,8 @@ func TestReplyChannelStarvation(t *testing.T) {
 // resolve once the blackout lifts, with intact data.
 func TestBlackoutRecovery(t *testing.T) {
 	sys, src, dst := storeUnder(t,
-		NewPlan("blackout", 5, Blackout(50*hw.Microsecond, 350*hw.Microsecond)), 32<<10)
+		&Plan{Name: "blackout", Seed: 5, Rules: []Rule{
+			{Action: hw.ActDrop, Rate: 1, From: 50 * hw.Microsecond, Until: 350 * hw.Microsecond}}}, 32<<10)
 	if !bytes.Equal(src, dst) {
 		t.Fatal("payload damaged after blackout recovery")
 	}
@@ -239,7 +246,7 @@ func TestBlackoutRecovery(t *testing.T) {
 func TestDuplicationIsIdempotent(t *testing.T) {
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := am.New(c)
-	NewPlan("dup", 13, Duplicate(0.25)).Apply(c)
+	(&Plan{Name: "dup", Seed: 13, Rules: []Rule{{Action: hw.ActDuplicate, Rate: 0.25}}}).Apply(c)
 
 	const nStores = 20
 	const slot = 256
@@ -294,9 +301,24 @@ func TestDegradeSlowsButCompletes(t *testing.T) {
 		return sys.Cluster.Eng.Now()
 	}
 	base := elapsed(nil)
-	slow := elapsed(NewPlan("degraded", 17, Degrade(2.0)))
+	slow := elapsed(&Plan{Name: "degraded", Seed: 17, Rules: []Rule{{Action: hw.ActDelay, Rate: 1, Slowdown: 2}}})
 	if slow <= base {
 		t.Fatalf("degraded run (%v) not slower than lossless (%v)", slow, base)
+	}
+}
+
+// TestCompileRejectsSlowdownAtMostOne: a degraded link must be slower than
+// the nominal one, and a zero Slowdown means no degradation at all.
+func TestCompileRejectsSlowdownAtMostOne(t *testing.T) {
+	for _, s := range []float64{0.5, 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Slowdown %v compiled without a panic", s)
+				}
+			}()
+			(&Plan{Rules: []Rule{{Action: hw.ActDelay, Rate: 1, Slowdown: s}}}).Compile(sim.NewEngine(1))
+		}()
 	}
 }
 
@@ -322,11 +344,11 @@ func TestStandardPlansAllDistinctAndComplete(t *testing.T) {
 	}
 }
 
-// TestPartitionOneWayMatching checks the asymmetric cut: only src-set to
-// dst-set packets inside the window match; the reverse direction and
-// uninvolved nodes never do, and until=0 means forever.
+// TestPartitionOneWayMatching checks the asymmetric cut: only Srcs to Dsts
+// packets inside the window match; the reverse direction and uninvolved
+// nodes never do, and Until 0 means forever.
 func TestPartitionOneWayMatching(t *testing.T) {
-	r := PartitionOneWay([]int{0, 1}, []int{2}, 100, 0)
+	r := Rule{Action: hw.ActDrop, Rate: 1, Srcs: []int{0, 1}, Dsts: []int{2}, From: 100}
 	pkt := func(src, dst int) *hw.Packet { return &hw.Packet{Src: src, Dst: dst} }
 	cases := []struct {
 		name string
@@ -349,12 +371,12 @@ func TestPartitionOneWayMatching(t *testing.T) {
 	}
 }
 
-// TestWithKillArmsCluster checks that applying a plan with kills arms the
+// TestPlanKillsArmCluster checks that applying a plan with kills arms the
 // fail-stop gate on both the node and the switch.
-func TestWithKillArmsCluster(t *testing.T) {
+func TestPlanKillsArmCluster(t *testing.T) {
 	const at = sim.Time(12345)
 	c := hw.NewCluster(hw.DefaultConfig(3))
-	NewPlan("kill", 1).WithKill(2, at).Apply(c)
+	(&Plan{Name: "kill", Seed: 1, Kills: []NodeKill{{Node: 2, At: at}}}).Apply(c)
 	if got := c.Nodes[2].KillTime(); got != at {
 		t.Errorf("node kill time = %v, want %v", got, at)
 	}

@@ -29,7 +29,8 @@ type Workload func(plan *faults.Plan) Run
 // Soak executes w once losslessly, then once under each plan as a subtest,
 // asserting that each chaotic run (a) actually suffered injected faults,
 // (b) produced exactly the baseline checksum, and (c) finished within
-// maxSlowdown times the baseline's simulated time.
+// maxSlowdown times the baseline's simulated time. A failure prints the plan
+// as the Go literal (%#v) that reproduces it.
 func Soak(t *testing.T, w Workload, plans []*faults.Plan, maxSlowdown float64) {
 	t.Helper()
 	base := w(nil)
@@ -41,15 +42,15 @@ func Soak(t *testing.T, w Workload, plans []*faults.Plan, maxSlowdown float64) {
 		t.Run(plan.Name, func(t *testing.T) {
 			r := w(plan)
 			if n := r.Cluster.Switch.Faults.Total(); n == 0 {
-				t.Errorf("plan %q injected no faults; the plan never fired", plan.Name)
+				t.Errorf("plan %#v injected no faults; the plan never fired", plan)
 			}
 			if r.Checksum != base.Checksum {
-				t.Errorf("checksum %#x under plan %q, want lossless %#x (losses: %+v)",
-					r.Checksum, plan.Name, base.Checksum, r.Cluster.Losses())
+				t.Errorf("checksum %#x under plan %#v, want lossless %#x (losses: %+v)",
+					r.Checksum, plan, base.Checksum, r.Cluster.Losses())
 			}
 			if lim := sim.Time(float64(base.Elapsed) * maxSlowdown); r.Elapsed > lim {
-				t.Errorf("elapsed %v under plan %q exceeds %.1fx lossless %v",
-					r.Elapsed, plan.Name, maxSlowdown, base.Elapsed)
+				t.Errorf("elapsed %v under plan %#v exceeds %.1fx lossless %v",
+					r.Elapsed, plan, maxSlowdown, base.Elapsed)
 			}
 		})
 	}

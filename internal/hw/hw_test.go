@@ -184,7 +184,7 @@ func TestSwitchFaultInjection(t *testing.T) {
 
 func TestSwitchVerdictDuplicate(t *testing.T) {
 	c := twoNodes(t)
-	c.Switch.Fault = func(pkt *Packet) Verdict { return Duplicate() }
+	c.Switch.Fault = func(pkt *Packet) Verdict { return Verdict{Action: ActDuplicate} }
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
 		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
 		n.Adapter.CommitLengths(p)
@@ -207,9 +207,9 @@ func TestSwitchVerdictDelayReorders(t *testing.T) {
 	c.Switch.Fault = func(pkt *Packet) Verdict {
 		if first {
 			first = false
-			return DelayBy(US(500))
+			return Verdict{Action: ActDelay, Delay: US(500)}
 		}
-		return Deliver()
+		return Verdict{}
 	}
 	const n = 5
 	c.Spawn(0, "tx", func(p *sim.Proc, nd *Node) {
@@ -242,7 +242,7 @@ func TestSwitchVerdictDelayReorders(t *testing.T) {
 
 func TestSwitchVerdictCorruptPayload(t *testing.T) {
 	c := twoNodes(t)
-	c.Switch.Fault = func(pkt *Packet) Verdict { return Corrupt() }
+	c.Switch.Fault = func(pkt *Packet) Verdict { return Verdict{Action: ActCorrupt} }
 	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	sent := append([]byte(nil), orig...)
 	var arrived *Packet
@@ -279,7 +279,7 @@ func TestSwitchVerdictCorruptNothingToFlip(t *testing.T) {
 	// payload is simply unusable: the switch counts the corruption but
 	// delivers nothing.
 	c := twoNodes(t)
-	c.Switch.Fault = func(pkt *Packet) Verdict { return Corrupt() }
+	c.Switch.Fault = func(pkt *Packet) Verdict { return Verdict{Action: ActCorrupt} }
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
 		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
 		n.Adapter.CommitLengths(p)
@@ -301,11 +301,11 @@ func TestClusterLossReport(t *testing.T) {
 		k++
 		switch k % 4 {
 		case 0:
-			return Drop()
+			return Verdict{Action: ActDrop}
 		case 1:
-			return Duplicate()
+			return Verdict{Action: ActDuplicate}
 		default:
-			return Deliver()
+			return Verdict{}
 		}
 	}
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {

@@ -94,13 +94,6 @@ type Verdict struct {
 	Delay  sim.Time // extra latency for ActDelay
 }
 
-// Convenience constructors for the five verdicts.
-func Deliver() Verdict           { return Verdict{} }
-func Drop() Verdict              { return Verdict{Action: ActDrop} }
-func Duplicate() Verdict         { return Verdict{Action: ActDuplicate} }
-func DelayBy(d sim.Time) Verdict { return Verdict{Action: ActDelay, Delay: d} }
-func Corrupt() Verdict           { return Verdict{Action: ActCorrupt} }
-
 // FaultFunc lets tests and chaos harnesses inject faults: it is consulted
 // once per packet at the fabric and returns a verdict. The real switch is
 // effectively lossless (the paper optimizes for that), so production runs
@@ -112,9 +105,9 @@ type FaultFunc func(pkt *Packet) Verdict
 func DropIf(pred func(*Packet) bool) FaultFunc {
 	return func(pkt *Packet) Verdict {
 		if pred(pkt) {
-			return Drop()
+			return Verdict{Action: ActDrop}
 		}
-		return Deliver()
+		return Verdict{}
 	}
 }
 

@@ -263,7 +263,7 @@ func (cl *client) startOp(p *sim.Proc) {
 	op := cl.gen.NextOp()
 	key := cl.gen.NextKey()
 	val := cl.gen.NextValue()
-	cl.gen.NextClient() // attribute the request to a virtual end-client
+	cl.gen.NextClient() // the end-client id: nothing reads it, but the draw is part of the stream
 	gen := (s.gen + 1) & 0xFFFF
 
 	*s = reqSlot{op: op, arrive: arrive, gen: gen, val: val, nkeys: 1}

@@ -83,11 +83,14 @@ type Config struct {
 	Replicas        int // replicas per shard (default 2, clamped to Servers)
 	Keys            int // keyspace size (default 1<<16, max 1<<22)
 
-	Rate           float64  // aggregate offered load, requests/s of simulated time
-	Requests       int      // total requests to issue across all client nodes
-	Zipf           float64  // key-popularity skew (<= 1 selects uniform)
-	Mix            load.Mix // operation mix (zero value selects load.DefaultMix)
-	VirtualClients int      // simulated end-clients multiplexed over the client nodes
+	Rate     float64  // aggregate offered load, requests/s of simulated time
+	Requests int      // total requests to issue across all client nodes
+	Zipf     float64  // key-popularity skew (<= 1 selects uniform)
+	Mix      load.Mix // operation mix (zero value selects load.DefaultMix)
+	// VirtualClients is the number of end-client ids spread over the client
+	// nodes, at least one per node (default ClientNodes). Each request draws
+	// its id once from its node's range; nothing in the model reads it.
+	VirtualClients int
 
 	Seed uint64 // run seed (default 1); client node i forks a derived stream
 
@@ -131,6 +134,9 @@ func (c Config) withDefaults() (Config, error) {
 	orDefault(&err, "BatchWindow", &c.BatchWindow, hw.US(20))
 	if err != nil {
 		return c, err
+	}
+	if c.VirtualClients < c.ClientNodes {
+		return c, fmt.Errorf("kv: VirtualClients %d is below ClientNodes %d (each client node needs one)", c.VirtualClients, c.ClientNodes)
 	}
 	c.Replicas = min(c.Replicas, c.Servers, maxReplicas)
 	if c.Keys > maxKeyspace {
@@ -338,20 +344,10 @@ func (svc *Service) registerHandlers() {
 	})
 }
 
-// mix32 is a bijective 32-bit hash (MurmurHash3 finalizer) used to spread
-// keys over shards independently of the load generator's rank scatter.
-func mix32(x uint32) uint32 {
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	x *= 0xc2b2ae35
-	x ^= x >> 16
-	return x
-}
-
-// shardOf maps a key to its shard.
+// shardOf maps a key to its shard through load.Mix32, so consecutive keys
+// land on unrelated shards.
 func (svc *Service) shardOf(key uint32) int {
-	return int(mix32(key) % uint32(svc.numShards))
+	return int(load.Mix32(key) % uint32(svc.numShards))
 }
 
 // replicaSrv returns the server hosting replica i of shard sh.

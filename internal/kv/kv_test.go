@@ -174,7 +174,7 @@ func TestKVOddKeyspace(t *testing.T) {
 func TestKVFailoverSoak(t *testing.T) {
 	cfg := testConfig(6000)
 	cfg.Rate = 200e3 // below saturation: clients see empty polls, so detection is prompt
-	cfg.Plan = faults.NewPlan("kill", 0).WithKill(1, hw.US(3000))
+	cfg.Plan = &faults.Plan{Name: "kill", Kills: []faults.NodeKill{{Node: 1, At: hw.US(3000)}}}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestKVConfigValidation(t *testing.T) {
 	}
 	bad := testConfig(100)
 	for _, node := range []int{-1, 99} {
-		bad.Plan = faults.NewPlan("kill", 0).WithKill(node, hw.US(1))
+		bad.Plan = &faults.Plan{Name: "kill", Kills: []faults.NodeKill{{Node: node, At: hw.US(1)}}}
 		if _, err := New(bad); err == nil {
 			t.Fatalf("kill of node %d, not a server, accepted", node)
 		}
@@ -303,6 +303,13 @@ func TestKVConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err != nil {
 		t.Fatalf("Keys %d rejected: %v", bad.Keys, err)
 	}
+	// Fewer end-client ids than client nodes would leave a node without
+	// one, and that node would skip its id draws, shifting its stream.
+	bad = testConfig(100)
+	bad.VirtualClients = bad.ClientNodes - 1
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "VirtualClients") {
+		t.Errorf("VirtualClients below ClientNodes: %v, want an error naming the field", err)
+	}
 	// Zero selects a field's default; a negative value is an error naming
 	// the field, not the default run silently.
 	for field, set := range map[string]func(*Config){
@@ -332,7 +339,7 @@ func TestKVCheckInvariantsOracle(t *testing.T) {
 	cfg := testConfig(3000)
 	cfg.Rate = 200e3
 	const killed = 1
-	cfg.Plan = faults.NewPlan("kill", 0).WithKill(killed, hw.US(3000))
+	cfg.Plan = &faults.Plan{Name: "kill", Kills: []faults.NodeKill{{Node: killed, At: hw.US(3000)}}}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +590,7 @@ func TestKVCacheKillSoak(t *testing.T) {
 	cfg.Keys = 1 << 10
 	cfg.Zipf = 1.3
 	cfg.Rate = 200e3
-	cfg.Plan = faults.NewPlan("kill", 0).WithKill(1, hw.US(3000))
+	cfg.Plan = &faults.Plan{Name: "kill", Kills: []faults.NodeKill{{Node: 1, At: hw.US(3000)}}}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -762,7 +769,7 @@ func TestKVWriteKillSoak(t *testing.T) {
 	cfg.Zipf = 1.3
 	cfg.Rate = 200e3
 	cfg.Mix = load.WriteHeavyMix()
-	cfg.Plan = faults.NewPlan("kill", 0).WithKill(1, hw.US(3000))
+	cfg.Plan = &faults.Plan{Name: "kill", Kills: []faults.NodeKill{{Node: 1, At: hw.US(3000)}}}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -208,7 +208,7 @@ func (g *Gen) NextKey() uint32 {
 	if g.zipf == nil {
 		return uint32(g.rng.Uint64() % uint64(g.keys))
 	}
-	return scatter(uint32(g.zipf.Uint64())) % g.keys
+	return Mix32(uint32(g.zipf.Uint64())) % g.keys
 }
 
 // NextOp draws the next operation from the mix.
@@ -234,9 +234,10 @@ func (g *Gen) NextClient() uint32 {
 	return g.clientLo + uint32(g.rng.Uint64()%uint64(g.clientN))
 }
 
-// scatter is a bijective 32-bit mix (finalizer of MurmurHash3); it spreads
-// consecutive Zipf ranks over the whole key space deterministically.
-func scatter(x uint32) uint32 {
+// Mix32 is a bijective 32-bit mix (finalizer of MurmurHash3). NextKey
+// spreads consecutive Zipf ranks over the whole key space with it, and kv
+// spreads keys over shards.
+func Mix32(x uint32) uint32 {
 	x ^= x >> 16
 	x *= 0x85ebca6b
 	x ^= x >> 13

@@ -108,9 +108,9 @@ func TestMixShares(t *testing.T) {
 func TestScatterBijective(t *testing.T) {
 	seen := make(map[uint32]bool, 1<<16)
 	for i := uint32(0); i < 1<<16; i++ {
-		v := scatter(i)
+		v := Mix32(i)
 		if seen[v] {
-			t.Fatalf("scatter collision at rank %d", i)
+			t.Fatalf("Mix32 collision at rank %d", i)
 		}
 		seen[v] = true
 	}

@@ -27,7 +27,7 @@ func TestKillMidMG(t *testing.T) {
 	)
 	cluster := hw.NewCluster(hw.DefaultConfig(4))
 	sys := mpi.New(cluster, mpi.Optimized())
-	faults.NewPlan("kill-mid-mg", 5).WithKill(killRank, killAt).Apply(cluster)
+	(&faults.Plan{Name: "kill-mid-mg", Seed: 5, Kills: []faults.NodeKill{{Node: killRank, At: killAt}}}).Apply(cluster)
 	var comms []mpi.PT
 	for _, c := range sys.Comms {
 		// Backstop for survivors whose only traffic is with other survivors:
