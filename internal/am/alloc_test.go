@@ -1,6 +1,7 @@
 package am_test
 
 import (
+	"bytes"
 	"maps"
 	"runtime"
 	"testing"
@@ -358,6 +359,62 @@ func BenchmarkBulkStore(b *testing.B) {
 	})
 	c.Run()
 	b.SetBytes(8 << 10)
+}
+
+// TestBulkStoreEventBudget pins the deterministic proxies of the bulk
+// path's host cost, exactly: 16 windowed 64 KiB StoreAsync calls from node 0
+// to node 1, polled to completion, take a fixed simulated time, a fixed
+// number of scheduler events, and a fixed number of process hand-offs and
+// coroutine switches. The events and the time are the protocol's; the
+// hand-offs are what a host charge costs beyond its event (sim.Proc.AdvanceSeq
+// steps a run of back-to-back charges inline), so a change meant to remove
+// switches moves only the second pair.
+func TestBulkStoreEventBudget(t *testing.T) {
+	const stores, size = 16, 64 << 10
+	c := hw.NewCluster(hw.DefaultConfig(2))
+	sys := am.New(c)
+	src := make([]byte, stores*size)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	dst := make([]byte, len(src))
+	seg := c.Nodes[1].Mem.Add(dst)
+	done, completed := false, 0
+	var elapsed sim.Time
+	doneH := sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) { done = true })
+	c.Spawn(0, "mover", func(p *sim.Proc, n *hw.Node) {
+		ep := sys.EPs[0]
+		for i := 0; i < stores; i++ {
+			off := i * size
+			ep.StoreAsync(p, 1, hw.Addr{Seg: seg, Off: off}, src[off:off+size], am.NoHandler, 0,
+				func(*sim.Proc, *am.Endpoint) { completed++ })
+		}
+		for completed < stores {
+			ep.Poll(p)
+		}
+		elapsed = p.Now()
+		ep.Request(p, 1, doneH)
+	})
+	c.Spawn(1, "sink", func(p *sim.Proc, n *hw.Node) {
+		for !done {
+			sys.EPs[1].Poll(p)
+		}
+	})
+	c.Run()
+	if !bytes.Equal(src, dst) {
+		t.Fatal("the stored bytes differ from the source")
+	}
+	e := c.Eng
+	const wantElapsed, wantEvents = 31629984, 76106
+	if elapsed != wantElapsed || e.EventsRun != wantEvents {
+		t.Errorf("%d stores of %d bytes took %d ns and %d events, want %d and %d",
+			stores, size, elapsed, e.EventsRun, wantElapsed, wantEvents)
+	}
+	const wantHandoffs, wantSwitches = 20986, 20986
+	if e.Handoffs != wantHandoffs || e.Switches != wantSwitches {
+		t.Errorf("%d stores of %d bytes took %d process hand-offs and %d coroutine switches, want %d and %d",
+			stores, size, e.Handoffs, e.Switches, wantHandoffs, wantSwitches)
+	}
 }
 
 // TestMetricsCounters wires a registry in with EnableMetrics and checks

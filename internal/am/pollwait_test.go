@@ -151,19 +151,21 @@ var waitScenarios = []struct {
 		},
 	},
 	{
-		// Every node streams to every other at once, under 2 % loss, through
-		// an adapter slowed until the host outruns it: three 72-packet
-		// windows overfill the shared 128-entry send FIFO, so nodes enter
-		// waits with chunks still queued, with go-back-N retransmissions
-		// half injected, or owing an explicit ack the full FIFO refused —
-		// work that only a later poll, once the FIFO has drained, can do, and
-		// that PollWait must therefore not step over. (The loss seed is one
-		// at which each of the three occurs on its own; dropping any one of
-		// idleBudget's checks fails this scenario.)
+		// Every node stores 16 KiB (two 36-packet chunks, one full window) to
+		// every other at once, under 2 % loss, through an adapter slowed
+		// until the host outruns it: three 72-packet windows overfill the
+		// shared 128-entry send FIFO, so nodes enter waits with chunks still
+		// queued, with go-back-N retransmissions half injected, or owing an
+		// explicit ack the full FIFO refused — work that only a later poll,
+		// once the FIFO has drained, can do, and that PollWait must
+		// therefore not step over. (The loss seed is one at which each of
+		// the three occurs on its own; dropping any one of idleBudget's
+		// checks fails this scenario, and so does a PollWait step of any
+		// length but costPollEmpty's.)
 		name: "all-to-all-bulk", nodes: 4, sendProc: hw.US(40), opt: am.DefaultOptions(),
 		build: func(e *waitEnv) {
-			(&faults.Plan{Name: "loss", Seed: 4, Rules: []faults.Rule{{Action: hw.ActDrop, Rate: 0.02}}}).Apply(e.c)
-			const nn, size = 4, 48 << 10
+			(&faults.Plan{Name: "loss", Seed: 6, Rules: []faults.Rule{{Action: hw.ActDrop, Rate: 0.02}}}).Apply(e.c)
+			const nn, size = 4, 16 << 10
 			landed := make([]int, nn)
 			bh := e.sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
 				landed[ep.ID()]++
@@ -178,14 +180,12 @@ var waitScenarios = []struct {
 					ep := e.sys.EPs[i]
 					src := make([]byte, size)
 					completed := 0
-					for round := 0; round < 2; round++ {
-						for d := 1; d < nn; d++ {
-							dst := (i + d) % nn
-							ep.StoreAsync(p, dst, hw.Addr{Seg: segs[dst], Off: i * size}, src, bh, 0,
-								func(*sim.Proc, *am.Endpoint) { completed++ })
-						}
+					for d := 1; d < nn; d++ {
+						dst := (i + d) % nn
+						ep.StoreAsync(p, dst, hw.Addr{Seg: segs[dst], Off: i * size}, src, bh, 0,
+							func(*sim.Proc, *am.Endpoint) { completed++ })
 					}
-					e.wait(p, ep, 0, func() bool { return completed == 2*(nn-1) && landed[i] == 2*(nn-1) })
+					e.wait(p, ep, 0, func() bool { return completed == nn-1 && landed[i] == nn-1 })
 					ep.Drain(p, 0)
 				})
 			}

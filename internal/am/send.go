@@ -313,8 +313,7 @@ func (ep *Endpoint) injectShort(p *sim.Proc, dst int, tc *txChan, op *txOp) {
 		build = ep.ctrlBuildCost(m)
 	}
 	wire := ep.shortWire(m)
-	ep.node.ComputeUnscaled(p, build)
-	ep.node.Flush(p, wire)
+	ep.node.ChargeSend(p, build, 0, wire)
 	ep.stampAcks(dst, m)
 	ep.push(dst, m, nil, wire)
 	if m.Kind != kAck && m.Kind != kNack && m.Kind != kProbe {
@@ -397,11 +396,7 @@ func (ep *Endpoint) injectBulkChunks(p *sim.Proc, dst int, tc *txChan, op *bulkO
 				H: int(op.h), Arg: op.arg, BOff: off,
 			}
 			wire := hw.PacketHeaderSize + len(data)
-			ep.node.ComputeUnscaled(p, costBulkPerPkt)
-			if len(data) > 0 {
-				ep.node.Memcpy(p, len(data)) // copy into the FIFO entry
-			}
-			ep.node.Flush(p, wire)
+			ep.node.ChargeSend(p, costBulkPerPkt, len(data), wire)
 			ep.stampAcks(dst, &m)
 			ep.push(dst, &m, data, wire)
 			tc.saved.Push(savedPkt{m: m, data: data})
@@ -431,18 +426,11 @@ func (ep *Endpoint) injectSaved(p *sim.Proc, dst int, sp savedPkt) {
 	ep.Stats.Retransmits++
 	ep.emit(trace.EvRetransmit, 0, int64(sp.m.Seq), sp.m.Kind.Class())
 	m := sp.m // copy; re-stamp acks freshly
-	var wire int
-	if m.Kind == kChunk {
-		wire = hw.PacketHeaderSize + len(sp.data)
-		ep.node.ComputeUnscaled(p, costBulkPerPkt)
-		if len(sp.data) > 0 {
-			ep.node.Memcpy(p, len(sp.data))
-		}
-	} else {
-		wire = ep.shortWire(&m)
-		ep.node.ComputeUnscaled(p, ep.ctrlBuildCost(&m))
+	build, wire := costBulkPerPkt, hw.PacketHeaderSize+len(sp.data)
+	if m.Kind != kChunk {
+		build, wire = ep.ctrlBuildCost(&m), ep.shortWire(&m)
 	}
-	ep.node.Flush(p, wire)
+	ep.node.ChargeSend(p, build, len(sp.data), wire)
 	ep.stampAcks(dst, &m)
 	ep.push(dst, &m, sp.data, wire)
 }
@@ -473,8 +461,7 @@ func (ep *Endpoint) sendCtrl(p *sim.Proc, dst int, k hw.Kind, nackSeq uint64, ch
 		return // congested: drop the control packet; keep-alive recovers
 	}
 	m := msg{Kind: k, Ch: ch, Seq: nackSeq}
-	ep.node.ComputeUnscaled(p, costCtrlBuild)
-	ep.node.Flush(p, hw.PacketHeaderSize)
+	ep.node.ChargeSend(p, costCtrlBuild, 0, hw.PacketHeaderSize)
 	ep.stampAcks(dst, &m)
 	ep.push(dst, &m, nil, hw.PacketHeaderSize)
 	ep.maybeCommit(p, true)

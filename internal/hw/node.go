@@ -77,7 +77,14 @@ func (n *Node) FlushCost(nbytes int) sim.Time {
 	return sim.Time(lines) * n.P.FlushPerLine
 }
 
-// Flush charges a cache flush of nbytes.
-func (n *Node) Flush(p *sim.Proc, nbytes int) {
-	p.Advance(n.FlushCost(nbytes))
+// ChargeSend charges a packet's host-side send — build, the payload's copy
+// into the FIFO entry (none for a header-only packet) and the flush of its
+// wire bytes — as one run of charges, one process wake-up
+// (sim.Proc.AdvanceSeq).
+func (n *Node) ChargeSend(p *sim.Proc, build sim.Time, payload, wire int) {
+	if payload == 0 {
+		p.AdvanceSeq(build, n.FlushCost(wire))
+		return
+	}
+	p.AdvanceSeq(build, n.MemcpyCost(payload), n.FlushCost(wire))
 }

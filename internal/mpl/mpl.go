@@ -223,8 +223,7 @@ func (ep *Endpoint) TryRecv(p *sim.Proc, src, tag int, buf []byte) (n, from, got
 		return 0, 0, 0, false
 	}
 	n = copy(buf, m.buf[:m.total])
-	ep.node.Memcpy(p, n)
-	ep.node.ComputeUnscaled(p, costMatch)
+	p.AdvanceSeq(ep.node.MemcpyCost(n), costMatch)
 	return n, m.src, m.tag, true
 }
 
@@ -257,11 +256,12 @@ func (h *RecvHandle) Done() bool { return h.msg != nil && h.msg.done }
 // needed) and returns (bytes, source, tag).
 func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 	m := h.msg
-	h.ep.node.ComputeUnscaled(p, costMatch)
 	n := min(m.total, len(h.buf))
-	if !m.direct {
+	if m.direct {
+		h.ep.node.ComputeUnscaled(p, costMatch)
+	} else {
 		copy(h.buf, m.buf[:n])
-		h.ep.node.Memcpy(p, n)
+		p.AdvanceSeq(costMatch, h.ep.node.MemcpyCost(n))
 	}
 	return n, m.src, m.tag
 }
@@ -315,11 +315,7 @@ func (ep *Endpoint) progress(p *sim.Proc) {
 				chunk := m.data[m.sent:end]
 				w := hw.Header{Kind: mData, Op: m.msgID, H: m.tag,
 					Total: len(m.data), BOff: m.sent, Final: end == len(m.data)}
-				ep.node.ComputeUnscaled(p, ep.callCost(costPktBuild))
-				if len(chunk) > 0 {
-					ep.node.Memcpy(p, len(chunk))
-				}
-				ep.node.Flush(p, HeaderBytes+len(chunk))
+				ep.node.ChargeSend(p, ep.callCost(costPktBuild), len(chunk), HeaderBytes+len(chunk))
 				ep.pushPkt(p, dst, &w, chunk)
 				ts.pktAhead++
 				m.sent = end
@@ -445,8 +441,7 @@ func (ep *Endpoint) emitCtl(p *sim.Proc, dst int, w *hw.Header) {
 			p.Advance(hw.US(1))
 		}
 	}
-	ep.node.ComputeUnscaled(p, ep.callCost(costCreditSend))
-	ep.node.Flush(p, HeaderBytes)
+	ep.node.ChargeSend(p, ep.callCost(costCreditSend), 0, HeaderBytes)
 	ep.pushPkt(p, dst, w, nil)
 	ep.commit(p, true)
 }

@@ -87,6 +87,16 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 				p.AdvanceWhile(2, func() bool { return !*stop })
 			})
 		}},
+		{"AdvanceSeq", func() float64 {
+			// Three charges against an interleaved advancer: the first two
+			// wake-ups step inline, in whichever scheduler loop pops them.
+			return inProc(func(p *Proc) { p.AdvanceSeq(2, 2, 0, 2) }, func(p *Proc, stop *bool) {
+				p.Advance(1)
+				for !*stop {
+					p.Advance(2)
+				}
+			})
+		}},
 		{"interleaved Advance", func() float64 {
 			// Every wake-up belongs to the other process: one hand-off per
 			// step (BenchmarkProcHandoffInterleaved).

@@ -127,6 +127,29 @@ func BenchmarkProcAdvanceWhile(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkProcAdvanceSeq is a run of three back-to-back charges against an
+// advancing process, wake-ups interleaved. As three Advance calls every
+// event is a process hand-off (BenchmarkProcHandoffInterleaved); here the
+// first two charges of each run step inline and only the last wakes the
+// charger, so ns/op (per event, both processes counted) falls toward
+// BenchmarkProcAdvanceWhile's.
+func BenchmarkProcAdvanceSeq(b *testing.B) {
+	e := NewEngine(1)
+	e.Go("charger", func(p *Proc) {
+		for i := 0; i < b.N/6; i++ {
+			p.AdvanceSeq(2, 2, 2)
+		}
+	})
+	e.Go("advancer", func(p *Proc) {
+		p.Advance(1)
+		for i := 0; i < b.N/2; i++ {
+			p.Advance(2)
+		}
+	})
+	e.RunAll()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkProcYield measures Advance(0) — the same-time wakeup path that
 // the run queue serves without touching the heap.
 func BenchmarkProcYield(b *testing.B) {

@@ -34,6 +34,12 @@ type Proc struct {
 	step   func() bool
 	stepD  Time
 	stepFn func()
+
+	// AdvanceSeq state: the segments still to charge, from segI on, and
+	// nextSeg (allocated once at spawn), the step that feeds them to stepFn.
+	segs    []Time
+	segI    int
+	nextSeg func() bool
 }
 
 // Detach permanently parks the calling process and never returns. The
@@ -79,6 +85,14 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		} else {
 			e.wake = p
 		}
+	}
+	p.nextSeg = func() bool {
+		if p.segI == len(p.segs) {
+			return false
+		}
+		p.stepD = max(p.segs[p.segI], 0)
+		p.segI++
+		return true
 	}
 	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -148,6 +162,18 @@ func (p *Proc) AdvanceWhile(d Time, step func() bool) {
 	p.step, p.stepD = step, d
 	p.eng.push(p.eng.now+d, p.stepFn)
 	p.park()
+}
+
+// AdvanceSeq is Advance(d) followed by Advance of each of more, in order,
+// with the process woken only after the last: the intermediate wake-ups run
+// inline as AdvanceWhile steps, each pushing the next segment with exactly
+// the key the process's own next Advance would have pushed. Event times,
+// ordering keys and EventsRun are those of the plain calls; only hand-offs
+// fall. It is for a run of charges with nothing read in between; a charge
+// followed by a read of shared state is a plain Advance.
+func (p *Proc) AdvanceSeq(d Time, more ...Time) {
+	p.segs, p.segI = append(p.segs[:0], more...), 0
+	p.AdvanceWhile(d, p.nextSeg)
 }
 
 // Yield lets all already-scheduled same-time events run before continuing.
