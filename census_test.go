@@ -632,14 +632,15 @@ func (c *census) sameConstant(calls []*ast.CallExpr, i int) string {
 }
 
 // dynamicCalls returns the test for a method that no identifier names: it
-// may still be called through an interface when its type implements one the
-// module declares (or error, or an exported interface of a package the
-// module imports) that has the method's name. A generic type cannot be
-// checked against an interface, so for it the name alone counts, as it does
-// for the methods the errors package looks for through unexported
-// interfaces.
+// may still be called through an interface when its type, or a struct type
+// that embeds it and so carries the method, implements one the module
+// declares (or error, or an exported interface of a package the module
+// imports) that has the method's name. A generic type cannot be checked
+// against an interface, so for it the name alone counts, as it does for the
+// methods the errors package looks for through unexported interfaces.
 func (c *census) dynamicCalls() func(tn *types.TypeName, method string) bool {
 	byName := map[string][]*types.Interface{"Unwrap": nil, "Is": nil, "As": nil}
+	embedders := map[*types.TypeName][]types.Type{}
 	addIface := func(t types.Type) {
 		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
 			return
@@ -655,6 +656,14 @@ func (c *census) dynamicCalls() func(tn *types.TypeName, method string) bool {
 	for _, obj := range c.info.Defs {
 		if tn, ok := obj.(*types.TypeName); ok {
 			addIface(tn.Type())
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Embedded() {
+						e := namedOf(f.Type()).Obj()
+						embedders[e] = append(embedders[e], tn.Type())
+					}
+				}
+			}
 		}
 	}
 	for _, pkg := range c.pkgs {
@@ -677,8 +686,10 @@ func (c *census) dynamicCalls() func(tn *types.TypeName, method string) bool {
 			return true
 		}
 		for _, it := range ifaces {
-			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
-				return true
+			for _, t := range append([]types.Type{t}, embedders[tn]...) {
+				if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+					return true
+				}
 			}
 		}
 		return false
@@ -733,6 +744,8 @@ func TestCensusRules(t *testing.T) {
 		{"one call", "", "func h(a int) {}\nfunc g() { h(1) }", nil},
 		{"different constants", "", "func h(a int) {}\nfunc g() { h(1); h(2) }", nil},
 		{"interface method", "", "type I interface{ M(int) }\ntype T struct{}\nfunc (T) M(a int) {}\nfunc g(t T) { t.M(1); t.M(1) }", nil},
+		{"promoted interface method", "", "type I interface{ M(int); N() }\ntype E struct{}\nfunc (E) M(a int) {}\ntype T struct{ E }\nfunc (T) N() {}\nfunc g(e E) { e.M(1); e.M(1) }", nil},
+		{"embedder implements no interface", "", "type I interface{ M(int); N() }\ntype E struct{}\nfunc (E) M(a int) {}\ntype T struct{ E }\nfunc g(e E) { e.M(1); e.M(1) }", []string{"E.M.a"}},
 		{"function value", "", "func h(a int) {}\nvar f = h\nfunc g() { h(1); h(1) }", nil},
 		{"variadic", "", "func h(a int, b ...int) {}\nfunc g() { h(1); h(1) }", nil},
 	}

@@ -19,7 +19,6 @@ import (
 
 	"spam/internal/hw"
 	"spam/internal/mpi"
-	"spam/internal/mpif"
 	"spam/internal/sim"
 )
 
@@ -35,7 +34,7 @@ func run(useMPIF bool) (seconds, finalHeat float64) {
 	cluster := hw.NewCluster(hw.DefaultConfig(ranks))
 	var pts []mpi.PT
 	if useMPIF {
-		sys := mpif.New(cluster)
+		sys := mpi.NewF(cluster)
 		for _, c := range sys.Comms {
 			pts = append(pts, c)
 		}
@@ -67,12 +66,12 @@ func run(useMPIF bool) (seconds, finalHeat float64) {
 				// Exchange halos (interior ranks both ways; edges one way).
 				if right < ranks {
 					binary.LittleEndian.PutUint64(buf, math.Float64bits(u[cells]))
-					c.Sendrecv(p, buf, right, tag, ghost, right, tag-1)
+					mpi.Sendrecv(p, c, buf, right, tag, ghost, right, tag-1)
 					u[cells+1] = math.Float64frombits(binary.LittleEndian.Uint64(ghost))
 				}
 				if left >= 0 {
 					binary.LittleEndian.PutUint64(buf, math.Float64bits(u[1]))
-					c.Sendrecv(p, buf, left, tag-1, ghost, left, tag)
+					mpi.Sendrecv(p, c, buf, left, tag-1, ghost, left, tag)
 					u[0] = math.Float64frombits(binary.LittleEndian.Uint64(ghost))
 				}
 				// Explicit Euler update.

@@ -3,7 +3,6 @@ package bench
 import (
 	"spam/internal/hw"
 	"spam/internal/mpi"
-	"spam/internal/mpif"
 	"spam/internal/sim"
 )
 
@@ -69,7 +68,7 @@ func ptRanks(s Setup, n int, impl MPIImpl) (*hw.Cluster, []mpi.PT) {
 	cluster := s.cluster(n)
 	var pts []mpi.PT
 	if impl == MPIF {
-		sys := mpif.New(cluster)
+		sys := mpi.NewF(cluster)
 		s.observe(cluster, nil)
 		for _, c := range sys.Comms {
 			pts = append(pts, c)
@@ -104,18 +103,18 @@ func MPIRingLatency(s Setup, impl MPIImpl, size int) float64 {
 			buf := make([]byte, size)
 			if i == 0 {
 				// Warm-up lap, then timed laps.
-				c.Send(p, buf, next, 1)
-				c.Recv(p, buf, prev, 1)
+				mpi.Send(p, c, buf, next, 1)
+				mpi.Recv(p, c, buf, prev, 1)
 				t0 := p.Now()
 				for l := 0; l < laps; l++ {
-					c.Send(p, buf, next, 1)
-					c.Recv(p, buf, prev, 1)
+					mpi.Send(p, c, buf, next, 1)
+					mpi.Recv(p, c, buf, prev, 1)
 				}
 				perHop = (p.Now() - t0).Microseconds() / float64(laps*ringN)
 			} else {
 				for l := 0; l < laps+1; l++ {
-					c.Recv(p, buf, prev, 1)
-					c.Send(p, buf, next, 1)
+					mpi.Recv(p, c, buf, prev, 1)
+					mpi.Send(p, c, buf, next, 1)
 				}
 			}
 		})
@@ -152,7 +151,7 @@ func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 			if msgs-sent < batch {
 				batch = msgs - sent
 			}
-			reqs := make([]mpi.Req, 0, batch)
+			reqs := make([]*mpi.Request, 0, batch)
 			for k := 0; k < batch; k++ {
 				reqs = append(reqs, tx.Isend(p, data, 1, 7))
 			}
@@ -161,7 +160,7 @@ func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 			}
 			sent += batch
 		}
-		tx.Recv(p, ack, 1, 8) // delivery confirmation
+		mpi.Recv(p, tx, ack, 1, 8) // delivery confirmation
 		mbps = float64(msgs*size) / 1e6 / (p.Now() - t0).Seconds()
 	})
 	cluster.Spawn(1, "rx", func(p *sim.Proc, nd *hw.Node) {
@@ -172,7 +171,7 @@ func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 			if msgs-got < batch {
 				batch = msgs - got
 			}
-			reqs := make([]mpi.Req, 0, batch)
+			reqs := make([]*mpi.Request, 0, batch)
 			for k := 0; k < batch; k++ {
 				reqs = append(reqs, rx.Irecv(p, buf[k*size:(k+1)*size], 0, 7))
 			}
@@ -181,7 +180,7 @@ func MPIBandwidth(s Setup, impl MPIImpl, size, total int) float64 {
 			}
 			got += batch
 		}
-		rx.Send(p, nil, 0, 8)
+		mpi.Send(p, rx, nil, 0, 8)
 	})
 	cluster.Run()
 	return mbps
@@ -201,17 +200,17 @@ func MPIHybridPrefixBandwidth(s Setup, prefix, size, total int) float64 {
 		data := make([]byte, size)
 		t0 := p.Now()
 		for i := 0; i < msgs; i++ {
-			tx.Send(p, data, 1, 7)
+			mpi.Send(p, tx, data, 1, 7)
 		}
-		tx.Recv(p, nil, 1, 8)
+		mpi.Recv(p, tx, nil, 1, 8)
 		mbps = float64(msgs*size) / 1e6 / (p.Now() - t0).Seconds()
 	})
 	cluster.Spawn(1, "rx", func(p *sim.Proc, nd *hw.Node) {
 		buf := make([]byte, size)
 		for i := 0; i < msgs; i++ {
-			rx.Recv(p, buf, 0, 7)
+			mpi.Recv(p, rx, buf, 0, 7)
 		}
-		rx.Send(p, nil, 0, 8)
+		mpi.Send(p, rx, nil, 0, 8)
 	})
 	cluster.Run()
 	return mbps

@@ -49,7 +49,7 @@ func TestChaosPt2pt(t *testing.T) {
 					msg[i] = byte(i*3 + c.Rank()*17 + si)
 				}
 				buf := make([]byte, size)
-				c.Sendrecv(p, msg, right, 100+si, buf, left, 100+si)
+				mpi.Sendrecv(p, c, msg, right, 100+si, buf, left, 100+si)
 				sum = soak.MixBytes(sum, buf)
 			}
 			return sum

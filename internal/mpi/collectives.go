@@ -2,23 +2,17 @@ package mpi
 
 import "spam/internal/sim"
 
-// Req is a nonblocking-operation handle common to MPI-AM and MPI-F.
-type Req interface{ Done() bool }
-
-// PT is the point-to-point surface the generic (MPICH-style) collectives
-// and the NAS kernels program against; both MPI-AM (*mpi.Comm) and MPI-F
-// (*mpif.Comm) implement it. Every blocking call reports failure — a dead
-// peer or an expired deadline — as a typed error instead of spinning
-// forever.
+// PT is the point-to-point surface the generic (MPICH-style) collectives,
+// Send/Recv/Sendrecv and the NAS kernels program against; MPI-AM (*Comm)
+// and MPI-F (*FComm) implement it over their one shared core. Every
+// blocking call reports failure — a dead peer or an expired deadline — as a
+// typed error instead of spinning forever.
 type PT interface {
 	Rank() int
 	Size() int
-	Isend(p *sim.Proc, data []byte, dst, tag int) Req
-	Irecv(p *sim.Proc, buf []byte, src, tag int) Req
-	Wait(p *sim.Proc, r Req) (Status, error)
-	Send(p *sim.Proc, data []byte, dst, tag int) error
-	Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error)
-	Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []byte, src, rtag int) (Status, error)
+	Isend(p *sim.Proc, data []byte, dst, tag int) *Request
+	Irecv(p *sim.Proc, buf []byte, src, tag int) *Request
+	Wait(p *sim.Proc, r *Request) (Status, error)
 	// NextCollTag returns a fresh reserved (negative) tag; collectives are
 	// issued in the same order on every rank, so the sequence matches.
 	NextCollTag() int
@@ -32,20 +26,46 @@ type PT interface {
 	// Finalize is MPI_Finalize: a closing barrier, then a drain of this
 	// rank's transport traffic, bounded by budget (0 = unbounded).
 	Finalize(p *sim.Proc, budget sim.Time) error
+
+	// drainSends is the transport step a blocking Send takes after its
+	// Wait: a no-op on MPI-AM, MPL's DrainSends on MPI-F.
+	drainSends(p *sim.Proc)
+	// cancel deregisters a receive that is still unmatched.
+	cancel(r *Request)
+}
+
+// Send is the blocking standard send.
+func Send(p *sim.Proc, c PT, data []byte, dst, tag int) error {
+	if _, err := c.Wait(p, c.Isend(p, data, dst, tag)); err != nil {
+		return err
+	}
+	c.drainSends(p)
+	return nil
+}
+
+// Recv is the blocking receive; it returns the completion status.
+func Recv(p *sim.Proc, c PT, buf []byte, src, tag int) (Status, error) {
+	return c.Wait(p, c.Irecv(p, buf, src, tag))
+}
+
+// Sendrecv performs the combined operation (used heavily by collectives
+// and the NAS kernels).
+func Sendrecv(p *sim.Proc, c PT, sendbuf []byte, dst, stag int, recvbuf []byte, src, rtag int) (Status, error) {
+	rr := c.Irecv(p, recvbuf, src, rtag)
+	sr := c.Isend(p, sendbuf, dst, stag)
+	if _, err := c.Wait(p, sr); err != nil {
+		c.cancel(rr) // don't leave a stale posting behind the failed half
+		return Status{}, err
+	}
+	return c.Wait(p, rr)
 }
 
 // SendB is Send under the name benchmark/ladder.go calls.
-func (c *Comm) SendB(p *sim.Proc, data []byte, dst, tag int) error { return c.Send(p, data, dst, tag) }
+func (c *Comm) SendB(p *sim.Proc, data []byte, dst, tag int) error { return Send(p, c, data, dst, tag) }
 
 // RecvB is Recv under the name benchmark/ladder.go calls.
 func (c *Comm) RecvB(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
-	return c.Recv(p, buf, src, tag)
-}
-
-// NextCollTag returns the next reserved collective tag.
-func (c *Comm) NextCollTag() int {
-	c.collSeq++
-	return -(10 + c.collSeq)
+	return Recv(p, c, buf, src, tag)
 }
 
 // Alltoall for MPI-AM uses the MPICH generic algorithm: post every
@@ -65,13 +85,13 @@ func Barrier(p *sim.Proc, c PT) error {
 	mask := 1
 	for mask < n {
 		if me&mask != 0 {
-			if err := c.Send(p, none, me-mask, tag); err != nil {
+			if err := Send(p, c, none, me-mask, tag); err != nil {
 				return err
 			}
 			break
 		}
 		if me+mask < n {
-			if _, err := c.Recv(p, none, me+mask, tag); err != nil {
+			if _, err := Recv(p, c, none, me+mask, tag); err != nil {
 				return err
 			}
 		}
@@ -97,7 +117,7 @@ func bcastBinomial(p *sim.Proc, c PT, buf []byte, root, tag int) error {
 		}
 		mask >>= 1
 		parent := (rel - mask + root) % n
-		if _, err := c.Recv(p, buf, parent, tag); err != nil {
+		if _, err := Recv(p, c, buf, parent, tag); err != nil {
 			return err
 		}
 	}
@@ -109,7 +129,7 @@ func bcastBinomial(p *sim.Proc, c PT, buf []byte, root, tag int) error {
 	for ; mask < n; mask <<= 1 {
 		child := rel + mask
 		if child < n {
-			if err := c.Send(p, buf, (child+root)%n, tag); err != nil {
+			if err := Send(p, c, buf, (child+root)%n, tag); err != nil {
 				return err
 			}
 		}
@@ -132,14 +152,14 @@ func Reduce(p *sim.Proc, c PT, send, recv []byte, root int, op Op) error {
 	for mask < n {
 		if rel&mask != 0 {
 			parent := ((rel &^ mask) + root) % n
-			if err := c.Send(p, acc, parent, tag); err != nil {
+			if err := Send(p, c, acc, parent, tag); err != nil {
 				return err
 			}
 			break
 		}
 		if rel+mask < n {
 			child := (rel + mask + root) % n
-			if _, err := c.Recv(p, tmp, child, tag); err != nil {
+			if _, err := Recv(p, c, tmp, child, tag); err != nil {
 				return err
 			}
 			op(acc, tmp)
@@ -169,7 +189,7 @@ func Gather(p *sim.Proc, c PT, send, recv []byte, root int) error {
 	tag := c.NextCollTag()
 	me, n := c.Rank(), c.Size()
 	if me != root {
-		return c.Send(p, send, root, tag)
+		return Send(p, c, send, root, tag)
 	}
 	chunk := len(send)
 	copy(recv[me*chunk:], send)
@@ -177,7 +197,7 @@ func Gather(p *sim.Proc, c PT, send, recv []byte, root int) error {
 		if r == root {
 			continue
 		}
-		if _, err := c.Recv(p, recv[r*chunk:(r+1)*chunk], r, tag); err != nil {
+		if _, err := Recv(p, c, recv[r*chunk:(r+1)*chunk], r, tag); err != nil {
 			return err
 		}
 	}
@@ -190,7 +210,7 @@ func Scatter(p *sim.Proc, c PT, send, recv []byte, root int) error {
 	me, n := c.Rank(), c.Size()
 	chunk := len(recv)
 	if me != root {
-		_, err := c.Recv(p, recv, root, tag)
+		_, err := Recv(p, c, recv, root, tag)
 		return err
 	}
 	copy(recv, send[me*chunk:(me+1)*chunk])
@@ -198,7 +218,7 @@ func Scatter(p *sim.Proc, c PT, send, recv []byte, root int) error {
 		if r == root {
 			continue
 		}
-		if err := c.Send(p, send[r*chunk:(r+1)*chunk], r, tag); err != nil {
+		if err := Send(p, c, send[r*chunk:(r+1)*chunk], r, tag); err != nil {
 			return err
 		}
 	}
@@ -212,7 +232,7 @@ func Scatter(p *sim.Proc, c PT, send, recv []byte, root int) error {
 func AlltoallNaive(p *sim.Proc, c PT, send, recv []byte, chunk int) error {
 	tag := c.NextCollTag()
 	me, n := c.Rank(), c.Size()
-	reqs := make([]Req, 0, 2*n)
+	reqs := make([]*Request, 0, 2*n)
 	for r := 0; r < n; r++ {
 		if r == me {
 			copy(recv[r*chunk:(r+1)*chunk], send[r*chunk:(r+1)*chunk])

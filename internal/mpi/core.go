@@ -1,0 +1,189 @@
+package mpi
+
+import (
+	"fmt"
+	"slices"
+
+	"spam/internal/hw"
+	"spam/internal/mpl"
+	"spam/internal/sim"
+)
+
+// Wildcards for Recv matching.
+const (
+	AnySource = -1
+	AnyTag    = -1
+)
+
+// Status describes a completed receive.
+type Status struct {
+	Source, Tag, Size int
+}
+
+// Request is a nonblocking operation handle, on either Comm type.
+type Request struct {
+	done   bool
+	status Status
+	err    error // sticky failure; Wait reports it instead of spinning
+
+	// A send of buf to peer, or a receive into buf from peer (AnySource
+	// allowed); tag may be AnyTag on a receive.
+	peer, tag int
+	buf       []byte
+	rdvID     uint32 // a rendezvous send's id (0 for buffered and eager sends)
+
+	// MPI-AM only.
+	prefix  int // send: bytes already shipped via the hybrid prefix
+	ctsSlot int // send: receiver segment for the rendezvous store, set by the CTS
+	slot    int // receive: rendezvous registration slot while data is inbound
+
+	// MPI-F only.
+	sendH *mpl.SendHandle // send: rendezvous data injection progress
+	recvH *mpl.RecvHandle // receive: rendezvous data arrival
+}
+
+// inMsg is a message known to the receiver but not yet matched: a complete
+// buffered or eager message (rdvID 0, payload in data), or a rendezvous
+// request-to-send awaiting a matching receive.
+type inMsg struct {
+	src, tag, size int
+	rdvID          uint32
+	data           []byte // payload: MPI-AM's view into its buffered region, MPI-F's library copy
+
+	// MPI-AM only: the buffered extent to free once data is copied, and the
+	// hybrid prefix bytes data holds (data is nil until the prefix lands).
+	freeOff, freeLen int
+	prefix           int
+}
+
+// core is the matching state both Comm types embed: the posted and
+// unexpected queues, the collective-tag counter and the failure state.
+type core struct {
+	rank, size int
+	nd         *hw.Node
+
+	posted     []*Request
+	unexpected []*inMsg
+	collSeq    int // collective sequence number (tag salt)
+
+	// peerErrs is sticky per peer, set once when the transport declares the
+	// peer dead (only SP AM detects fail-stop; MPL does not). deadline, when
+	// nonzero, bounds every blocking call.
+	peerErrs []error
+	deadline sim.Time
+}
+
+func newCore(nd *hw.Node, rank, size int) core {
+	return core{rank: rank, size: size, nd: nd, peerErrs: make([]error, size)}
+}
+
+// Rank returns this process's rank.
+func (c *core) Rank() int { return c.rank }
+
+// Size returns the number of ranks.
+func (c *core) Size() int { return c.size }
+
+// SetDeadline arms an absolute simulated-time deadline on every blocking
+// call on this communicator (0 disarms). A call still incomplete when the
+// deadline passes returns *Error with ErrTimeout instead of spinning.
+func (c *core) SetDeadline(at sim.Time) { c.deadline = at }
+
+// NextCollTag returns the next reserved collective tag.
+func (c *core) NextCollTag() int {
+	c.collSeq++
+	return -(10 + c.collSeq)
+}
+
+// newSend is every send's entry: a destination outside [0, Size) is a
+// programming error.
+func (c *core) newSend(data []byte, dst, tag int) *Request {
+	if dst < 0 || dst >= c.size {
+		panic(fmt.Sprintf("mpi: bad destination rank %d", dst))
+	}
+	return &Request{peer: dst, tag: tag, buf: data}
+}
+
+// newRecv is every receive's entry: a source outside [0, Size) other than
+// AnySource is a programming error.
+func (c *core) newRecv(buf []byte, src, tag int) *Request {
+	if src != AnySource && (src < 0 || src >= c.size) {
+		panic(fmt.Sprintf("mpi: bad source rank %d", src))
+	}
+	return &Request{peer: src, tag: tag, buf: buf}
+}
+
+// matches is the one wildcard rule: a receive for (src, tag) takes a
+// message from msrc with mtag.
+func matches(src, tag, msrc, mtag int) bool {
+	return (src == AnySource || src == msrc) && (tag == AnyTag || tag == mtag)
+}
+
+// matchUnexpected takes the oldest unexpected message a receive for (src,
+// tag) matches.
+func (c *core) matchUnexpected(src, tag int) *inMsg {
+	i := slices.IndexFunc(c.unexpected, func(m *inMsg) bool { return matches(src, tag, m.src, m.tag) })
+	if i < 0 {
+		return nil
+	}
+	m := c.unexpected[i]
+	c.unexpected = slices.Delete(c.unexpected, i, i+1)
+	return m
+}
+
+// matchPosted takes the oldest posted receive a message from src with tag
+// matches.
+func (c *core) matchPosted(src, tag int) *Request {
+	i := slices.IndexFunc(c.posted, func(r *Request) bool { return matches(r.peer, r.tag, src, tag) })
+	if i < 0 {
+		return nil
+	}
+	r := c.posted[i]
+	c.posted = slices.Delete(c.posted, i, i+1)
+	return r
+}
+
+// cancel deregisters a failed request's still-unmatched receive posting.
+// Surviving ranks' salted tag streams desynchronize after a failure, so a
+// stale posted buffer could otherwise be matched against a later message of
+// a different size. A receive already matched to a rendezvous stays
+// registered: its buffer size was validated at match time, and in-flight
+// data may still land in it.
+func (c *core) cancel(req *Request) {
+	if i := slices.Index(c.posted, req); i >= 0 {
+		c.posted = slices.Delete(c.posted, i, i+1)
+	}
+}
+
+// expired decides whether Wait should give up on req: the request itself
+// failed, its peer is dead, or the communicator deadline passed. A request
+// that gives up keeps the error and is deregistered.
+func (c *core) expired(req *Request) error {
+	err := req.err
+	if err == nil && req.peer >= 0 {
+		err = c.peerErrs[req.peer]
+	}
+	if err == nil && c.deadline > 0 && c.nd.Eng.Now() >= c.deadline {
+		err = &Error{Code: ErrTimeout, Rank: c.rank, Peer: req.peer}
+	}
+	if err != nil {
+		req.err = err
+		c.cancel(req)
+	}
+	return err
+}
+
+// finalBarrier is Finalize's closing barrier, bounded by budget (0 =
+// unbounded). It returns what is left of a positive budget, at least 1.
+func (c *core) finalBarrier(p *sim.Proc, pt PT, budget sim.Time) (sim.Time, error) {
+	prev := c.deadline
+	if budget > 0 {
+		c.deadline = c.nd.Eng.Now() + budget
+	}
+	err := Barrier(p, pt)
+	var left sim.Time
+	if budget > 0 {
+		left = max(c.deadline-c.nd.Eng.Now(), 1)
+	}
+	c.deadline = prev
+	return left, err
+}

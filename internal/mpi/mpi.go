@@ -1,10 +1,16 @@
-// Package mpi implements MPI-AM: the paper's Section-4 port of MPICH onto
-// SP Active Messages. Only the machine-dependent core is built here — the
+// Package mpi implements the two MPIs the paper compares, over one
+// matching core: MPI-AM, the paper's Section-4 port of MPICH onto SP
+// Active Messages, and MPI-F, IBM's from-scratch MPI for the SP (Figures
+// 8–11, Table 6). Only the machine-dependent core is built here — the
 // point-to-point protocols the MPICH abstract device interface (ADI) needs
 // — plus MPICH's generic collectives layered on the point-to-point calls
-// (the paper does the same, and pays for it in FT's Alltoall).
+// (the paper does the same, and pays for it in FT's Alltoall). Both Comm
+// types embed the same core: the posted and unexpected queues, the
+// wildcard rule, cancellation, the expiry check and the collective tags.
+// What differs is each transport's protocol, its costs and its Alltoall.
 //
-// Three protocols move data, exactly as in §4.1–4.2:
+// MPI-AM (New, Comm) moves data with three protocols, exactly as in
+// §4.1–4.2:
 //
 //   - Buffered: the sender allocates space in a 16 KB per-sender region it
 //     owns at the receiver (no communication needed), am_store's
@@ -24,21 +30,23 @@
 // buffer, buffered→rendezvous switch at 16 KB) and the optimized one
 // (binned allocator, batched frees, hybrid protocol from 8 KB) are both
 // available, since Figures 8–11 plot the two against MPI-F.
+//
+// MPI-F (NewF, FComm) runs over the same MPL-class transport the vendor
+// stack used, with a leaner, wide-node-tuned call path, an eager protocol
+// up to 4 KB, and a rendezvous protocol above — the 4 KB switch is where
+// MPI-F's bandwidth visibly dips (§4.2, footnote 4). Its Alltoall is the
+// vendor-tuned pairwise exchange, the difference the paper's FT
+// discussion highlights.
 package mpi
 
 import (
+	"cmp"
 	"encoding/binary"
 
 	"spam/internal/am"
 	"spam/internal/hw"
 	"spam/internal/ring"
 	"spam/internal/sim"
-)
-
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
 )
 
 const (
@@ -112,11 +120,6 @@ func New(c *hw.Cluster, opt Options) *System {
 	return s
 }
 
-// Status describes a completed receive.
-type Status struct {
-	Source, Tag, Size int
-}
-
 // Finalize is MPI_Finalize: a barrier followed by a drain of the underlying
 // AM system. A rank that returns from its last MPI call stops polling, and
 // with it stops retransmitting — under packet loss a peer can then wait
@@ -130,65 +133,13 @@ type Status struct {
 // leg, *am.DrainTimeoutError naming unacked peers for the drain leg —
 // instead of wedging the rank.
 func (c *Comm) Finalize(p *sim.Proc, budget sim.Time) error {
-	prev := c.deadline
-	if budget > 0 {
-		c.deadline = c.node().Eng.Now() + budget
-	}
-	berr := Barrier(p, c)
-	var drainBudget sim.Time
-	if budget > 0 {
-		drainBudget = c.deadline - c.node().Eng.Now()
-		if drainBudget <= 0 {
-			drainBudget = 1
-		}
-	}
-	c.deadline = prev
-	derr := c.ep.Drain(p, drainBudget)
-	if berr != nil {
-		return berr
-	}
-	return derr
+	left, berr := c.finalBarrier(p, c, budget)
+	return cmp.Or(berr, c.ep.Drain(p, left))
 }
 
-// SetDeadline arms an absolute simulated-time deadline on every blocking
-// call on this communicator (0 disarms). A call still incomplete when the
-// deadline passes returns *Error with ErrTimeout instead of spinning.
-func (c *Comm) SetDeadline(at sim.Time) { c.deadline = at }
-
-// reqKind distinguishes request types.
-type reqKind uint8
-
-const (
-	rkSend reqKind = iota
-	rkRecv
-)
-
-// Request is a nonblocking operation handle.
-type Request struct {
-	kind   reqKind
-	done   bool
-	status Status
-	err    error // sticky failure; Wait reports it instead of spinning
-
-	// send state
-	dst, tag int
-	data     []byte
-	rdvID    uint32
-	prefix   int // bytes already shipped via the hybrid prefix
-	ctsSlot  int // receiver segment for the rendezvous store (-1 until CTS)
-
-	// recv state
-	buf  []byte
-	src  int
-	rtag int
-	slot int // rendezvous registration slot while data is inbound
-}
-
-// Done reports completion without progressing the engine.
-func (r *Request) Done() bool { return r.done }
-
-// Comm is one rank's MPI library state (MPI_COMM_WORLD).
+// Comm is one rank's MPI-AM library state (MPI_COMM_WORLD).
 type Comm struct {
+	core
 	sys *System
 	ep  *am.Endpoint
 
@@ -198,9 +149,6 @@ type Comm struct {
 
 	alloc []allocator // my view of my space at each receiver
 
-	posted     []*Request
-	unexpected []*inMsg
-
 	pendCTS   ring.Ring[pendingCTS]  // CTS received; stores to issue from progress
 	pendFrees []ring.Ring[freeEntry] // per source: extents to give back, batched
 	nFrees    int                    // entries across all pendFrees
@@ -209,30 +157,9 @@ type Comm struct {
 	nextRdv uint32
 	rdvSend map[uint32]*Request // rdvID -> send awaiting CTS
 	rdvRecv map[rdvKey]*Request // (src, rdvID) -> posted recv awaiting data
-	collSeq int                 // collective sequence number (tag salt)
-
-	// Failure state. peerErrs is sticky per peer (set once when the AM layer
-	// declares the peer dead); deadline, when nonzero, bounds every blocking
-	// call.
-	peerErrs []error
-	deadline sim.Time
 
 	// Stats
 	SendsBuffered, SendsRdv, SendsHybrid int64
-}
-
-// inMsg is a message known to the receiver but not yet matched: either a
-// buffered arrival (data sitting in the buffered region) or a rendezvous
-// RTS awaiting a matching receive.
-type inMsg struct {
-	src, tag int
-	size     int
-	buffered bool
-	region   []byte // buffered payload (view into the buffered segment)
-	freeOff  int    // offset to free once copied
-	freeLen  int
-	rdvID    uint32
-	prefix   int // hybrid prefix bytes present in region
 }
 
 // rdvKey identifies a rendezvous at the receiver: ids are only unique
@@ -250,7 +177,7 @@ type freeEntry struct{ off, ln int }
 
 func newComm(s *System, ep *am.Endpoint) *Comm {
 	n := ep.N()
-	c := &Comm{sys: s, ep: ep,
+	c := &Comm{core: newCore(ep.Node(), ep.ID(), n), sys: s, ep: ep,
 		pendFrees: make([]ring.Ring[freeEntry], n),
 		rdvSend:   make(map[uint32]*Request),
 		rdvRecv:   make(map[rdvKey]*Request),
@@ -266,7 +193,6 @@ func newComm(s *System, ep *am.Endpoint) *Comm {
 	for i := range c.alloc {
 		c.alloc[i] = newAllocator(s.Opt)
 	}
-	c.peerErrs = make([]error, n)
 	ep.SetErrorHandler(func(p *sim.Proc, e *am.Endpoint, peer int, derr *am.PeerDeathError) {
 		if c.peerErrs[peer] == nil {
 			c.peerErrs[peer] = &Error{Code: ErrPeerDead, Rank: c.Rank(), Peer: peer, Cause: derr}
@@ -275,14 +201,6 @@ func newComm(s *System, ep *am.Endpoint) *Comm {
 	ep.Data = c
 	return c
 }
-
-// Rank returns this process's rank.
-func (c *Comm) Rank() int { return c.ep.ID() }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.ep.N() }
-
-func (c *Comm) node() *hw.Node { return c.ep.Node() }
 
 func putEnv(b []byte, tag int, size int, rdvID uint32, prefix int) {
 	binary.LittleEndian.PutUint32(b[0:], uint32(int32(tag)))

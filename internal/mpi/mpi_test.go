@@ -28,6 +28,42 @@ func bothConfigs(t *testing.T, fn func(t *testing.T, opt mpi.Options)) {
 	t.Run("optimized", func(t *testing.T) { fn(t, mpi.Optimized()) })
 }
 
+// stacks are the three MPI stacks the shared tests run over: MPI-AM in
+// both configurations, and MPI-F.
+var stacks = []struct {
+	name string
+	pts  func(c *hw.Cluster) []mpi.PT
+}{
+	{"unoptimized", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.New(c, mpi.Unoptimized()).Comms) }},
+	{"optimized", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.New(c, mpi.Optimized()).Comms) }},
+	{"MPI-F", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.NewF(c).Comms) }},
+}
+
+func ptsOf[C mpi.PT](comms []C) []mpi.PT {
+	pts := make([]mpi.PT, len(comms))
+	for i, c := range comms {
+		pts[i] = c
+	}
+	return pts
+}
+
+// eachStack runs fn once per stack, as a subtest named after the stack.
+func eachStack(t *testing.T, fn func(t *testing.T, mk func(*hw.Cluster) []mpi.PT)) {
+	t.Helper()
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) { fn(t, st.pts) })
+	}
+}
+
+// runPT runs prog SPMD on a fresh n-node cluster over the stack mk builds.
+func runPT(n int, mk func(*hw.Cluster) []mpi.PT, prog func(p *sim.Proc, c mpi.PT)) {
+	cluster := hw.NewCluster(hw.DefaultConfig(n))
+	for i, c := range mk(cluster) {
+		cluster.Spawn(i, "mpi", func(p *sim.Proc, nd *hw.Node) { prog(p, c) })
+	}
+	cluster.Run()
+}
+
 func pattern(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -37,22 +73,22 @@ func pattern(n int, seed byte) []byte {
 }
 
 func TestSendRecvAcrossProtocolSizes(t *testing.T) {
-	// Sizes straddling every protocol boundary: tiny buffered, bin-sized,
-	// first-fit sized, hybrid region, pure rendezvous, multi-chunk.
-	sizes := []int{0, 1, 13, 1024, 1500, 4096, 8192, 8193, 16384, 16400, 40000, 200000}
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
+	// Sizes straddling every protocol boundary: tiny buffered or eager,
+	// bin-sized, MPI-F's 4 KB eager switch, first-fit sized, hybrid region,
+	// pure rendezvous, multi-chunk.
+	sizes := []int{0, 1, 13, 64, 1024, 1500, 4096, 4097, 8192, 8193, 16384, 16400, 40000, 100000, 200000}
+	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
 		for _, size := range sizes {
-			size := size
 			t.Run(fmt.Sprint(size), func(t *testing.T) {
 				msg := pattern(size, 3)
 				var got []byte
 				var st mpi.Status
-				runMPI(2, opt, func(p *sim.Proc, c *mpi.Comm) {
+				runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
 					if c.Rank() == 0 {
-						c.Send(p, msg, 1, 42)
+						mpi.Send(p, c, msg, 1, 42)
 					} else {
 						buf := make([]byte, size)
-						st, _ = c.Recv(p, buf, 0, 42)
+						st, _ = mpi.Recv(p, c, buf, 0, 42)
 						got = buf
 					}
 				})
@@ -68,21 +104,21 @@ func TestSendRecvAcrossProtocolSizes(t *testing.T) {
 }
 
 func TestUnexpectedMessages(t *testing.T) {
-	// Sender fires before the receive is posted, for both buffered and
-	// rendezvous sizes.
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
-		for _, size := range []int{100, 50000} {
+	// Sender fires before the receive is posted, for both buffered (or
+	// eager) and rendezvous sizes.
+	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
+		for _, size := range []int{100, 512, 50000} {
 			msg := pattern(size, 9)
 			var got []byte
-			runMPI(2, opt, func(p *sim.Proc, c *mpi.Comm) {
+			runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
 				if c.Rank() == 0 {
-					c.Send(p, msg, 1, 7)
+					mpi.Send(p, c, msg, 1, 7)
 				} else {
 					// Busy-wait long enough for the message to arrive
 					// unexpected, without posting.
 					p.Advance(hw.US(3000))
 					buf := make([]byte, size)
-					c.Recv(p, buf, 0, 7)
+					mpi.Recv(p, c, buf, 0, 7)
 					got = buf
 				}
 			})
@@ -94,21 +130,21 @@ func TestUnexpectedMessages(t *testing.T) {
 }
 
 func TestTagAndSourceMatching(t *testing.T) {
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
+	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
 		var order []int
-		runMPI(3, opt, func(p *sim.Proc, c *mpi.Comm) {
+		runPT(3, mk, func(p *sim.Proc, c mpi.PT) {
 			switch c.Rank() {
 			case 0:
-				c.Send(p, []byte("a"), 2, 5)
+				mpi.Send(p, c, []byte("a"), 2, 5)
 			case 1:
 				p.Advance(hw.US(200))
-				c.Send(p, []byte("b"), 2, 6)
+				mpi.Send(p, c, []byte("b"), 2, 6)
 			case 2:
 				buf := make([]byte, 1)
 				// Receive tag 6 first although tag 5 arrives first.
-				st, _ := c.Recv(p, buf, mpi.AnySource, 6)
+				st, _ := mpi.Recv(p, c, buf, mpi.AnySource, 6)
 				order = append(order, st.Tag)
-				st, _ = c.Recv(p, buf, mpi.AnySource, mpi.AnyTag)
+				st, _ = mpi.Recv(p, c, buf, mpi.AnySource, mpi.AnyTag)
 				order = append(order, st.Tag)
 			}
 		})
@@ -119,30 +155,66 @@ func TestTagAndSourceMatching(t *testing.T) {
 }
 
 func TestOrderingPreserved(t *testing.T) {
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
+	// 4 B is buffered or eager on every stack; 6,000 B is rendezvous on
+	// MPI-F.
+	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
 		const n = 150
-		var got []uint32
-		runMPI(2, opt, func(p *sim.Proc, c *mpi.Comm) {
-			if c.Rank() == 0 {
-				buf := make([]byte, 4)
-				for i := 0; i < n; i++ {
-					binary.LittleEndian.PutUint32(buf, uint32(i))
-					c.Send(p, buf, 1, 3)
+		for _, size := range []int{4, 6000} {
+			var got []uint32
+			runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
+				buf := make([]byte, size)
+				if c.Rank() == 0 {
+					for i := 0; i < n; i++ {
+						binary.LittleEndian.PutUint32(buf, uint32(i))
+						mpi.Send(p, c, buf, 1, 3)
+					}
+				} else {
+					for i := 0; i < n; i++ {
+						mpi.Recv(p, c, buf, 0, 3)
+						got = append(got, binary.LittleEndian.Uint32(buf))
+					}
 				}
-			} else {
-				buf := make([]byte, 4)
-				for i := 0; i < n; i++ {
-					c.Recv(p, buf, 0, 3)
-					got = append(got, binary.LittleEndian.Uint32(buf))
-				}
+			})
+			if len(got) != n {
+				t.Fatalf("size %d: received %d of %d", size, len(got), n)
 			}
-		})
-		for i, v := range got {
-			if v != uint32(i) {
-				t.Fatalf("reorder at %d: %d", i, v)
+			for i, v := range got {
+				if v != uint32(i) {
+					t.Fatalf("size %d: reorder at %d: %d", size, i, v)
+				}
 			}
 		}
 	})
+}
+
+// TestOutOfRangeRankPanics: a send to a rank outside [0, Size), or a
+// receive from one other than AnySource, is a programming error every
+// stack reports at the call with the same message.
+func TestOutOfRangeRankPanics(t *testing.T) {
+	ops := []struct {
+		name, want string
+		call       func(p *sim.Proc, c mpi.PT)
+	}{
+		{"Isend", "mpi: bad destination rank 5", func(p *sim.Proc, c mpi.PT) { c.Isend(p, nil, 5, 1) }},
+		{"Irecv", "mpi: bad source rank 5", func(p *sim.Proc, c mpi.PT) { c.Irecv(p, nil, 5, 1) }},
+	}
+	for _, st := range stacks {
+		for _, op := range ops {
+			t.Run(st.name+"/"+op.name, func(t *testing.T) {
+				var got any
+				runPT(2, st.pts, func(p *sim.Proc, c mpi.PT) {
+					if c.Rank() != 0 {
+						return
+					}
+					defer func() { got = recover() }()
+					op.call(p, c)
+				})
+				if fmt.Sprint(got) != op.want {
+					t.Fatalf("%s to rank 5 of 2 panicked with %v, want %q", op.name, got, op.want)
+				}
+			})
+		}
+	}
 }
 
 func TestBufferRecyclingManyMessages(t *testing.T) {
@@ -155,12 +227,12 @@ func TestBufferRecyclingManyMessages(t *testing.T) {
 			if c.Rank() == 0 {
 				msg := pattern(900, 1)
 				for i := 0; i < n; i++ {
-					c.Send(p, msg, 1, 1)
+					mpi.Send(p, c, msg, 1, 1)
 				}
 			} else {
 				buf := make([]byte, 900)
 				for i := 0; i < n; i++ {
-					c.Recv(p, buf, 0, 1)
+					mpi.Recv(p, c, buf, 0, 1)
 					got++
 				}
 			}
@@ -205,7 +277,7 @@ func TestSendrecvRing(t *testing.T) {
 			out := make([]byte, 4)
 			in := make([]byte, 4)
 			binary.LittleEndian.PutUint32(out, uint32(me)*10)
-			c.Sendrecv(p, out, (me+1)%P, 9, in, (me+P-1)%P, 9)
+			mpi.Sendrecv(p, c, out, (me+1)%P, 9, in, (me+P-1)%P, 9)
 			vals[me] = binary.LittleEndian.Uint32(in)
 		})
 		for me := 0; me < P; me++ {
@@ -385,18 +457,18 @@ func TestHybridAvoidsDiscontinuity(t *testing.T) {
 			buf := make([]byte, size)
 			if c.Rank() == 0 {
 				// Warm, then measure 10 round trips.
-				c.Send(p, msg, 1, 1)
-				c.Recv(p, buf, 1, 1)
+				mpi.Send(p, c, msg, 1, 1)
+				mpi.Recv(p, c, buf, 1, 1)
 				t0 := p.Now()
 				for i := 0; i < 10; i++ {
-					c.Send(p, msg, 1, 1)
-					c.Recv(p, buf, 1, 1)
+					mpi.Send(p, c, msg, 1, 1)
+					mpi.Recv(p, c, buf, 1, 1)
 				}
 				us = (p.Now() - t0).Microseconds() / 20
 			} else {
 				for i := 0; i < 11; i++ {
-					c.Recv(p, buf, 0, 1)
-					c.Send(p, msg, 0, 1)
+					mpi.Recv(p, c, buf, 0, 1)
+					mpi.Send(p, c, msg, 0, 1)
 				}
 			}
 		})

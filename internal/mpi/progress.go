@@ -15,12 +15,12 @@ func (s *System) registerHandlers() {
 		tag, size, rdvID, prefix := readEnv(mem)
 		region := mem[envBytes:]
 		src := tok.Src
-		c.node().ComputeUnscaled(p, costMatch)
+		c.nd.ComputeUnscaled(p, costMatch)
 
 		if rdvID == 0 {
 			if req := c.matchPosted(src, tag); req != nil {
 				n := copy(req.buf, region[:size])
-				c.node().Memcpy(p, n)
+				c.nd.Memcpy(p, n)
 				req.status = Status{Source: src, Tag: tag, Size: size}
 				req.done = true
 				// The reply both signals flow control and frees buffer
@@ -29,8 +29,8 @@ func (s *System) registerHandlers() {
 				return
 			}
 			c.unexpected = append(c.unexpected, &inMsg{
-				src: src, tag: tag, size: size, buffered: true,
-				region: region, freeOff: addr.Off, freeLen: nbytes,
+				src: src, tag: tag, size: size,
+				data: region, freeOff: addr.Off, freeLen: nbytes,
 			})
 			return
 		}
@@ -42,15 +42,14 @@ func (s *System) registerHandlers() {
 			// The receive was already posted and CTS'd at RTS time; fill
 			// in the prefix and free its buffer space.
 			n := copy(req.buf[:prefix], region[:prefix])
-			c.node().Memcpy(p, n)
+			c.nd.Memcpy(p, n)
 			c.replyFrees(p, tok, src, addr.Off, nbytes)
 			return
 		}
 		// The RTS is parked on the unexpected list: attach the prefix.
 		for _, m := range c.unexpected {
 			if m.src == src && m.rdvID == rdvID {
-				m.buffered = true
-				m.region = region
+				m.data = region
 				m.freeOff = addr.Off
 				m.freeLen = nbytes
 				m.prefix = prefix
@@ -66,7 +65,7 @@ func (s *System) registerHandlers() {
 		for _, w := range args {
 			if off, ln, ok := unpackFree(w); ok {
 				c.alloc[tok.Src].release(off, ln)
-				c.node().ComputeUnscaled(p, costFree)
+				c.nd.ComputeUnscaled(p, costFree)
 			}
 		}
 	})
@@ -79,10 +78,10 @@ func (s *System) registerHandlers() {
 		rdvID := args[2]
 		prefix := int(args[3])
 		src := tok.Src
-		c.node().ComputeUnscaled(p, costMatch)
+		c.nd.ComputeUnscaled(p, costMatch)
 		if req := c.matchPosted(src, tag); req != nil {
 			slot := c.allocSlot()
-			c.node().Mem.Replace(slot, req.buf[prefix:size])
+			c.nd.Mem.Replace(slot, req.buf[prefix:size])
 			req.status = Status{Source: src, Tag: tag, Size: size}
 			req.slot = slot
 			c.rdvRecv[rdvKey{src: src, id: rdvID}] = req
@@ -158,10 +157,10 @@ func (c *Comm) progressWait(p *sim.Proc) {
 func (c *Comm) afterPolls(p *sim.Proc, polls int) {
 	for c.pendCTS.Len() > 0 {
 		req := c.pendCTS.Pop().req
-		if err := c.ep.StoreAsync(p, req.dst, hw.Addr{Seg: req.ctsSlot, Off: 0},
-			req.data[req.prefix:], c.sys.h.rdvData, req.rdvID,
+		if err := c.ep.StoreAsync(p, req.peer, hw.Addr{Seg: req.ctsSlot, Off: 0},
+			req.buf[req.prefix:], c.sys.h.rdvData, req.rdvID,
 			func(q *sim.Proc, e *am.Endpoint) { req.done = true }); err != nil {
-			req.err = c.peerError(req.dst, err)
+			req.err = c.peerError(req.peer, err)
 		}
 	}
 	c.tick += polls

@@ -1,9 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-	"slices"
-
 	"spam/internal/am"
 	"spam/internal/hw"
 	"spam/internal/ring"
@@ -32,16 +29,13 @@ func unpackFree(w uint32) (off, ln int, ok bool) {
 }
 
 // Isend starts a nonblocking standard send.
-func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) Req {
-	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("mpi: bad destination rank %d", dst))
-	}
-	req := &Request{kind: rkSend, dst: dst, tag: tag, data: data, ctsSlot: -1}
+func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
+	req := c.newSend(data, dst, tag)
 	if err := c.peerErrs[dst]; err != nil {
 		req.err = err
 		return req
 	}
-	c.node().ComputeUnscaled(p, costEnvBuild)
+	c.nd.ComputeUnscaled(p, costEnvBuild)
 	n := len(data)
 
 	if n <= c.bufferedMax() {
@@ -59,7 +53,7 @@ func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) Req {
 	c.nextRdv++
 	req.rdvID = c.nextRdv
 	c.rdvSend[req.rdvID] = req
-	c.node().ComputeUnscaled(p, costRdvSetup)
+	c.nd.ComputeUnscaled(p, costRdvSetup)
 	prefix := 0
 	if hp := c.sys.Opt.HybridPrefix; hp > 0 && n > hp {
 		if off, bin, ok := c.alloc[dst].grab(envBytes + hp); ok {
@@ -81,7 +75,7 @@ func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) Req {
 
 // sendBuffered ships a complete message through the buffered protocol.
 func (c *Comm) sendBuffered(p *sim.Proc, req *Request, rdvID uint32, prefix int) bool {
-	off, bin, ok := c.alloc[req.dst].grab(envBytes + len(req.data))
+	off, bin, ok := c.alloc[req.peer].grab(envBytes + len(req.buf))
 	if !ok {
 		return false
 	}
@@ -93,39 +87,39 @@ func (c *Comm) sendBuffered(p *sim.Proc, req *Request, rdvID uint32, prefix int)
 // storeBuffered builds [envelope|payload-or-prefix] and stores it into the
 // already-allocated extent at off.
 func (c *Comm) storeBuffered(p *sim.Proc, req *Request, off int, bin bool, rdvID uint32, prefix int) {
-	n := len(req.data)
+	n := len(req.buf)
 	payload := n
 	if prefix > 0 {
 		payload = prefix
 	}
 	if bin {
-		c.node().ComputeUnscaled(p, costAllocBin)
+		c.nd.ComputeUnscaled(p, costAllocBin)
 	} else {
-		c.node().ComputeUnscaled(p, costAllocFF)
+		c.nd.ComputeUnscaled(p, costAllocFF)
 	}
 	buf := make([]byte, envBytes+payload)
 	putEnv(buf, req.tag, n, rdvID, prefix)
-	copy(buf[envBytes:], req.data[:payload])
+	copy(buf[envBytes:], req.buf[:payload])
 	raddr := hw.Addr{Seg: c.bufSeg, Off: c.regionBase(c.Rank()) + off}
 	if rdvID == 0 {
-		if err := c.ep.StoreAsync(p, req.dst, raddr, buf, c.sys.h.bufStore, 0,
+		if err := c.ep.StoreAsync(p, req.peer, raddr, buf, c.sys.h.bufStore, 0,
 			func(q *sim.Proc, e *am.Endpoint) { req.done = true }); err != nil {
-			req.err = c.peerError(req.dst, err)
+			req.err = c.peerError(req.peer, err)
 		}
 	} else {
 		// Prefix store: the request completes when the remainder is acked.
-		if err := c.ep.StoreAsync(p, req.dst, raddr, buf, c.sys.h.bufStore, 0, nil); err != nil {
-			req.err = c.peerError(req.dst, err)
+		if err := c.ep.StoreAsync(p, req.peer, raddr, buf, c.sys.h.bufStore, 0, nil); err != nil {
+			req.err = c.peerError(req.peer, err)
 		}
 	}
 }
 
 // Irecv posts a nonblocking receive.
-func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) Req {
-	req := &Request{kind: rkRecv, buf: buf, src: src, rtag: tag}
-	c.node().ComputeUnscaled(p, costPostRecv)
+func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
+	req := c.newRecv(buf, src, tag)
+	c.nd.ComputeUnscaled(p, costPostRecv)
 	if m := c.matchUnexpected(src, tag); m != nil {
-		c.node().ComputeUnscaled(p, costMatch)
+		c.nd.ComputeUnscaled(p, costMatch)
 		c.claimUnexpected(p, req, m)
 		return req
 	}
@@ -137,9 +131,9 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) Req {
 // whose message already arrived. Runs in application context, so it may
 // send requests.
 func (c *Comm) claimUnexpected(p *sim.Proc, req *Request, m *inMsg) {
-	if m.buffered && m.rdvID == 0 {
-		nCopy := copy(req.buf, m.region[:m.size])
-		c.node().Memcpy(p, nCopy)
+	if m.rdvID == 0 {
+		nCopy := copy(req.buf, m.data[:m.size])
+		c.nd.Memcpy(p, nCopy)
 		req.status = Status{Source: m.src, Tag: m.tag, Size: m.size}
 		req.done = true
 		c.queueFree(p, m.src, m.freeOff, m.freeLen)
@@ -148,13 +142,13 @@ func (c *Comm) claimUnexpected(p *sim.Proc, req *Request, m *inMsg) {
 	// Rendezvous (possibly with a buffered prefix). The prefix region is
 	// nil when the prefix is still in flight; it is copied on arrival via
 	// the rdvRecv entry registered below.
-	if m.prefix > 0 && m.region != nil {
-		nCopy := copy(req.buf, m.region[:m.prefix])
-		c.node().Memcpy(p, nCopy)
+	if m.prefix > 0 && m.data != nil {
+		nCopy := copy(req.buf, m.data[:m.prefix])
+		c.nd.Memcpy(p, nCopy)
 		c.queueFree(p, m.src, m.freeOff, m.freeLen)
 	}
 	slot := c.allocSlot()
-	c.node().Mem.Replace(slot, req.buf[m.prefix:m.size])
+	c.nd.Mem.Replace(slot, req.buf[m.prefix:m.size])
 	req.status = Status{Source: m.src, Tag: m.tag, Size: m.size}
 	req.slot = slot
 	c.rdvRecv[rdvKey{src: m.src, id: m.rdvID}] = req
@@ -169,36 +163,12 @@ func (c *Comm) allocSlot() int {
 	}
 	// Pool exhausted: grow (slot ids are local to this node, so growth
 	// does not need to stay symmetric across ranks).
-	return c.node().Mem.Add(nil)
+	return c.nd.Mem.Add(nil)
 }
 
 func (c *Comm) releaseSlot(slot int) {
-	c.node().Mem.Replace(slot, nil)
+	c.nd.Mem.Replace(slot, nil)
 	c.slotFree = append(c.slotFree, slot)
-}
-
-func (c *Comm) matchUnexpected(src, tag int) *inMsg {
-	i := slices.IndexFunc(c.unexpected, func(m *inMsg) bool {
-		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
-	})
-	if i < 0 {
-		return nil
-	}
-	m := c.unexpected[i]
-	c.unexpected = slices.Delete(c.unexpected, i, i+1)
-	return m
-}
-
-func (c *Comm) matchPosted(src, tag int) *Request {
-	i := slices.IndexFunc(c.posted, func(r *Request) bool {
-		return (r.src == AnySource || r.src == src) && (r.rtag == AnyTag || r.rtag == tag)
-	})
-	if i < 0 {
-		return nil
-	}
-	r := c.posted[i]
-	c.posted = slices.Delete(c.posted, i, i+1)
-	return r
 }
 
 // queueFree records a buffered-region extent to give back to src's
@@ -244,53 +214,13 @@ func (c *Comm) peerError(peer int, cause error) error {
 	return &Error{Code: ErrPeerDead, Rank: c.Rank(), Peer: peer, Cause: cause}
 }
 
-// waitErr decides whether Wait should give up on req: the request itself
-// failed, the involved peer is dead, or the communicator deadline passed.
-func (c *Comm) waitErr(req *Request) error {
-	if req.err != nil {
-		return req.err
-	}
-	peer := -1
-	switch req.kind {
-	case rkSend:
-		peer = req.dst
-	case rkRecv:
-		if req.src != AnySource {
-			peer = req.src
-		}
-	}
-	if peer >= 0 && c.peerErrs[peer] != nil {
-		return c.peerErrs[peer]
-	}
-	if c.deadline > 0 && c.node().Eng.Now() >= c.deadline {
-		return &Error{Code: ErrTimeout, Rank: c.Rank(), Peer: peer}
-	}
-	return nil
-}
-
-// Send is the blocking standard send.
-func (c *Comm) Send(p *sim.Proc, data []byte, dst, tag int) error {
-	req := c.Isend(p, data, dst, tag)
-	_, err := c.Wait(p, req)
-	return err
-}
-
-// Recv is the blocking receive; it returns the completion status.
-func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
-	req := c.Irecv(p, buf, src, tag)
-	return c.Wait(p, req)
-}
-
 // Wait blocks until req completes, driving the progress engine — or until
 // the operation can provably never complete (peer dead, deadline passed), in
 // which case it returns the typed error instead of spinning forever. The
 // error is sticky on the request.
-func (c *Comm) Wait(p *sim.Proc, r Req) (Status, error) {
-	req := r.(*Request)
+func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
 	for !req.done {
-		if err := c.waitErr(req); err != nil {
-			req.err = err
-			c.cancel(req)
+		if err := c.expired(req); err != nil {
 			return req.status, err
 		}
 		c.progressWait(p)
@@ -298,26 +228,5 @@ func (c *Comm) Wait(p *sim.Proc, r Req) (Status, error) {
 	return req.status, nil
 }
 
-// cancel deregisters a failed request's still-unmatched receive posting.
-// Surviving ranks' salted tag streams desynchronize after a failure, so a
-// stale posted buffer could otherwise be matched against a later message of
-// a different size. A receive already matched to a rendezvous stays
-// registered: its buffer size was validated at match time, and in-flight
-// data may still land in it.
-func (c *Comm) cancel(req *Request) {
-	if i := slices.Index(c.posted, req); i >= 0 {
-		c.posted = slices.Delete(c.posted, i, i+1)
-	}
-}
-
-// Sendrecv performs the combined operation (used heavily by collectives
-// and the NAS kernels).
-func (c *Comm) Sendrecv(p *sim.Proc, sendbuf []byte, dst, stag int, recvbuf []byte, src, rtag int) (Status, error) {
-	rr := c.Irecv(p, recvbuf, src, rtag)
-	sr := c.Isend(p, sendbuf, dst, stag)
-	if _, err := c.Wait(p, sr); err != nil {
-		c.cancel(rr.(*Request)) // don't leave a stale posting behind the failed half
-		return Status{}, err
-	}
-	return c.Wait(p, rr)
-}
+// drainSends is MPI-F's blocking-send step; an MPI-AM send needs none.
+func (c *Comm) drainSends(p *sim.Proc) {}

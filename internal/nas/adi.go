@@ -106,7 +106,7 @@ func ADI(cfg ADIConfig) Kernel {
 		// exchange performs one face swap with both neighbors along a
 		// direction (dir 0 = x, 1 = y) using nonblocking operations.
 		exchange := func(dir, tag int) {
-			var reqs []mpi.Req
+			var reqs []*mpi.Request
 			var loRank, hiRank int
 			var nb int
 			var hasLo, hasHi bool

@@ -1,6 +1,9 @@
 package nas
 
-import "spam/internal/sim"
+import (
+	"spam/internal/mpi"
+	"spam/internal/sim"
+)
 
 // LUConfig sizes the LU kernel. Class A is 64^3 with 250 SSOR iterations;
 // the scaled default keeps the full 64^3 grid (LU's messages are already
@@ -70,7 +73,7 @@ func LU(cfg LUConfig) Kernel {
 					if !lower {
 						ny = my + 1
 					}
-					c.Recv(p, rowB, rankOf(mx, ny), tagBase-z)
+					mpi.Recv(p, c, rowB, rankOf(mx, ny), tagBase-z)
 					getF64s(rowF, rowB)
 					for x := 0; x < lx; x++ {
 						for v := 0; v < nv; v++ {
@@ -83,7 +86,7 @@ func LU(cfg LUConfig) Kernel {
 					if !lower {
 						nx = mx + 1
 					}
-					c.Recv(p, colB, rankOf(nx, my), tagBase-1000-z)
+					mpi.Recv(p, c, colB, rankOf(nx, my), tagBase-1000-z)
 					getF64s(colF, colB)
 					for y := 0; y < ly; y++ {
 						for v := 0; v < nv; v++ {
@@ -121,7 +124,7 @@ func LU(cfg LUConfig) Kernel {
 						}
 					}
 					putF64s(rowB, rowF)
-					c.Send(p, rowB, rankOf(mx, ny), tagBase-z)
+					mpi.Send(p, c, rowB, rankOf(mx, ny), tagBase-z)
 				}
 				if sendE {
 					nx := mx + 1
@@ -134,7 +137,7 @@ func LU(cfg LUConfig) Kernel {
 						}
 					}
 					putF64s(colB, colF)
-					c.Send(p, colB, rankOf(nx, my), tagBase-1000-z)
+					mpi.Send(p, c, colB, rankOf(nx, my), tagBase-1000-z)
 				}
 			}
 		}

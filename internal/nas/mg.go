@@ -76,11 +76,11 @@ func MG(cfg MGConfig) Kernel {
 			up, down := (me+1)%P, (me+P-1)%P
 			// Send top plane up, receive bottom ghost from below.
 			putF64s(sendPlane[:nb], arr[l.idx(l.lz, 0, 0):l.idx(l.lz+1, 0, 0)])
-			c.Sendrecv(p, sendPlane[:nb], up, tag, recvPlane[:nb], down, tag)
+			mpi.Sendrecv(p, c, sendPlane[:nb], up, tag, recvPlane[:nb], down, tag)
 			getF64s(arr[l.idx(0, 0, 0):l.idx(1, 0, 0)], recvPlane[:nb])
 			// Send bottom plane down, receive top ghost from above.
 			putF64s(sendPlane[:nb], arr[l.idx(1, 0, 0):l.idx(2, 0, 0)])
-			c.Sendrecv(p, sendPlane[:nb], down, tag-1000000, recvPlane[:nb], up, tag-1000000)
+			mpi.Sendrecv(p, c, sendPlane[:nb], down, tag-1000000, recvPlane[:nb], up, tag-1000000)
 			getF64s(arr[l.idx(l.lz+1, 0, 0):l.idx(l.lz+2, 0, 0)], recvPlane[:nb])
 		}
 

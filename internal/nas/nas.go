@@ -7,9 +7,10 @@
 // MPI_Alltoall, LU's SSOR wavefront pipeline, MG's halo exchanges across a
 // V-cycle, and BT/SP's ADI face exchanges in three sweep directions.
 //
-// Every kernel programs against mpi.PT, so the identical code runs over
-// MPI-AM (MPICH on SP Active Messages) and MPI-F (the vendor MPI model),
-// exactly the comparison of Table 6. Problem sizes and iteration counts
+// Every kernel programs against mpi.PT and package mpi's blocking calls
+// over it, so the identical code runs over both of mpi's stacks, MPI-AM
+// (mpi.New: MPICH on SP Active Messages) and MPI-F (mpi.NewF: the vendor
+// MPI model), exactly the comparison of Table 6. Problem sizes and iteration counts
 // are scaled from Class A (documented per kernel); EXPERIMENTS.md records
 // the scaling.
 package nas

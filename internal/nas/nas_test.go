@@ -7,7 +7,6 @@ import (
 
 	"spam/internal/hw"
 	"spam/internal/mpi"
-	"spam/internal/mpif"
 	"spam/internal/nas"
 	"spam/internal/sim"
 )
@@ -28,7 +27,7 @@ func runOn(impl string, n int, bench string, k nas.Kernel) nas.Result {
 			comms = append(comms, c)
 		}
 	case "mpi-f":
-		sys := mpif.New(cluster)
+		sys := mpi.NewF(cluster)
 		for _, c := range sys.Comms {
 			comms = append(comms, c)
 		}
