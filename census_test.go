@@ -71,9 +71,6 @@ var keep = map[string]string{
 
 	"internal/splitc/apps.MatMulSerialChecksum": "the apps tests' serial reference for the distributed matmul",
 	"internal/splitc/apps.SampleSortLayout":     "the apps tests' reference for where sample sort leaves each key",
-	"internal/gam.Machine.RTs":                  "the apps sort tests read every node's segment on the Table-4 machines through it",
-	"internal/splitc.MPLPlatform.RTs":           "the apps sort tests read every node's segment on Split-C over MPL through it",
-	"internal/splitc.SPAMPlatform.RTs":          "the apps sort tests read every node's segment on Split-C over SP AM through it",
 }
 
 // TestEveryDeclarationHasACaller is the reachability census. Its roots are

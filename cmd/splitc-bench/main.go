@@ -37,7 +37,7 @@ func main() {
 	if *table == 4 {
 		fmt.Println("# Table 4: machine characteristics (model inputs)")
 		fmt.Printf("%-12s %10s %12s %12s %10s\n", "machine", "overhead", "round-trip", "bandwidth", "cpu-scale")
-		for _, m := range []gam.Params{gam.CM5(), gam.CS2(), gam.UNetATM()} {
+		for _, m := range gam.Table4() {
 			fmt.Printf("%-12s %8.1fus %10.1fus %9.0fMB/s %10.1f\n",
 				m.Name, (m.OSend + m.ORecv).Microseconds(),
 				(2*(m.OSend+m.ORecv) + 2*m.Latency).Microseconds(), m.MBps, m.CPUScale)

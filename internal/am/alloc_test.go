@@ -223,7 +223,7 @@ func TestBulkZeroAlloc(t *testing.T) {
 		ep := sys.EPs[0]
 		round := func() {
 			ep.Store(p, 1, hw.Addr{Seg: rseg}, src, am.NoHandler, 0)
-			ep.Get(p, 1, hw.Addr{Seg: rseg}, hw.Addr{Seg: lseg}, size, am.NoHandler, 0)
+			ep.Get(p, 1, hw.Addr{Seg: rseg}, hw.Addr{Seg: lseg}, size, am.NoHandler)
 		}
 		for i := 0; i < 8; i++ {
 			round()

@@ -189,7 +189,7 @@ func TestGetRoundTrip(t *testing.T) {
 	done := false
 	c.Spawn(0, "a", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[0]
-		ep.Get(p, 1, hw.Addr{Seg: rseg}, hw.Addr{Seg: lseg}, 5000, bh, 0)
+		ep.Get(p, 1, hw.Addr{Seg: rseg}, hw.Addr{Seg: lseg}, 5000, bh)
 		done = true
 	})
 	c.Spawn(1, "b", func(p *sim.Proc, n *hw.Node) {
@@ -224,7 +224,7 @@ func TestGetWithLoss(t *testing.T) {
 	done := false
 	c.Spawn(0, "a", func(p *sim.Proc, n *hw.Node) {
 		ep := sys.EPs[0]
-		ep.Get(p, 1, hw.Addr{Seg: rseg}, hw.Addr{Seg: lseg}, len(remote), am.NoHandler, 0)
+		ep.Get(p, 1, hw.Addr{Seg: rseg}, hw.Addr{Seg: lseg}, len(remote), am.NoHandler)
 		done = true
 	})
 	c.Spawn(1, "b", func(p *sim.Proc, n *hw.Node) {

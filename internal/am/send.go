@@ -113,12 +113,11 @@ func (ep *Endpoint) startStore(p *sim.Proc, dst int, raddr hw.Addr, data []byte,
 
 // Get fetches nbytes from the remote block (dst, raddr) into the local
 // block laddr and blocks until the data has arrived; handler h (if not
-// NoHandler) is invoked locally on completion, matching am_get's semantics.
-// If dst is declared dead before the data arrives, the operation fails and
-// its PeerDeathError is returned.
-func (ep *Endpoint) Get(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbytes int,
-	h HandlerID, arg uint32) error {
-	op, g, err := ep.startGet(p, dst, raddr, laddr, nbytes, h, arg)
+// NoHandler) is invoked locally on completion with argument 0, matching
+// am_get's semantics. If dst is declared dead before the data arrives, the
+// operation fails and its PeerDeathError is returned.
+func (ep *Endpoint) Get(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbytes int, h HandlerID) error {
+	op, g, err := ep.startGet(p, dst, raddr, laddr, nbytes, h)
 	if err != nil {
 		return err
 	}
@@ -134,14 +133,13 @@ func (ep *Endpoint) Get(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbyt
 // GetAsync initiates the fetch and returns; h runs locally when the data
 // has fully arrived. A non-nil error means dst was already declared dead
 // and nothing was sent.
-func (ep *Endpoint) GetAsync(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbytes int,
-	h HandlerID, arg uint32) error {
-	_, _, err := ep.startGet(p, dst, raddr, laddr, nbytes, h, arg)
+func (ep *Endpoint) GetAsync(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbytes int, h HandlerID) error {
+	_, _, err := ep.startGet(p, dst, raddr, laddr, nbytes, h)
 	return err
 }
 
 func (ep *Endpoint) startGet(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbytes int,
-	h HandlerID, arg uint32) (*bulkOp, uint64, error) {
+	h HandlerID) (*bulkOp, uint64, error) {
 	ep.mustNotBeInHandler("Get")
 	if err := ep.PeerErr(dst); err != nil {
 		return nil, 0, err
@@ -154,13 +152,14 @@ func (ep *Endpoint) startGet(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr,
 	op.daddr = laddr
 	op.total = nbytes
 	op.h = h
-	op.arg = arg
 	g := op.gen
 	ep.track(op)
+	// The request carries am_get's one argument word, always zero: the
+	// header and its costs are am_get's.
 	m := msg{
 		Kind: kGetReq, Ch: chReq, Op: op.id,
 		RAddr: raddr, LAddr: laddr, NBytes: nbytes,
-		H: int(h), Args: [4]uint32{arg}, Nargs: 1,
+		H: int(h), Nargs: 1,
 	}
 	ep.sendShortBlocking(p, dst, m, costStoreSetup)
 	return op, g, nil

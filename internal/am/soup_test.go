@@ -97,7 +97,7 @@ func TestProtocolSoupUnderLoss(t *testing.T) {
 							roff := rng.Intn(len(zones[dst]) - n)
 							loff := (op % opsPerNode) * slot
 							ep.Get(p, dst, hw.Addr{Seg: segs[dst], Off: roff},
-								hw.Addr{Seg: lsegs[i], Off: loff}, n, am.NoHandler, 0)
+								hw.Addr{Seg: lsegs[i], Off: loff}, n, am.NoHandler)
 						}
 					}
 					for pend > 0 {

@@ -208,13 +208,13 @@ func Bandwidth(s Setup, mode BulkMode, n, total int) (mbps float64, r Ran) {
 				ep.Store(p, 1, raddr, src, am.NoHandler, 0)
 				completed++
 			case SyncGet:
-				ep.Get(p, 1, raddr, laddr, n, am.NoHandler, 0)
+				ep.Get(p, 1, raddr, laddr, n, am.NoHandler)
 				completed++
 			case AsyncStore:
 				ep.StoreAsync(p, 1, raddr, src, am.NoHandler, 0,
 					func(q *sim.Proc, e *am.Endpoint) { completed++ })
 			case AsyncGet:
-				ep.GetAsync(p, 1, raddr, laddr, n, gotH, 0)
+				ep.GetAsync(p, 1, raddr, laddr, n, gotH)
 			}
 		}
 		for completed < ops {

@@ -10,7 +10,7 @@ import (
 )
 
 // MachineFactory builds a Split-C platform with a given global heap size;
-// the two SPs are observed by s.
+// the two SPs are observed by s. Name is the only place a machine is named.
 type MachineFactory struct {
 	Name string
 	New  func(s Setup, heapBytes int) splitc.Platform
@@ -19,7 +19,7 @@ type MachineFactory struct {
 // Table5Machines returns the five machines of the paper's Split-C
 // comparison, in the paper's column order.
 func Table5Machines(nprocs int) []MachineFactory {
-	return []MachineFactory{
+	ms := []MachineFactory{
 		{"IBM SP AM", func(s Setup, h int) splitc.Platform {
 			pl := splitc.NewSPAM(nprocs, h)
 			s.observe(pl.Cluster, pl.Sys)
@@ -30,10 +30,11 @@ func Table5Machines(nprocs int) []MachineFactory {
 			s.observe(pl.Cluster, nil)
 			return pl
 		}},
-		{"TMC CM-5", func(_ Setup, h int) splitc.Platform { return gam.New(gam.CM5(), nprocs, h) }},
-		{"Meiko CS-2", func(_ Setup, h int) splitc.Platform { return gam.New(gam.CS2(), nprocs, h) }},
-		{"U-Net ATM", func(_ Setup, h int) splitc.Platform { return gam.New(gam.UNetATM(), nprocs, h) }},
 	}
+	for _, p := range gam.Table4() {
+		ms = append(ms, MachineFactory{p.Name, func(_ Setup, h int) splitc.Platform { return gam.New(p, nprocs, h) }})
+	}
+	return ms
 }
 
 // Table5Config sizes the Split-C benchmark suite. The paper runs 8
@@ -66,39 +67,30 @@ func QuickTable5() Table5Config {
 // returns results in row-major (benchmark, machine) order.
 func RunTable5(s Setup, cfg Table5Config, machines []MachineFactory) []apps.Result {
 	type benchDef struct {
-		name string
 		run  func(pl splitc.Platform) apps.Result
 		heap int
 	}
 	benches := []benchDef{
-		{fmt.Sprintf("mm %dx%d", cfg.MMLgB, cfg.MMLgB),
-			func(pl splitc.Platform) apps.Result { return apps.MatMul(pl, cfg.MMLgN, cfg.MMLgB) },
+		{func(pl splitc.Platform) apps.Result { return apps.MatMul(pl, cfg.MMLgN, cfg.MMLgB) },
 			apps.MatMulHeap(cfg.MMLgN, cfg.MMLgB, cfg.NProcs)},
-		{fmt.Sprintf("mm %dx%d", cfg.MMSmB, cfg.MMSmB),
-			func(pl splitc.Platform) apps.Result { return apps.MatMul(pl, cfg.MMSmN, cfg.MMSmB) },
+		{func(pl splitc.Platform) apps.Result { return apps.MatMul(pl, cfg.MMSmN, cfg.MMSmB) },
 			apps.MatMulHeap(cfg.MMSmN, cfg.MMSmB, cfg.NProcs)},
-		{"smpsort sm",
-			func(pl splitc.Platform) apps.Result { return apps.SampleSort(pl, cfg.Keys, false) },
+		{func(pl splitc.Platform) apps.Result { return apps.SampleSort(pl, cfg.Keys, false) },
 			apps.SampleSortHeap(cfg.Keys, cfg.NProcs)},
-		{"smpsort lg",
-			func(pl splitc.Platform) apps.Result { return apps.SampleSort(pl, cfg.Keys, true) },
+		{func(pl splitc.Platform) apps.Result { return apps.SampleSort(pl, cfg.Keys, true) },
 			apps.SampleSortHeap(cfg.Keys, cfg.NProcs)},
-		{"rdxsort sm",
-			func(pl splitc.Platform) apps.Result { return apps.RadixSort(pl, cfg.Keys, false) },
+		{func(pl splitc.Platform) apps.Result { return apps.RadixSort(pl, cfg.Keys, false) },
 			apps.RadixSortHeap(cfg.Keys, cfg.NProcs)},
-		{"rdxsort lg",
-			func(pl splitc.Platform) apps.Result { return apps.RadixSort(pl, cfg.Keys, true) },
+		{func(pl splitc.Platform) apps.Result { return apps.RadixSort(pl, cfg.Keys, true) },
 			apps.RadixSortHeap(cfg.Keys, cfg.NProcs)},
 	}
 	// Fan the (benchmark, machine) grid across the sweep workers; the
 	// row-major result order the printers rely on is preserved by index.
+	// Each program names its own row.
 	nm := len(machines)
 	return Sweep(s, len(benches)*nm, func(s Setup, i int) apps.Result {
-		b, m := benches[i/nm], machines[i%nm]
-		res := b.run(m.New(s, b.heap))
-		res.Bench = b.name
-		res.Platform = m.Name
-		return res
+		b := benches[i/nm]
+		return b.run(machines[i%nm].New(s, b.heap))
 	})
 }
 
@@ -132,9 +124,9 @@ func PrintTable5(w io.Writer, results []apps.Result, machines []MachineFactory) 
 	fmt.Fprintf(w, "%-14s %-12s %8s %8s %8s\n", "benchmark", "machine", "total", "cpu", "net")
 	for _, b := range order {
 		base := byBench[b][0].TotalSec // column 0 is SP AM
-		for _, r := range byBench[b] {
+		for j, r := range byBench[b] {
 			fmt.Fprintf(w, "%-14s %-12s %8.2f %8.2f %8.2f\n",
-				b, r.Platform, r.TotalSec/base, r.CPUSec/base, r.CommSec/base)
+				b, machines[j].Name, r.TotalSec/base, r.CPUSec/base, r.CommSec/base)
 		}
 	}
 }

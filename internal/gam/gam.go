@@ -4,7 +4,7 @@
 // the TMC CM-5, the Meiko CS-2, and the U-Net ATM cluster; those machines'
 // communication layers are not rebuilt gate-by-gate — their four published
 // parameters are what the comparison uses, so a calibrated LogGP-style
-// model exposes the same Split-C transport interface the SP models use.
+// model implements the Split-C transport the SP models implement.
 package gam
 
 import (
@@ -51,6 +51,9 @@ func UNetATM() Params {
 		Latency: hw.US(27.4), MBps: 14, CPUScale: 1.9}
 }
 
+// Table4 returns the three machines of Table 4, in the paper's order.
+func Table4() []Params { return []Params{CM5(), CS2(), UNetATM()} }
+
 // headerBytes is the modeled per-message wire header.
 const headerBytes = 8
 
@@ -73,16 +76,15 @@ type message struct {
 	a, b       uint64
 	roff, loff int
 	n          int
-	idx        uint32
 	data       []byte
 }
 
 // Machine is a cluster of Table-4 nodes sharing one simulation engine.
 type Machine struct {
+	splitc.Runtimes
 	Eng   *sim.Engine
 	P     Params
 	nodes []*gnode
-	rts   []*splitc.RT
 }
 
 // New builds an n-node machine with heapBytes of Split-C global segment
@@ -90,58 +92,34 @@ type Machine struct {
 func New(p Params, n, heapBytes int) *Machine {
 	m := &Machine{Eng: sim.NewEngine(7), P: p}
 	for i := 0; i < n; i++ {
-		nd := &gnode{
-			m: m, id: i, mem: make([]byte, heapBytes),
-			in:  sim.NewServer(m.Eng),
-			out: sim.NewServer(m.Eng),
-		}
+		rt := splitc.NewRT(i, n, make([]byte, heapBytes))
+		nd := &gnode{m: m, rt: rt, in: sim.NewServer(m.Eng), out: sim.NewServer(m.Eng)}
+		rt.T = nd
 		m.nodes = append(m.nodes, nd)
-		m.rts = append(m.rts, splitc.NewRT(nd))
+		m.Runtimes = append(m.Runtimes, rt)
 	}
 	return m
 }
 
-// N reports the processor count.
-func (m *Machine) N() int { return len(m.nodes) }
-
-// Name identifies the machine.
-func (m *Machine) Name() string { return m.P.Name }
-
 // Run executes program SPMD and returns the finishing virtual time.
 func (m *Machine) Run(program func(p *sim.Proc, rt *splitc.RT)) sim.Time {
-	for i := range m.rts {
-		rt := m.rts[i]
+	for i, rt := range m.Runtimes {
 		m.Eng.Go(fmt.Sprintf("n%d:splitc", i), func(p *sim.Proc) { program(p, rt) })
 	}
 	m.Eng.RunAll()
 	return m.Eng.Now()
 }
 
-// RTs exposes the per-node runtimes.
-func (m *Machine) RTs() []*splitc.RT { return m.rts }
-
 // gnode is one node: a queue-drained transport with LogGP timing.
 type gnode struct {
-	m      *Machine
-	id     int
-	mem    []byte
-	in     *sim.Server // ejection port
-	out    *sim.Server // injection port
-	q      []*message
-	ctlFn  func(p *sim.Proc, src int, a, b uint64)
-	stored int64
-	cbs    splitc.Callbacks // gets in flight; the index is a message field
+	m   *Machine
+	rt  *splitc.RT  // the runtime this node serves
+	in  *sim.Server // ejection port
+	out *sim.Server // injection port
+	q   []*message
 }
 
-var _ splitc.Transport = (*gnode)(nil)
-
-func (g *gnode) ID() int            { return g.id }
-func (g *gnode) N() int             { return len(g.m.nodes) }
-func (g *gnode) LocalMem() []byte   { return g.mem }
-func (g *gnode) StoredBytes() int64 { return g.stored }
-func (g *gnode) Err() error         { return nil } // LogGP model: no fault injection
-
-func (g *gnode) SetCtlHandler(fn func(p *sim.Proc, src int, a, b uint64)) { g.ctlFn = fn }
+func (g *gnode) Err() error { return nil } // LogGP model: no fault injection
 
 func (g *gnode) Compute(p *sim.Proc, d sim.Time) {
 	p.Advance(sim.Time(float64(d) * g.m.P.CPUScale))
@@ -154,7 +132,7 @@ func (g *gnode) wireTime(bytes int) sim.Time {
 // send charges the sender overhead and routes msg through the two ports
 // and the latency to dst's queue.
 func (g *gnode) send(p *sim.Proc, dst int, msg *message) {
-	msg.src = g.id
+	msg.src = g.rt.ID()
 	p.Advance(g.m.P.OSend)
 	t := g.wireTime(len(msg.data))
 	d := g.m.nodes[dst]
@@ -173,9 +151,8 @@ func (g *gnode) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	g.send(p, dst, &message{kind: mCtl, a: a, b: b})
 }
 
-func (g *gnode) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := g.cbs.Add(onDone)
-	g.send(p, dst, &message{kind: mGetReq, roff: roff, loff: loff, n: n, idx: idx})
+func (g *gnode) Get(p *sim.Proc, dst, roff, loff, n int) {
+	g.send(p, dst, &message{kind: mGetReq, roff: roff, loff: loff, n: n})
 }
 
 func (g *gnode) Store(p *sim.Proc, dst, roff int, data []byte) {
@@ -206,16 +183,16 @@ func (g *gnode) Poll(p *sim.Proc) {
 		p.Advance(g.m.P.ORecv)
 		switch msg.kind {
 		case mCtl:
-			g.ctlFn(p, msg.src, msg.a, msg.b)
+			g.rt.Control(msg.a, msg.b)
 		case mGetReq:
-			buf := append([]byte(nil), g.mem[msg.roff:msg.roff+msg.n]...)
-			g.send(p, msg.src, &message{kind: mGetData, loff: msg.loff, idx: msg.idx, n: msg.n, data: buf})
+			buf := append([]byte(nil), g.rt.Mem()[msg.roff:msg.roff+msg.n]...)
+			g.send(p, msg.src, &message{kind: mGetData, loff: msg.loff, n: msg.n, data: buf})
 		case mGetData:
-			copy(g.mem[msg.loff:], msg.data)
-			g.cbs.Fire(msg.idx)
+			copy(g.rt.Mem()[msg.loff:], msg.data)
+			g.rt.GetDone()
 		case mStore:
-			copy(g.mem[msg.roff:], msg.data)
-			g.stored += int64(msg.n)
+			copy(g.rt.Mem()[msg.roff:], msg.data)
+			g.rt.Landed(msg.n)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestRoundTripMatchesTable4(t *testing.T) {
 // TestBandwidthMatchesTable4 checks each machine's bulk store bandwidth
 // approaches its Table-4 link rate.
 func TestBandwidthMatchesTable4(t *testing.T) {
-	for _, p := range []gam.Params{gam.CM5(), gam.CS2(), gam.UNetATM()} {
+	for _, p := range gam.Table4() {
 		p := p
 		const size = 1 << 16
 		m := gam.New(p, 2, size)

@@ -14,9 +14,10 @@ type pollLoop struct{ *gnode }
 func (n pollLoop) PollWait(p *sim.Proc) { n.Poll(p) }
 
 // TestPollWaitMatchesPollLoop runs each Table-5 program (at a quick size,
-// on one of the Table-4 machines) twice: once as built, and once with the
-// runtimes rebuilt over pollLoop nodes. Stepping idle polls inline must not
-// move anything: the events run, the end time and the results are equal.
+// on one of the Table-4 machines) twice: once as built, and once with each
+// runtime's transport swapped for its pollLoop node. Stepping idle polls
+// inline must not move anything: the events run, the end time and the
+// results are equal.
 func TestPollWaitMatchesPollLoop(t *testing.T) {
 	const procs, keys = 8, 1 << 12
 	cases := []struct {
@@ -34,8 +35,8 @@ func TestPollWaitMatchesPollLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		fast, slow := New(tc.mp, procs, tc.heap), New(tc.mp, procs, tc.heap)
-		for i, nd := range slow.nodes {
-			slow.rts[i] = splitc.NewRT(pollLoop{nd})
+		for _, rt := range slow.Runtimes {
+			rt.T = pollLoop{rt.T.(*gnode)}
 		}
 		got, want := tc.run(fast), tc.run(slow)
 		if got != want || fast.Eng.EventsRun != slow.Eng.EventsRun || fast.Eng.Now() != slow.Eng.Now() {

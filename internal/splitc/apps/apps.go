@@ -16,8 +16,7 @@ import (
 
 // Result is one benchmark execution on one machine.
 type Result struct {
-	Platform string
-	Bench    string
+	Bench string
 	// TotalSec is the wall (virtual) time of the timed section; CommSec is
 	// the maximum per-process time spent in communication; CPUSec is their
 	// difference (the paper's "local computation phases").
@@ -71,7 +70,7 @@ func timed(pl splitc.Platform, bench string,
 		totals[rt.ID()] = p.Now() - t0
 		comms[rt.ID()] = rt.CommTime
 	})
-	res := Result{Platform: pl.Name(), Bench: bench}
+	res := Result{Bench: bench}
 	var maxT, maxC sim.Time
 	for i := 0; i < n; i++ {
 		if totals[i] > maxT {

@@ -25,6 +25,21 @@ func factories(n int) []factory {
 	}
 }
 
+// recorder is a Platform that keeps each node's global segment from its
+// last Run, so a test can read every segment after a program.
+type recorder struct {
+	splitc.Platform
+	mems [][]byte
+}
+
+func (r *recorder) Run(program func(p *sim.Proc, rt *splitc.RT)) sim.Time {
+	r.mems = make([][]byte, r.N())
+	return r.Platform.Run(func(p *sim.Proc, rt *splitc.RT) {
+		r.mems[rt.ID()] = rt.Mem()
+		program(p, rt)
+	})
+}
+
 func TestMatMulCorrectAllPlatforms(t *testing.T) {
 	const nblk, bsize, P = 4, 8, 4
 	want := apps.MatMulSerialChecksum(nblk, bsize)
@@ -40,30 +55,11 @@ func TestMatMulCorrectAllPlatforms(t *testing.T) {
 	}
 }
 
-// sortedChecksum generates the same keys the sort benchmarks generate and
-// returns their sum (conservation check).
-func keysChecksum(total, P int, seedBase uint64) uint64 {
-	n := total / P
-	var sum uint64
-	for r := 0; r < P; r++ {
-		rng := sim.NewRand(uint64(r)*2654435761 + 12345)
-		_ = rng
-		for i := 0; i < n; i++ {
-			_ = i
-		}
-		_ = seedBase
-		_ = n
-		if false {
-			sum++
-		}
-	}
-	return sum
-}
-
 func verifySampleSorted(t *testing.T, name string, pl splitc.Platform, total int, bulk bool) {
 	t.Helper()
 	P := pl.N()
-	res := apps.SampleSort(pl, total, bulk)
+	rec := &recorder{Platform: pl}
+	res := apps.SampleSort(rec, total, bulk)
 
 	// Conservation: sum of sorted keys equals sum of generated keys.
 	var want uint64
@@ -81,22 +77,7 @@ func verifySampleSorted(t *testing.T, name string, pl splitc.Platform, total int
 	// Sortedness: each node's run is sorted and boundaries are ordered.
 	offKeys, offCounts := apps.SampleSortLayout(total, P)
 	var prev uint32
-	var mems [][]byte
-	switch v := pl.(type) {
-	case *splitc.SPAMPlatform:
-		for _, rt := range v.RTs() {
-			mems = append(mems, rt.Mem())
-		}
-	case *splitc.MPLPlatform:
-		for _, rt := range v.RTs() {
-			mems = append(mems, rt.Mem())
-		}
-	case *gam.Machine:
-		for _, rt := range v.RTs() {
-			mems = append(mems, rt.Mem())
-		}
-	}
-	for pid, mem := range mems {
+	for pid, mem := range rec.mems {
 		cnt := int(binary.LittleEndian.Uint32(mem[offCounts+pid*4:]))
 		for i := 0; i < cnt; i++ {
 			k := binary.LittleEndian.Uint32(mem[offKeys+4*i:])
@@ -128,7 +109,8 @@ func verifyRadixSorted(t *testing.T, name string, pl splitc.Platform, total int,
 	t.Helper()
 	P := pl.N()
 	n := total / P
-	res := apps.RadixSort(pl, total, bulk)
+	rec := &recorder{Platform: pl}
+	res := apps.RadixSort(rec, total, bulk)
 
 	var want uint64
 	for r := 0; r < P; r++ {
@@ -141,23 +123,8 @@ func verifyRadixSorted(t *testing.T, name string, pl splitc.Platform, total int,
 		t.Errorf("%s: key sum %d, want %d", name, res.Checksum, want)
 	}
 
-	var mems [][]byte
-	switch v := pl.(type) {
-	case *splitc.SPAMPlatform:
-		for _, rt := range v.RTs() {
-			mems = append(mems, rt.Mem())
-		}
-	case *splitc.MPLPlatform:
-		for _, rt := range v.RTs() {
-			mems = append(mems, rt.Mem())
-		}
-	case *gam.Machine:
-		for _, rt := range v.RTs() {
-			mems = append(mems, rt.Mem())
-		}
-	}
 	var all []uint32
-	for _, mem := range mems {
+	for _, mem := range rec.mems {
 		for i := 0; i < n; i++ {
 			all = append(all, binary.LittleEndian.Uint32(mem[4*i:]))
 		}

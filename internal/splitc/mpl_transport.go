@@ -15,13 +15,8 @@ import (
 // software overhead — which is
 // precisely why the paper's fine-grained benchmarks degrade over MPL.
 type mplTransport struct {
-	ep     *mpl.Endpoint
-	mem    []byte
-	ctlFn  func(p *sim.Proc, src int, a, b uint64)
-	stored int64
-
-	cbs Callbacks // gets in flight; the index is a header field
-
+	ep      *mpl.Endpoint
+	rt      *RT
 	scratch []byte
 }
 
@@ -35,8 +30,8 @@ const (
 
 // MPLPlatform is an SP running Split-C over MPL.
 type MPLPlatform struct {
+	Runtimes
 	Cluster *hw.Cluster
-	rts     []*RT
 }
 
 // NewMPL builds an n-node thin-node SP with the MPL-based Split-C runtime.
@@ -45,44 +40,23 @@ func NewMPL(n, heapBytes int) *MPLPlatform {
 	sys := mpl.New(c)
 	pl := &MPLPlatform{Cluster: c}
 	for i := range c.Nodes {
-		t := &mplTransport{
-			ep:      sys.EPs[i],
-			mem:     make([]byte, heapBytes),
-			scratch: make([]byte, heapBytes+32),
-		}
-		pl.rts = append(pl.rts, NewRT(t))
+		rt := NewRT(i, n, make([]byte, heapBytes))
+		rt.T = &mplTransport{ep: sys.EPs[i], rt: rt, scratch: make([]byte, heapBytes+32)}
+		pl.Runtimes = append(pl.Runtimes, rt)
 	}
 	return pl
 }
 
-// N reports the processor count.
-func (pl *MPLPlatform) N() int { return len(pl.rts) }
-
-// Name identifies the platform in result tables.
-func (pl *MPLPlatform) Name() string { return "IBM SP MPL" }
-
 // Run executes program SPMD and returns the finishing virtual time.
 func (pl *MPLPlatform) Run(program func(p *sim.Proc, rt *RT)) sim.Time {
-	for i := range pl.rts {
-		rt := pl.rts[i]
+	for i, rt := range pl.Runtimes {
 		pl.Cluster.Spawn(i, "splitc-mpl", func(p *sim.Proc, n *hw.Node) { program(p, rt) })
 	}
 	pl.Cluster.Run()
 	return pl.Cluster.Eng.Now()
 }
 
-// RTs exposes the per-node runtimes.
-func (pl *MPLPlatform) RTs() []*RT { return pl.rts }
-
-func (t *mplTransport) ID() int            { return t.ep.ID() }
-func (t *mplTransport) N() int             { return t.ep.N() }
-func (t *mplTransport) LocalMem() []byte   { return t.mem }
-func (t *mplTransport) StoredBytes() int64 { return t.stored }
-func (t *mplTransport) Err() error         { return nil } // MPL has no fail-stop detection
-
-func (t *mplTransport) SetCtlHandler(fn func(p *sim.Proc, src int, a, b uint64)) {
-	t.ctlFn = fn
-}
+func (t *mplTransport) Err() error { return nil } // MPL has no fail-stop detection
 
 func (t *mplTransport) Compute(p *sim.Proc, d sim.Time) {
 	t.ep.Node().Compute(p, d)
@@ -101,10 +75,9 @@ func (t *mplTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	t.ep.Send(p, dst, tagCtl, header(a, b, 0))
 }
 
-func (t *mplTransport) Get(p *sim.Proc, dst, roff, loff, n int, onDone func()) {
-	idx := t.cbs.Add(onDone)
-	// The response deposits at loff; stash it alongside the callback.
-	t.ep.Send(p, dst, tagGetReq, header(uint64(roff), uint64(idx)<<32|uint64(loff), uint64(n)))
+func (t *mplTransport) Get(p *sim.Proc, dst, roff, loff, n int) {
+	// The response deposits at loff, which rides in the request.
+	t.ep.Send(p, dst, tagGetReq, header(uint64(roff), uint64(loff), uint64(n)))
 }
 
 func (t *mplTransport) Store(p *sim.Proc, dst, roff int, data []byte) {
@@ -130,25 +103,24 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 		h2 := binary.LittleEndian.Uint64(t.scratch[16:])
 		switch tag {
 		case tagCtl:
-			t.ctlFn(p, src, h0, h1)
+			t.rt.Control(h0, h1)
 		case tagGetReq:
 			roff, ln := int(h0), int(h2)
 			msg := make([]byte, 24+ln)
 			copy(msg, header(h1, 0, uint64(ln)))
-			copy(msg[24:], t.mem[roff:roff+ln])
+			copy(msg[24:], t.rt.mem[roff:roff+ln])
 			t.ep.Node().Memcpy(p, ln)
 			t.ep.Send(p, src, tagGetData, msg)
 		case tagGetData:
-			idx, loff := uint32(h0>>32), int(h0&0xffffffff)
-			ln := int(h2)
-			copy(t.mem[loff:], t.scratch[24:24+ln])
+			loff, ln := int(h0), int(h2)
+			copy(t.rt.mem[loff:], t.scratch[24:24+ln])
 			t.ep.Node().Memcpy(p, ln)
-			t.cbs.Fire(idx)
+			t.rt.GetDone()
 		case tagStore:
 			roff, ln := int(h0), int(h2)
-			copy(t.mem[roff:], t.scratch[24:24+ln])
+			copy(t.rt.mem[roff:], t.scratch[24:24+ln])
 			t.ep.Node().Memcpy(p, ln)
-			t.stored += int64(ln)
+			t.rt.Landed(ln)
 		}
 	}
 }

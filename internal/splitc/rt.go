@@ -1,6 +1,10 @@
 package splitc
 
-import "spam/internal/sim"
+import (
+	"fmt"
+
+	"spam/internal/sim"
+)
 
 // GlobalPtr names memory anywhere in the machine: a node and a byte offset
 // into that node's global segment.
@@ -15,7 +19,8 @@ const (
 	ctlDown
 )
 
-// RT is one process's Split-C runtime state.
+// RT is one process's Split-C runtime state: its rank, the node count, its
+// global segment, and what its transport reports arriving.
 type RT struct {
 	T Transport
 
@@ -25,8 +30,12 @@ type RT struct {
 	// no longer happen.
 	Err error
 
+	id, n int
+	mem   []byte // this node's global segment
+
 	outstanding int   // split-phase ops issued and not yet completed
 	storesSent  int64 // store payload bytes this node has issued
+	landed      int64 // store payload bytes deposited in mem
 
 	gen    uint32 // collective generation counter
 	upVal  map[uint32]uint64
@@ -39,26 +48,46 @@ type RT struct {
 	CommTime sim.Time
 }
 
-// NewRT wraps a transport; the platform calls this for each node.
-func NewRT(t Transport) *RT {
-	rt := &RT{
-		T:      t,
+// NewRT is the runtime of rank id of n with global segment mem; the
+// platform calls it for each node, then sets T to a transport that serves
+// it.
+func NewRT(id, n int, mem []byte) *RT {
+	return &RT{
+		id:     id,
+		n:      n,
+		mem:    mem,
 		upVal:  make(map[uint32]uint64),
 		upCnt:  make(map[uint32]int),
 		downOK: make(map[uint32]uint64),
 	}
-	t.SetCtlHandler(rt.handleCtl)
-	return rt
 }
 
 // ID is this process's rank.
-func (rt *RT) ID() int { return rt.T.ID() }
+func (rt *RT) ID() int { return rt.id }
 
 // N is the number of processes.
-func (rt *RT) N() int { return rt.T.N() }
+func (rt *RT) N() int { return rt.n }
 
 // Mem returns this node's global segment.
-func (rt *RT) Mem() []byte { return rt.T.LocalMem() }
+func (rt *RT) Mem() []byte { return rt.mem }
+
+// GetDone records that one of this process's gets has landed; the
+// transport calls it.
+func (rt *RT) GetDone() { rt.outstanding-- }
+
+// Landed records n store payload bytes deposited in this node's segment;
+// the transport calls it.
+func (rt *RT) Landed(n int) { rt.landed += int64(n) }
+
+// check panics unless node is a rank and [off, off+n) lies inside a
+// segment. Every platform gives each node an equal segment, so this node's
+// length bounds every node's.
+func (rt *RT) check(node, off, n int) {
+	if node < 0 || node >= rt.n || off < 0 || n < 0 || off+n > len(rt.mem) {
+		panic(fmt.Sprintf("splitc: %d bytes at {Node: %d, Off: %d} are outside %d nodes of %d-byte segments",
+			n, node, off, rt.n, len(rt.mem)))
+	}
+}
 
 // Compute charges local computation (machine-scaled).
 func (rt *RT) Compute(p *sim.Proc, d sim.Time) { rt.T.Compute(p, d) }
@@ -73,9 +102,11 @@ func (rt *RT) Poll(p *sim.Proc) {
 // GetAsync issues a split-phase read of n bytes from gp into the local
 // segment at loff; complete after Sync.
 func (rt *RT) GetAsync(p *sim.Proc, gp GlobalPtr, loff, n int) {
+	rt.check(gp.Node, gp.Off, n)
+	rt.check(rt.id, loff, n)
 	t0 := p.Now()
 	rt.outstanding++
-	rt.T.Get(p, gp.Node, gp.Off, loff, n, func() { rt.outstanding-- })
+	rt.T.Get(p, gp.Node, gp.Off, loff, n)
 	rt.CommTime += p.Now() - t0
 }
 
@@ -107,6 +138,7 @@ func (rt *RT) Sync(p *sim.Proc) error {
 // Store issues Split-C's one-way store: no sender-side completion; global
 // completion is established by AllStoreSync.
 func (rt *RT) Store(p *sim.Proc, gp GlobalPtr, data []byte) {
+	rt.check(gp.Node, gp.Off, len(data))
 	t0 := p.Now()
 	rt.storesSent += int64(len(data))
 	rt.T.Store(p, gp.Node, gp.Off, data)
@@ -120,9 +152,9 @@ func (rt *RT) Read(p *sim.Proc, gp GlobalPtr, loff, n int) error {
 	return rt.Sync(p)
 }
 
-// handleCtl is the collective-tree message handler. Word a packs
-// (kind, gen); word b carries the value.
-func (rt *RT) handleCtl(p *sim.Proc, src int, a, b uint64) {
+// Control takes one control message, the collective tree's: word a packs
+// (kind, gen); word b carries the value. The transport calls it.
+func (rt *RT) Control(a, b uint64) {
 	kind := a & 0xff
 	gen := uint32(a >> 8 & 0xffffffff)
 	switch kind {
@@ -210,7 +242,7 @@ func (rt *RT) AllStoreSync(p *sim.Proc) error {
 	// themselves; wrapping them again would double-count.
 	for {
 		sent := rt.AllReduce(p, uint64(rt.storesSent))
-		recvd := rt.AllReduce(p, uint64(rt.T.StoredBytes()))
+		recvd := rt.AllReduce(p, uint64(rt.landed))
 		if rt.failed() {
 			return rt.Err
 		}

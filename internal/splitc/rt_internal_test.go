@@ -28,7 +28,7 @@ func TestPackCtlRoundTrip(t *testing.T) {
 // binary collective tree for any cluster size.
 func TestTreeCoversAllRanks(t *testing.T) {
 	for n := 1; n <= 40; n++ {
-		rt := &RT{T: &fakeTransport{n: n}}
+		rt := NewRT(0, n, nil)
 		seen := make([]bool, n)
 		var walk func(int)
 		var count int
@@ -48,11 +48,3 @@ func TestTreeCoversAllRanks(t *testing.T) {
 		}
 	}
 }
-
-// fakeTransport satisfies just enough of Transport for tree-shape tests.
-type fakeTransport struct {
-	Transport
-	n int
-}
-
-func (f *fakeTransport) N() int { return f.n }

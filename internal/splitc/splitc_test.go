@@ -3,6 +3,8 @@ package splitc_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"spam/internal/gam"
@@ -153,26 +155,76 @@ func TestBroadcastBytes(t *testing.T) {
 }
 
 func TestManySmallStoresAllArrive(t *testing.T) {
-	// The fine-grained pattern of the paper's small-message sorts.
+	// The fine-grained pattern of the paper's small-message sorts: every
+	// word lands in its place.
 	forEachPlatform(t, 4, 1<<16, func(t *testing.T, pl splitc.Platform) {
 		const per = 200
-		var deposited int
+		var checked, wrong int
 		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			me := rt.ID()
+			me, n := rt.ID(), rt.N()
+			dst := func(src, i int) int { return (src + 1 + i%(n-1)) % n }
 			rec := make([]byte, 4)
 			for i := 0; i < per; i++ {
-				d := (me + 1 + i%(rt.N()-1)) % rt.N()
 				binary.LittleEndian.PutUint32(rec, uint32(i))
-				rt.Store(p, splitc.GlobalPtr{Node: d, Off: (me*per + i) * 4}, rec)
+				rt.Store(p, splitc.GlobalPtr{Node: dst(me, i), Off: (me*per + i) * 4}, rec)
 			}
 			rt.AllStoreSync(p)
-			deposited += int(rt.T.StoredBytes())
+			for src := 0; src < n; src++ {
+				for i := 0; i < per; i++ {
+					if src != me && dst(src, i) == me {
+						checked++
+						if binary.LittleEndian.Uint32(rt.Mem()[(src*per+i)*4:]) != uint32(i) {
+							wrong++
+						}
+					}
+				}
+			}
 		})
-		want := 4 * per * pl.N()
-		if deposited != want {
-			t.Fatalf("deposited %d bytes, want %d", deposited, want)
+		if want := per * pl.N(); checked != want || wrong != 0 {
+			t.Fatalf("checked %d words, want %d; %d not in place", checked, want, wrong)
 		}
 	})
+}
+
+// TestGlobalPointerOutOfRange checks every platform rejects a global
+// pointer outside the machine, or a get into a local range outside the
+// segment, with the runtime's one panic.
+func TestGlobalPointerOutOfRange(t *testing.T) {
+	word := make([]byte, 8)
+	cases := []struct {
+		name string
+		op   func(p *sim.Proc, rt *splitc.RT)
+	}{
+		{"node 5", func(p *sim.Proc, rt *splitc.RT) { rt.Read(p, splitc.GlobalPtr{Node: 5}, 0, 8) }},
+		{"node -1", func(p *sim.Proc, rt *splitc.RT) { rt.Store(p, splitc.GlobalPtr{Node: -1}, word) }},
+		{"store past the end", func(p *sim.Proc, rt *splitc.RT) { rt.Store(p, splitc.GlobalPtr{Node: 1, Off: 1020}, word) }},
+		{"get source past the end", func(p *sim.Proc, rt *splitc.RT) { rt.Read(p, splitc.GlobalPtr{Node: 1, Off: 1020}, 0, 8) }},
+		{"get destination past the end", func(p *sim.Proc, rt *splitc.RT) { rt.Read(p, splitc.GlobalPtr{Node: 1}, 1020, 8) }},
+	}
+	for name, mk := range map[string]func() splitc.Platform{
+		"spam": func() splitc.Platform { return splitc.NewSPAM(2, 1024) },
+		"mpl":  func() splitc.Platform { return splitc.NewMPL(2, 1024) },
+		"cm5":  func() splitc.Platform { return gam.New(gam.CM5(), 2, 1024) },
+	} {
+		for _, tc := range cases {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "splitc: ") {
+						t.Fatalf("panic %q, want the runtime's splitc: check", msg)
+					}
+				}()
+				mk().Run(func(p *sim.Proc, rt *splitc.RT) {
+					if rt.ID() == 0 {
+						tc.op(p, rt)
+						return
+					}
+					for p.Now() < 1e6 { // serve node 0 for a millisecond
+						rt.Poll(p)
+					}
+				})
+			})
+		}
+	}
 }
 
 func TestCommTimeAccounting(t *testing.T) {
