@@ -14,6 +14,11 @@ import (
 // runOn executes a kernel on a fresh cluster with the chosen MPI.
 func runOn(impl string, n int, bench string, k nas.Kernel) nas.Result {
 	cluster := hw.NewCluster(hw.DefaultConfig(n))
+	return nas.Run(cluster, commsOn(impl, cluster), bench, impl, k)
+}
+
+// commsOn builds the chosen MPI over cluster.
+func commsOn(impl string, cluster *hw.Cluster) []mpi.PT {
 	var comms []mpi.PT
 	switch impl {
 	case "mpi-am":
@@ -34,7 +39,7 @@ func runOn(impl string, n int, bench string, k nas.Kernel) nas.Result {
 	default:
 		panic("unknown impl " + impl)
 	}
-	return nas.Run(cluster, comms, bench, impl, k)
+	return comms
 }
 
 // checkAgree runs the kernel on MPI-AM and MPI-F and requires bit-equal
@@ -80,6 +85,38 @@ func TestSPSmall(t *testing.T) {
 	cfg := nas.DefaultSP()
 	cfg.N, cfg.Iters = 16, 3
 	checkAgree(t, "SP", 4, nas.ADI(cfg))
+}
+
+// TestPencilKernelsPinned pins LU, BT and SP on a non-square 3x2 process
+// grid to exact simulated seconds, checksum and event count. checkAgree only
+// compares the two stacks with each other, on a square grid, so a
+// decomposition bug that both stacks share, or one that only an unequal px
+// and py shows, would pass it; these values would move.
+func TestPencilKernelsPinned(t *testing.T) {
+	lu := nas.LU(nas.LUConfig{N: 24, Iters: 3})
+	bt := nas.ADI(nas.ADIConfig{N: 24, Iters: 3, FlopsPerPoint: 250, FacesPerSweep: 2})
+	sp := nas.ADI(nas.ADIConfig{N: 24, Iters: 6, FlopsPerPoint: 120, FacesPerSweep: 3})
+	for _, tc := range []struct {
+		bench, impl string
+		k           nas.Kernel
+		seconds     float64
+		checksum    float64
+		events      int64
+	}{
+		{"LU", "mpi-f", lu, 0.116103444, 36.63432037915975, 127144},
+		{"LU", "mpi-am", lu, 0.131049442, 36.63432037915975, 230015},
+		{"BT", "mpi-f", bt, 0.269193916, 72.71071659199745, 72722},
+		{"BT", "mpi-am", bt, 0.26958668, 72.71071659199745, 79537},
+		{"SP", "mpi-f", sp, 0.27869813, 50.70838412585319, 213338},
+		{"SP", "mpi-am", sp, 0.279396598, 50.70838412585319, 213972},
+	} {
+		cluster := hw.NewCluster(hw.DefaultConfig(6))
+		r := nas.Run(cluster, commsOn(tc.impl, cluster), tc.bench, tc.impl, tc.k)
+		if r.Seconds != tc.seconds || r.Checksum != tc.checksum || cluster.Eng.EventsRun != tc.events {
+			t.Errorf("%s over %s: got %v s, checksum %v, %d events; want %v s, checksum %v, %d events",
+				tc.bench, tc.impl, r.Seconds, r.Checksum, cluster.Eng.EventsRun, tc.seconds, tc.checksum, tc.events)
+		}
+	}
 }
 
 func TestUnoptimizedAMSlower(t *testing.T) {
