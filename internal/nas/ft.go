@@ -41,8 +41,8 @@ func FT(cfg FTConfig) Kernel {
 		}
 
 		line := make([]complex128, n)
-		fft1 := func(v []complex128, inverse bool) {
-			fftRadix2(v, inverse)
+		fft1 := func(v []complex128) {
+			fftRadix2(v, false)
 			env.Flops(p, 5*float64(n)*math.Log2(float64(n)))
 		}
 
@@ -60,14 +60,14 @@ func FT(cfg FTConfig) Kernel {
 				base := pl * n * n
 				for y := 0; y < n; y++ {
 					copy(line, data[base+y*n:base+(y+1)*n])
-					fft1(line, false)
+					fft1(line)
 					copy(data[base+y*n:base+(y+1)*n], line)
 				}
 				for x := 0; x < n; x++ {
 					for y := 0; y < n; y++ {
 						line[y] = data[base+y*n+x]
 					}
-					fft1(line, false)
+					fft1(line)
 					for y := 0; y < n; y++ {
 						data[base+y*n+x] = line[y]
 					}
@@ -109,7 +109,7 @@ func FT(cfg FTConfig) Kernel {
 					for z := 0; z < n; z++ {
 						line[z] = tr[(yy*n+z)*n+x]
 					}
-					fft1(line, false)
+					fft1(line)
 					for z := 0; z < n; z++ {
 						tr[(yy*n+z)*n+x] = line[z]
 					}

@@ -16,82 +16,41 @@ type LUConfig struct {
 // DefaultLU returns the scaled LU configuration.
 func DefaultLU() LUConfig { return LUConfig{N: 64, Iters: 25} }
 
-// LU builds the SSOR kernel: a 2-D (px x py) pencil decomposition of the
-// x-y plane with the full z extent local. Each iteration sweeps a lower-
-// triangular wavefront (receive boundary values from north and west,
-// relax, send south and east) followed by the symmetric upper-triangular
-// sweep — the fine-grained pipeline of small messages that makes LU the
-// paper's latency-sensitive NAS kernel.
+// LU builds the SSOR kernel on the pencil decomposition. Each iteration
+// sweeps a lower-triangular wavefront (receive boundary values from the
+// lower-y and lower-x neighbors, relax, send to the higher ones) followed
+// by the symmetric upper-triangular sweep — the fine-grained pipeline of
+// small messages that makes LU the paper's latency-sensitive NAS kernel.
 func LU(cfg LUConfig) Kernel {
 	return func(p *sim.Proc, env *Env) float64 {
 		c := env.C
-		P := c.Size()
-		px, py := procGrid2D(P)
-		me := c.Rank()
-		mx, my := me%px, me/px
-		n := cfg.N
-		lx, ly := n/px, n/py
-
-		// Five solution variables per point, pencil-local (lx x ly x n).
-		const nv = 5
-		u := make([]float64, lx*ly*n*nv)
-		idx := func(x, y, z, v int) int { return ((z*ly+y)*lx+x)*nv + v }
+		g := newPencil(c, cfg.N)
+		u, n := g.u, g.n
+		lx, ly := g.ext[0], g.ext[1]
 		for i := range u {
 			u[i] = float64((i*2654435761)%1000)/1000.0 - 0.5
 		}
 
-		north := my > 0 // neighbor with smaller y
-		west := mx > 0  // neighbor with smaller x
-		south := my < py-1
-		east := mx < px-1
-		rankOf := func(ax, ay int) int { return ay*px + ax }
-
-		// Per-plane boundary buffers: a row of lx points or a column of
-		// ly points, nv values each.
-		rowB := make([]byte, lx*nv*8)
-		colB := make([]byte, ly*nv*8)
-		rowF := make([]float64, lx*nv)
-		colF := make([]float64, ly*nv)
+		// One plane's boundary per axis: a column of ly points (axis 0) or
+		// a row of lx points (axis 1), nv values each.
+		bufs := [2][]byte{make([]byte, g.faceBytes(0, 1)), make([]byte, g.faceBytes(1, 1))}
 
 		flopsPerPoint := 130.0 // jacld/blts-level work per point per sweep
 
-		sweep := func(tagBase int, lower bool) {
+		// sweep runs one wavefront in direction d (+1 lower, -1 upper):
+		// each z-plane's boundaries arrive from the neighbors at -d and
+		// leave for those at +d, the row (axis 1) before the column.
+		sweep := func(tagBase, d int) {
 			for zz := 0; zz < n; zz++ {
 				z := zz
-				if !lower {
+				if d < 0 {
 					z = n - 1 - zz
 				}
-				// Receive incoming pipeline boundaries.
-				recvN, recvW := north, west
-				sendS, sendE := south, east
-				if !lower {
-					recvN, recvW = south, east
-					sendS, sendE = north, west
-				}
-				if recvN {
-					ny := my - 1
-					if !lower {
-						ny = my + 1
-					}
-					mpi.Recv(p, c, rowB, rankOf(mx, ny), tagBase-z)
-					getF64s(rowF, rowB)
-					for x := 0; x < lx; x++ {
-						for v := 0; v < nv; v++ {
-							u[idx(x, 0, z, v)] += 0.05 * rowF[x*nv+v]
-						}
-					}
-				}
-				if recvW {
-					nx := mx - 1
-					if !lower {
-						nx = mx + 1
-					}
-					mpi.Recv(p, c, colB, rankOf(nx, my), tagBase-1000-z)
-					getF64s(colF, colB)
-					for y := 0; y < ly; y++ {
-						for v := 0; v < nv; v++ {
-							u[idx(0, y, z, v)] += 0.05 * colF[y*nv+v]
-						}
+				tags := [2]int{tagBase - 1000 - z, tagBase - z}
+				for _, axis := range [2]int{1, 0} {
+					if from := g.neighbor(axis, -d); from >= 0 {
+						mpi.Recv(p, c, bufs[axis], from, tags[axis])
+						g.fold(bufs[axis], axis, 0, z, z+1, 0.05)
 					}
 				}
 				// Relax this plane (simplified SSOR update with real data
@@ -99,45 +58,24 @@ func LU(cfg LUConfig) Kernel {
 				for y := 0; y < ly; y++ {
 					for x := 0; x < lx; x++ {
 						for v := 0; v < nv; v++ {
-							i := idx(x, y, z, v)
+							i := g.idx(x, y, z, v)
 							var w float64
 							if x > 0 {
-								w += u[idx(x-1, y, z, v)]
+								w += u[g.idx(x-1, y, z, v)]
 							}
 							if y > 0 {
-								w += u[idx(x, y-1, z, v)]
+								w += u[g.idx(x, y-1, z, v)]
 							}
 							u[i] = 0.9*u[i] + 0.02*w + 0.001
 						}
 					}
 				}
 				env.Flops(p, float64(lx*ly)*flopsPerPoint)
-				// Send outgoing boundaries.
-				if sendS {
-					ny := my + 1
-					if !lower {
-						ny = my - 1
+				for _, axis := range [2]int{1, 0} {
+					if to := g.neighbor(axis, d); to >= 0 {
+						g.pack(bufs[axis], axis, g.last(axis), z, z+1)
+						mpi.Send(p, c, bufs[axis], to, tags[axis])
 					}
-					for x := 0; x < lx; x++ {
-						for v := 0; v < nv; v++ {
-							rowF[x*nv+v] = u[idx(x, ly-1, z, v)]
-						}
-					}
-					putF64s(rowB, rowF)
-					mpi.Send(p, c, rowB, rankOf(mx, ny), tagBase-z)
-				}
-				if sendE {
-					nx := mx + 1
-					if !lower {
-						nx = mx - 1
-					}
-					for y := 0; y < ly; y++ {
-						for v := 0; v < nv; v++ {
-							colF[y*nv+v] = u[idx(lx-1, y, z, v)]
-						}
-					}
-					putF64s(colB, colF)
-					mpi.Send(p, c, colB, rankOf(nx, my), tagBase-1000-z)
 				}
 			}
 		}
@@ -145,14 +83,10 @@ func LU(cfg LUConfig) Kernel {
 		var norm float64
 		for it := 0; it < cfg.Iters; it++ {
 			base := c.NextCollTag() - 10000
-			sweep(base, true)         // lower-triangular wavefront
-			sweep(base-100000, false) // upper-triangular wavefront
+			sweep(base, 1)         // lower-triangular wavefront
+			sweep(base-100000, -1) // upper-triangular wavefront
 			if it%5 == 4 || it == cfg.Iters-1 {
-				var local float64
-				for i := 0; i < len(u); i += 41 {
-					local += u[i] * u[i]
-				}
-				norm = allreduceSum(p, c, local)
+				norm = allreduceSum(p, c, g.sumSquares(41))
 			}
 		}
 		return norm

@@ -5,7 +5,10 @@
 // charging the full per-point floating-point cost of the original kernel,
 // and reproduces the original's communication pattern: FT's transpose via
 // MPI_Alltoall, LU's SSOR wavefront pipeline, MG's halo exchanges across a
-// V-cycle, and BT/SP's ADI face exchanges in three sweep directions.
+// V-cycle, and BT/SP's ADI face exchanges in three sweep directions. LU,
+// BT and SP share one pencil decomposition (pencil.go): five variables per
+// point, the x-y plane split over a px x py process grid, the full z
+// extent local, and one boundary-face wire layout.
 //
 // Every kernel programs against mpi.PT and package mpi's blocking calls
 // over it, so the identical code runs over both of mpi's stacks, MPI-AM
@@ -31,13 +34,13 @@ const flopNS = 50
 
 // Env is what a kernel runs with on one rank.
 type Env struct {
-	C       mpi.PT
-	Compute func(p *sim.Proc, d sim.Time)
+	C    mpi.PT
+	Node *hw.Node // charged for the kernel's arithmetic
 }
 
 // Flops charges n floating-point operations.
 func (e *Env) Flops(p *sim.Proc, n float64) {
-	e.Compute(p, sim.Time(n*flopNS))
+	e.Node.Compute(p, sim.Time(n*flopNS))
 }
 
 // Result is one kernel execution.
@@ -73,7 +76,7 @@ func RunBudget(cluster *hw.Cluster, comms []mpi.PT, bench, impl string, kernel K
 		i := i
 		c := comms[i]
 		cluster.Spawn(i, "nas-"+bench, func(p *sim.Proc, nd *hw.Node) {
-			env := &Env{C: c, Compute: func(q *sim.Proc, d sim.Time) { nd.Compute(q, d) }}
+			env := &Env{C: c, Node: nd}
 			mpi.Barrier(p, c)
 			if i == 0 {
 				t0 = p.Now()
