@@ -32,13 +32,14 @@ const (
 type MPLPlatform struct {
 	Runtimes
 	Cluster *hw.Cluster
+	sys     *mpl.System
 }
 
 // NewMPL builds an n-node thin-node SP with the MPL-based Split-C runtime.
 func NewMPL(n, heapBytes int) *MPLPlatform {
 	c := hw.NewCluster(hw.DefaultConfig(n))
 	sys := mpl.New(c)
-	pl := &MPLPlatform{Cluster: c}
+	pl := &MPLPlatform{Cluster: c, sys: sys}
 	for i := range c.Nodes {
 		rt := NewRT(i, n, make([]byte, heapBytes))
 		rt.T = &mplTransport{ep: sys.EPs[i], rt: rt, scratch: make([]byte, heapBytes+32)}
@@ -47,13 +48,34 @@ func NewMPL(n, heapBytes int) *MPLPlatform {
 	return pl
 }
 
-// Run executes program SPMD and returns the finishing virtual time.
+// Run executes program SPMD and returns the finishing virtual time. A
+// process whose program has returned keeps polling until every program has
+// returned and no send is queued anywhere: MPL holds a send until its
+// receiver, polling, returns a credit. The wait is on other processes, so
+// it is plain Poll, not PollWait.
 func (pl *MPLPlatform) Run(program func(p *sim.Proc, rt *RT)) sim.Time {
+	running := len(pl.Runtimes)
 	for i, rt := range pl.Runtimes {
-		pl.Cluster.Spawn(i, "splitc-mpl", func(p *sim.Proc, n *hw.Node) { program(p, rt) })
+		pl.Cluster.Spawn(i, "splitc-mpl", func(p *sim.Proc, n *hw.Node) {
+			program(p, rt)
+			running--
+			for running > 0 || !pl.sendsDrained() {
+				rt.T.Poll(p)
+			}
+		})
 	}
 	pl.Cluster.Run()
 	return pl.Cluster.Eng.Now()
+}
+
+// sendsDrained reports whether no endpoint has a send still queued.
+func (pl *MPLPlatform) sendsDrained() bool {
+	for _, ep := range pl.sys.EPs {
+		if !ep.SendsDrained() {
+			return false
+		}
+	}
+	return true
 }
 
 func (t *mplTransport) Err() error { return nil } // MPL has no fail-stop detection

@@ -53,6 +53,27 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 }
 
+// TestStoreThenBarrierEnds is a process whose last act leaves a message in
+// flight: node 0 stores 8 bytes to node 1, then both enter a barrier, and
+// node 0's final control message may still be queued when its program
+// returns. The run must end, with the store landed.
+func TestStoreThenBarrierEnds(t *testing.T) {
+	forEachPlatform(t, 2, 1024, func(t *testing.T, pl splitc.Platform) {
+		want := []byte("8 bytes.")
+		mem := make([][]byte, pl.N())
+		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
+			mem[rt.ID()] = rt.Mem()
+			if rt.ID() == 0 {
+				rt.Store(p, splitc.GlobalPtr{Node: 1, Off: 64}, want)
+			}
+			rt.Barrier(p)
+		})
+		if got := mem[1][64:72]; !bytes.Equal(got, want) {
+			t.Fatalf("node 1 holds %q, want %q", got, want)
+		}
+	})
+}
+
 func TestAllReduceSum(t *testing.T) {
 	forEachPlatform(t, 5, 1024, func(t *testing.T, pl splitc.Platform) {
 		sums := make([]uint64, pl.N())
