@@ -86,8 +86,7 @@ func DecomposeRoundTrip(evs []Event) (*Breakdown, error) {
 		t   int64
 		pkt int64
 	}
-	var reqStaged, replyStaged []stamped
-	var replyStarts []int64
+	var reqStaged, replyStaged, replyStarts []stamped
 
 	for _, e := range evs {
 		if e.Pkt != 0 {
@@ -107,7 +106,7 @@ func DecomposeRoundTrip(evs []Event) (*Breakdown, error) {
 			}
 		case EvReplyStart:
 			if int(e.Node) == ponger {
-				replyStarts = append(replyStarts, e.T)
+				replyStarts = append(replyStarts, stamped{e.T, e.Pkt})
 			}
 		case EvStaged:
 			switch {
@@ -135,17 +134,6 @@ func DecomposeRoundTrip(evs []Event) (*Breakdown, error) {
 		}
 		return stamped{}, false
 	}
-	firstTimeIn := func(list []int64, idx *int, lo, hi int64) (int64, bool) {
-		for *idx < len(list) && list[*idx] < lo {
-			*idx++
-		}
-		if *idx < len(list) && list[*idx] < hi {
-			t := list[*idx]
-			*idx++
-			return t, true
-		}
-		return 0, false
-	}
 
 	sums := make([]float64, NumStages)
 	mins := make([]float64, NumStages)
@@ -157,7 +145,7 @@ func DecomposeRoundTrip(evs []Event) (*Breakdown, error) {
 		lo, hi := reqStarts[i], reqStarts[i+1]
 		req, ok1 := firstIn(reqStaged, &ri, lo, hi)
 		rep, ok2 := firstIn(replyStaged, &pi, lo, hi)
-		repStart, ok3 := firstTimeIn(replyStarts, &si, lo, hi)
+		repStart, ok3 := firstIn(replyStarts, &si, lo, hi)
 		if !ok1 || !ok2 || !ok3 {
 			continue
 		}
@@ -170,7 +158,7 @@ func DecomposeRoundTrip(evs []Event) (*Breakdown, error) {
 			rl[EvStaged], rl[EvCommitted], rl[EvI860SendSta], rl[EvI860SendEnd],
 			rl[EvDMAOutEnd], rl[EvInjectEnd], rl[EvEjectSta], rl[EvEjectEnd],
 			rl[EvI860RecvEnd], rl[EvDMAInEnd], rl[EvPolled], rl[EvHandlerStart],
-			repStart,
+			repStart.t,
 			pl[EvStaged], pl[EvCommitted], pl[EvI860SendSta], pl[EvI860SendEnd],
 			pl[EvDMAOutEnd], pl[EvInjectEnd], pl[EvEjectSta], pl[EvEjectEnd],
 			pl[EvI860RecvEnd], pl[EvDMAInEnd], pl[EvPolled], pl[EvHandlerStart],
