@@ -21,97 +21,108 @@ func DefaultFT() FTConfig { return FTConfig{N: 64, Iters: 6} }
 
 // FT builds the kernel: a 3-D FFT evolution. The grid is slab-decomposed
 // in z; each step does local 2-D FFTs, transposes slabs via Alltoall, does
-// the z FFTs, applies the spectral evolution factor, and checksums.
+// the z FFTs, applies the spectral evolution factor, and checksums. Its
+// host loops keep each expression's operands and order, so the checksum is
+// exact.
 func FT(cfg FTConfig) Kernel {
 	return func(p *sim.Proc, env *Env) float64 {
 		c := env.C
 		P := c.Size()
 		me := c.Rank()
 		n := cfg.N
+		nn := n * n
 		lz := n / P // local planes
 
 		// Local slab: planes [me*lz, (me+1)*lz), each n x n, row-major.
-		data := make([]complex128, lz*n*n)
-		for i := range data {
-			gz := me*lz + i/(n*n)
-			rem := i % (n * n)
-			gy, gx := rem/n, rem%n
-			data[i] = complex(float64((gx*7+gy*3+gz)%17)/17.0,
-				float64((gx+gy*5+gz*11)%13)/13.0)
+		// The real part is (x*7 + y*3 + z) mod 17 and the imaginary part
+		// (x + y*5 + z*11) mod 13, stepped along each row.
+		data := make([]complex128, lz*nn)
+		for pl := 0; pl < lz; pl++ {
+			gz := me*lz + pl
+			for y := 0; y < n; y++ {
+				re, im := (y*3+gz)%17, (y*5+gz*11)%13
+				row := data[pl*nn+y*n:][:n]
+				for x := range row {
+					row[x] = complex(float64(re)/17.0, float64(im)/13.0)
+					if re += 7; re >= 17 {
+						re -= 17
+					}
+					if im++; im == 13 {
+						im = 0
+					}
+				}
+			}
 		}
 
+		tw := newTwiddles(n, false)
 		line := make([]complex128, n)
+		lineFlops := 5 * float64(n) * math.Log2(float64(n))
 		fft1 := func(v []complex128) {
-			fftRadix2(v, false)
-			env.Flops(p, 5*float64(n)*math.Log2(float64(n)))
+			fftRadix2(v, tw)
+			env.Flops(p, lineFlops)
 		}
 
 		// Transpose buffers: after the alltoall the slab is decomposed in
 		// y instead of z so z-lines become local.
-		chunk := lz * (n / P) * n * 16 // points per (rank pair) block
+		ly := n / P
+		chunk := lz * ly * n * 16 // bytes per (rank pair) block
 		sendB := make([]byte, chunk*P)
 		recvB := make([]byte, chunk*P)
-		tr := make([]complex128, lz*n*n)
+		tr := make([]complex128, lz*nn)
 
 		var check float64
 		for it := 0; it < cfg.Iters; it++ {
 			// 1) FFT in x then y on local planes.
 			for pl := 0; pl < lz; pl++ {
-				base := pl * n * n
+				plane := data[pl*nn:][:nn]
 				for y := 0; y < n; y++ {
-					copy(line, data[base+y*n:base+(y+1)*n])
-					fft1(line)
-					copy(data[base+y*n:base+(y+1)*n], line)
+					fft1(plane[y*n:][:n])
 				}
 				for x := 0; x < n; x++ {
-					for y := 0; y < n; y++ {
-						line[y] = data[base+y*n+x]
+					for y, o := 0, x; y < n; y, o = y+1, o+n {
+						line[y] = plane[o]
 					}
 					fft1(line)
-					for y := 0; y < n; y++ {
-						data[base+y*n+x] = line[y]
+					for y, o := 0, x; y < n; y, o = y+1, o+n {
+						plane[o] = line[y]
 					}
 				}
 			}
 
-			// 2) Transpose: block (me, q) holds x-lines for y in q's band.
-			ly := n / P
-			pts := lz * ly * n
-			blk := make([]complex128, pts)
+			// 2) Transpose: block (me, q) holds x-lines for y in q's band,
+			// which are contiguous rows of each plane.
 			for q := 0; q < P; q++ {
-				k := 0
+				b := sendB[q*chunk:]
 				for pl := 0; pl < lz; pl++ {
-					for y := q * ly; y < (q+1)*ly; y++ {
-						copy(blk[k:k+n], data[pl*n*n+y*n:pl*n*n+y*n+n])
-						k += n
-					}
+					rows := data[pl*nn+q*ly*n:][:ly*n]
+					putC128s(b, rows)
+					b = b[len(rows)*16:]
 				}
-				putC128s(sendB[q*chunk:], blk)
 			}
 			c.Alltoall(p, sendB, recvB, chunk)
 			// Reassemble: now we own y-band [me*ly,(me+1)*ly) over all z.
 			for q := 0; q < P; q++ {
-				getC128s(blk, recvB[q*chunk:])
-				k := 0
+				b := recvB[q*chunk:]
 				for pl := 0; pl < lz; pl++ {
 					gz := q*lz + pl
 					for yy := 0; yy < ly; yy++ {
-						copy(tr[(yy*n+gz)*n:(yy*n+gz)*n+n], blk[k:k+n])
-						k += n
+						getC128s(tr[(yy*n+gz)*n:][:n], b)
+						b = b[n*16:]
 					}
 				}
 			}
-			env.Flops(p, float64(2*lz*n*n)) // pack/unpack cost
+			env.Flops(p, float64(2*lz*nn)) // pack/unpack cost
 
 			// 3) FFT in z (contiguous after reassembly: tr[(y*n+z)*n+x]).
 			for yy := 0; yy < ly; yy++ {
+				band := tr[yy*nn:][:nn]
 				for x := 0; x < n; x++ {
-					for z := 0; z < n; z++ {
-						line[z] = tr[(yy*n+z)*n+x]
+					for z, o := 0, x; z < n; z, o = z+1, o+n {
+						line[z] = band[o]
 					}
 					fft1(line)
-					for z := 0; z < n; z++ {
-						tr[(yy*n+z)*n+x] = line[z]
+					for z, o := 0, x; z < n; z, o = z+1, o+n {
+						band[o] = line[z]
 					}
 				}
 			}
@@ -137,8 +148,31 @@ func FT(cfg FTConfig) Kernel {
 	}
 }
 
-// fftRadix2 is an in-place iterative radix-2 FFT.
-func fftRadix2(a []complex128, inverse bool) {
+// newTwiddles returns the butterfly factors of a radix-2 FFT of length n.
+// Span ln = 2, 4, ..., n has its ln/2 factors at [ln/2-1, ln-1): w_0 = 1,
+// w_j = w_{j-1}*wl with wl = e^(-2*pi*i/ln) (e^(+2*pi*i/ln) for the
+// inverse), the recurrence a per-block loop would run, so the factors are
+// bit for bit the ones it would multiply by.
+func newTwiddles(n int, inverse bool) []complex128 {
+	tw := make([]complex128, 0, n)
+	for ln := 2; ln <= n; ln <<= 1 {
+		ang := 2 * math.Pi / float64(ln)
+		if !inverse {
+			ang = -ang
+		}
+		wl := cmplx.Rect(1, ang)
+		w := complex(1, 0)
+		for j := 0; j < ln/2; j++ {
+			tw = append(tw, w)
+			w *= wl
+		}
+	}
+	return tw
+}
+
+// fftRadix2 is an in-place iterative radix-2 FFT with the twiddles of
+// newTwiddles(len(a), inverse); it does not scale the inverse by 1/n.
+func fftRadix2(a, tw []complex128) {
 	n := len(a)
 	if n&(n-1) != 0 {
 		panic("nas: FFT length must be a power of two")
@@ -154,27 +188,16 @@ func fftRadix2(a []complex128, inverse bool) {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-	for ln := 2; ln <= n; ln <<= 1 {
-		ang := 2 * math.Pi / float64(ln)
-		if !inverse {
-			ang = -ang
-		}
-		wl := cmplx.Rect(1, ang)
-		for i := 0; i < n; i += ln {
-			w := complex(1, 0)
-			for j := 0; j < ln/2; j++ {
-				u := a[i+j]
-				v := a[i+j+ln/2] * w
-				a[i+j] = u + v
-				a[i+j+ln/2] = u - v
-				w *= wl
+	for half := 1; half < n; half <<= 1 {
+		w := tw[half-1 : 2*half-1]
+		for i := 0; i < n; i += 2 * half {
+			lo, hi := a[i:][:len(w)], a[i+half:][:len(w)]
+			for j, wj := range w {
+				u := lo[j]
+				v := hi[j] * wj
+				lo[j] = u + v
+				hi[j] = u - v
 			}
-		}
-	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range a {
-			a[i] *= inv
 		}
 	}
 }

@@ -27,9 +27,21 @@ type mgLevel struct {
 	r  []float64
 }
 
-func (l *mgLevel) idx(z, y, x int) int { return (z*l.n+y)*l.n + x }
+// planes is planes [z0, z1) of a, one of the level's slabs.
+func (l *mgLevel) planes(a []float64, z0, z1 int) []float64 {
+	nn := l.n * l.n
+	return a[z0*nn : z1*nn]
+}
 
-// MG builds the multigrid V-cycle kernel.
+// row is row y of plane z of a, one of the level's slabs.
+func (l *mgLevel) row(a []float64, z, y int) []float64 {
+	o := (z*l.n + y) * l.n
+	return a[o : o+l.n]
+}
+
+// MG builds the multigrid V-cycle kernel. Its host loops walk rows and
+// wrap x and y explicitly, and keep each expression's operands and order,
+// so the checksum is exact.
 func MG(cfg MGConfig) Kernel {
 	return func(p *sim.Proc, env *Env) float64 {
 		c := env.C
@@ -54,13 +66,19 @@ func MG(cfg MGConfig) Kernel {
 		cn := cfg.N >> cfg.Levels
 		coarse := make([]float64, cn*cn*cn)
 
-		// Initialize the fine-level residual with a deterministic field.
+		// Initialize the fine-level residual with a deterministic field:
+		// (gz*31 + y*17 + x*7) mod 101, stepped by 7 along each row.
 		f := levels[0]
 		for z := 1; z <= f.lz; z++ {
 			gz := me*f.lz + z - 1
 			for y := 0; y < f.n; y++ {
-				for x := 0; x < f.n; x++ {
-					f.r[f.idx(z, y, x)] = float64((gz*31+y*17+x*7)%101)/101.0 - 0.5
+				k := (gz*31 + y*17) % 101
+				row := f.row(f.r, z, y)
+				for x := range row {
+					row[x] = float64(k)/101.0 - 0.5
+					if k += 7; k >= 101 {
+						k -= 101
+					}
 				}
 			}
 		}
@@ -75,30 +93,43 @@ func MG(cfg MGConfig) Kernel {
 			nb := planeBytes(l)
 			up, down := (me+1)%P, (me+P-1)%P
 			// Send top plane up, receive bottom ghost from below.
-			putF64s(sendPlane[:nb], arr[l.idx(l.lz, 0, 0):l.idx(l.lz+1, 0, 0)])
+			putF64s(sendPlane[:nb], l.planes(arr, l.lz, l.lz+1))
 			mpi.Sendrecv(p, c, sendPlane[:nb], up, tag, recvPlane[:nb], down, tag)
-			getF64s(arr[l.idx(0, 0, 0):l.idx(1, 0, 0)], recvPlane[:nb])
+			getF64s(l.planes(arr, 0, 1), recvPlane[:nb])
 			// Send bottom plane down, receive top ghost from above.
-			putF64s(sendPlane[:nb], arr[l.idx(1, 0, 0):l.idx(2, 0, 0)])
+			putF64s(sendPlane[:nb], l.planes(arr, 1, 2))
 			mpi.Sendrecv(p, c, sendPlane[:nb], down, tag-1000000, recvPlane[:nb], up, tag-1000000)
-			getF64s(arr[l.idx(l.lz+1, 0, 0):l.idx(l.lz+2, 0, 0)], recvPlane[:nb])
+			getF64s(l.planes(arr, l.lz+1, l.lz+2), recvPlane[:nb])
 		}
 
-		// smooth: one weighted-Jacobi sweep of u against r.
+		// smooth: one weighted-Jacobi sweep of u against r, in place: the
+		// x-1, y-1 and z-1 neighbors are read after their update, except
+		// where x or y wraps around. west carries the x-1 value in a
+		// register: row[n-1] before its update, then each new row[x].
 		smooth := func(l *mgLevel) {
 			exchange(l, l.u)
 			n := l.n
 			for z := 1; z <= l.lz; z++ {
+				ym := n - 1
 				for y := 0; y < n; y++ {
-					ym, yp := (y+n-1)%n, (y+1)%n
-					for x := 0; x < n; x++ {
-						xm, xp := (x+n-1)%n, (x+1)%n
-						s := l.u[l.idx(z-1, y, x)] + l.u[l.idx(z+1, y, x)] +
-							l.u[l.idx(z, ym, x)] + l.u[l.idx(z, yp, x)] +
-							l.u[l.idx(z, y, xm)] + l.u[l.idx(z, y, xp)]
-						l.u[l.idx(z, y, x)] = 0.8*l.u[l.idx(z, y, x)] +
-							0.03*(s+l.r[l.idx(z, y, x)])
+					yp := y + 1
+					if yp == n {
+						yp = 0
 					}
+					row, rr := l.row(l.u, z, y), l.row(l.r, z, y)
+					below, above := l.row(l.u, z-1, y), l.row(l.u, z+1, y)
+					south, north := l.row(l.u, z, ym), l.row(l.u, z, yp)
+					west := row[n-1]
+					for x := range row {
+						xp := x + 1
+						if xp == n {
+							xp = 0
+						}
+						s := below[x] + above[x] + south[x] + north[x] + west + row[xp]
+						west = 0.8*row[x] + 0.03*(s+rr[x])
+						row[x] = west
+					}
+					ym = y
 				}
 			}
 			env.Flops(p, float64(l.lz*n*n)*12)
@@ -110,29 +141,30 @@ func MG(cfg MGConfig) Kernel {
 			n := crs.n
 			for z := 1; z <= crs.lz; z++ {
 				for y := 0; y < n; y++ {
-					for x := 0; x < n; x++ {
-						crs.r[crs.idx(z, y, x)] =
-							fine.r[fine.idx(2*z-1, 2*y, 2*x)]*0.5 +
-								fine.u[fine.idx(2*z-1, 2*y, 2*x)]*0.1
-						crs.u[crs.idx(z, y, x)] = 0
+					cr, cu := crs.row(crs.r, z, y), crs.row(crs.u, z, y)
+					fr, fu := fine.row(fine.r, 2*z-1, 2*y), fine.row(fine.u, 2*z-1, 2*y)
+					for x := range cr {
+						cr[x] = fr[2*x]*0.5 + fu[2*x]*0.1
 					}
+					clear(cu)
 				}
 			}
 			env.Flops(p, float64(crs.lz*n*n)*4)
 		}
 
-		// prolong: add the coarse correction back up.
+		// prolong: add the coarse correction back up, to fine planes 2z-1
+		// and 2z (fine.lz = fine.n/P is at least 2*crs.lz).
 		prolong := func(crs, fine *mgLevel) {
 			exchange(crs, crs.u)
 			n := crs.n
 			for z := 1; z <= crs.lz; z++ {
 				for y := 0; y < n; y++ {
-					for x := 0; x < n; x++ {
-						v := crs.u[crs.idx(z, y, x)] * 0.5
-						fine.u[fine.idx(2*z-1, 2*y, 2*x)] += v
-						if 2*z <= fine.lz {
-							fine.u[fine.idx(2*z, 2*y, 2*x)] += v
-						}
+					cu := crs.row(crs.u, z, y)
+					f0, f1 := fine.row(fine.u, 2*z-1, 2*y), fine.row(fine.u, 2*z, 2*y)
+					for x, cv := range cu {
+						v := cv * 0.5
+						f0[2*x] += v
+						f1[2*x] += v
 					}
 				}
 			}
@@ -142,17 +174,18 @@ func MG(cfg MGConfig) Kernel {
 		// Coarsest solve: gather the last distributed level's residual to
 		// rank 0, relax serially, scatter the correction.
 		last := levels[cfg.Levels-1]
+		lb := last.lz * last.n * last.n * 8
+		send := make([]byte, lb)
+		var all []byte
+		var full []float64
+		if me == 0 {
+			all = make([]byte, lb*P)
+			full = make([]float64, last.n*last.n*last.n)
+		}
 		coarseSolve := func() {
-			lb := last.lz * last.n * last.n * 8
-			send := make([]byte, lb)
-			putF64s(send, last.r[last.idx(1, 0, 0):last.idx(last.lz+1, 0, 0)])
-			var all []byte
-			if me == 0 {
-				all = make([]byte, lb*P)
-			}
+			putF64s(send, last.planes(last.r, 1, last.lz+1))
 			mpi.Gather(p, c, send, all, 0)
 			if me == 0 {
-				full := make([]float64, last.n*last.n*last.n)
 				getF64s(full, all)
 				// A few serial relaxations on the gathered grid (stands in
 				// for the recursive coarse V-cycle below the cut).
@@ -168,7 +201,7 @@ func MG(cfg MGConfig) Kernel {
 				putF64s(all, full)
 			}
 			mpi.Scatter(p, c, all, send, 0)
-			getF64s(last.u[last.idx(1, 0, 0):last.idx(last.lz+1, 0, 0)], send)
+			getF64s(last.planes(last.u, 1, last.lz+1), send)
 		}
 
 		var norm float64
