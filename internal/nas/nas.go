@@ -8,7 +8,10 @@
 // V-cycle, and BT/SP's ADI face exchanges in three sweep directions. LU,
 // BT and SP share one pencil decomposition (pencil.go): five variables per
 // point, the x-y plane split over a px x py process grid, the full z
-// extent local, and one boundary-face wire layout.
+// extent local, and one boundary-face wire layout. The host loops walk
+// row slices with explicit wraparound and keep every floating-point
+// expression's operands and evaluation order (no reassociation, no
+// math.FMA), so the checksums, like the simulated times, are exact.
 //
 // Every kernel programs against mpi.PT and package mpi's blocking calls
 // over it, so the identical code runs over both of mpi's stacks, MPI-AM
