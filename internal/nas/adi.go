@@ -65,7 +65,7 @@ func ADI(cfg ADIConfig) Kernel {
 				reqs = append(reqs, c.Isend(p, sendLo[:nb], lo, tag))
 			}
 			if hi >= 0 {
-				g.pack(sendHi, axis, g.last(axis), 0, n)
+				g.pack(sendHi, axis, g.boundary(axis, 1), 0, n)
 				reqs = append(reqs, c.Isend(p, sendHi[:nb], hi, tag+1))
 			}
 			for _, r := range reqs {
@@ -75,7 +75,7 @@ func ADI(cfg ADIConfig) Kernel {
 				g.fold(recvLo, axis, 0, 0, n, 0.01)
 			}
 			if hi >= 0 {
-				g.fold(recvHi, axis, g.last(axis), 0, n, 0.01)
+				g.fold(recvHi, axis, g.boundary(axis, 1), 0, n, 0.01)
 			}
 		}
 
