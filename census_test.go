@@ -52,9 +52,7 @@ var keep = map[string]string{
 	"internal/kv.Config.NodePar":     "benchmark/workloads.go sets it (goes when benchmark/ drops its shims)",
 
 	"internal/mpi.allocator.freeBytes": "the allocator tests check that every freed byte comes back",
-	"internal/mpi.Status.Source":       "TestSendRecvAcrossProtocolSizes checks the receive status",
 	"internal/mpi.Status.Tag":          "TestSendRecvAcrossProtocolSizes and TestTagAndSourceMatching check the receive status",
-	"internal/mpi.Status.Size":         "TestSendRecvAcrossProtocolSizes checks the receive status",
 	"internal/mpi.Comm.SendB.tag":      "benchmark/ladder.go's ping-pong always passes tag 1 (the alias goes with ROADMAP item 11)",
 	"internal/mpi.Comm.RecvB.tag":      "benchmark/ladder.go's ping-pong always passes tag 1 (the alias goes with ROADMAP item 11)",
 

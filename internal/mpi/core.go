@@ -33,9 +33,8 @@ type Request struct {
 	rdvID     uint32 // a rendezvous send's id (0 for buffered and eager sends)
 
 	// MPI-AM only.
-	prefix  int // send: bytes already shipped via the hybrid prefix
-	ctsSlot int // send: receiver segment for the rendezvous store, set by the CTS
-	slot    int // receive: rendezvous registration slot while data is inbound
+	prefix int // send: bytes already shipped via the hybrid prefix
+	slot   int // send: the receiver segment the CTS named; receive: the registration slot data lands in
 
 	// MPI-F only.
 	sendH *mpl.SendHandle // send: rendezvous data injection progress
@@ -48,12 +47,12 @@ type Request struct {
 type inMsg struct {
 	src, tag, size int
 	rdvID          uint32
-	data           []byte // payload: MPI-AM's view into its buffered region, MPI-F's library copy
+	data           []byte // payload or hybrid prefix: MPI-AM's view into its buffered region, MPI-F's library copy
 
-	// MPI-AM only: the buffered extent to free once data is copied, and the
-	// hybrid prefix bytes data holds (data is nil until the prefix lands).
+	// MPI-AM only: the buffered extent data sits in, freed once data is
+	// copied (freeLen 0: none yet, as for a rendezvous whose hybrid prefix
+	// is still in flight).
 	freeOff, freeLen int
-	prefix           int
 }
 
 // core is the matching state both Comm types embed: the posted and
@@ -130,6 +129,32 @@ func (c *core) matchUnexpected(src, tag int) *inMsg {
 	return m
 }
 
+// park queues a message no posted receive matched; only a parked message
+// is copied to the heap.
+func (c *core) park(m inMsg) { c.unexpected = append(c.unexpected, &m) }
+
+// bind is where a receive meets its message: it records req's status and
+// returns where the payload goes, req's buffer or, when the message does not
+// fit, a discard buffer of its size. The protocol consumes the message whole
+// either way, so the sender completes; Wait reports the truncation once req
+// is done.
+func (c *core) bind(req *Request, m *inMsg) []byte {
+	req.status = Status{Source: m.src, Tag: m.tag, Size: m.size}
+	if m.size > len(req.buf) {
+		return make([]byte, m.size)
+	}
+	return req.buf[:m.size]
+}
+
+// result is what Wait returns for a done request: its status, and
+// ErrTruncate when bind sent its message to the discard buffer.
+func (c *core) result(req *Request) (Status, error) {
+	if req.status.Size > len(req.buf) {
+		return req.status, &Error{Code: ErrTruncate, Rank: c.rank, Peer: req.status.Source}
+	}
+	return req.status, nil
+}
+
 // matchPosted takes the oldest posted receive a message from src with tag
 // matches.
 func (c *core) matchPosted(src, tag int) *Request {
@@ -146,7 +171,7 @@ func (c *core) matchPosted(src, tag int) *Request {
 // Surviving ranks' salted tag streams desynchronize after a failure, so a
 // stale posted buffer could otherwise be matched against a later message of
 // a different size. A receive already matched to a rendezvous stays
-// registered: its buffer size was validated at match time, and in-flight
+// registered: bind gave it a buffer the whole message fits, and in-flight
 // data may still land in it.
 func (c *core) cancel(req *Request) {
 	if i := slices.Index(c.posted, req); i >= 0 {

@@ -13,6 +13,10 @@ const (
 	// ErrTimeout reports that the communicator's deadline expired while the
 	// operation was still incomplete.
 	ErrTimeout
+	// ErrTruncate reports a message longer than its receive buffer
+	// (MPI_ERR_TRUNCATE). The message was consumed and discarded; Status
+	// gives the size that was sent.
+	ErrTruncate
 )
 
 func (c ErrCode) String() string {
@@ -21,6 +25,8 @@ func (c ErrCode) String() string {
 		return "peer dead"
 	case ErrTimeout:
 		return "timeout"
+	case ErrTruncate:
+		return "message truncated"
 	}
 	return fmt.Sprintf("ErrCode(%d)", int(c))
 }

@@ -149,7 +149,7 @@ type Comm struct {
 
 	alloc []allocator // my view of my space at each receiver
 
-	pendCTS   ring.Ring[pendingCTS]  // CTS received; stores to issue from progress
+	pendCTS   ring.Ring[*Request]    // CTS received; stores to issue from progress
 	pendFrees []ring.Ring[freeEntry] // per source: extents to give back, batched
 	nFrees    int                    // entries across all pendFrees
 	tick      int
@@ -167,10 +167,6 @@ type Comm struct {
 type rdvKey struct {
 	src int
 	id  uint32
-}
-
-type pendingCTS struct {
-	req *Request
 }
 
 type freeEntry struct{ off, ln int }

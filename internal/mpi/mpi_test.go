@@ -3,7 +3,9 @@ package mpi_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"spam/internal/hw"
@@ -487,4 +489,99 @@ func TestHybridAvoidsDiscontinuity(t *testing.T) {
 		t.Fatalf("implausible gap: %.1fus at 8000B vs %.1fus at 8600B", below, above)
 	}
 	t.Logf("per-message time across the 8K switch: %.1fus -> %.1fus", below, above)
+}
+
+// TestShortBufferTruncates: a receive buffer shorter than its message fails
+// Wait with ErrTruncate on every stack, posted or unexpected, in every
+// protocol: buffered or eager (8 and 100 B), MPI-AM's buffered and hybrid
+// sizes and MPI-F's rendezvous (12,000 B, once into a buffer shorter than
+// optimized MPI-AM's 4 KB hybrid prefix), and pure rendezvous (50,000 B).
+// The status names the sender, the tag and the size sent; the message is
+// consumed whole, so the sender completes with no deadline armed, and the
+// next message on the same (source, tag) arrives intact.
+func TestShortBufferTruncates(t *testing.T) {
+	cases := []struct{ msg, buf int }{{8, 0}, {100, 50}, {12000, 6000}, {12000, 2000}, {50000, 25000}}
+	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
+		for _, tc := range cases {
+			for _, unexpected := range []bool{false, true} {
+				name := fmt.Sprintf("%d-into-%d/posted", tc.msg, tc.buf)
+				if unexpected {
+					name = fmt.Sprintf("%d-into-%d/unexpected", tc.msg, tc.buf)
+				}
+				t.Run(name, func(t *testing.T) {
+					var sendErr, recvErr error
+					sent := false
+					var st mpi.Status
+					next := make([]byte, tc.buf)
+					runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
+						if c.Rank() == 0 {
+							sendErr = mpi.Send(p, c, pattern(tc.msg, 5), 1, 4)
+							sent = true
+							mpi.Send(p, c, pattern(tc.buf, 6), 1, 4)
+							return
+						}
+						if unexpected {
+							p.Advance(hw.US(3000))
+						}
+						st, recvErr = mpi.Recv(p, c, make([]byte, tc.buf), 0, 4)
+						mpi.Recv(p, c, next, 0, 4)
+					})
+					var me *mpi.Error
+					if !errors.As(recvErr, &me) || me.Code != mpi.ErrTruncate || me.Rank != 1 || me.Peer != 0 {
+						t.Errorf("Recv error = %v, want ErrTruncate at rank 1 from peer 0", recvErr)
+					}
+					if st != (mpi.Status{Source: 0, Tag: 4, Size: tc.msg}) {
+						t.Errorf("status %+v, want source 0, tag 4, size %d", st, tc.msg)
+					}
+					if !sent || sendErr != nil {
+						t.Errorf("sender returned %v (completed %v), want nil", sendErr, sent)
+					}
+					if !bytes.Equal(next, pattern(tc.buf, 6)) {
+						t.Error("the message after the truncated one arrived corrupted")
+					}
+				})
+			}
+		}
+	})
+}
+
+// TestPostedRoundTripAllocs pins optimized MPI-AM's heap allocations per
+// blocking round trip at a buffered (100 B) and a hybrid rendezvous
+// (50,000 B) size, where every receive is posted before its message lands.
+// Per send: the Request, the store buffer and the store's completion
+// closure (the rendezvous remainder's closure standing in for the
+// buffered one); per receive: the Request. A matched message is delivered
+// from the handler's stack and heap-copied only when it is parked as
+// unexpected. The figure is the slope of MemStats.Mallocs between round
+// trips 200 and 1,200, so warm-up growth drops out. A forced collection
+// before each read keeps the runtime's one-time collector set-up out of the
+// window, and printed to two decimals the figure tolerates four stray
+// runtime allocations in it.
+func TestPostedRoundTripAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, size := range []int{100, 50000} {
+		var at [2]uint64
+		runMPI(2, mpi.Optimized(), func(p *sim.Proc, c *mpi.Comm) {
+			msg, buf := make([]byte, size), make([]byte, size)
+			peer := 1 - c.Rank()
+			for i := 1; i <= 1200; i++ {
+				if c.Rank() == 0 {
+					mpi.Send(p, c, msg, peer, 1)
+					mpi.Recv(p, c, buf, peer, 1)
+				} else {
+					mpi.Recv(p, c, buf, peer, 1)
+					mpi.Send(p, c, msg, peer, 1)
+				}
+				if c.Rank() == 0 && (i == 200 || i == 1200) {
+					var ms runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					at[i/1000] = ms.Mallocs
+				}
+			}
+		})
+		if got := fmt.Sprintf("%.2f", float64(at[1]-at[0])/1000); got != "8.00" {
+			t.Errorf("%d B: %s allocations per round trip, want 8.00", size, got)
+		}
+	}
 }

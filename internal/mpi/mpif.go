@@ -136,14 +136,13 @@ func (c *FComm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 // claim delivers a matched message to req: an eager one is copied in, a
 // rendezvous one opens the data path and answers clear-to-send.
 func (c *FComm) claim(p *sim.Proc, req *Request, m *inMsg) {
-	req.status = Status{Source: m.src, Tag: m.tag, Size: m.size}
+	dst := c.bind(req, m)
 	if m.rdvID == 0 {
-		n := copy(req.buf, m.data)
-		c.nd.Memcpy(p, n)
+		c.nd.Memcpy(p, copy(dst, m.data))
 		req.done = true
 		return
 	}
-	req.recvH = c.ep.PostRecv(m.src, dataTag(m.rdvID), req.buf[:m.size])
+	req.recvH = c.ep.PostRecv(m.src, dataTag(m.rdvID), dst)
 	c.inflight = append(c.inflight, req)
 	var cts [hdrBytes]byte
 	putHdr(cts[:], kCTS, m.tag, m.size, m.rdvID)
@@ -164,9 +163,9 @@ func (c *FComm) progress(p *sim.Proc) {
 			continue
 		}
 		c.nd.ComputeUnscaled(p, costFMatch)
-		m := &inMsg{src: src, tag: tag, size: size, data: c.scratch[hdrBytes:n], rdvID: rdvID}
+		m := inMsg{src: src, tag: tag, size: size, data: c.scratch[hdrBytes:n], rdvID: rdvID}
 		if req := c.matchPosted(src, tag); req != nil {
-			c.claim(p, req, m)
+			c.claim(p, req, &m)
 			continue
 		}
 		if m.rdvID == 0 {
@@ -174,7 +173,7 @@ func (c *FComm) progress(p *sim.Proc) {
 			m.data = append([]byte(nil), m.data...)
 			c.nd.Memcpy(p, len(m.data))
 		}
-		c.unexpected = append(c.unexpected, m)
+		c.park(m)
 	}
 	// Complete rendezvous receives whose data has fully arrived.
 	for i := 0; i < len(c.inflight); {
@@ -216,7 +215,7 @@ func (c *FComm) Wait(p *sim.Proc, req *Request) (Status, error) {
 		}
 		c.progress(p)
 	}
-	return req.status, nil
+	return c.result(req)
 }
 
 // drainSends drives the transport until this rank's queued messages are

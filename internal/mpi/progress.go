@@ -13,46 +13,35 @@ func (s *System) registerHandlers() {
 		c := ep.Data.(*Comm)
 		mem := ep.Node().Mem.Slice(addr, nbytes)
 		tag, size, rdvID, prefix := readEnv(mem)
-		region := mem[envBytes:]
-		src := tok.Src
+		m := inMsg{src: tok.Src, tag: tag, size: size, data: mem[envBytes:], freeOff: addr.Off, freeLen: nbytes}
 		c.nd.ComputeUnscaled(p, costMatch)
 
 		if rdvID == 0 {
-			if req := c.matchPosted(src, tag); req != nil {
-				n := copy(req.buf, region[:size])
-				c.nd.Memcpy(p, n)
-				req.status = Status{Source: src, Tag: tag, Size: size}
-				req.done = true
-				// The reply both signals flow control and frees buffer
-				// space — batched with other pending frees when optimized.
-				c.replyFrees(p, tok, src, addr.Off, nbytes)
+			// A posted receive takes the message; the reply both signals
+			// flow control and frees buffer space — batched with other
+			// pending frees when optimized.
+			if req := c.matchPosted(m.src, tag); req != nil {
+				c.claim(p, req, &m, &tok)
 				return
 			}
-			c.unexpected = append(c.unexpected, &inMsg{
-				src: src, tag: tag, size: size,
-				data: region, freeOff: addr.Off, freeLen: nbytes,
-			})
+			c.park(m)
 			return
 		}
 
 		// Hybrid prefix landing behind its RTS (the RTS always precedes it
 		// on the ordered request channel).
-		key := rdvKey{src: src, id: rdvID}
-		if req := c.rdvRecv[key]; req != nil {
+		if req := c.rdvRecv[rdvKey{src: m.src, id: rdvID}]; req != nil {
 			// The receive was already posted and CTS'd at RTS time; fill
-			// in the prefix and free its buffer space.
-			n := copy(req.buf[:prefix], region[:prefix])
+			// in the front of its slot and free the buffer space.
+			n := copy(c.nd.Mem.Slice(hw.Addr{Seg: req.slot}, prefix), m.data)
 			c.nd.Memcpy(p, n)
-			c.replyFrees(p, tok, src, addr.Off, nbytes)
+			c.replyFrees(p, tok, m.src, addr.Off, nbytes)
 			return
 		}
 		// The RTS is parked on the unexpected list: attach the prefix.
-		for _, m := range c.unexpected {
-			if m.src == src && m.rdvID == rdvID {
-				m.data = region
-				m.freeOff = addr.Off
-				m.freeLen = nbytes
-				m.prefix = prefix
+		for _, u := range c.unexpected {
+			if u.src == m.src && u.rdvID == rdvID {
+				u.data, u.freeOff, u.freeLen = m.data, m.freeOff, m.freeLen
 				return
 			}
 		}
@@ -70,26 +59,17 @@ func (s *System) registerHandlers() {
 		}
 	})
 
-	// Rendezvous request-to-send (args: tag, size, rdvID, prefixLen).
+	// Rendezvous request-to-send (args: tag, size, rdvID, prefixLen). The
+	// receiver needs no prefix length: the prefix lands at its slot's front.
 	s.h.rts = s.AM.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		c := ep.Data.(*Comm)
-		tag := int(int32(args[0]))
-		size := int(args[1])
-		rdvID := args[2]
-		prefix := int(args[3])
-		src := tok.Src
+		m := inMsg{src: tok.Src, tag: int(int32(args[0])), size: int(args[1]), rdvID: args[2]}
 		c.nd.ComputeUnscaled(p, costMatch)
-		if req := c.matchPosted(src, tag); req != nil {
-			slot := c.allocSlot()
-			c.nd.Mem.Replace(slot, req.buf[prefix:size])
-			req.status = Status{Source: src, Tag: tag, Size: size}
-			req.slot = slot
-			c.rdvRecv[rdvKey{src: src, id: rdvID}] = req
-			ep.Reply(p, tok, c.sys.h.cts, rdvID, uint32(slot), 0, 0)
+		if req := c.matchPosted(m.src, m.tag); req != nil {
+			c.claim(p, req, &m, &tok)
 			return
 		}
-		c.unexpected = append(c.unexpected, &inMsg{
-			src: src, tag: tag, size: size, rdvID: rdvID, prefix: prefix})
+		c.park(m)
 	})
 
 	// Clear-to-send back at the sender: queue the store for the next
@@ -102,14 +82,15 @@ func (s *System) registerHandlers() {
 			panic("mpi: CTS for unknown rendezvous")
 		}
 		delete(c.rdvSend, rdvID)
-		req.ctsSlot = int(args[1])
+		req.slot = int(args[1])
 		if off, ln, ok := unpackFree(args[2]); ok {
 			c.alloc[tok.Src].release(off, ln)
 		}
-		c.pendCTS.Push(pendingCTS{req: req})
+		c.pendCTS.Push(req)
 	})
 
-	// Rendezvous payload landed directly in the user buffer.
+	// Rendezvous payload landed in the receive's slot: its buffer, or the
+	// discard buffer bind gave a message that does not fit.
 	s.h.rdvData = s.AM.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, nbytes int, arg uint32) {
 		c := ep.Data.(*Comm)
 		key := rdvKey{src: tok.Src, id: arg}
@@ -156,8 +137,8 @@ func (c *Comm) progressWait(p *sim.Proc) {
 
 func (c *Comm) afterPolls(p *sim.Proc, polls int) {
 	for c.pendCTS.Len() > 0 {
-		req := c.pendCTS.Pop().req
-		if err := c.ep.StoreAsync(p, req.peer, hw.Addr{Seg: req.ctsSlot, Off: 0},
+		req := c.pendCTS.Pop()
+		if err := c.ep.StoreAsync(p, req.peer, hw.Addr{Seg: req.slot, Off: req.prefix},
 			req.buf[req.prefix:], c.sys.h.rdvData, req.rdvID,
 			func(q *sim.Proc, e *am.Endpoint) { req.done = true }); err != nil {
 			req.err = c.peerError(req.peer, err)

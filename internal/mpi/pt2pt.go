@@ -120,39 +120,44 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	c.nd.ComputeUnscaled(p, costPostRecv)
 	if m := c.matchUnexpected(src, tag); m != nil {
 		c.nd.ComputeUnscaled(p, costMatch)
-		c.claimUnexpected(p, req, m)
+		c.claim(p, req, m, nil)
 		return req
 	}
 	c.posted = append(c.posted, req)
 	return req
 }
 
-// claimUnexpected completes (buffered) or advances (rendezvous) a receive
-// whose message already arrived. Runs in application context, so it may
-// send requests.
-func (c *Comm) claimUnexpected(p *sim.Proc, req *Request, m *inMsg) {
+// claim delivers a matched message to req: a buffered message, or a hybrid
+// prefix that already landed, is copied in and its extent freed; a
+// rendezvous registers a slot for the data and answers clear-to-send. tok
+// is the token of the store or RTS handler that found req posted, nil from
+// Irecv: a handler may only reply (the AM handler restriction), so with a
+// token the free and the CTS ride its reply, and without one the free is
+// queued and the CTS is a request.
+func (c *Comm) claim(p *sim.Proc, req *Request, m *inMsg, tok *am.Token) {
+	dst := c.bind(req, m)
+	if m.freeLen > 0 {
+		c.nd.Memcpy(p, copy(dst, m.data))
+		if tok != nil {
+			c.replyFrees(p, *tok, m.src, m.freeOff, m.freeLen)
+		} else {
+			c.queueFree(p, m.src, m.freeOff, m.freeLen)
+		}
+	}
 	if m.rdvID == 0 {
-		nCopy := copy(req.buf, m.data[:m.size])
-		c.nd.Memcpy(p, nCopy)
-		req.status = Status{Source: m.src, Tag: m.tag, Size: m.size}
 		req.done = true
-		c.queueFree(p, m.src, m.freeOff, m.freeLen)
 		return
 	}
-	// Rendezvous (possibly with a buffered prefix). The prefix region is
-	// nil when the prefix is still in flight; it is copied on arrival via
-	// the rdvRecv entry registered below.
-	if m.prefix > 0 && m.data != nil {
-		nCopy := copy(req.buf, m.data[:m.prefix])
-		c.nd.Memcpy(p, nCopy)
-		c.queueFree(p, m.src, m.freeOff, m.freeLen)
-	}
-	slot := c.allocSlot()
-	c.nd.Mem.Replace(slot, req.buf[m.prefix:m.size])
-	req.status = Status{Source: m.src, Tag: m.tag, Size: m.size}
-	req.slot = slot
+	// A prefix still in flight lands in the slot's front (see bufStore);
+	// the remainder is stored behind it.
+	req.slot = c.allocSlot()
+	c.nd.Mem.Replace(req.slot, dst)
 	c.rdvRecv[rdvKey{src: m.src, id: m.rdvID}] = req
-	c.ep.Request(p, m.src, c.sys.h.cts, m.rdvID, uint32(slot), 0, 0)
+	if tok != nil {
+		c.ep.Reply(p, *tok, c.sys.h.cts, m.rdvID, uint32(req.slot), 0, 0)
+	} else {
+		c.ep.Request(p, m.src, c.sys.h.cts, m.rdvID, uint32(req.slot), 0, 0)
+	}
 }
 
 func (c *Comm) allocSlot() int {
@@ -225,7 +230,7 @@ func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
 		}
 		c.progressWait(p)
 	}
-	return req.status, nil
+	return c.result(req)
 }
 
 // drainSends is MPI-F's blocking-send step; an MPI-AM send needs none.
