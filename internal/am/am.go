@@ -143,14 +143,13 @@ type Endpoint struct {
 
 	inHandler bool // restricts handlers to replies (GAM rule)
 
-	nextOp        uint64
-	ops           map[uint64]*bulkOp    // in-flight ops this endpoint initiated
-	bulkFree      []*bulkOp             // bulkOp free list (recycled at completion)
-	rawQ          ring.Ring[*hw.Packet] // raw-mode receive queue (calibration only)
-	popCount      int                   // pops since start (lazy-pop batching)
-	pendingCommit int                   // staged FIFO entries not yet committed
-	drainArmed    bool                  // Drain has installed the arrival hook
-	drainBusy     bool                  // a post-drain service proc is running
+	nextOp     uint64
+	ops        map[uint64]*bulkOp    // in-flight ops this endpoint initiated
+	bulkFree   []*bulkOp             // bulkOp free list (recycled at completion)
+	rawQ       ring.Ring[*hw.Packet] // raw-mode receive queue (calibration only)
+	popCount   int                   // pops since start (lazy-pop batching)
+	drainArmed bool                  // Drain has installed the arrival hook
+	drainBusy  bool                  // a post-drain service proc is running
 
 	// PollWait state (see idleStep): the bookkeeping-only polls still allowed,
 	// the polls finished inline so far, and the caller's deadline. The step

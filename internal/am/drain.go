@@ -8,7 +8,7 @@ import "spam/internal/sim"
 // and no staged FIFO entries await commit. It reads only the endpoint's own
 // state.
 func (ep *Endpoint) localQuiescent() bool {
-	if len(ep.ops) != 0 || ep.pendingCommit != 0 {
+	if len(ep.ops) != 0 || ep.node.Adapter.Staged() != 0 {
 		return false
 	}
 	for _, ps := range ep.peers {

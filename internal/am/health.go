@@ -193,11 +193,11 @@ func (ep *Endpoint) pendingSummary() string {
 		}
 		fmt.Fprintf(&b, "%d bulk ops in flight", len(ep.ops))
 	}
-	if ep.pendingCommit > 0 {
+	if n := ep.node.Adapter.Staged(); n > 0 {
 		if b.Len() > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "%d staged FIFO entries uncommitted", ep.pendingCommit)
+		fmt.Fprintf(&b, "%d staged FIFO entries uncommitted", n)
 	}
 	if b.Len() == 0 {
 		return "receive FIFO not yet drained"

@@ -26,7 +26,7 @@ func (ep *Endpoint) RawSend(p *sim.Proc, dst int, nbytes int) {
 		data = make([]byte, nbytes)
 	}
 	ep.push(dst, &m, data, wire)
-	ep.maybeCommit(p, true)
+	ad.CommitLengths(p)
 }
 
 // RawRecv returns the next raw packet delivered by Poll, or nil. The

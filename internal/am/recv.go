@@ -79,12 +79,7 @@ func (ep *Endpoint) pollStart() {
 func (ep *Endpoint) pollFinish(p *sim.Proc) {
 	ad := ep.node.Adapter
 	got := 0
-	for {
-		pkt := ad.RecvPeek()
-		if pkt == nil {
-			break
-		}
-		ad.RecvPop()
+	for pkt := ad.RecvPop(); pkt != nil; pkt = ad.RecvPop() {
 		got++
 		ep.chargePop(p)
 		if !ep.processPacket(p, pkt) {
@@ -137,7 +132,7 @@ func (ep *Endpoint) idleStep() bool {
 // keep-alive threshold. Nothing it reads can change during such a run —
 // only this endpoint's own polls touch it.
 func (ep *Endpoint) idleBudget() int {
-	if ep.pendingCommit != 0 || ep.node.Adapter.RecvLen() != 0 {
+	if ad := ep.node.Adapter; ad.Staged() != 0 || ad.RecvLen() != 0 {
 		return 0
 	}
 	budget := math.MaxInt

@@ -238,7 +238,7 @@ func (ep *Endpoint) drainPeer(p *sim.Proc, dst int) {
 		for tc.retx.Len() > 0 && ad.SendSpace() > 0 {
 			sp := tc.retx.Pop()
 			ep.injectSaved(p, dst, sp)
-			ep.maybeCommit(p, false)
+			ad.CommitFullBatch(p)
 		}
 		// Fresh operations.
 		for tc.q.Len() > 0 {
@@ -261,26 +261,7 @@ func (ep *Endpoint) drainPeer(p *sim.Proc, dst int) {
 			break // chunk would not fit now; resume on a later poll
 		}
 	}
-	ep.maybeCommit(p, true)
-}
-
-// commitBatch is how many length-array slots are written per MicroChannel
-// access during bulk injection. Committing as packets are built (rather
-// than once per chunk) lets the adapter's DMA overlap the host's entry
-// building — the pipelining the paper's batched-lengths optimization
-// enables.
-const commitBatch = 8
-
-// maybeCommit writes the length array once commitBatch entries are staged,
-// or unconditionally when force is set, charging the MicroChannel access.
-func (ep *Endpoint) maybeCommit(p *sim.Proc, force bool) {
-	if ep.pendingCommit == 0 {
-		return
-	}
-	if force || ep.pendingCommit >= commitBatch {
-		ep.node.Adapter.CommitLengths(p)
-		ep.pendingCommit = 0
-	}
+	ad.CommitLengths(p)
 }
 
 // stampAcks piggybacks cumulative acks for dst onto m and resets the
@@ -399,7 +380,7 @@ func (ep *Endpoint) injectBulkChunks(p *sim.Proc, dst int, tc *txChan, op *bulkO
 			ep.stampAcks(dst, &m)
 			ep.push(dst, &m, data, wire)
 			tc.saved.Push(savedPkt{m: m, data: data})
-			ep.maybeCommit(p, false)
+			ad.CommitFullBatch(p)
 		}
 		op.sent += chunkBytes
 		op.lastSeq = seq
@@ -437,18 +418,11 @@ func (ep *Endpoint) injectSaved(p *sim.Proc, dst int, sp savedPkt) {
 // push places the packet in the send FIFO (caller verified space). The
 // wire checksum is stamped here — after ack piggybacking — so every
 // transmission, including retransmissions, carries a checksum over its
-// final header contents. The packet record comes from the node's pool; the
-// receiving endpoint returns it after processing.
+// final header contents.
 func (ep *Endpoint) push(dst int, m *msg, data []byte, wire int) {
 	m.Csum = m.WireChecksum(data)
 	ep.Stats.PacketsSent++
-	ep.pendingCommit++
-	pkt := ep.node.Pool.Get()
-	pkt.Dst = dst
-	pkt.HdrBytes = wire - len(data)
-	pkt.Data = data
-	pkt.Hdr = *m
-	ep.node.Adapter.PushSend(pkt)
+	ep.node.Adapter.PushSend(dst, wire-len(data), m, data)
 }
 
 // sendCtrl queues and (best-effort) injects a control packet (ack, nack,
@@ -463,7 +437,7 @@ func (ep *Endpoint) sendCtrl(p *sim.Proc, dst int, k hw.Kind, nackSeq uint64, ch
 	ep.node.ChargeSend(p, costCtrlBuild, 0, hw.PacketHeaderSize)
 	ep.stampAcks(dst, &m)
 	ep.push(dst, &m, nil, hw.PacketHeaderSize)
-	ep.maybeCommit(p, true)
+	ad.CommitLengths(p)
 	switch k {
 	case kAck:
 		ep.Stats.AcksSent++

@@ -2,14 +2,11 @@ package am
 
 import "spam/internal/hw"
 
-// msg is the decoded form of an SP AM packet header. Since the
-// zero-allocation data path rework it is hw.Header itself — carried by
-// value inside hw.Packet rather than boxed through an interface — so this
-// file only fixes the AM-side vocabulary: kind constants, channel indices,
-// and the wire-size helpers. The checksum, sequence-span, fault-class, and
-// header-corruption logic live on hw.Header (internal/hw/header.go), whose
-// fold and random-draw sequences are unchanged from the original am
-// implementation.
+// msg is the decoded form of an SP AM packet header: hw.Header itself,
+// carried by value inside hw.Packet. This file fixes the AM-side
+// vocabulary: kind constants, channel indices, and the wire-size helpers.
+// The checksum, sequence-span, fault-class, and header-corruption logic
+// live on hw.Header (internal/hw/header.go).
 type msg = hw.Header
 
 // AM wire packet kinds (aliases of the hw-level kind space).

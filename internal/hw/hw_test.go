@@ -37,11 +37,11 @@ func TestSinglePacketDelivery(t *testing.T) {
 	c := twoNodes(t)
 	var arrived *Packet
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
-		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Hdr: Header{Arg: 42}})
+		n.Adapter.PushSend(1, 32, &Header{Arg: 42}, nil)
 		n.Adapter.CommitLengths(p)
 	})
 	c.Spawn(1, "rx", func(p *sim.Proc, n *Node) {
-		for n.Adapter.RecvPeek() == nil {
+		for n.Adapter.RecvLen() == 0 {
 			p.Advance(US(1))
 		}
 		arrived = n.Adapter.RecvPop()
@@ -61,13 +61,13 @@ func TestDeliveryOrderPreserved(t *testing.T) {
 			for nd.Adapter.SendSpace() == 0 {
 				p.Advance(US(1))
 			}
-			nd.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Hdr: Header{Arg: uint32(i)}})
+			nd.Adapter.PushSend(1, 32, &Header{Arg: uint32(i)}, nil)
 			nd.Adapter.CommitLengths(p)
 		}
 	})
 	c.Spawn(1, "rx", func(p *sim.Proc, nd *Node) {
 		for len(got) < n {
-			if nd.Adapter.RecvPeek() == nil {
+			if nd.Adapter.RecvLen() == 0 {
 				p.Advance(US(1))
 				continue
 			}
@@ -87,7 +87,7 @@ func TestSendFIFOBackpressure(t *testing.T) {
 	nd := c.Nodes[0]
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
 		for i := 0; i < SendFIFOEntries; i++ {
-			n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+			n.Adapter.PushSend(1, 32, &Header{}, nil)
 		}
 		if n.Adapter.SendSpace() != 0 {
 			t.Errorf("space = %d after filling, want 0", n.Adapter.SendSpace())
@@ -102,7 +102,7 @@ func TestSendFIFOBackpressure(t *testing.T) {
 	c.Spawn(1, "rx", func(p *sim.Proc, n *Node) {
 		seen := 0
 		for seen < SendFIFOEntries {
-			if n.Adapter.RecvPeek() == nil {
+			if n.Adapter.RecvLen() == 0 {
 				p.Advance(US(1))
 				continue
 			}
@@ -125,10 +125,73 @@ func TestPushWithoutSpacePanics(t *testing.T) {
 			}
 		}()
 		for i := 0; i <= SendFIFOEntries; i++ {
-			n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+			n.Adapter.PushSend(1, 32, &Header{}, nil)
 		}
 	})
 	c.Run()
+}
+
+// TestLengthArrayBatching pins the length-array policy: of 9 entries staged
+// one at a time, CommitFullBatch commits the first 8, at the 8th, for one
+// MicroChannel access; CommitLengths commits the 9th and charges nothing
+// when nothing is staged; RecvPop on an empty FIFO returns nil.
+func TestLengthArrayBatching(t *testing.T) {
+	c := twoNodes(t)
+	const n = 9
+	c.Spawn(0, "tx", func(p *sim.Proc, nd *Node) {
+		ad := nd.Adapter
+		mc := ad.Params().MCAccess
+		commits := 0
+		for i := 0; i < n; i++ {
+			ad.PushSend(1, 32, &Header{Arg: uint32(i)}, nil)
+			t0 := p.Now()
+			ad.CommitFullBatch(p)
+			switch dt := p.Now() - t0; {
+			case dt == mc:
+				commits++
+				if i != 7 {
+					t.Errorf("batch committed at entry %d, want 8", i+1)
+				}
+			case dt != 0:
+				t.Errorf("CommitFullBatch at entry %d charged %v", i+1, dt)
+			}
+		}
+		if commits != 1 {
+			t.Errorf("%d full-batch commits for %d entries, want 1", commits, n)
+		}
+		if got := ad.Staged(); got != 1 {
+			t.Errorf("Staged() = %d after the batch, want 1", got)
+		}
+		t0 := p.Now()
+		ad.CommitLengths(p)
+		if dt := p.Now() - t0; dt != mc || ad.Staged() != 0 {
+			t.Errorf("forced commit charged %v leaving %d staged, want %v and 0", dt, ad.Staged(), mc)
+		}
+		t0 = p.Now()
+		ad.CommitLengths(p)
+		if dt := p.Now() - t0; dt != 0 {
+			t.Errorf("commit with nothing staged charged %v", dt)
+		}
+	})
+	var got []int
+	c.Spawn(1, "rx", func(p *sim.Proc, nd *Node) {
+		for len(got) < n {
+			if pkt := nd.Adapter.RecvPop(); pkt != nil {
+				got = append(got, int(pkt.Hdr.Arg))
+				continue
+			}
+			p.Advance(US(1))
+		}
+		if pkt := nd.Adapter.RecvPop(); pkt != nil {
+			t.Errorf("RecvPop on an empty FIFO returned %+v", pkt)
+		}
+	})
+	c.Run()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("entries arrived as %v, want 0..%d in order", got, n-1)
+		}
+	}
 }
 
 func TestRecvFIFOOverflowDrops(t *testing.T) {
@@ -141,7 +204,7 @@ func TestRecvFIFOOverflowDrops(t *testing.T) {
 			for n.Adapter.SendSpace() == 0 {
 				p.Advance(US(1))
 			}
-			n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Data: make([]byte, 64)})
+			n.Adapter.PushSend(1, 32, &Header{}, make([]byte, 64))
 			n.Adapter.CommitLengths(p)
 		}
 		p.Advance(US(5000))
@@ -168,7 +231,7 @@ func TestSwitchFaultInjection(t *testing.T) {
 			for n.Adapter.SendSpace() == 0 {
 				p.Advance(US(1))
 			}
-			n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+			n.Adapter.PushSend(1, 32, &Header{}, nil)
 			n.Adapter.CommitLengths(p)
 		}
 		p.Advance(US(1000))
@@ -186,7 +249,7 @@ func TestSwitchVerdictDuplicate(t *testing.T) {
 	c := twoNodes(t)
 	c.Switch.Fault = func(pkt *Packet) Verdict { return Verdict{Action: ActDuplicate} }
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
-		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+		n.Adapter.PushSend(1, 32, &Header{}, nil)
 		n.Adapter.CommitLengths(p)
 		p.Advance(US(1000))
 	})
@@ -217,14 +280,14 @@ func TestSwitchVerdictDelayReorders(t *testing.T) {
 			for nd.Adapter.SendSpace() == 0 {
 				p.Advance(US(1))
 			}
-			nd.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Hdr: Header{Arg: uint32(i)}})
+			nd.Adapter.PushSend(1, 32, &Header{Arg: uint32(i)}, nil)
 			nd.Adapter.CommitLengths(p)
 		}
 	})
 	var got []int
 	c.Spawn(1, "rx", func(p *sim.Proc, nd *Node) {
 		for len(got) < n {
-			if nd.Adapter.RecvPeek() == nil {
+			if nd.Adapter.RecvLen() == 0 {
 				p.Advance(US(1))
 				continue
 			}
@@ -247,11 +310,11 @@ func TestSwitchVerdictCorruptPayload(t *testing.T) {
 	sent := append([]byte(nil), orig...)
 	var arrived *Packet
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
-		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Data: sent})
+		n.Adapter.PushSend(1, 32, &Header{}, sent)
 		n.Adapter.CommitLengths(p)
 	})
 	c.Spawn(1, "rx", func(p *sim.Proc, n *Node) {
-		for n.Adapter.RecvPeek() == nil {
+		for n.Adapter.RecvLen() == 0 {
 			p.Advance(US(1))
 		}
 		arrived = n.Adapter.RecvPop()
@@ -281,7 +344,7 @@ func TestSwitchVerdictCorruptNothingToFlip(t *testing.T) {
 	c := twoNodes(t)
 	c.Switch.Fault = func(pkt *Packet) Verdict { return Verdict{Action: ActCorrupt} }
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
-		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+		n.Adapter.PushSend(1, 32, &Header{}, nil)
 		n.Adapter.CommitLengths(p)
 		p.Advance(US(1000))
 	})
@@ -313,7 +376,7 @@ func TestClusterLossReport(t *testing.T) {
 			for n.Adapter.SendSpace() == 0 {
 				p.Advance(US(1))
 			}
-			n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+			n.Adapter.PushSend(1, 32, &Header{}, nil)
 			n.Adapter.CommitLengths(p)
 		}
 		p.Advance(US(1000))
@@ -337,11 +400,11 @@ func TestLatencySmallPacketOneWay(t *testing.T) {
 	var sent, recvd sim.Time
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
 		sent = p.Now()
-		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Data: make([]byte, 16)})
+		n.Adapter.PushSend(1, 32, &Header{}, make([]byte, 16))
 		n.Adapter.commit() // no MicroChannel charge: adapter-to-adapter time only
 	})
 	c.Spawn(1, "rx", func(p *sim.Proc, n *Node) {
-		for n.Adapter.RecvPeek() == nil {
+		for n.Adapter.RecvLen() == 0 {
 			p.Advance(100) // 0.1us poll granularity
 		}
 		recvd = p.Now()
@@ -365,14 +428,14 @@ func TestFullDuplexLinksDontInterfere(t *testing.T) {
 					for n.Adapter.SendSpace() == 0 {
 						p.Advance(US(1))
 					}
-					n.Adapter.PushSend(&Packet{Dst: to, HdrBytes: 32, Data: make([]byte, PacketDataSize)})
+					n.Adapter.PushSend(to, 32, &Header{}, make([]byte, PacketDataSize))
 					n.Adapter.CommitLengths(p)
 				}
 			})
 			c.Spawn(to, "rx", func(p *sim.Proc, n *Node) {
 				seen := 0
 				for seen < pkts {
-					if n.Adapter.RecvPeek() == nil {
+					if n.Adapter.RecvLen() == 0 {
 						p.Advance(US(1))
 						continue
 					}
@@ -468,14 +531,14 @@ func TestSwitchUtilizationAccounting(t *testing.T) {
 			for n.Adapter.SendSpace() == 0 {
 				p.Advance(US(1))
 			}
-			n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32, Data: make([]byte, PacketDataSize)})
+			n.Adapter.PushSend(1, 32, &Header{}, make([]byte, PacketDataSize))
 			n.Adapter.CommitLengths(p)
 		}
 	})
 	c.Spawn(1, "rx", func(p *sim.Proc, n *Node) {
 		seen := 0
 		for seen < pkts {
-			if n.Adapter.RecvPeek() == nil {
+			if n.Adapter.RecvLen() == 0 {
 				p.Advance(US(1))
 				continue
 			}
@@ -525,7 +588,7 @@ func TestSwitchUtilizationMidBacklog(t *testing.T) {
 func TestEngineEventAccounting(t *testing.T) {
 	c := NewCluster(DefaultConfig(2))
 	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
-		n.Adapter.PushSend(&Packet{Dst: 1, HdrBytes: 32})
+		n.Adapter.PushSend(1, 32, &Header{}, nil)
 		n.Adapter.CommitLengths(p)
 		p.Advance(US(100))
 	})

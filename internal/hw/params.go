@@ -34,6 +34,13 @@ const (
 	PacketDataSize   = FIFOEntryBytes - PacketHeaderSize // 224
 	SendFIFOEntries  = 128                               // paper §2.1
 	RecvFIFOPerNode  = 64                                // paper §2.1: 64 entries per active processing node
+	// CommitBatch is how many staged send-FIFO entries one length-array
+	// store commits in a full batch (TB2.CommitFullBatch). The host writes
+	// "the lengths of several packets at a time" (paper §2.1) to pay one
+	// MicroChannel access per batch; committing as packets are built, rather
+	// than once per chunk, lets the adapter's DMA overlap the host's entry
+	// building.
+	CommitBatch = 8
 )
 
 // SwitchParams describes the SP high-performance switch (paper §1.2:

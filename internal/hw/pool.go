@@ -7,8 +7,8 @@ package hw
 //
 // Ownership discipline:
 //
-//   - The protocol layer Gets a packet at injection and hands it to the
-//     adapter; from then on the hardware pipeline owns it.
+//   - The adapter Gets a packet at injection (TB2.PushSend); from then on
+//     the hardware pipeline owns it.
 //   - The receiving protocol layer Puts the packet back after processing it
 //     (copying any payload it keeps — Data may alias the sender's source
 //     buffer, which go-back-N retransmission still needs).

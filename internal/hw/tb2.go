@@ -12,10 +12,12 @@ import (
 // receive FIFO. One user process per node gets direct, OS-bypass access to
 // the FIFOs (paper §2.1).
 //
-// The host-side protocol (internal/am, internal/mpl) is responsible for
-// charging its own CPU costs (building entries, cache flushes, the
-// length-array MicroChannel store); the adapter charges the i860 and DMA
-// pipeline times.
+// The adapter owns the host side of its FIFOs: it builds send entries from
+// the node's packet pool, stages them, commits them through the length
+// array (charging the MicroChannel store) and pops the receive FIFO. The
+// protocol layers (internal/am, internal/mpl) charge their own CPU costs
+// (building entries, cache flushes) and choose when to commit; the adapter
+// charges the i860 and DMA pipeline times.
 //
 // Packets move between pipeline stages through rings whose completion
 // callbacks are allocated once at construction: each sim.Server fires
@@ -91,14 +93,21 @@ func (a *TB2) Params() AdapterParams { return a.p }
 // SendSpace reports free send-FIFO entries.
 func (a *TB2) SendSpace() int { return SendFIFOEntries - a.sendUsed }
 
-// PushSend stores one packet into the next send-FIFO entry. The caller must
-// have verified SendSpace() > 0 and must charge its own build/flush costs;
-// the entry does not move until CommitLengths makes its length slot nonzero.
-func (a *TB2) PushSend(pkt *Packet) {
+// PushSend builds one packet from the node's pool — hdrBytes of header hdr
+// followed by data, bound for dst — and stores it into the next send-FIFO
+// entry. The caller must have verified SendSpace() > 0 and must charge its
+// own build/flush costs; the entry does not move until a commit makes its
+// length slot nonzero. data is referenced, not copied.
+func (a *TB2) PushSend(dst, hdrBytes int, hdr *Header, data []byte) {
 	if a.sendUsed >= SendFIFOEntries {
 		panic("hw: send FIFO overflow (caller must check SendSpace)")
 	}
+	pkt := a.node.Pool.Get()
 	pkt.Src = a.node.ID
+	pkt.Dst = dst
+	pkt.HdrBytes = hdrBytes
+	pkt.Data = data
+	pkt.Hdr = *hdr
 	a.sendUsed++
 	a.staged.Push(pkt)
 	if rec := a.node.Eng.Tracer(); rec != nil {
@@ -108,11 +117,22 @@ func (a *TB2) PushSend(pkt *Packet) {
 	}
 }
 
+// Staged reports send-FIFO entries written but not yet committed.
+func (a *TB2) Staged() int { return a.staged.Len() }
+
+// CommitFullBatch commits the staged entries once CommitBatch of them are
+// waiting, and otherwise does nothing.
+func (a *TB2) CommitFullBatch(p *sim.Proc) {
+	if a.staged.Len() >= CommitBatch {
+		a.CommitLengths(p)
+	}
+}
+
 // CommitLengths writes the length-array slots for all staged entries in one
 // programmed-I/O access across the MicroChannel (the paper's batching
 // optimization: "writing the lengths of several packets at a time") and
 // starts the adapter pipeline on them. It charges the calling process the
-// MicroChannel access cost.
+// MicroChannel access cost, and nothing when no entry is staged.
 func (a *TB2) CommitLengths(p *sim.Proc) {
 	if a.staged.Len() == 0 {
 		return
@@ -238,21 +258,16 @@ func (a *TB2) SetArrivalHook(fn func()) { a.onArrive = fn }
 // RecvLen reports how many packets sit in the host receive FIFO.
 func (a *TB2) RecvLen() int { return a.recvQ.Len() }
 
-// RecvPeek returns the FIFO head without popping, or nil when empty. The
-// polling layer charges its own per-poll and per-message costs.
-func (a *TB2) RecvPeek() *Packet {
+// RecvPop removes and returns the FIFO head, or nil when the FIFO is empty.
+// The polling layer charges its own per-poll and per-message costs. The
+// paper pops lazily — after a fixed number of polled messages — to amortize
+// the MicroChannel access that tells the adapter the entry is free; that
+// batching (and its cost) is the caller's policy. The popped packet belongs
+// to the caller, who returns it to the node's pool once processed.
+func (a *TB2) RecvPop() *Packet {
 	if a.recvQ.Len() == 0 {
 		return nil
 	}
-	return *a.recvQ.Peek()
-}
-
-// RecvPop removes the FIFO head. The paper pops lazily — after a fixed
-// number of polled messages — to amortize the MicroChannel access that tells
-// the adapter the entry is free; that batching (and its cost) is the
-// caller's policy. The popped packet belongs to the caller, who returns it
-// to the node's pool once processed.
-func (a *TB2) RecvPop() *Packet {
 	pkt := a.recvQ.Pop()
 	if rec := a.node.Eng.Tracer(); rec != nil && pkt.TraceID != 0 {
 		rec.Emit(int64(a.node.Eng.Now()), trace.EvPolled, a.node.ID, pkt.TraceID, 0, "")

@@ -1,6 +1,10 @@
 package kv
 
-import "spam/internal/hw"
+import (
+	"encoding/binary"
+
+	"spam/internal/hw"
+)
 
 // Wire formats of one write round (the protocol is in the package comment).
 // A vector of one op rides a short request, phase by handler:
@@ -35,26 +39,15 @@ func opBytes(phase uint8) int {
 	return 4
 }
 
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
 // encodeOps packs ops into buf as phase records and returns the bytes used.
 // buf must hold len(ops) records; callers cap vectors at maxBatchOps.
 func encodeOps(buf []byte, phase uint8, ops []wireOp) []byte {
 	w := opBytes(phase)
 	for i, op := range ops {
-		putU32(buf[i*w:], op.key)
+		binary.LittleEndian.PutUint32(buf[i*w:], op.key)
 		if phase == phCommit {
-			putU32(buf[i*w+4:], op.val)
-			putU32(buf[i*w+8:], op.id)
+			binary.LittleEndian.PutUint32(buf[i*w+4:], op.val)
+			binary.LittleEndian.PutUint32(buf[i*w+8:], op.id)
 		}
 	}
 	return buf[:len(ops)*w]
@@ -70,10 +63,10 @@ func decodeOps(dst []wireOp, phase uint8, mem []byte) []wireOp {
 		n = len(dst)
 	}
 	for i := 0; i < n; i++ {
-		op := wireOp{key: getU32(mem[i*w:])}
+		op := wireOp{key: binary.LittleEndian.Uint32(mem[i*w:])}
 		if phase == phCommit {
-			op.val = getU32(mem[i*w+4:])
-			op.id = getU32(mem[i*w+8:])
+			op.val = binary.LittleEndian.Uint32(mem[i*w+4:])
+			op.id = binary.LittleEndian.Uint32(mem[i*w+8:])
 		}
 		dst[i] = op
 	}

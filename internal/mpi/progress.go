@@ -60,7 +60,7 @@ func (s *System) registerHandlers() {
 	})
 
 	// Rendezvous request-to-send (args: tag, size, rdvID, prefixLen). The
-	// receiver needs no prefix length: the prefix lands at its slot's front.
+	// fourth word is not read: the prefix lands at its slot's front.
 	s.h.rts = s.AM.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		c := ep.Data.(*Comm)
 		m := inMsg{src: tok.Src, tag: int(int32(args[0])), size: int(args[1]), rdvID: args[2]}
@@ -72,8 +72,9 @@ func (s *System) registerHandlers() {
 		c.park(m)
 	})
 
-	// Clear-to-send back at the sender: queue the store for the next
-	// polling MPI call (the handler itself may not transfer — §4.1).
+	// Clear-to-send back at the sender (args: rdvID, slot, 0, 0; the last
+	// two words are not read): queue the store for the next polling MPI
+	// call (the handler itself may not transfer — §4.1).
 	s.h.cts = s.AM.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		c := ep.Data.(*Comm)
 		rdvID := args[0]
@@ -83,9 +84,6 @@ func (s *System) registerHandlers() {
 		}
 		delete(c.rdvSend, rdvID)
 		req.slot = int(args[1])
-		if off, ln, ok := unpackFree(args[2]); ok {
-			c.alloc[tok.Src].release(off, ln)
-		}
 		c.pendCTS.Push(req)
 	})
 

@@ -42,8 +42,6 @@ const (
 	// AnySource / AnyTag are wildcards for Recv matching.
 	AnySource = -1
 	AnyTag    = -1
-	// commitBatch mirrors the adapter length-array batching.
-	commitBatch = 8
 )
 
 // MPL's packet kinds are hw-level header kinds; its header fields ride the
@@ -104,7 +102,6 @@ type Endpoint struct {
 	unexpected []*rxMsg         // complete but unmatched messages
 	posted     []*RecvHandle    // receives waiting for a matching message
 	rxSince    []int            // data packets received per source since last credit
-	pendCommit int
 }
 
 type rxKey struct {
@@ -266,10 +263,14 @@ func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 	return n, m.src, m.tag
 }
 
+// matches is the one wildcard rule: a receive for (src, tag) takes a
+// message from msrc with tag mtag.
+func matches(src, tag, msrc, mtag int) bool {
+	return (src == AnySource || src == msrc) && (tag == AnyTag || tag == mtag)
+}
+
 func (ep *Endpoint) matchPosted(src, tag int) *RecvHandle {
-	i := slices.IndexFunc(ep.posted, func(h *RecvHandle) bool {
-		return (h.src == AnySource || h.src == src) && (h.tag == AnyTag || h.tag == tag)
-	})
+	i := slices.IndexFunc(ep.posted, func(h *RecvHandle) bool { return matches(h.src, h.tag, src, tag) })
 	if i < 0 {
 		return nil
 	}
@@ -279,9 +280,7 @@ func (ep *Endpoint) matchPosted(src, tag int) *RecvHandle {
 }
 
 func (ep *Endpoint) matchUnexpected(src, tag int) *rxMsg {
-	i := slices.IndexFunc(ep.unexpected, func(m *rxMsg) bool {
-		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
-	})
+	i := slices.IndexFunc(ep.unexpected, func(m *rxMsg) bool { return matches(src, tag, m.src, m.tag) })
 	if i < 0 {
 		return nil
 	}
@@ -305,7 +304,7 @@ func (ep *Endpoint) progress(p *sim.Proc) {
 					// Commit any staged entries before backing off: a
 					// partial batch left uncommitted would never drain and
 					// would pin the FIFO full forever.
-					ep.commit(p, true)
+					ad.CommitLengths(p)
 					return // resume on a later poll
 				}
 				end := m.sent + DataBytes
@@ -316,7 +315,8 @@ func (ep *Endpoint) progress(p *sim.Proc) {
 				w := hw.Header{Kind: mData, Op: m.msgID, H: m.tag,
 					Total: len(m.data), BOff: m.sent, Final: end == len(m.data)}
 				ep.node.ChargeSend(p, ep.callCost(costPktBuild), len(chunk), HeaderBytes+len(chunk))
-				ep.pushPkt(p, dst, &w, chunk)
+				ad.PushSend(dst, HeaderBytes, &w, chunk)
+				ad.CommitFullBatch(p)
 				ts.pktAhead++
 				m.sent = end
 				if len(m.data) == 0 {
@@ -328,28 +328,7 @@ func (ep *Endpoint) progress(p *sim.Proc) {
 			ts.q.Pop()
 		}
 	}
-	ep.commit(p, true)
-}
-
-func (ep *Endpoint) pushPkt(p *sim.Proc, dst int, w *hw.Header, data []byte) {
-	pkt := ep.node.Pool.Get()
-	pkt.Dst = dst
-	pkt.HdrBytes = HeaderBytes
-	pkt.Data = data
-	pkt.Hdr = *w
-	ep.node.Adapter.PushSend(pkt)
-	ep.pendCommit++
-	ep.commit(p, false)
-}
-
-func (ep *Endpoint) commit(p *sim.Proc, force bool) {
-	if ep.pendCommit == 0 {
-		return
-	}
-	if force || ep.pendCommit >= commitBatch {
-		ep.node.Adapter.CommitLengths(p)
-		ep.pendCommit = 0
-	}
+	ad.CommitLengths(p)
 }
 
 // Poll drains the receive FIFO once, reassembling messages, issuing
@@ -358,12 +337,7 @@ func (ep *Endpoint) commit(p *sim.Proc, force bool) {
 func (ep *Endpoint) Poll(p *sim.Proc) {
 	ep.node.ComputeUnscaled(p, ep.callCost(costPollEmpty))
 	ad := ep.node.Adapter
-	for {
-		pkt := ad.RecvPeek()
-		if pkt == nil {
-			break
-		}
-		ad.RecvPop()
+	for pkt := ad.RecvPop(); pkt != nil; pkt = ad.RecvPop() {
 		ep.node.ComputeUnscaled(p, ep.callCost(costPerPkt))
 		h := &pkt.Hdr
 		switch h.Kind {
@@ -442,8 +416,8 @@ func (ep *Endpoint) emitCtl(p *sim.Proc, dst int, w *hw.Header) {
 		}
 	}
 	ep.node.ChargeSend(p, ep.callCost(costCreditSend), 0, HeaderBytes)
-	ep.pushPkt(p, dst, w, nil)
-	ep.commit(p, true)
+	ad.PushSend(dst, HeaderBytes, w, nil)
+	ad.CommitLengths(p)
 }
 
 func (ep *Endpoint) String() string {

@@ -161,3 +161,65 @@ func TestCalibMPL(t *testing.T) {
 		t.Errorf("blocking n_1/2 (%.0f) should exceed pipelined (%.0f)", blk.NHalf(), nh)
 	}
 }
+
+// BenchmarkMPLSendRecv is the host-time row of the MPL layer: a one-word
+// BSend/Recv round trip between two nodes, and a 64 KiB Send + DrainSends
+// streamed to a node that Recvs each message. The timer runs from the end
+// of a warm-up until both sides are done. events/op is deterministic for a
+// given b.N: a host-time change with it unchanged is a change in the cost
+// per event, not in what the simulation does.
+func BenchmarkMPLSendRecv(b *testing.B) {
+	word := make([]byte, 4)
+	block := make([]byte, 64<<10)
+	for _, bc := range []struct {
+		name   string
+		tx, rx func(p *sim.Proc, ep *mpl.Endpoint)
+	}{
+		{"word", func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.BSend(p, 1, 0, word)
+			ep.Recv(p, 1, 0, word)
+		}, func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.Recv(p, 0, 0, word)
+			ep.BSend(p, 0, 0, word)
+		}},
+		{"64KiB", func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.Send(p, 1, 0, block)
+			ep.DrainSends(p)
+		}, func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.Recv(p, 0, 0, block)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const warm = 16
+			c := hw.NewCluster(hw.DefaultConfig(2))
+			sys := mpl.New(c)
+			var events int64
+			left := 2
+			done := func() {
+				if left--; left == 0 {
+					b.StopTimer()
+					events = c.Eng.EventsRun - events
+				}
+			}
+			b.ReportAllocs()
+			c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
+				for i := 0; i < warm+b.N; i++ {
+					if i == warm {
+						b.ResetTimer()
+						events = c.Eng.EventsRun
+					}
+					bc.tx(p, sys.EPs[0])
+				}
+				done()
+			})
+			c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
+				for i := 0; i < warm+b.N; i++ {
+					bc.rx(p, sys.EPs[1])
+				}
+				done()
+			})
+			c.Run()
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
+	}
+}
