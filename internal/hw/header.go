@@ -71,8 +71,8 @@ func (k Kind) amKind() bool { return k >= KindRequest && k <= KindRaw }
 // budgets of the real implementations; HdrBytes on the packet models the
 // on-wire size.
 //
-// MPL reuses the AM field slots: message id in Op, tag in H, message length
-// in Total, packet offset in BOff, last-packet flag in Final.
+// MPL reuses the AM field slots: tag in H, message length in Total, packet
+// offset in BOff, last-packet flag in Final.
 type Header struct {
 	Kind Kind
 	Ch   int    // AM sequence channel (0 = requests, 1 = replies)
@@ -88,9 +88,9 @@ type Header struct {
 	Nargs int
 	Args  [4]uint32
 
-	// Bulk data packets (AM); MPL reuses Op/Total/BOff/Final.
+	// Bulk data packets (AM); MPL reuses Total/BOff/Final.
 	BK        uint8  // bulk kind (store data vs get-response data)
-	Op        uint64 // bulk operation id, sender-scoped / MPL message id
+	Op        uint64 // bulk operation id, sender-scoped
 	DAddr     Addr   // destination of this packet's payload
 	Total     int    // total bytes in the whole operation / MPL message
 	ChunkPkts int    // packets in this packet's chunk (= its seq span)

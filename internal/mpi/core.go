@@ -37,7 +37,7 @@ type Request struct {
 	slot   int // send: the receiver segment the CTS named; receive: the registration slot data lands in
 
 	// MPI-F only.
-	sendH *mpl.SendHandle // send: rendezvous data injection progress
+	sendT uint64          // send: rendezvous data's ticket for mpl.Endpoint.Injected (0: none)
 	recvH *mpl.RecvHandle // receive: rendezvous data arrival
 }
 
@@ -56,7 +56,8 @@ type inMsg struct {
 }
 
 // core is the matching state both Comm types embed: the posted and
-// unexpected queues, the collective-tag counter and the failure state.
+// unexpected queues, the collective-tag counter, the rendezvous ids and the
+// sends awaiting clear-to-send, and the failure state.
 type core struct {
 	rank, size int
 	nd         *hw.Node
@@ -64,6 +65,9 @@ type core struct {
 	posted     []*Request
 	unexpected []*inMsg
 	collSeq    int // collective sequence number (tag salt)
+
+	nextRdv uint32
+	ctsWait map[uint32]*Request // rendezvous sends awaiting clear-to-send, by id
 
 	// peerErrs is sticky per peer, set once when the transport declares the
 	// peer dead (only SP AM detects fail-stop; MPL does not). deadline, when
@@ -73,7 +77,26 @@ type core struct {
 }
 
 func newCore(nd *hw.Node, rank, size int) core {
-	return core{rank: rank, size: size, nd: nd, peerErrs: make([]error, size)}
+	return core{rank: rank, size: size, nd: nd, peerErrs: make([]error, size),
+		ctsWait: make(map[uint32]*Request)}
+}
+
+// holdRdv gives a rendezvous send its id and holds it until the receiver's
+// clear-to-send names it.
+func (c *core) holdRdv(req *Request) {
+	c.nextRdv++
+	req.rdvID = c.nextRdv
+	c.ctsWait[req.rdvID] = req
+}
+
+// takeRdv takes the held send a clear-to-send names.
+func (c *core) takeRdv(rdvID uint32) *Request {
+	req := c.ctsWait[rdvID]
+	if req == nil {
+		panic("mpi: clear-to-send for unknown rendezvous")
+	}
+	delete(c.ctsWait, rdvID)
+	return req
 }
 
 // Rank returns this process's rank.

@@ -6,7 +6,8 @@
 // — plus MPICH's generic collectives layered on the point-to-point calls
 // (the paper does the same, and pays for it in FT's Alltoall). Both Comm
 // types embed the same core: the posted and unexpected queues, the
-// wildcard rule, cancellation, the expiry check and the collective tags.
+// wildcard rule, cancellation, the expiry check, the collective tags and
+// the rendezvous ids.
 // What differs is each transport's protocol, its costs and its Alltoall.
 //
 // MPI-AM (New, Comm) moves data with three protocols, exactly as in
@@ -154,8 +155,6 @@ type Comm struct {
 	nFrees    int                    // entries across all pendFrees
 	tick      int
 
-	nextRdv uint32
-	rdvSend map[uint32]*Request // rdvID -> send awaiting CTS
 	rdvRecv map[rdvKey]*Request // (src, rdvID) -> posted recv awaiting data
 
 	// Stats
@@ -175,7 +174,6 @@ func newComm(s *System, ep *am.Endpoint) *Comm {
 	n := ep.N()
 	c := &Comm{core: newCore(ep.Node(), ep.ID(), n), sys: s, ep: ep,
 		pendFrees: make([]ring.Ring[freeEntry], n),
-		rdvSend:   make(map[uint32]*Request),
 		rdvRecv:   make(map[rdvKey]*Request),
 	}
 	region := make([]byte, n*perPeerBuf)

@@ -585,3 +585,53 @@ func TestPostedRoundTripAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMPIPingPong is the host-time row of the MPI layer: a blocking
+// Send/Recv round trip between two ranks on optimized MPI-AM and on MPI-F,
+// at a buffered/eager size (100 B) and a rendezvous size (50,000 B). The
+// timer runs from the end of a warm-up until both ranks are done. events/op
+// is deterministic for a given b.N: a host-time change with it unchanged is
+// a change in the cost per event, not in what the simulation does.
+func BenchmarkMPIPingPong(b *testing.B) {
+	for _, st := range []struct {
+		name string
+		pts  func(c *hw.Cluster) []mpi.PT
+	}{
+		{"MPI-AM", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.New(c, mpi.Optimized()).Comms) }},
+		{"MPI-F", func(c *hw.Cluster) []mpi.PT { return ptsOf(mpi.NewF(c).Comms) }},
+	} {
+		for _, size := range []int{100, 50000} {
+			b.Run(fmt.Sprintf("%s/%dB", st.name, size), func(b *testing.B) {
+				const warm = 16
+				c := hw.NewCluster(hw.DefaultConfig(2))
+				var events int64
+				left := 2
+				b.ReportAllocs()
+				for i, pt := range st.pts(c) {
+					c.Spawn(i, "mpi", func(p *sim.Proc, nd *hw.Node) {
+						msg, buf := make([]byte, size), make([]byte, size)
+						for j := 0; j < warm+b.N; j++ {
+							if i == 0 && j == warm {
+								b.ResetTimer()
+								events = c.Eng.EventsRun
+							}
+							if i == 0 {
+								mpi.Send(p, pt, msg, 1, 0)
+								mpi.Recv(p, pt, buf, 1, 0)
+							} else {
+								mpi.Recv(p, pt, buf, 0, 0)
+								mpi.Send(p, pt, msg, 0, 0)
+							}
+						}
+						if left--; left == 0 {
+							b.StopTimer()
+							events = c.Eng.EventsRun - events
+						}
+					})
+				}
+				c.Run()
+				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			})
+		}
+	}
+}

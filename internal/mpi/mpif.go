@@ -48,9 +48,8 @@ func NewF(c *hw.Cluster) *FSystem {
 	}
 	for _, ep := range s.MPL.EPs {
 		s.Comms = append(s.Comms, &FComm{
-			core:     newCore(ep.Node(), ep.ID(), ep.N()),
-			ep:       ep,
-			rdvSends: make(map[uint32]*Request),
+			core: newCore(ep.Node(), ep.ID(), ep.N()),
+			ep:   ep,
 		})
 	}
 	return s
@@ -63,9 +62,7 @@ type FComm struct {
 	core
 	ep *mpl.Endpoint
 
-	nextRdv  uint32
-	rdvSends map[uint32]*Request // sends awaiting clear-to-send
-	inflight []*Request          // recvs with rendezvous data pending
+	inflight []*Request // recvs with rendezvous data pending
 	scratch  [hdrBytes + eagerMax]byte
 }
 
@@ -112,9 +109,7 @@ func (c *FComm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
 		req.done = true
 		return req
 	}
-	c.nextRdv++
-	req.rdvID = c.nextRdv
-	c.rdvSends[req.rdvID] = req
+	c.holdRdv(req)
 	var rts [hdrBytes]byte
 	putHdr(rts[:], kRTS, tag, len(data), req.rdvID)
 	c.ep.Send(p, dst, ctlTag, append([]byte(nil), rts[:]...))
@@ -189,16 +184,12 @@ func (c *FComm) progress(p *sim.Proc) {
 }
 
 func (c *FComm) shipData(p *sim.Proc, dst int, rdvID uint32) {
-	req := c.rdvSends[rdvID]
-	if req == nil {
-		panic("mpi: MPI-F CTS for unknown send")
-	}
-	delete(c.rdvSends, rdvID)
+	req := c.takeRdv(rdvID)
 	// Private copy: the library owns the data from here, and the transport
 	// holds it by reference until injection. The request only completes once
 	// injection finishes (see Wait), keeping the sender driving the credit
 	// window instead of stranding a queued message while it computes.
-	req.sendH = c.ep.Send(p, dst, dataTag(rdvID), append([]byte(nil), req.buf...))
+	req.sendT = c.ep.Send(p, dst, dataTag(rdvID), append([]byte(nil), req.buf...))
 	req.done = true
 }
 
@@ -209,7 +200,7 @@ func (c *FComm) shipData(p *sim.Proc, dst int, rdvID uint32) {
 // data still queued would let the caller enter a long computation phase
 // during which no packet moves — the 16-node NAS exchange stall.
 func (c *FComm) Wait(p *sim.Proc, req *Request) (Status, error) {
-	for !req.done || (req.sendH != nil && !req.sendH.Injected()) {
+	for !req.done || (req.sendT != 0 && !c.ep.Injected(req.peer, req.sendT)) {
 		if err := c.expired(req); err != nil {
 			return req.status, err
 		}

@@ -77,12 +77,7 @@ func (s *System) registerHandlers() {
 	// call (the handler itself may not transfer — §4.1).
 	s.h.cts = s.AM.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
 		c := ep.Data.(*Comm)
-		rdvID := args[0]
-		req := c.rdvSend[rdvID]
-		if req == nil {
-			panic("mpi: CTS for unknown rendezvous")
-		}
-		delete(c.rdvSend, rdvID)
+		req := c.takeRdv(args[0])
 		req.slot = int(args[1])
 		c.pendCTS.Push(req)
 	})

@@ -50,9 +50,7 @@ func (c *Comm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
 	// streams behind it, so the address reply overlaps the prefix transfer
 	// and the remainder can start the moment the prefix drains — this is
 	// what removes the protocol-switch discontinuity (§4.2, Figure 7).
-	c.nextRdv++
-	req.rdvID = c.nextRdv
-	c.rdvSend[req.rdvID] = req
+	c.holdRdv(req)
 	c.nd.ComputeUnscaled(p, costRdvSetup)
 	prefix := 0
 	if hp := c.sys.Opt.HybridPrefix; hp > 0 && n > hp {

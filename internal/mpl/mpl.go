@@ -45,9 +45,11 @@ const (
 )
 
 // MPL's packet kinds are hw-level header kinds; its header fields ride the
-// shared hw.Header (msgID in Op, tag in H, total in Total, offset in BOff,
-// last in Final). MPL headers carry no checksum — the protocol trusted the
-// lossless switch — so injected corruption goes undetected, as before.
+// shared hw.Header (tag in H, total in Total, offset in BOff, last in
+// Final). A packet carries no message id: the message credit keeps one
+// message per pair on the wire, so the packet at offset 0 starts the next
+// one. MPL headers carry no checksum — the protocol trusted the lossless
+// switch — so injected corruption goes undetected, as before.
 const (
 	mData      = hw.KindMPLData
 	mCredit    = hw.KindMPLCredit    // message-level credit (window of 1 message per pair)
@@ -77,12 +79,9 @@ type System struct {
 func New(c *hw.Cluster) *System {
 	s := &System{CallScale: 1.0}
 	for _, n := range c.Nodes {
-		ep := &Endpoint{node: n, n: len(c.Nodes), sys: s}
-		ep.tx = make([]txState, len(c.Nodes))
-		ep.rx = make(map[rxKey]*rxMsg)
-		ep.rxSince = make([]int, len(c.Nodes))
-		for i := range ep.tx {
-			ep.tx[i].credit = 1
+		ep := &Endpoint{node: n, n: len(c.Nodes), sys: s, peers: make([]peer, len(c.Nodes))}
+		for i := range ep.peers {
+			ep.peers[i].credit = 1
 		}
 		s.EPs = append(s.EPs, ep)
 	}
@@ -95,36 +94,37 @@ type Endpoint struct {
 	n    int
 	sys  *System
 
-	nextMsg uint64
-	tx      []txState // per destination
-
-	rx         map[rxKey]*rxMsg // partially arrived messages
-	unexpected []*rxMsg         // complete but unmatched messages
-	posted     []*RecvHandle    // receives waiting for a matching message
-	rxSince    []int            // data packets received per source since last credit
+	peers      []peer
+	unexpected []rxMsg       // complete but unmatched messages
+	posted     []*RecvHandle // receives waiting for a matching message
 }
 
-type rxKey struct {
-	src   int
-	msgID uint64
+// peer is everything an endpoint keeps per other node. The message credit
+// (window of 1) lets one message per pair onto the wire, so one arrival
+// slot per sender is all the reassembly state there is.
+type peer struct {
+	q        ring.Ring[sendMsg] // messages queued toward this peer
+	credit   int                // messages we may inject (window of 1)
+	pktAhead int                // data packets in flight toward this peer
+
+	in     rxMsg       // the message arriving from this peer
+	into   *RecvHandle // the posted receive in lands in, or nil: in.buf is a library buffer
+	rxPkts int         // data packets received from this peer since the last credit
 }
 
-// rxMsg is a message being reassembled or parked in the unexpected queue.
+// sendMsg is one queued message and its progress into the adapter.
+type sendMsg struct {
+	tag  int
+	data []byte
+	sent int
+}
+
+// rxMsg is a message's source, tag and length, with buf the library buffer
+// it is assembled in when it arrived before its receive (nil once it has
+// landed in a posted receive's own buffer).
 type rxMsg struct {
-	src    int
-	tag    int
-	buf    []byte
-	total  int
-	done   bool
-	direct bool // assembled straight into a posted receive's buffer
-}
-
-// txState is per-destination sender state: queued messages awaiting the
-// one-outstanding-message credit.
-type txState struct {
-	q        ring.Ring[*SendHandle]
-	credit   int // messages we may inject (window of 1)
-	pktAhead int // data packets in flight toward this destination
+	src, tag, total int
+	buf             []byte
 }
 
 // Node returns the underlying node.
@@ -140,49 +140,39 @@ func (ep *Endpoint) callCost(base sim.Time) sim.Time {
 	return sim.Time(float64(base) * ep.sys.CallScale)
 }
 
-// SendHandle is one queued message and its progress into the adapter.
-type SendHandle struct {
-	msgID    uint64
-	tag      int
-	data     []byte
-	sent     int
-	injected bool
-}
-
-// Injected reports whether the message has fully entered the send FIFO.
-// Injection is driven by library calls (credits arrive in the receive FIFO
-// and are only seen by polling), so a caller that needs the message moving
-// before a long silence must drive the endpoint until Injected.
-func (m *SendHandle) Injected() bool { return m.injected }
-
 // Send is mpc_send: it enqueues the message and returns once the library
 // has accepted it, pipelining injection behind per-message credits. Data is
-// captured by reference; the caller must not reuse it until it is Injected.
-func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, data []byte) *SendHandle {
+// captured by reference; the caller must not reuse it until
+// Injected(dst, ticket) reports true for the ticket Send returns.
+func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, data []byte) uint64 {
 	ep.node.ComputeUnscaled(p, ep.callCost(costSendOverhead))
-	ep.nextMsg++
-	m := &SendHandle{msgID: ep.nextMsg, tag: tag, data: data}
-	ep.tx[dst].q.Push(m)
+	q := &ep.peers[dst].q
+	q.Push(sendMsg{tag: tag, data: data})
 	ep.progress(p)
-	return m
+	return q.Pushed()
+}
+
+// Injected reports whether the message Send to dst returned ticket for has
+// fully entered the send FIFO. Injection is driven by library calls
+// (credits arrive in the receive FIFO and are only seen by polling), so a
+// caller that needs the message moving before a long silence must drive
+// the endpoint until Injected.
+func (ep *Endpoint) Injected(dst int, ticket uint64) bool {
+	return ep.peers[dst].q.Popped() >= ticket
 }
 
 // BSend is mpc_bsend: it blocks until the source buffer is reusable, i.e.
 // the message is fully injected into the adapter.
 func (ep *Endpoint) BSend(p *sim.Proc, dst, tag int, data []byte) {
-	m := ep.Send(p, dst, tag, data)
-	for !m.injected {
+	for t := ep.Send(p, dst, tag, data); !ep.Injected(dst, t); {
 		ep.Poll(p)
-		if !m.injected {
-			ep.progress(p)
-		}
 	}
 }
 
 // SendsDrained reports whether all queued sends have been injected.
 func (ep *Endpoint) SendsDrained() bool {
-	for i := range ep.tx {
-		if ep.tx[i].q.Len() > 0 {
+	for i := range ep.peers {
+		if ep.peers[i].q.Len() > 0 {
 			return false
 		}
 	}
@@ -215,8 +205,8 @@ func (ep *Endpoint) Recv(p *sim.Proc, src, tag int, buf []byte) (int, int, int) 
 // TryRecv receives a matching message that has already fully arrived,
 // without polling; ok is false when there is none.
 func (ep *Endpoint) TryRecv(p *sim.Proc, src, tag int, buf []byte) (n, from, got int, ok bool) {
-	m := ep.matchUnexpected(src, tag)
-	if m == nil {
+	m, ok := ep.matchUnexpected(src, tag)
+	if !ok {
 		return 0, 0, 0, false
 	}
 	n = copy(buf, m.buf[:m.total])
@@ -233,28 +223,29 @@ type RecvHandle struct {
 	ep       *Endpoint
 	src, tag int
 	buf      []byte
-	msg      *rxMsg
+	done     bool
+	msg      rxMsg // once done, the message it received
 }
 
 // PostRecv registers a receive without blocking; messages that begin
 // arriving after registration land directly in buf.
 func (ep *Endpoint) PostRecv(src, tag int, buf []byte) *RecvHandle {
-	h := &RecvHandle{ep: ep, src: src, tag: tag, buf: buf, msg: ep.matchUnexpected(src, tag)}
-	if h.msg == nil {
+	h := &RecvHandle{ep: ep, src: src, tag: tag, buf: buf}
+	if h.msg, h.done = ep.matchUnexpected(src, tag); !h.done {
 		ep.posted = append(ep.posted, h)
 	}
 	return h
 }
 
 // Done reports whether the posted receive's message has fully arrived.
-func (h *RecvHandle) Done() bool { return h.msg != nil && h.msg.done }
+func (h *RecvHandle) Done() bool { return h.done }
 
 // Complete finalizes a Done receive (performing the early-arrival copy if
 // needed) and returns (bytes, source, tag).
 func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 	m := h.msg
 	n := min(m.total, len(h.buf))
-	if m.direct {
+	if m.buf == nil {
 		h.ep.node.ComputeUnscaled(p, costMatch)
 	} else {
 		copy(h.buf, m.buf[:n])
@@ -269,6 +260,8 @@ func matches(src, tag, msrc, mtag int) bool {
 	return (src == AnySource || src == msrc) && (tag == AnyTag || tag == mtag)
 }
 
+// matchPosted takes the oldest posted receive a message from src with tag
+// matches.
 func (ep *Endpoint) matchPosted(src, tag int) *RecvHandle {
 	i := slices.IndexFunc(ep.posted, func(h *RecvHandle) bool { return matches(h.src, h.tag, src, tag) })
 	if i < 0 {
@@ -279,14 +272,16 @@ func (ep *Endpoint) matchPosted(src, tag int) *RecvHandle {
 	return h
 }
 
-func (ep *Endpoint) matchUnexpected(src, tag int) *rxMsg {
-	i := slices.IndexFunc(ep.unexpected, func(m *rxMsg) bool { return matches(src, tag, m.src, m.tag) })
+// matchUnexpected takes the oldest complete message a receive for (src,
+// tag) matches.
+func (ep *Endpoint) matchUnexpected(src, tag int) (rxMsg, bool) {
+	i := slices.IndexFunc(ep.unexpected, func(m rxMsg) bool { return matches(src, tag, m.src, m.tag) })
 	if i < 0 {
-		return nil
+		return rxMsg{}, false
 	}
 	m := ep.unexpected[i]
 	ep.unexpected = slices.Delete(ep.unexpected, i, i+1)
-	return m
+	return m, true
 }
 
 // progress injects packets for queued messages as credits and FIFO space
@@ -295,37 +290,32 @@ func (ep *Endpoint) matchUnexpected(src, tag int) *rxMsg {
 // pushes MPL's n½ into the kilobytes).
 func (ep *Endpoint) progress(p *sim.Proc) {
 	ad := ep.node.Adapter
-	for dst := range ep.tx {
-		ts := &ep.tx[dst]
-		for ts.q.Len() > 0 && ts.credit > 0 {
-			m := *ts.q.Peek()
-			for m.sent < len(m.data) || (len(m.data) == 0 && !m.injected) {
-				if ad.SendSpace() == 0 || ts.pktAhead >= pktWindow {
+	for dst := range ep.peers {
+		pr := &ep.peers[dst]
+		for pr.q.Len() > 0 && pr.credit > 0 {
+			// m stays valid across the charges below: only Send pushes, and
+			// an endpoint is driven by one process.
+			m := pr.q.Peek()
+			for final := false; !final; {
+				if ad.SendSpace() == 0 || pr.pktAhead >= pktWindow {
 					// Commit any staged entries before backing off: a
 					// partial batch left uncommitted would never drain and
 					// would pin the FIFO full forever.
 					ad.CommitLengths(p)
 					return // resume on a later poll
 				}
-				end := m.sent + DataBytes
-				if end > len(m.data) {
-					end = len(m.data)
-				}
+				end := min(m.sent+DataBytes, len(m.data))
 				chunk := m.data[m.sent:end]
-				w := hw.Header{Kind: mData, Op: m.msgID, H: m.tag,
-					Total: len(m.data), BOff: m.sent, Final: end == len(m.data)}
+				final = end == len(m.data)
+				w := hw.Header{Kind: mData, H: m.tag, Total: len(m.data), BOff: m.sent, Final: final}
 				ep.node.ChargeSend(p, ep.callCost(costPktBuild), len(chunk), HeaderBytes+len(chunk))
 				ad.PushSend(dst, HeaderBytes, &w, chunk)
 				ad.CommitFullBatch(p)
-				ts.pktAhead++
+				pr.pktAhead++
 				m.sent = end
-				if len(m.data) == 0 {
-					break
-				}
 			}
-			m.injected = true
-			ts.credit--
-			ts.q.Pop()
+			pr.credit--
+			pr.q.Pop()
 		}
 	}
 	ad.CommitLengths(p)
@@ -340,52 +330,33 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 	for pkt := ad.RecvPop(); pkt != nil; pkt = ad.RecvPop() {
 		ep.node.ComputeUnscaled(p, ep.callCost(costPerPkt))
 		h := &pkt.Hdr
+		pr := &ep.peers[pkt.Src]
 		switch h.Kind {
 		case mCredit:
-			ep.tx[pkt.Src].credit++
-			ep.tx[pkt.Src].pktAhead -= h.Total
+			pr.credit++
+			pr.pktAhead -= h.Total
 		case mPktCredit:
-			ep.tx[pkt.Src].pktAhead -= h.Total
+			pr.pktAhead -= h.Total
 		case mData:
-			ep.rxSince[pkt.Src]++
-			if ep.rxSince[pkt.Src] >= pktCreditEvery && !h.Final {
-				ep.sendPktCredit(p, pkt.Src, ep.rxSince[pkt.Src])
-				ep.rxSince[pkt.Src] = 0
+			pr.rxPkts++
+			if pr.rxPkts >= pktCreditEvery && !h.Final {
+				ep.credit(p, pkt.Src, mPktCredit)
 			}
-			key := rxKey{src: pkt.Src, msgID: h.Op}
-			m := ep.rx[key]
-			if m == nil {
-				m = &rxMsg{src: pkt.Src, tag: h.H, total: h.Total}
+			if h.BOff == 0 {
 				// A matching posted receive gets the data in place.
-				if pr := ep.matchPosted(pkt.Src, h.H); pr != nil {
-					m.direct = true
-					m.buf = pr.buf
-					pr.msg = m
+				pr.in = rxMsg{src: pkt.Src, tag: h.H, total: h.Total}
+				if pr.into = ep.matchPosted(pkt.Src, h.H); pr.into != nil {
+					pr.in.buf = pr.into.buf
 				} else {
-					m.buf = make([]byte, h.Total)
+					pr.in.buf = make([]byte, h.Total)
 				}
-				ep.rx[key] = m
 			}
-			if len(pkt.Data) > 0 && h.BOff < len(m.buf) {
-				copy(m.buf[h.BOff:], pkt.Data)
+			if len(pkt.Data) > 0 && h.BOff < len(pr.in.buf) {
+				copy(pr.in.buf[h.BOff:], pkt.Data)
 				ep.node.Memcpy(p, len(pkt.Data))
 			}
 			if h.Final {
-				m.done = true
-				delete(ep.rx, key)
-				ep.node.ComputeUnscaled(p, ep.callCost(costRecvOverhead))
-				ep.sendCredit(p, pkt.Src)
-				if !m.direct {
-					// The message started arriving before any matching recv
-					// was posted; a recv posted mid-assembly still claims it
-					// here (with the early-arrival copy), otherwise it waits
-					// in the unexpected queue.
-					if pr := ep.matchPosted(pkt.Src, m.tag); pr != nil {
-						pr.msg = m
-					} else {
-						ep.unexpected = append(ep.unexpected, m)
-					}
-				}
+				ep.finish(p, pr)
 			}
 		}
 		ep.node.Pool.Put(pkt)
@@ -393,30 +364,43 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 	ep.progress(p)
 }
 
-func (ep *Endpoint) sendCredit(p *sim.Proc, dst int) {
-	residue := ep.rxSince[dst]
-	ep.rxSince[dst] = 0
-	w := hw.Header{Kind: mCredit, Total: residue}
-	ep.emitCtl(p, dst, &w)
-}
-
-func (ep *Endpoint) sendPktCredit(p *sim.Proc, dst, count int) {
-	w := hw.Header{Kind: mPktCredit, Total: count}
-	ep.emitCtl(p, dst, &w)
-}
-
-// emitCtl pushes a flow-control packet immediately (control traffic
-// bypasses the message queue and its credits).
-func (ep *Endpoint) emitCtl(p *sim.Proc, dst int, w *hw.Header) {
-	ad := ep.node.Adapter
-	if ad.SendSpace() == 0 {
-		// Extremely rare; spin briefly for a slot.
-		for ad.SendSpace() == 0 {
-			p.Advance(hw.US(1))
+// finish completes the message arriving in pr's slot and credits its
+// sender for the next one.
+func (ep *Endpoint) finish(p *sim.Proc, pr *peer) {
+	m, into := pr.in, pr.into
+	pr.in, pr.into = rxMsg{}, nil
+	if into != nil {
+		m.buf = nil // it landed in into.buf
+		into.msg, into.done = m, true
+	}
+	ep.node.ComputeUnscaled(p, ep.callCost(costRecvOverhead))
+	ep.credit(p, m.src, mCredit)
+	if into == nil {
+		// The message started arriving before any matching recv was
+		// posted; a recv posted mid-assembly still claims it here (with
+		// the early-arrival copy), otherwise it waits in the unexpected
+		// queue.
+		if h := ep.matchPosted(m.src, m.tag); h != nil {
+			h.msg, h.done = m, true
+		} else {
+			ep.unexpected = append(ep.unexpected, m)
 		}
 	}
+}
+
+// credit returns the data packets received from dst since its last credit,
+// as a packet credit or, at a message's end, the message credit. It is
+// pushed at once: control traffic bypasses the message queue and its
+// credits.
+func (ep *Endpoint) credit(p *sim.Proc, dst int, kind hw.Kind) {
+	w := hw.Header{Kind: kind, Total: ep.peers[dst].rxPkts}
+	ep.peers[dst].rxPkts = 0
+	ad := ep.node.Adapter
+	for ad.SendSpace() == 0 { // extremely rare; spin briefly for a slot
+		p.Advance(hw.US(1))
+	}
 	ep.node.ChargeSend(p, ep.callCost(costCreditSend), 0, HeaderBytes)
-	ad.PushSend(dst, HeaderBytes, w, nil)
+	ad.PushSend(dst, HeaderBytes, &w, nil)
 	ad.CommitLengths(p)
 }
 

@@ -2,6 +2,8 @@ package mpl_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"spam/internal/bench"
@@ -159,6 +161,67 @@ func TestCalibMPL(t *testing.T) {
 	t.Logf("MPL blocking n_1/2 = %.0f bytes (paper: 'greater than' the pipelined point)", blk.NHalf())
 	if blk.NHalf() <= nh {
 		t.Errorf("blocking n_1/2 (%.0f) should exceed pipelined (%.0f)", blk.NHalf(), nh)
+	}
+}
+
+// TestMPLRoundTripAllocs pins MPL's heap allocations per one-word
+// BSend/Recv round trip and per 64 KiB Send+DrainSends/Recv message, where
+// every receive is posted before its message lands. The only allocation is
+// each receive's RecvHandle: a queued send is a value in its peer's ring, an
+// arriving message fills its sender's slot in place, and an early-arrival
+// buffer is made only for a message no receive was waiting for. The figure
+// is the slope of MemStats.Mallocs between two message counts, so warm-up
+// growth drops out; a forced collection before each read keeps the
+// runtime's one-time collector set-up out of the window, and printed to one
+// decimal the figure tolerates four stray runtime allocations in the
+// 100-message window.
+func TestMPLRoundTripAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	word, block := make([]byte, 4), make([]byte, 64<<10)
+	for _, tc := range []struct {
+		name     string
+		from, to int // messages counted between the two reads
+		want     string
+		tx, rx   func(p *sim.Proc, ep *mpl.Endpoint)
+	}{
+		{"word round trip", 200, 1200, "2.0", func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.BSend(p, 1, 0, word)
+			ep.Recv(p, 1, 0, word)
+		}, func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.Recv(p, 0, 0, word)
+			ep.BSend(p, 0, 0, word)
+		}},
+		{"64KiB message", 20, 120, "1.0", func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.Send(p, 1, 0, block)
+			ep.DrainSends(p)
+		}, func(p *sim.Proc, ep *mpl.Endpoint) {
+			ep.Recv(p, 0, 0, block)
+		}},
+	} {
+		c := hw.NewCluster(hw.DefaultConfig(2))
+		sys := mpl.New(c)
+		var at [2]uint64
+		c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
+			for i := 1; i <= tc.to; i++ {
+				tc.tx(p, sys.EPs[0])
+				if i == tc.from || i == tc.to {
+					var ms runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					at[i/tc.to] = ms.Mallocs
+				}
+			}
+		})
+		c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
+			for i := 1; i <= tc.to; i++ {
+				tc.rx(p, sys.EPs[1])
+			}
+		})
+		c.Run()
+		n := tc.to - tc.from
+		if got := fmt.Sprintf("%.1f", float64(at[1]-at[0])/float64(n)); got != tc.want {
+			t.Errorf("%s: %s allocations each, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
