@@ -18,14 +18,7 @@ func (ep *Endpoint) RawSend(p *sim.Proc, dst int, nbytes int) {
 	wire := hw.PacketHeaderSize + nbytes
 	m := msg{Kind: kRaw}
 	ep.node.ChargeSend(p, costRawSend, 0, wire)
-	// Raw packets escape the pool: RawRecv hands the whole packet (and its
-	// payload) to the caller, so the payload is a plain allocation. This
-	// path is calibration-only and never in the steady-state loop.
-	var data []byte
-	if nbytes > 0 {
-		data = make([]byte, nbytes)
-	}
-	ep.push(dst, &m, data, wire)
+	ep.push(dst, &m, make([]byte, nbytes), wire) // a zero payload
 	ad.CommitLengths(p)
 }
 

@@ -199,7 +199,7 @@ func (ep *Endpoint) processPacket(p *sim.Proc, pkt *hw.Packet) bool {
 	// turns corruption into loss, which the NACK/keep-alive machinery
 	// already recovers (sequenced packets via go-back-N on the next gap,
 	// control packets via probe/refresh).
-	if m.Csum != m.WireChecksum(pkt.Data) {
+	if m.Csum != m.WireChecksum(pkt.Data()) {
 		ep.Stats.CorruptDropped++
 		ep.node.ComputeUnscaled(p, costPerMsg) // the host still examined it
 		return false
@@ -369,10 +369,9 @@ func (ep *Endpoint) acceptChunkPacket(p *sim.Proc, src int, ps *peerState, rc *r
 	}
 	rc.chunkGot[m.PktIdx] = true
 	rc.chunkCount++
-	if len(pkt.Data) > 0 {
-		dst := ep.node.Mem.Slice(m.DAddr, len(pkt.Data))
-		copy(dst, pkt.Data)
-		ep.node.Memcpy(p, len(pkt.Data))
+	if data := pkt.Data(); len(data) > 0 {
+		copy(ep.node.Mem.Slice(m.DAddr, len(data)), data)
+		ep.node.Memcpy(p, len(data))
 	}
 	if !ep.sys.Opt.AckPerChunk {
 		// Ablation: the naive protocol acknowledges every data packet as
@@ -400,7 +399,7 @@ func (ep *Endpoint) acceptChunkPacket(p *sim.Proc, src int, ps *peerState, rc *r
 		if HandlerID(m.H) != NoHandler {
 			ep.runBulkHandler(p, HandlerID(m.H), Token{Src: src, mayReply: true}, base, m.Total, m.Arg, pkt.TraceID)
 		}
-	case bkGetData:
+	case bkGet:
 		// We initiated this get; data is home.
 		if op, ok := ep.ops[m.Op]; ok {
 			op.done = true
@@ -431,7 +430,7 @@ func (ep *Endpoint) deliverShort(p *sim.Proc, src int, m *msg, tid int64) {
 		}
 		op := ep.getBulkOp()
 		op.id = m.Op
-		op.bk = bkGetData
+		op.bk = bkGet
 		op.peer = src
 		op.ch = chRep
 		op.src = srcData

@@ -146,7 +146,7 @@ func (ep *Endpoint) startGet(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr,
 	}
 	op := ep.getBulkOp()
 	op.id = ep.opID()
-	op.bk = bkGetData
+	op.bk = bkGet
 	op.peer = dst
 	op.ch = chRep
 	op.daddr = laddr

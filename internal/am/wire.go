@@ -31,8 +31,8 @@ const (
 
 // Bulk kinds distinguish why a chunk packet is in flight.
 const (
-	bkStore   uint8 = iota // am_store / am_store_async data
-	bkGetData              // data flowing back for an am_get
+	bkStore uint8 = iota // am_store / am_store_async data
+	bkGet                // data flowing back for an am_get
 )
 
 // shortWireBytes is the wire size of a short message with n argument words.

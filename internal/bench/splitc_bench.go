@@ -52,8 +52,8 @@ type Table5Config struct {
 // PaperTable5 returns the paper-shaped configuration: the paper's matrix
 // sizes (4x4 blocks of 128^2 and 16x16 of 16^2 doubles on 8 processors)
 // with the sorts scaled to 64K keys, where the whole table takes about 16 s
-// of host time serially on 2 CPUs; how the machine ratios Figure 4
-// normalizes move with the key count is unmeasured (ROADMAP item 6).
+// of host time serially on 2 CPUs. EXPERIMENTS.md §Table 5 gives rdxsort
+// sm at 256K and 1M keys too: the machine ratios keep their order.
 func PaperTable5() Table5Config {
 	return Table5Config{NProcs: 8, MMLgN: 4, MMLgB: 128, MMSmN: 16, MMSmB: 16, Keys: 1 << 16}
 }

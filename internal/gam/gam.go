@@ -66,7 +66,7 @@ type mKind uint8
 const (
 	mCtl mKind = iota
 	mGetReq
-	mGetData
+	mGetReply
 	mStore
 )
 
@@ -186,8 +186,8 @@ func (g *gnode) Poll(p *sim.Proc) {
 			g.rt.Control(msg.a, msg.b)
 		case mGetReq:
 			buf := append([]byte(nil), g.rt.Mem()[msg.roff:msg.roff+msg.n]...)
-			g.send(p, msg.src, &message{kind: mGetData, loff: msg.loff, n: msg.n, data: buf})
-		case mGetData:
+			g.send(p, msg.src, &message{kind: mGetReply, loff: msg.loff, n: msg.n, data: buf})
+		case mGetReply:
 			copy(g.rt.Mem()[msg.loff:], msg.data)
 			g.rt.GetDone()
 		case mStore:

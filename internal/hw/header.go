@@ -167,10 +167,10 @@ func (h *Header) Span() uint64 {
 
 // corruptIn flips one random bit in one of the header fields the checksum
 // covers, modeling in-flight header damage. The receive path must discard
-// the packet on checksum mismatch before acting on any field. Unlike the
-// payload path it mutates in place: the in-flight header is already a copy
-// (retransmissions rebuild from the sender's saved copy, never from the
-// flying packet).
+// the packet on checksum mismatch before acting on any field. Like the
+// payload flip it mutates in place: the in-flight header is the packet's
+// own copy (retransmissions rebuild from the sender's saved copy, never
+// from the flying packet).
 func (h *Header) corruptIn(r *sim.Rand) {
 	switch r.Intn(8) {
 	case 0:

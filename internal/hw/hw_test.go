@@ -13,24 +13,37 @@ func twoNodes(t *testing.T) *Cluster {
 }
 
 func TestPacketWireBytes(t *testing.T) {
-	p := &Packet{HdrBytes: PacketHeaderSize, Data: make([]byte, PacketDataSize)}
+	p := &Packet{HdrBytes: PacketHeaderSize, dataLen: PacketDataSize}
 	if p.WireBytes() != FIFOEntryBytes {
 		t.Fatalf("full packet = %d wire bytes, want %d", p.WireBytes(), FIFOEntryBytes)
 	}
-	small := &Packet{HdrBytes: 32, Data: make([]byte, 4)}
+	small := &Packet{HdrBytes: 32, dataLen: 4}
 	if small.WireBytes() != 36 {
 		t.Fatalf("small packet = %d, want 36", small.WireBytes())
 	}
 }
 
+// TestPacketTooLargePanics: a packet larger than its FIFO entry panics,
+// both when its size is read and when PushSend would have to truncate the
+// payload to fit it into the entry.
 func TestPacketTooLargePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized packet did not panic")
-		}
-	}()
-	p := &Packet{HdrBytes: 64, Data: make([]byte, PacketDataSize)}
-	p.WireBytes()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: oversized packet did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("WireBytes", func() {
+		p := &Packet{HdrBytes: 64, dataLen: PacketDataSize}
+		p.WireBytes()
+	})
+	mustPanic("PushSend", func() {
+		c := twoNodes(t)
+		c.Nodes[0].Adapter.PushSend(1, 64, &Header{}, make([]byte, PacketDataSize))
+	})
 }
 
 func TestSinglePacketDelivery(t *testing.T) {
@@ -245,21 +258,51 @@ func TestSwitchFaultInjection(t *testing.T) {
 	}
 }
 
+// TestSwitchVerdictDuplicate: a duplicated packet arrives twice, and each
+// copy carries the payload in its own entry. The receiver recycles one
+// copy (the first popped, then in a second run the other) and a later
+// PushSend refills that pooled packet with other bytes; the copy it kept
+// must still read the bytes that were sent.
 func TestSwitchVerdictDuplicate(t *testing.T) {
-	c := twoNodes(t)
-	c.Switch.Fault = func(pkt *Packet) Verdict { return Verdict{Action: ActDuplicate} }
-	c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
-		n.Adapter.PushSend(1, 32, &Header{}, nil)
-		n.Adapter.CommitLengths(p)
-		p.Advance(US(1000))
-	})
-	c.Run()
-	if got := c.Nodes[1].Adapter.Delivered; got != 2 {
-		t.Fatalf("delivered %d copies, want 2", got)
-	}
-	if c.Switch.Faults.Duplicated != 1 {
-		t.Fatalf("Faults.Duplicated = %d, want 1 (the copy must not be re-faulted)",
-			c.Switch.Faults.Duplicated)
+	sent := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	other := []byte{9, 9, 9, 9, 9, 9, 9, 9}
+	for recycled := 0; recycled < 2; recycled++ {
+		c := twoNodes(t)
+		c.Switch.Fault = func(pkt *Packet) Verdict {
+			if pkt.Src == 0 {
+				return Verdict{Action: ActDuplicate}
+			}
+			return Verdict{}
+		}
+		c.Spawn(0, "tx", func(p *sim.Proc, n *Node) {
+			n.Adapter.PushSend(1, 32, &Header{}, sent)
+			n.Adapter.CommitLengths(p)
+			p.Advance(US(1000))
+		})
+		var copies [2]*Packet
+		c.Spawn(1, "rx", func(p *sim.Proc, n *Node) {
+			for n.Adapter.RecvLen() < 2 {
+				p.Advance(US(1))
+			}
+			copies[0], copies[1] = n.Adapter.RecvPop(), n.Adapter.RecvPop()
+			n.Pool.Put(copies[recycled])
+			n.Adapter.PushSend(0, 32, &Header{}, other)
+			n.Adapter.CommitLengths(p)
+		})
+		c.Run()
+		if got := copies[recycled].Data(); string(got) != string(other) {
+			t.Fatalf("the later PushSend did not reuse the recycled copy (reads %v)", got)
+		}
+		if got := copies[1-recycled].Data(); string(got) != string(sent) {
+			t.Fatalf("kept copy reads %v after the other was recycled, want %v", got, sent)
+		}
+		if got := c.Nodes[1].Adapter.Delivered; got != 2 {
+			t.Fatalf("delivered %d copies, want 2", got)
+		}
+		if c.Switch.Faults.Duplicated != 1 {
+			t.Fatalf("Faults.Duplicated = %d, want 1 (the copy must not be re-faulted)",
+				c.Switch.Faults.Duplicated)
+		}
 	}
 }
 
@@ -328,7 +371,7 @@ func TestSwitchVerdictCorruptPayload(t *testing.T) {
 		if sent[i] != orig[i] {
 			t.Fatalf("corruption mutated the sender's buffer at byte %d", i)
 		}
-		if arrived.Data[i] != orig[i] {
+		if arrived.Data()[i] != orig[i] {
 			diff++
 		}
 	}
@@ -515,7 +558,7 @@ func TestWireBytesProperty(t *testing.T) {
 	if err := quick.Check(func(hdrRaw, dataRaw uint8) bool {
 		hdr := int(hdrRaw%32) + 1
 		data := int(dataRaw) % (FIFOEntryBytes - 32)
-		p := &Packet{HdrBytes: hdr, Data: make([]byte, data)}
+		p := &Packet{HdrBytes: hdr, dataLen: data}
 		w := p.WireBytes()
 		return w >= 1 && w <= FIFOEntryBytes && w == hdr+data
 	}, nil); err != nil {
@@ -568,7 +611,7 @@ func TestSwitchUtilizationMidBacklog(t *testing.T) {
 	c := twoNodes(t)
 	c.Eng.After(1, func() {
 		for i := 0; i < 50; i++ {
-			c.Switch.Send(&Packet{Src: 0, Dst: 1, HdrBytes: 32, Data: make([]byte, PacketDataSize)})
+			c.Switch.Send(&Packet{Src: 0, Dst: 1, HdrBytes: 32, dataLen: PacketDataSize})
 		}
 	})
 	if err := c.Eng.Run(10 * c.Switch.xferTime(32+PacketDataSize)); err != nil {

@@ -9,18 +9,22 @@ import (
 // Packet is one switch packet: it occupies a single send-FIFO entry and
 // travels the fabric as WireBytes() bytes. The communication layer's
 // message header rides by value in Hdr (opaque to the hardware beyond its
-// Kind); Data carries bulk payload bytes when the packet moves user data.
+// Kind); the payload bytes, when the packet moves user data, live in the
+// packet's own entry and are read through Data. The host wrote them there
+// at PushSend (paper §2.1: the TB2 DMAs the FIFO entry, not the user's
+// buffer), so no packet aliases a sender's buffer or another packet.
 //
 // Packets are recycled through the cluster's PacketPool (see pool.go for
 // the ownership discipline); the zero value is a valid unpooled packet.
 type Packet struct {
 	Src, Dst int
 	// HdrBytes is the protocol header length inside the FIFO entry
-	// (typically PacketHeaderSize); Data is the payload. The wire size is
-	// their sum — the adapter transfers only the bytes named in the length
-	// array, not the whole 256-byte entry.
+	// (typically PacketHeaderSize); dataLen is the payload length. The
+	// wire size is their sum — the adapter transfers only the bytes named
+	// in the length array, not the whole 256-byte entry.
 	HdrBytes int
-	Data     []byte
+	dataLen  int
+	entry    [FIFOEntryBytes]byte
 	Hdr      Header
 
 	// TraceID is the packet's trace identity, assigned at PushSend when a
@@ -28,17 +32,18 @@ type Packet struct {
 	// keep the original's id, so a trace shows their shared lineage.
 	TraceID int64
 
-	// dataPooled marks Data as a pool-owned scratch buffer (corrupt-copy
-	// payloads), returned to the pool when the packet is Put. inPool guards
-	// against double Put.
-	dataPooled bool
-	inPool     bool
+	// inPool guards against double Put.
+	inPool bool
 }
+
+// Data returns the payload bytes in the packet's entry. The slice is valid
+// until the packet goes back to its pool.
+func (p *Packet) Data() []byte { return p.entry[:p.dataLen] }
 
 // WireBytes reports how many bytes this packet occupies on the MicroChannel
 // and the switch links.
 func (p *Packet) WireBytes() int {
-	n := p.HdrBytes + len(p.Data)
+	n := p.HdrBytes + p.dataLen
 	if n <= 0 {
 		n = 1
 	}
@@ -229,9 +234,6 @@ func (s *Switch) Send(pkt *Packet) {
 			s.Faults.Duplicated++
 			dup := s.pool.Get()
 			*dup = *pkt
-			// The copy shares the original's Data (never pooled at this
-			// point: a packet gets at most one verdict, and only corrupt
-			// verdicts attach pooled payloads).
 			s.route(dup)
 		case ActDelay:
 			s.Faults.Delayed++
@@ -305,26 +307,21 @@ func (s *Switch) ejectDone(pt *swPort) {
 	s.deliv[pkt.Dst](pkt)
 }
 
-// corruptPacket damages pkt in flight: a bit flipped in a pooled copy of
-// the payload, or — when the payload is absent or the coin lands that way —
-// a bit flipped in the header copy the packet already carries (AM kinds
-// only; their checksum catches it). The original payload bytes are never
-// modified (Data may alias a retransmission source), so corrupt copies
-// never alias pooled or sender-owned buffers. Returns false when the packet
-// has nothing corruptible to flip.
+// corruptPacket damages pkt in flight: a bit flipped in the payload in
+// the packet's own entry, or — when the payload is absent or the coin
+// lands that way — a bit flipped in the header copy the packet carries
+// (AM kinds only; their checksum catches it). Both live in the packet, so
+// neither a sender's buffer nor a retransmission source is touched.
+// Returns false when the packet has nothing corruptible to flip.
 func (s *Switch) corruptPacket(pkt *Packet) bool {
 	rng := s.chaosRng
 	hasHdr := pkt.Hdr.Kind.amKind()
-	if hasHdr && (len(pkt.Data) == 0 || rng.Intn(4) == 0) {
+	if hasHdr && (pkt.dataLen == 0 || rng.Intn(4) == 0) {
 		pkt.Hdr.corruptIn(rng)
 		return true
 	}
-	if len(pkt.Data) > 0 {
-		data := s.pool.GetData(len(pkt.Data))
-		copy(data, pkt.Data)
-		data[rng.Intn(len(data))] ^= 1 << uint(rng.Intn(8))
-		pkt.Data = data
-		pkt.dataPooled = true
+	if pkt.dataLen > 0 {
+		pkt.entry[rng.Intn(pkt.dataLen)] ^= 1 << uint(rng.Intn(8))
 		return true
 	}
 	return false

@@ -95,18 +95,23 @@ func (a *TB2) SendSpace() int { return SendFIFOEntries - a.sendUsed }
 
 // PushSend builds one packet from the node's pool — hdrBytes of header hdr
 // followed by data, bound for dst — and stores it into the next send-FIFO
-// entry. The caller must have verified SendSpace() > 0 and must charge its
-// own build/flush costs; the entry does not move until a commit makes its
-// length slot nonzero. data is referenced, not copied.
+// entry. data is copied into the packet's own entry (the copy the caller
+// charges, with its build and flush, through Node.ChargeSend), so the
+// caller's buffer is free once PushSend returns. The caller must have
+// verified SendSpace() > 0; the entry does not move until a commit makes
+// its length slot nonzero. A packet larger than the entry panics.
 func (a *TB2) PushSend(dst, hdrBytes int, hdr *Header, data []byte) {
 	if a.sendUsed >= SendFIFOEntries {
 		panic("hw: send FIFO overflow (caller must check SendSpace)")
+	}
+	if hdrBytes+len(data) > FIFOEntryBytes {
+		panic("hw: packet exceeds FIFO entry size")
 	}
 	pkt := a.node.Pool.Get()
 	pkt.Src = a.node.ID
 	pkt.Dst = dst
 	pkt.HdrBytes = hdrBytes
-	pkt.Data = data
+	pkt.dataLen = copy(pkt.entry[:], data)
 	pkt.Hdr = *hdr
 	a.sendUsed++
 	a.staged.Push(pkt)

@@ -107,14 +107,19 @@ func TestSendRecvAcrossProtocolSizes(t *testing.T) {
 
 func TestUnexpectedMessages(t *testing.T) {
 	// Sender fires before the receive is posted, for both buffered (or
-	// eager) and rendezvous sizes.
+	// eager) and rendezvous sizes. The sender overwrites its buffer as soon
+	// as the blocking Send returns: the message must not change.
 	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
 		for _, size := range []int{100, 512, 50000} {
 			msg := pattern(size, 9)
+			want := bytes.Clone(msg)
 			var got []byte
 			runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
 				if c.Rank() == 0 {
 					mpi.Send(p, c, msg, 1, 7)
+					for i := range msg {
+						msg[i] = ^msg[i]
+					}
 				} else {
 					// Busy-wait long enough for the message to arrive
 					// unexpected, without posting.
@@ -124,7 +129,7 @@ func TestUnexpectedMessages(t *testing.T) {
 					got = buf
 				}
 			})
-			if !bytes.Equal(got, msg) {
+			if !bytes.Equal(got, want) {
 				t.Fatalf("size %d unexpected-path corrupted", size)
 			}
 		}

@@ -185,11 +185,7 @@ func (c *FComm) progress(p *sim.Proc) {
 
 func (c *FComm) shipData(p *sim.Proc, dst int, rdvID uint32) {
 	req := c.takeRdv(rdvID)
-	// Private copy: the library owns the data from here, and the transport
-	// holds it by reference until injection. The request only completes once
-	// injection finishes (see Wait), keeping the sender driving the credit
-	// window instead of stranding a queued message while it computes.
-	req.sendT = c.ep.Send(p, dst, dataTag(rdvID), append([]byte(nil), req.buf...))
+	req.sendT = c.ep.Send(p, dst, dataTag(rdvID), req.buf)
 	req.done = true
 }
 

@@ -351,9 +351,9 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 					pr.in.buf = make([]byte, h.Total)
 				}
 			}
-			if len(pkt.Data) > 0 && h.BOff < len(pr.in.buf) {
-				copy(pr.in.buf[h.BOff:], pkt.Data)
-				ep.node.Memcpy(p, len(pkt.Data))
+			if data := pkt.Data(); len(data) > 0 && h.BOff < len(pr.in.buf) {
+				copy(pr.in.buf[h.BOff:], data)
+				ep.node.Memcpy(p, len(data))
 			}
 			if h.Final {
 				ep.finish(p, pr)

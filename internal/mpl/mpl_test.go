@@ -82,6 +82,38 @@ func TestLargeMessage(t *testing.T) {
 	}
 }
 
+// TestBSendBufferReusable: BSend returns once the message is in the send
+// FIFO, and the buffer is then the caller's. The sender overwrites it at
+// once while the receiver waits 5 ms before receiving, so the packets sit
+// in its receive FIFO meanwhile; it must still get the bytes sent. The
+// sizes are 4 B, a full packet (228 B), one byte more, and 32 full
+// packets (7,296 B).
+func TestBSendBufferReusable(t *testing.T) {
+	for _, size := range []int{4, mpl.DataBytes, mpl.DataBytes + 1, 32 * mpl.DataBytes} {
+		c := hw.NewCluster(hw.DefaultConfig(2))
+		sys := mpl.New(c)
+		msg := bytes.Repeat([]byte{1}, size)
+		want := bytes.Clone(msg)
+		var got []byte
+		c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
+			sys.EPs[0].BSend(p, 1, 3, msg)
+			for i := range msg {
+				msg[i] = 2
+			}
+		})
+		c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
+			p.Advance(hw.US(5000))
+			buf := make([]byte, size)
+			nb, _, _ := sys.EPs[1].Recv(p, 0, 3, buf)
+			got = buf[:nb]
+		})
+		c.Run()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d B: received %d B, %d of them overwritten after BSend returned", size, len(got), bytes.Count(got, []byte{2}))
+		}
+	}
+}
+
 func TestZeroByteMessage(t *testing.T) {
 	c := hw.NewCluster(hw.DefaultConfig(2))
 	sys := mpl.New(c)

@@ -24,7 +24,7 @@ type mplTransport struct {
 const (
 	tagCtl = iota + 100
 	tagGetReq
-	tagGetData
+	tagGetReply
 	tagStore
 )
 
@@ -132,8 +132,8 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 			copy(msg, header(h1, 0, uint64(ln)))
 			copy(msg[24:], t.rt.mem[roff:roff+ln])
 			t.ep.Node().Memcpy(p, ln)
-			t.ep.Send(p, src, tagGetData, msg)
-		case tagGetData:
+			t.ep.Send(p, src, tagGetReply, msg)
+		case tagGetReply:
 			loff, ln := int(h0), int(h2)
 			copy(t.rt.mem[loff:], t.scratch[24:24+ln])
 			t.ep.Node().Memcpy(p, ln)
