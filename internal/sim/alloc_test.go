@@ -73,6 +73,21 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 				e.RunAll()
 			})
 		}},
+		{"near-queue spill", func() float64 {
+			// Six events in one 64 ns slot (four fit) and three beyond the
+			// span: the spill path into the far heap.
+			e := NewEngine(1)
+			nop := func() {}
+			return testing.AllocsPerRun(runs, func() {
+				for i := 0; i < 6; i++ {
+					e.After(100, nop)
+				}
+				for i := 1; i <= 3; i++ {
+					e.After(Time(i)*nearSpan, nop)
+				}
+				e.RunAll()
+			})
+		}},
 		{"server backlog", func() float64 {
 			run := serverBacklog(NewEngine(1))
 			return testing.AllocsPerRun(runs, func() { run(8 * 512) })

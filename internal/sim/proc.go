@@ -213,8 +213,7 @@ func (c *Cond) Signal() {
 	copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:len(c.waiters)-1]
 	e := p.eng
-	if e.handoff == nil && e.runqHead == len(e.runq) &&
-		(len(e.events) == 0 || e.events[0].at > e.now) {
+	if e.handoff == nil && e.runqHead == len(e.runq) && !e.sameTimeQueued() {
 		e.handoff = p
 		return
 	}

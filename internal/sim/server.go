@@ -8,22 +8,22 @@ import "spam/internal/ring"
 // the job's service ends. Servers run entirely in engine-callback context —
 // no process is needed — which keeps hardware pipelines cheap.
 //
-// Only the job in service has an event in the engine heap. Every job gets its
-// ordering key (at, pushAt, seq) at Submit, but the completions of jobs queued
-// behind the one in service wait in backlog, and each enters the heap, under
-// the key it was given, when its predecessor's completion pops. A server's
-// keys are strictly increasing and the successor is in the heap before the
-// finished job's done runs (so before anything else can pop, and before done
-// can look at the heap through Cond.Signal), which makes the pop order exactly
-// that of pushing every completion at Submit: the heap just never holds more
-// than one entry per server, however long the backlog.
+// Only the job in service has an event in the engine's queue. Every job gets
+// its ordering key (at, pushAt, seq) at Submit, but the completions of jobs
+// queued behind the one in service wait in backlog, and each enters the
+// queue, under the key it was given, when its predecessor's completion pops.
+// A server's keys are strictly increasing and the successor is queued before
+// the finished job's done runs (so before anything else can pop, and before
+// done can look at the queue through Cond.Signal), which makes the pop order
+// exactly that of pushing every completion at Submit: the queue just never
+// holds more than one entry per server, however long the backlog.
 type Server struct {
 	eng       *Engine
 	busyUntil Time
 
-	backlog  ring.Ring[event] // completions not yet in the heap, keyed at Submit
-	done     func()           // callback of the job whose completion is in the heap, else nil
-	complete func()           // that heap event's fn: promote the successor, run done
+	backlog  ring.Ring[event] // completions not yet queued, keyed at Submit
+	done     func()           // callback of the job whose completion is queued, else nil
+	complete func()           // that queued event's fn: promote the successor, run done
 
 	// Busy accumulates the service time of every job submitted, performed or
 	// not yet (see Served), for utilization accounting.
@@ -39,7 +39,7 @@ func NewServer(e *Engine) *Server {
 		if s.backlog.Len() > 0 {
 			next := s.backlog.Pop()
 			s.done, next.fn = next.fn, s.complete
-			e.heapPush(next)
+			e.enqueue(next)
 		}
 		done()
 	}
@@ -71,7 +71,7 @@ func (s *Server) Submit(service Time, done func()) Time {
 	default:
 		e.seq++
 		s.done = done
-		e.heapPush(event{at: s.busyUntil, pushAt: e.now, seq: e.seq, fn: s.complete})
+		e.enqueue(event{at: s.busyUntil, pushAt: e.now, seq: e.seq, fn: s.complete})
 	}
 	return s.busyUntil
 }
