@@ -369,17 +369,19 @@ func (ep *Endpoint) injectBulkChunks(p *sim.Proc, dst int, tc *txChan, op *bulkO
 			if op.src != nil {
 				data = op.src[off:end]
 			}
-			m := msg{
-				Kind: kChunk, Ch: op.ch, Seq: seq, BK: op.bk, Op: op.id,
-				DAddr: hw.Addr{Seg: op.daddr.Seg, Off: op.daddr.Off + off},
-				Total: op.total, ChunkPkts: pkts, PktIdx: i, Final: final,
-				H: int(op.h), Arg: op.arg, BOff: off,
-			}
 			wire := hw.PacketHeaderSize + len(data)
 			ep.node.ChargeSend(p, costBulkPerPkt, len(data), wire)
-			ep.stampAcks(dst, &m)
-			ep.push(dst, &m, data, wire)
-			tc.saved.Push(savedPkt{m: m, data: data})
+			// Built field by field in its (zeroed) saved slot: a composite
+			// literal would be built aside and copied in.
+			sp := tc.saved.PushSlot()
+			sp.data = data
+			m := &sp.m
+			m.Kind, m.Ch, m.Seq, m.BK, m.Op = kChunk, op.ch, seq, op.bk, op.id
+			m.DAddr = hw.Addr{Seg: op.daddr.Seg, Off: op.daddr.Off + off}
+			m.Total, m.ChunkPkts, m.PktIdx, m.Final = op.total, pkts, i, final
+			m.H, m.Arg, m.BOff = int(op.h), op.arg, off
+			ep.stampAcks(dst, m)
+			ep.push(dst, m, data, wire)
 			ad.CommitFullBatch(p)
 		}
 		op.sent += chunkBytes

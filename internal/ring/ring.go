@@ -47,12 +47,18 @@ func (r *Ring[T]) grow() {
 }
 
 // Push appends v at the tail.
-func (r *Ring[T]) Push(v T) {
+func (r *Ring[T]) Push(v T) { *r.PushSlot() = v }
+
+// PushSlot appends a zero element at the tail and returns a pointer to it,
+// for the caller to build in place (valid until the next Push, PushSlot or
+// Pop): free slots are always zero, as Pop and Clear leave them.
+func (r *Ring[T]) PushSlot() *T {
 	if int(r.tail-r.head) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[r.tail&r.mask()] = v
+	p := &r.buf[r.tail&r.mask()]
 	r.tail++
+	return p
 }
 
 // Pop removes and returns the head element, zeroing its slot. It panics on

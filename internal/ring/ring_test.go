@@ -145,6 +145,7 @@ func FuzzRing(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1})                // fill, drain
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1})    // head chases tail around one slot
 	f.Add(bytes.Repeat([]byte{0, 0, 0, 1}, 40))    // grows twice with a moving head
+	f.Add(bytes.Repeat([]byte{5, 5, 0, 1, 4}, 30)) // PushSlot, also after Clear
 	f.Add(bytes.Repeat([]byte{0, 4, 2, 3, 1}, 30)) // clear between pushes
 	f.Add(append(bytes.Repeat([]byte{0}, 9), 1, 3, 2, 1, 4, 0, 3))
 	f.Fuzz(func(t *testing.T, prog []byte) {
@@ -154,8 +155,14 @@ func FuzzRing(f *testing.F) {
 		for step, op := range prog {
 			switch op % 5 {
 			case 0:
-				r.Push(step)
-				model = append(model, step)
+				if op/5%2 == 0 {
+					r.Push(step)
+				} else if s := r.PushSlot(); *s != 0 {
+					t.Fatalf("step %d: PushSlot returned a slot holding %d, want a zero one", step, *s)
+				} else {
+					*s = step + 1
+				}
+				model = append(model, step+int(op/5%2))
 				pushed++
 			case 1:
 				if len(model) == 0 {
