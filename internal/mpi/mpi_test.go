@@ -105,95 +105,6 @@ func TestSendRecvAcrossProtocolSizes(t *testing.T) {
 	})
 }
 
-func TestUnexpectedMessages(t *testing.T) {
-	// Sender fires before the receive is posted, for both buffered (or
-	// eager) and rendezvous sizes. The sender overwrites its buffer as soon
-	// as the blocking Send returns: the message must not change.
-	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
-		for _, size := range []int{100, 512, 50000} {
-			msg := pattern(size, 9)
-			want := bytes.Clone(msg)
-			var got []byte
-			runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
-				if c.Rank() == 0 {
-					mpi.Send(p, c, msg, 1, 7)
-					for i := range msg {
-						msg[i] = ^msg[i]
-					}
-				} else {
-					// Busy-wait long enough for the message to arrive
-					// unexpected, without posting.
-					p.Advance(hw.US(3000))
-					buf := make([]byte, size)
-					mpi.Recv(p, c, buf, 0, 7)
-					got = buf
-				}
-			})
-			if !bytes.Equal(got, want) {
-				t.Fatalf("size %d unexpected-path corrupted", size)
-			}
-		}
-	})
-}
-
-func TestTagAndSourceMatching(t *testing.T) {
-	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
-		var order []int
-		runPT(3, mk, func(p *sim.Proc, c mpi.PT) {
-			switch c.Rank() {
-			case 0:
-				mpi.Send(p, c, []byte("a"), 2, 5)
-			case 1:
-				p.Advance(hw.US(200))
-				mpi.Send(p, c, []byte("b"), 2, 6)
-			case 2:
-				buf := make([]byte, 1)
-				// Receive tag 6 first although tag 5 arrives first.
-				st, _ := mpi.Recv(p, c, buf, mpi.AnySource, 6)
-				order = append(order, st.Tag)
-				st, _ = mpi.Recv(p, c, buf, mpi.AnySource, mpi.AnyTag)
-				order = append(order, st.Tag)
-			}
-		})
-		if len(order) != 2 || order[0] != 6 || order[1] != 5 {
-			t.Fatalf("matched order %v", order)
-		}
-	})
-}
-
-func TestOrderingPreserved(t *testing.T) {
-	// 4 B is buffered or eager on every stack; 6,000 B is rendezvous on
-	// MPI-F.
-	eachStack(t, func(t *testing.T, mk func(*hw.Cluster) []mpi.PT) {
-		const n = 150
-		for _, size := range []int{4, 6000} {
-			var got []uint32
-			runPT(2, mk, func(p *sim.Proc, c mpi.PT) {
-				buf := make([]byte, size)
-				if c.Rank() == 0 {
-					for i := 0; i < n; i++ {
-						binary.LittleEndian.PutUint32(buf, uint32(i))
-						mpi.Send(p, c, buf, 1, 3)
-					}
-				} else {
-					for i := 0; i < n; i++ {
-						mpi.Recv(p, c, buf, 0, 3)
-						got = append(got, binary.LittleEndian.Uint32(buf))
-					}
-				}
-			})
-			if len(got) != n {
-				t.Fatalf("size %d: received %d of %d", size, len(got), n)
-			}
-			for i, v := range got {
-				if v != uint32(i) {
-					t.Fatalf("size %d: reorder at %d: %d", size, i, v)
-				}
-			}
-		}
-	})
-}
-
 // TestOutOfRangeRankPanics: a send to a rank outside [0, Size), or a
 // receive from one other than AnySource, is a programming error every
 // stack reports at the call with the same message.
