@@ -261,7 +261,7 @@ func (ep *Endpoint) applyAck(p *sim.Proc, src int, ackReq, ackRep uint64) {
 			if sp.m.Seq+sp.m.Span() > ack {
 				break
 			}
-			tc.saved.Pop()
+			tc.saved.Drop()
 		}
 		if tc.hasNackRetx && tc.ackedSeq > tc.lastNackRetx {
 			tc.hasNackRetx = false
@@ -271,7 +271,7 @@ func (ep *Endpoint) applyAck(p *sim.Proc, src int, ackReq, ackRep uint64) {
 			if !op.injected || tc.ackedSeq < op.lastSeq+op.span {
 				break
 			}
-			tc.waitAck.Pop()
+			tc.waitAck.Drop()
 			op.acked = true
 			// Only evict our own tracked op: get-data ops we serve for a
 			// peer carry the INITIATOR's id, which may coincide with one

@@ -248,14 +248,14 @@ func (ep *Endpoint) drainPeer(p *sim.Proc, dst int) {
 					break
 				}
 				ep.injectShort(p, dst, tc, op)
-				tc.q.Pop()
+				tc.q.Drop()
 				continue
 			}
 			// Bulk op: inject whole chunks while window+FIFO allow.
 			bulk := op.bulk
 			ep.injectBulkChunks(p, dst, tc, bulk)
 			if bulk.injected {
-				tc.q.Pop()
+				tc.q.Drop()
 				continue
 			}
 			break // chunk would not fit now; resume on a later poll

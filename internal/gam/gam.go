@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"spam/internal/hw"
+	"spam/internal/ring"
 	"spam/internal/sim"
 	"spam/internal/splitc"
 )
@@ -116,7 +117,7 @@ type gnode struct {
 	rt  *splitc.RT  // the runtime this node serves
 	in  *sim.Server // ejection port
 	out *sim.Server // injection port
-	q   []*message
+	q   ring.Ring[*message]
 }
 
 func (g *gnode) Err() error { return nil } // LogGP model: no fault injection
@@ -141,7 +142,7 @@ func (g *gnode) send(p *sim.Proc, dst int, msg *message) {
 	g.out.Submit(t, func() {
 		eng.After(lat, func() {
 			d.in.Submit(t, func() {
-				d.q = append(d.q, msg)
+				d.q.Push(msg)
 			})
 		})
 	})
@@ -164,8 +165,8 @@ func (g *gnode) Store(p *sim.Proc, dst, roff int, data []byte) {
 // 0.5 µs Advance and only a delivery fills q, so stepping while q stays
 // empty matches the plain Poll loop event for event.
 func (g *gnode) PollWait(p *sim.Proc) {
-	if len(g.q) == 0 {
-		p.AdvanceWhile(idlePoll, func() bool { return len(g.q) == 0 })
+	if g.q.Len() == 0 {
+		p.AdvanceWhile(idlePoll, func() bool { return g.q.Len() == 0 })
 	}
 	g.Poll(p)
 }
@@ -173,13 +174,12 @@ func (g *gnode) PollWait(p *sim.Proc) {
 // Poll drains the delivery queue, charging the per-message receive
 // overhead and dispatching the runtime protocol.
 func (g *gnode) Poll(p *sim.Proc) {
-	if len(g.q) == 0 {
+	if g.q.Len() == 0 {
 		p.Advance(idlePoll)
 		return
 	}
-	for len(g.q) > 0 {
-		msg := g.q[0]
-		g.q = g.q[1:]
+	for g.q.Len() > 0 {
+		msg := g.q.Pop()
 		p.Advance(g.m.P.ORecv)
 		switch msg.kind {
 		case mCtl:

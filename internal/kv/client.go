@@ -203,7 +203,7 @@ func (cl *client) run(p *sim.Proc, n *hw.Node) {
 			if q.deadline > now {
 				break
 			}
-			cl.armq.Pop()
+			cl.armq.Drop()
 			q.armed = false
 			cl.flush(p, sh)
 		}

@@ -2,17 +2,17 @@ package mpi
 
 import (
 	"fmt"
-	"slices"
 
 	"spam/internal/hw"
 	"spam/internal/mpl"
+	"spam/internal/ring"
 	"spam/internal/sim"
 )
 
-// Wildcards for Recv matching.
+// Wildcards for Recv matching: MPL's, under mpl.Matches's rule.
 const (
-	AnySource = -1
-	AnyTag    = -1
+	AnySource = mpl.AnySource
+	AnyTag    = mpl.AnyTag
 )
 
 // Status describes a completed receive.
@@ -62,9 +62,9 @@ type core struct {
 	rank, size int
 	nd         *hw.Node
 
-	posted     []*Request
-	unexpected []*inMsg
-	collSeq    int // collective sequence number (tag salt)
+	posted     ring.Ring[*Request] // receives waiting for a matching message, in post order
+	unexpected ring.Ring[inMsg]    // messages no posted receive matched, oldest first
+	collSeq    int                 // collective sequence number (tag salt)
 
 	nextRdv uint32
 	ctsWait map[uint32]*Request // rendezvous sends awaiting clear-to-send, by id
@@ -134,27 +134,11 @@ func (c *core) newRecv(buf []byte, src, tag int) *Request {
 	return &Request{peer: src, tag: tag, buf: buf}
 }
 
-// matches is the one wildcard rule: a receive for (src, tag) takes a
-// message from msrc with mtag.
-func matches(src, tag, msrc, mtag int) bool {
-	return (src == AnySource || src == msrc) && (tag == AnyTag || tag == mtag)
-}
-
 // matchUnexpected takes the oldest unexpected message a receive for (src,
 // tag) matches.
-func (c *core) matchUnexpected(src, tag int) *inMsg {
-	i := slices.IndexFunc(c.unexpected, func(m *inMsg) bool { return matches(src, tag, m.src, m.tag) })
-	if i < 0 {
-		return nil
-	}
-	m := c.unexpected[i]
-	c.unexpected = slices.Delete(c.unexpected, i, i+1)
-	return m
+func (c *core) matchUnexpected(src, tag int) (inMsg, bool) {
+	return c.unexpected.Take(func(m *inMsg) bool { return mpl.Matches(src, tag, m.src, m.tag) })
 }
-
-// park queues a message no posted receive matched; only a parked message
-// is copied to the heap.
-func (c *core) park(m inMsg) { c.unexpected = append(c.unexpected, &m) }
 
 // bind is where a receive meets its message: it records req's status and
 // returns where the payload goes, req's buffer or, when the message does not
@@ -181,12 +165,7 @@ func (c *core) result(req *Request) (Status, error) {
 // matchPosted takes the oldest posted receive a message from src with tag
 // matches.
 func (c *core) matchPosted(src, tag int) *Request {
-	i := slices.IndexFunc(c.posted, func(r *Request) bool { return matches(r.peer, r.tag, src, tag) })
-	if i < 0 {
-		return nil
-	}
-	r := c.posted[i]
-	c.posted = slices.Delete(c.posted, i, i+1)
+	r, _ := c.posted.Take(func(r **Request) bool { return mpl.Matches((*r).peer, (*r).tag, src, tag) })
 	return r
 }
 
@@ -197,9 +176,7 @@ func (c *core) matchPosted(src, tag int) *Request {
 // registered: bind gave it a buffer the whole message fits, and in-flight
 // data may still land in it.
 func (c *core) cancel(req *Request) {
-	if i := slices.Index(c.posted, req); i >= 0 {
-		c.posted = slices.Delete(c.posted, i, i+1)
-	}
+	c.posted.Take(func(r **Request) bool { return *r == req })
 }
 
 // expired decides whether Wait should give up on req: the request itself

@@ -5,6 +5,7 @@ import (
 
 	"spam/internal/hw"
 	"spam/internal/mpl"
+	"spam/internal/ring"
 	"spam/internal/sim"
 )
 
@@ -62,7 +63,7 @@ type FComm struct {
 	core
 	ep *mpl.Endpoint
 
-	inflight []*Request // recvs with rendezvous data pending
+	inflight ring.Ring[*Request] // recvs with rendezvous data pending
 	scratch  [hdrBytes + eagerMax]byte
 }
 
@@ -120,11 +121,11 @@ func (c *FComm) Isend(p *sim.Proc, data []byte, dst, tag int) *Request {
 func (c *FComm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	req := c.newRecv(buf, src, tag)
 	c.nd.ComputeUnscaled(p, costFMatch)
-	if m := c.matchUnexpected(src, tag); m != nil {
-		c.claim(p, req, m)
+	if m, ok := c.matchUnexpected(src, tag); ok {
+		c.claim(p, req, &m)
 		return req
 	}
-	c.posted = append(c.posted, req)
+	c.posted.Push(req)
 	return req
 }
 
@@ -138,7 +139,7 @@ func (c *FComm) claim(p *sim.Proc, req *Request, m *inMsg) {
 		return
 	}
 	req.recvH = c.ep.PostRecv(m.src, dataTag(m.rdvID), dst)
-	c.inflight = append(c.inflight, req)
+	c.inflight.Push(req)
 	var cts [hdrBytes]byte
 	putHdr(cts[:], kCTS, m.tag, m.size, m.rdvID)
 	c.ep.Send(p, m.src, ctlTag, append([]byte(nil), cts[:]...))
@@ -168,18 +169,16 @@ func (c *FComm) progress(p *sim.Proc) {
 			m.data = append([]byte(nil), m.data...)
 			c.nd.Memcpy(p, len(m.data))
 		}
-		c.park(m)
+		c.unexpected.Push(m)
 	}
 	// Complete rendezvous receives whose data has fully arrived.
-	for i := 0; i < len(c.inflight); {
-		req := c.inflight[i]
-		if req.recvH.Done() {
-			req.recvH.Complete(p)
-			req.done = true
-			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-			continue
+	for {
+		req, ok := c.inflight.Take(func(r **Request) bool { return (*r).recvH.Done() })
+		if !ok {
+			break
 		}
-		i++
+		req.recvH.Complete(p)
+		req.done = true
 	}
 }
 

@@ -24,7 +24,7 @@ func (s *System) registerHandlers() {
 				c.claim(p, req, &m, &tok)
 				return
 			}
-			c.park(m)
+			c.unexpected.Push(m)
 			return
 		}
 
@@ -39,8 +39,8 @@ func (s *System) registerHandlers() {
 			return
 		}
 		// The RTS is parked on the unexpected list: attach the prefix.
-		for _, u := range c.unexpected {
-			if u.src == m.src && u.rdvID == rdvID {
+		for i := range c.unexpected.Len() {
+			if u := c.unexpected.At(i); u.src == m.src && u.rdvID == rdvID {
 				u.data, u.freeOff, u.freeLen = m.data, m.freeOff, m.freeLen
 				return
 			}
@@ -69,7 +69,7 @@ func (s *System) registerHandlers() {
 			c.claim(p, req, &m, &tok)
 			return
 		}
-		c.park(m)
+		c.unexpected.Push(m)
 	})
 
 	// Clear-to-send back at the sender (args: rdvID, slot, 0, 0; the last

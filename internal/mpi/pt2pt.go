@@ -116,12 +116,12 @@ func (c *Comm) storeBuffered(p *sim.Proc, req *Request, off int, bin bool, rdvID
 func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	req := c.newRecv(buf, src, tag)
 	c.nd.ComputeUnscaled(p, costPostRecv)
-	if m := c.matchUnexpected(src, tag); m != nil {
+	if m, ok := c.matchUnexpected(src, tag); ok {
 		c.nd.ComputeUnscaled(p, costMatch)
-		c.claim(p, req, m, nil)
+		c.claim(p, req, &m, nil)
 		return req
 	}
-	c.posted = append(c.posted, req)
+	c.posted.Push(req)
 	return req
 }
 

@@ -14,7 +14,6 @@ package mpl
 
 import (
 	"fmt"
-	"slices"
 
 	"spam/internal/hw"
 	"spam/internal/ring"
@@ -39,7 +38,8 @@ const (
 	HeaderBytes = 28
 	// DataBytes is MPL's per-packet payload (228).
 	DataBytes = hw.FIFOEntryBytes - HeaderBytes
-	// AnySource / AnyTag are wildcards for Recv matching.
+	// AnySource / AnyTag are the receive wildcards of MPL and MPI (see
+	// Matches).
 	AnySource = -1
 	AnyTag    = -1
 )
@@ -95,8 +95,8 @@ type Endpoint struct {
 	sys  *System
 
 	peers      []peer
-	unexpected []rxMsg       // complete but unmatched messages
-	posted     []*RecvHandle // receives waiting for a matching message
+	unexpected ring.Ring[rxMsg]       // complete but unmatched messages, oldest first
+	posted     ring.Ring[*RecvHandle] // receives waiting for a matching message, in post order
 }
 
 // peer is everything an endpoint keeps per other node. The message credit
@@ -232,7 +232,7 @@ type RecvHandle struct {
 func (ep *Endpoint) PostRecv(src, tag int, buf []byte) *RecvHandle {
 	h := &RecvHandle{ep: ep, src: src, tag: tag, buf: buf}
 	if h.msg, h.done = ep.matchUnexpected(src, tag); !h.done {
-		ep.posted = append(ep.posted, h)
+		ep.posted.Push(h)
 	}
 	return h
 }
@@ -254,34 +254,23 @@ func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 	return n, m.src, m.tag
 }
 
-// matches is the one wildcard rule: a receive for (src, tag) takes a
-// message from msrc with tag mtag.
-func matches(src, tag, msrc, mtag int) bool {
+// Matches is the one wildcard rule, MPL's and MPI's (MPI-1.1 §3.5): a
+// receive for (src, tag) takes a message from msrc with tag mtag.
+func Matches(src, tag, msrc, mtag int) bool {
 	return (src == AnySource || src == msrc) && (tag == AnyTag || tag == mtag)
 }
 
 // matchPosted takes the oldest posted receive a message from src with tag
 // matches.
 func (ep *Endpoint) matchPosted(src, tag int) *RecvHandle {
-	i := slices.IndexFunc(ep.posted, func(h *RecvHandle) bool { return matches(h.src, h.tag, src, tag) })
-	if i < 0 {
-		return nil
-	}
-	h := ep.posted[i]
-	ep.posted = slices.Delete(ep.posted, i, i+1)
+	h, _ := ep.posted.Take(func(h **RecvHandle) bool { return Matches((*h).src, (*h).tag, src, tag) })
 	return h
 }
 
 // matchUnexpected takes the oldest complete message a receive for (src,
 // tag) matches.
 func (ep *Endpoint) matchUnexpected(src, tag int) (rxMsg, bool) {
-	i := slices.IndexFunc(ep.unexpected, func(m rxMsg) bool { return matches(src, tag, m.src, m.tag) })
-	if i < 0 {
-		return rxMsg{}, false
-	}
-	m := ep.unexpected[i]
-	ep.unexpected = slices.Delete(ep.unexpected, i, i+1)
-	return m, true
+	return ep.unexpected.Take(func(m *rxMsg) bool { return Matches(src, tag, m.src, m.tag) })
 }
 
 // progress injects packets for queued messages as credits and FIFO space
@@ -315,7 +304,7 @@ func (ep *Endpoint) progress(p *sim.Proc) {
 				m.sent = end
 			}
 			pr.credit--
-			pr.q.Pop()
+			pr.q.Drop()
 		}
 	}
 	ad.CommitLengths(p)
@@ -383,7 +372,7 @@ func (ep *Endpoint) finish(p *sim.Proc, pr *peer) {
 		if h := ep.matchPosted(m.src, m.tag); h != nil {
 			h.msg, h.done = m, true
 		} else {
-			ep.unexpected = append(ep.unexpected, m)
+			ep.unexpected.Push(m)
 		}
 	}
 }

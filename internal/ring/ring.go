@@ -50,8 +50,9 @@ func (r *Ring[T]) grow() {
 func (r *Ring[T]) Push(v T) { *r.PushSlot() = v }
 
 // PushSlot appends a zero element at the tail and returns a pointer to it,
-// for the caller to build in place (valid until the next Push, PushSlot or
-// Pop): free slots are always zero, as Pop and Clear leave them.
+// for the caller to build in place (valid until the next Push, PushSlot,
+// Pop, Drop or Take): free slots are always zero, as those and Clear leave
+// them.
 func (r *Ring[T]) PushSlot() *T {
 	if int(r.tail-r.head) == len(r.buf) {
 		r.grow()
@@ -62,24 +63,52 @@ func (r *Ring[T]) PushSlot() *T {
 }
 
 // Pop removes and returns the head element, zeroing its slot. It panics on
-// an empty ring.
+// an empty ring. It is Peek and Drop, written out so that it stays within
+// the compiler's inlining budget, which a call to Drop exceeds.
 func (r *Ring[T]) Pop() T {
-	if r.head == r.tail {
-		panic("ring: Pop of empty ring")
-	}
-	i := r.head & r.mask()
-	v := r.buf[i]
+	p := r.Peek()
+	v := *p
 	var zero T
-	r.buf[i] = zero
+	*p = zero
 	r.head++
 	return v
 }
 
+// Drop removes the head element without returning it, zeroing its slot. It
+// panics on an empty ring.
+func (r *Ring[T]) Drop() {
+	var zero T
+	*r.Peek() = zero
+	r.head++
+}
+
+// Take removes and returns the oldest element ok accepts, or reports false
+// when ok accepts none. Only the elements ahead of it move, one slot toward
+// the tail, so order is kept and a take at the head costs what Pop does. A
+// take counts in Popped as a pop does: a ring whose Pushed tickets are read
+// takes at its head only.
+func (r *Ring[T]) Take(ok func(*T) bool) (T, bool) {
+	for i := r.head; i < r.tail; i++ {
+		v := &r.buf[i&r.mask()]
+		if !ok(v) {
+			continue
+		}
+		taken := *v
+		for ; i > r.head; i-- {
+			r.buf[i&r.mask()] = r.buf[(i-1)&r.mask()]
+		}
+		r.Drop()
+		return taken, true
+	}
+	var zero T
+	return zero, false
+}
+
 // Peek returns a pointer to the head element without removing it (valid
-// until the next Push or Pop). It panics on an empty ring.
+// until the next change to the ring). It panics on an empty ring.
 func (r *Ring[T]) Peek() *T {
 	if r.head == r.tail {
-		panic("ring: Peek of empty ring")
+		panic("ring: empty")
 	}
 	return &r.buf[r.head&r.mask()]
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -99,6 +100,7 @@ func TestPeekAtClear(t *testing.T) {
 func TestEmptyOpsPanic(t *testing.T) {
 	for name, fn := range map[string]func(*Ring[int]){
 		"Pop":  func(r *Ring[int]) { r.Pop() },
+		"Drop": func(r *Ring[int]) { r.Drop() },
 		"Peek": func(r *Ring[int]) { r.Peek() },
 		"At":   func(r *Ring[int]) { r.At(0) },
 	} {
@@ -136,39 +138,46 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 }
 
 // FuzzRing drives a ring and a slice model with the same program — one byte
-// per step, the low bits choosing push, pop, peek, indexed read or clear —
-// and requires them to agree on every result, on the length, and on the
-// monotone counters. An operation the ring would panic on (pop or peek of an
-// empty ring) is one the model skips too.
+// per step, the low bits choosing push, pop, peek, indexed read, clear,
+// drop or take — and requires them to agree on every result, on the
+// length, and on the monotone counters, and every free slot to be zero. A
+// take removes the oldest element its predicate accepts (value mod 4 equal
+// to the byte's high bits mod 4) and keeps the others in order. An
+// operation the ring would panic on (pop, peek or drop of an empty ring) is
+// one the model skips too.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 1, 1})                // fill, drain
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1})    // head chases tail around one slot
 	f.Add(bytes.Repeat([]byte{0, 0, 0, 1}, 40))    // grows twice with a moving head
-	f.Add(bytes.Repeat([]byte{5, 5, 0, 1, 4}, 30)) // PushSlot, also after Clear
+	f.Add(bytes.Repeat([]byte{7, 7, 0, 1, 4}, 30)) // PushSlot, also after Clear
 	f.Add(bytes.Repeat([]byte{0, 4, 2, 3, 1}, 30)) // clear between pushes
 	f.Add(append(bytes.Repeat([]byte{0}, 9), 1, 3, 2, 1, 4, 0, 3))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 6, 13, 5, 20, 27}, 20)) // takes at and behind the head, drops, across growth
+	f.Add(append(bytes.Repeat([]byte{0, 7}, 12), 1, 1, 1, 6, 13, 20, 27, 6, 13, 20, 27, 6))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		var r Ring[int]
 		var model []int
 		var pushed, popped uint64
 		for step, op := range prog {
-			switch op % 5 {
+			switch op % 7 {
 			case 0:
-				if op/5%2 == 0 {
-					r.Push(step)
+				if op/7%2 == 0 {
+					r.Push(step + 1)
 				} else if s := r.PushSlot(); *s != 0 {
 					t.Fatalf("step %d: PushSlot returned a slot holding %d, want a zero one", step, *s)
 				} else {
-					*s = step + 1
+					*s = step + 2
 				}
-				model = append(model, step+int(op/5%2))
+				model = append(model, step+1+int(op/7%2))
 				pushed++
-			case 1:
+			case 1, 5:
 				if len(model) == 0 {
 					continue
 				}
-				if got := r.Pop(); got != model[0] {
+				if op%7 == 5 {
+					r.Drop()
+				} else if got := r.Pop(); got != model[0] {
 					t.Fatalf("step %d: Pop = %d, want %d", step, got, model[0])
 				}
 				model = model[1:]
@@ -184,7 +193,7 @@ func FuzzRing(f *testing.F) {
 				if len(model) == 0 {
 					continue
 				}
-				i := int(op) / 5 % len(model)
+				i := int(op) / 7 % len(model)
 				if got := *r.At(i); got != model[i] {
 					t.Fatalf("step %d: At(%d) = %d, want %d", step, i, got, model[i])
 				}
@@ -192,10 +201,31 @@ func FuzzRing(f *testing.F) {
 				r.Clear()
 				popped += uint64(len(model))
 				model = model[:0]
+			case 6:
+				want := int(op) / 7 % 4
+				got, ok := r.Take(func(v *int) bool { return *v%4 == want })
+				i := slices.IndexFunc(model, func(v int) bool { return v%4 == want })
+				if ok != (i >= 0) || ok && got != model[i] {
+					t.Fatalf("step %d: Take(mod 4 = %d) = %d, %v, want the oldest such of %v", step, want, got, ok, model)
+				}
+				if ok {
+					model = slices.Delete(model, i, i+1)
+					popped++
+				}
 			}
 			if r.Len() != len(model) || r.Pushed() != pushed || r.Popped() != popped {
 				t.Fatalf("step %d: len %d pushed %d popped %d, want %d %d %d",
 					step, r.Len(), r.Pushed(), r.Popped(), len(model), pushed, popped)
+			}
+			for i, v := range model {
+				if got := *r.At(i); got != v {
+					t.Fatalf("step %d: At(%d) = %d, want %d", step, i, got, v)
+				}
+			}
+			for i := r.tail; i < r.head+uint64(len(r.buf)); i++ {
+				if v := r.buf[i&r.mask()]; v != 0 {
+					t.Fatalf("step %d: free slot %d holds %d", step, i&r.mask(), v)
+				}
 			}
 		}
 	})
