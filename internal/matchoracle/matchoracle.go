@@ -20,8 +20,8 @@ import (
 // Msg is the K-th message Src sends to Dst.
 type Msg struct{ Src, Dst, K, Tag, Size int }
 
-// Payload is m's bytes: the first two name Src and K (a one-byte message K
-// modulo 64), the rest are a pattern of Src, Dst, K and the offset.
+// Payload is m's bytes: the first two name Src (below 4) and K (a one-byte
+// message K modulo 64), the rest are a pattern of Src, Dst, K and the offset.
 func (m Msg) Payload() []byte {
 	b := make([]byte, m.Size)
 	for i := range b {
@@ -41,7 +41,7 @@ type Filter struct{ Src, Tag int }
 
 // takes is the wildcard rule, written apart from the code it checks.
 func (f Filter) takes(m Msg) bool {
-	return (f.Src == mpl.AnySource || f.Src == m.Src) && (f.Tag == mpl.AnyTag || f.Tag == m.Tag)
+	return (f.Src == mpl.AnySource || f.Src == m.Src) && (f.Tag == m.Tag || f.Tag == mpl.AnyTag && m.Tag >= 0)
 }
 
 // Draw draws each of n nodes' sends, in send order: fewer than perPair

@@ -13,8 +13,10 @@ type PT interface {
 	Isend(p *sim.Proc, data []byte, dst, tag int) *Request
 	Irecv(p *sim.Proc, buf []byte, src, tag int) *Request
 	Wait(p *sim.Proc, r *Request) (Status, error)
-	// NextCollTag returns a fresh reserved (negative) tag; collectives are
-	// issued in the same order on every rank, so the sequence matches.
+	// NextCollTag returns a fresh negative tag, in the library context
+	// AnyTag never takes (mpl.Matches). The collectives, and the NAS LU, ADI
+	// and MG kernels' and examples/stencil's point-to-point messages, draw
+	// their tags here in the same order on every rank, so the tags match.
 	NextCollTag() int
 	// Alltoall exchanges chunk bytes with every rank; the implementation
 	// picks the algorithm (MPICH generic vs vendor-tuned — see Table 6's

@@ -207,163 +207,6 @@ func TestSendrecvRing(t *testing.T) {
 	})
 }
 
-func sumF64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := binary.LittleEndian.Uint64(dst[i:])
-		b := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], uint64(int64(a)+int64(b)))
-	}
-}
-
-func TestCollectives(t *testing.T) {
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
-		const P = 5
-		bcastOK := make([]bool, P)
-		redOK := make([]bool, P)
-		gathOK := make([]bool, P)
-		a2aOK := make([]bool, P)
-		runMPI(P, opt, func(p *sim.Proc, c *mpi.Comm) {
-			me := c.Rank()
-
-			// Barrier first (smoke).
-			mpi.Barrier(p, c)
-
-			// Bcast from rank 2.
-			buf := make([]byte, 1000)
-			if me == 2 {
-				copy(buf, pattern(1000, 77))
-			}
-			mpi.Bcast(p, c, buf, 2)
-			bcastOK[me] = bytes.Equal(buf, pattern(1000, 77))
-
-			// Allreduce of int64 encoded rank+1: expect P*(P+1)/2.
-			send := make([]byte, 8)
-			recv := make([]byte, 8)
-			binary.LittleEndian.PutUint64(send, uint64(me+1))
-			mpi.Allreduce(p, c, send, recv, sumF64)
-			redOK[me] = binary.LittleEndian.Uint64(recv) == uint64(P*(P+1)/2)
-
-			// Gather 8 bytes per rank to 0, then Bcast the whole vector.
-			gin := make([]byte, 8)
-			binary.LittleEndian.PutUint64(gin, uint64(me*100))
-			gout := make([]byte, 8*P)
-			mpi.Gather(p, c, gin, gout, 0)
-			mpi.Bcast(p, c, gout, 0)
-			ok := true
-			for r := 0; r < P; r++ {
-				if binary.LittleEndian.Uint64(gout[8*r:]) != uint64(r*100) {
-					ok = false
-				}
-			}
-			gathOK[me] = ok
-
-			// Alltoall: chunk value identifies (src, dst).
-			const chunk = 16
-			as := make([]byte, chunk*P)
-			ar := make([]byte, chunk*P)
-			for r := 0; r < P; r++ {
-				binary.LittleEndian.PutUint64(as[r*chunk:], uint64(me*1000+r))
-			}
-			c.Alltoall(p, as, ar, chunk)
-			ok = true
-			for r := 0; r < P; r++ {
-				if binary.LittleEndian.Uint64(ar[r*chunk:]) != uint64(r*1000+me) {
-					ok = false
-				}
-			}
-			a2aOK[me] = ok
-		})
-		for me := 0; me < P; me++ {
-			if !bcastOK[me] || !redOK[me] || !gathOK[me] || !a2aOK[me] {
-				t.Fatalf("rank %d: bcast=%v reduce=%v gather=%v alltoall=%v",
-					me, bcastOK[me], redOK[me], gathOK[me], a2aOK[me])
-			}
-		}
-	})
-}
-
-func TestAlltoallLargeChunks(t *testing.T) {
-	// Rendezvous-sized chunks through both alltoall algorithms.
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
-		const P = 4
-		const chunk = 20000
-		okN, okP := make([]bool, P), make([]bool, P)
-		for _, pairwise := range []bool{false, true} {
-			pairwise := pairwise
-			runMPI(P, opt, func(p *sim.Proc, c *mpi.Comm) {
-				me := c.Rank()
-				as := make([]byte, chunk*P)
-				ar := make([]byte, chunk*P)
-				for r := 0; r < P; r++ {
-					copy(as[r*chunk:(r+1)*chunk], pattern(chunk, byte(me*16+r)))
-				}
-				if pairwise {
-					mpi.AlltoallPairwise(p, c, as, ar, chunk)
-				} else {
-					mpi.AlltoallNaive(p, c, as, ar, chunk)
-				}
-				ok := true
-				for r := 0; r < P; r++ {
-					if !bytes.Equal(ar[r*chunk:(r+1)*chunk], pattern(chunk, byte(r*16+me))) {
-						ok = false
-					}
-				}
-				if pairwise {
-					okP[me] = ok
-				} else {
-					okN[me] = ok
-				}
-			})
-		}
-		for me := 0; me < P; me++ {
-			if !okN[me] || !okP[me] {
-				t.Fatalf("rank %d: naive=%v pairwise=%v", me, okN[me], okP[me])
-			}
-		}
-	})
-}
-
-func TestScatterGather(t *testing.T) {
-	bothConfigs(t, func(t *testing.T, opt mpi.Options) {
-		const P, chunk = 4, 64
-		ok := make([]bool, P)
-		rootOK := false
-		runMPI(P, opt, func(p *sim.Proc, c *mpi.Comm) {
-			me := c.Rank()
-			var all []byte
-			if me == 1 {
-				all = make([]byte, P*chunk)
-				for r := 0; r < P; r++ {
-					copy(all[r*chunk:], pattern(chunk, byte(r+40)))
-				}
-			}
-			mine := make([]byte, chunk)
-			mpi.Scatter(p, c, all, mine, 1)
-			ok[me] = bytes.Equal(mine, pattern(chunk, byte(me+40)))
-
-			// Round-trip: gather back to rank 0.
-			back := make([]byte, P*chunk)
-			mpi.Gather(p, c, mine, back, 0)
-			if me == 0 {
-				rootOK = true
-				for r := 0; r < P; r++ {
-					if !bytes.Equal(back[r*chunk:(r+1)*chunk], pattern(chunk, byte(r+40))) {
-						rootOK = false
-					}
-				}
-			}
-		})
-		for me := 0; me < P; me++ {
-			if !ok[me] {
-				t.Fatalf("rank %d scatter wrong", me)
-			}
-		}
-		if !rootOK {
-			t.Fatal("gather round-trip wrong")
-		}
-	})
-}
-
 func TestHybridAvoidsDiscontinuity(t *testing.T) {
 	// Optimized MPI-AM should not be slower at just-past-the-switch sizes
 	// than at just-below sizes; unoptimized (16K switch, pure rendezvous)

@@ -2,7 +2,6 @@ package mpi_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -23,45 +22,6 @@ func runMPIF(n int, wide bool, prog func(p *sim.Proc, c *mpi.FComm)) {
 		cluster.Spawn(i, "mpif", func(p *sim.Proc, nd *hw.Node) { prog(p, c) })
 	}
 	cluster.Run()
-}
-
-func TestCollectivesOnMPIF(t *testing.T) {
-	const P = 4
-	redOK := make([]bool, P)
-	a2aOK := make([]bool, P)
-	runMPIF(P, false, func(p *sim.Proc, c *mpi.FComm) {
-		me := c.Rank()
-		mpi.Barrier(p, c)
-		send := make([]byte, 8)
-		recv := make([]byte, 8)
-		binary.LittleEndian.PutUint64(send, uint64(me+1))
-		mpi.Allreduce(p, c, send, recv, func(dst, src []byte) {
-			a := binary.LittleEndian.Uint64(dst)
-			b := binary.LittleEndian.Uint64(src)
-			binary.LittleEndian.PutUint64(dst, a+b)
-		})
-		redOK[me] = binary.LittleEndian.Uint64(recv) == uint64(P*(P+1)/2)
-
-		const chunk = 6000 // rendezvous-sized alltoall
-		as := make([]byte, chunk*P)
-		ar := make([]byte, chunk*P)
-		for r := 0; r < P; r++ {
-			copy(as[r*chunk:], pattern(chunk, byte(me*8+r)))
-		}
-		c.Alltoall(p, as, ar, chunk)
-		ok := true
-		for r := 0; r < P; r++ {
-			if !bytes.Equal(ar[r*chunk:(r+1)*chunk], pattern(chunk, byte(r*8+me))) {
-				ok = false
-			}
-		}
-		a2aOK[me] = ok
-	})
-	for me := 0; me < P; me++ {
-		if !redOK[me] || !a2aOK[me] {
-			t.Fatalf("rank %d: allreduce=%v alltoall=%v", me, redOK[me], a2aOK[me])
-		}
-	}
 }
 
 func TestEagerRendezvousDip(t *testing.T) {

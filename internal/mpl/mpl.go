@@ -38,8 +38,8 @@ const (
 	HeaderBytes = 28
 	// DataBytes is MPL's per-packet payload (228).
 	DataBytes = hw.FIFOEntryBytes - HeaderBytes
-	// AnySource / AnyTag are the receive wildcards of MPL and MPI (see
-	// Matches).
+	// AnySource / AnyTag are the receive wildcards of MPL and MPI; AnyTag
+	// takes user tags (≥ 0) only (see Matches).
 	AnySource = -1
 	AnyTag    = -1
 )
@@ -255,9 +255,10 @@ func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 }
 
 // Matches is the one wildcard rule, MPL's and MPI's (MPI-1.1 §3.5): a
-// receive for (src, tag) takes a message from msrc with tag mtag.
+// receive for (src, tag) takes a message from msrc with tag mtag. Negative
+// tags are the library's context (mpi.PT.NextCollTag), which AnyTag never takes.
 func Matches(src, tag, msrc, mtag int) bool {
-	return (src == AnySource || src == msrc) && (tag == AnyTag || tag == mtag)
+	return (src == AnySource || src == msrc) && (tag == mtag || tag == AnyTag && mtag >= 0)
 }
 
 // matchPosted takes the oldest posted receive a message from src with tag
