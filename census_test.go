@@ -395,8 +395,9 @@ func (c *census) walk(dynamic func(tn *types.TypeName, method string) bool) []*d
 
 // unreadFields returns the struct fields the root module declares that no
 // non-test code reads. Assigning a field (with = or op=), ++ or -- on it,
-// writing one of its elements and naming it as a composite-literal key are
-// not reads; every other use is. A tagged field is read by reflection, the
+// writing one of its elements, growing it in its own assignment (x.f =
+// append(x.f, …)) and naming it as a composite-literal key are not reads;
+// every other use is. A tagged field is read by reflection, the
 // fields of a struct used as a map key or compared with == or != are read
 // by the comparison, an embedded field is read by every promotion through
 // it, and the fields of a kept type stay with it.
@@ -423,9 +424,14 @@ func (c *census) unreadFields() []finding {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
+					for i, lhs := range n.Lhs {
 						if id := assigned(lhs); id != nil {
 							writes[id] = true
+						}
+						if len(n.Rhs) == len(n.Lhs) {
+							if id := c.selfAppend(lhs, n.Rhs[i]); id != nil {
+								writes[id] = true
+							}
 						}
 					}
 				case *ast.IncDecStmt:
@@ -532,6 +538,19 @@ func assigned(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// selfAppend returns the field f that rhs grows when the assignment is
+// x.f = append(x.f, …), which reads x.f only to grow it; otherwise nil.
+func (c *census) selfAppend(lhs, rhs ast.Expr) *ast.Ident {
+	call, ok := rhs.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 || types.ExprString(call.Args[0]) != types.ExprString(lhs) {
+		return nil
+	}
+	if fun, ok := call.Fun.(*ast.Ident); !ok || c.info.Uses[fun] != types.Universe.Lookup("append") {
+		return nil
+	}
+	return assigned(call.Args[0])
 }
 
 // constantParams returns the parameters of the root module's functions and
@@ -731,6 +750,8 @@ func TestCensusRules(t *testing.T) {
 		{"increment is no read", "", T + "func g(x *T) { x.f++ }", []string{"T.f"}},
 		{"element write is no read", "", "type T struct{ f []int }\nfunc g(x *T) { x.f[0] = 1 }", []string{"T.f"}},
 		{"composite key is no read", "", T + "var v = T{f: 1}", []string{"T.f"}},
+		{"self-append is no read", "", "type T struct{ f []int }\nfunc g(x *T) { x.f = append(x.f, 1) }", []string{"T.f"}},
+		{"append to another field reads it", "", "type T struct{ f, h []int }\nfunc g(x *T) { x.h = append(x.f, 1) }", []string{"T.h"}},
 		{"nested literal field", "", "var v = struct{ f int }{f: 1}", []string{"v.f"}},
 		{"plain read", "", T + "func g(x *T) int { return x.f }", nil},
 		{"tagged field", "", "type T struct{ f int `metric:\"f\"` }\nfunc g(x *T) { x.f++ }", nil},

@@ -145,8 +145,7 @@ type Comm struct {
 	ep  *am.Endpoint
 
 	bufSeg   int   // segment 0: P x perPeerBuf buffered regions
-	slotSegs []int // rendezvous registration pool
-	slotFree []int
+	slotFree []int // rendezvous registration pool: the segments not in use
 
 	alloc []allocator // my view of my space at each receiver
 
@@ -179,9 +178,7 @@ func newComm(s *System, ep *am.Endpoint) *Comm {
 	region := make([]byte, n*perPeerBuf)
 	c.bufSeg = ep.Node().Mem.Add(region)
 	for i := 0; i < rdvSlots; i++ {
-		seg := ep.Node().Mem.Add(nil)
-		c.slotSegs = append(c.slotSegs, seg)
-		c.slotFree = append(c.slotFree, seg)
+		c.slotFree = append(c.slotFree, ep.Node().Mem.Add(nil))
 	}
 	c.alloc = make([]allocator, n)
 	for i := range c.alloc {
