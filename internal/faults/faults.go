@@ -59,7 +59,7 @@ func (r *Rule) matches(now sim.Time, pkt *hw.Packet) bool {
 }
 
 // NodeKill fail-stops one node at a simulated time: from At on, the node's
-// adapter delivers nothing and the switch drops everything it injected.
+// adapter delivers nothing and sends nothing on to the switch.
 type NodeKill struct {
 	Node int
 	At   sim.Time

@@ -119,7 +119,6 @@ func (c *Cluster) end() {
 // state is time-based (no event is scheduled); arm it before Run.
 func (c *Cluster) Kill(id int, at sim.Time) {
 	c.Nodes[id].Kill(at)
-	c.Switch.SetKillTime(id, at)
 }
 
 // AddDiagnostic registers a callback that renders one protocol layer's view

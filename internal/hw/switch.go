@@ -165,15 +165,7 @@ type Switch struct {
 	// (fixed seed, drawn from only on corrupt verdicts) so the corruption
 	// path does no lazy setup.
 	chaosRng *sim.Rand
-	// killAt[i], when nonzero, is the time from which node i's injections
-	// are discarded at the fabric (Cluster.Kill keeps it in sync with the
-	// node's own kill state).
-	killAt []sim.Time
 }
-
-// SetKillTime arms (or, with 0, disarms) the fail-stop gate for node's
-// injection port.
-func (s *Switch) SetKillTime(node int, at sim.Time) { s.killAt[node] = at }
 
 const chaosSeed = 0x5eedc0de
 
@@ -181,7 +173,6 @@ const chaosSeed = 0x5eedc0de
 // discards through pool.
 func NewSwitch(eng *sim.Engine, n int, p SwitchParams, pool *PacketPool) *Switch {
 	s := &Switch{eng: eng, p: p, pool: pool, chaosRng: sim.NewRand(chaosSeed)}
-	s.killAt = make([]sim.Time, n)
 	s.ports = make([]swPort, n)
 	s.deliv = make([]func(*Packet), n)
 	for i := 0; i < n; i++ {
@@ -210,12 +201,6 @@ func (s *Switch) xferTime(bytes int) sim.Time {
 // and ejection serialization. Loopback (src == dst) skips the fabric but
 // still pays the ejection port, matching the adapter's self-send path.
 func (s *Switch) Send(pkt *Packet) {
-	if at := s.killAt[pkt.Src]; at > 0 && s.eng.Now() >= at {
-		// Fail-stopped source: anything still draining out of its adapter
-		// pipeline after the kill instant never reaches the wire.
-		s.pool.Put(pkt)
-		return
-	}
 	s.Sent++
 	if s.Fault != nil {
 		v := s.Fault(pkt)

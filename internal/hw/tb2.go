@@ -196,6 +196,12 @@ func (a *TB2) i860Done() {
 func (a *TB2) dmaOutDone() {
 	pkt := a.dmaOutQ.Pop()
 	a.sendUsed--
+	if a.node.Killed() {
+		// Fail-stopped source: anything still draining out of its adapter
+		// pipeline after the kill instant never reaches the wire.
+		a.node.Pool.Put(pkt)
+		return
+	}
 	a.sw.Send(pkt)
 }
 
