@@ -34,7 +34,6 @@ const (
 	// corruptible — and no fault class (fault plans target it by node/time).
 	KindMPLData
 	KindMPLCredit
-	KindMPLPktCredit
 )
 
 // Class reports the fault-plan class name of an AM packet kind, or "" for

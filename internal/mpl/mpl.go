@@ -51,9 +51,8 @@ const (
 // one. MPL headers carry no checksum — the protocol trusted the lossless
 // switch — so injected corruption goes undetected, as before.
 const (
-	mData      = hw.KindMPLData
-	mCredit    = hw.KindMPLCredit    // message-level credit (window of 1 message per pair)
-	mPktCredit = hw.KindMPLPktCredit // packet-level credit (keeps a burst inside the FIFO share)
+	mData   = hw.KindMPLData
+	mCredit = hw.KindMPLCredit
 )
 
 // Packet-level flow control: a sender keeps at most pktWindow data packets
@@ -323,14 +322,14 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 		pr := &ep.peers[pkt.Src]
 		switch h.Kind {
 		case mCredit:
-			pr.credit++
-			pr.pktAhead -= h.Total
-		case mPktCredit:
+			if h.Final {
+				pr.credit++
+			}
 			pr.pktAhead -= h.Total
 		case mData:
 			pr.rxPkts++
 			if pr.rxPkts >= pktCreditEvery && !h.Final {
-				ep.credit(p, pkt.Src, mPktCredit)
+				ep.credit(p, pkt.Src, false)
 			}
 			if h.BOff == 0 {
 				// A matching posted receive gets the data in place.
@@ -364,7 +363,7 @@ func (ep *Endpoint) finish(p *sim.Proc, pr *peer) {
 		into.msg, into.done = m, true
 	}
 	ep.node.ComputeUnscaled(p, ep.callCost(costRecvOverhead))
-	ep.credit(p, m.src, mCredit)
+	ep.credit(p, m.src, true)
 	if into == nil {
 		// The message started arriving before any matching recv was
 		// posted; a recv posted mid-assembly still claims it here (with
@@ -378,12 +377,11 @@ func (ep *Endpoint) finish(p *sim.Proc, pr *peer) {
 	}
 }
 
-// credit returns the data packets received from dst since its last credit,
-// as a packet credit or, at a message's end, the message credit. It is
-// pushed at once: control traffic bypasses the message queue and its
-// credits.
-func (ep *Endpoint) credit(p *sim.Proc, dst int, kind hw.Kind) {
-	w := hw.Header{Kind: kind, Total: ep.peers[dst].rxPkts}
+// credit returns the data packets received from dst since its last credit
+// and, at a message's end (final), the message credit. It is pushed at
+// once: control traffic bypasses the message queue and its credits.
+func (ep *Endpoint) credit(p *sim.Proc, dst int, final bool) {
+	w := hw.Header{Kind: mCredit, Total: ep.peers[dst].rxPkts, Final: final}
 	ep.peers[dst].rxPkts = 0
 	ad := ep.node.Adapter
 	for ad.SendSpace() == 0 { // extremely rare; spin briefly for a slot
