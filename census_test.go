@@ -30,19 +30,19 @@ var keep = map[string]string{
 	"internal/am.Endpoint.DebugChannel": "am's PollWait equivalence tests take the channel snapshot through it",
 	"internal/am.Stats.RTTSamples":      "TestShortEchoZeroAlloc, TestBulkZeroAlloc and TestPollWaitMatchesPollLoop check Karn samples were taken; a metric tag would move chaos-kill.txt",
 
-	"internal/faults.StandardPlans": "the chaos harness the am, mpi, nas, splitc and bench soaks share",
+	"internal/faults.StandardPlans": "the chaos plans the am, nas, splitc and bench soaks and the MPI oracle run under",
 	"internal/faults.FailStopPlans": "the fail-stop plans the faults tests check against the standard ones",
-	"internal/faults/soak.Run":      "the soak harness the mpi, nas and splitc chaos tests share",
+	"internal/faults/soak.Run":      "the soak harness the nas and splitc chaos tests share",
 	"internal/faults/soak.Workload": "the workload type the shared soak harness runs",
-	"internal/faults/soak.Soak":     "the per-plan soak loop the mpi, nas and splitc chaos tests share",
-	"internal/faults/soak.Mix":      "the checksum the shared soak compares across plans",
+	"internal/faults/soak.Soak":     "the per-plan soak loop the nas and splitc chaos tests share",
+	"internal/faults/soak.Mix":      "the step MixBytes folds each word of the shared soak's checksum with",
 	"internal/faults/soak.MixBytes": "the byte checksum the shared soak compares across plans",
 
 	"internal/matchoracle": "the matching model the mpl and mpi drawn-program oracles share",
 
 	"internal/hw.DropIf":               "am and hw tests drop chosen packets with it to drive retransmission",
 	"internal/hw.LossReport.TotalLost": "am, hw and mpl tests assert no packet was lost",
-	"internal/hw.FaultStats.Total":     "bench's kv chaos test asserts the fault plan touched packets",
+	"internal/hw.FaultStats.Total":     "bench's kv chaos test and the MPI oracle assert the fault plan touched packets",
 	"internal/hw.Config.NodePar":       "benchmark/rep.go sets it (goes when benchmark/ drops its shims)",
 	"internal/bench.Ran.Events":        "TestObserversDoNotPerturb checks a run fired events",
 
@@ -56,7 +56,7 @@ var keep = map[string]string{
 
 	"internal/mpi.AnyTag":              "MPI's name for mpl.AnyTag, which the MPI matching tests and the oracle's fixed programs use",
 	"internal/mpi.allocator.freeBytes": "the allocator tests check that every freed byte comes back",
-	"internal/mpi.Status.Tag":          "TestSendRecvAcrossProtocolSizes and TestTagAndSourceMatching check the receive status",
+	"internal/mpi.Status.Tag":          "the MPI oracle hands every receive's status to matchoracle's checker",
 	"internal/mpi.Comm.SendB.tag":      "benchmark/ladder.go's ping-pong always passes tag 1 (the alias goes with ROADMAP item 11)",
 	"internal/mpi.Comm.RecvB.tag":      "benchmark/ladder.go's ping-pong always passes tag 1 (the alias goes with ROADMAP item 11)",
 

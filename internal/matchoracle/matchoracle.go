@@ -20,18 +20,22 @@ import (
 // Msg is the K-th message Src sends to Dst.
 type Msg struct{ Src, Dst, K, Tag, Size int }
 
-// Payload is m's bytes: the first two name Src (below 4) and K (a one-byte
-// message K modulo 64), the rest are a pattern of Src, Dst, K and the offset.
+// Payload is m's bytes: the first two name Src (below 8) and K (below 8,192;
+// modulo 32 in a one-byte message), the rest are a pattern of Src, Dst, K
+// and the offset.
 func (m Msg) Payload() []byte {
 	b := make([]byte, m.Size)
-	for i := range b {
+	for i := range min(m.Size, 256) {
 		b[i] = byte(i*13 + m.K*7 + m.Src*31 + m.Dst*101)
 	}
+	for i := 256; i < m.Size; i *= 2 {
+		copy(b[i:], b[:i]) // the pattern repeats every 256 bytes
+	}
 	if len(b) > 0 {
-		b[0] = byte(m.Src<<6 | m.K&63)
+		b[0] = byte(m.Src<<5 | m.K&31)
 	}
 	if len(b) > 1 {
-		b[1] = byte(m.K >> 6)
+		b[1] = byte(m.K >> 5)
 	}
 	return b
 }
@@ -69,12 +73,14 @@ func Draw(rng *rand.Rand, n, perPair, tags int, sizes []int) [][]Msg {
 	return sends
 }
 
-// got is one receive; seq orders receives by when they were posted.
+// got is one receive: seq orders it by posting, src, tag and size are its
+// status, and data is what its room-byte buffer holds (nothing if trunc).
 type got struct {
-	seq      int
-	f        Filter
-	src, tag int
-	data     []byte
+	seq                  int
+	f                    Filter
+	src, tag, size, room int
+	data                 []byte
+	trunc                bool
 }
 
 // Receiver is one node's receive phase: the filter draw while it runs and
@@ -148,39 +154,43 @@ func (r *Receiver) Post(f Filter) int {
 	return seq
 }
 
-// Done closes receive seq, which got data, reported as from src with tag.
-func (r *Receiver) Done(seq int, data []byte, src, tag int) {
+// Done closes receive seq into buf, with its status and truncation error.
+func (r *Receiver) Done(seq int, buf []byte, src, tag, size int, trunc bool) {
 	i := slices.IndexFunc(r.open, func(g got) bool { return g.seq == seq })
 	g := r.open[i]
 	r.open = slices.Delete(r.open, i, i+1)
-	g.src, g.tag, g.data = src, tag, data
+	g.src, g.tag, g.size, g.room, g.trunc = src, tag, size, len(buf), trunc
+	if !trunc {
+		g.data = buf[:min(size, len(buf))]
+	}
 	r.done = append(r.done, g)
 	if i := slices.IndexFunc(r.want, func(m Msg) bool { return names(g, m) }); i >= 0 {
 		r.want = slices.Delete(r.want, i, i+1)
 	}
 }
 
-// names reports whether receive g's bytes name m. A 0-byte receive names
-// every 0-byte message of its source and tag; it got the oldest one no
-// earlier receive claimed.
+// names reports whether receive g's bytes name m. A receive that holds no
+// bytes (an empty or a truncated one) names every message of its status's
+// source, tag and size; it got the oldest one no earlier receive claimed.
 func names(g got, m Msg) bool {
 	if len(g.data) == 0 {
-		return m.Size == 0 && m.Src == g.src && m.Tag == g.tag
+		return m.Src == g.src && m.Tag == g.tag && m.Size == g.size
 	}
-	k := int(g.data[0] & 63)
+	k := int(g.data[0] & 31)
 	if len(g.data) > 1 {
-		k |= int(g.data[1]) << 6
+		k |= int(g.data[1]) << 5
 	}
-	return m.Src == int(g.data[0]>>6) && m.K == k
+	return m.Src == int(g.data[0]>>5) && m.K == k
 }
 
 // Check checks the finished phase. Every message sent to the node is
 // received exactly once, with its bytes, source and tag, by a receive whose
-// filter takes it. Order: a receive E posted before a receive L, where E's
-// filter takes L's message and both got messages from one sender, must have
-// got the older one. That is both order rules at once: messages from one
-// sender that match one receive arrive in send order, and receives that
-// match one message are filled in post order.
+// filter takes it, and ends in a truncation error exactly when the message
+// is longer than its buffer. Order: a receive E posted before a receive L,
+// where E's filter takes L's message and both got messages from one sender,
+// must have got the older one. That is both order rules at once: messages
+// from one sender that match one receive arrive in send order, and receives
+// that match one message are filled in post order.
 func (r *Receiver) Check() error {
 	done := slices.Clone(r.done)
 	slices.SortFunc(done, func(a, b got) int { return a.seq - b.seq })
@@ -195,14 +205,15 @@ func (r *Receiver) Check() error {
 			}
 		}
 		if j < 0 {
-			return fmt.Errorf("receive %d got %d bytes (src %d, tag %d) that no one sent", g.seq, len(g.data), g.src, g.tag)
+			return fmt.Errorf("receive %d got %d bytes (src %d, tag %d, size %d) that no one sent", g.seq, len(g.data), g.src, g.tag, g.size)
 		}
 		m := r.sent[j]
 		switch {
 		case claimed[j]:
 			return fmt.Errorf("receive %d got message %+v a second time", g.seq, m)
-		case !bytes.Equal(g.data, m.Payload()):
-			return fmt.Errorf("receive %d got %d bytes of message %+v, not its bytes", g.seq, len(g.data), m)
+		case g.trunc != (m.Size > g.room) || !g.trunc && !bytes.Equal(g.data, m.Payload()):
+			return fmt.Errorf("receive %d (%d-byte buffer, truncated %v) got %d bytes of message %+v, not its bytes",
+				g.seq, g.room, g.trunc, len(g.data), m)
 		case g.src != m.Src || g.tag != m.Tag:
 			return fmt.Errorf("receive %d reports src %d tag %d for message %+v", g.seq, g.src, g.tag, m)
 		case !g.f.takes(m):

@@ -12,76 +12,6 @@ import (
 	"spam/internal/sim"
 )
 
-func TestSendRecvBasic(t *testing.T) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := mpl.New(c)
-	msg := []byte("the quick brown fox")
-	var got []byte
-	var gotSrc, gotTag int
-	c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
-		sys.EPs[0].BSend(p, 1, 42, msg)
-	})
-	c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
-		buf := make([]byte, 64)
-		nb, src, tag := sys.EPs[1].Recv(p, mpl.AnySource, mpl.AnyTag, buf)
-		got = buf[:nb]
-		gotSrc, gotTag = src, tag
-	})
-	c.Run()
-	if !bytes.Equal(got, msg) || gotSrc != 0 || gotTag != 42 {
-		t.Fatalf("got %q from %d tag %d", got, gotSrc, gotTag)
-	}
-}
-
-func TestTagMatching(t *testing.T) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := mpl.New(c)
-	var order []int
-	c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[0]
-		ep.BSend(p, 1, 7, []byte("seven"))
-		ep.BSend(p, 1, 8, []byte("eight"))
-	})
-	c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[1]
-		buf := make([]byte, 16)
-		// Receive tag 8 first even though 7 arrives first.
-		_, _, tag := ep.Recv(p, 0, 8, buf)
-		order = append(order, tag)
-		_, _, tag = ep.Recv(p, 0, 7, buf)
-		order = append(order, tag)
-	})
-	c.Run()
-	if len(order) != 2 || order[0] != 8 || order[1] != 7 {
-		t.Fatalf("matched order %v", order)
-	}
-}
-
-func TestLargeMessage(t *testing.T) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := mpl.New(c)
-	msg := make([]byte, 100000)
-	for i := range msg {
-		msg[i] = byte(i * 7)
-	}
-	ok := false
-	c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
-		sys.EPs[0].BSend(p, 1, 1, msg)
-	})
-	c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
-		buf := make([]byte, len(msg))
-		nb, _, _ := sys.EPs[1].Recv(p, 0, 1, buf)
-		ok = nb == len(msg) && bytes.Equal(buf, msg)
-	})
-	c.Run()
-	if !ok {
-		t.Fatal("large message corrupted")
-	}
-	if c.Losses().TotalLost() != 0 {
-		t.Fatalf("%d packets dropped", c.Losses().TotalLost())
-	}
-}
-
 // TestBSendBufferReusable: BSend returns once the message is in the send
 // FIFO, and the buffer is then the caller's. The sender overwrites it at
 // once while the receiver waits 5 ms before receiving, so the packets sit
@@ -111,50 +41,6 @@ func TestBSendBufferReusable(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%d B: received %d B, %d of them overwritten after BSend returned", size, len(got), bytes.Count(got, []byte{2}))
 		}
-	}
-}
-
-func TestZeroByteMessage(t *testing.T) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := mpl.New(c)
-	done := false
-	c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
-		sys.EPs[0].BSend(p, 1, 5, nil)
-	})
-	c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
-		nb, _, tag := sys.EPs[1].Recv(p, 0, 5, nil)
-		done = nb == 0 && tag == 5
-	})
-	c.Run()
-	if !done {
-		t.Fatal("zero-byte message not delivered")
-	}
-}
-
-func TestPipelinedSendsAllArrive(t *testing.T) {
-	c := hw.NewCluster(hw.DefaultConfig(2))
-	sys := mpl.New(c)
-	const msgs = 40
-	got := 0
-	c.Spawn(0, "tx", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[0]
-		data := make([]byte, 500)
-		for i := 0; i < msgs; i++ {
-			ep.Send(p, 1, 9, data)
-		}
-		ep.DrainSends(p)
-	})
-	c.Spawn(1, "rx", func(p *sim.Proc, n *hw.Node) {
-		ep := sys.EPs[1]
-		buf := make([]byte, 500)
-		for i := 0; i < msgs; i++ {
-			ep.Recv(p, 0, 9, buf)
-			got++
-		}
-	})
-	c.Run()
-	if got != msgs {
-		t.Fatalf("received %d of %d", got, msgs)
 	}
 }
 
