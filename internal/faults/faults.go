@@ -26,9 +26,10 @@ type Rule struct {
 	// one, and 0 never fires.
 	Rate float64
 	// Burst > 1 makes firings come in runs: once the rule fires, the next
-	// Burst-1 matching packets fire too. Bursts model the SP's realistic failure, a route or adapter
-	// hiccup losing consecutive packets, which exercises go-back-N much
-	// harder than independent loss.
+	// Burst-1 matching packets fire too, if they come within burstSpan.
+	// Bursts model the SP's realistic failure, a route or adapter hiccup
+	// losing consecutive packets, which exercises go-back-N much harder
+	// than independent loss.
 	Burst int
 	// Delay is the fixed extra latency of an hw.ActDelay verdict; packets
 	// sent after a delayed one overtake it in the fabric.
@@ -75,9 +76,16 @@ type Plan struct {
 	Kills []NodeKill
 }
 
+// burstSpan bounds a burst in time as Burst bounds it in packets: a hiccup
+// is over in no longer than the blackout plan's window. Counted in packets
+// alone, a burst that begins once traffic has died down would drop a
+// keep-alive probe's answer and every probe after it, over half a second,
+// until AM declares the live peer dead.
+const burstSpan = 300 * hw.Microsecond
+
 // verdict runs the plan's rule list against one packet using the given
-// per-rule random streams and burst counters.
-func (p *Plan) verdict(now sim.Time, pkt *hw.Packet, rngs []*sim.Rand, burstLeft []int) hw.Verdict {
+// per-rule random streams, burst counters and burst ends.
+func (p *Plan) verdict(now sim.Time, pkt *hw.Packet, rngs []*sim.Rand, burstLeft []int, burstEnd []sim.Time) hw.Verdict {
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		if !r.matches(now, pkt) {
@@ -85,11 +93,12 @@ func (p *Plan) verdict(now sim.Time, pkt *hw.Packet, rngs []*sim.Rand, burstLeft
 		}
 		fired := false
 		if r.Burst > 1 {
-			if burstLeft[i] > 0 {
+			if burstLeft[i] > 0 && now < burstEnd[i] {
 				burstLeft[i]--
 				fired = true
 			} else if rngs[i].Float64() < r.Rate {
 				burstLeft[i] = r.Burst - 1
+				burstEnd[i] = now + burstSpan
 				fired = true
 			}
 		} else if r.Rate >= 1 || rngs[i].Float64() < r.Rate {
@@ -115,6 +124,7 @@ func (p *Plan) Compile(eng *sim.Engine) hw.FaultFunc {
 	master := sim.NewRand(p.Seed)
 	rngs := make([]*sim.Rand, len(p.Rules))
 	burstLeft := make([]int, len(p.Rules))
+	burstEnd := make([]sim.Time, len(p.Rules))
 	for i := range p.Rules {
 		if s := p.Rules[i].Slowdown; s != 0 && !(s > 1) {
 			panic("faults: a rule's Slowdown must be 0 or > 1")
@@ -122,7 +132,7 @@ func (p *Plan) Compile(eng *sim.Engine) hw.FaultFunc {
 		rngs[i] = master.Fork()
 	}
 	return func(pkt *hw.Packet) hw.Verdict {
-		return p.verdict(eng.Now(), pkt, rngs, burstLeft)
+		return p.verdict(eng.Now(), pkt, rngs, burstLeft, burstEnd)
 	}
 }
 
