@@ -49,16 +49,16 @@ func BenchmarkKVServed(b *testing.B) {
 }
 
 // TestKVServedEventBudget pins the two deterministic proxies of the served
-// path's host cost, exactly: what BenchmarkKVServed reports as 105.1
-// polls/req and 155.2 events/req. Host time is noisy and judged by paired
+// path's host cost, exactly: what BenchmarkKVServed reports as 105.2
+// polls/req and 155.1 events/req. Host time is noisy and judged by paired
 // benchmark/run.sh runs; these counts are not, so any drift — a change that
 // polls or schedules more per request, or one that is meant to elide idle
 // polls — shows here first and has to move the constants on purpose. The
 // second pair is the proxy for switching between the eight node programs:
-// 15.0 hand-offs per request at 1.20 coroutine switches each (a run of
+// 14.9 hand-offs per request at 1.20 coroutine switches each (a run of
 // back-to-back host charges is one wake-up, sim.Proc.AdvanceSeq).
 func TestKVServedEventBudget(t *testing.T) {
-	const wantPolls, wantEvents = 525431, 776154
+	const wantPolls, wantEvents = 525872, 775580
 	svc, err := kv.New(kvServedConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestKVServedEventBudget(t *testing.T) {
 		t.Fatalf("%d requests cost %d polls and %d events, want %d and %d",
 			kvServedReqs, polls, events, wantPolls, wantEvents)
 	}
-	const wantHandoffs, wantSwitches = 75034, 90245
+	const wantHandoffs, wantSwitches = 74334, 89386
 	if handoffs, switches := svc.Handoffs(); handoffs != wantHandoffs || switches != wantSwitches {
 		t.Fatalf("%d requests cost %d process hand-offs and %d coroutine switches, want %d and %d",
 			kvServedReqs, handoffs, switches, wantHandoffs, wantSwitches)

@@ -279,6 +279,7 @@ type txChan struct {
 
 	lastNackRetx uint64 // last nack sequence acted on (dedup)
 	hasNackRetx  bool
+	probeSeq     uint64 // nextSeq when the last keep-alive probe went out
 
 	// One in-flight RTT sample (Karn's rule: a retransmission covering the
 	// timed sequence invalidates the sample; only packets acknowledged

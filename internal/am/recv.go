@@ -291,13 +291,15 @@ func (ep *Endpoint) applyAck(p *sim.Proc, src int, ackReq, ackRep uint64) {
 	}
 	// A probe was outstanding: if this ack leaves saved packets uncovered,
 	// the receiver never saw them — retransmit (keep-alive recovery, §2.2).
+	// Packets injected after the probe may still be on the wire, so only
+	// those sent before it go again.
 	if ps.probed {
 		ps.probed = false
 		for ch := 0; ch < 2; ch++ {
 			tc := &ps.tx[ch]
-			if tc.saved.Len() > 0 {
+			if tc.saved.Len() > 0 && tc.saved.At(0).m.Seq < tc.probeSeq {
 				tc.retx.Clear()
-				for i := 0; i < tc.saved.Len(); i++ {
+				for i := 0; i < tc.saved.Len() && tc.saved.At(i).m.Seq < tc.probeSeq; i++ {
 					tc.retx.Push(*tc.saved.At(i))
 				}
 			}
@@ -536,6 +538,7 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 		}
 		ps.emptyStreak = 0
 		ps.probed = true
+		ps.tx[chReq].probeSeq, ps.tx[chRep].probeSeq = ps.tx[chReq].nextSeq, ps.tx[chRep].nextSeq
 		if ps.probeRounds > 0 {
 			ep.Stats.Backoffs++
 		}
