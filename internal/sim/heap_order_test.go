@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 )
 
@@ -78,55 +79,95 @@ type scheduler interface {
 // cascade decodes a byte string into a randomized event cascade on s and
 // records execution order: each event appends its id, then schedules 0-2
 // children, or now and then a burst of six at one instant (more than a
-// near-queue slot holds). A child's time is drawn from classes aimed at every
-// queue path: the current instant (the run queue), collision-prone small
-// offsets (the (at, seq) FIFO tie-break), slot boundaries, both sides of the
-// span edge (from now and from the slot start), and delays up to three spans,
-// which the clock later jumps across, wrapping the wheel. A run stops at a
+// near-queue slot holds). A child's time is a when. A run stops at a
 // decoded horizon, gains a few roots and resumes. Both schedulers read the
 // same bytes in the same order only while they run the same events, so the
 // first event out of order changes every draw after it. An exhausted string
 // reads as zeros: no more children.
 type cascade struct {
 	s      scheduler
-	prog   []byte
+	in     coder
 	nextID int
 	budget int
 	order  []int
 }
 
-// intn decodes a value in [0, n): one byte for n <= 256, else two.
 func (c *cascade) intn(n int) int {
-	v := 0
-	for k := 0; k < 2 && len(c.prog) > 0; k++ {
-		v |= int(c.prog[0]) << (8 * k)
-		c.prog = c.prog[1:]
-		if n <= 256 {
-			break
-		}
-	}
-	return v % n
+	var v int
+	c.in.int(&v, 0, n)
+	return v
 }
 
 func (c *cascade) when() Time {
-	now := c.s.Now()
-	base := now &^ (1<<slotShift - 1)
-	switch c.intn(10) {
-	case 0, 1:
-		return now
-	case 2:
-		return now + Time(c.intn(3))
-	case 3, 4:
-		return now + Time(c.intn(50))
-	case 5: // a slot boundary, behind now included
-		return base + 1<<slotShift*Time(c.intn(nearSlots+2))
-	case 6: // the span edge, counted from now
-		return now + nearSpan - 2 + Time(c.intn(5))
-	case 7: // the span edge, counted from the slot start
-		return base + nearSpan - 2 + Time(c.intn(5))
-	default: // up to three spans ahead
-		return now + Time(c.intn(3*nearSpan))
+	var w when
+	w.code(&c.in)
+	return w.at(c.s.Now())
+}
+
+// coder reads values from a byte string, or with enc set appends them to
+// it, so that one walk over a structure is both its decoder and its
+// encoder (FuzzEngine's programs are written that way).
+type coder struct {
+	buf []byte
+	enc bool
+}
+
+// int codes *v in [lo, hi): *v-lo in one byte when the range is at most 256
+// wide, else in two, little-endian. Decoding reduces modulo the range; an
+// exhausted string reads as zeros.
+func (c *coder) int(v *int, lo, hi int) {
+	n, x, width := hi-lo, 0, 1
+	if n > 256 {
+		width = 2
 	}
+	if c.enc && (*v < lo || *v >= hi) {
+		panic(fmt.Sprintf("coder: %d outside [%d, %d)", *v, lo, hi))
+	}
+	for k := range width {
+		if c.enc {
+			c.buf = append(c.buf, byte((*v-lo)>>(8*k)))
+		} else if len(c.buf) > 0 {
+			x, c.buf = x|int(c.buf[0])<<(8*k), c.buf[1:]
+		}
+	}
+	if !c.enc {
+		*v = lo + x%n
+	}
+}
+
+// when is a time drawn from classes aimed at every queue path, relative to
+// the clock it is evaluated against: the current instant (the run queue),
+// collision-prone small offsets (the (at, seq) FIFO tie-break), slot
+// boundaries, both sides of the span edge (from now and from the slot
+// start), and delays up to three spans, which the clock later jumps
+// across, wrapping the wheel.
+type when struct{ class, v int }
+
+func (w *when) code(c *coder) {
+	c.int(&w.class, 0, 10)
+	if n := [10]int{2: 3, 3: 50, 4: 50, 5: nearSlots + 2, 6: 5, 7: 5, 8: 3 * nearSpan, 9: 3 * nearSpan}[w.class]; n > 0 {
+		c.int(&w.v, 0, n)
+	}
+}
+
+func (w when) at(now Time) Time {
+	base, v := now&^(1<<slotShift-1), Time(w.v)
+	switch w.class {
+	case 5: // a slot boundary, behind now included
+		return base + v<<slotShift
+	case 6: // the span edge, counted from now
+		return now + nearSpan - 2 + v
+	case 7: // the span edge, counted from the slot start
+		return base + nearSpan - 2 + v
+	}
+	return now + v // now, a small offset, or up to three spans ahead
+}
+
+func (w when) String() string {
+	if w.class < 5 || w.class > 7 {
+		return fmt.Sprintf("+%d", w.v)
+	}
+	return fmt.Sprintf([]string{"slot%d", "now+span-2+%d", "slot0+span-2+%d"}[w.class-5], w.v)
 }
 
 func (c *cascade) spawn(at Time) {
@@ -190,11 +231,11 @@ func FuzzEventOrder(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		eng := NewEngine(1)
-		got := &cascade{s: eng, prog: prog, budget: 1000}
+		got := &cascade{s: eng, in: coder{buf: prog}, budget: 1000}
 		if err := got.run(); err != nil {
 			t.Fatal(err)
 		}
-		want := &cascade{s: &refEngine{}, prog: prog, budget: 1000}
+		want := &cascade{s: &refEngine{}, in: coder{buf: prog}, budget: 1000}
 		want.run()
 		for i := range min(len(got.order), len(want.order)) {
 			if got.order[i] != want.order[i] {
@@ -206,173 +247,4 @@ func FuzzEventOrder(f *testing.F) {
 			t.Fatalf("ran %d events, reference ran %d", len(got.order), len(want.order))
 		}
 	})
-}
-
-// refServer is Server as it was before completions queued outside the heap:
-// every job's completion is pushed at Submit. It is the reference the
-// backlogged Server must reproduce event for event.
-type refServer struct {
-	eng       *Engine
-	busyUntil Time
-}
-
-func (s *refServer) Submit(service Time, done func()) Time {
-	if service < 0 {
-		service = 0
-	}
-	start := s.eng.now
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	s.busyUntil = start + service
-	if done != nil {
-		s.eng.At(s.busyUntil, done)
-	}
-	return s.busyUntil
-}
-
-type submitter interface {
-	Submit(service Time, done func()) Time
-}
-
-type step struct {
-	now Time
-	id  int
-}
-
-// serverMix drives six servers wired like two adapters and a switch port —
-// stage k's done submits to stage k+1; chains 0→1 and 2→3 each cross an
-// AfterKeyed hop (one lane per chain) into the shared server 4, then 5, whose
-// done signals a consumer — from two processes (Advance, AdvanceWhile) and a
-// re-arming After timer, all drawing from one seeded stream, so the first
-// event that pops out of order changes every draw after it. Service times
-// come from a small set, zero included, so completions tie across servers
-// and with the timers; servers 1 and 3 never serve in zero time, as a link
-// never does, which keeps the hops' keys unique. The run pauses at a horizon
-// (paused sees the servers then) and is resumed to the end.
-func serverMix(t *testing.T, seed uint64, mk func(e *Engine) submitter, paused func(srv []submitter)) ([]step, int64) {
-	e := NewEngine(1)
-	r := NewRand(seed)
-	srv := make([]submitter, 6)
-	for i := range srv {
-		srv[i] = mk(e)
-	}
-	services := []Time{0, 3, 3, 7, 7, 7, 12}
-	svc := func() Time { return services[r.Intn(len(services))] }
-	var log []step
-	mark := func(id int) { log = append(log, step{e.Now(), id}) }
-	arrived := &Cond{Name: "arrived"}
-
-	var stage func(k, job int) func()
-	stage = func(k, job int) func() {
-		return func() {
-			mark(k*100000 + job)
-			switch k {
-			case 1, 3:
-				e.AfterKeyed(10, uint64(k/2), 2, func() {
-					mark(600000 + job)
-					srv[4].Submit(svc(), stage(4, job))
-				})
-			case 5:
-				arrived.Signal()
-			default:
-				d := svc()
-				if k == 0 || k == 2 {
-					d++ // into server 1 or 3
-				}
-				srv[k+1].Submit(d, stage(k+1, job))
-			}
-		}
-	}
-	jobs := 0
-	inject := func(chain int) {
-		for n := 1 + r.Intn(6); n > 0; n-- {
-			jobs++
-			if r.Intn(8) == 0 {
-				srv[2*chain].Submit(svc(), nil) // occupies the server, no event
-				continue
-			}
-			srv[2*chain].Submit(svc(), stage(2*chain, jobs))
-		}
-	}
-
-	e.Go("advance", func(p *Proc) {
-		for i := 0; i < 60; i++ {
-			inject(0)
-			p.Advance(Time(r.Intn(30)))
-			mark(700000)
-		}
-	})
-	e.Go("advancewhile", func(p *Proc) {
-		for i := 0; i < 60; i++ {
-			inject(1)
-			left := r.Intn(3)
-			p.AdvanceWhile(Time(1+r.Intn(12)), func() bool { left--; return left >= 0 })
-			mark(700001)
-		}
-	})
-	e.GoDaemon("consumer", func(p *Proc) {
-		for {
-			arrived.Wait(p)
-			mark(700002)
-		}
-	})
-	timers := 40
-	var timer func()
-	timer = func() {
-		mark(700003)
-		inject(r.Intn(2))
-		if timers--; timers > 0 {
-			e.After(Time(r.Intn(40)), timer)
-		}
-	}
-	e.After(5, timer)
-
-	if err := e.Run(400); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	if !e.Pending() {
-		t.Fatalf("seed %d: run finished before the pause at %v", seed, e.Now())
-	}
-	paused(srv)
-	if err := e.Run(0); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	if e.Pending() {
-		t.Fatalf("seed %d: events pending after the run", seed)
-	}
-	e.Release()
-	return log, e.EventsRun
-}
-
-// TestServerOrderMatchesSubmitTimePush: keeping queued completions out of
-// the heap must not move a single event. The same seeded mix runs on Server
-// and on refServer, and the (now, id) execution sequences and event counts
-// must be equal.
-func TestServerOrderMatchesSubmitTimePush(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		backlogged := 0
-		got, gotEvents := serverMix(t, seed*977,
-			func(e *Engine) submitter { return NewServer(e) },
-			func(srv []submitter) {
-				for _, s := range srv {
-					backlogged += s.(*Server).backlog.Len()
-				}
-			})
-		if backlogged == 0 {
-			t.Fatalf("seed %d: no server had a backlog at the pause; the mix does not exercise it", seed)
-		}
-		want, wantEvents := serverMix(t, seed*977,
-			func(e *Engine) submitter { return &refServer{eng: e} },
-			func([]submitter) {})
-		if len(got) != len(want) || gotEvents != wantEvents {
-			t.Fatalf("seed %d: %d steps in %d events, reference %d in %d",
-				seed, len(got), gotEvents, len(want), wantEvents)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: divergence at step %d: server ran %+v, reference %+v", seed, i, got[i], want[i])
-			}
-		}
-	}
 }

@@ -373,36 +373,6 @@ func TestFinishAndDetachOnTheChain(t *testing.T) {
 	}
 }
 
-// TestSignalHandoffOrder pins the Signal fast path's ordering contract:
-// events pushed after a Signal still run after the woken process, exactly as
-// the queue-based path ordered them.
-func TestSignalHandoffOrder(t *testing.T) {
-	e := NewEngine(1)
-	var c Cond
-	c.Name = "order"
-	var order []string
-	e.Go("waiter", func(p *Proc) {
-		c.Wait(p)
-		order = append(order, "waiter")
-	})
-	e.Go("signaler", func(p *Proc) {
-		p.Yield() // let the waiter park
-		c.Signal()
-		e.At(e.Now(), func() { order = append(order, "callback") })
-		p.Yield()
-		order = append(order, "signaler")
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"waiter", "callback", "signaler"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 // TestReleaseUnwindsParkedProcs: Release ends every unfinished process —
 // parked on a Cond, detached, never started — by unwinding it, so deferred
 // calls run, and a park attempted on the way out unwinds too instead of
@@ -485,232 +455,5 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if Time(2e9).Seconds() != 2.0 {
 		t.Fatal("2e9 ns != 2 s")
-	}
-}
-
-// stepOrder runs one process that wakes every d for n periods — through
-// AdvanceWhile when inline is set, through a plain Advance loop otherwise —
-// against everything that can tie with its wake-ups: callbacks scheduled
-// before the run at the same instants, callbacks scheduled at run time from
-// an earlier and from the same instant, a second process on the same period,
-// and a Cond wake-up. It returns the execution order and the event count.
-func stepOrder(inline bool) ([]string, int64) {
-	const d, n = 10, 40
-	e := NewEngine(1)
-	var log []string
-	note := func(who string) { log = append(log, fmt.Sprintf("%d:%s", e.Now(), who)) }
-	var c Cond
-
-	for i := 1; i <= n; i += 3 {
-		e.At(Time(i*d), func() { note("pre") })
-	}
-	var chain func()
-	chain = func() {
-		note("chain")
-		if e.Now() < n*d {
-			e.After(d/2, func() { // lands between wake-ups, schedules onto one
-				e.After(d/2, chain)
-				e.After(d/2, func() { note("late"); c.Signal() })
-			})
-		}
-	}
-	e.At(d, chain)
-
-	k := 0
-	step := func() bool {
-		k++
-		note("step")
-		if k%7 == 0 {
-			e.After(d, func() { note("from-step") }) // same key race as the re-arm
-		}
-		return k < n
-	}
-	e.Go("stepper", func(p *Proc) {
-		if inline {
-			p.AdvanceWhile(d, step)
-		} else {
-			for {
-				p.Advance(d)
-				if !step() {
-					break
-				}
-			}
-		}
-		note("stepper-done")
-	})
-	e.Go("peer", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Advance(d)
-			note("peer")
-		}
-	})
-	e.GoDaemon("waiter", func(p *Proc) {
-		for {
-			c.Wait(p)
-			note("woken")
-		}
-	})
-	e.RunAll()
-	return log, e.EventsRun
-}
-
-// TestAdvanceWhileMatchesAdvanceLoop pins AdvanceWhile's contract: the same
-// execution order and the same number of events as the Advance loop it
-// replaces, ties included.
-func TestAdvanceWhileMatchesAdvanceLoop(t *testing.T) {
-	want, wantEvents := stepOrder(false)
-	got, gotEvents := stepOrder(true)
-	if gotEvents != wantEvents {
-		t.Errorf("EventsRun = %d inline, %d with the Advance loop", gotEvents, wantEvents)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d log entries inline, %d with the Advance loop", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order diverges at entry %d: inline %q, Advance loop %q", i, got[i], want[i])
-		}
-	}
-	ties := 0
-	for i := 1; i < len(want); i++ {
-		a, b := want[i-1], want[i]
-		if a[:strings.IndexByte(a, ':')] == b[:strings.IndexByte(b, ':')] {
-			ties++
-		}
-	}
-	if ties < 100 {
-		t.Fatalf("only %d same-instant neighbours in the log; the scenario no longer exercises ties", ties)
-	}
-}
-
-// seqOrder runs a process that charges segs back to back, round after
-// round — through one AdvanceSeq when inline is set, through one Advance per
-// segment otherwise — against what stepOrder ties wake-ups with: callbacks
-// scheduled before the run at the same instants, callbacks scheduled at run
-// time, a peer process on the same period, and a Cond wake-up. A positive
-// pause runs the engine in Run horizons that far apart. It returns the
-// execution order, the engine, and how many horizons stopped the run inside
-// a chain, after its first segment's wake-up.
-func seqOrder(t *testing.T, inline bool, segs []Time, pause Time) ([]string, *Engine, int) {
-	const d, rounds = 10, 40
-	e := NewEngine(1)
-	var log []string
-	note := func(who string) { log = append(log, fmt.Sprintf("%d:%s", e.Now(), who)) }
-	var c Cond
-	done := false
-
-	for i := 1; i <= rounds; i += 3 {
-		e.At(Time(i*d), func() { note("pre") })
-	}
-	var chain func()
-	chain = func() {
-		note("chain")
-		if !done {
-			e.After(d/2, func() {
-				e.After(d/2, chain)
-				e.After(d/2, func() { note("late"); c.Signal() })
-			})
-		}
-	}
-	e.At(d, chain)
-
-	var start, first Time = 0, -1 // the chain in progress; first < 0: none
-	e.Go("charger", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			start, first = p.Now(), max(segs[0], 0)
-			if inline {
-				p.AdvanceSeq(segs[0], segs[1:]...)
-			} else {
-				for _, s := range segs {
-					p.Advance(s)
-				}
-			}
-			first = -1
-			note("charged")
-			if i%5 == 0 {
-				e.After(d, func() { note("from-charger") })
-				c.Signal()
-			}
-		}
-		done = true
-	})
-	e.Go("peer", func(p *Proc) {
-		for !done {
-			p.Advance(d)
-			note("peer")
-		}
-	})
-	e.GoDaemon("waiter", func(p *Proc) {
-		for {
-			c.Wait(p)
-			note("woken")
-		}
-	})
-	midChain := 0
-	if pause <= 0 {
-		e.RunAll()
-		return log, e, 0
-	}
-	for h := pause; e.Pending(); h += pause {
-		if err := e.Run(h); err != nil {
-			t.Fatal(err)
-		}
-		note("pause")
-		if first >= 0 && e.Now() >= start+first {
-			midChain++
-		}
-	}
-	return log, e, midChain
-}
-
-// TestAdvanceSeqMatchesAdvanceCalls pins AdvanceSeq's contract: the same
-// execution order and the same number of events as one Advance per segment,
-// ties included — zero and negative segments, a chain longer than any
-// fixed buffer, and Run horizons that pause a chain and resume it — with
-// fewer process hand-offs.
-func TestAdvanceSeqMatchesAdvanceCalls(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		segs  []Time
-		pause Time
-	}{
-		{"three", []Time{10, 10, 10}, 0},
-		{"zero segment", []Time{10, 0, 10}, 0},
-		{"negative segment", []Time{10, -5, 10}, 0},
-		{"zero first", []Time{0, 10, 10}, 0},
-		{"one segment", []Time{10}, 0},
-		{"sixteen segments", []Time{10, 5, 0, 10, 10, -1, 5, 5, 10, 0, 10, 10, 5, 5, 10, 10}, 0},
-		{"paused by horizons", []Time{10, 5, 5}, 7},
-	} {
-		want, plain, _ := seqOrder(t, false, tc.segs, tc.pause)
-		got, inline, midChain := seqOrder(t, true, tc.segs, tc.pause)
-		if inline.EventsRun != plain.EventsRun {
-			t.Errorf("%s: EventsRun = %d inline, %d with Advance calls", tc.name, inline.EventsRun, plain.EventsRun)
-		}
-		if len(tc.segs) > 1 && inline.Handoffs >= plain.Handoffs {
-			t.Errorf("%s: %d hand-offs inline, %d with Advance calls, want fewer", tc.name, inline.Handoffs, plain.Handoffs)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d log entries inline, %d with Advance calls", tc.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: order diverges at entry %d: inline %q, Advance calls %q", tc.name, i, got[i], want[i])
-			}
-		}
-		ties := 0
-		for i := 1; i < len(want); i++ {
-			a, b := want[i-1], want[i]
-			if a[:strings.IndexByte(a, ':')] == b[:strings.IndexByte(b, ':')] {
-				ties++
-			}
-		}
-		if ties < 100 {
-			t.Errorf("%s: only %d same-instant neighbours in the log; the scenario no longer exercises ties", tc.name, ties)
-		}
-		t.Logf("%s: ties %d, events %d, handoffs %d/%d, midChain %d", tc.name, ties, plain.EventsRun, inline.Handoffs, plain.Handoffs, midChain)
-		if tc.pause > 0 && midChain == 0 {
-			t.Errorf("%s: no horizon stopped the run inside a chain", tc.name)
-		}
 	}
 }
