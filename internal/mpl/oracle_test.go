@@ -94,8 +94,10 @@ func TestPipelinedSendsAllArrive(t *testing.T) {
 	stream(40, 500, 9).check(t)
 }
 
-// run runs prog on a fresh cluster and checks every node's receives, and
-// that no packet was lost: MPL has no retransmission.
+// run runs prog on a fresh cluster and checks every node's receives, that
+// no packet was lost (MPL has no retransmission), and MPL's flow control
+// after every MPL call a node makes: toward each peer a message credit of
+// 0 or 1, and 0 to PktWindow data packets in flight.
 func (prog mplProgram) run() error {
 	nodes := len(prog.Sends)
 	largest := 0
@@ -105,26 +107,39 @@ func (prog mplProgram) run() error {
 	c := hw.NewCluster(hw.DefaultConfig(nodes))
 	sys := mpl.New(c)
 	rcs := make([]*matchoracle.Receiver, nodes)
+	var flowErr error
 	for id := range nodes {
 		rng := rand.New(rand.NewPCG(prog.Seed, uint64(id+1)))
 		rcs[id] = matchoracle.NewReceiver(rng, prog.Sends, id)
 		c.Spawn(id, "node", func(p *sim.Proc, n *hw.Node) {
 			ep := sys.EPs[id]
+			flow := func(call string) {
+				for dst := range nodes {
+					credit, ahead := ep.Flow(dst)
+					if flowErr == nil && (credit < 0 || credit > 1 || ahead < 0 || ahead > mpl.PktWindow) {
+						flowErr = fmt.Errorf("node %d after %s at %v: message credit %d and %d data packets in flight toward node %d",
+							id, call, p.Now(), credit, ahead, dst)
+					}
+				}
+			}
 			for _, m := range prog.Sends[id] {
 				if rng.IntN(3) == 0 {
 					n.Compute(p, hw.US(float64(rng.IntN(300))))
 				}
 				ep.Send(p, m.Dst, m.Tag, m.Payload())
+				flow("Send")
 			}
 			ep.DrainSends(p)
+			flow("DrainSends")
 			if prog.Filters == nil {
-				oracleReceive(p, n, ep, rng, rcs[id], largest)
+				oracleReceive(p, n, ep, rng, rcs[id], largest, flow)
 				return
 			}
 			for _, f := range prog.Filters[id] {
 				buf := make([]byte, largest)
 				seq := rcs[id].Post(f)
 				nb, src, tag := ep.Recv(p, f.Src, f.Tag, buf)
+				flow("Recv")
 				rcs[id].Done(seq, buf, src, tag, nb, false)
 			}
 		})
@@ -135,6 +150,9 @@ func (prog mplProgram) run() error {
 	if lost := c.Losses(); lost.TotalLost() != 0 {
 		return fmt.Errorf("packets lost: %+v", lost)
 	}
+	if flowErr != nil {
+		return flowErr
+	}
 	for r, rc := range rcs {
 		if err := rc.Check(); err != nil {
 			return fmt.Errorf("node %d: %v", r, err)
@@ -144,8 +162,9 @@ func (prog mplProgram) run() error {
 }
 
 // oracleReceive runs one node's receive phase, into buffers of size bytes,
-// until every message sent to it has been received.
-func oracleReceive(p *sim.Proc, n *hw.Node, ep *mpl.Endpoint, rng *rand.Rand, rc *matchoracle.Receiver, size int) {
+// until every message sent to it has been received, calling flow after
+// each MPL call.
+func oracleReceive(p *sim.Proc, n *hw.Node, ep *mpl.Endpoint, rng *rand.Rand, rc *matchoracle.Receiver, size int, flow func(call string)) {
 	type open struct {
 		h   *mpl.RecvHandle
 		seq int
@@ -157,8 +176,10 @@ func oracleReceive(p *sim.Proc, n *hw.Node, ep *mpl.Endpoint, rng *rand.Rand, rc
 		opens = opens[1:]
 		for !o.h.Done() {
 			ep.Poll(p)
+			flow("Poll")
 		}
 		nb, src, tag := o.h.Complete(p)
+		flow("Complete")
 		rc.Done(o.seq, o.buf, src, tag, nb, false)
 	}
 	for rc.More() {
@@ -170,13 +191,16 @@ func oracleReceive(p *sim.Proc, n *hw.Node, ep *mpl.Endpoint, rng *rand.Rand, rc
 			// matches, so it needs no safe filter.
 			f, _ := rc.Pick()
 			buf := make([]byte, size)
-			if nb, src, tag, ok := ep.TryRecv(p, f.Src, f.Tag, buf); ok {
+			nb, src, tag, ok := ep.TryRecv(p, f.Src, f.Tag, buf)
+			flow("TryRecv")
+			if ok {
 				rc.Done(rc.Post(f), buf, src, tag, nb, false)
 			}
 		case 2, 3:
 			if f, ok := rc.Pick(); ok && len(opens) < 4 {
 				buf := make([]byte, size)
 				opens = append(opens, open{h: ep.PostRecv(f.Src, f.Tag, buf), seq: rc.Post(f), buf: buf})
+				flow("PostRecv")
 			} else if len(opens) > 0 {
 				waitOldest()
 			}
@@ -185,6 +209,7 @@ func oracleReceive(p *sim.Proc, n *hw.Node, ep *mpl.Endpoint, rng *rand.Rand, rc
 				buf := make([]byte, size)
 				seq := rc.Post(f)
 				nb, src, tag := ep.Recv(p, f.Src, f.Tag, buf)
+				flow("Recv")
 				rc.Done(seq, buf, src, tag, nb, false)
 			} else {
 				waitOldest()
