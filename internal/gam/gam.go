@@ -83,9 +83,10 @@ type message struct {
 // Machine is a cluster of Table-4 nodes sharing one simulation engine.
 type Machine struct {
 	splitc.Runtimes
-	Eng   *sim.Engine
-	P     Params
-	nodes []*gnode
+	Eng      *sim.Engine
+	P        Params
+	nodes    []*gnode
+	inFlight int // messages sent and not yet taken off a delivery queue
 }
 
 // New builds an n-node machine with heapBytes of Split-C global segment
@@ -102,10 +103,21 @@ func New(p Params, n, heapBytes int) *Machine {
 	return m
 }
 
-// Run executes program SPMD and returns the finishing virtual time.
+// Run executes program SPMD and returns the finishing virtual time. A
+// process whose program has returned keeps polling until every program has
+// returned and every message sent has been taken, as on the SP: a message
+// lands only when its receiver polls. The wait is on other processes, so it
+// is plain Poll, not PollWait.
 func (m *Machine) Run(program func(p *sim.Proc, rt *splitc.RT)) sim.Time {
+	running := len(m.Runtimes)
 	for i, rt := range m.Runtimes {
-		m.Eng.Go(fmt.Sprintf("n%d:splitc", i), func(p *sim.Proc) { program(p, rt) })
+		m.Eng.Go(fmt.Sprintf("n%d:splitc", i), func(p *sim.Proc) {
+			program(p, rt)
+			running--
+			for running > 0 || m.inFlight > 0 {
+				rt.T.Poll(p)
+			}
+		})
 	}
 	m.Eng.RunAll()
 	return m.Eng.Now()
@@ -134,6 +146,7 @@ func (g *gnode) wireTime(bytes int) sim.Time {
 // and the latency to dst's queue.
 func (g *gnode) send(p *sim.Proc, dst int, msg *message) {
 	msg.src = g.rt.ID()
+	g.m.inFlight++
 	p.Advance(g.m.P.OSend)
 	t := g.wireTime(len(msg.data))
 	d := g.m.nodes[dst]
@@ -180,6 +193,7 @@ func (g *gnode) Poll(p *sim.Proc) {
 	}
 	for g.q.Len() > 0 {
 		msg := g.q.Pop()
+		g.m.inFlight--
 		p.Advance(g.m.P.ORecv)
 		switch msg.kind {
 		case mCtl:

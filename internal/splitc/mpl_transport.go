@@ -15,9 +15,10 @@ import (
 // software overhead — which is
 // precisely why the paper's fine-grained benchmarks degrade over MPL.
 type mplTransport struct {
-	ep      *mpl.Endpoint
-	rt      *RT
-	scratch []byte
+	ep       *mpl.Endpoint
+	rt       *RT
+	scratch  []byte
+	inFlight *int // the platform's count of messages sent and not yet taken
 }
 
 // Message tags of the Split-C/MPL wire protocol.
@@ -31,18 +32,18 @@ const (
 // MPLPlatform is an SP running Split-C over MPL.
 type MPLPlatform struct {
 	Runtimes
-	Cluster *hw.Cluster
-	sys     *mpl.System
+	Cluster  *hw.Cluster
+	inFlight int
 }
 
 // NewMPL builds an n-node thin-node SP with the MPL-based Split-C runtime.
 func NewMPL(n, heapBytes int) *MPLPlatform {
 	c := hw.NewCluster(hw.DefaultConfig(n))
 	sys := mpl.New(c)
-	pl := &MPLPlatform{Cluster: c, sys: sys}
+	pl := &MPLPlatform{Cluster: c}
 	for i := range c.Nodes {
 		rt := NewRT(i, n, make([]byte, heapBytes))
-		rt.T = &mplTransport{ep: sys.EPs[i], rt: rt, scratch: make([]byte, heapBytes+32)}
+		rt.T = &mplTransport{ep: sys.EPs[i], rt: rt, scratch: make([]byte, heapBytes+32), inFlight: &pl.inFlight}
 		pl.Runtimes = append(pl.Runtimes, rt)
 	}
 	return pl
@@ -50,32 +51,23 @@ func NewMPL(n, heapBytes int) *MPLPlatform {
 
 // Run executes program SPMD and returns the finishing virtual time. A
 // process whose program has returned keeps polling until every program has
-// returned and no send is queued anywhere: MPL holds a send until its
-// receiver, polling, returns a credit. The wait is on other processes, so
-// it is plain Poll, not PollWait.
+// returned and every message sent has been taken: MPL holds a send until
+// its receiver, polling, returns a credit, and a message injected lands
+// only when its receiver polls. The wait is on other processes, so it is
+// plain Poll, not PollWait.
 func (pl *MPLPlatform) Run(program func(p *sim.Proc, rt *RT)) sim.Time {
 	running := len(pl.Runtimes)
 	for i, rt := range pl.Runtimes {
 		pl.Cluster.Spawn(i, "splitc-mpl", func(p *sim.Proc, n *hw.Node) {
 			program(p, rt)
 			running--
-			for running > 0 || !pl.sendsDrained() {
+			for running > 0 || pl.inFlight > 0 {
 				rt.T.Poll(p)
 			}
 		})
 	}
 	pl.Cluster.Run()
 	return pl.Cluster.Eng.Now()
-}
-
-// sendsDrained reports whether no endpoint has a send still queued.
-func (pl *MPLPlatform) sendsDrained() bool {
-	for _, ep := range pl.sys.EPs {
-		if !ep.SendsDrained() {
-			return false
-		}
-	}
-	return true
 }
 
 func (t *mplTransport) Err() error { return nil } // MPL has no fail-stop detection
@@ -93,13 +85,20 @@ func header(a, b, c uint64) []byte {
 	return h
 }
 
+// send sends one Split-C message and counts it in flight until its
+// receiver's Poll takes it.
+func (t *mplTransport) send(p *sim.Proc, dst, tag int, msg []byte) {
+	*t.inFlight++
+	t.ep.Send(p, dst, tag, msg)
+}
+
 func (t *mplTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
-	t.ep.Send(p, dst, tagCtl, header(a, b, 0))
+	t.send(p, dst, tagCtl, header(a, b, 0))
 }
 
 func (t *mplTransport) Get(p *sim.Proc, dst, roff, loff, n int) {
 	// The response deposits at loff, which rides in the request.
-	t.ep.Send(p, dst, tagGetReq, header(uint64(roff), uint64(loff), uint64(n)))
+	t.send(p, dst, tagGetReq, header(uint64(roff), uint64(loff), uint64(n)))
 }
 
 func (t *mplTransport) Store(p *sim.Proc, dst, roff int, data []byte) {
@@ -107,7 +106,7 @@ func (t *mplTransport) Store(p *sim.Proc, dst, roff int, data []byte) {
 	copy(msg, header(uint64(roff), 0, uint64(len(data))))
 	copy(msg[24:], data)
 	t.ep.Node().Memcpy(p, len(data))
-	t.ep.Send(p, dst, tagStore, msg)
+	t.send(p, dst, tagStore, msg)
 }
 
 func (t *mplTransport) PollWait(p *sim.Proc) { t.Poll(p) }
@@ -120,6 +119,7 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 		if !ok {
 			return
 		}
+		*t.inFlight--
 		h0 := binary.LittleEndian.Uint64(t.scratch[0:])
 		h1 := binary.LittleEndian.Uint64(t.scratch[8:])
 		h2 := binary.LittleEndian.Uint64(t.scratch[16:])
@@ -132,7 +132,7 @@ func (t *mplTransport) Poll(p *sim.Proc) {
 			copy(msg, header(h1, 0, uint64(ln)))
 			copy(msg[24:], t.rt.mem[roff:roff+ln])
 			t.ep.Node().Memcpy(p, ln)
-			t.ep.Send(p, src, tagGetReply, msg)
+			t.send(p, src, tagGetReply, msg)
 		case tagGetReply:
 			loff, ln := int(h0), int(h2)
 			copy(t.rt.mem[loff:], t.scratch[24:24+ln])

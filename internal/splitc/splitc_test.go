@@ -1,210 +1,163 @@
 package splitc_test
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 
-	"spam/internal/gam"
+	"spam/internal/faults"
+	"spam/internal/hw"
 	"spam/internal/sim"
 	"spam/internal/splitc"
 )
 
-// platforms returns one instance of each Split-C platform kind, freshly
-// built for a subtest.
-func platforms(n, heap int) map[string]splitc.Platform {
-	return map[string]splitc.Platform{
-		"spam": splitc.NewSPAM(n, heap),
-		"mpl":  splitc.NewMPL(n, heap),
-		"cm5":  gam.New(gam.CM5(), n, heap),
-		"unet": gam.New(gam.UNetATM(), n, heap),
+// scCase runs fixed programs on every platform, a subtest each. With a
+// seed it runs the first on SP AM under each StandardPlans(seed) entry, a
+// subtest each: the plan must fire, and the run end within 40× the lossless
+// simulated time. The model makes each run's gets, sums and segments the
+// lossless run's.
+func scCase(t *testing.T, seed uint64, progs ...scProgram) {
+	for _, pf := range scPlatforms {
+		t.Run(pf.name, func(t *testing.T) {
+			for _, prog := range progs {
+				if _, _, err := prog.run(pf.mk); err != nil {
+					t.Errorf("%v\n%#v", err, prog)
+				}
+			}
+		})
+	}
+	if seed == 0 {
+		return
+	}
+	prog, spam := progs[0], scPlatforms[0].mk
+	lossless, _, _ := prog.run(spam)
+	for _, plan := range faults.StandardPlans(seed) {
+		t.Run(plan.Name, func(t *testing.T) {
+			prog.Plan = *plan
+			end, pl, err := prog.run(spam)
+			switch {
+			case err != nil:
+				t.Errorf("%v\n%#v", err, prog)
+			case pl.(*splitc.SPAMPlatform).Cluster.Switch.Faults.Total() == 0:
+				t.Errorf("the plan never fired\n%#v", prog)
+			case end > 40*lossless:
+				t.Errorf("ended at %v, over 40× the lossless %v\n%#v", end, lossless, prog)
+			}
+		})
 	}
 }
 
-func forEachPlatform(t *testing.T, n, heap int, fn func(t *testing.T, pl splitc.Platform)) {
-	t.Helper()
-	for name, pl := range platforms(n, heap) {
-		pl := pl
-		t.Run(name, func(t *testing.T) { fn(t, pl) })
+// spmd is n ranks' ops, rank r's from ops(r).
+func spmd(n int, ops func(r int) []scOp) [][]scOp {
+	all := make([][]scOp, n)
+	for r := range all {
+		all[r] = ops(r)
 	}
+	return all
 }
 
+// TestBarrierSynchronizes: four ranks enter a Barrier 100 µs apart.
 func TestBarrierSynchronizes(t *testing.T) {
-	forEachPlatform(t, 4, 1024, func(t *testing.T, pl splitc.Platform) {
-		var maxBefore, minAfter sim.Time
-		minAfter = 1 << 62
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			// Stagger arrival times.
-			p.Advance(sim.Time(rt.ID()) * 100000)
-			if p.Now() > maxBefore {
-				maxBefore = p.Now()
-			}
-			rt.Barrier(p)
-			if p.Now() < minAfter {
-				minAfter = p.Now()
-			}
-		})
-		if minAfter < maxBefore {
-			t.Fatalf("barrier leaked: a process left at %v before the last arrived at %v",
-				minAfter, maxBefore)
-		}
-	})
+	scCase(t, 0, scProgram{Heap: 64, Ops: spmd(4, func(r int) []scOp { return []scOp{{Kind: "Compute", Size: 100 * r}, {Kind: "Barrier"}} })})
 }
 
-// TestStoreThenBarrierEnds is a process whose last act leaves a message in
-// flight: node 0 stores 8 bytes to node 1, then both enter a barrier, and
-// node 0's final control message may still be queued when its program
-// returns. The run must end, with the store landed.
+// TestStoreThenBarrierEnds: rank 0 stores 8 bytes to rank 1, and both end
+// in a Barrier, with rank 0's last control message perhaps still queued.
+// The run must end, with the store landed.
 func TestStoreThenBarrierEnds(t *testing.T) {
-	forEachPlatform(t, 2, 1024, func(t *testing.T, pl splitc.Platform) {
-		want := []byte("8 bytes.")
-		mem := make([][]byte, pl.N())
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			mem[rt.ID()] = rt.Mem()
-			if rt.ID() == 0 {
-				rt.Store(p, splitc.GlobalPtr{Node: 1, Off: 64}, want)
-			}
-			rt.Barrier(p)
-		})
-		if got := mem[1][64:72]; !bytes.Equal(got, want) {
-			t.Fatalf("node 1 holds %q, want %q", got, want)
-		}
-	})
+	scCase(t, 0, scProgram{Heap: 1024, Ops: [][]scOp{{{Kind: "Store", Node: 1, Off: 64, Size: 8}, {Kind: "Barrier"}}, {{Kind: "Barrier"}}}})
 }
 
+// TestLastMessagesLand: drawn program 42 on MPL ended with stores still on
+// their way, and 2 on U-Net ATM with gets to ranks whose ops were done.
+// MPL's processes stopped once every send was injected, not taken, and a
+// Table-4 machine's as soon as their own ops were done, so a 16,200 B store
+// of a rank to itself before its last Barrier was lost, and a get from a
+// rank with no ops never answered.
+func TestLastMessagesLand(t *testing.T) {
+	self := func(r int) []scOp { return []scOp{{Kind: "Store", Node: r, Off: 54, Size: 16200}, {Kind: "Barrier"}} }
+	scCase(t, 0, scProgram{Name: "root", Heap: 1 << 15, Ops: [][]scOp{self(0), {{Kind: "Barrier"}}}},
+		scProgram{Name: "leaf", Heap: 1 << 15, Ops: [][]scOp{{{Kind: "Barrier"}}, self(1)}},
+		scProgram{Name: "idle", Heap: 1 << 15, Ops: [][]scOp{{{Kind: "Read", Node: 1, Size: 4096}}, nil}})
+}
+
+// TestAllReduceSum: five ranks, whose tree is not full, sum twice.
 func TestAllReduceSum(t *testing.T) {
-	forEachPlatform(t, 5, 1024, func(t *testing.T, pl splitc.Platform) {
-		sums := make([]uint64, pl.N())
-		again := make([]uint64, pl.N())
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			id := uint64(rt.ID())
-			sums[rt.ID()] = rt.AllReduce(p, id+1)
-			again[rt.ID()] = rt.AllReduce(p, 100-id)
-		})
-		for i := 0; i < pl.N(); i++ {
-			if sums[i] != 15 { // 1+2+3+4+5
-				t.Fatalf("node %d sum = %d, want 15", i, sums[i])
-			}
-			if again[i] != 490 { // the next generation: 100+99+98+97+96
-				t.Fatalf("node %d second sum = %d, want 490", i, again[i])
-			}
-		}
-	})
+	scCase(t, 0, scProgram{Heap: 64, Ops: spmd(5, func(int) []scOp { return []scOp{{Kind: "AllReduce"}, {Kind: "AllReduce"}} })})
 }
 
+// TestPutGetRoundTrip: each of three ranks stores 4 bytes into its right
+// neighbor and reads them back.
 func TestPutGetRoundTrip(t *testing.T) {
-	forEachPlatform(t, 3, 4096, func(t *testing.T, pl splitc.Platform) {
-		ok := true
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			me := rt.ID()
-			right := (me + 1) % rt.N()
-			// Each node stores a signature into its right neighbor at
-			// offset 0, then reads it back from the neighbor into local
-			// offset 1024 and verifies.
-			sig := []byte{byte(me), 0xAB, byte(me * 3), 0xCD}
-			rt.Store(p, splitc.GlobalPtr{Node: right, Off: 0}, sig)
-			rt.AllStoreSync(p)
-			rt.Read(p, splitc.GlobalPtr{Node: right, Off: 0}, 1024, 4)
-			got := rt.Mem()[1024:1028]
-			want := []byte{byte(me), 0xAB, byte(me * 3), 0xCD}
-			if !bytes.Equal(got, want) {
-				ok = false
-			}
-			// And what landed locally must be from the left neighbor.
-			left := (me + rt.N() - 1) % rt.N()
-			if rt.Mem()[0] != byte(left) {
-				ok = false
-			}
-			rt.Barrier(p)
-		})
-		if !ok {
-			t.Fatal("store/get data mismatch")
-		}
-	})
+	scCase(t, 0, scProgram{Heap: 4096, Ops: spmd(3, func(r int) []scOp {
+		return []scOp{{Kind: "Store", Node: (r + 1) % 3, Size: 4}, {Kind: "AllStoreSync"}, {Kind: "Read", Node: (r + 1) % 3, Size: 4, Loff: 1024}, {Kind: "Barrier"}}
+	})})
 }
 
+// TestStoreAndAllStoreSync: each of four ranks stores 8 bytes into every
+// other, at an offset of its own.
 func TestStoreAndAllStoreSync(t *testing.T) {
-	forEachPlatform(t, 4, 8192, func(t *testing.T, pl splitc.Platform) {
-		ok := true
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			me := rt.ID()
-			// Every node stores an 8-byte record into every other node at
-			// a rank-determined offset.
-			rec := make([]byte, 8)
-			binary.LittleEndian.PutUint64(rec, uint64(me)*1000+7)
-			for d := 0; d < rt.N(); d++ {
-				if d == me {
-					continue
-				}
-				rt.Store(p, splitc.GlobalPtr{Node: d, Off: me * 8}, rec)
+	scCase(t, 0, scProgram{Heap: 8192, Ops: spmd(4, func(r int) (ops []scOp) {
+		for d := range 4 {
+			if d != r {
+				ops = append(ops, scOp{Kind: "Store", Node: d, Off: 8 * r, Size: 8})
 			}
-			rt.AllStoreSync(p)
-			for s := 0; s < rt.N(); s++ {
-				if s == me {
-					continue
-				}
-				got := binary.LittleEndian.Uint64(rt.Mem()[s*8:])
-				if got != uint64(s)*1000+7 {
-					ok = false
-				}
-			}
-		})
-		if !ok {
-			t.Fatal("stores not all deposited after AllStoreSync")
 		}
-	})
+		return append(ops, scOp{Kind: "AllStoreSync"})
+	})})
 }
 
+// TestBroadcastBytes: rank 0's 10 bytes at 100 reach five other ranks.
 func TestBroadcastBytes(t *testing.T) {
-	forEachPlatform(t, 6, 4096, func(t *testing.T, pl splitc.Platform) {
-		ok := true
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			if rt.ID() == 0 {
-				copy(rt.Mem()[100:], []byte("splitters!"))
-			}
-			rt.BroadcastBytes(p, 100, 10)
-			if string(rt.Mem()[100:110]) != "splitters!" {
-				ok = false
-			}
-		})
-		if !ok {
-			t.Fatal("broadcast did not reach every node")
-		}
-	})
+	scCase(t, 0, scProgram{Heap: 4096, Ops: spmd(6, func(int) []scOp { return []scOp{{Kind: "BroadcastBytes", Off: 100, Size: 10}} })})
 }
 
+// TestManySmallStoresAllArrive: the fine-grained pattern of the paper's
+// small-message sorts, 200 4-byte stores from each of four ranks.
 func TestManySmallStoresAllArrive(t *testing.T) {
-	// The fine-grained pattern of the paper's small-message sorts: every
-	// word lands in its place.
-	forEachPlatform(t, 4, 1<<16, func(t *testing.T, pl splitc.Platform) {
-		const per = 200
-		var checked, wrong int
-		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-			me, n := rt.ID(), rt.N()
-			dst := func(src, i int) int { return (src + 1 + i%(n-1)) % n }
-			rec := make([]byte, 4)
-			for i := 0; i < per; i++ {
-				binary.LittleEndian.PutUint32(rec, uint32(i))
-				rt.Store(p, splitc.GlobalPtr{Node: dst(me, i), Off: (me*per + i) * 4}, rec)
-			}
-			rt.AllStoreSync(p)
-			for src := 0; src < n; src++ {
-				for i := 0; i < per; i++ {
-					if src != me && dst(src, i) == me {
-						checked++
-						if binary.LittleEndian.Uint32(rt.Mem()[(src*per+i)*4:]) != uint32(i) {
-							wrong++
-						}
-					}
-				}
-			}
-		})
-		if want := per * pl.N(); checked != want || wrong != 0 {
-			t.Fatalf("checked %d words, want %d; %d not in place", checked, want, wrong)
+	scCase(t, 0, scProgram{Heap: 4096, Ops: spmd(4, func(r int) (ops []scOp) {
+		for i := range 200 {
+			ops = append(ops, scOp{Kind: "Store", Node: (r + 1 + i%3) % 4, Off: (r*200 + i) * 4, Size: 4})
 		}
-	})
+		return append(ops, scOp{Kind: "AllStoreSync"})
+	})})
+}
+
+// TestChaosMatMul: blocked matrix multiply's traffic, a chunk's worth of
+// gets from every rank, a reduction and stores one byte over a chunk.
+func TestChaosMatMul(t *testing.T) {
+	scCase(t, 3003, scProgram{Heap: 1 << 16, Ops: spmd(4, func(r int) (ops []scOp) {
+		for s := range 4 {
+			ops = append(ops, scOp{Kind: "GetAsync", Node: s, Size: 8064, Loff: 8192 * (s + 1)})
+		}
+		return append(ops, scOp{Kind: "Sync"}, scOp{Kind: "Compute", Size: 100}, scOp{Kind: "AllReduce"},
+			scOp{Kind: "Store", Node: (r + 1) % 4, Off: 49152, Size: 8065}, scOp{Kind: "AllStoreSync"})
+	})})
+}
+
+// TestChaosRadixSort: radix sort's counting, scan and permute phases,
+// reductions, 4-byte stores to every rank and a bulk store, read back.
+func TestChaosRadixSort(t *testing.T) {
+	scCase(t, 4004, scProgram{Heap: 8192, Ops: spmd(4, func(r int) []scOp {
+		ops := []scOp{{Kind: "AllReduce"}, {Kind: "AllReduce"}}
+		for i := range 64 {
+			ops = append(ops, scOp{Kind: "Store", Node: i % 4, Off: (r*64 + i) * 4, Size: 4})
+		}
+		return append(ops, scOp{Kind: "Store", Node: (r + 1) % 4, Off: 4096, Size: 2048}, scOp{Kind: "AllStoreSync"},
+			scOp{Kind: "Read", Node: (r + 3) % 4, Off: 4096, Size: 2048}, scOp{Kind: "AllReduce"})
+	})})
+}
+
+// TestChaosSampleSort: sample sort's splitter broadcast and all-to-all
+// redistribution of buckets of one to four packets, read back.
+func TestChaosSampleSort(t *testing.T) {
+	scCase(t, 5005, scProgram{Heap: 1 << 14, Ops: spmd(4, func(r int) []scOp {
+		ops := []scOp{{Kind: "BroadcastBytes", Size: 224}}
+		for d := range 4 {
+			ops = append(ops, scOp{Kind: "Store", Node: d, Off: 1024 + 1024*r, Size: 225 * (1 + (r+d)%4)})
+		}
+		return append(ops, scOp{Kind: "AllStoreSync"}, scOp{Kind: "GetAsync", Node: (r + 1) % 4, Off: 1024, Size: 4096, Loff: 8192}, scOp{Kind: "Barrier"})
+	})})
 }
 
 // TestGlobalPointerOutOfRange checks every platform rejects a global
@@ -222,19 +175,15 @@ func TestGlobalPointerOutOfRange(t *testing.T) {
 		{"get source past the end", func(p *sim.Proc, rt *splitc.RT) { rt.Read(p, splitc.GlobalPtr{Node: 1, Off: 1020}, 0, 8) }},
 		{"get destination past the end", func(p *sim.Proc, rt *splitc.RT) { rt.Read(p, splitc.GlobalPtr{Node: 1}, 1020, 8) }},
 	}
-	for name, mk := range map[string]func() splitc.Platform{
-		"spam": func() splitc.Platform { return splitc.NewSPAM(2, 1024) },
-		"mpl":  func() splitc.Platform { return splitc.NewMPL(2, 1024) },
-		"cm5":  func() splitc.Platform { return gam.New(gam.CM5(), 2, 1024) },
-	} {
+	for _, pf := range scPlatforms {
 		for _, tc := range cases {
-			t.Run(name+"/"+tc.name, func(t *testing.T) {
+			t.Run(pf.name+"/"+tc.name, func(t *testing.T) {
 				defer func() {
 					if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "splitc: ") {
 						t.Fatalf("panic %q, want the runtime's splitc: check", msg)
 					}
 				}()
-				mk().Run(func(p *sim.Proc, rt *splitc.RT) {
+				pf.mk(2, 1024).Run(func(p *sim.Proc, rt *splitc.RT) {
 					if rt.ID() == 0 {
 						tc.op(p, rt)
 						return
@@ -248,27 +197,12 @@ func TestGlobalPointerOutOfRange(t *testing.T) {
 	}
 }
 
+// TestCommTimeAccounting: rank 0 computes for 1 ms, then reads 4,096 B
+// from rank 1; its CommTime is the read's time and no more.
 func TestCommTimeAccounting(t *testing.T) {
-	pl := splitc.NewSPAM(2, 4096)
-	var comm, total sim.Time
-	end := pl.Run(func(p *sim.Proc, rt *splitc.RT) {
-		if rt.ID() == 0 {
-			rt.Compute(p, sim.Time(1e6)) // 1 ms of pure compute
-			rt.Read(p, splitc.GlobalPtr{Node: 1, Off: 0}, 0, 4096)
-			comm = rt.CommTime
-			total = p.Now()
-		} else {
-			// Serve the read: the get is answered from this node's polls.
-			for p.Now() < 5e6 {
-				rt.Poll(p)
-			}
-		}
-	})
-	if comm <= 0 || comm >= total {
-		t.Fatalf("comm time %v out of range (total %v)", comm, total)
+	prog := scProgram{Heap: 4096, Ops: [][]scOp{{{Kind: "Compute", Size: 1000}, {Kind: "Read", Node: 1, Size: 4096}}, nil}}
+	total, pl, err := prog.run(scPlatforms[0].mk)
+	if comm := pl.(*splitc.SPAMPlatform).Runtimes[0].CommTime; err != nil || comm <= 0 || total-comm < hw.US(1000) {
+		t.Fatalf("comm time %v of %v, want above 0 and at least 1 ms below the total (%v)", comm, total, err)
 	}
-	if total-comm < sim.Time(1e6) {
-		t.Fatalf("compute time %v should be at least the charged 1ms", total-comm)
-	}
-	_ = end
 }
