@@ -30,19 +30,14 @@ var keep = map[string]string{
 	"internal/am.Endpoint.DebugChannel": "am's PollWait equivalence tests take the channel snapshot through it",
 	"internal/am.Stats.RTTSamples":      "TestShortEchoZeroAlloc, TestBulkZeroAlloc and TestPollWaitMatchesPollLoop check Karn samples were taken; a metric tag would move chaos-kill.txt",
 
-	"internal/faults.StandardPlans": "the chaos plans the am, nas, splitc and bench soaks and the MPI oracle run under",
+	"internal/faults.StandardPlans": "the chaos plans the MPI and Split-C oracles, the nas chaos tests and bench's kv chaos test run under",
 	"internal/faults.FailStopPlans": "the fail-stop plans the faults tests check against the standard ones",
-	"internal/faults/soak.Run":      "the soak harness the nas and splitc chaos tests share",
-	"internal/faults/soak.Workload": "the workload type the shared soak harness runs",
-	"internal/faults/soak.Soak":     "the per-plan soak loop the nas and splitc chaos tests share",
-	"internal/faults/soak.Mix":      "the step MixBytes folds each word of the shared soak's checksum with",
-	"internal/faults/soak.MixBytes": "the byte checksum the shared soak compares across plans",
 
 	"internal/matchoracle": "the matching model the mpl and mpi drawn-program oracles share",
 
 	"internal/hw.DropIf":               "am and hw tests drop chosen packets with it to drive retransmission",
 	"internal/hw.LossReport.TotalLost": "am, hw and mpl tests assert no packet was lost",
-	"internal/hw.FaultStats.Total":     "bench's kv chaos test and the MPI oracle assert the fault plan touched packets",
+	"internal/hw.FaultStats.Total":     "bench's kv chaos test, the nas chaos tests and the MPI and Split-C oracles assert the fault plan touched packets",
 	"internal/hw.Config.NodePar":       "benchmark/rep.go sets it (goes when benchmark/ drops its shims)",
 	"internal/bench.Ran.Events":        "TestObserversDoNotPerturb checks a run fired events",
 
