@@ -154,7 +154,11 @@ func (p *Proc) Advance(d Time) {
 // provided step does only what the process itself would have done at that
 // instant (scheduling events included) and never blocks: it has no process
 // to park. A step that returns false must leave no trace — the woken process
-// redoes that instant's work through its ordinary code.
+// redoes that instant's work through its ordinary code. Hand-offs are not
+// identical: they fall, but a run may make at most one more per process that
+// finishes, since a finished process returns control to whichever process
+// last resumed it, which the skipped wake-ups change (FuzzEngine's
+// found/finish-returns-elsewhere seed).
 func (p *Proc) AdvanceWhile(d Time, step func() bool) {
 	if d < 0 {
 		d = 0
@@ -168,8 +172,9 @@ func (p *Proc) AdvanceWhile(d Time, step func() bool) {
 // with the process woken only after the last: the intermediate wake-ups run
 // inline as AdvanceWhile steps, each pushing the next segment with exactly
 // the key the process's own next Advance would have pushed. Event times,
-// ordering keys and EventsRun are those of the plain calls; only hand-offs
-// fall. It is for a run of charges with nothing read in between; a charge
+// ordering keys and EventsRun are those of the plain calls; hand-offs fall,
+// with AdvanceWhile's bound of at most one more per process that finishes.
+// It is for a run of charges with nothing read in between; a charge
 // followed by a read of shared state is a plain Advance.
 func (p *Proc) AdvanceSeq(d Time, more ...Time) {
 	p.segs, p.segI = append(p.segs[:0], more...), 0
