@@ -510,8 +510,11 @@ func (ep *Endpoint) probeShift(ps *peerState) uint {
 // exponentially: round r waits KeepAlivePolls << min(r, BackoffCap) empty
 // polls and, past round 0, at least the RTT-derived RTO (also shifted by
 // the round). Round 0 behaves exactly like the paper's fixed-threshold
-// probe, so lossless runs are untouched. A peer that stays silent through
-// DeathThreshold rounds is declared fail-stopped.
+// probe. Lossless runs can still retransmit: applyAck takes the first ack
+// after a probe for its answer, though the peer may have stamped it before
+// the probe arrived, and then resends packets the peer already holds
+// (table6, kv-tail, kv-cache, kv-write and table5 each count some). A peer
+// that stays silent through DeathThreshold rounds is declared fail-stopped.
 func (ep *Endpoint) keepAlive(p *sim.Proc) {
 	o := ep.sys.Opt
 	for id, ps := range ep.peers {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"spam/internal/gam"
 	"spam/internal/splitc"
 	"spam/internal/splitc/apps"
 )
@@ -31,8 +30,8 @@ func Table5Machines(nprocs int) []MachineFactory {
 			return pl
 		}},
 	}
-	for _, p := range gam.Table4() {
-		ms = append(ms, MachineFactory{p.Name, func(_ Setup, h int) splitc.Platform { return gam.New(p, nprocs, h) }})
+	for _, m := range splitc.Table4() {
+		ms = append(ms, MachineFactory{m.Name, func(_ Setup, h int) splitc.Platform { return splitc.NewGAM(m, nprocs, h) }})
 	}
 	return ms
 }

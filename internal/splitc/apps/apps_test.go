@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"spam/internal/gam"
 	"spam/internal/sim"
 	"spam/internal/splitc"
 	"spam/internal/splitc/apps"
@@ -20,8 +19,8 @@ func factories(n int) []factory {
 	return []factory{
 		{"spam", func(h int) splitc.Platform { return splitc.NewSPAM(n, h) }},
 		{"mpl", func(h int) splitc.Platform { return splitc.NewMPL(n, h) }},
-		{"cm5", func(h int) splitc.Platform { return gam.New(gam.CM5(), n, h) }},
-		{"cs2", func(h int) splitc.Platform { return gam.New(gam.CS2(), n, h) }},
+		{"cm5", func(h int) splitc.Platform { return splitc.NewGAM(splitc.CM5(), n, h) }},
+		{"cs2", func(h int) splitc.Platform { return splitc.NewGAM(splitc.CS2(), n, h) }},
 	}
 }
 

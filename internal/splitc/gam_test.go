@@ -1,9 +1,8 @@
-package gam_test
+package splitc_test
 
 import (
 	"testing"
 
-	"spam/internal/gam"
 	"spam/internal/sim"
 	"spam/internal/splitc"
 )
@@ -13,16 +12,16 @@ import (
 // runtime level should land near 2*(o_s+o_r) + 2*L plus the wire time.
 func TestRoundTripMatchesTable4(t *testing.T) {
 	cases := []struct {
-		p       gam.Params
+		p       splitc.Machine
 		wantRTT float64 // table value, us
 		tol     float64
 	}{
-		{gam.CM5(), 12, 4},
-		{gam.CS2(), 25, 5},
-		{gam.UNetATM(), 66, 8},
+		{splitc.CM5(), 12, 4},
+		{splitc.CS2(), 25, 5},
+		{splitc.UNetATM(), 66, 8},
 	}
 	for _, tc := range cases {
-		m := gam.New(tc.p, 2, 1024)
+		m := splitc.NewGAM(tc.p, 2, 1024)
 		var rtt float64
 		m.Run(func(p *sim.Proc, rt *splitc.RT) {
 			if rt.ID() != 0 {
@@ -53,10 +52,10 @@ func TestRoundTripMatchesTable4(t *testing.T) {
 // TestBandwidthMatchesTable4 checks each machine's bulk store bandwidth
 // approaches its Table-4 link rate.
 func TestBandwidthMatchesTable4(t *testing.T) {
-	for _, p := range gam.Table4() {
+	for _, p := range splitc.Table4() {
 		p := p
 		const size = 1 << 16
-		m := gam.New(p, 2, size)
+		m := splitc.NewGAM(p, 2, size)
 		var mbps float64
 		m.Run(func(q *sim.Proc, rt *splitc.RT) {
 			if rt.ID() == 0 {
@@ -83,8 +82,8 @@ func TestBandwidthMatchesTable4(t *testing.T) {
 // TestCPUScaleOrdersComputeTime verifies the compute-speed ordering the
 // Figure-4 cpu bars rely on: CM-5 slowest, then CS-2, then U-Net.
 func TestCPUScaleOrdersComputeTime(t *testing.T) {
-	compute := func(p gam.Params) sim.Time {
-		m := gam.New(p, 1, 64)
+	compute := func(p splitc.Machine) sim.Time {
+		m := splitc.NewGAM(p, 1, 64)
 		var el sim.Time
 		m.Run(func(q *sim.Proc, rt *splitc.RT) {
 			t0 := q.Now()
@@ -93,7 +92,7 @@ func TestCPUScaleOrdersComputeTime(t *testing.T) {
 		})
 		return el
 	}
-	cm5, cs2, unet := compute(gam.CM5()), compute(gam.CS2()), compute(gam.UNetATM())
+	cm5, cs2, unet := compute(splitc.CM5()), compute(splitc.CS2()), compute(splitc.UNetATM())
 	if !(cm5 > cs2 && cs2 > unet) {
 		t.Fatalf("compute times must order CM-5 (%v) > CS-2 (%v) > U-Net (%v)", cm5, cs2, unet)
 	}
@@ -101,7 +100,7 @@ func TestCPUScaleOrdersComputeTime(t *testing.T) {
 
 // TestGetMovesData checks the get path end to end on a slow machine.
 func TestGetMovesData(t *testing.T) {
-	m := gam.New(gam.UNetATM(), 2, 4096)
+	m := splitc.NewGAM(splitc.UNetATM(), 2, 4096)
 	ok := false
 	m.Run(func(p *sim.Proc, rt *splitc.RT) {
 		if rt.ID() == 1 {

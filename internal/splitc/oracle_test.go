@@ -13,7 +13,6 @@ import (
 
 	"spam/internal/bench"
 	"spam/internal/faults"
-	"spam/internal/gam"
 	"spam/internal/hw"
 	"spam/internal/sim"
 	"spam/internal/splitc"
@@ -175,8 +174,8 @@ var scPlatforms = []struct {
 }{
 	{"spam", func(n, heap int) splitc.Platform { return splitc.NewSPAM(n, heap) }},
 	{"mpl", func(n, heap int) splitc.Platform { return splitc.NewMPL(n, heap) }},
-	{"unet", func(n, heap int) splitc.Platform { return gam.New(gam.UNetATM(), n, heap) }},
-	{"cm5", func(n, heap int) splitc.Platform { return gam.New(gam.CM5(), n, heap) }},
+	{"unet", func(n, heap int) splitc.Platform { return splitc.NewGAM(splitc.UNetATM(), n, heap) }},
+	{"cm5", func(n, heap int) splitc.Platform { return splitc.NewGAM(splitc.CM5(), n, heap) }},
 }
 
 // TestSplitCOracle runs 200 drawn programs on each of SP AM, under their
@@ -245,17 +244,12 @@ func (prog scProgram) run(mk func(n, heap int) splitc.Platform) (end sim.Time, p
 		rts, eng = pl.Runtimes, pl.Cluster.Eng
 	case *splitc.MPLPlatform:
 		rts, eng = pl.Runtimes, pl.Cluster.Eng
-	case *gam.Machine:
+	case *splitc.GAMPlatform:
 		rts, eng = pl.Runtimes, pl.Eng
 	}
 	for r, rt := range rts {
 		copy(rt.Mem(), states[0][r])
 	}
-	eng.At(scBudget, func() {
-		if eng.Live() > 0 || eng.Pending() {
-			panic(fmt.Sprintf("still running at %v", scBudget))
-		}
-	})
 	var colls [][2]sim.Time // per collective: the last entry and the first exit
 	for _, o := range prog.Ops[0] {
 		if o.Kind == "Barrier" || o.Kind == "AllReduce" {
@@ -263,17 +257,12 @@ func (prog scProgram) run(mk func(n, heap int) splitc.Platform) (end sim.Time, p
 		}
 	}
 	errs := make([]error, n+1)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[n] = fmt.Errorf("%v", r)
-			}
-		}()
+	errs[n] = bounded(eng, scBudget, func() {
 		pl.Run(func(p *sim.Proc, rt *splitc.RT) {
 			errs[rt.ID()] = prog.rank(p, rt, states, colls)
 			end = max(end, p.Now())
 		})
-	}()
+	})
 	for j, c := range colls {
 		if c[1] < c[0] {
 			errs = append(errs, fmt.Errorf("collective %d: a rank left at %v, before the last entered at %v", j, c[1], c[0]))
@@ -292,6 +281,23 @@ func (prog scProgram) run(mk func(n, heap int) splitc.Platform) (end sim.Time, p
 		}
 	}
 	return end, pl, errors.Join(errs...)
+}
+
+// bounded calls run, a platform's Run on eng, and fails it if the
+// simulation is still going at budget.
+func bounded(eng *sim.Engine, budget sim.Time, run func()) (err error) {
+	eng.At(budget, func() {
+		if eng.Live() > 0 || eng.Pending() {
+			panic(fmt.Sprintf("still running at %v", budget))
+		}
+	})
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	run()
+	return nil
 }
 
 // rank runs one rank's ops and checks what it can see: its gets, its sums

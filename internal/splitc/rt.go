@@ -17,21 +17,26 @@ type GlobalPtr struct {
 const (
 	ctlUp uint64 = iota + 1
 	ctlDown
+	ctlDead // a peer death: the gen field names the teller, word b the dead rank
 )
 
 // RT is one process's Split-C runtime state: its rank, the node count, its
-// global segment, and what its transport reports arriving.
+// global segment, its machine's CPU scale, its failure state, and what its
+// transport reports arriving.
 type RT struct {
 	T Transport
 
-	// Err is the first permanent transport failure this process observed (a
-	// peer declared dead). It is sticky: once set, every blocking runtime
-	// call returns it immediately instead of spinning on progress that can
-	// no longer happen.
+	// Err is the first permanent transport failure this process observed: a
+	// peer its transport declared dead, or one another rank reported dead.
+	// It is sticky: once set, every blocking runtime call returns it
+	// immediately instead of spinning on progress that can no longer
+	// happen.
 	Err error
 
 	id, n int
-	mem   []byte // this node's global segment
+	mem   []byte  // this node's global segment
+	scale float64 // computation time relative to the SP's POWER2
+	dead  int     // the rank this process saw die and has not told the others of, or -1
 
 	outstanding int   // split-phase ops issued and not yet completed
 	storesSent  int64 // store payload bytes this node has issued
@@ -48,14 +53,16 @@ type RT struct {
 	CommTime sim.Time
 }
 
-// NewRT is the runtime of rank id of n with global segment mem; the
-// platform calls it for each node, then sets T to a transport that serves
-// it.
-func NewRT(id, n int, mem []byte) *RT {
+// newRT is the runtime of rank id of n with a heapBytes global segment on a
+// machine of CPU scale scale; the platform calls it for each node, then
+// sets T to a transport that serves it.
+func newRT(id, n, heapBytes int, scale float64) *RT {
 	return &RT{
 		id:     id,
 		n:      n,
-		mem:    mem,
+		mem:    make([]byte, heapBytes),
+		scale:  scale,
+		dead:   -1,
 		upVal:  make(map[uint32]uint64),
 		upCnt:  make(map[uint32]int),
 		downOK: make(map[uint32]uint64),
@@ -71,14 +78,6 @@ func (rt *RT) N() int { return rt.n }
 // Mem returns this node's global segment.
 func (rt *RT) Mem() []byte { return rt.mem }
 
-// GetDone records that one of this process's gets has landed; the
-// transport calls it.
-func (rt *RT) GetDone() { rt.outstanding-- }
-
-// Landed records n store payload bytes deposited in this node's segment;
-// the transport calls it.
-func (rt *RT) Landed(n int) { rt.landed += int64(n) }
-
 // check panics unless node is a rank and [off, off+n) lies inside a
 // segment. Every platform gives each node an equal segment, so this node's
 // length bounds every node's.
@@ -89,8 +88,8 @@ func (rt *RT) check(node, off, n int) {
 	}
 }
 
-// Compute charges local computation (machine-scaled).
-func (rt *RT) Compute(p *sim.Proc, d sim.Time) { rt.T.Compute(p, d) }
+// Compute charges d of local computation, scaled to this machine's CPU.
+func (rt *RT) Compute(p *sim.Proc, d sim.Time) { p.Advance(sim.Time(float64(d) * rt.scale)) }
 
 // Poll services the network once (counted as communication time).
 func (rt *RT) Poll(p *sim.Proc) {
@@ -110,18 +109,9 @@ func (rt *RT) GetAsync(p *sim.Proc, gp GlobalPtr, loff, n int) {
 	rt.CommTime += p.Now() - t0
 }
 
-// failed checks for a permanent transport failure, latching it into rt.Err.
-// Blocking loops call it each spin so a peer death breaks the wait.
-func (rt *RT) failed() bool {
-	if rt.Err != nil {
-		return true
-	}
-	if err := rt.T.Err(); err != nil {
-		rt.Err = err
-		return true
-	}
-	return false
-}
+// failed reports a permanent transport failure. Blocking loops call it each
+// spin so a peer death breaks the wait.
+func (rt *RT) failed() bool { return rt.Err != nil }
 
 // Sync blocks until every split-phase operation this process issued has
 // completed (Split-C's sync()), or returns the transport failure that makes
@@ -152,9 +142,9 @@ func (rt *RT) Read(p *sim.Proc, gp GlobalPtr, loff, n int) error {
 	return rt.Sync(p)
 }
 
-// Control takes one control message, the collective tree's: word a packs
-// (kind, gen); word b carries the value. The transport calls it.
-func (rt *RT) Control(a, b uint64) {
+// control takes one control message, the collective tree's: word a packs
+// (kind, gen); word b carries the value.
+func (rt *RT) control(a, b uint64) {
 	kind := a & 0xff
 	gen := uint32(a >> 8 & 0xffffffff)
 	switch kind {
@@ -163,6 +153,27 @@ func (rt *RT) Control(a, b uint64) {
 		rt.upCnt[gen]++
 	case ctlDown:
 		rt.downOK[gen] = b
+	case ctlDead:
+		if rt.Err == nil {
+			rt.Err = fmt.Errorf("splitc: rank %d: peer %d is dead (rank %d saw it die)", rt.id, b, gen)
+		}
+	}
+}
+
+// tellDeath tells every other live rank, once, of the peer death this
+// process saw itself. A collective it leaves on that death never sends its
+// tree messages, and a survivor with no traffic toward the dead rank would
+// wait for them forever.
+func (rt *RT) tellDeath(p *sim.Proc) {
+	dead := rt.dead
+	if dead < 0 {
+		return
+	}
+	rt.dead = -1
+	for r := range rt.n {
+		if r != rt.id && r != dead {
+			rt.T.Ctl(p, r, packCtl(ctlDead, uint32(rt.id)), uint64(dead))
+		}
 	}
 }
 
@@ -197,6 +208,7 @@ func (rt *RT) AllReduce(p *sim.Proc, val uint64) uint64 {
 	// Wait for the children's partial results.
 	for rt.upCnt[gen] < len(kids) {
 		if rt.failed() {
+			rt.tellDeath(p)
 			return 0
 		}
 		rt.T.PollWait(p)
@@ -213,6 +225,7 @@ func (rt *RT) AllReduce(p *sim.Proc, val uint64) uint64 {
 				break
 			}
 			if rt.failed() {
+				rt.tellDeath(p)
 				return 0
 			}
 			rt.T.PollWait(p)

@@ -28,7 +28,7 @@ func TestPackCtlRoundTrip(t *testing.T) {
 // binary collective tree for any cluster size.
 func TestTreeCoversAllRanks(t *testing.T) {
 	for n := 1; n <= 40; n++ {
-		rt := NewRT(0, n, nil)
+		rt := newRT(0, n, 0, 1)
 		seen := make([]bool, n)
 		var walk func(int)
 		var count int

@@ -11,9 +11,8 @@ import (
 // onto am_store_async with a receiver-side byte-counting handler; control
 // messages are am_request_4's. Each endpoint's Data is the RT it serves.
 type spamTransport struct {
-	ep  *am.Endpoint
-	err error // first peer-death error; sticky
-	h   *spamHandlers
+	ep *am.Endpoint
+	h  *spamHandlers
 }
 
 // spamHandlers are the AM handler ids shared by all endpoints of a system.
@@ -38,21 +37,21 @@ func NewSPAM(n, heapBytes int) *SPAMPlatform {
 	pl := &SPAMPlatform{Cluster: c, Sys: sys}
 	h := &spamHandlers{}
 	h.ctl = sys.Register(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, args []uint32) {
-		ep.Data.(*RT).Control(uint64(args[0])<<32|uint64(args[1]), uint64(args[2])<<32|uint64(args[3]))
+		ep.Data.(*RT).control(uint64(args[0])<<32|uint64(args[1]), uint64(args[2])<<32|uint64(args[3]))
 	})
 	h.getDone = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*RT).GetDone()
+		ep.Data.(*RT).outstanding--
 	})
 	h.storeCnt = sys.RegisterBulk(func(p *sim.Proc, ep *am.Endpoint, tok am.Token, addr hw.Addr, n int, arg uint32) {
-		ep.Data.(*RT).Landed(n)
+		ep.Data.(*RT).landed += int64(n)
 	})
 	for i, nd := range c.Nodes {
-		rt := NewRT(i, n, make([]byte, heapBytes))
+		rt := newRT(i, n, heapBytes, nd.P.CPUScale)
 		nd.Mem.Add(rt.mem) // segment 0: the Split-C global heap
 		t := &spamTransport{ep: sys.EPs[i], h: h}
 		t.ep.SetErrorHandler(func(p *sim.Proc, e *am.Endpoint, peer int, derr *am.PeerDeathError) {
-			if t.err == nil {
-				t.err = derr
+			if rt.Err == nil {
+				rt.Err, rt.dead = derr, peer
 			}
 		})
 		t.ep.Data = rt
@@ -77,12 +76,8 @@ func (pl *SPAMPlatform) Run(program func(p *sim.Proc, rt *RT)) sim.Time {
 	return pl.Cluster.Eng.Now()
 }
 
-func (t *spamTransport) Err() error { return t.err }
-
 func (t *spamTransport) Poll(p *sim.Proc)     { t.ep.Poll(p) }
 func (t *spamTransport) PollWait(p *sim.Proc) { t.ep.PollWait(p, 0) }
-
-func (t *spamTransport) Compute(p *sim.Proc, d sim.Time) { t.ep.Node().Compute(p, d) }
 
 func (t *spamTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {
 	t.ep.Request(p, dst, t.h.ctl,

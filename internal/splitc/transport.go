@@ -7,11 +7,13 @@
 // exactly how the paper's cross-machine comparison is constructed.
 //
 // The split is this. The runtime (RT) owns everything the machines share:
-// the rank, the node count, the node's global segment, the tally of store
-// bytes landed, the count of gets outstanding, the global-pointer check and
-// the control-message dispatch. A Transport only moves bytes between
-// segments and charges its machine's costs; it hands each arrival to the
-// RT it serves through RT.Control, RT.GetDone and RT.Landed.
+// the rank, the node count, the node's global segment, the machine's CPU
+// scale, the failure state, the tally of store bytes landed, the count of
+// gets outstanding, the global-pointer check and the control-message
+// dispatch. A Transport only moves messages and charges its machine's
+// costs. SP AM runs the runtime's side of an arrival in its handlers; MPL
+// and the Table-4 machines, which have none, carry one message protocol
+// that RT.serve runs when the receiver polls.
 package splitc
 
 import "spam/internal/sim"
@@ -23,33 +25,24 @@ type Transport interface {
 	Poll(p *sim.Proc)
 
 	// PollWait polls at least once and returns when a poll may have
-	// changed what the runtime waits on (an arrival, Err). It is for loops
-	// blocked on exactly that; a transport with no cheaper way to sit out
-	// idle polls implements it as Poll.
+	// changed what the runtime waits on (an arrival, a failure). It is for
+	// loops blocked on exactly that; a transport with no cheaper way to sit
+	// out idle polls implements it as Poll.
 	PollWait(p *sim.Proc)
 
 	// Ctl sends a small one-way control message (two 64-bit words) used by
 	// the runtime for barriers and reductions; it reaches the receiver's
-	// RT.Control during the receiver's Poll.
+	// runtime during the receiver's Poll.
 	Ctl(p *sim.Proc, dst int, a, b uint64)
 
 	// Get reads n bytes from dst's segment at roff into this node's
-	// segment at loff, then calls RT.GetDone here.
+	// segment at loff, and counts the get done here when they land.
 	Get(p *sim.Proc, dst, roff, loff, n int)
 
 	// Store writes data to dst's segment at roff with no sender-side
-	// completion; the receiver's RT.Landed runs when the data lands
-	// (Split-C's one-way store, synchronized globally by all_store_sync).
+	// completion; the receiver counts the bytes when they land (Split-C's
+	// one-way store, synchronized globally by all_store_sync).
 	Store(p *sim.Proc, dst, roff int, data []byte)
-
-	// Compute charges local computation time, scaled to this machine's
-	// CPU speed relative to the SP's POWER2.
-	Compute(p *sim.Proc, d sim.Time)
-
-	// Err reports a permanent transport failure (a peer declared dead by
-	// the reliability layer), or nil. Once non-nil it never clears; the
-	// runtime's blocking operations return it instead of spinning.
-	Err() error
 }
 
 // Platform builds a cluster of transports and runs SPMD programs on it;
@@ -64,8 +57,62 @@ type Platform interface {
 }
 
 // Runtimes is the part of a Platform every machine shares: one runtime per
-// node, in rank order. SPAMPlatform, MPLPlatform and gam.Machine embed it.
+// node, in rank order. SPAMPlatform, MPLPlatform and GAMPlatform embed it.
 type Runtimes []*RT
 
 // N reports the processor count.
 func (rs Runtimes) N() int { return len(rs) }
+
+// Kinds of message in the protocol of the handler-less networks.
+const (
+	msgCtl = iota + 1
+	msgGet
+	msgReply
+	msgStore
+)
+
+// message is one message of the protocol MPL and the Table-4 machines
+// carry: a control message (words a and b), a get request for n bytes at
+// off whose reply lands at loff on src, or a get reply or a store of data
+// (n bytes) to land at off.
+type message struct {
+	kind, src    int
+	a, b         uint64
+	off, loff, n int
+	data         []byte
+}
+
+// serve runs one message on this node and returns the reply it calls for,
+// a get request's, or the zero message. A reply's data is a view of the
+// segment; the transport copies it as it sends.
+func (rt *RT) serve(m message) message {
+	switch m.kind {
+	case msgCtl:
+		rt.control(m.a, m.b)
+	case msgGet:
+		return message{kind: msgReply, off: m.loff, n: m.n, data: rt.mem[m.off : m.off+m.n]}
+	case msgReply:
+		copy(rt.mem[m.off:], m.data)
+		rt.outstanding--
+	case msgStore:
+		copy(rt.mem[m.off:], m.data)
+		rt.landed += int64(m.n)
+	}
+	return message{}
+}
+
+// quiesce is the end-of-run rule of the handler-less networks: a message
+// lands only when its receiver polls, and MPL holds a send until its
+// receiver, polling, returns a credit. So a rank whose program has
+// returned polls until every program has returned and no message is in
+// flight. The transports count inFlight: up when they send, down when
+// they take.
+type quiesce struct{ running, inFlight int }
+
+// finish runs on a rank whose program has returned. The wait is on other
+// processes, so it is plain Poll, not PollWait.
+func (q *quiesce) finish(p *sim.Proc, rt *RT) {
+	for q.running--; q.running > 0 || q.inFlight > 0; {
+		rt.T.Poll(p)
+	}
+}
